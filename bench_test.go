@@ -140,13 +140,16 @@ func BenchmarkSampleThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkPhases isolates the three online phases of the BBST
-// pipeline on a mid-sized workload.
+// BenchmarkPhases isolates the online phases of the BBST pipeline on a
+// mid-sized workload — the paper's Table III split (grid mapping, upper
+// bounding) plus the sampling phase, one op per sample. Set-up runs
+// with the timer stopped.
 func BenchmarkPhases(b *testing.B) {
 	R := MustGenerate("imis", 100_000, 1)
 	S := MustGenerate("imis", 100_000, 2)
 	cfg := core.Config{HalfExtent: 100, Seed: 1}
 	b.Run("GridMap", func(b *testing.B) {
+		b.StopTimer()
 		for i := 0; i < b.N; i++ {
 			s, err := core.NewBBST(R, S, cfg)
 			if err != nil {
@@ -163,6 +166,7 @@ func BenchmarkPhases(b *testing.B) {
 		}
 	})
 	b.Run("UpperBound", func(b *testing.B) {
+		b.StopTimer()
 		for i := 0; i < b.N; i++ {
 			s, err := core.NewBBST(R, S, cfg)
 			if err != nil {
@@ -177,6 +181,25 @@ func BenchmarkPhases(b *testing.B) {
 			}
 			b.StopTimer()
 		}
+	})
+	b.Run("Sample", func(b *testing.B) {
+		s, err := core.NewBBST(R, S, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Count(); err != nil {
+			b.Fatal(err)
+		}
+		before := s.Stats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Next(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		st := s.Stats()
+		b.ReportMetric(float64(st.Iterations-before.Iterations)/float64(b.N), "trials/sample")
 	})
 }
 

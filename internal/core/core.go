@@ -261,7 +261,8 @@ func SampleInto(s Sampler, dst []geom.Pair) (int, error) {
 	return len(dst), nil
 }
 
-// sampleN implements Sample(t) on top of Next for every sampler.
+// sampleN implements Sample(t) on top of Next for every sampler; b is
+// nil for samplers without a base (they sample with replacement).
 func sampleN(s Sampler, b *base, t int) ([]geom.Pair, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("core: negative sample count %d", t)
@@ -272,7 +273,7 @@ func sampleN(s Sampler, b *base, t int) ([]geom.Pair, error) {
 		if err != nil {
 			// Without replacement, exhausting J surfaces as a
 			// rejection-budget error; return what we have.
-			if b.cfg.WithoutReplacement && errors.Is(err, ErrLowAcceptance) && len(out) > 0 {
+			if b != nil && b.cfg.WithoutReplacement && errors.Is(err, ErrLowAcceptance) && len(out) > 0 {
 				return out, nil
 			}
 			return out, err

@@ -54,6 +54,47 @@ func allFactories() []factory {
 	}
 }
 
+// drawFactories adds the mutable sampler to allFactories for the
+// distribution tests: BBST, Unfreeze, then a small churn script that
+// exercises slot reuse, appends, the free list and recounts but ends
+// with the live sets equal to R and S, so the join under test is
+// unchanged.
+func drawFactories() []factory {
+	return append(allFactories(), factory{"Mutable", func(R, S []geom.Point, cfg Config) (Sampler, error) {
+		s, err := NewBBST(R, S, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.Count(); err != nil {
+			return nil, err
+		}
+		m, err := s.Unfreeze()
+		if err != nil {
+			return nil, err
+		}
+		const extra = 1 << 30 // IDs of the transient points
+		// A third of R, deleted last-first so that the free list hands
+		// each re-inserted point its own slot back.
+		var ids []int32
+		for i := len(R)/3 - 1; i >= 0; i-- {
+			ids = append(ids, R[i].ID)
+		}
+		script := []MutOps{
+			// Delete and re-insert a third of R in one batch, plus
+			// transient points.
+			{DelR: ids, InsR: append(append([]geom.Point(nil), R[:len(R)/3]...), geom.Point{X: R[0].X, Y: R[0].Y, ID: extra})},
+			{DelS: []int32{S[0].ID, S[len(S)-1].ID}, InsS: []geom.Point{{X: S[1].X, Y: S[1].Y, ID: extra}}},
+			{InsS: []geom.Point{S[0], S[len(S)-1]}, DelS: []int32{extra}, DelR: []int32{extra}},
+		}
+		for _, ops := range script {
+			if m, err = m.Apply(ops); err != nil {
+				return nil, err
+			}
+		}
+		return m, m.Index().CheckInvariants()
+	}})
+}
+
 func pairID(p geom.Pair) string { return fmt.Sprintf("%d|%d", p.R.ID, p.S.ID) }
 
 func TestConfigValidate(t *testing.T) {
@@ -130,7 +171,7 @@ func TestUniformity(t *testing.T) {
 		jset[pairID(p)] = true
 	}
 	const draws = 120000
-	for _, f := range allFactories() {
+	for _, f := range drawFactories() {
 		t.Run(f.name, func(t *testing.T) {
 			s, err := f.make(R, S, Config{HalfExtent: l, Seed: 99})
 			if err != nil {
@@ -181,7 +222,7 @@ func TestUniformityClustered(t *testing.T) {
 		jset[pairID(p)] = true
 	}
 	const draws = 100000
-	for _, f := range allFactories() {
+	for _, f := range drawFactories() {
 		t.Run(f.name, func(t *testing.T) {
 			s, err := f.make(R, S, Config{HalfExtent: l, Seed: 5})
 			if err != nil {
@@ -229,7 +270,7 @@ func TestIndependence(t *testing.T) {
 	for i, p := range joined {
 		index[pairID(p)] = i
 	}
-	for _, f := range allFactories() {
+	for _, f := range drawFactories() {
 		t.Run(f.name, func(t *testing.T) {
 			s, err := f.make(R, S, Config{HalfExtent: l, Seed: 11})
 			if err != nil {
@@ -806,7 +847,7 @@ func TestRMarginalDistribution(t *testing.T) {
 	if total < 20 {
 		t.Fatalf("setup: |J| = %d", total)
 	}
-	for _, f := range allFactories() {
+	for _, f := range drawFactories() {
 		t.Run(f.name, func(t *testing.T) {
 			s, err := f.make(R, S, Config{HalfExtent: l, Seed: 61})
 			if err != nil {
@@ -870,7 +911,7 @@ func TestExhaustiveSmallUniverse(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("setup: empty join")
 	}
-	for _, f := range allFactories() {
+	for _, f := range drawFactories() {
 		t.Run(f.name, func(t *testing.T) {
 			s, err := f.make(R, S, Config{HalfExtent: l, Seed: 70})
 			if err != nil {

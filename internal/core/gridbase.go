@@ -55,7 +55,6 @@ type gridSampler struct {
 
 	tab       *alias.Table  // alias over µ(r)
 	cellAlias []alias.Small // A_r: per-point alias over the 9 cells
-	mu        []float64     // µ(r) per point, retained for Unfreeze
 }
 
 // Preprocess sorts a copy of S by x — the only offline work the
@@ -105,22 +104,10 @@ func (g *gridSampler) Build() error {
 // muDir computes µ(r, d): exact counts for cases 1 and 2, the corner
 // structure's bound for case 3 (UPPER-BOUNDING in Algorithm 1).
 func (g *gridSampler) muDir(c *grid.Cell, d grid.Direction, w geom.Rect) int {
-	switch d {
-	case grid.Center:
-		return c.Len()
-	case grid.West:
-		n, _ := c.CountXAtLeast(w.XMin)
-		return n
-	case grid.East:
-		return c.CountXAtMost(w.XMax)
-	case grid.South:
-		n, _ := c.CountYAtLeast(w.YMin)
-		return n
-	case grid.North:
-		return c.CountYAtMost(w.YMax)
-	default:
+	if d.Case() == 3 {
 		return g.corners[c.Key].mu(cornerFor(d), w)
 	}
+	return len(c.Matching(d, w))
 }
 
 // Count is the approximate range counting phase (UB): µ(r) per point,
@@ -158,7 +145,6 @@ func (g *gridSampler) Count() error {
 			g.cellAlias[i].Reset(weights[:])
 		}
 		g.stats.MuSum = total
-		g.mu = mu
 		if total == 0 {
 			buildErr = ErrEmptyJoin
 			return
@@ -178,36 +164,19 @@ func (g *gridSampler) Count() error {
 // may return an empty slot or an out-of-window point, which the
 // caller rejects.
 func (g *gridSampler) sampleDir(c *grid.Cell, d grid.Direction, w geom.Rect) (geom.Point, bool) {
-	switch d {
-	case grid.Center:
-		return c.XSorted[g.rng.Intn(c.Len())], true
-	case grid.West:
-		n, start := c.CountXAtLeast(w.XMin)
-		if n == 0 {
-			return geom.Point{}, false
-		}
-		return c.XSorted[start+g.rng.Intn(n)], true
-	case grid.East:
-		n := c.CountXAtMost(w.XMax)
-		if n == 0 {
-			return geom.Point{}, false
-		}
-		return c.XSorted[g.rng.Intn(n)], true
-	case grid.South:
-		n, start := c.CountYAtLeast(w.YMin)
-		if n == 0 {
-			return geom.Point{}, false
-		}
-		return c.YSorted[start+g.rng.Intn(n)], true
-	case grid.North:
-		n := c.CountYAtMost(w.YMax)
-		if n == 0 {
-			return geom.Point{}, false
-		}
-		return c.YSorted[g.rng.Intn(n)], true
-	default:
+	if d.Case() == 3 {
 		return g.corners[c.Key].sample(cornerFor(d), w, g.rng)
 	}
+	return sampleRun(c.Matching(d, w), g.rng)
+}
+
+// sampleRun draws one point of run uniformly; ok is false when it is
+// empty.
+func sampleRun(run []geom.Point, r *rng.RNG) (geom.Point, bool) {
+	if len(run) == 0 {
+		return geom.Point{}, false
+	}
+	return run[r.Intn(len(run))], true
 }
 
 // tryOnce is one iteration of the sampling phase (lines 10–15 of

@@ -9,40 +9,39 @@ package core
 //     one incrementally-maintained BBST pair (bbst.Insert/Delete on a
 //     CloneForUpdate copy) per non-empty grid cell, reached through a
 //     persistent directory (grid.Dir) instead of a Go map;
-//   - the R side keeps an append-with-reuse slot array (pvec) whose
-//     per-slot µ(r) weights live in a persistent sum tree
-//     (alias.Weights) — the mutable replacement for the frozen Walker
-//     alias — plus a cell→slots reverse index so an S-side change
-//     recomputes µ only for the R points whose 3×3 neighborhood was
-//     touched;
-//   - deleting an R point zeroes its weight and threads the slot onto
-//     a free list encoded in the slot array itself, so sustained churn
+//   - the R side keeps one persistent slot tree (slotTree): each slot
+//     holds its point, its 9 per-direction counts µ(r, d) and µ(r),
+//     under a sum tree that replaces the frozen Walker alias; a
+//     cell→slots reverse index lets an S-side change recount only the
+//     R points whose 3×3 neighborhood was touched;
+//   - deleting an R point zeroes its counts and threads the slot onto
+//     a free list encoded in the slots themselves, so sustained churn
 //     reuses slots instead of growing without bound.
 //
 // Every version of the index is immutable: ApplyOps path-copies the
-// touched cells, slots, and weight paths and returns a NEW index, so
+// touched cells and slot-tree paths and returns a NEW index, so
 // published views keep serving the version they started with — the
 // same discipline the dynamic store already applies to whole views.
 // One batch of k operations costs Õ(k) (each op touches O(log) nodes
 // plus one cell's O(|cell|) copy-on-write, amortized by the batch),
 // which is what retires the threshold-triggered base rebuild.
 //
-// Sampling stays the paper's Algorithm 1: draw a slot proportional to
-// µ(r) through the weight tree, pick one of the 9 neighborhood
-// directions by a cumulative scan of the per-direction counts (exact
-// for cases 1–2, the BBST bound for corners), draw a uniform slot
-// within the direction, accept iff the candidate lies in w(r). The
-// per-direction counts are recomputed per trial instead of being
-// cached in a per-point alias.Small: the index version is immutable,
-// so they sum to exactly the stored µ(r) and every live pair is
-// returned by one trial with probability exactly 1/Σµ — the Trial
-// contract the delta overlay mixes on.
+// Sampling stays the paper's Algorithm 1: one descent of the slot tree
+// draws a slot proportional to µ(r), a cumulative scan of the slot's
+// cached direction counts (exact for cases 1–2, the BBST bound for
+// corners) picks the direction, and only that direction's cell is
+// looked up to draw a uniform candidate, accepted iff it lies in w(r).
+// The cached counts are kept equal to a recount against the version's
+// S side (ApplyOps recounts every slot a touched cell can affect), so
+// they sum to the stored µ(r) and every live pair is returned by one
+// trial with probability exactly 1/Σµ — the Trial contract the delta
+// overlay mixes on.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"repro/internal/alias"
 	"repro/internal/bbst"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -76,7 +75,7 @@ type mutCell struct {
 // O(1) copy of the value struct) and leave the dead slot in the list;
 // the list is re-filtered when garbage exceeds live entries, so the
 // amortized cost per operation stays Õ(1). Readers validate entries
-// against the slot array before use.
+// against the slots before use.
 type rlist struct {
 	slots []int32
 	live  int32
@@ -109,10 +108,9 @@ type MutableIndex struct {
 	s0     int // live S count the bucket capacity was sized for
 
 	// R side.
-	slots    *pvec // slot -> point; dead slots hold free markers
-	freeHead int32 // head of the dead-slot chain (-1 when none)
+	slots    *slotTree // slot -> point, direction counts, µ; dead slots hold free markers
+	freeHead int32     // head of the dead-slot chain (-1 when none)
 	nFree    int
-	weights  *alias.Weights // slot -> µ(r); 0 for dead and zero-match slots
 	rcells   *grid.Dir[rlist]
 	rids     *grid.Dir[[]int32] // ID -> live slots with that ID
 	rCount   int
@@ -123,81 +121,64 @@ func (ix *MutableIndex) NumR() int { return ix.rCount }
 func (ix *MutableIndex) NumS() int { return ix.sCount }
 
 // MuSum is the total alias mass Σ_r µ(r) of this version.
-func (ix *MutableIndex) MuSum() float64 {
-	if ix.weights == nil {
-		return 0
-	}
-	return ix.weights.Total()
-}
+func (ix *MutableIndex) MuSum() float64 { return ix.slots.Total() }
 
-// muDirAt counts the S points of mc matching direction d of window w:
+// count returns µ(r, d) for the cell in direction d of r's window w:
 // exact for cases 1–2, the BBST upper bound for corners.
-func (ix *MutableIndex) muDirAt(mc *mutCell, d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
-	switch d {
-	case grid.Center:
-		return mc.cell.Len()
-	case grid.West:
-		n, _ := mc.cell.CountXAtLeast(w.XMin)
-		return n
-	case grid.East:
-		return mc.cell.CountXAtMost(w.XMax)
-	case grid.South:
-		n, _ := mc.cell.CountYAtLeast(w.YMin)
-		return n
-	case grid.North:
-		return mc.cell.CountYAtMost(w.YMax)
-	default:
+func (mc *mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
+	if d.Case() == 3 {
 		return mc.pair.MuS(cornerFor(d), w, sc)
 	}
+	return len(mc.cell.Matching(d, w))
 }
 
-// sampleDirAt draws one candidate slot of direction d; ok is false on
-// an empty corner slot. The caller verifies window membership.
-func (ix *MutableIndex) sampleDirAt(mc *mutCell, d grid.Direction, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
-	c := mc.cell
-	switch d {
-	case grid.Center:
-		return c.XSorted[r.Intn(c.Len())], true
-	case grid.West:
-		n, start := c.CountXAtLeast(w.XMin)
-		if n == 0 {
-			return geom.Point{}, false
-		}
-		return c.XSorted[start+r.Intn(n)], true
-	case grid.East:
-		n := c.CountXAtMost(w.XMax)
-		if n == 0 {
-			return geom.Point{}, false
-		}
-		return c.XSorted[r.Intn(n)], true
-	case grid.South:
-		n, start := c.CountYAtLeast(w.YMin)
-		if n == 0 {
-			return geom.Point{}, false
-		}
-		return c.YSorted[start+r.Intn(n)], true
-	case grid.North:
-		n := c.CountYAtMost(w.YMax)
-		if n == 0 {
-			return geom.Point{}, false
-		}
-		return c.YSorted[r.Intn(n)], true
-	default:
+// sample draws one candidate of direction d; ok is false on an empty
+// corner slot. The caller verifies window membership.
+func (mc *mutCell) sample(d grid.Direction, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
+	if d.Case() == 3 {
 		return mc.pair.SampleSlotS(cornerFor(d), w, r, sc)
 	}
+	return sampleRun(mc.cell.Matching(d, w), r)
 }
 
-// muOf computes µ(r) for one R point against this version's S side.
-func (ix *MutableIndex) muOf(pt geom.Point, sc *bbst.Scratch) float64 {
-	w := geom.Window(pt, ix.cfg.HalfExtent)
-	k := grid.KeyFor(pt.X, pt.Y, ix.side)
-	sum := 0
+// dirMask is a set of neighborhood directions, bit d for direction d.
+type dirMask uint16
+
+const allDirs dirMask = 1<<grid.NumDirections - 1
+
+// neighborhood looks up the S cells around cell k in the directions of
+// mask (nil where the cell is empty).
+func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb [grid.NumDirections]*mutCell) {
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		if mc, ok := ix.scells.Get(k.Neighbor(d)); ok {
-			sum += ix.muDirAt(mc, d, w, sc)
+		if mask&(1<<d) != 0 {
+			nb[d], _ = ix.scells.Get(k.Neighbor(d))
 		}
 	}
-	return float64(sum)
+	return nb
+}
+
+// recount rewrites µ(r, d) of R point pt for every direction d in mask,
+// against the S cells nb around pt's cell.
+func (ix *MutableIndex) recount(pt geom.Point, cnt *dirCounts, nb *[grid.NumDirections]*mutCell, mask dirMask, sc *bbst.Scratch) {
+	w := geom.Window(pt, ix.cfg.HalfExtent)
+	for d := grid.Direction(0); d < grid.NumDirections; d++ {
+		if mask&(1<<d) == 0 {
+			continue
+		}
+		cnt[d] = 0
+		if nb[d] != nil {
+			cnt[d] = int32(nb[d].count(d, w, sc))
+		}
+	}
+}
+
+// countsOf computes µ(r, d) for one R point against this version's S
+// side.
+func (ix *MutableIndex) countsOf(pt geom.Point, sc *bbst.Scratch) dirCounts {
+	nb := ix.neighborhood(grid.KeyFor(pt.X, pt.Y, ix.side), allDirs)
+	var cnt dirCounts
+	ix.recount(pt, &cnt, &nb, allDirs, sc)
+	return cnt
 }
 
 // scw is the per-cell S work of one batch.
@@ -210,9 +191,9 @@ type scw struct {
 // ApplyOps absorbs one batch and returns the new index version. The
 // receiver is never modified. S operations are applied first (grouped
 // per cell, one copy-on-write cell replacement and one cloned BBST
-// pair per touched cell), then R deletes, then R inserts with µ
-// computed against the final S state, and finally µ is recomputed for
-// the live R slots whose 3×3 neighborhood contains a touched S cell.
+// pair per touched cell), then R deletes, then R inserts with counts
+// taken against the final S state, and finally the live R slots whose
+// 3×3 neighborhood contains a touched S cell are recounted.
 func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 	if err := checkMutFinite(ops.InsR, "R"); err != nil {
 		return nil, err
@@ -265,25 +246,24 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		}
 	}
 
-	// R deletes: zero the weight, thread the slot onto the free list,
-	// and retire the slot from its cell's reverse list.
+	// R side: every slot write of the batch goes through one edit
+	// buffer, so each touched slot-tree node is copied once.
+	se := newSlotEdits(nx.slots)
+
+	// R deletes: zero the slot, thread it onto the free list, and
+	// retire it from its cell's reverse list.
 	for _, id := range ops.DelR {
 		slots, ok := nx.rids.Get(idKey(id))
 		if !ok {
 			continue
 		}
 		for _, slot := range slots {
-			pt := nx.slots.Get(int(slot))
+			pt := se.get(slot).pt
 			k := grid.KeyFor(pt.X, pt.Y, nx.side)
-			w, err := nx.weights.Set(int(slot), 0)
-			if err != nil {
-				return nil, err
-			}
-			nx.weights = w
-			nx.slots = nx.slots.Set(int(slot), freeMarker(nx.freeHead))
+			se.set(slot, slotRec{pt: freeMarker(nx.freeHead)})
 			nx.freeHead = slot
 			nx.nFree++
-			if err := nx.dropFromRCell(k); err != nil {
+			if err := nx.dropFromRCell(k, se); err != nil {
 				return nil, err
 			}
 		}
@@ -291,70 +271,61 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		nx.rCount -= len(slots)
 	}
 
-	// R inserts: reuse a free slot when one exists, µ against final S.
+	// R inserts: reuse a free slot when one exists, counts against the
+	// final S side.
 	for _, pt := range ops.InsR {
-		mu := nx.muOf(pt, &sc)
+		rec := newSlotRec(pt, nx.countsOf(pt, &sc))
 		var slot int32
 		if nx.freeHead >= 0 {
 			slot = nx.freeHead
-			nx.freeHead = nx.slots.Get(int(slot)).ID
+			nx.freeHead = se.get(slot).pt.ID
 			nx.nFree--
-			nx.slots = nx.slots.Set(int(slot), pt)
-			w, err := nx.weights.Set(int(slot), mu)
-			if err != nil {
-				return nil, err
-			}
-			nx.weights = w
+			se.set(slot, rec)
 		} else {
-			slot = int32(nx.slots.Len())
-			nx.slots = nx.slots.Append(pt)
-			w, err := nx.weights.Append(mu)
-			if err != nil {
-				return nil, err
-			}
-			nx.weights = w
+			slot = se.push(rec)
 		}
-		nx.addToRCell(grid.KeyFor(pt.X, pt.Y, nx.side), slot)
+		nx.addToRCell(grid.KeyFor(pt.X, pt.Y, nx.side), slot, se)
 		old, _ := nx.rids.Get(idKey(pt.ID))
 		nx.rids = nx.rids.With(idKey(pt.ID), append(old[:len(old):len(old)], slot))
 		nx.rCount++
 	}
 
-	// Recompute µ for every live R slot with a touched S cell in its
-	// neighborhood (the 3×3 relation is symmetric, so those are exactly
-	// the slots in the 3×3 blocks around the touched cells). Freshly
-	// inserted slots recompute to the value just stored — harmless.
-	if len(cellKeys) > 0 {
-		seen := make(map[grid.Key]struct{}, 9*len(cellKeys))
-		var rkeys []grid.Key
-		for _, k := range cellKeys {
-			for d := grid.Direction(0); d < grid.NumDirections; d++ {
-				rk := k.Neighbor(d)
-				if _, dup := seen[rk]; dup {
-					continue
-				}
-				seen[rk] = struct{}{}
+	// Recount the live R slots with a touched S cell in their
+	// neighborhood — exactly the slots in the 3×3 blocks around the
+	// touched cells — in the directions that point into a touched cell
+	// (no other count can change), rewriting only the slots whose counts
+	// changed. Freshly inserted slots recount to what was just stored.
+	touched := make(map[grid.Key]dirMask, 9*len(cellKeys))
+	var rkeys []grid.Key // first-touch order
+	for _, k := range cellKeys {
+		for d := grid.Direction(0); d < grid.NumDirections; d++ {
+			rk := k.Neighbor(d)
+			if _, ok := touched[rk]; !ok {
 				rkeys = append(rkeys, rk)
 			}
+			touched[rk] |= 1 << d.Opposite()
 		}
-		for _, rk := range rkeys {
-			rl, ok := nx.rcells.Get(rk)
-			if !ok {
-				continue
+	}
+	for _, rk := range rkeys {
+		rl, ok := nx.rcells.Get(rk)
+		if !ok {
+			continue
+		}
+		mask := touched[rk]
+		nb := nx.neighborhood(rk, mask)
+		for _, slot := range rl.slots {
+			rec := se.get(slot)
+			if isFreeSlot(rec.pt) || grid.KeyFor(rec.pt.X, rec.pt.Y, nx.side) != rk {
+				continue // retired entry awaiting re-filter
 			}
-			for _, slot := range rl.slots {
-				pt := nx.slots.Get(int(slot))
-				if isFreeSlot(pt) || grid.KeyFor(pt.X, pt.Y, nx.side) != rk {
-					continue // retired entry awaiting re-filter
-				}
-				w, err := nx.weights.Set(int(slot), nx.muOf(pt, &sc))
-				if err != nil {
-					return nil, err
-				}
-				nx.weights = w
+			cnt := rec.cnt
+			nx.recount(rec.pt, &cnt, &nb, mask, &sc)
+			if cnt != rec.cnt {
+				se.set(slot, newSlotRec(rec.pt, cnt))
 			}
 		}
 	}
+	nx.slots = se.commit()
 	return &nx, nil
 }
 
@@ -418,49 +389,50 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 }
 
 // dropFromRCell retires one live slot from cell k's reverse list.
-func (nx *MutableIndex) dropFromRCell(k grid.Key) error {
+func (nx *MutableIndex) dropFromRCell(k grid.Key, se *slotEdits) error {
 	rl, ok := nx.rcells.Get(k)
 	if !ok || rl.live == 0 {
 		return fmt.Errorf("core: mutable R delete: cell (%d,%d) has no live slots", k.CX, k.CY)
 	}
 	rl.live--
-	if rl.live == 0 {
-		nx.rcells = nx.rcells.Without(k)
-		return nil
-	}
-	if len(rl.slots) > 2*int(rl.live) {
-		rl.slots = nx.filterRList(k, rl.slots)
-	}
-	nx.rcells = nx.rcells.With(k, rl)
+	nx.putRList(k, rl, se)
 	return nil
 }
 
-// addToRCell appends one live slot to cell k's reverse list. The
-// append may extend the backing array shared with published versions,
-// which is safe: their rlist value caps their view of it, ApplyOps
-// runs single-writer, and readers never touch rcells — only ApplyOps
-// and test invariants (both serialized) do.
-func (nx *MutableIndex) addToRCell(k grid.Key, slot int32) {
+// addToRCell lists one live slot in cell k's reverse list. A reused
+// slot may still be listed there from its previous life (deletes leave
+// the entry until a re-filter); that entry is revived rather than
+// listed twice. The append may extend the backing array shared with
+// published versions, which is safe: their rlist value caps their view
+// of it, ApplyOps runs single-writer, and readers never touch rcells —
+// only ApplyOps and test invariants (both serialized) do.
+func (nx *MutableIndex) addToRCell(k grid.Key, slot int32, se *slotEdits) {
 	rl, _ := nx.rcells.Get(k)
-	rl.slots = append(rl.slots, slot)
 	rl.live++
-	if len(rl.slots) > 2*int(rl.live) {
-		rl.slots = nx.filterRList(k, rl.slots)
+	if !slices.Contains(rl.slots, slot) {
+		rl.slots = append(rl.slots, slot)
 	}
-	nx.rcells = nx.rcells.With(k, rl)
+	nx.putRList(k, rl, se)
 }
 
-// filterRList rebuilds a reverse list keeping only slots that are live
-// and still belong to cell k.
-func (nx *MutableIndex) filterRList(k grid.Key, slots []int32) []int32 {
-	out := make([]int32, 0, len(slots)/2+1)
-	for _, slot := range slots {
-		pt := nx.slots.Get(int(slot))
-		if !isFreeSlot(pt) && grid.KeyFor(pt.X, pt.Y, nx.side) == k {
-			out = append(out, slot)
-		}
+// putRList stores cell k's reverse list: the cell leaves rcells with
+// its last live slot, and the list is re-filtered down to slots that
+// are live and still in cell k once dead entries outnumber live ones.
+func (nx *MutableIndex) putRList(k grid.Key, rl rlist, se *slotEdits) {
+	if rl.live == 0 {
+		nx.rcells = nx.rcells.Without(k)
+		return
 	}
-	return out
+	if len(rl.slots) > 2*int(rl.live) {
+		out := make([]int32, 0, len(rl.slots)/2+1)
+		for _, slot := range rl.slots {
+			if pt := se.get(slot).pt; !isFreeSlot(pt) && grid.KeyFor(pt.X, pt.Y, nx.side) == k {
+				out = append(out, slot)
+			}
+		}
+		rl.slots = out
+	}
+	nx.rcells = nx.rcells.With(k, rl)
 }
 
 // rebaseDriftFactor is the live-S-count drift (either way) past which
@@ -480,25 +452,13 @@ func (ix *MutableIndex) NeedsRebase() bool {
 }
 
 // SizeBytes estimates the standalone footprint of this version in O(1)
-// from the live counts (pvec and weight nodes, two sorted point copies
-// plus BBST buckets per S point, directory slots).
+// from the live counts: the slot tree, ~140 B per S point (two sorted
+// copies in its cell, its bucket slot and share of the BBST nodes, its
+// sids entry), the directories, and the reverse-list slot IDs.
+// TestMutableSizeBytesTracksHeap holds it to the measured live heap.
 func (ix *MutableIndex) SizeBytes() int {
-	nslots := 0
-	if ix.slots != nil {
-		nslots = ix.slots.Len()
-	}
-	total := 80 * nslots // pvec node per slot
-	if ix.weights != nil {
-		total += ix.weights.SizeBytes()
-	}
-	total += 140 * ix.sCount // cell copies + bucket storage + tree nodes
-	if ix.scells != nil {
-		total += ix.scells.SizeBytes() + ix.sids.SizeBytes()
-	}
-	if ix.rcells != nil {
-		total += ix.rcells.SizeBytes() + ix.rids.SizeBytes() + 8*nslots
-	}
-	return total
+	return ix.slots.sizeBytes() + 140*ix.sCount + 8*ix.slots.Len() +
+		ix.scells.SizeBytes() + ix.sids.SizeBytes() + ix.rcells.SizeBytes() + ix.rids.SizeBytes()
 }
 
 // Mutable is a sampling handle over one MutableIndex version: the
@@ -515,12 +475,12 @@ type Mutable struct {
 }
 
 // Unfreeze converts the prepared sampler into a Mutable sharing every
-// frozen structure: the per-cell BBST pairs are adopted as-is (the
-// first mutation of a cell clones them copy-on-write, so the frozen
-// sampler keeps serving untouched), the retained µ vector seeds the
-// persistent weight tree, and the reverse indexes are built in one
-// pass. This is the one O(n + m) step of the mutable path; every
-// ApplyOps after it is Õ(ops).
+// frozen structure: the cells and per-cell BBST pairs are adopted as-is
+// (the first mutation of a cell clones them copy-on-write, so the
+// frozen sampler keeps serving untouched). The slot tree is bulk-built
+// with every R point's direction counts taken once, and the
+// directories are bulk-built in one sort each. This is the one
+// O(n + m) step of the mutable path; every ApplyOps after it is Õ(ops).
 func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	if s.cfg.WithoutReplacement {
 		return nil, ErrNoParallelWithoutReplacement
@@ -536,43 +496,50 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 		cfg:      s.cfg,
 		side:     s.g.Side(),
 		bcap:     bcap,
-		scells:   &grid.Dir[*mutCell]{},
-		sids:     &grid.Dir[[]geom.Point]{},
 		sCount:   len(s.sortedS),
 		s0:       len(s.sortedS),
 		freeHead: -1,
-		rcells:   &grid.Dir[rlist]{},
-		rids:     &grid.Dir[[]int32]{},
 		rCount:   len(s.R),
 	}
-	var cellList []*grid.Cell
-	s.g.Cells(func(c *grid.Cell) { cellList = append(cellList, c) })
-	for _, c := range cellList {
-		bc, ok := s.corners[c.Key].(*bbstCorner)
-		if !ok {
-			return nil, fmt.Errorf("core: unfreeze: cell (%d,%d) has no BBST pair", c.Key.CX, c.Key.CY)
+	var cells []mutCell
+	s.g.Cells(func(c *grid.Cell) {
+		cells = append(cells, mutCell{cell: c, pair: s.corners[c.Key].(*bbstCorner).pair})
+	})
+	ix.scells = grid.BuildDir(len(cells),
+		func(i int) grid.Key { return cells[i].cell.Key },
+		func(idx []int32) *mutCell { return &cells[idx[0]] })
+	S := s.sortedS
+	sidPts := make([]geom.Point, 0, len(S))
+	ix.sids = grid.BuildDir(len(S),
+		func(i int) grid.Key { return idKey(S[i].ID) },
+		func(idx []int32) []geom.Point {
+			start := len(sidPts)
+			for _, i := range idx {
+				sidPts = append(sidPts, S[i])
+			}
+			return sidPts[start:len(sidPts):len(sidPts)]
+		})
+
+	R := s.R
+	ix.rcells = grid.BuildDir(len(R),
+		func(i int) grid.Key { return grid.KeyFor(R[i].X, R[i].Y, ix.side) },
+		func(idx []int32) rlist { return rlist{slots: idx, live: int32(len(idx))} })
+	ix.rids = grid.BuildDir(len(R),
+		func(i int) grid.Key { return idKey(R[i].ID) },
+		func(idx []int32) []int32 { return idx })
+	// Count cell by cell, so each R cell's neighborhood is looked up once.
+	var sc bbst.Scratch
+	recs := make([]slotRec, len(R))
+	ix.rcells.Range(func(k grid.Key, rl rlist) bool {
+		nb := ix.neighborhood(k, allDirs)
+		for _, i := range rl.slots {
+			var cnt dirCounts
+			ix.recount(R[i], &cnt, &nb, allDirs, &sc)
+			recs[i] = newSlotRec(R[i], cnt)
 		}
-		ix.scells = ix.scells.With(c.Key, &mutCell{cell: c, pair: bc.pair})
-	}
-	for _, pt := range s.sortedS {
-		old, _ := ix.sids.Get(idKey(pt.ID))
-		ix.sids = ix.sids.With(idKey(pt.ID), append(old[:len(old):len(old)], pt))
-	}
-	ix.slots = newPvec(s.R)
-	w, err := alias.NewWeights(s.mu)
-	if err != nil {
-		return nil, err
-	}
-	ix.weights = w
-	for i, pt := range s.R {
-		k := grid.KeyFor(pt.X, pt.Y, ix.side)
-		rl, _ := ix.rcells.Get(k)
-		rl.slots = append(rl.slots, int32(i))
-		rl.live++
-		ix.rcells = ix.rcells.With(k, rl)
-		old, _ := ix.rids.Get(idKey(pt.ID))
-		ix.rids = ix.rids.With(idKey(pt.ID), append(old[:len(old):len(old)], int32(i)))
-	}
+		return true
+	})
+	ix.slots = buildSlotTree(recs)
 	m := &Mutable{
 		idx:        ix,
 		name:       s.name,
@@ -615,34 +582,32 @@ func (m *Mutable) Build() error { return nil }
 // Count is a no-op: µ is maintained incrementally.
 func (m *Mutable) Count() error { return nil }
 
-// TryNext runs one sampling trial: slot ∝ µ(r), direction by a
-// cumulative scan of the per-direction counts, uniform slot within the
-// direction, accept iff the candidate lies in w(r).
+// TryNext runs one sampling trial: one slot-tree descent draws the
+// slot ∝ µ(r), a cumulative scan of its cached direction counts picks
+// the direction, and only that direction's cell is looked up to draw a
+// uniform candidate, accepted iff it lies in w(r).
 func (m *Mutable) TryNext() (geom.Pair, bool, error) {
 	ix := m.idx
-	if ix.weights == nil || ix.weights.Total() <= 0 {
+	total := ix.slots.Total()
+	if total <= 0 {
 		return geom.Pair{}, false, ErrEmptyJoin
 	}
 	m.stats.Iterations++
-	slot := ix.weights.Sample(m.rng)
-	r := ix.slots.Get(slot)
-	w := geom.Window(r, ix.cfg.HalfExtent)
-	muR := ix.weights.Get(slot)
-	u := m.rng.Float64() * muR
-	k := grid.KeyFor(r.X, r.Y, ix.side)
+	rec := ix.slots.sample(m.rng.Float64() * total)
+	r := rec.pt
+	u := m.rng.Float64() * rec.mu
 	acc := 0.0
-	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		mc, ok := ix.scells.Get(k.Neighbor(d))
-		if !ok {
+	for d, c := range rec.cnt {
+		if c == 0 {
 			continue
 		}
-		wd := float64(ix.muDirAt(mc, d, w, &m.scratch))
-		if wd == 0 {
-			continue
-		}
-		acc += wd
+		acc += float64(c)
 		if u < acc {
-			s, ok := ix.sampleDirAt(mc, d, w, m.rng, &m.scratch)
+			dir := grid.Direction(d)
+			// A positive count means the cell exists in this version.
+			mc, _ := ix.scells.Get(grid.KeyFor(r.X, r.Y, ix.side).Neighbor(dir))
+			w := geom.Window(r, ix.cfg.HalfExtent)
+			s, ok := mc.sample(dir, w, m.rng, &m.scratch)
 			if !ok || !w.Contains(s) {
 				return geom.Pair{}, false, nil
 			}
@@ -650,9 +615,8 @@ func (m *Mutable) TryNext() (geom.Pair, bool, error) {
 			return geom.Pair{R: r, S: s}, true, nil
 		}
 	}
-	// The direction weights sum to exactly the stored µ(r) on an
-	// immutable version; reaching here means u landed on the boundary
-	// by rounding. Reject the trial.
+	// The counts sum to exactly µ(r); reaching here means u landed on
+	// the boundary by rounding. Reject the trial.
 	return geom.Pair{}, false, nil
 }
 
@@ -679,20 +643,7 @@ func (m *Mutable) Next() (geom.Pair, error) {
 }
 
 // Sample draws t samples via Next.
-func (m *Mutable) Sample(t int) ([]geom.Pair, error) {
-	if t < 0 {
-		return nil, fmt.Errorf("core: negative sample count %d", t)
-	}
-	out := make([]geom.Pair, 0, t)
-	for len(out) < t {
-		p, err := m.Next()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
+func (m *Mutable) Sample(t int) ([]geom.Pair, error) { return sampleN(m, nil, t) }
 
 // Stats reports the handle's counters; MuSum is the version's Σµ.
 func (m *Mutable) Stats() Stats { return m.stats }
@@ -719,11 +670,9 @@ func (m *Mutable) Reseed(seed uint64) { m.rng.Reseed(seed) }
 // directory hash order) — the compaction path's input.
 func (m *Mutable) LivePoints() (R, S []geom.Point) {
 	ix := m.idx
-	if ix.slots != nil {
-		for i := 0; i < ix.slots.Len(); i++ {
-			if pt := ix.slots.Get(i); !isFreeSlot(pt) {
-				R = append(R, pt)
-			}
+	for i := 0; i < ix.slots.Len(); i++ {
+		if pt := ix.slots.get(i).pt; !isFreeSlot(pt) {
+			R = append(R, pt)
 		}
 	}
 	ix.scells.Range(func(_ grid.Key, mc *mutCell) bool {
@@ -750,8 +699,9 @@ var (
 
 // CheckInvariants exhaustively validates one index version against its
 // own redundant state — every per-cell BBST invariant, the reverse
-// indexes, the free list, and every stored µ against a recount. Test
-// and race-hammer use only: O(everything).
+// indexes, the free list, every slot's cached direction counts against
+// a recount, and every slot-tree sum against the pairwise
+// recomputation. Test and race-hammer use only: O(everything).
 func (ix *MutableIndex) CheckInvariants() error {
 	var sc bbst.Scratch
 	// S side: cells well-formed, pairs in sync, counts add up.
@@ -832,26 +782,21 @@ func (ix *MutableIndex) CheckInvariants() error {
 	if sidTotal != ix.sCount {
 		return fmt.Errorf("sids hold %d points, sCount %d", sidTotal, ix.sCount)
 	}
-	// R side: slots, free chain, weights, reverse indexes.
-	nslots := 0
-	if ix.slots != nil {
-		nslots = ix.slots.Len()
+	// R side: slot tree, cached counts, free chain, reverse indexes.
+	if err := ix.slots.checkSums(); err != nil {
+		return err
 	}
-	if ix.weights != nil && ix.weights.Len() != nslots {
-		return fmt.Errorf("weights len %d, slots %d", ix.weights.Len(), nslots)
-	}
+	nslots := ix.slots.Len()
 	live := 0
 	for i := 0; i < nslots; i++ {
-		pt := ix.slots.Get(i)
-		if isFreeSlot(pt) {
-			if w := ix.weights.Get(i); w != 0 {
-				return fmt.Errorf("dead slot %d has weight %g", i, w)
-			}
-			continue
+		rec := ix.slots.get(i)
+		want := dirCounts{}
+		if !isFreeSlot(rec.pt) {
+			live++
+			want = ix.countsOf(rec.pt, &sc)
 		}
-		live++
-		if got, want := ix.weights.Get(i), ix.muOf(pt, &sc); got != want {
-			return fmt.Errorf("slot %d (ID %d): stored µ %g, recount %g", i, pt.ID, got, want)
+		if rec.cnt != want {
+			return fmt.Errorf("slot %d (ID %d): cached counts %v, recount %v", i, rec.pt.ID, rec.cnt, want)
 		}
 	}
 	if live != ix.rCount {
@@ -859,7 +804,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 	}
 	chain := 0
 	for s := ix.freeHead; s >= 0; {
-		pt := ix.slots.Get(int(s))
+		pt := ix.slots.get(int(s)).pt
 		if !isFreeSlot(pt) {
 			return fmt.Errorf("free chain reaches live slot %d", s)
 		}
@@ -881,7 +826,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 	ix.rcells.Range(func(k grid.Key, rl rlist) bool {
 		n := 0
 		for _, slot := range rl.slots {
-			pt := ix.slots.Get(int(slot))
+			pt := ix.slots.get(int(slot)).pt
 			if isFreeSlot(pt) || grid.KeyFor(pt.X, pt.Y, ix.side) != k {
 				continue
 			}
@@ -914,7 +859,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 	ix.rids.Range(func(k grid.Key, slots []int32) bool {
 		ridTotal += len(slots)
 		for _, slot := range slots {
-			pt := ix.slots.Get(int(slot))
+			pt := ix.slots.get(int(slot)).pt
 			if isFreeSlot(pt) || pt.ID != k.CX {
 				ridErr = fmt.Errorf("rids list %d holds slot %d (free or wrong ID)", k.CX, slot)
 				return false

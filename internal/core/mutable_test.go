@@ -1,9 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/join"
 	"repro/internal/rng"
@@ -23,6 +28,129 @@ func mustUnfreeze(t *testing.T, R, S []geom.Point, cfg Config) *Mutable {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// goldenMutableDigest pins the seeded draw stream of the mutable index:
+// FNV-64a over every draw and the live point order of the script in
+// mutableScriptDigest, as produced by an implementation with a separate
+// point vector and weight tree. Any change to the maintained µ, the
+// slot order, the directory order or the trial's use of the random
+// stream moves it.
+const goldenMutableDigest = 0x3c94c3b70c2427c3
+
+// churnGen deals out fixed-shape churn batches: per side, k deletes of
+// random live IDs and k inserts of fresh IDs at points drawn from a
+// pool.
+type churnGen struct {
+	r            *rng.RNG
+	liveR, liveS []int32
+	pool         []geom.Point
+	nextID       int32
+}
+
+func newChurnGen(R, S, pool []geom.Point, seed uint64) *churnGen {
+	g := &churnGen{r: rng.New(seed), pool: pool, nextID: 1 << 20}
+	for _, p := range R {
+		g.liveR = append(g.liveR, p.ID)
+	}
+	for _, p := range S {
+		g.liveS = append(g.liveS, p.ID)
+	}
+	return g
+}
+
+func (g *churnGen) pick(live *[]int32) int32 {
+	i := g.r.Intn(len(*live))
+	id := (*live)[i]
+	(*live)[i] = (*live)[len(*live)-1]
+	*live = (*live)[:len(*live)-1]
+	return id
+}
+
+func (g *churnGen) fresh() geom.Point {
+	p := g.pool[g.r.Intn(len(g.pool))]
+	p.ID = g.nextID
+	g.nextID++
+	return p
+}
+
+func (g *churnGen) batch(k int) MutOps {
+	var ops MutOps
+	for i := 0; i < k; i++ {
+		ops.DelR = append(ops.DelR, g.pick(&g.liveR))
+		ops.DelS = append(ops.DelS, g.pick(&g.liveS))
+	}
+	for i := 0; i < k; i++ {
+		pR, pS := g.fresh(), g.fresh()
+		ops.InsR = append(ops.InsR, pR)
+		ops.InsS = append(ops.InsS, pS)
+		g.liveR = append(g.liveR, pR.ID)
+		g.liveS = append(g.liveS, pS.ID)
+	}
+	return ops
+}
+
+// mutableScriptDigest unfreezes nyc-shaped points, applies a fixed
+// 200-batch churn script and hashes seeded draws from several versions
+// (including one superseded version) plus LivePoints order.
+func mutableScriptDigest(t *testing.T) uint64 {
+	R, S := dataset.SplitRS(dataset.NYC(20000, 1), 0.5, 2)
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: 100, Seed: 17})
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	putPt := func(p geom.Point) {
+		put(math.Float64bits(p.X))
+		put(math.Float64bits(p.Y))
+		put(uint64(uint32(p.ID)))
+	}
+	draw := func(m *Mutable, seed uint64) {
+		m.Reseed(seed)
+		pairs, err := m.Sample(500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pairs {
+			putPt(p.R)
+			putPt(p.S)
+		}
+		put(math.Float64bits(m.Stats().MuSum))
+	}
+	gen := newChurnGen(R, S, dataset.NYC(4000, 7), 3)
+	old := m
+	for batch := 0; batch < 200; batch++ {
+		nm, err := m.Apply(gen.batch(4))
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		m = nm
+		if batch%50 == 49 {
+			draw(m, uint64(batch))
+		}
+	}
+	if err := m.Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	draw(old, 1)
+	gotR, gotS := m.LivePoints()
+	for _, p := range gotR {
+		putPt(p)
+	}
+	for _, p := range gotS {
+		putPt(p)
+	}
+	return h.Sum64()
+}
+
+// TestMutableGoldenDigest holds seeded mutable draws byte-identical
+// across rewrites of the index's internals.
+func TestMutableGoldenDigest(t *testing.T) {
+	if got := mutableScriptDigest(t); got != goldenMutableDigest {
+		t.Fatalf("draw digest %#x, golden %#x — seeded mutable draws changed", got, goldenMutableDigest)
+	}
 }
 
 func TestUnfreezeMatchesFrozen(t *testing.T) {
@@ -402,44 +530,50 @@ func TestMutableCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestPvecBasics(t *testing.T) {
-	r := rng.New(10)
-	var versions []*pvec
-	var oracles [][]geom.Point
-	v := &pvec{}
-	var oracle []geom.Point
-	for i := 0; i < 300; i++ {
-		if i%3 == 2 && v.Len() > 0 {
-			j := r.Intn(v.Len())
-			pt := geom.Point{X: float64(i), Y: 1, ID: int32(i)}
-			v = v.Set(j, pt)
-			oracle[j] = pt
-		} else {
-			pt := geom.Point{X: float64(i), ID: int32(i)}
-			v = v.Append(pt)
-			oracle = append(oracle, pt)
+// TestMutableReuseSlotInSameCell covers a batch whose R insert reuses
+// the slot its R delete just freed, in the same cell: the slot must be
+// listed once in the cell's reverse list, not twice.
+func TestMutableReuseSlotInSameCell(t *testing.T) {
+	r := rng.New(11)
+	R := randomPoints(r, 40, 50, 0)
+	S := randomPoints(r, 40, 50, 10000)
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	for i, p := range R[:5] {
+		q := geom.Point{X: p.X, Y: p.Y, ID: int32(900 + i)}
+		var err error
+		m, err = m.Apply(MutOps{DelR: []int32{p.ID}, InsR: []geom.Point{q}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i%50 == 0 {
-			versions = append(versions, v)
-			oracles = append(oracles, append([]geom.Point(nil), oracle...))
+		if err := m.Index().CheckInvariants(); err != nil {
+			t.Fatalf("after reusing slot %d: %v", i, err)
 		}
 	}
-	check := func(v *pvec, want []geom.Point) {
-		t.Helper()
-		if v.Len() != len(want) {
-			t.Fatalf("len %d, want %d", v.Len(), len(want))
-		}
-		for i, w := range want {
-			if got := v.Get(i); got != w {
-				t.Fatalf("slot %d: %+v, want %+v", i, got, w)
-			}
-		}
+}
+
+// TestMutableSizeBytesTracksHeap keeps the SizeBytes estimate within 2×
+// of the live heap an unfrozen index holds on its own (the frozen
+// sampler it came from is dropped), so the memory charge for stores
+// stays honest.
+func TestMutableSizeBytesTracksHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 50k x 50k index")
 	}
-	check(v, oracle)
-	for i := range versions {
-		check(versions[i], oracles[i])
+	R, S := dataset.SplitRS(dataset.NYC(100000, 1), 0.5, 2)
+	var ms runtime.MemStats
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
 	}
-	// Bulk build agrees with append-built.
-	bulk := newPvec(oracle)
-	check(bulk, oracle)
+	before := liveHeap()
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: 100, Seed: 1})
+	measured := liveHeap() - before
+	est := int64(m.SizeBytes())
+	runtime.KeepAlive(m)
+	t.Logf("SizeBytes %d, live heap %d (%.2fx)", est, measured, float64(est)/float64(measured))
+	if est > 2*measured || measured > 2*est {
+		t.Fatalf("SizeBytes %d vs live heap %d: off by more than 2x", est, measured)
+	}
 }

@@ -10,7 +10,11 @@ package grid
 // function of the stored keys (hash order), never of Go map ordering,
 // which keeps replays and equal-seed runs deterministic.
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 const (
 	dirBits  = 6
@@ -211,6 +215,100 @@ func dropSlot[V any](u *dnode[V], bit uint64, pos int) *dnode[V] {
 	copy(nu.slots, u.slots[:pos])
 	copy(nu.slots[pos:], u.slots[pos+1:])
 	return nu
+}
+
+// BuildDir bulk-builds a directory over n items, item i filed under
+// key(i): each distinct key is bound to val(idx), where idx lists that
+// key's items in ascending order (val may retain idx; the slices share
+// one array, each capped at its length). The result looks up, iterates
+// and edits exactly like binding the same values with With in order of
+// each key's first item, but costs one sort and a few allocations
+// instead of one path copy per key.
+func BuildDir[V any](n int, key func(i int) Key, val func(idx []int32) V) *Dir[V] {
+	type item struct {
+		ord uint64 // Range position of the key's hash
+		k   Key
+		i   int32
+	}
+	items := make([]item, n)
+	for i := range items {
+		k := key(i)
+		items[i] = item{ord: dirOrder(dirHash(k)), k: k, i: int32(i)}
+	}
+	slices.SortFunc(items, func(a, b item) int {
+		return cmp.Or(cmp.Compare(a.ord, b.ord), cmp.Compare(a.k.CX, b.k.CX), cmp.Compare(a.k.CY, b.k.CY), cmp.Compare(a.i, b.i))
+	})
+	order := make([]int32, n)
+	for j := range items {
+		order[j] = items[j].i
+	}
+	type group struct{ lo, hi int } // items[lo:hi] share one key
+	var gs []group
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && items[hi].k == items[lo].k {
+			hi++
+		}
+		gs = append(gs, group{lo, hi})
+		lo = hi
+	}
+	// Keys sharing a Range position (a hash collision) are listed in
+	// order of first item, as successive With calls would list them.
+	for lo := 0; lo < len(gs); {
+		hi := lo + 1
+		for hi < len(gs) && items[gs[hi].lo].ord == items[gs[lo].lo].ord {
+			hi++
+		}
+		slices.SortFunc(gs[lo:hi], func(a, b group) int { return cmp.Compare(items[a.lo].i, items[b.lo].i) })
+		lo = hi
+	}
+	kvs := make([]dkv[V], len(gs))
+	hs := make([]uint64, len(gs))
+	for j, g := range gs {
+		k := items[g.lo].k
+		kvs[j] = dkv[V]{k, val(order[g.lo:g.hi:g.hi])}
+		hs[j] = dirHash(k)
+	}
+	d := &Dir[V]{n: len(kvs)}
+	if len(kvs) > 0 {
+		d.root = buildNode(kvs, hs, 0)
+	}
+	return d
+}
+
+// dirOrder maps a hash to its Range position: the 6-bit chunks the trie
+// consumes, first chunk most significant.
+func dirOrder(h uint64) uint64 {
+	var ord uint64
+	for shift := 0; shift < dirDepth*dirBits; shift += dirBits {
+		ord = ord<<dirBits | (h>>shift)&dirMask
+	}
+	return ord
+}
+
+// buildNode builds the node at shift over kvs, which are in Range order
+// and share their hash chunks below shift. A group sharing the chunk at
+// shift becomes a leaf when it is one key, when every hash bit is spent,
+// or when all its hashes are equal (a collision list) — the shape With
+// produces.
+func buildNode[V any](kvs []dkv[V], hs []uint64, shift int) *dnode[V] {
+	u := &dnode[V]{}
+	for lo := 0; lo < len(kvs); {
+		c := (hs[lo] >> shift) & dirMask
+		hi, same := lo+1, true
+		for hi < len(kvs) && (hs[hi]>>shift)&dirMask == c {
+			same = same && hs[hi] == hs[lo]
+			hi++
+		}
+		u.bitmap |= 1 << c
+		if hi-lo == 1 || same || shift+dirBits >= dirDepth*dirBits {
+			u.slots = append(u.slots, dslot[V]{leaf: kvs[lo:hi:hi]})
+		} else {
+			u.slots = append(u.slots, dslot[V]{child: buildNode(kvs[lo:hi], hs[lo:hi], shift+dirBits)})
+		}
+		lo = hi
+	}
+	return u
 }
 
 // Range calls fn for every key/value pair in hash order (deterministic

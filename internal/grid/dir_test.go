@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -173,4 +174,77 @@ func BenchmarkDirWith(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d = d.With(Key{CX: int32(r.Intn(1 << 12)), CY: int32(r.Intn(1 << 12))}, i)
 	}
+}
+
+// buildVsWith bulk-builds a directory over keys (values: the item
+// indexes filed under each key) and the same bindings through With in
+// order of first occurrence, then checks Len, Get and Range order agree
+// and that both keep agreeing under further With/Without edits.
+func buildVsWith(t *testing.T, keys []Key) {
+	t.Helper()
+	built := BuildDir(len(keys), func(i int) Key { return keys[i] }, func(idx []int32) []int32 { return idx })
+	inc := &Dir[[]int32]{}
+	for i, k := range keys {
+		old, _ := inc.Get(k)
+		inc = inc.With(k, append(old[:len(old):len(old)], int32(i)))
+	}
+	same := func(a, b *Dir[[]int32]) {
+		t.Helper()
+		if a.Len() != b.Len() {
+			t.Fatalf("Len %d vs %d", a.Len(), b.Len())
+		}
+		var ka, kb []Key
+		var va, vb [][]int32
+		a.Range(func(k Key, v []int32) bool { ka = append(ka, k); va = append(va, v); return true })
+		b.Range(func(k Key, v []int32) bool { kb = append(kb, k); vb = append(vb, v); return true })
+		for i := range ka {
+			if ka[i] != kb[i] || fmt.Sprint(va[i]) != fmt.Sprint(vb[i]) {
+				t.Fatalf("Range entry %d: %v=%v vs %v=%v", i, ka[i], va[i], kb[i], vb[i])
+			}
+			if got, ok := a.Get(kb[i]); !ok || fmt.Sprint(got) != fmt.Sprint(vb[i]) {
+				t.Fatalf("Get(%v) = %v,%v want %v", kb[i], got, ok, vb[i])
+			}
+		}
+	}
+	same(built, inc)
+	for i, k := range keys {
+		switch i % 3 {
+		case 0:
+			built, inc = built.Without(k), inc.Without(k)
+		case 1:
+			built, inc = built.With(k, []int32{-1}), inc.With(k, []int32{-1})
+		}
+	}
+	extra := Key{CX: 1 << 20, CY: -7}
+	built, inc = built.With(extra, nil), inc.With(extra, nil)
+	same(built, inc)
+}
+
+func TestBuildDirMatchesWith(t *testing.T) {
+	r := rng.New(4)
+	keys := make([]Key, 3000)
+	for i := range keys {
+		keys[i] = Key{CX: int32(r.Intn(200)) - 100, CY: int32(r.Intn(20))} // repeats
+	}
+	buildVsWith(t, keys)
+	buildVsWith(t, nil)
+	if d := BuildDir(0, nil, func([]int32) int { return 0 }); d.Len() != 0 {
+		t.Fatalf("empty build has Len %d", d.Len())
+	}
+}
+
+// TestBuildDirForcedCollisions runs the collision-list and deep
+// push-down shapes: three hash classes, and hashes that agree on every
+// bit the trie consumes but differ above them.
+func TestBuildDirForcedCollisions(t *testing.T) {
+	orig := dirHash
+	defer func() { dirHash = orig }()
+	keys := make([]Key, 300)
+	for i := range keys {
+		keys[i] = Key{CX: int32(i % 120), CY: int32(i % 7)}
+	}
+	dirHash = func(k Key) uint64 { return uint64(uint32(k.CX)) % 3 }
+	buildVsWith(t, keys)
+	dirHash = func(k Key) uint64 { return uint64(uint32(k.CX)%5)<<60 | uint64(uint32(k.CX)%2)<<12 }
+	buildVsWith(t, keys)
 }

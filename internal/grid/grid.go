@@ -86,6 +86,14 @@ type Key struct {
 	CX, CY int32
 }
 
+var opposites = [NumDirections]Direction{
+	Center, East, West, North, South, NorthEast, SouthEast, NorthWest, SouthWest,
+}
+
+// Opposite returns the direction pointing back: cell k lies in
+// direction d.Opposite() of k.Neighbor(d).
+func (d Direction) Opposite() Direction { return opposites[d] }
+
 // Neighbor returns the key of the cell in direction d.
 func (k Key) Neighbor(d Direction) Key {
 	off := offsets[d]
@@ -139,6 +147,28 @@ func (c *Cell) CountYAtLeast(y float64) (count, start int) {
 // points are the prefix YSorted[:count].
 func (c *Cell) CountYAtMost(y float64) int {
 	return sort.Search(len(c.YSorted), func(i int) bool { return c.YSorted[i].Y > y })
+}
+
+// Matching returns the points of c satisfying the constraint that a
+// case 1 or case 2 direction d places on window w, as the run of one
+// sort order that holds them — so counting is len and sampling is one
+// uniform index.
+func (c *Cell) Matching(d Direction, w geom.Rect) []geom.Point {
+	switch d {
+	case Center:
+		return c.XSorted
+	case West:
+		_, start := c.CountXAtLeast(w.XMin)
+		return c.XSorted[start:]
+	case East:
+		return c.XSorted[:c.CountXAtMost(w.XMax)]
+	case South:
+		_, start := c.CountYAtLeast(w.YMin)
+		return c.YSorted[start:]
+	case North:
+		return c.YSorted[:c.CountYAtMost(w.YMax)]
+	}
+	panic("grid: Matching on a corner direction")
 }
 
 // Grid is a hash grid over the non-empty cells of a point set.

@@ -126,6 +126,11 @@ func TestNeighborOffsets(t *testing.T) {
 	if got := k.Neighbor(North); got != (Key{10, 21}) {
 		t.Errorf("North = %v", got)
 	}
+	for d := Direction(0); d < NumDirections; d++ {
+		if back := k.Neighbor(d).Neighbor(d.Opposite()); back != k {
+			t.Errorf("%v then its opposite %v lands on %v", d, d.Opposite(), back)
+		}
+	}
 }
 
 // TestWindowCoveredByNeighborhood is the structural invariant the whole
