@@ -250,6 +250,16 @@ func TestServeModeErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-serve", "-algo", "nope", "-base", "100"}, &out); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
+	// Dynamic stores are BBST-only: a mixed run on another algorithm
+	// is refused before anything is built.
+	out.Reset()
+	err := run(context.Background(), []string{"-serve", "-algo", "kds", "-base", "100", "-update-rate", "0.5"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "BBST-only") {
+		t.Errorf("-update-rate with -algo kds: %v, want a BBST-only refusal", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused mixed run printed output:\n%s", out.String())
+	}
 }
 
 func TestBadFlag(t *testing.T) {

@@ -64,9 +64,6 @@ func NewBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
 // Next draws one uniform independent join sample.
 func (s *BBSTSampler) Next() (geom.Pair, error) { return s.next(s) }
 
-// TryNext runs one sampling trial (the Trial contract).
-func (s *BBSTSampler) TryNext() (geom.Pair, bool, error) { return s.tryNext(s) }
-
 // Sample draws t samples via Next.
 func (s *BBSTSampler) Sample(t int) ([]geom.Pair, error) { return sampleN(s, s.base, t) }
 
@@ -86,5 +83,4 @@ func (s *BBSTSampler) Clone() (Sampler, error) {
 var (
 	_ Sampler = (*BBSTSampler)(nil)
 	_ Cloner  = (*BBSTSampler)(nil)
-	_ Trial   = (*BBSTSampler)(nil)
 )

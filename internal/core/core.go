@@ -136,28 +136,11 @@ type Sampler interface {
 	SizeBytes() int
 }
 
-// Trial is the per-iteration hook of a sampler: TryNext runs exactly
-// one sampling iteration of the algorithm's rejection scheme. A
-// candidate pair is drawn and either accepted (ok true) or rejected
-// (ok false) — every pair of J is returned by one trial with
-// probability exactly 1/Stats().MuSum, so a caller mixing several
-// samplers (internal/dynamic's delta overlay) can weight each by its
-// MuSum mass and keep the mixture uniform. The error is only the
-// lifecycle kind (a failed phase, ErrEmptyJoin); a rejected trial is
-// not an error, and ErrLowAcceptance never surfaces here — the
-// rejection budget belongs to whoever drives the trial loop.
-type Trial interface {
-	Sampler
-	TryNext() (geom.Pair, bool, error)
-}
-
 // Reseeder is implemented by samplers whose random stream can be
 // reinitialized in place: after Reseed(seed) the sampler draws the
 // same sequence a freshly constructed sampler with that seed would.
 // Every sampler in this package implements it; ClonePool reseeds each
-// checked-out clone through it, and composite samplers built outside
-// the package (internal/dynamic) use it to hand their components
-// derived streams.
+// checked-out clone through it.
 type Reseeder interface {
 	Reseed(seed uint64)
 }

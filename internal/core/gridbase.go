@@ -230,20 +230,6 @@ func (g *gridSampler) next(self phased) (geom.Pair, error) {
 	return out, err
 }
 
-// tryNext exposes one trial (the Trial contract) for mixture callers.
-// Unlike next it does not charge SampleTime: a mixture driver calls
-// it once per rejection attempt on its hot loop and owns the timing
-// of the whole draw — two clock reads per trial would dominate the
-// trial itself.
-func (g *gridSampler) tryNext(self phased) (geom.Pair, bool, error) {
-	if err := ensure(self, g.base, phaseCounted); err != nil {
-		return geom.Pair{}, false, err
-	}
-	var nb [grid.NumDirections]*grid.Cell
-	p, ok := g.tryOnce(&nb)
-	return p, ok, nil
-}
-
 // cloneGrid derives an independent gridSampler over the same immutable
 // structures (grid, corner indexes, aliases): fresh base (split RNG,
 // fresh stats) and fresh corner scratch buffers.

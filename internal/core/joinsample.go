@@ -94,16 +94,6 @@ func (j *JoinSample) tryOnce() (geom.Pair, bool) {
 	return p, true
 }
 
-// TryNext runs one sampling trial (the Trial contract). It does not
-// charge SampleTime — the mixture driving it owns the draw's timing.
-func (j *JoinSample) TryNext() (geom.Pair, bool, error) {
-	if err := ensure(j, j.base, phaseCounted); err != nil {
-		return geom.Pair{}, false, err
-	}
-	p, ok := j.tryOnce()
-	return p, ok, nil
-}
-
 // Sample draws t samples via Next.
 func (j *JoinSample) Sample(t int) ([]geom.Pair, error) { return sampleN(j, j.base, t) }
 

@@ -98,26 +98,6 @@ func NewRTS(R, S []geom.Point, cfg Config) (*KDS, error) {
 	return &KDS{base: b, index: &rIndex{}}, nil
 }
 
-// NewKDSWith builds a KDS over R and the donor's S side, sharing the
-// donor's already-built spatial index instead of building a new one.
-// The donor must be preprocessed (NewKDSWith preprocesses it when
-// not); the returned sampler starts at the preprocessed phase with a
-// zero PreprocessTime, since the index cost was the donor's. The
-// dynamic-update overlay uses this to re-count small insert buffers
-// against a large immutable base side on every applied batch without
-// paying an O(m log m) tree rebuild each time.
-func NewKDSWith(R []geom.Point, donor *KDS, cfg Config) (*KDS, error) {
-	if err := donor.Preprocess(); err != nil {
-		return nil, err
-	}
-	b, err := newBase(donor.name, R, donor.S, cfg)
-	if err != nil {
-		return nil, err
-	}
-	b.state = phasePreprocessed
-	return &KDS{base: b, index: donor.index.clone()}, nil
-}
-
 // Preprocess builds the spatial index over S (the offline phase of
 // Table II).
 func (k *KDS) Preprocess() error {
@@ -215,16 +195,6 @@ func (k *KDS) tryOnce() (geom.Pair, bool) {
 	return p, true
 }
 
-// TryNext runs one sampling trial (the Trial contract). It does not
-// charge SampleTime — the mixture driving it owns the draw's timing.
-func (k *KDS) TryNext() (geom.Pair, bool, error) {
-	if err := ensure(k, k.base, phaseCounted); err != nil {
-		return geom.Pair{}, false, err
-	}
-	p, ok := k.tryOnce()
-	return p, ok, nil
-}
-
 // Sample draws t samples via Next.
 func (k *KDS) Sample(t int) ([]geom.Pair, error) { return sampleN(k, k.base, t) }
 
@@ -237,10 +207,7 @@ func (k *KDS) SizeBytes() int {
 	return total
 }
 
-var (
-	_ Sampler = (*KDS)(nil)
-	_ Trial   = (*KDS)(nil)
-)
+var _ Sampler = (*KDS)(nil)
 
 // String aids debugging.
 func (k *KDS) String() string {

@@ -24,7 +24,7 @@ package core
 // same discipline the dynamic store already applies to whole views.
 // One batch of k operations costs Õ(k) (each op touches O(log) nodes
 // plus one cell's O(|cell|) copy-on-write, amortized by the batch),
-// which is what retires the threshold-triggered base rebuild.
+// so steady churn never needs a bulk rebuild.
 //
 // Sampling stays the paper's Algorithm 1: one descent of the slot tree
 // draws a slot proportional to µ(r), a cumulative scan of the slot's
@@ -34,10 +34,10 @@ package core
 // The cached counts are kept equal to a recount against the version's
 // S side (ApplyOps recounts every slot a touched cell can affect), so
 // they sum to the stored µ(r) and every live pair is returned by one
-// trial with probability exactly 1/Σµ — the Trial contract the delta
-// overlay mixes on.
+// trial with probability exactly 1/Σµ.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -462,8 +462,7 @@ func (ix *MutableIndex) SizeBytes() int {
 }
 
 // Mutable is a sampling handle over one MutableIndex version: the
-// core.Trial / core.Cloner / core.Reseeder implementation the dynamic
-// store serves through. Handles are cheap; Apply returns a new handle
+// Sampler / Cloner / Reseeder the dynamic store serves through. Handles are cheap; Apply returns a new handle
 // over the new version.
 type Mutable struct {
 	idx        *MutableIndex
@@ -481,11 +480,13 @@ type Mutable struct {
 // with every R point's direction counts taken once, and the
 // directories are bulk-built in one sort each. This is the one
 // O(n + m) step of the mutable path; every ApplyOps after it is Õ(ops).
+// An empty side or an empty join is accepted: the result is a
+// zero-mass Mutable that inserts can fill.
 func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	if s.cfg.WithoutReplacement {
 		return nil, ErrNoParallelWithoutReplacement
 	}
-	if err := ensure(s, s.base, phaseCounted); err != nil {
+	if err := ensure(s, s.base, phaseCounted); err != nil && !errors.Is(err, ErrEmptyJoin) {
 		return nil, err
 	}
 	bcap := s.cfg.BucketCap
@@ -693,7 +694,6 @@ func (ix *MutableIndex) HasS(id int32) bool { _, ok := ix.sids.Get(idKey(id)); r
 var (
 	_ Sampler  = (*Mutable)(nil)
 	_ Cloner   = (*Mutable)(nil)
-	_ Trial    = (*Mutable)(nil)
 	_ Reseeder = (*Mutable)(nil)
 )
 

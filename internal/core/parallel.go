@@ -27,7 +27,9 @@ var ErrNoParallelWithoutReplacement = errors.New(
 	"core: parallel sampling is not supported with WithoutReplacement")
 
 // cloneBase derives the shared part of a clone: same configuration
-// and data, split random stream, fresh stats, already-counted state.
+// and data, split random stream, already-counted state, and fresh
+// counters that keep the shared structures' Σµ, so a clone's Stats
+// feed aggregate.JoinSizeEstimate like the parent's.
 func (b *base) cloneBase() (*base, error) {
 	if b.cfg.WithoutReplacement {
 		return nil, ErrNoParallelWithoutReplacement
@@ -38,6 +40,7 @@ func (b *base) cloneBase() (*base, error) {
 		R:     b.R,
 		S:     b.S,
 		rng:   b.rng.Split(),
+		stats: Stats{MuSum: b.stats.MuSum},
 		state: b.state,
 		err:   b.err,
 	}, nil

@@ -33,9 +33,9 @@ const maxGapBuffer = 64
 // Persister is the write-ahead durability hook of a Store. Append is
 // called under the store's write lock *before* an update's view is
 // published — if it errors the update fails and is never visible.
-// Snapshot is called outside the lock — after a rebuild swap, or on
-// the in-place path's own cadence — with the materialized point sets
-// covering IDs <= lastID. Implementations must be safe for concurrent
+// Snapshot is called outside the lock — after a compaction, or on the
+// store's operation-count cadence — with the live point sets covering
+// IDs <= lastID. Implementations must be safe for concurrent
 // use; internal/wal provides the real one.
 type Persister interface {
 	Append(id uint64, u Update) error
@@ -193,30 +193,11 @@ func (st *Store) drainGapLocked() {
 
 // applyLocked builds and publishes the view for one consecutive
 // update, writing ahead first. Called with mu held and
-// id == lastApplied+1. When the base supports in-place maintenance
-// the update edits the index copy-on-write (Õ(ops)); otherwise it is
-// folded into the overlay's buffers and tombstones.
+// id == lastApplied+1.
 func (st *Store) applyLocked(id uint64, u Update) (ApplyResult, error) {
-	cur := st.view.Load()
-	nv := &view{gen: cur.gen + 1, lastID: id}
-	if m := st.mutableTipLocked(cur); m != nil {
-		nm, err := m.Apply(mutOps(u))
-		if err != nil {
-			return ApplyResult{}, err
-		}
-		nv.mut = nm
-		nv.baseSize = nm.SizeBytes()
-	} else {
-		nv.baseR = cur.baseR
-		nv.baseS = cur.baseS
-		nv.baseIDR = cur.baseIDR
-		nv.baseIDS = cur.baseIDS
-		nv.base = cur.base
-		nv.baseMass = cur.baseMass
-		nv.baseSize = cur.baseSize
-		nv.donorS = cur.donorS
-		nv.insR, nv.delR = applyOps(cur.insR, cur.delR, cur.baseIDR, u.InsertR, u.DeleteR)
-		nv.insS, nv.delS = applyOps(cur.insS, cur.delS, cur.baseIDS, u.InsertS, u.DeleteS)
+	nv, err := st.stepLocked(st.view.Load(), id, u)
+	if err != nil {
+		return ApplyResult{}, err
 	}
 	if err := st.finishView(nv); err != nil {
 		return ApplyResult{}, err
@@ -228,32 +209,21 @@ func (st *Store) applyLocked(id uint64, u Update) (ApplyResult, error) {
 		if err := p.Append(id, u); err != nil {
 			return ApplyResult{}, fmt.Errorf("dynamic: write-ahead append: %w", err)
 		}
-	}
-	if st.rebuilding {
-		// The log only feeds the in-flight rebuild's catch-up replay;
-		// with no rebuild running nothing will ever read this update
-		// from it (the views carry the state), so it is not retained.
-		st.log = append(st.log, u)
+		st.snapPending += u.Ops()
 	}
 	st.lastApplied = id
-	if nv.mut != nil {
-		st.inplace.Add(uint64(u.Ops()))
-		if st.cfg.Persister != nil {
-			st.snapPending++
-		}
-	}
-	st.swapLocked(nv)
-	st.maybeRebuildLocked(nv)
-	st.maybeSnapshotLocked(nv)
+	st.inplace.Add(uint64(u.Ops()))
+	st.publishLocked(nv)
 	return ApplyResult{Generation: nv.gen, UpdateID: id}, nil
 }
 
 // Replay folds recovered updates into the store without re-persisting
-// them — they came *from* the log. One view is built for the whole
-// batch (recovery of n records costs one mixture build, not n), with
-// the generation advanced by the record count so a recovered store
-// never reuses a pre-crash generation for different contents. IDs
-// must be strictly increasing and past the last applied.
+// them — they came *from* the log. Each record takes the same step as
+// a live apply (including a rebase at the same update ID), advancing
+// the generation once per record so a recovered store never reuses a
+// pre-crash generation for different contents; one engine is built
+// for the final view. IDs must be strictly increasing and past the
+// last applied.
 func (st *Store) Replay(recs []SeqUpdate) error {
 	if len(recs) == 0 {
 		return nil
@@ -265,68 +235,30 @@ func (st *Store) Replay(recs []SeqUpdate) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	cur := st.view.Load()
-	nv := &view{gen: cur.gen}
+	nv := st.view.Load()
 	prev := st.lastApplied
-	if m := st.mutableTipLocked(cur); m != nil {
-		// In-place replay: fold each record into the index (Õ(ops)
-		// apiece) and build one view over the final version.
-		inplaceOps := 0
-		for _, rec := range recs {
-			if rec.ID <= prev {
-				return fmt.Errorf("%w: replay ID %d not after %d", ErrUpdateSequence, rec.ID, prev)
-			}
-			prev = rec.ID
-			nv.gen++
-			nm, err := m.Apply(mutOps(rec.U))
-			if err != nil {
-				return err
-			}
-			m = nm
-			inplaceOps += rec.U.Ops()
+	ops := 0
+	for _, rec := range recs {
+		if rec.ID <= prev {
+			return fmt.Errorf("%w: replay ID %d not after %d", ErrUpdateSequence, rec.ID, prev)
 		}
-		nv.mut = m
-		nv.baseSize = m.SizeBytes()
-		st.inplace.Add(uint64(inplaceOps))
-		// Replayed records are already in the log; counting them here
-		// means the first post-recovery applies snapshot early and
-		// prune the recovered tail.
-		st.snapPending += len(recs)
-	} else {
-		nv.baseR = cur.baseR
-		nv.baseS = cur.baseS
-		nv.baseIDR = cur.baseIDR
-		nv.baseIDS = cur.baseIDS
-		nv.base = cur.base
-		nv.baseMass = cur.baseMass
-		nv.baseSize = cur.baseSize
-		nv.donorS = cur.donorS
-		nv.insR = cur.insR
-		nv.insS = cur.insS
-		nv.delR = cur.delR
-		nv.delS = cur.delS
-		for _, rec := range recs {
-			if rec.ID <= prev {
-				return fmt.Errorf("%w: replay ID %d not after %d", ErrUpdateSequence, rec.ID, prev)
-			}
-			prev = rec.ID
-			nv.gen++
-			nv.insR, nv.delR = applyOps(nv.insR, nv.delR, nv.baseIDR, rec.U.InsertR, rec.U.DeleteR)
-			nv.insS, nv.delS = applyOps(nv.insS, nv.delS, nv.baseIDS, rec.U.InsertS, rec.U.DeleteS)
+		next, err := st.stepLocked(nv, rec.ID, rec.U)
+		if err != nil {
+			return err
 		}
+		nv, prev = next, rec.ID
+		ops += rec.U.Ops()
 	}
-	nv.lastID = prev
 	if err := st.finishView(nv); err != nil {
 		return err
 	}
-	if st.rebuilding {
-		for _, rec := range recs {
-			st.log = append(st.log, rec.U)
-		}
-	}
 	st.lastApplied = prev
-	st.swapLocked(nv)
-	st.maybeRebuildLocked(nv)
+	st.inplace.Add(uint64(ops))
+	// Replayed records are already in the log; counting them here
+	// means the first post-recovery applies snapshot early and prune
+	// the recovered tail.
+	st.snapPending += ops
+	st.publishLocked(nv)
 	return nil
 }
 

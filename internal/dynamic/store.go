@@ -1,44 +1,39 @@
-// Package dynamic makes the paper's bulk-built join samplers mutable.
-// The structures of "Random Sampling over Spatial Range Joins" are
-// built once over immutable R and S; a serving system also needs
-// insert and delete. This package lands that two ways:
+// Package dynamic makes the paper's BBST join sampler mutable. The
+// structures of "Random Sampling over Spatial Range Joins" are built
+// once over immutable R and S; a serving system also needs insert and
+// delete. A Store lands that with one write path, in-place
+// maintenance: the bulk-built BBST sampler is converted once into a
+// core.Mutable (Unfreeze), and every Apply after that edits the live
+// structures copy-on-write along the touched paths only, in Õ(ops) per
+// batch. There are no insert buffers, no tombstones and no rebuild
+// threshold, so steady churn never rebuilds.
 //
-//   - In-place maintenance (the default when the base supports it):
-//     a base implementing Unfreezer — the BBST pipeline — is converted
-//     once into a core.Mutable, and every Apply after that edits the
-//     live structures copy-on-write along the touched path only, in
-//     Õ(ops) per batch. There are no insert buffers, no tombstones,
-//     and no threshold: steady churn never rebuilds. A bulk rebuild
-//     happens only on explicit Compact, or in the background when the
-//     live S count drifts so far from what the bucket capacity was
-//     sized for that the corner bounds would rot the acceptance rate
-//     (core.Mutable.NeedsRebase, the pathological-skew escape hatch).
+// A bulk rebuild — a compaction — happens only on explicit Compact, or
+// inside the Apply whose batch drifts the live S count so far from
+// what the bucket capacity was sized for that the corner bounds would
+// rot the acceptance rate (core.Mutable.NeedsRebase, the
+// pathological-skew escape hatch). Both are synchronous: the fresh
+// frozen base is published by the call that built it.
 //
-//   - The delta overlay (bases without Unfreeze, or DisableInPlace):
-//     the Store holds the bulk-built *base* sampler plus per-side
-//     insert buffers and delete tombstones, samples uniformly from the
-//     live join through a weighted mixture over {base, delta}
-//     components (see overlay.go for the uniformity argument), and —
-//     when the delta fraction crosses a threshold — rebuilds the base
-//     in a background goroutine and swaps it in atomically.
+// Only BBST is mutable. KDS, GridKD, RTS and the other algorithms are
+// the paper's static baselines and ablations; the serving layer
+// refuses updates addressed to them.
 //
-// Either way every applied batch bumps the store's *generation
-// number*.
-//
-// Generations are the invalidation currency of the serving stack:
-// every applied batch bumps the store's generation, registry keys
-// carry one (internal/registry), so engines cached for an older
-// generation simply miss instead of serving deleted points, and the
-// shard router broadcasts updates so every backend's stores and
-// caches advance together.
+// Every applied batch and every compaction bumps the store's
+// *generation number* exactly once. Generations are the invalidation
+// currency of the serving stack: registry keys carry one
+// (internal/registry), so engines cached for an older generation
+// simply miss instead of serving deleted points, and the shard router
+// broadcasts updates so every backend's stores and caches advance
+// together.
 //
 // Concurrency model: Draw/DrawFunc never block on writers — they load
-// an immutable *view* (base + deltas + per-view serving engine)
-// through an atomic pointer and draw from it. Apply and the rebuild
-// swap serialize on one mutex and publish whole new views; requests
-// in flight on an old view finish against the structures they
-// started with, exactly like a registry eviction never invalidates an
-// engine already checked out.
+// an immutable *view* (one index version plus its serving engine)
+// through an atomic pointer and draw from it. Apply and Compact
+// serialize on one mutex and publish whole new views; requests in
+// flight on an old view finish against the version they started with,
+// exactly like a registry eviction never invalidates an engine already
+// checked out.
 package dynamic
 
 import (
@@ -55,14 +50,10 @@ import (
 	"repro/internal/geom"
 )
 
-// DefaultRebuildFraction is the delta fraction past which a
-// background base rebuild is triggered: buffered inserts plus
-// tombstones may reach this fraction of the base point count before
-// the Store compacts them into a fresh bulk build.
-const DefaultRebuildFraction = 0.25
-
-// defaultMaxRejects mirrors core.Config's rejection budget.
-const defaultMaxRejects = 1 << 24
+// snapshotFraction sets the snapshot cadence: once the operations
+// applied since the last snapshot reach this fraction of the live point
+// count, the store persists a fresh snapshot so the log can be pruned.
+const snapshotFraction = 0.25
 
 // ErrStaleGeneration reports a request for a generation the store has
 // already moved past. The registry's BuildFunc returns it when a
@@ -73,10 +64,9 @@ var ErrStaleGeneration = errors.New("dynamic: generation is stale")
 
 // Update is one batch of mutations: points to insert and point IDs to
 // delete, per side. Deleting an ID removes every live point carrying
-// it on that side — buffered inserts are dropped, base points are
-// tombstoned; an ID present nowhere is a no-op. Re-inserting a
-// deleted ID is allowed: the tombstone keeps the base copy dead and
-// the new point lives in the insert buffer.
+// it on that side; an ID present nowhere is a no-op. Deletes apply
+// before inserts, so a batch may delete an ID and insert its
+// replacement, and re-inserting a deleted ID is allowed.
 type Update struct {
 	InsertR []geom.Point `json:"insert_r,omitempty"`
 	InsertS []geom.Point `json:"insert_s,omitempty"`
@@ -115,53 +105,27 @@ func validFinite(pts []geom.Point, side string) error {
 
 // Config parameterizes a Store.
 type Config struct {
-	// BuildBase bulk-builds the base sampler over the given point
-	// sets (the algorithm choice lives in this closure; the root
-	// package supplies srj.NewSampler). The returned sampler must
-	// implement core.Trial — BBST, KDS, GridKD, RTS, and JoinSample
-	// all do. Required.
-	BuildBase func(R, S []geom.Point) (core.Cloner, error)
-	// HalfExtent is the window half-extent l, shared by the base and
-	// the delta components. Must be positive and finite.
-	HalfExtent float64
-	// Seed drives the per-view serving pools and the delta samplers;
-	// equal seeds make equal-seeded draws reproducible within one
-	// generation.
+	// BuildBase bulk-builds the frozen BBST sampler over the given point
+	// sets (the root package supplies core.NewBBST with the store's
+	// options). It must accept empty sides. Required.
+	BuildBase func(R, S []geom.Point) (*core.BBSTSampler, error)
+	// Seed drives the per-view serving pools; equal seeds make
+	// equal-seeded draws reproducible within one generation.
 	Seed uint64
-	// MaxRejects bounds consecutive rejected mixture trials per
-	// sample (0 = the core default). Tombstones consume acceptance,
-	// so a store far past its rebuild threshold degrades toward
-	// ErrLowAcceptance instead of returning deleted points.
-	MaxRejects int
 	// MaxT caps the samples one request may ask for on every view
 	// engine (0 = unlimited).
 	MaxT int
-	// RebuildFraction is the delta fraction that triggers a
-	// background base rebuild (<= 0 means DefaultRebuildFraction).
-	RebuildFraction float64
-	// DisableAutoRebuild suppresses threshold-triggered rebuilds and
-	// the in-place path's skew escape hatch; Compact still rebuilds on
-	// demand. Tests use it to pin the current structures.
-	DisableAutoRebuild bool
-	// DisableInPlace forces the delta-overlay path even when the base
-	// sampler supports in-place maintenance (Unfreezer). Tests use it
-	// to pin the overlay path; operators can use it as an escape hatch.
-	DisableInPlace bool
 	// OnGeneration, when non-nil, is invoked with the new generation
-	// after every view swap — Applies AND background rebuild swaps,
-	// which bump the generation with no Apply in sight. The serving
-	// layer hangs cache invalidation here (evicting registry engines
-	// of older generations), so a rebuild's bump cannot strand a
+	// after every view swap — Applies and compactions alike. The
+	// serving layer hangs cache invalidation here (evicting registry
+	// engines of older generations), so a Compact cannot strand a
 	// stale view engine in the cache until the next update. Called
 	// under the store's write lock: keep it fast and do not call back
 	// into the store.
 	OnGeneration func(gen uint64)
-	// Name labels the store's samplers in engine stats (default
-	// "dynamic").
-	Name string
 	// Persister, when non-nil, is the write-ahead durability hook (see
 	// persist.go): every applied batch is appended before its view
-	// publishes, and rebuild swaps persist a base snapshot. May also be
+	// publishes, and compactions persist a snapshot. May also be
 	// installed after construction with SetPersister (recovery does,
 	// so replayed records are not re-appended).
 	Persister Persister
@@ -175,56 +139,38 @@ type Config struct {
 	InitialLastApplied uint64
 }
 
-func (c Config) rebuildFraction() float64 {
-	if c.RebuildFraction > 0 {
-		return c.RebuildFraction
-	}
-	return DefaultRebuildFraction
-}
-
-func (c Config) maxRejects() int {
-	if c.MaxRejects > 0 {
-		return c.MaxRejects
-	}
-	return defaultMaxRejects
-}
-
-// view is one immutable snapshot of the store: the base structures,
-// the deltas applied on top, and the serving engine over their
-// mixture. Draws load it atomically; writers replace it wholesale.
+// view is one immutable snapshot of the store: one version of the
+// index and the serving engine over it. Draws load it atomically;
+// writers replace it wholesale.
 type view struct {
 	gen uint64
 	// lastID is the last sequenced update ID folded into this view —
-	// what a snapshot of this view's materialized base covers.
+	// what a snapshot of this view covers.
 	lastID uint64
 
-	baseR, baseS     []geom.Point
-	baseIDR, baseIDS map[int32]struct{}
-	base             core.Cloner // prepared through Count; nil when the base join is empty
-	baseMass         float64     // the base sampler's Σµ
-	baseSize         int         // full footprint of the base structures (or the mutable index version)
-	baseOwned        bool        // this view bulk-built its base (vs sharing the previous view's)
-	donorS           *core.KDS   // lazily-indexed donor over baseS for the ib component
+	// Exactly one of base and mut is set. base is a frozen bulk build
+	// over R and S: the store's state at construction and right after
+	// a compaction, so those generations draw exactly like a plain
+	// engine over the same points. mut is an in-place maintained
+	// version; it shares almost all structure copy-on-write with the
+	// bulk build it was unfrozen from.
+	base *core.BBSTSampler
+	R, S []geom.Point
+	mut  *core.Mutable
+	size int // footprint of base or mut
 
-	// mut, when non-nil, is the in-place maintained index line: this
-	// view's version of the incrementally-updated structures. Mutable
-	// views carry no insert buffers, no tombstones, and none of the
-	// base fields above — the index IS the current dataset.
-	mut *core.Mutable
-
-	insR, insS []geom.Point
-	delR, delS map[int32]struct{}
-
-	eng         *engine.Engine // nil when the current join is empty
-	overlaySize int
+	eng *engine.Engine // nil when the current join is empty
 
 	estMu sync.Mutex
-	est   core.Sampler // overlay clone for join-size estimation
+	est   core.Sampler // clone for join-size estimation
 }
 
-// deltaOps counts the buffered mutations the view carries.
-func (v *view) deltaOps() int {
-	return len(v.insR) + len(v.insS) + len(v.delR) + len(v.delS)
+// points returns the view's live point sets.
+func (v *view) points() (R, S []geom.Point) {
+	if v.mut != nil {
+		return v.mut.LivePoints()
+	}
+	return v.R, v.S
 }
 
 // Store is a mutable join-sampling dataset: the Source-serving front
@@ -235,33 +181,29 @@ type Store struct {
 	view atomic.Pointer[view]
 
 	mu             sync.Mutex
-	log            []Update // updates absorbed since the current base was built
-	lastApplied    uint64   // last sequenced update ID (persist.go)
+	lastApplied    uint64 // last sequenced update ID (persist.go)
 	gap            map[uint64]*gapWaiter
-	rebuilding     bool
-	rebuildDone    chan struct{}
-	lastRebuildErr error
 	lastPersistErr error
 
-	// snapPending counts write-ahead records applied since the last
-	// snapshot, and snapshotting guards the one in-flight background
-	// snapshot. The overlay path snapshots as a side effect of its
-	// threshold rebuilds; the in-place path retires those, so it prunes
-	// the log on this cadence instead (maybeSnapshotLocked).
+	// snapPending counts operations applied since the last snapshot,
+	// snapDue marks a compacted base not yet snapshotted, and
+	// snapshotting guards the one in-flight background snapshot
+	// (maybeSnapshotLocked).
 	snapPending  int
+	snapDue      bool
 	snapshotting bool
 	snapDone     chan struct{}
 	acc          engine.Stats // counters of retired view engines
 
-	// rebuilds counts base rebuilds that swapped in successfully
-	// (background compactions and explicit Compact calls alike). It
-	// backs srj_store_rebuilds_total and never decreases.
+	// rebuilds counts compactions (explicit Compact calls and the
+	// rebase hatch alike, replayed ones included). It backs
+	// srj_store_rebuilds_total and never decreases.
 	rebuilds atomic.Uint64
 
-	// inplace counts operations absorbed by in-place index maintenance
-	// (no buffering, no rebuild). It backs srj_store_inplace_ops_total
-	// and the /v1/stats inplace_ops field; in steady churn it grows
-	// while rebuilds stays flat.
+	// inplace counts operations absorbed by in-place index maintenance.
+	// It backs srj_store_inplace_ops_total and the /v1/stats
+	// inplace_ops field; in steady churn it grows while rebuilds stays
+	// flat.
 	inplace atomic.Uint64
 
 	// persistErrs counts snapshot failures. lastPersistErr holds only
@@ -278,18 +220,12 @@ type Store struct {
 
 // NewStore bulk-builds the base over R and S and returns a store
 // serving them at generation 0. The slices are not copied and must
-// not be mutated afterwards (Apply never touches them — mutations
-// live in the store's own buffers). Empty sides are allowed: a store
-// may start empty and be filled through Apply.
+// not be mutated afterwards (Apply never touches them — it edits the
+// store's own index). Empty sides are allowed: a store may start empty
+// and be filled through Apply.
 func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	if cfg.BuildBase == nil {
 		return nil, fmt.Errorf("dynamic: Config.BuildBase is required")
-	}
-	if !(cfg.HalfExtent > 0) || math.IsInf(cfg.HalfExtent, 0) {
-		return nil, fmt.Errorf("dynamic: half extent must be positive and finite, got %g", cfg.HalfExtent)
-	}
-	if cfg.Name == "" {
-		cfg.Name = "dynamic"
 	}
 	if err := validFinite(R, "R"); err != nil {
 		return nil, err
@@ -298,18 +234,12 @@ func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{cfg: cfg, lastApplied: cfg.InitialLastApplied}
-	v := &view{
-		gen:       cfg.InitialGeneration,
-		lastID:    cfg.InitialLastApplied,
-		baseR:     R,
-		baseS:     S,
-		baseIDR:   idSet(R),
-		baseIDS:   idSet(S),
-		baseOwned: true,
-	}
-	if err := st.buildBaseInto(v); err != nil {
+	v, err := st.baseView(R, S)
+	if err != nil {
 		return nil, err
 	}
+	v.gen = cfg.InitialGeneration
+	v.lastID = cfg.InitialLastApplied
 	if err := st.finishView(v); err != nil {
 		return nil, err
 	}
@@ -317,94 +247,18 @@ func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// idSet collects the IDs of one side.
-func idSet(pts []geom.Point) map[int32]struct{} {
-	out := make(map[int32]struct{}, len(pts))
-	for _, p := range pts {
-		out[p.ID] = struct{}{}
-	}
-	return out
-}
-
-// deltaCfg is the configuration of the delta samplers.
-func (st *Store) deltaCfg() core.Config {
-	return core.Config{
-		HalfExtent: st.cfg.HalfExtent,
-		Seed:       st.cfg.Seed,
-		MaxRejects: st.cfg.MaxRejects,
-	}
-}
-
-// buildBaseInto bulk-builds the base sampler for the view's base
-// sides and prepares it through Count. An empty base join (including
-// an empty side) leaves v.base nil — not an error for a mutable
-// store, which may become non-empty through Apply.
-func (st *Store) buildBaseInto(v *view) error {
-	v.base, v.baseMass = nil, 0
-	v.donorS = nil
-	if len(v.baseS) > 0 {
-		// The donor's kd-tree over baseS is built lazily, on the first
-		// applied batch that inserts R points; until then it costs a
-		// struct.
-		donor, err := core.NewKDS(nil, v.baseS, st.deltaCfg())
-		if err != nil {
-			return err
-		}
-		v.donorS = donor
-	}
-	if len(v.baseR) == 0 || len(v.baseS) == 0 {
-		return nil
-	}
-	base, err := st.cfg.BuildBase(v.baseR, v.baseS)
+// baseView bulk-builds a frozen view over R and S and prepares it
+// through Count. An empty join is not an error for a mutable store,
+// which may become non-empty through Apply.
+func (st *Store) baseView(R, S []geom.Point) (*view, error) {
+	base, err := st.cfg.BuildBase(R, S)
 	if err != nil {
-		if errors.Is(err, core.ErrEmptyJoin) {
-			return nil
-		}
-		return err
+		return nil, err
 	}
-	if _, ok := base.(core.Trial); !ok {
-		return fmt.Errorf("dynamic: %s does not support per-trial sampling (core.Trial)", base.Name())
+	if err := base.Count(); err != nil && !errors.Is(err, core.ErrEmptyJoin) {
+		return nil, err
 	}
-	if err := base.Count(); err != nil {
-		if errors.Is(err, core.ErrEmptyJoin) {
-			return nil
-		}
-		return err
-	}
-	v.base = base
-	v.baseMass = base.Stats().MuSum
-	v.baseSize = base.SizeBytes()
-	return nil
-}
-
-// Unfreezer is implemented by base samplers whose frozen structures
-// convert into a core.Mutable for in-place maintenance (the BBST
-// pipeline). Bases without it stay on the delta-overlay path.
-type Unfreezer interface {
-	Unfreeze() (*core.Mutable, error)
-}
-
-// mutableTipLocked resolves the in-place handle the next apply should
-// extend: the current view's, or a fresh unfreeze when this is the
-// first apply onto a bulk-built base that supports it. Returns nil
-// when the store is (or must stay) on the overlay path. Called with
-// mu held — Unfreeze is the one O(n + m) step of the in-place line.
-func (st *Store) mutableTipLocked(v *view) *core.Mutable {
-	if v.mut != nil {
-		return v.mut
-	}
-	if st.cfg.DisableInPlace || v.base == nil || v.deltaOps() != 0 {
-		return nil
-	}
-	uf, ok := v.base.(Unfreezer)
-	if !ok {
-		return nil
-	}
-	m, err := uf.Unfreeze()
-	if err != nil {
-		return nil // this base line cannot go mutable; the overlay path serves it
-	}
-	return m
+	return &view{base: base, R: R, S: S, size: base.SizeBytes()}, nil
 }
 
 // mutOps converts an Update into the core batch type. Slices are
@@ -413,139 +267,85 @@ func mutOps(u Update) core.MutOps {
 	return core.MutOps{InsR: u.InsertR, InsS: u.InsertS, DelR: u.DeleteR, DelS: u.DeleteS}
 }
 
-// buildComponents assembles the view's mixture components in a fixed
-// order — base, base×insS, insR×base, insR×insS — so replicas built
-// from the same op sequence are byte-identical. A mutable view is a
-// single component over its index version.
-//
-// Component size charging: each component's size field is what the
-// view's engine reports to the registry budget. The base structures
-// are shared by every view stacked on one bulk build, so only the
-// owning view (the one that built them) charges them; derived views
-// charge their deltas alone. The same applies to mutable versions,
-// which share almost all structure copy-on-write with the bulk build
-// they were unfrozen from. Store.SizeBytes adds the shared base back
-// exactly once.
-func (st *Store) buildComponents(v *view) ([]component, error) {
-	if v.mut != nil {
-		mc, err := v.mut.Clone()
-		if err != nil {
-			return nil, err
-		}
-		size := 0
-		if v.baseOwned {
-			size = v.baseSize
-		}
-		return []component{{
-			trial:  mc.(core.Trial),
-			shared: &componentShared{mass: v.mut.Stats().MuSum, size: size},
-		}}, nil
-	}
-	dcfg := st.deltaCfg()
-	var comps []component
-	addKDS := func(k *core.KDS, rejR, rejS map[int32]struct{}) error {
-		err := k.Count()
-		if errors.Is(err, core.ErrEmptyJoin) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		comps = append(comps, component{
-			trial:  k,
-			shared: &componentShared{mass: k.Stats().MuSum, size: k.SizeBytes(), rejR: rejR, rejS: rejS},
-		})
-		return nil
-	}
-	if v.base != nil {
-		// Each view gets its own clone of the base as its mixture
-		// component: consecutive views share v.base, and a view's
-		// clone pool advances its parent's stream on every pooled
-		// clone — two views cloning one shared parent would race.
-		// Cloning here happens under st.mu (every view is built there),
-		// so the shared original is only ever cloned serialized.
-		bb, err := v.base.Clone()
-		if err != nil {
-			return nil, err
-		}
-		trial, ok := bb.(core.Trial)
-		if !ok {
-			return nil, fmt.Errorf("dynamic: %s clone does not support trials", v.base.Name())
-		}
-		size := 0
-		if v.baseOwned {
-			size = v.baseSize
-		}
-		comps = append(comps, component{
-			trial: trial,
-			shared: &componentShared{
-				mass: v.baseMass,
-				size: size,
-				rejR: nilIfEmpty(v.delR),
-				rejS: nilIfEmpty(v.delS),
-			},
-		})
-	}
-	if len(v.baseR) > 0 && len(v.insS) > 0 {
-		k, err := core.NewKDS(v.baseR, v.insS, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addKDS(k, nilIfEmpty(v.delR), nil); err != nil {
+// stepLocked derives the view one sequenced record produces from cur:
+// the record applied in place (unfreezing cur's base first when cur is
+// frozen), then — when the index has drifted past its bulk-built
+// geometry — compacted into a fresh frozen base, still one generation
+// past cur. ApplyAt and Replay share it, so live and recovered
+// stores rebase at the same update ID. The returned view has no engine
+// yet (finishView). Called with mu held.
+func (st *Store) stepLocked(cur *view, id uint64, u Update) (*view, error) {
+	m := cur.mut
+	if m == nil {
+		var err error
+		if m, err = cur.base.Unfreeze(); err != nil {
 			return nil, err
 		}
 	}
-	if len(v.insR) > 0 && v.donorS != nil {
-		k, err := core.NewKDSWith(v.insR, v.donorS, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addKDS(k, nil, nilIfEmpty(v.delS)); err != nil {
-			return nil, err
-		}
+	nm, err := m.Apply(mutOps(u))
+	if err != nil {
+		return nil, err
 	}
-	if len(v.insR) > 0 && len(v.insS) > 0 {
-		k, err := core.NewKDS(v.insR, v.insS, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addKDS(k, nil, nil); err != nil {
-			return nil, err
-		}
+	if nm.NeedsRebase() {
+		return st.compactLocked(nm, cur.gen+1, id)
 	}
-	return comps, nil
+	return &view{gen: cur.gen + 1, lastID: id, mut: nm, size: nm.SizeBytes()}, nil
 }
 
-func nilIfEmpty(m map[int32]struct{}) map[int32]struct{} {
-	if len(m) == 0 {
-		return nil
+// compactLocked bulk-builds a frozen view over m's live point sets.
+// It counts the compaction and marks the new base due for a snapshot
+// (maybeSnapshotLocked). Called with mu held.
+func (st *Store) compactLocked(m *core.Mutable, gen, lastID uint64) (*view, error) {
+	nv, err := st.baseView(m.LivePoints())
+	if err != nil {
+		return nil, err
 	}
-	return m
+	nv.gen, nv.lastID = gen, lastID
+	st.rebuilds.Add(1)
+	st.snapDue = true
+	return nv, nil
 }
 
-// finishView builds the view's mixture and serving engine. An empty
+// charged is a view's sampler as its engine sees it: the footprint the
+// engine reports to the registry budget is the view's charge, not the
+// sampler's own size.
+type charged struct {
+	core.Cloner
+	size int
+}
+
+func (c charged) SizeBytes() int { return c.size }
+
+// finishView builds the view's serving engine and estimator. An empty
 // current join leaves v.eng nil; Draw answers core.ErrEmptyJoin until
 // an Apply makes the join non-empty again.
+//
+// The engine runs over a clone taken here, under st.mu: Unfreeze and
+// Mutable.Apply derive from the view's own handle (Apply splits its
+// stream), which must not race the engine pool cloning its parent.
+// Charging: a freshly built frozen base charges its size; a mutable
+// version charges nothing, since it shares almost all structure with
+// the bulk build it descends from. Store.SizeBytes adds it back
+// exactly once.
 func (st *Store) finishView(v *view) error {
-	comps, err := st.buildComponents(v)
+	var src core.Cloner = v.mut
+	charge := 0
+	if v.base != nil {
+		src, charge = v.base, v.size
+	}
+	if src.Stats().MuSum <= 0 {
+		return nil
+	}
+	sc, err := src.Clone()
 	if err != nil {
 		return err
 	}
-	o, err := newOverlay(st.cfg.Name, st.cfg.maxRejects(), st.cfg.Seed, comps)
-	if err != nil {
-		if errors.Is(err, core.ErrEmptyJoin) {
-			v.eng = nil
-			v.est = nil
-			v.overlaySize = 0
-			return nil
-		}
-		return err
-	}
-	est, err := o.Clone()
+	c := sc.(core.Cloner)
+	est, err := c.Clone()
 	if err != nil {
 		return err
 	}
-	eng, err := engine.New(o, st.cfg.Seed)
+	eng, err := engine.New(charged{Cloner: c, size: charge}, st.cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -554,7 +354,6 @@ func (st *Store) finishView(v *view) error {
 	}
 	v.eng = eng
 	v.est = est
-	v.overlaySize = o.SizeBytes()
 	return nil
 }
 
@@ -562,9 +361,8 @@ func (st *Store) finishView(v *view) error {
 // generation. Batches serialize; draws in flight keep serving the
 // view they started on. An empty update returns the current
 // generation without bumping it (the remote tiers use this as a
-// generation probe). Crossing the rebuild threshold schedules a
-// background base rebuild; Apply itself stays O(base count) in the
-// worst case (delta re-counting), never a bulk build.
+// generation probe). Apply edits the index in place in Õ(ops); only a
+// batch that trips the rebase hatch pays a bulk build.
 //
 // Apply self-stamps the next update ID — it is ApplyAt(ctx, 0, u),
 // the single-writer spelling of the sequenced path in persist.go.
@@ -573,46 +371,10 @@ func (st *Store) Apply(ctx context.Context, u Update) (uint64, error) {
 	return res.Generation, err
 }
 
-// applyOps derives one side's new insert buffer and tombstone set
-// (copy-on-write: the previous view's are never mutated). Deletes
-// drop every buffered copy of the ID and tombstone the base copy when
-// one exists; inserts append. The removals are collected into a set
-// first and the buffer filtered in one pass, so the cost is
-// O(|buffer| + |batch|), not O(|buffer| · |deletes|).
-func applyOps(ins []geom.Point, del, baseIDs map[int32]struct{}, add []geom.Point, remove []int32) ([]geom.Point, map[int32]struct{}) {
-	nDel := del
-	var rm map[int32]struct{}
-	copied := false
-	for _, id := range remove {
-		if rm == nil {
-			rm = make(map[int32]struct{}, len(remove))
-		}
-		rm[id] = struct{}{}
-		if _, inBase := baseIDs[id]; inBase {
-			if !copied {
-				m := make(map[int32]struct{}, len(nDel)+len(remove))
-				for k := range nDel {
-					m[k] = struct{}{}
-				}
-				nDel = m
-				copied = true
-			}
-			nDel[id] = struct{}{}
-		}
-	}
-	nIns := make([]geom.Point, 0, len(ins)+len(add))
-	for _, p := range ins {
-		if _, dead := rm[p.ID]; !dead {
-			nIns = append(nIns, p)
-		}
-	}
-	nIns = append(nIns, add...)
-	return nIns, nDel
-}
-
-// swapLocked publishes a new view, folding the retired engine's
-// counters into the store accumulator. Called with mu held.
-func (st *Store) swapLocked(nv *view) {
+// publishLocked swaps in a finished view, folding the retired engine's
+// counters into the store accumulator, and schedules a snapshot when
+// one is due. Called with mu held.
+func (st *Store) publishLocked(nv *view) {
 	if old := st.view.Load(); old != nil && old.eng != nil {
 		st.acc = addStats(st.acc, old.eng.Stats())
 	}
@@ -623,6 +385,7 @@ func (st *Store) swapLocked(nv *view) {
 	if st.cfg.OnGeneration != nil {
 		st.cfg.OnGeneration(nv.gen)
 	}
+	st.maybeSnapshotLocked()
 }
 
 // addStats sums two engine counter snapshots.
@@ -641,142 +404,38 @@ func addStats(a, b engine.Stats) engine.Stats {
 	return a
 }
 
-// maybeRebuildLocked schedules a background base rebuild: on the
-// overlay path when the delta fraction crosses the threshold, on the
-// in-place path only when the skew escape hatch trips. Called with mu
-// held.
-func (st *Store) maybeRebuildLocked(v *view) {
-	if st.rebuilding || st.cfg.DisableAutoRebuild {
-		return
-	}
-	if v.mut != nil {
-		if v.mut.NeedsRebase() {
-			st.startRebuildLocked(v)
-		}
-		return
-	}
-	delta := v.deltaOps()
-	if delta == 0 {
-		return
-	}
-	baseN := len(v.baseR) + len(v.baseS)
-	if float64(delta) < st.cfg.rebuildFraction()*float64(baseN) {
-		return
-	}
-	st.startRebuildLocked(v)
-}
-
-// startRebuildLocked launches the background rebuild goroutine over
-// the given view. Called with mu held and st.rebuilding false. The
-// log starts empty: it accumulates exactly the updates applied while
-// this rebuild is in flight (everything earlier is inside v), so the
-// log never grows during steady serving.
-func (st *Store) startRebuildLocked(v *view) {
-	st.rebuilding = true
-	st.rebuildDone = make(chan struct{})
-	st.log = nil
-	st.snapPending = 0 // the rebuild swap snapshots on its own
-	go st.rebuild(v, st.rebuildDone)
-}
-
-// rebuild is the background compaction: materialize the current point
-// sets from the snapshot view (the live sets of a mutable version, or
-// base minus tombstones plus inserts on the overlay path), bulk-build
-// a fresh base outside the lock, then — under the lock — replay the
-// updates that arrived while building into fresh deltas over the new
-// base and swap the result in at a bumped generation. The swapped-in
-// view is frozen either way; a store on the in-place path unfreezes
-// again on its next apply.
-func (st *Store) rebuild(v *view, done chan struct{}) {
-	defer close(done)
-	var R, S []geom.Point
-	if v.mut != nil {
-		R, S = v.mut.LivePoints()
-	} else {
-		R = materialize(v.baseR, v.delR, v.insR)
-		S = materialize(v.baseS, v.delS, v.insS)
-	}
-	nv := &view{
-		baseR:     R,
-		baseS:     S,
-		baseIDR:   idSet(R),
-		baseIDS:   idSet(S),
-		baseOwned: true,
-	}
-	buildErr := st.buildBaseInto(nv) // the expensive bulk build, outside mu
-
-	st.mu.Lock()
-	st.rebuilding = false
-	pending := st.log
-	st.log = nil
-	if buildErr != nil {
-		st.lastRebuildErr = buildErr
-		st.mu.Unlock()
-		return
-	}
-	cur := st.view.Load()
-	nv.gen = cur.gen + 1
-	nv.lastID = cur.lastID
-	for _, u := range pending {
-		nv.insR, nv.delR = applyOps(nv.insR, nv.delR, nv.baseIDR, u.InsertR, u.DeleteR)
-		nv.insS, nv.delS = applyOps(nv.insS, nv.delS, nv.baseIDS, u.InsertS, u.DeleteS)
-	}
-	if err := st.finishView(nv); err != nil {
-		st.lastRebuildErr = err
-		st.mu.Unlock()
-		return
-	}
-	st.lastRebuildErr = nil
-	st.rebuilds.Add(1)
-	st.swapLocked(nv)
-	// The pending tail can itself exceed the threshold under heavy
-	// write load; check once so compaction keeps up.
-	st.maybeRebuildLocked(nv)
+// maybeSnapshotLocked schedules a background snapshot of the current
+// view when a compaction has not been snapshotted yet, or once the
+// operations applied since the last snapshot reach snapshotFraction of
+// the live point count. Without the cadence the log would never be
+// pruned: steady churn runs no compactions. Called with mu held.
+func (st *Store) maybeSnapshotLocked() {
 	p := st.cfg.Persister
-	st.mu.Unlock()
-	if p == nil {
+	if p == nil || st.snapshotting {
 		return
 	}
-	// Persist the compacted base outside the lock. The snapshot covers
-	// the *source view's* lastID, not the swap-time one: the pending
-	// tail replayed above is still in the log (pruning stops at
-	// v.lastID), so a crash right here replays it onto this base.
-	err := p.Snapshot(nv.gen, v.lastID, R, S)
-	if err != nil {
-		st.persistErrs.Add(1)
+	v := st.view.Load()
+	live := len(v.R) + len(v.S)
+	if v.mut != nil {
+		ix := v.mut.Index()
+		live = ix.NumR() + ix.NumS()
 	}
-	st.mu.Lock()
-	st.lastPersistErr = err
-	st.mu.Unlock()
-}
-
-// maybeSnapshotLocked schedules a background snapshot of a mutable
-// view once the write-ahead records since the last snapshot reach the
-// rebuild fraction of the live point count — the cadence the retired
-// threshold rebuild used to provide. Without it the in-place path
-// would never prune the log: steady churn runs no rebuilds, and the
-// rebuild swap was the only snapshot trigger. Called with mu held.
-func (st *Store) maybeSnapshotLocked(v *view) {
-	p := st.cfg.Persister
-	if p == nil || v.mut == nil || st.snapshotting || st.rebuilding {
-		return
-	}
-	ix := v.mut.Index()
-	if float64(st.snapPending) < st.cfg.rebuildFraction()*float64(ix.NumR()+ix.NumS()) {
+	if !st.snapDue && float64(st.snapPending) < snapshotFraction*float64(live) {
 		return
 	}
 	st.snapPending = 0
+	st.snapDue = false
 	st.snapshotting = true
 	st.snapDone = make(chan struct{})
 	go st.snapshot(v, p)
 }
 
-// snapshot persists one mutable view's live point sets, outside the
-// lock — the version is immutable, so appliers keep deriving new
-// versions while it is read. The snapshot covers everything folded
-// into v (all records <= v.lastID): the log prunes up to there.
+// snapshot persists one view's live point sets, outside the lock —
+// the version is immutable, so appliers keep deriving new versions
+// while it is read. The snapshot covers everything folded into v (all
+// records <= v.lastID): the log prunes up to there.
 func (st *Store) snapshot(v *view, p Persister) {
-	R, S := v.mut.LivePoints()
+	R, S := v.points()
 	err := p.Snapshot(v.gen, v.lastID, R, S)
 	if err != nil {
 		st.persistErrs.Add(1)
@@ -785,49 +444,35 @@ func (st *Store) snapshot(v *view, p Persister) {
 	st.snapshotting = false
 	st.lastPersistErr = err
 	close(st.snapDone)
-	// Records applied while this snapshot ran can already exceed the
-	// cadence under heavy write load; check once so pruning keeps up.
-	st.maybeSnapshotLocked(st.view.Load())
+	// Records applied while this snapshot ran can already be due under
+	// heavy write load; check once so pruning keeps up.
+	st.maybeSnapshotLocked()
 	st.mu.Unlock()
 }
 
-// materialize flattens one side: base minus tombstones plus inserts.
-func materialize(base []geom.Point, del map[int32]struct{}, ins []geom.Point) []geom.Point {
-	out := make([]geom.Point, 0, len(base)+len(ins))
-	for _, p := range base {
-		if _, dead := del[p.ID]; !dead {
-			out = append(out, p)
-		}
-	}
-	return append(out, ins...)
-}
-
-// Compact forces a base rebuild now — folding every buffered insert
-// and tombstone, or the whole in-place maintained state, into a fresh
-// bulk build — and waits for the swap. A rebuild already in flight is
-// waited for instead of doubled. It returns nil when there is nothing
-// to compact: no buffered deltas and no in-place changes since the
-// last bulk build.
+// Compact folds the in-place maintained index into a fresh bulk build
+// now and publishes it at a bumped generation before returning; its
+// snapshot is persisted in the background. It returns nil without a
+// bump when the current view already is a bulk build.
 func (st *Store) Compact(ctx context.Context) error {
-	st.mu.Lock()
-	if !st.rebuilding {
-		v := st.view.Load()
-		if v.deltaOps() == 0 && v.mut == nil {
-			st.mu.Unlock()
-			return nil
-		}
-		st.startRebuildLocked(v)
-	}
-	done := st.rebuildDone
-	st.mu.Unlock()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.lastRebuildErr
+	cur := st.view.Load()
+	if cur.mut == nil {
+		return nil
+	}
+	nv, err := st.compactLocked(cur.mut, cur.gen+1, cur.lastID)
+	if err != nil {
+		return err
+	}
+	if err := st.finishView(nv); err != nil {
+		return err
+	}
+	st.publishLocked(nv)
+	return nil
 }
 
 // SetOnGeneration installs (or replaces) the Config.OnGeneration
@@ -842,7 +487,7 @@ func (st *Store) SetOnGeneration(fn func(gen uint64)) {
 }
 
 // Generation reports the current generation: 0 at construction,
-// bumped by every non-empty Apply and every completed rebuild swap.
+// bumped once by every non-empty Apply and every Compact.
 func (st *Store) Generation() uint64 { return st.view.Load().gen }
 
 // ViewEngine returns the current generation and its serving engine.
@@ -911,29 +556,16 @@ func (st *Store) Stats() engine.Stats {
 	return acc
 }
 
-// SizeBytes estimates the retained footprint of the current view:
-// mixture structures, point buffers, and tombstone sets. The view
-// engine (overlaySize) charges the shared base only on the view that
-// bulk-built it, so derived views add it back here exactly once —
-// resident structures are never counted twice. During a rebuild the
-// transient next base is not counted.
+// SizeBytes estimates the retained footprint of the current view: the
+// index structures (charged once, whichever engines are resident) plus
+// a frozen base's point sets.
 func (st *Store) SizeBytes() int {
 	v := st.view.Load()
-	total := v.overlaySize
-	if !v.baseOwned {
-		total += v.baseSize
-	}
-	total += 24 * (len(v.baseR) + len(v.baseS) + len(v.insR) + len(v.insS))
-	total += 16 * (len(v.delR) + len(v.delS))
-	return total
+	return v.size + 24*(len(v.R)+len(v.S))
 }
 
-// Pending reports the buffered mutation count of the current view —
-// the numerator of the rebuild threshold.
-func (st *Store) Pending() int { return st.view.Load().deltaOps() }
-
-// Rebuilds reports how many base rebuilds have swapped in since the
-// store was created.
+// Rebuilds reports how many compactions have run since the store was
+// created.
 func (st *Store) Rebuilds() uint64 { return st.rebuilds.Load() }
 
 // InPlaceOps reports how many operations were absorbed by in-place
@@ -941,43 +573,14 @@ func (st *Store) Rebuilds() uint64 { return st.rebuilds.Load() }
 func (st *Store) InPlaceOps() uint64 { return st.inplace.Load() }
 
 // InPlace reports whether the current view is served by the in-place
-// maintained index (vs the delta overlay or a freshly bulk-built
-// base).
+// maintained index (vs a freshly bulk-built base).
 func (st *Store) InPlace() bool { return st.view.Load().mut != nil }
-
-// DeltaFraction reports buffered mutations relative to the current
-// base size — the rebuild threshold's own ratio, exported as the
-// srj_store_delta_fraction gauge. An empty base with pending ops
-// reports 1. A view on the in-place path buffers nothing, so it
-// reports 0 regardless of how many operations it has absorbed.
-func (st *Store) DeltaFraction() float64 {
-	v := st.view.Load()
-	delta := v.deltaOps()
-	if delta == 0 {
-		return 0
-	}
-	baseN := len(v.baseR) + len(v.baseS)
-	if baseN == 0 {
-		return 1
-	}
-	return float64(delta) / float64(baseN)
-}
-
-// LastRebuildErr reports the most recent background rebuild failure
-// (nil after a successful swap). Rebuild failures never tear down
-// serving — the previous view keeps answering.
-func (st *Store) LastRebuildErr() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.lastRebuildErr
-}
 
 // EstimateJoinSize draws `samples` calibration samples through the
 // current view's estimator clone and returns the acceptance-rate
-// estimate of the live join size (exact-counting components make it
-// exact up to the base algorithm's bound). The estimator accumulates
-// across calls, so repeated estimates tighten. An empty join
-// estimates 0 with no error.
+// estimate of the live join size. The estimator accumulates across
+// calls, so repeated estimates tighten. An empty join estimates 0
+// with no error.
 func (st *Store) EstimateJoinSize(samples int) (float64, error) {
 	v := st.view.Load()
 	if v.eng == nil || v.est == nil {
@@ -1005,23 +608,18 @@ func (st *Store) PersistErrors() uint64 { return st.persistErrs.Load() }
 
 // Dump snapshots the store's complete logical state: the current
 // generation, the last applied update ID, and the live point sets at
-// that moment. The returned slices are freshly materialized — callers
-// own them. This is the donor half of router state transfer: a store
-// constructed from (R, S) at (gen, lastID) and fed the sequenced
-// updates after lastID converges on this store's *logical* state —
-// the same live points, tombstones, and sequence position. Byte-level
-// draw identity is a stronger property that holds only between stores
-// sharing the same build history (base build plus the same in-place
-// applies in the same order); a store bulk-built from a flattened
-// dump serves correct draws, not necessarily this store's draws.
+// that moment. The returned slices must not be mutated. This is the
+// donor half of router state transfer: a store constructed from
+// (R, S) at (gen, lastID) and fed the sequenced updates after lastID
+// converges on this store's *logical* state — the same live points and
+// sequence position. Byte-level draw identity is a stronger property
+// that holds only between stores sharing the same build history (base
+// build plus the same in-place applies in the same order); a store
+// bulk-built from a flattened dump serves correct draws, not
+// necessarily this store's draws.
 func (st *Store) Dump() (gen, lastID uint64, R, S []geom.Point) {
 	v := st.view.Load()
-	if v.mut != nil {
-		R, S = v.mut.LivePoints()
-	} else {
-		R = materialize(v.baseR, v.delR, v.insR)
-		S = materialize(v.baseS, v.delS, v.insS)
-	}
+	R, S = v.points()
 	return v.gen, v.lastID, R, S
 }
 
@@ -1030,16 +628,15 @@ func (st *Store) Dump() (gen, lastID uint64, R, S []geom.Point) {
 // path's bound on recovery time. Faithful means recovery from the
 // snapshot reproduces the exact sampler a live peer at the same
 // generation carries, which holds only when the current view is a
-// pure compacted base (no overlay deltas, no in-place history):
-// snapshotting a mid-history view would flatten its incremental
-// state into a fresh bulk build, and seeded draws after recovery
-// would fork from fleet peers at the same generation. Mid-history
-// stores succeed as a no-op — the write-ahead log already holds
+// frozen bulk build: snapshotting a mutable view would flatten its
+// incremental state into a fresh bulk build, and seeded draws after
+// recovery would fork from fleet peers at the same generation.
+// Mutable views succeed as a no-op — the write-ahead log already holds
 // every record past the last faithful snapshot, and replay rebuilds
-// the identical incremental history. In-flight background
-// persistence is waited out first, so a snapshot the cadence already
-// started is on disk before shutdown returns. A store without a
-// persister succeeds as a no-op.
+// the identical incremental history. An in-flight background snapshot
+// is waited out first, so a snapshot the cadence already started is
+// on disk before shutdown returns. A store without a persister
+// succeeds as a no-op.
 func (st *Store) SnapshotNow(ctx context.Context) error {
 	st.mu.Lock()
 	p := st.cfg.Persister
@@ -1047,14 +644,14 @@ func (st *Store) SnapshotNow(ctx context.Context) error {
 	if p == nil {
 		return nil
 	}
-	if err := st.quiesce(ctx); err != nil {
+	if err := st.Quiesce(ctx); err != nil {
 		return err
 	}
 	v := st.view.Load()
-	if v.mut != nil || v.deltaOps() > 0 {
+	if v.mut != nil {
 		return nil
 	}
-	err := p.Snapshot(v.gen, v.lastID, v.baseR, v.baseS)
+	err := p.Snapshot(v.gen, v.lastID, v.R, v.S)
 	if err != nil {
 		st.persistErrs.Add(1)
 	}
@@ -1067,16 +664,15 @@ func (st *Store) SnapshotNow(ctx context.Context) error {
 	return err
 }
 
-// quiesce waits for an in-flight background rebuild (tests and
-// shutdown paths); it does not prevent new ones.
-func (st *Store) quiesce(ctx context.Context) error {
+// Quiesce waits for the in-flight background snapshot, if any —
+// shutdown paths, benchmarks and tests use it so goroutine-leak
+// checks and timing sections see a settled store. It does not prevent
+// new snapshots.
+func (st *Store) Quiesce(ctx context.Context) error {
 	for {
 		st.mu.Lock()
 		var done chan struct{}
-		switch {
-		case st.rebuilding:
-			done = st.rebuildDone
-		case st.snapshotting:
+		if st.snapshotting {
 			done = st.snapDone
 		}
 		st.mu.Unlock()
@@ -1090,8 +686,3 @@ func (st *Store) quiesce(ctx context.Context) error {
 		}
 	}
 }
-
-// Quiesce waits for any in-flight background rebuild to finish —
-// benchmarks and tests use it so goroutine-leak checks and timing
-// sections see a settled store.
-func (st *Store) Quiesce(ctx context.Context) error { return st.quiesce(ctx) }

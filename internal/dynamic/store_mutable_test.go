@@ -3,8 +3,9 @@ package dynamic
 // Tests pinning the in-place maintenance path: steady churn must be
 // absorbed without a single rebuild, size accounting must charge the
 // shared base exactly once across resident generations, the
-// pathological-skew hatch must still schedule a background rebuild,
-// and Compact must fold the mutable line back into a frozen base.
+// pathological-skew hatch must still compact, the snapshot cadence
+// must count operations, and Compact must fold the mutable line back
+// into a frozen base.
 
 import (
 	"context"
@@ -80,7 +81,6 @@ func TestStoreInPlaceSnapshotCadence(t *testing.T) {
 		t.Errorf("Rebuilds = %d under steady churn, want 0", got)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.appends != rounds {
 		t.Errorf("appends = %d, want %d", p.appends, rounds)
 	}
@@ -96,12 +96,48 @@ func TestStoreInPlaceSnapshotCadence(t *testing.T) {
 	if p.lastR != len(R) || p.lastS == 0 {
 		t.Errorf("snapshot sets %d/%d points, want %d live R", p.lastR, p.lastS, len(R))
 	}
+	p.mu.Unlock()
+
+	// The cadence counts operations, not records: 20 batches of up to
+	// 16 ops over ~120 live points must snapshot repeatedly, though
+	// the record count alone never reaches a quarter of the live set.
+	p2 := &countingPersister{}
+	cfg.Persister = p2
+	st2, err := NewStore(R, S, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 20
+	for i := 0; i < batches; i++ {
+		var u Update
+		for j := 0; j < 8; j++ {
+			id := int32(5000 + 8*i + j)
+			u.InsertS = append(u.InsertS, geom.Point{ID: id, X: float64(id % 97), Y: -float64(id % 89)})
+			if i > 0 {
+				u.DeleteS = append(u.DeleteS, id-8)
+			}
+		}
+		if _, err := st2.Apply(ctx, u); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if err := st2.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	p2.mu.Lock()
+	defer p2.mu.Unlock()
+	if p2.appends != batches {
+		t.Errorf("appends = %d, want %d", p2.appends, batches)
+	}
+	if p2.snapshots < 2 {
+		t.Errorf("snapshots = %d after %d ops in %d multi-op batches, want >= 2", p2.snapshots, 8*(2*batches-1), batches)
+	}
 }
 
 // TestStoreInPlaceSteadyChurn is the tentpole's acceptance test at the
 // store level: a long insert/delete churn with roughly constant
 // cardinality is absorbed entirely in place — zero rebuilds, zero
-// pending delta, every op counted by InPlaceOps — and the store still
+// rebuilds, every op counted by InPlaceOps — and the store still
 // serves exactly the current join with valid bucket invariants.
 func TestStoreInPlaceSteadyChurn(t *testing.T) {
 	R, S := testData(t)
@@ -150,12 +186,6 @@ func TestStoreInPlaceSteadyChurn(t *testing.T) {
 	if !st.InPlace() {
 		t.Error("InPlace = false after in-place churn")
 	}
-	if got := st.Pending(); got != 0 {
-		t.Errorf("Pending = %d on the in-place path, want 0", got)
-	}
-	if got := st.DeltaFraction(); got != 0 {
-		t.Errorf("DeltaFraction = %g on the in-place path, want 0", got)
-	}
 	v := st.view.Load()
 	if v.mut == nil {
 		t.Fatal("view carries no mutable index after in-place churn")
@@ -172,10 +202,10 @@ func TestStoreInPlaceSteadyChurn(t *testing.T) {
 // so a registry holding engines for consecutive generations of one
 // store accounts the base once, not once per resident generation.
 func TestStoreSizeAccountingAcrossGenerations(t *testing.T) {
-	inBothModes(t, testStoreSizeAccountingAcrossGenerations)
+	t.Run("inplace", testStoreSizeAccountingAcrossGenerations)
 }
 
-func testStoreSizeAccountingAcrossGenerations(t *testing.T, tweak func(Config) Config) {
+func testStoreSizeAccountingAcrossGenerations(t *testing.T) {
 	gen, err := dataset.ByName("uniform")
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +214,7 @@ func testStoreSizeAccountingAcrossGenerations(t *testing.T, tweak func(Config) C
 	// delta, whatever the per-structure constants.
 	R, S := gen(2000, 31), gen(2000, 32)
 	l := 400.0
-	st, err := NewStore(R, S, tweak(testConfig(l, 9)))
+	st, err := NewStore(R, S, testConfig(l, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +255,7 @@ func testStoreSizeAccountingAcrossGenerations(t *testing.T, tweak func(Config) C
 }
 
 // TestStoreInPlaceRebaseHatch grows one side far past the bulk-built
-// geometry: the escape hatch must schedule a background rebuild even
+// geometry, one point per batch: the escape hatch must compact even
 // though steady churn never does.
 func TestStoreInPlaceRebaseHatch(t *testing.T) {
 	R, S := testData(t)
@@ -248,12 +278,6 @@ func TestStoreInPlaceRebaseHatch(t *testing.T) {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 		model.apply(u)
-	}
-	if err := st.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.LastRebuildErr(); err != nil {
-		t.Fatal(err)
 	}
 	if got := st.Rebuilds(); got == 0 {
 		t.Error("Rebuilds = 0 after 10x S growth, want the skew hatch to fire")

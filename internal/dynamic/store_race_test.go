@@ -1,22 +1,22 @@
 package dynamic
 
 // A race-focused hammer on the store's mutation paths — concurrent
-// Apply, Draw, registry Get/Evict over generation-tagged keys, and
-// the background rebuild — mirroring registry_race_test.go. The
-// store's correctness argument is an invariant the view swap must
-// preserve across every interleaving:
+// Apply, Compact, Draw, and registry Get/Evict over generation-tagged
+// keys — mirroring registry_race_test.go. The store's correctness
+// argument is an invariant the view swap must preserve across every
+// interleaving:
 //
 //	a swapped-in view never serves a deleted point: every ID deleted
-//	  and never re-inserted is either absent from the view's base or
-//	  tombstoned in it (a rebuild racing an Apply must not lose the
+//	  and never re-inserted is absent from the view's index version or
+//	  compacted base (a compaction racing an Apply must not lose the
 //	  delete), and draws never return it
 //	generations only move forward
 //	a view handed to a request stays usable however many swaps,
-//	  rebuilds, or registry evictions race it
+//	  compactions, or registry evictions race it
 //
 // The in-lock half runs through the store's testHookSwap (under mu,
 // at every swap); the behavioral half is the drawers asserting no
-// poisoned ID is ever sampled while rebuilds churn underneath.
+// poisoned ID is ever sampled while compactions churn underneath.
 
 import (
 	"context"
@@ -32,15 +32,13 @@ import (
 )
 
 func TestStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
-	inBothModes(t, testStoreConcurrentApplyDrawEvictRebuild)
+	t.Run("inplace", testStoreConcurrentApplyDrawEvictRebuild)
 }
 
-func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) Config) {
+func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 	R, S := testData(t)
 	l := 1500.0
-	cfg := tweak(testConfig(l, 21))
-	cfg.RebuildFraction = 0.02 // overlay mode: rebuild constantly under the hammer
-	st, err := NewStore(R, S, cfg)
+	st, err := NewStore(R, S, testConfig(l, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,32 +88,16 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) C
 			}
 			return
 		}
-		for id := range v.delR {
-			if _, ok := v.baseIDR[id]; !ok {
-				fail("gen %d: R tombstone %d points at no base point", v.gen, id)
+		// A compacted base is bulk-built from the live sets: a
+		// poisoned point in it means a compaction lost a delete.
+		for _, p := range v.R {
+			if poisonR[p.ID] {
+				fail("gen %d: poisoned R point %d in a compacted base", v.gen, p.ID)
 			}
 		}
-		for id := range v.delS {
-			if _, ok := v.baseIDS[id]; !ok {
-				fail("gen %d: S tombstone %d points at no base point", v.gen, id)
-			}
-		}
-		// The core safety property: a swapped-in base never serves a
-		// poisoned point — it is either gone from the base or
-		// tombstoned in it, even when the swap is a rebuild that raced
-		// the deleting Apply.
-		for id := range poisonR {
-			if _, inBase := v.baseIDR[id]; inBase {
-				if _, dead := v.delR[id]; !dead {
-					fail("gen %d: poisoned R point %d live in a swapped-in base", v.gen, id)
-				}
-			}
-		}
-		for id := range poisonS {
-			if _, inBase := v.baseIDS[id]; inBase {
-				if _, dead := v.delS[id]; !dead {
-					fail("gen %d: poisoned S point %d live in a swapped-in base", v.gen, id)
-				}
+		for _, p := range v.S {
+			if poisonS[p.ID] {
+				fail("gen %d: poisoned S point %d in a compacted base", v.gen, p.ID)
 			}
 		}
 	}
@@ -229,11 +211,18 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) C
 		}(w)
 	}
 
-	// Evictor: hammer Evict and EvictOlder across recent generations.
+	// Evictor: hammer Evict and EvictOlder across recent generations,
+	// compacting now and then so frozen bases race the appliers too.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds*6; i++ {
+			if i%40 == 39 {
+				if err := st.Compact(ctx); err != nil {
+					errs[appliers+drawers] = fmt.Errorf("compact %d: %w", i, err)
+					return
+				}
+			}
 			key := baseKey
 			key.Generation = st.Generation()
 			switch i % 3 {
@@ -258,9 +247,6 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) C
 		t.Fatal(err)
 	}
 	if err, _ := hookErr.Load().(error); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.LastRebuildErr(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -288,7 +274,7 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) C
 	checkSupport(t, drawAll(t, st, 6000), jset)
 
 	// Compact once more and re-verify: the final base absorbs every
-	// surviving delta with nothing lost.
+	// surviving op with nothing lost.
 	if err := st.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}

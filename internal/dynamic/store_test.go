@@ -17,25 +17,22 @@ import (
 // testConfig returns a BBST-backed store config over half-extent l.
 func testConfig(l float64, seed uint64) Config {
 	return Config{
-		BuildBase: func(R, S []geom.Point) (core.Cloner, error) {
+		BuildBase: func(R, S []geom.Point) (*core.BBSTSampler, error) {
 			return core.NewBBST(R, S, core.Config{HalfExtent: l, Seed: seed})
 		},
-		HalfExtent: l,
-		Seed:       seed,
+		Seed: seed,
 	}
 }
 
-// inBothModes runs fn once on the in-place maintenance path and once
-// with the delta-overlay path pinned, so path-agnostic store
-// properties (uniformity, determinism, estimation) are asserted on
-// both write paths.
-func inBothModes(t *testing.T, fn func(t *testing.T, tweak func(Config) Config)) {
-	t.Run("inplace", func(t *testing.T) {
-		fn(t, func(c Config) Config { return c })
-	})
-	t.Run("overlay", func(t *testing.T) {
-		fn(t, func(c Config) Config { c.DisableInPlace = true; return c })
-	})
+// checkIndex asserts the bucket invariants of the store's current
+// index version, when it is in place.
+func checkIndex(t *testing.T, st *Store) {
+	t.Helper()
+	if v := st.view.Load(); v.mut != nil {
+		if err := v.mut.Index().CheckInvariants(); err != nil {
+			t.Fatalf("generation %d: bucket invariants: %v", v.gen, err)
+		}
+	}
 }
 
 // testData generates the unit-test point sets: small enough to brute
@@ -107,9 +104,7 @@ func checkSupport(t *testing.T, pairs []geom.Pair, jset map[[2]int32]bool) {
 func TestStoreAppliesAndGenerations(t *testing.T) {
 	R, S := testData(t)
 	l := 1000.0
-	cfg := testConfig(l, 7)
-	cfg.DisableAutoRebuild = true
-	st, err := NewStore(R, S, cfg)
+	st, err := NewStore(R, S, testConfig(l, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +153,7 @@ func TestStoreAppliesAndGenerations(t *testing.T) {
 		}
 	}
 
-	// Compact folds the deltas into a fresh base at a bumped
+	// Compact folds the in-place index into a fresh base at a bumped
 	// generation, with identical serving behavior.
 	if err := st.Compact(ctx); err != nil {
 		t.Fatal(err)
@@ -166,27 +161,23 @@ func TestStoreAppliesAndGenerations(t *testing.T) {
 	if g := st.Generation(); g != 3 {
 		t.Fatalf("post-compact generation %d, want 3", g)
 	}
-	if n := st.Pending(); n != 0 {
-		t.Fatalf("post-compact pending ops %d", n)
+	if st.InPlace() {
+		t.Fatal("post-compact view is still in place")
 	}
 	checkSupport(t, drawAll(t, st, 4000), jset)
 }
 
 // TestStoreUniformityAfterUpdates: sampling must stay uniform over
 // the live join after mutations — chi-square against the brute-force
-// join of the current point sets, on both write paths (in-place index
-// maintenance and the delta-overlay mixture), with rebuilds pinned
-// off.
+// join of the current point sets.
 func TestStoreUniformityAfterUpdates(t *testing.T) {
-	inBothModes(t, testStoreUniformityAfterUpdates)
+	t.Run("inplace", testStoreUniformityAfterUpdates)
 }
 
-func testStoreUniformityAfterUpdates(t *testing.T, tweak func(Config) Config) {
+func testStoreUniformityAfterUpdates(t *testing.T) {
 	R, S := testData(t)
 	l := 1000.0
-	cfg := tweak(testConfig(l, 3))
-	cfg.DisableAutoRebuild = true
-	st, err := NewStore(R, S, cfg)
+	st, err := NewStore(R, S, testConfig(l, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +186,7 @@ func testStoreUniformityAfterUpdates(t *testing.T, tweak func(Config) Config) {
 		DeleteR: []int32{R[0].ID, R[9].ID, R[17].ID},
 		DeleteS: []int32{S[4].ID, S[31].ID},
 	}
-	// Clustered inserts so the delta components carry real mass.
+	// Clustered inserts so the inserted points carry real mass.
 	for i := 0; i < 10; i++ {
 		u.InsertR = append(u.InsertR, geom.Point{ID: int32(700 + i), X: S[i].X + 20, Y: S[i].Y - 20})
 		u.InsertS = append(u.InsertS, geom.Point{ID: int32(800 + i), X: R[i+20].X - 15, Y: R[i+20].Y + 15})
@@ -208,7 +199,7 @@ func testStoreUniformityAfterUpdates(t *testing.T, tweak func(Config) Config) {
 	if len(jset) < 50 {
 		t.Fatalf("test setup: |J| = %d too small for a chi-square", len(jset))
 	}
-	// The deltas must actually participate: some join pair touches an
+	// The inserts must actually participate: some join pair touches an
 	// inserted point.
 	deltaPairs := 0
 	for k := range jset {
@@ -253,16 +244,14 @@ func testStoreUniformityAfterUpdates(t *testing.T, tweak func(Config) Config) {
 // same op sequence agree byte for byte — the property that keeps a
 // broadcast fleet's shards interchangeable.
 func TestStoreDeterminismWithinGeneration(t *testing.T) {
-	inBothModes(t, testStoreDeterminismWithinGeneration)
+	t.Run("inplace", testStoreDeterminismWithinGeneration)
 }
 
-func testStoreDeterminismWithinGeneration(t *testing.T, tweak func(Config) Config) {
+func testStoreDeterminismWithinGeneration(t *testing.T) {
 	R, S := testData(t)
 	l := 1000.0
 	mk := func() *Store {
-		cfg := tweak(testConfig(l, 5))
-		cfg.DisableAutoRebuild = true
-		st, err := NewStore(R, S, cfg)
+		st, err := NewStore(R, S, testConfig(l, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,12 +298,11 @@ func testStoreDeterminismWithinGeneration(t *testing.T, tweak func(Config) Confi
 
 // TestStoreEmptyLifecycle: a store may start empty, answer
 // ErrEmptyJoin (after request validation), become non-empty through
-// Apply, and empty again through deletes.
+// Apply, and empty again through deletes — in place throughout.
 func TestStoreEmptyLifecycle(t *testing.T) {
 	l := 100.0
 	cfg := testConfig(l, 1)
 	cfg.MaxT = 1000
-	cfg.DisableAutoRebuild = true
 	st, err := NewStore(nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -337,6 +325,10 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 	if _, err := st.Apply(ctx, u); err != nil {
 		t.Fatal(err)
 	}
+	if !st.InPlace() {
+		t.Fatal("InPlace = false after the first apply to an empty store")
+	}
+	checkIndex(t, st)
 	res, err := st.Draw(ctx, engine.Request{T: 10})
 	if err != nil || len(res.Pairs) != 10 {
 		t.Fatalf("draw after insert: %d pairs, %v", len(res.Pairs), err)
@@ -349,22 +341,23 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 	if _, err := st.Apply(ctx, Update{DeleteR: []int32{1}}); err != nil {
 		t.Fatal(err)
 	}
+	if !st.InPlace() {
+		t.Fatal("InPlace = false after deleting back to an empty join")
+	}
+	checkIndex(t, st)
 	if _, err := st.Draw(ctx, engine.Request{T: 5}); !errors.Is(err, core.ErrEmptyJoin) {
 		t.Fatalf("re-emptied store draw: %v, want ErrEmptyJoin", err)
 	}
 }
 
-// TestStoreAutoRebuild: on the overlay path (pinned via
-// DisableInPlace — a BBST base would otherwise absorb the ops in
-// place and never rebuild), crossing the delta threshold triggers the
-// background rebuild, which bumps the generation, folds the deltas
-// into the base, and keeps serving the same join.
+// TestStoreAutoRebuild: a batch that drifts the live S count far past
+// the bulk-built geometry trips the rebase hatch inside the same
+// Apply — one generation bump, one OnGeneration call, a frozen base
+// published at it — and the store keeps serving the same join.
 func TestStoreAutoRebuild(t *testing.T) {
 	R, S := testData(t)
 	l := 1000.0
 	cfg := testConfig(l, 9)
-	cfg.DisableInPlace = true
-	cfg.RebuildFraction = 0.05 // 120 base points: 6+ ops trigger
 	var hookGens []uint64
 	var hookMu sync.Mutex
 	cfg.OnGeneration = func(gen uint64) {
@@ -377,9 +370,11 @@ func TestStoreAutoRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := &currentSets{R: R, S: S}
+	// 60 base S points: growing past 8x that is the hatch's trigger.
 	u := Update{DeleteR: []int32{R[0].ID, R[1].ID, R[2].ID, R[3].ID}}
-	for i := 0; i < 8; i++ {
-		u.InsertS = append(u.InsertS, geom.Point{ID: int32(850 + i), X: R[30+i].X, Y: R[30+i].Y})
+	for i := 0; i < 8*len(S)+1; i++ {
+		r := R[4+i%(len(R)-4)]
+		u.InsertS = append(u.InsertS, geom.Point{ID: int32(850 + i), X: r.X + float64(i%7), Y: r.Y - float64(i%5)})
 	}
 	ctx := context.Background()
 	gen, err := st.Apply(ctx, u)
@@ -387,26 +382,21 @@ func TestStoreAutoRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.apply(u)
-	if err := st.Quiesce(ctx); err != nil {
-		t.Fatal(err)
+	if gen != 1 || st.Generation() != 1 {
+		t.Fatalf("Apply returned generation %d, store at %d, want one bump to 1", gen, st.Generation())
 	}
-	if rerr := st.LastRebuildErr(); rerr != nil {
-		t.Fatal(rerr)
+	if got := st.Rebuilds(); got != 1 {
+		t.Fatalf("Rebuilds = %d, want the hatch's one", got)
 	}
-	if g := st.Generation(); g != gen+1 {
-		t.Fatalf("generation %d after rebuild, want %d", g, gen+1)
+	if st.InPlace() {
+		t.Fatal("InPlace = true after the rebase, want a frozen base")
 	}
-	if n := st.Pending(); n != 0 {
-		t.Fatalf("pending ops %d after rebuild", n)
-	}
-	// The invalidation hook fired for the Apply AND for the rebuild
-	// swap nobody's handler observed — that second call is what keeps
-	// a rebuild from stranding a stale cached engine.
+	// The invalidation hook fired once, for the one published view.
 	hookMu.Lock()
 	gens := append([]uint64(nil), hookGens...)
 	hookMu.Unlock()
-	if len(gens) != 2 || gens[0] != gen || gens[1] != gen+1 {
-		t.Fatalf("OnGeneration calls = %v, want [%d %d]", gens, gen, gen+1)
+	if len(gens) != 1 || gens[0] != 1 {
+		t.Fatalf("OnGeneration calls = %v, want [1]", gens)
 	}
 	checkSupport(t, drawAll(t, st, 4000), joinSet(model.R, model.S, l))
 }
@@ -414,15 +404,13 @@ func TestStoreAutoRebuild(t *testing.T) {
 // TestStoreEstimateJoinSize: the acceptance-rate estimator tracks the
 // live join size through updates.
 func TestStoreEstimateJoinSize(t *testing.T) {
-	inBothModes(t, testStoreEstimateJoinSize)
+	t.Run("inplace", testStoreEstimateJoinSize)
 }
 
-func testStoreEstimateJoinSize(t *testing.T, tweak func(Config) Config) {
+func testStoreEstimateJoinSize(t *testing.T) {
 	R, S := testData(t)
 	l := 1000.0
-	cfg := tweak(testConfig(l, 13))
-	cfg.DisableAutoRebuild = true
-	st, err := NewStore(R, S, cfg)
+	st, err := NewStore(R, S, testConfig(l, 13))
 	if err != nil {
 		t.Fatal(err)
 	}

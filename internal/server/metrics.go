@@ -92,8 +92,6 @@ func (s *Server) collectMetrics(m *obs.MetricSet) {
 		return
 	}
 	var maxGen, maxApplied uint64
-	var maxDelta float64
-	var pending int
 	var rebuilds, inplaceOps uint64
 	var walAppends, walSyncs, walSnapshots, persistErrs uint64
 	var walSegments int
@@ -106,10 +104,6 @@ func (s *Server) collectMetrics(m *obs.MetricSet) {
 		if in.LastAppliedID > maxApplied {
 			maxApplied = in.LastAppliedID
 		}
-		if in.DeltaFraction > maxDelta {
-			maxDelta = in.DeltaFraction
-		}
-		pending += in.PendingOps
 		rebuilds += in.Rebuilds
 		inplaceOps += in.InPlaceOps
 		persisted = persisted || in.WALSegments > 0 || in.WALAppends > 0 || in.WALSnapshots > 0 || in.PersistErrors > 0
@@ -121,11 +115,9 @@ func (s *Server) collectMetrics(m *obs.MetricSet) {
 		walBytes += in.WALBytes
 	}
 	m.Gauge(obs.MetricStoreGeneration, "Highest store generation.", float64(maxGen))
-	m.Gauge(obs.MetricStoreDeltaFraction, "Largest store delta fraction (the rebuild-threshold ratio).", maxDelta)
-	m.Gauge(obs.MetricStorePendingOps, "Buffered mutations across stores.", float64(pending))
 	// Stores are never dropped from the map, so this sum of per-store
 	// counters is monotonic and may be exported as a counter.
-	m.Counter(obs.MetricStoreRebuilds, "Store base rebuilds swapped in.", float64(rebuilds))
+	m.Counter(obs.MetricStoreRebuilds, "Store compactions into a fresh bulk-built base.", float64(rebuilds))
 	m.Counter(obs.MetricStoreInPlaceOps, "Operations absorbed by in-place index maintenance.", float64(inplaceOps))
 	m.Gauge(obs.MetricStoreLastApplied, "Highest last-applied update ID across stores.", float64(maxApplied))
 	if persisted {

@@ -261,9 +261,9 @@ type StatsResponse struct {
 	MaxT       int                  `json:"max_t"`
 	Registry   registry.Stats       `json:"registry"`
 	Engines    []registry.EntryInfo `json:"engines"`
-	// Stores lists the live dynamic stores (generation, delta
-	// fraction, rebuild count per key) so the JSON surface and
-	// /metrics never disagree. Empty on a purely static server.
+	// Stores lists the live dynamic stores (generation, rebuild and
+	// in-place op counts per key) so the JSON surface and /metrics
+	// never disagree. Empty on a purely static server.
 	Stores []dynamic.StoreInfo `json:"stores,omitempty"`
 }
 

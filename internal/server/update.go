@@ -5,10 +5,10 @@ package server
 // spelling as /v1/sample) and carries batches of point inserts and
 // ID deletes per side. The server routes it to the key's dynamic
 // store (created on first update from the same dataset resolver the
-// static engines use), which applies the batch, bumps the dataset
-// generation, and triggers its LSM-style compaction when the delta
-// fraction warrants; the handler then evicts the registry engines
-// the bump just made stale and answers with the new generation.
+// static engines use; BBST keys only), which applies the batch in
+// place and bumps the dataset generation; the handler then evicts the
+// registry engines the bump just made stale and answers with the new
+// generation.
 //
 // Two request encodings are accepted, mirroring /v1/sample's two
 // response transports: JSON (self-describing, for small batches and

@@ -43,12 +43,11 @@ func newUpdatableStack(t *testing.T, maxT int) (*Client, *registry.Registry, *dy
 			return nil, errors.Join(ErrBadKey, errors.New("unknown dataset "+key.Dataset))
 		}
 		return dynamic.NewStore(rs[0], rs[1], dynamic.Config{
-			BuildBase: func(R, S []geom.Point) (core.Cloner, error) {
+			BuildBase: func(R, S []geom.Point) (*core.BBSTSampler, error) {
 				return core.NewBBST(R, S, core.Config{HalfExtent: key.L, Seed: key.Seed})
 			},
-			HalfExtent: key.L,
-			Seed:       key.Seed,
-			MaxT:       maxT,
+			Seed: key.Seed,
+			MaxT: maxT,
 		})
 	})
 	reg := registry.New(func(ctx context.Context, key registry.Key) (*engine.Engine, error) {

@@ -177,8 +177,8 @@ func (d *Dataset) Append(id uint64, u dynamic.Update) error {
 	return d.log.Append(id, buf.Bytes())
 }
 
-// Snapshot persists the materialized base point sets covering update
-// IDs <= lastID — the dynamic.Persister compaction hook. The file is
+// Snapshot persists the live point sets covering update IDs <= lastID
+// — the dynamic.Persister snapshot hook. The file is
 // written whole to a temp name, fsynced, and renamed, so a crash
 // leaves either the old snapshot or the new one, never a torn
 // in-between; then older snapshots and fully-covered log segments are

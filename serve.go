@@ -214,22 +214,22 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 		if err := validateKey(key); err != nil {
 			return nil, err
 		}
+		so, err := storeOptions(key, o.MaxT)
+		if err != nil {
+			return nil, err
+		}
 		R, S, err := o.Datasets(key.Dataset)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", server.ErrBadKey, err)
 		}
-		st, err := NewStore(R, S, key.L, &StoreOptions{
-			Algorithm: Algorithm(key.Algorithm),
-			Seed:      key.Seed,
-			MaxT:      o.MaxT,
-		})
+		st, err := NewStore(R, S, key.L, so)
 		if err != nil {
 			return nil, err
 		}
-		// Every generation bump — an Apply, or a background rebuild
-		// swap that no handler observes — drops the registry engines
-		// it just made stale, so a rebuild cannot strand a whole old
-		// base in the cache until the next update arrives.
+		// Every generation bump — an Apply, or a Compact that no
+		// handler observes — drops the registry engines it just made
+		// stale, so a compaction cannot strand a whole old base in the
+		// cache until the next update arrives.
 		st.st.SetOnGeneration(func(gen uint64) {
 			stale := key
 			stale.Generation = gen
@@ -324,13 +324,12 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			return fmt.Errorf("%w: store for %s is live at update %d, cannot install at %d",
 				dynamic.ErrUpdateSequence, key, st.LastApplied(), dump.LastAppliedID)
 		}
-		st, err := NewStore(dump.R, dump.S, key.L, &StoreOptions{
-			Algorithm:          Algorithm(key.Algorithm),
-			Seed:               key.Seed,
-			MaxT:               o.MaxT,
-			initialGeneration:  dump.Generation,
-			initialLastApplied: dump.LastAppliedID,
-		})
+		so, err := storeOptions(key, o.MaxT)
+		if err != nil {
+			return err
+		}
+		so.initialGeneration, so.initialLastApplied = dump.Generation, dump.LastAppliedID
+		st, err := NewStore(dump.R, dump.S, key.L, so)
 		if err != nil {
 			return err
 		}
@@ -385,6 +384,10 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 // snapshot replayed in ID order. The recovered store is adopted into
 // the stores map so the factory never rebuilds this key from seed.
 func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, reg *registry.Registry, key EngineKey, o *ServerOptions) error {
+	so, err := storeOptions(key, o.MaxT)
+	if err != nil {
+		return err
+	}
 	ds, err := mgr.Open(key)
 	if err != nil {
 		return err
@@ -402,13 +405,8 @@ func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, reg *registry.Regi
 			return err
 		}
 	}
-	st, err := NewStore(R, S, key.L, &StoreOptions{
-		Algorithm:          Algorithm(key.Algorithm),
-		Seed:               key.Seed,
-		MaxT:               o.MaxT,
-		initialGeneration:  snap.Generation,
-		initialLastApplied: snap.LastID,
-	})
+	so.initialGeneration, so.initialLastApplied = snap.Generation, snap.LastID
+	st, err := NewStore(R, S, key.L, so)
 	if err != nil {
 		return err
 	}
@@ -432,6 +430,18 @@ func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, reg *registry.Regi
 	})
 	st.st.SetPersister(ds)
 	return stores.Adopt(key, st.st)
+}
+
+// storeOptions returns the options of key's dynamic store. Stores are
+// BBST-only — the other algorithms are the paper's static baselines —
+// so a key (already normalized) naming another algorithm is refused
+// with engine.ErrBadRequest before any store exists.
+func storeOptions(key EngineKey, maxT int) (*StoreOptions, error) {
+	if key.Algorithm != string(BBST) {
+		return nil, fmt.Errorf("%w: dynamic stores support only algorithm %q, not %q",
+			engine.ErrBadRequest, BBST, key.Algorithm)
+	}
+	return &StoreOptions{Seed: key.Seed, MaxT: maxT}, nil
 }
 
 // shutdownSnapshotTimeout bounds the shutdown snapshots of Close —

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/server"
 )
 
 func newTestServer(t *testing.T, opts *ServerOptions) (*Server, *Client, func()) {
@@ -99,6 +101,38 @@ func TestPublicServerErrorMapping(t *testing.T) {
 				t.Fatalf("err = %v, want APIError %d", err, tc.status)
 			}
 		})
+	}
+}
+
+// TestPublicServerRefusesNonBBSTUpdates: dynamic stores are BBST-only.
+// POST /v1/update on a key of another algorithm answers 400
+// bad_request without creating a store, and the key's static engine
+// keeps serving draws.
+func TestPublicServerRefusesNonBBSTUpdates(t *testing.T) {
+	_, cl, done := newTestServer(t, &ServerOptions{DatasetSize: 500, MaxT: 1000})
+	defer done()
+	ctx := context.Background()
+	_, err := cl.ApplyUpdate(ctx, server.UpdateRequest{
+		Dataset: "uniform", L: 300, Algorithm: string(KDS), Seed: 2,
+		InsertR: []Point{{ID: 9000, X: 1, Y: 1}},
+	})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Code != server.CodeBadRequest {
+		t.Fatalf("update on a kds key: %v, want APIError 400 %s", err, server.CodeBadRequest)
+	}
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("update on a kds key: %v does not unwrap to ErrBadRequest", err)
+	}
+	stats, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Stores) != 0 {
+		t.Fatalf("refused update created stores: %+v", stats.Stores)
+	}
+	pairs, err := cl.Sample(ctx, SampleRequest{Dataset: "uniform", L: 300, Algorithm: string(KDS), Seed: 2, T: 50})
+	if err != nil || len(pairs) != 50 {
+		t.Fatalf("static kds draw after the refusal: %d pairs, %v", len(pairs), err)
 	}
 }
 

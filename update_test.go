@@ -153,14 +153,10 @@ func oracleJoin(R, S []srj.Point, l float64) map[[2]int32]bool {
 // against a rebuild-from-scratch oracle over the same mutated point
 // sets: the sample support set must stay inside the oracle join, and
 // EstimateJoinSize must track the oracle's |J| within tolerance. A
-// mid-sequence Compact (the background rebuild's synchronous twin)
-// must be invisible to both properties.
+// mid-sequence Compact must be invisible to both properties.
 func TestStorePropertyAgainstOracle(t *testing.T) {
 	R, S, l := srjtest.Data()
-	st, err := srj.NewStore(R, S, l, &srj.StoreOptions{
-		Seed:               77,
-		DisableAutoRebuild: true, // compaction is exercised explicitly below
-	})
+	st, err := srj.NewStore(R, S, l, &srj.StoreOptions{Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +251,8 @@ func TestStorePropertyAgainstOracle(t *testing.T) {
 			if err := st.Compact(ctx); err != nil {
 				t.Fatalf("compact: %v", err)
 			}
-			if n := st.Pending(); n != 0 {
-				t.Fatalf("pending %d after compact", n)
+			if n := st.Rebuilds(); n != 1 {
+				t.Fatalf("%d rebuilds after one compact", n)
 			}
 			checkStep(step)
 		}
