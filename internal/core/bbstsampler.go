@@ -7,22 +7,17 @@ import (
 )
 
 // bbstCorner adapts a cell's BBST pair to the cornerIndex interface.
-type bbstCorner struct {
-	pair    *bbst.Pair
-	scratch bbst.Scratch
+type bbstCorner struct{ pair *bbst.Pair }
+
+func (b bbstCorner) mu(c bbst.Corner, w geom.Rect, sc *cornerScratch) int {
+	return b.pair.MuS(c, w, &sc.bbst)
 }
 
-func (b *bbstCorner) mu(c bbst.Corner, w geom.Rect) int {
-	return b.pair.MuS(c, w, &b.scratch)
+func (b bbstCorner) sample(c bbst.Corner, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
+	return b.pair.SampleSlotS(c, w, r, &sc.bbst)
 }
 
-func (b *bbstCorner) sample(c bbst.Corner, w geom.Rect, r *rng.RNG) (geom.Point, bool) {
-	return b.pair.SampleSlotS(c, w, r, &b.scratch)
-}
-
-func (b *bbstCorner) sizeBytes() int { return b.pair.SizeBytes() + b.pair.SizeBytesFC() }
-
-func (b *bbstCorner) clone() cornerIndex { return &bbstCorner{pair: b.pair} }
+func (b bbstCorner) sizeBytes() int { return b.pair.SizeBytes() + b.pair.SizeBytesFC() }
 
 // BBSTSampler is the paper's proposed algorithm (Section IV,
 // Algorithm 1): grid mapping converts the 4-sided window into at most
@@ -56,15 +51,15 @@ func NewBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
 		if cfg.FractionalCascading {
 			pair.EnableFractionalCascading()
 		}
-		return &bbstCorner{pair: pair}
+		return bbstCorner{pair: pair}
 	}
 	return s, nil
 }
 
 // Next draws one uniform independent join sample.
-func (s *BBSTSampler) Next() (geom.Pair, error) { return s.next(s) }
+func (s *BBSTSampler) Next() (geom.Pair, error) { return s.next() }
 
-// Sample draws t samples via Next.
+// Sample draws t samples through the batch loop.
 func (s *BBSTSampler) Sample(t int) ([]geom.Pair, error) { return sampleN(s, s.base, t) }
 
 // SizeBytes reports the pipeline footprint.
@@ -73,7 +68,7 @@ func (s *BBSTSampler) SizeBytes() int { return s.sizeBytes() }
 // Clone prepares the sampler and returns an independent handle over
 // the same grid/BBST/alias structures for concurrent sampling.
 func (s *BBSTSampler) Clone() (Sampler, error) {
-	gs, err := s.cloneGrid(s)
+	gs, err := s.cloneGrid()
 	if err != nil {
 		return nil, err
 	}

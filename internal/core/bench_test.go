@@ -1,8 +1,9 @@
 package core
 
 // Mutable-vs-frozen rows: draw cost of the in-place maintained index
-// next to the frozen BBSTSampler on the same points, the cost of one
-// churn batch, and the one-off Unfreeze. Inputs are nyc-shaped, about
+// next to the frozen BBSTSampler on the same points (one Next per op,
+// and 10k-pair SampleInto batches), the cost of one churn batch, and
+// the one-off Unfreeze. Inputs are nyc-shaped, about
 // 100k points per side at l = 100.
 
 import (
@@ -53,6 +54,24 @@ func benchDraws(b *testing.B, s Sampler) {
 	b.ReportMetric(float64(s.Stats().Iterations-before)/float64(b.N), "trials/sample")
 }
 
+// benchChurned unfreezes the frozen sampler and applies 100 churn
+// batches.
+func benchChurned(b *testing.B) *Mutable {
+	b.Helper()
+	m, err := benchFrozen(b).Unfreeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	R, S := mutBenchInput()
+	gen := newChurnGen(R, S, dataset.NYC(10_000, 7), 3)
+	for i := 0; i < 100; i++ {
+		if m, err = m.Apply(gen.batch(8)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return m
+}
+
 // BenchmarkMutableDraw compares one sample from the frozen sampler
 // with one from its unfrozen Mutable after 100 churn batches.
 func BenchmarkMutableDraw(b *testing.B) {
@@ -60,19 +79,49 @@ func BenchmarkMutableDraw(b *testing.B) {
 		benchDraws(b, benchFrozen(b))
 	})
 	b.Run("mutable", func(b *testing.B) {
-		m, err := benchFrozen(b).Unfreeze()
-		if err != nil {
-			b.Fatal(err)
-		}
-		R, S := mutBenchInput()
-		gen := newChurnGen(R, S, dataset.NYC(10_000, 7), 3)
-		for i := 0; i < 100; i++ {
-			if m, err = m.Apply(gen.batch(8)); err != nil {
+		benchDraws(b, benchChurned(b))
+	})
+}
+
+// BenchmarkFrozenSampleInto draws 10k-pair SampleInto batches, one op
+// per batch, from the frozen parent, a clone of it, and the churned
+// Mutable of BenchmarkMutableDraw, after one warm-up batch.
+func BenchmarkFrozenSampleInto(b *testing.B) {
+	handles := []struct {
+		name string
+		mk   func(b *testing.B) Sampler
+	}{
+		{"parent", func(b *testing.B) Sampler { return benchFrozen(b) }},
+		{"clone", func(b *testing.B) Sampler {
+			c, err := benchFrozen(b).Clone()
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		benchDraws(b, m)
-	})
+			return c
+		}},
+		{"mutable", func(b *testing.B) Sampler { return benchChurned(b) }},
+	}
+	for _, h := range handles {
+		b.Run(h.name, func(b *testing.B) {
+			s := h.mk(b)
+			buf := make([]geom.Pair, 10_000)
+			if _, err := SampleInto(s, buf); err != nil {
+				b.Fatal(err)
+			}
+			before := s.Stats().Iterations
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := SampleInto(s, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			samples := float64(b.N * len(buf))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/samples, "ns/sample")
+			b.ReportMetric(float64(s.Stats().Iterations-before)/samples, "trials/sample")
+		})
+	}
 }
 
 // BenchmarkMutableApply measures one 32-op churn batch (8 inserts and

@@ -15,11 +15,12 @@ import (
 func (b *base) Reseed(seed uint64) { b.rng.Reseed(seed) }
 
 // ClonePool is a concurrency-safe pool of sampler clones over one
-// prepared parent. The parent's structures (grid, corner indexes,
-// spatial trees, alias tables) are built exactly once — in
-// NewClonePool — and every clone shares them read-only; each clone
-// only owns scratch buffers, statistics, and a random stream. Get and
-// Put may be called from any number of goroutines.
+// prepared parent. The parent's structures (grid, per-cell corner
+// structures, spatial trees, alias tables) are built exactly once — in
+// NewClonePool — and every clone shares them read-only, copying none
+// of them; each clone only owns its scratch buffers (one set per
+// handle, not per cell), statistics, and a random stream. Get and Put
+// may be called from any number of goroutines.
 //
 // On every checkout the clone's stream is reseeded from the pool's
 // seed sequence, so request streams stay uniform and independent of

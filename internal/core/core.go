@@ -96,7 +96,11 @@ type Stats struct {
 	PreprocessTime time.Duration // offline structure building
 	GridMapTime    time.Duration // GM: online data-structure building
 	UpperBoundTime time.Duration // UB: range counting + alias building
-	SampleTime     time.Duration // cumulative sampling-phase time
+	// SampleTime is the cumulative sampling-phase time. Samplers with
+	// a batch loop (the grid samplers and Mutable) read the clock once
+	// per SampleInto batch; Next is a batch of one, and the other
+	// samplers time each Next call.
+	SampleTime time.Duration
 
 	Samples    uint64  // accepted join samples returned so far
 	Iterations uint64  // sampling iterations including rejections
@@ -233,7 +237,15 @@ func ensure(s phased, b *base, want phase) error {
 // SampleInto fills dst with uniform independent join samples, reusing
 // the caller's buffer — the zero-allocation bulk API. It returns the
 // number of samples written (len(dst) unless an error stops it early).
+// Samplers with a batch loop run the whole buffer through it; the
+// others are drawn one Next call at a time.
 func SampleInto(s Sampler, dst []geom.Pair) (int, error) {
+	if len(dst) == 0 {
+		return 0, nil
+	}
+	if b, ok := s.(batchSampler); ok {
+		return b.sampleInto(dst)
+	}
 	for i := range dst {
 		p, err := s.Next()
 		if err != nil {
@@ -244,26 +256,53 @@ func SampleInto(s Sampler, dst []geom.Pair) (int, error) {
 	return len(dst), nil
 }
 
-// sampleN implements Sample(t) on top of Next for every sampler; b is
-// nil for samplers without a base (they sample with replacement).
+// batchSampler is a sampler with its own batch loop, run by
+// SampleInto in place of per-sample Next calls.
+type batchSampler interface {
+	sampleInto(dst []geom.Pair) (int, error)
+}
+
+// fillBatch is the batch loop: it fills dst with accepted trials,
+// giving each sample the rejection budget, and adds the batch's wall
+// time to *sampleTime once. try reports an error only when no trial
+// can succeed.
+func fillBatch(dst []geom.Pair, budget int, sampleTime *time.Duration, try func() (geom.Pair, bool, error)) (n int, err error) {
+	start := time.Now()
+fill:
+	for n < len(dst) {
+		for attempt := 0; attempt < budget; attempt++ {
+			p, ok, terr := try()
+			if terr != nil {
+				err = terr
+				break fill
+			}
+			if ok {
+				dst[n] = p
+				n++
+				continue fill
+			}
+		}
+		err = ErrLowAcceptance
+		break
+	}
+	*sampleTime += time.Since(start)
+	return n, err
+}
+
+// sampleN implements Sample(t) on top of SampleInto for every sampler;
+// b is nil for samplers without a base (they sample with replacement).
 func sampleN(s Sampler, b *base, t int) ([]geom.Pair, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("core: negative sample count %d", t)
 	}
-	out := make([]geom.Pair, 0, t)
-	for len(out) < t {
-		p, err := s.Next()
-		if err != nil {
-			// Without replacement, exhausting J surfaces as a
-			// rejection-budget error; return what we have.
-			if b != nil && b.cfg.WithoutReplacement && errors.Is(err, ErrLowAcceptance) && len(out) > 0 {
-				return out, nil
-			}
-			return out, err
-		}
-		out = append(out, p)
+	out := make([]geom.Pair, t)
+	n, err := SampleInto(s, out)
+	// Without replacement, exhausting J surfaces as a rejection-budget
+	// error; return what we have.
+	if b != nil && b.cfg.WithoutReplacement && errors.Is(err, ErrLowAcceptance) && n > 0 {
+		err = nil
 	}
-	return out, nil
+	return out[:n], err
 }
 
 // accept applies the without-replacement filter; it returns false when

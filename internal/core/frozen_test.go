@@ -1,0 +1,219 @@
+package core
+
+// Frozen grid samplers (BBST, GridKD) through the batched SampleInto:
+// seeded byte-identity against a pinned digest and against the Next
+// loop, zero allocations once warm, and clones drawing concurrently
+// over the shared structures.
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/geom"
+)
+
+// Golden digests of the seeded frozen draw streams in frozenDigest:
+// FNV-64a over the parent's batch, a clone's batch and a reseeded
+// clone's batch, as produced by an implementation with a map of
+// per-clone corner structures and a 3×3 neighborhood lookup per trial.
+// Any change to the trial's use of the random stream, the alias tables
+// or the per-cell structures moves them.
+const (
+	goldenBBSTDigest   = 0x8a8745e2dbf125f2
+	goldenGridKDDigest = 0xaad806e73dc9bd84
+)
+
+type frozenFactory func(R, S []geom.Point, cfg Config) (Cloner, error)
+
+func newBBSTCloner(R, S []geom.Point, cfg Config) (Cloner, error) { return NewBBST(R, S, cfg) }
+
+func newGridKDCloner(R, S []geom.Point, cfg Config) (Cloner, error) { return NewGridKD(R, S, cfg) }
+
+var frozenFactories = []struct {
+	name   string
+	mk     frozenFactory
+	golden uint64
+}{
+	{"BBST", newBBSTCloner, goldenBBSTDigest},
+	{"GridKD", newGridKDCloner, goldenGridKDDigest},
+}
+
+func hashPairs(h interface{ Write([]byte) (int, error) }, pairs []geom.Pair) {
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, p := range pairs {
+		for _, pt := range [2]geom.Point{p.R, p.S} {
+			put(math.Float64bits(pt.X))
+			put(math.Float64bits(pt.Y))
+			put(uint64(uint32(pt.ID)))
+		}
+	}
+}
+
+func mustSampleInto(t *testing.T, s Sampler, n int) []geom.Pair {
+	t.Helper()
+	out := make([]geom.Pair, n)
+	if got, err := SampleInto(s, out); err != nil || got != n {
+		t.Fatalf("SampleInto: %d of %d, %v", got, n, err)
+	}
+	return out
+}
+
+// frozenDigest draws seeded batches from a parent, a clone and a
+// reseeded clone, checks the parent's batch against a Next loop on an
+// identically seeded twin, and hashes the three batches.
+func frozenDigest(t *testing.T, mk frozenFactory) uint64 {
+	t.Helper()
+	R, S := dataset.SplitRS(dataset.NYC(20000, 1), 0.5, 2)
+	cfg := Config{HalfExtent: 100, Seed: 23}
+	parent, err := mk(R, S, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := mk(R, S, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	batch := mustSampleInto(t, parent, n)
+	for i := 0; i < n; i++ {
+		p, err := twin.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != batch[i] {
+			t.Fatalf("draw %d: SampleInto %v, Next loop %v", i, batch[i], p)
+		}
+	}
+	ps, ts := parent.Stats(), twin.Stats()
+	if ps.Iterations != ts.Iterations || ps.Samples != ts.Samples {
+		t.Fatalf("SampleInto stats %d trials / %d samples, Next loop %d / %d",
+			ps.Iterations, ps.Samples, ts.Iterations, ts.Samples)
+	}
+	h := fnv.New64a()
+	hashPairs(h, batch)
+	c, err := parent.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashPairs(h, mustSampleInto(t, c, n))
+	c.(Reseeder).Reseed(99)
+	hashPairs(h, mustSampleInto(t, c, n))
+	return h.Sum64()
+}
+
+// TestBBSTGoldenDigest holds seeded frozen BBST draws byte-identical
+// across rewrites of the trial loop; the GridKD subtest does the same
+// for the kd-tree-per-cell variant.
+func TestBBSTGoldenDigest(t *testing.T) {
+	for _, f := range frozenFactories {
+		t.Run(f.name, func(t *testing.T) {
+			if got := frozenDigest(t, f.mk); got != f.golden {
+				t.Fatalf("draw digest %#x, golden %#x — seeded frozen draws changed", got, f.golden)
+			}
+		})
+	}
+}
+
+// TestSampleIntoZeroAllocs holds the bulk API to its contract: once a
+// handle has drawn one batch, further batches allocate nothing.
+func TestSampleIntoZeroAllocs(t *testing.T) {
+	R, S := dataset.SplitRS(dataset.NYC(40000, 1), 0.5, 2)
+	cfg := Config{HalfExtent: 100, Seed: 5}
+	handles := map[string]func(t *testing.T) Sampler{
+		"Mutable": func(t *testing.T) Sampler { return mustUnfreeze(t, R, S, cfg) },
+	}
+	for _, f := range frozenFactories {
+		handles[f.name] = func(t *testing.T) Sampler {
+			parent, err := f.mk(R, S, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := parent.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+	}
+	for name, mk := range handles {
+		t.Run(name, func(t *testing.T) {
+			s := mk(t)
+			buf := make([]geom.Pair, 1000)
+			if _, err := SampleInto(s, buf); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := SampleInto(s, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v allocs per 1000-sample batch after warm-up, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestFrozenClonesConcurrentSampleInto runs reseeded clones of each
+// frozen sampler concurrently over the shared grid, corner structures
+// and aliases; each clone's output must equal a sequential replay of
+// its seed.
+func TestFrozenClonesConcurrentSampleInto(t *testing.T) {
+	R, S := dataset.SplitRS(dataset.NYC(20000, 3), 0.5, 4)
+	for _, f := range frozenFactories {
+		t.Run(f.name, func(t *testing.T) {
+			parent, err := f.mk(R, S, Config{HalfExtent: 100, Seed: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const clones, batches, batchLen = 4, 5, 400
+			handles := make([]Sampler, clones)
+			got := make([][]geom.Pair, clones)
+			for i := range handles {
+				if handles[i], err = parent.Clone(); err != nil {
+					t.Fatal(err)
+				}
+				handles[i].(Reseeder).Reseed(uint64(1000 + i))
+				got[i] = make([]geom.Pair, batches*batchLen)
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, clones)
+			for i := range handles {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for b := 0; b < batches; b++ {
+						if _, err := SampleInto(handles[i], got[i][b*batchLen:(b+1)*batchLen]); err != nil {
+							errs[i] = fmt.Errorf("clone %d batch %d: %w", i, b, err)
+							return
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, h := range handles {
+				h.(Reseeder).Reseed(uint64(1000 + i))
+				want := mustSampleInto(t, h, batches*batchLen)
+				for j := range want {
+					if got[i][j] != want[j] {
+						t.Fatalf("clone %d draw %d: concurrent %v, sequential %v", i, j, got[i][j], want[j])
+					}
+				}
+			}
+		})
+	}
+}

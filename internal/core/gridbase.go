@@ -7,24 +7,32 @@ import (
 	"repro/internal/bbst"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/kdtree"
 	"repro/internal/rng"
 )
 
 // cornerIndex is the per-cell structure that answers the 2-sided
 // (case 3) corner queries: the two BBSTs of the paper, or the per-cell
-// kd-tree of the Fig. 9 ablation.
+// kd-tree of the Fig. 9 ablation. It is immutable once built: every
+// clone of a sampler shares the same corner structures, and the query
+// buffers live in the calling handle's cornerScratch.
 type cornerIndex interface {
 	// mu returns the (upper-bound) count of cell points matching the
 	// corner constraint of w.
-	mu(c bbst.Corner, w geom.Rect) int
+	mu(c bbst.Corner, w geom.Rect, sc *cornerScratch) int
 	// sample draws one candidate slot for the corner; ok is false on
 	// an empty slot. The caller still verifies window membership.
-	sample(c bbst.Corner, w geom.Rect, r *rng.RNG) (geom.Point, bool)
+	sample(c bbst.Corner, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool)
 	// sizeBytes estimates the structure footprint.
 	sizeBytes() int
-	// clone returns a handle sharing the immutable structure with
-	// fresh scratch buffers, for concurrent use.
-	clone() cornerIndex
+}
+
+// cornerScratch is one sampler handle's query buffers, reused across
+// every corner structure the handle queries, so a warmed handle
+// samples without allocating. It must not be shared between handles.
+type cornerScratch struct {
+	bbst bbst.Scratch
+	kd   kdtree.Scratch
 }
 
 // cornerFor maps a case-3 grid direction to its BBST corner query.
@@ -51,7 +59,8 @@ type gridSampler struct {
 
 	sortedS []geom.Point // copy of S sorted by x (offline phase)
 	g       *grid.Grid
-	corners map[grid.Key]cornerIndex
+	corners []cornerIndex // by grid.Cell.Index; shared by clones
+	sc      cornerScratch // this handle's own
 
 	tab       *alias.Table  // alias over µ(r)
 	cellAlias []alias.Small // A_r: per-point alias over the 9 cells
@@ -87,10 +96,11 @@ func (g *gridSampler) Build() error {
 		if buildErr != nil {
 			return
 		}
-		g.corners = make(map[grid.Key]cornerIndex, g.g.NumCells())
+		g.corners = make([]cornerIndex, 0, g.g.NumCells())
 		m := len(g.S)
+		// Cells runs in Index order, so corners[c.Index] is c's.
 		g.g.Cells(func(c *grid.Cell) {
-			g.corners[c.Key] = g.newCorner(c.XSorted, m)
+			g.corners = append(g.corners, g.newCorner(c.XSorted, m))
 		})
 	})
 	if buildErr != nil {
@@ -105,7 +115,7 @@ func (g *gridSampler) Build() error {
 // structure's bound for case 3 (UPPER-BOUNDING in Algorithm 1).
 func (g *gridSampler) muDir(c *grid.Cell, d grid.Direction, w geom.Rect) int {
 	if d.Case() == 3 {
-		return g.corners[c.Key].mu(cornerFor(d), w)
+		return g.corners[c.Index].mu(cornerFor(d), w, &g.sc)
 	}
 	return len(c.Matching(d, w))
 }
@@ -165,7 +175,7 @@ func (g *gridSampler) Count() error {
 // caller rejects.
 func (g *gridSampler) sampleDir(c *grid.Cell, d grid.Direction, w geom.Rect) (geom.Point, bool) {
 	if d.Case() == 3 {
-		return g.corners[c.Key].sample(cornerFor(d), w, g.rng)
+		return g.corners[c.Index].sample(cornerFor(d), w, g.rng, &g.sc)
 	}
 	return sampleRun(c.Matching(d, w), g.rng)
 }
@@ -181,76 +191,68 @@ func sampleRun(run []geom.Point, r *rng.RNG) (geom.Point, bool) {
 
 // tryOnce is one iteration of the sampling phase (lines 10–15 of
 // Algorithm 1): weighted r, weighted cell, uniform slot, accept iff
-// the slot holds a point of w(r). Every pair of J is accepted with
-// probability exactly 1/Σµ per trial.
-func (g *gridSampler) tryOnce(nb *[grid.NumDirections]*grid.Cell) (geom.Pair, bool) {
+// the slot holds a point of w(r). Only the drawn direction's cell is
+// looked up. Every pair of J is accepted with probability exactly
+// 1/Σµ per trial.
+func (g *gridSampler) tryOnce() (geom.Pair, bool, error) {
 	g.stats.Iterations++
 	ri := g.tab.Sample(g.rng)
 	ca := &g.cellAlias[ri]
 	if ca.Len() == 0 {
-		return geom.Pair{}, false // µ(r) == 0; alias weight 0 makes this unreachable
+		return geom.Pair{}, false, nil // µ(r) == 0; alias weight 0 makes this unreachable
 	}
 	r := g.R[ri]
 	w := g.window(r)
 	d := grid.Direction(ca.Sample(g.rng))
-	g.g.Neighborhood(r, nb)
-	c := nb[d]
+	c := g.g.Cell(g.g.KeyAt(r.X, r.Y).Neighbor(d))
 	if c == nil {
-		return geom.Pair{}, false // zero-weight direction; defensive
+		return geom.Pair{}, false, nil // zero-weight direction; defensive
 	}
 	s, ok := g.sampleDir(c, d, w)
 	if !ok || !w.Contains(s) {
-		return geom.Pair{}, false // empty slot or out-of-window candidate
+		return geom.Pair{}, false, nil // empty slot or out-of-window candidate
 	}
 	p := geom.Pair{R: r, S: s}
 	if !g.accept(p) {
-		return geom.Pair{}, false
+		return geom.Pair{}, false, nil
 	}
 	g.stats.Samples++
-	return p, true
+	return p, true, nil
 }
 
-// next drives tryOnce under the rejection budget.
-func (g *gridSampler) next(self phased) (geom.Pair, error) {
-	if err := ensure(self, g.base, phaseCounted); err != nil {
-		return geom.Pair{}, err
+// sampleInto is the sampling phase behind SampleInto and Next: one
+// phase check per call, then the batch loop over tryOnce.
+func (g *gridSampler) sampleInto(dst []geom.Pair) (int, error) {
+	if err := ensure(g, g.base, phaseCounted); err != nil {
+		return 0, err
 	}
-	var out geom.Pair
-	var err error
-	timed(&g.stats.SampleTime, func() {
-		var nb [grid.NumDirections]*grid.Cell
-		for attempt := 0; attempt < g.cfg.maxRejects(); attempt++ {
-			if p, ok := g.tryOnce(&nb); ok {
-				out = p
-				return
-			}
-		}
-		err = ErrLowAcceptance
-	})
-	return out, err
+	return fillBatch(dst, g.cfg.maxRejects(), &g.stats.SampleTime, g.tryOnce)
+}
+
+// next draws one sample through the batch loop.
+func (g *gridSampler) next() (geom.Pair, error) {
+	var p [1]geom.Pair
+	_, err := g.sampleInto(p[:])
+	return p[0], err
 }
 
 // cloneGrid derives an independent gridSampler over the same immutable
-// structures (grid, corner indexes, aliases): fresh base (split RNG,
-// fresh stats) and fresh corner scratch buffers.
-func (g *gridSampler) cloneGrid(self phased) (gridSampler, error) {
-	if err := ensure(self, g.base, phaseCounted); err != nil {
+// structures (grid, corner structures, aliases): fresh base (split
+// RNG, fresh stats) and its own corner scratch.
+func (g *gridSampler) cloneGrid() (gridSampler, error) {
+	if err := ensure(g, g.base, phaseCounted); err != nil {
 		return gridSampler{}, err
 	}
 	nb, err := g.base.cloneBase()
 	if err != nil {
 		return gridSampler{}, err
 	}
-	corners := make(map[grid.Key]cornerIndex, len(g.corners))
-	for k, ci := range g.corners {
-		corners[k] = ci.clone()
-	}
 	return gridSampler{
 		base:      nb,
 		newCorner: g.newCorner,
 		sortedS:   g.sortedS,
 		g:         g.g,
-		corners:   corners,
+		corners:   g.corners,
 		tab:       g.tab,
 		cellAlias: g.cellAlias,
 	}, nil

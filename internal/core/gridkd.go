@@ -11,10 +11,7 @@ import (
 // counting via Count and exact sampling via the KDS primitive. This is
 // the variant the paper compares against in Fig. 9 to isolate the
 // benefit of the BBST structure.
-type kdCorner struct {
-	tree    *kdtree.Tree
-	scratch kdtree.Scratch
-}
+type kdCorner struct{ tree *kdtree.Tree }
 
 // cornerRegion clips the corner constraint into a rectangle; the cell
 // contains only its own points, so querying the half-open constraint
@@ -25,18 +22,16 @@ func cornerRegion(c bbst.Corner, w geom.Rect) geom.Rect {
 	return w
 }
 
-func (k *kdCorner) mu(c bbst.Corner, w geom.Rect) int {
+func (k kdCorner) mu(c bbst.Corner, w geom.Rect, _ *cornerScratch) int {
 	return k.tree.Count(cornerRegion(c, w))
 }
 
-func (k *kdCorner) sample(c bbst.Corner, w geom.Rect, r *rng.RNG) (geom.Point, bool) {
-	pt, _, ok := k.tree.Sample(cornerRegion(c, w), r, &k.scratch)
+func (k kdCorner) sample(c bbst.Corner, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
+	pt, _, ok := k.tree.Sample(cornerRegion(c, w), r, &sc.kd)
 	return pt, ok
 }
 
-func (k *kdCorner) sizeBytes() int { return k.tree.SizeBytes() }
-
-func (k *kdCorner) clone() cornerIndex { return &kdCorner{tree: k.tree} }
+func (k kdCorner) sizeBytes() int { return k.tree.SizeBytes() }
 
 // GridKD is the Fig. 9 ablation of the proposed algorithm: the same
 // grid pipeline (exact cases 1–2) but with one kd-tree per cell in
@@ -55,15 +50,15 @@ func NewGridKD(R, S []geom.Point, cfg Config) (*GridKD, error) {
 	}
 	s := &GridKD{gridSampler{base: b}}
 	s.newCorner = func(cellPoints []geom.Point, m int) cornerIndex {
-		return &kdCorner{tree: kdtree.New(cellPoints)}
+		return kdCorner{tree: kdtree.New(cellPoints)}
 	}
 	return s, nil
 }
 
 // Next draws one uniform independent join sample.
-func (s *GridKD) Next() (geom.Pair, error) { return s.next(s) }
+func (s *GridKD) Next() (geom.Pair, error) { return s.next() }
 
-// Sample draws t samples via Next.
+// Sample draws t samples through the batch loop.
 func (s *GridKD) Sample(t int) ([]geom.Pair, error) { return sampleN(s, s.base, t) }
 
 // SizeBytes reports the pipeline footprint.
@@ -72,7 +67,7 @@ func (s *GridKD) SizeBytes() int { return s.sizeBytes() }
 // Clone prepares the sampler and returns an independent handle over
 // the same grid/kd-tree/alias structures for concurrent sampling.
 func (s *GridKD) Clone() (Sampler, error) {
-	gs, err := s.cloneGrid(s)
+	gs, err := s.cloneGrid()
 	if err != nil {
 		return nil, err
 	}

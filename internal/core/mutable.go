@@ -504,7 +504,7 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	}
 	var cells []mutCell
 	s.g.Cells(func(c *grid.Cell) {
-		cells = append(cells, mutCell{cell: c, pair: s.corners[c.Key].(*bbstCorner).pair})
+		cells = append(cells, mutCell{cell: c, pair: s.corners[c.Index].(bbstCorner).pair})
 	})
 	ix.scells = grid.BuildDir(len(cells),
 		func(i int) grid.Key { return cells[i].cell.Key },
@@ -621,29 +621,20 @@ func (m *Mutable) TryNext() (geom.Pair, bool, error) {
 	return geom.Pair{}, false, nil
 }
 
+// sampleInto is the batch loop behind SampleInto and Next.
+func (m *Mutable) sampleInto(dst []geom.Pair) (int, error) {
+	return fillBatch(dst, m.maxRejects, &m.stats.SampleTime, m.TryNext)
+}
+
 // Next draws one uniform independent join sample under the rejection
 // budget.
 func (m *Mutable) Next() (geom.Pair, error) {
-	var out geom.Pair
-	var err error
-	timed(&m.stats.SampleTime, func() {
-		for attempt := 0; attempt < m.maxRejects; attempt++ {
-			p, ok, terr := m.TryNext()
-			if terr != nil {
-				err = terr
-				return
-			}
-			if ok {
-				out = p
-				return
-			}
-		}
-		err = ErrLowAcceptance
-	})
-	return out, err
+	var p [1]geom.Pair
+	_, err := m.sampleInto(p[:])
+	return p[0], err
 }
 
-// Sample draws t samples via Next.
+// Sample draws t samples through the batch loop.
 func (m *Mutable) Sample(t int) ([]geom.Pair, error) { return sampleN(m, nil, t) }
 
 // Stats reports the handle's counters; MuSum is the version's Σµ.

@@ -37,6 +37,7 @@ func WithUpdates(key Key, c *Cell, ins []geom.Point, drop func(geom.Point) bool)
 	}
 	nc := &Cell{
 		Key:     key,
+		Index:   -1,
 		XSorted: make([]geom.Point, 0, keep+len(ins)),
 		YSorted: make([]geom.Point, 0, keep+len(ins)),
 	}

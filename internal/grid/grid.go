@@ -103,8 +103,16 @@ func (k Key) Neighbor(d Direction) Key {
 // Cell holds the points of S that fall into one grid cell, in two
 // sort orders. XSorted corresponds to S(c) in the paper (pre-sorted by
 // x) and YSorted to Sy(c).
+//
+// Index is the cell's dense position in the Grid that Build made it
+// for: 0 <= Index < NumCells, assigned in the order Build's input
+// first touches each cell. Callers keep per-cell side tables in a
+// slice indexed by it, so reaching a cell's structures costs the one
+// key lookup that found the cell. Cells made outside a Grid
+// (WithUpdates) carry -1.
 type Cell struct {
 	Key     Key
+	Index   int32
 	XSorted []geom.Point
 	YSorted []geom.Point
 }
@@ -174,8 +182,9 @@ func (c *Cell) Matching(d Direction, w geom.Rect) []geom.Point {
 // Grid is a hash grid over the non-empty cells of a point set.
 type Grid struct {
 	side  float64
-	cells map[Key]*Cell
-	size  int // total number of points
+	cells []Cell        // dense, by Cell.Index
+	index map[Key]int32 // key -> Cell.Index
+	size  int           // total number of points
 }
 
 // Build maps each point to its cell and sorts the per-cell copies.
@@ -185,17 +194,19 @@ func Build(points []geom.Point, side float64) (*Grid, error) {
 	if side <= 0 || math.IsNaN(side) || math.IsInf(side, 0) {
 		return nil, fmt.Errorf("grid: cell side must be positive and finite, got %g", side)
 	}
-	g := &Grid{side: side, cells: make(map[Key]*Cell), size: len(points)}
+	g := &Grid{side: side, index: make(map[Key]int32), size: len(points)}
 	for _, p := range points {
 		k := g.KeyAt(p.X, p.Y)
-		c := g.cells[k]
-		if c == nil {
-			c = &Cell{Key: k}
-			g.cells[k] = c
+		i, ok := g.index[k]
+		if !ok {
+			i = int32(len(g.cells))
+			g.index[k] = i
+			g.cells = append(g.cells, Cell{Key: k, Index: i})
 		}
-		c.XSorted = append(c.XSorted, p)
+		g.cells[i].XSorted = append(g.cells[i].XSorted, p)
 	}
-	for _, c := range g.cells {
+	for ci := range g.cells {
+		c := &g.cells[ci]
 		sort.Slice(c.XSorted, func(i, j int) bool { return c.XSorted[i].X < c.XSorted[j].X })
 		c.YSorted = append([]geom.Point(nil), c.XSorted...)
 		sort.Slice(c.YSorted, func(i, j int) bool { return c.YSorted[i].Y < c.YSorted[j].Y })
@@ -226,10 +237,16 @@ func KeyFor(x, y, side float64) Key {
 }
 
 // CellAt returns the cell containing (x, y), or nil when it is empty.
-func (g *Grid) CellAt(x, y float64) *Cell { return g.cells[g.KeyAt(x, y)] }
+func (g *Grid) CellAt(x, y float64) *Cell { return g.Cell(g.KeyAt(x, y)) }
 
 // Cell returns the cell with key k, or nil when it is empty.
-func (g *Grid) Cell(k Key) *Cell { return g.cells[k] }
+func (g *Grid) Cell(k Key) *Cell {
+	i, ok := g.index[k]
+	if !ok {
+		return nil
+	}
+	return &g.cells[i]
+}
 
 // Neighborhood fills dst with the 3x3 block of cells around the cell
 // containing r, indexed by Direction; empty cells are nil. It returns
@@ -237,16 +254,15 @@ func (g *Grid) Cell(k Key) *Cell { return g.cells[k] }
 func (g *Grid) Neighborhood(r geom.Point, dst *[NumDirections]*Cell) *[NumDirections]*Cell {
 	k := g.KeyAt(r.X, r.Y)
 	for d := Direction(0); d < NumDirections; d++ {
-		dst[d] = g.cells[k.Neighbor(d)]
+		dst[d] = g.Cell(k.Neighbor(d))
 	}
 	return dst
 }
 
-// Cells calls fn for every non-empty cell. Iteration order is
-// unspecified.
+// Cells calls fn for every non-empty cell in Index order.
 func (g *Grid) Cells(fn func(*Cell)) {
-	for _, c := range g.cells {
-		fn(c)
+	for i := range g.cells {
+		fn(&g.cells[i])
 	}
 }
 
