@@ -4,14 +4,17 @@ package core
 // next to the frozen BBSTSampler on the same points (one Next per op,
 // and 10k-pair SampleInto batches), the cost of one churn batch, and
 // the one-off Unfreeze. Inputs are nyc-shaped, about
-// 100k points per side at l = 100.
+// 100k points per side at l = 100. BenchmarkSlotTree times the
+// mutable index's slot tree alone, over 100k random slots.
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/rng"
 )
 
 var mutBench struct {
@@ -155,4 +158,55 @@ func BenchmarkUnfreeze(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Sinks keep BenchmarkSlotTree's calls from being optimized away.
+var (
+	slotSink *slotRec
+	treeSink *slotTree
+)
+
+// BenchmarkSlotTree isolates the mutable R-side draw and write over
+// 100k random slots: one sample descent per op, and one commit of 32
+// random slot writes (one churn batch's worth) per op.
+func BenchmarkSlotTree(b *testing.B) {
+	r := rng.New(1)
+	recs := make([]slotRec, 100_000)
+	for i := range recs {
+		recs[i] = randomRec(r, int32(i))
+	}
+	tr := buildSlotTree(recs)
+	b.Run("sample", func(b *testing.B) {
+		total := tr.Total()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			slotSink = tr.sample(r.Float64() * total)
+		}
+	})
+	b.Run("setMany32", func(b *testing.B) {
+		type batch struct {
+			idx  []int32
+			recs []slotRec
+		}
+		batches := make([]batch, 64)
+		for k := range batches {
+			idx := make([]int32, 32)
+			for j := range idx {
+				idx[j] = int32(r.Intn(len(recs)))
+			}
+			slices.Sort(idx)
+			idx = slices.Compact(idx)
+			bt := batch{idx: idx, recs: make([]slotRec, len(idx))}
+			for j, i := range idx {
+				bt.recs[j] = randomRec(r, i)
+			}
+			batches[k] = bt
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bt := batches[i%len(batches)]
+			treeSink = tr.setMany(bt.idx, bt.recs)
+		}
+	})
 }

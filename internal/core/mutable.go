@@ -10,8 +10,9 @@ package core
 //     CloneForUpdate copy) per non-empty grid cell, reached through a
 //     persistent directory (grid.Dir) instead of a Go map;
 //   - the R side keeps one persistent slot tree (slotTree): each slot
-//     holds its point, its 9 per-direction counts µ(r, d) and µ(r),
-//     under a sum tree that replaces the frozen Walker alias; a
+//     holds its point, its 9 per-direction counts µ(r, d) and µ(r), in
+//     leaves of stChunk slots under a wide, shallow sum tree (stFan
+//     child sums per node) that replaces the frozen Walker alias; a
 //     cell→slots reverse index lets an S-side change recount only the
 //     R points whose 3×3 neighborhood was touched;
 //   - deleting an R point zeroes its counts and threads the slot onto
@@ -26,10 +27,11 @@ package core
 // plus one cell's O(|cell|) copy-on-write, amortized by the batch),
 // so steady churn never needs a bulk rebuild.
 //
-// Sampling stays the paper's Algorithm 1: one descent of the slot tree
-// draws a slot proportional to µ(r), a cumulative scan of the slot's
-// cached direction counts (exact for cases 1–2, the BBST bound for
-// corners) picks the direction, and only that direction's cell is
+// Sampling stays the paper's Algorithm 1: one short descent of the
+// slot tree (one child-sum scan per level, three levels up to 2^18
+// slots) draws a slot proportional to µ(r), a cumulative scan of the
+// slot's cached direction counts (exact for cases 1–2, the BBST bound
+// for corners) picks the direction, and only that direction's cell is
 // looked up to draw a uniform candidate, accepted iff it lies in w(r).
 // The cached counts are kept equal to a recount against the version's
 // S side (ApplyOps recounts every slot a touched cell can affect), so
@@ -462,8 +464,8 @@ func (ix *MutableIndex) SizeBytes() int {
 }
 
 // Mutable is a sampling handle over one MutableIndex version: the
-// Sampler / Cloner / Reseeder the dynamic store serves through. Handles are cheap; Apply returns a new handle
-// over the new version.
+// Sampler / Cloner / Reseeder the dynamic store serves through.
+// Handles are cheap; Apply returns a new handle over the new version.
 type Mutable struct {
 	idx        *MutableIndex
 	name       string

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/geom"
@@ -9,26 +10,40 @@ import (
 )
 
 // slotTree is the R side of the mutable index: one persistent
-// (path-copied) tree over the slot array. Leaves are chunks of stChunk
-// consecutive slots, each holding the slot's point, its 9 per-direction
-// counts µ(r, d) — the paper's per-point alias A_r, cached — and
-// µ(r) = Σ_d µ(r, d); internal nodes carry {sum, left, right}. A trial
-// is one root-to-chunk descent. Edits return a new version that shares
-// every untouched node, so published versions keep reading their own
-// slots while the tip advances.
+// (path-copied) tree over the slot array. Leaves hold stChunk
+// consecutive slots, each holding the slot's point, its 9
+// per-direction counts µ(r, d) — the paper's per-point alias A_r,
+// cached — and µ(r) = Σ_d µ(r, d). Internal nodes are wide: each keeps
+// the µ totals of its stFan children in one contiguous array next to
+// the child pointers, so a trial is one short root-to-leaf descent
+// (three internal levels cover 2^18 slots) that scans one array per
+// level. Edits return a new version that shares every untouched node,
+// so published versions keep reading their own slots while the tip
+// advances.
 //
-// Every sum is the pairwise binary sum over the slot range a node
-// covers (a missing child counts as empty). µ values are integers far
-// below 2^53, so each sum is exact, every partial-sum subtraction in the
-// descent is exact, and a given variate picks the same slot whatever
-// the chunking.
+// µ values are integers and every sum stays far below 2^53, so each
+// child sum and the total are exact whatever the order of addition. A
+// descent skips a child by subtracting its sum s from the variate u
+// only when u >= s. u < 2^53, so u's ulp is a power of two no larger
+// than 1 and s is a multiple of it; u - s lies in [0, u], so it is
+// representable and the subtraction is exact. The variate entering a
+// node is therefore exactly u minus the prefix sum before the node, and
+// the slot drawn — the first whose prefix sum exceeds u — depends only
+// on the prefix sums, not on stFan, stChunk or the height. A u at or
+// past the total (rounding) is moved just below the total first, which
+// keeps the last-positive-slot rule with no fallback at any level.
 type slotTree struct {
-	root *stNode
-	n    int // slots
-	span int // power-of-two chunk capacity of root (0 when empty)
+	root   *stNode
+	total  float64 // Σµ: the root's child sums added up
+	n      int     // slots
+	height int     // internal levels above the leaves (0 when empty)
 }
 
-const stChunk = 8
+// Slots per leaf and children per internal node.
+const (
+	stChunkBits, stFanBits = 3, 5
+	stChunk, stFan         = 1 << stChunkBits, 1 << stFanBits
+)
 
 // dirCounts holds µ(r, d) for the 9 neighborhood directions: exact for
 // cases 1–2, the BBST bound for corners; 0 where the cell is empty.
@@ -50,52 +65,36 @@ func newSlotRec(pt geom.Point, cnt dirCounts) slotRec {
 	return slotRec{pt: pt, cnt: cnt, mu: float64(mu)}
 }
 
-// stNode is an internal node, or a chunk when recs is set.
+// stLeaf is a chunk of stChunk consecutive slots.
+type stLeaf [stChunk]slotRec
+
+// stNode is an internal node. sums[j] is the µ total under child j;
+// the children are kids above height 1 and leaves at height 1. A child
+// covering only slots at or past Len() is nil with a zero sum.
 type stNode struct {
-	sum         float64
-	left, right *stNode
-	recs        *[stChunk]slotRec
+	sums   [stFan]float64
+	kids   [stFan]*stNode
+	leaves [stFan]*stLeaf
 }
 
-// stChunkNode allocates a chunk node and its slots together.
-type stChunkNode struct {
-	node stNode
-	recs [stChunk]slotRec
-}
+// childShift is log2 of the slots under one child of a node at height h.
+func childShift(h int) int { return stChunkBits + stFanBits*(h-1) }
 
-func newChunk(recs *[stChunk]slotRec) *stNode {
-	c := &stChunkNode{recs: *recs}
-	c.node.recs = &c.recs
-	c.node.sum = chunkSum(&c.recs)
-	return &c.node
-}
-
-// chunkSum is the pairwise sum of the chunk's µ values.
-func chunkSum(recs *[stChunk]slotRec) float64 {
-	var s [stChunk]float64
-	for i := range recs {
-		s[i] = recs[i].mu
+// heightFor is the least height that holds n slots: 0 for none, else
+// the least h >= 1 with n <= stChunk·stFan^h.
+func heightFor(n int) int {
+	h := 0
+	for h == 0 && n > 0 || n > 1<<childShift(h+1) {
+		h++
 	}
-	for w := 1; w < stChunk; w *= 2 {
-		for i := 0; i < stChunk; i += 2 * w {
-			s[i] += s[i+w]
-		}
-	}
-	return s[0]
-}
-
-func (u *stNode) total() float64 {
-	if u == nil {
-		return 0
-	}
-	return u.sum
+	return h
 }
 
 // Len returns the number of slots.
 func (t *slotTree) Len() int { return t.n }
 
 // Total returns Σµ over all slots.
-func (t *slotTree) Total() float64 { return t.root.total() }
+func (t *slotTree) Total() float64 { return t.total }
 
 // get returns slot i. The record belongs to an immutable version and
 // must not be modified.
@@ -103,17 +102,11 @@ func (t *slotTree) get(i int) *slotRec {
 	if i < 0 || i >= t.n {
 		panic("core: slot index out of range")
 	}
-	u, span := t.root, t.span
-	for span > 1 {
-		span >>= 1
-		if c := span * stChunk; i < c {
-			u = u.left
-		} else {
-			u = u.right
-			i -= c
-		}
+	u := t.root
+	for h := t.height; h > 1; h-- {
+		u = u.kids[i>>childShift(h)&(stFan-1)]
 	}
-	return &u.recs[i]
+	return &u.leaves[i>>stChunkBits&(stFan-1)][i&(stChunk-1)]
 }
 
 // sample returns the slot whose prefix-sum interval holds u, for u in
@@ -121,38 +114,40 @@ func (t *slotTree) get(i int) *slotRec {
 // slot with positive µ. Zero-µ slots are never returned. Total() must
 // be positive; sample panics otherwise.
 func (t *slotTree) sample(u float64) *slotRec {
-	if t.root.total() <= 0 {
+	if t.total <= 0 {
 		panic("core: sample on a slot tree with zero total")
 	}
-	node, span := t.root, t.span
-	for span > 1 {
-		span >>= 1
-		l, r := node.left, node.right
-		switch {
-		case r == nil:
-			node = l
-		case u < l.sum && l.sum > 0:
-			node = l
-		case r.sum > 0:
-			u -= l.sum
-			node = r
-		default:
-			node = l
-		}
+	if u >= t.total {
+		// The last positive slot's interval ends at the total, and the
+		// total is an integer: the float just below it lies inside.
+		u = math.Nextafter(t.total, 0)
 	}
-	last := -1
-	for j := range node.recs {
-		mu := node.recs[j].mu
-		if mu == 0 {
-			continue
-		}
-		if u < mu {
-			return &node.recs[j]
-		}
-		u -= mu
-		last = j
+	node := t.root
+	for h := t.height; h > 1; h-- {
+		var j int
+		j, u = pickChild(&node.sums, u)
+		node = node.kids[j]
 	}
-	return &node.recs[last]
+	j, u := pickChild(&node.sums, u)
+	leaf := node.leaves[j]
+	k := 0
+	for u >= leaf[k].mu {
+		u -= leaf[k].mu
+		k++
+	}
+	return &leaf[k]
+}
+
+// pickChild returns the child whose prefix-sum interval holds u, for u
+// below the node's total, and u less the sums before that child. A
+// zero sum never holds u (u >= 0).
+func pickChild(sums *[stFan]float64, u float64) (int, float64) {
+	j := 0
+	for u >= sums[j] {
+		u -= sums[j]
+		j++
+	}
+	return j, u
 }
 
 // setMany returns a new version with slot idx[j] holding recs[j], idx
@@ -164,46 +159,61 @@ func (t *slotTree) setMany(idx []int32, recs []slotRec) *slotTree {
 		return t
 	}
 	nt := *t
-	if last := int(idx[len(idx)-1]) + 1; last > nt.n {
-		nt.n = last
+	nt.n = max(nt.n, int(idx[len(idx)-1])+1)
+	for nt.height < heightFor(nt.n) {
+		if nt.root != nil {
+			nt.root = &stNode{sums: [stFan]float64{nt.total}, kids: [stFan]*stNode{nt.root}}
+		}
+		nt.height++
 	}
-	if nt.span == 0 {
-		nt.span = 1
-	}
-	for nt.n > nt.span*stChunk {
-		nt.root = &stNode{sum: nt.root.total(), left: nt.root}
-		nt.span *= 2
-	}
-	nt.root = setNode(nt.root, nt.span, 0, idx, recs)
+	nt.root, nt.total = setNode(nt.root, nt.height, 0, idx, recs)
 	return &nt
 }
 
-func setNode(u *stNode, span, base int, idx []int32, recs []slotRec) *stNode {
-	if span == 1 {
-		var chunk [stChunk]slotRec
-		if u != nil {
-			chunk = *u.recs
-		}
-		for j, i := range idx {
-			chunk[int(i)-base] = recs[j]
-		}
-		return newChunk(&chunk)
-	}
+// setNode returns a copy of u (nil when not yet built), the node at
+// height h over the slots from base, with the writes applied, and the
+// copy's total.
+func setNode(u *stNode, h, base int, idx []int32, recs []slotRec) (*stNode, float64) {
 	nu := &stNode{}
 	if u != nil {
 		*nu = *u
 	}
-	half := span / 2
-	mid := base + half*stChunk
-	k, _ := slices.BinarySearch(idx, int32(mid))
-	if k > 0 {
-		nu.left = setNode(nu.left, half, base, idx[:k], recs[:k])
+	shift := childShift(h)
+	for len(idx) > 0 {
+		j := (int(idx[0]) - base) >> shift
+		cb := base + j<<shift
+		k, _ := slices.BinarySearch(idx, int32(cb+1<<shift))
+		if h == 1 {
+			nl := new(stLeaf)
+			if l := nu.leaves[j]; l != nil {
+				*nl = *l
+			}
+			for m, i := range idx[:k] {
+				nl[int(i)-cb] = recs[m]
+			}
+			nu.leaves[j], nu.sums[j] = nl, leafSum(nl)
+		} else {
+			nu.kids[j], nu.sums[j] = setNode(nu.kids[j], h-1, cb, idx[:k], recs[:k])
+		}
+		idx, recs = idx[k:], recs[k:]
 	}
-	if k < len(idx) {
-		nu.right = setNode(nu.right, half, mid, idx[k:], recs[k:])
+	return nu, nodeSum(&nu.sums)
+}
+
+func nodeSum(sums *[stFan]float64) float64 {
+	var s float64
+	for _, v := range sums {
+		s += v
 	}
-	nu.sum = nu.left.total() + nu.right.total()
-	return nu
+	return s
+}
+
+func leafSum(l *stLeaf) float64 {
+	var s float64
+	for k := range l {
+		s += l[k].mu
+	}
+	return s
 }
 
 // buildSlotTree bulk-builds a tree over recs (slot i = recs[i]).
@@ -260,52 +270,68 @@ func (e *slotEdits) commit() *slotTree {
 }
 
 // checkSums validates the tree's shape and every stored sum: each µ is
-// the sum of its counts, each chunk and internal sum equals the
-// pairwise recomputation exactly, and nothing lies at or past Len().
+// the sum of its counts, each child sum and the total equal their
+// recomputation exactly, the height is the least that holds Len()
+// slots, and nothing lies at or past Len().
 func (t *slotTree) checkSums() error {
-	if t.n > t.span*stChunk || (t.span > 1 && t.n <= t.span/2*stChunk) {
-		return fmt.Errorf("slot tree: %d slots in a span of %d chunks", t.n, t.span)
+	if t.height != heightFor(t.n) {
+		return fmt.Errorf("slot tree: %d slots under %d levels", t.n, t.height)
 	}
-	_, err := checkNode(t.root, t.span, 0, t.n)
+	sum, err := checkNode(t.root, t.height, 0, t.n)
+	if err == nil && t.total != sum {
+		err = fmt.Errorf("slot tree: total %g, recomputed %g", t.total, sum)
+	}
 	return err
 }
 
-// checkNode returns the recomputed sum of u, which covers the slots
-// from base.
-func checkNode(u *stNode, span, base, n int) (float64, error) {
-	if (u == nil) != (base >= n) || (u != nil && (u.recs == nil) != (span > 1)) {
+// checkNode returns the recomputed total of u, the node at height h
+// over the slots from base.
+func checkNode(u *stNode, h, base, n int) (float64, error) {
+	if (u == nil) != (base >= n) || u != nil &&
+		((u.kids == [stFan]*stNode{}) != (h == 1) || (u.leaves == [stFan]*stLeaf{}) != (h > 1)) {
 		return 0, fmt.Errorf("slot tree: malformed node over the slots from %d", base)
 	}
 	if u == nil {
 		return 0, nil
 	}
-	var sum float64
-	if span == 1 {
-		for j, rec := range u.recs {
-			if rec.mu != newSlotRec(rec.pt, rec.cnt).mu || (base+j >= n && rec != slotRec{}) {
-				return 0, fmt.Errorf("slot %d: µ %g does not match its counts %v", base+j, rec.mu, rec.cnt)
-			}
+	var total float64
+	for j, s := range u.sums {
+		cb := base + j<<childShift(h)
+		var sum float64
+		var err error
+		if h == 1 {
+			sum, err = checkLeaf(u.leaves[j], cb, n)
+		} else {
+			sum, err = checkNode(u.kids[j], h-1, cb, n)
 		}
-		sum = chunkSum(u.recs)
-	} else {
-		l, err := checkNode(u.left, span/2, base, n)
 		if err != nil {
 			return 0, err
 		}
-		r, err := checkNode(u.right, span/2, base+span/2*stChunk, n)
-		if err != nil {
-			return 0, err
+		if s != sum {
+			return 0, fmt.Errorf("slot tree: child over the slots from %d sums to %g, recomputed %g", cb, s, sum)
 		}
-		sum = l + r
+		total += sum
 	}
-	if u.sum != sum {
-		return 0, fmt.Errorf("slot tree: node over the slots from %d sums to %g, recomputed %g", base, u.sum, sum)
+	return total, nil
+}
+
+func checkLeaf(l *stLeaf, base, n int) (float64, error) {
+	if (l == nil) != (base >= n) {
+		return 0, fmt.Errorf("slot tree: malformed leaf over the slots from %d", base)
 	}
-	return sum, nil
+	if l == nil {
+		return 0, nil
+	}
+	for k, rec := range l {
+		if rec.mu != newSlotRec(rec.pt, rec.cnt).mu || (base+k >= n && rec != slotRec{}) {
+			return 0, fmt.Errorf("slot %d: µ %g does not match its counts %v", base+k, rec.mu, rec.cnt)
+		}
+	}
+	return leafSum(l), nil
 }
 
 // sizeBytes estimates the standalone footprint: per stChunk slots, one
-// chunk node (640 B with its slots) and about one 32 B internal node.
+// 576 B leaf and a 1/stFan share of a 768 B internal node.
 func (t *slotTree) sizeBytes() int {
-	return (t.n + stChunk - 1) / stChunk * (640 + 32)
+	return (t.n + stChunk - 1) / stChunk * (576 + 768/stFan)
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -20,6 +22,21 @@ func randomRec(r *rng.RNG, id int32) slotRec {
 		}
 	}
 	return newSlotRec(geom.Point{X: float64(id), Y: r.Float64(), ID: id}, cnt)
+}
+
+// Trees past stChunk·stFan² slots need three internal levels.
+const (
+	twoLevelSlots = stChunk * stFan * stFan
+	deepSlots     = 2*twoLevelSlots + 5
+)
+
+func randomRecs(seed uint64, n int) []slotRec {
+	r := rng.New(seed)
+	recs := make([]slotRec, n)
+	for i := range recs {
+		recs[i] = randomRec(r, int32(i))
+	}
+	return recs
 }
 
 // sameRec compares slots bit-for-bit (a free marker's X is NaN).
@@ -51,12 +68,14 @@ func checkTree(t *testing.T, tr *slotTree, want []slotRec) {
 }
 
 func TestSlotTreeBasics(t *testing.T) {
-	r := rng.New(1)
-	want := make([]slotRec, 21)
-	for i := range want {
-		want[i] = randomRec(r, int32(i))
+	for _, n := range []int{21, deepSlots} {
+		want := randomRecs(1, n)
+		tr := buildSlotTree(want)
+		if n > twoLevelSlots && tr.height < 3 {
+			t.Fatalf("%d slots built %d internal levels, want at least 3", n, tr.height)
+		}
+		checkTree(t, tr, want)
 	}
-	checkTree(t, buildSlotTree(want), want)
 }
 
 func TestSlotTreeEmpty(t *testing.T) {
@@ -143,60 +162,96 @@ func TestSlotTreeVersionIsolation(t *testing.T) {
 	}
 }
 
+// TestSlotTreeAppendGrowth appends one slot per version (and writes
+// the same record to the middle slot) from empty past the two-level
+// capacity, keeps the versions on both sides of each height change,
+// and checks each still reads its own slots once the tip has grown
+// taller.
 func TestSlotTreeAppendGrowth(t *testing.T) {
-	r := rng.New(4)
-	tr := buildSlotTree(nil)
+	recs := randomRecs(11, twoLevelSlots+3)
+	type version struct {
+		tr   *slotTree
+		want []slotRec
+	}
+	var kept []version
 	var want []slotRec
-	for i := 0; i < 300; i++ {
+	tr := buildSlotTree(nil)
+	for _, rec := range recs {
+		prev, n := tr, len(want)
+		i := n / 2
 		e := newSlotEdits(tr)
-		rec := randomRec(r, int32(i))
 		e.push(rec)
+		e.set(int32(i), rec)
 		want = append(want, rec)
+		old := want[i]
+		want[i] = rec
 		tr = e.commit()
-		if tr.Len() != i+1 {
-			t.Fatalf("Len = %d after %d appends", tr.Len(), i+1)
+		if tr.Len() != n+1 {
+			t.Fatalf("Len = %d after %d appends", tr.Len(), n+1)
 		}
+		if tr.height != prev.height {
+			prevWant := slices.Clone(want[:n])
+			if i < n {
+				prevWant[i] = old
+			}
+			kept = append(kept, version{prev, prevWant}, version{tr, slices.Clone(want)})
+		}
+	}
+	if tr.height != 3 || len(kept) != 6 {
+		t.Fatalf("height %d after %d appends, %d versions kept; want 3 and 6", tr.height, tr.Len(), len(kept))
+	}
+	for _, v := range kept {
+		checkTree(t, v.tr, v.want)
 	}
 	checkTree(t, tr, want)
 }
 
-// oracleSample is the selection rule on the flat slice: the slot with
-// positive µ whose prefix-sum interval holds u, else the last slot
-// with positive µ.
-func oracleSample(recs []slotRec, u float64) int {
+// oracleSample is the selection rule on the flat slice: the first
+// slot whose prefix sum exceeds u (it has positive µ), else the last
+// slot with positive µ.
+func oracleSample(recs []slotRec) func(u float64) int {
+	prefix := make([]float64, len(recs))
 	acc, last := 0.0, -1
 	for i, rec := range recs {
-		if rec.mu == 0 {
-			continue
-		}
 		acc += rec.mu
-		last = i
-		if u < acc {
+		prefix[i] = acc
+		if rec.mu > 0 {
+			last = i
+		}
+	}
+	return func(u float64) int {
+		if i := sort.SearchFloat64s(prefix, math.Nextafter(u, math.Inf(1))); i < len(recs) {
 			return i
 		}
+		return last
 	}
-	return last
 }
 
-// TestSlotTreeSampleMatchesPrefixSums pins sample to the flat rule for
-// every integer boundary, points just inside them, and u at or past
-// the total.
-func TestSlotTreeSampleMatchesPrefixSums(t *testing.T) {
-	r := rng.New(5)
-	recs := make([]slotRec, 75)
-	for i := range recs {
-		recs[i] = randomRec(r, int32(i))
-	}
-	tr := buildSlotTree(recs)
-	total := tr.Total()
+// sampleVariates returns every multiple of 0.5 in [0, total+1] — each
+// integer prefix-sum boundary, the points between them, and u at or
+// past the total — and the float just below each.
+func sampleVariates(total float64) []float64 {
+	var us []float64
 	for u := 0.0; u <= total+1; u += 0.5 {
-		for _, v := range []float64{u, math.Nextafter(u, -1)} {
-			if v < 0 {
-				continue
-			}
-			want := oracleSample(recs, v)
-			if got := tr.sample(v); !sameRec(*got, recs[want]) {
-				t.Fatalf("sample(%g) = slot ID %d, want slot %d", v, got.pt.ID, want)
+		us = append(us, u)
+		if u > 0 {
+			us = append(us, math.Nextafter(u, -1))
+		}
+	}
+	return us
+}
+
+// TestSlotTreeSampleMatchesPrefixSums pins sample to the flat rule at
+// every sampleVariates point, on a one-level and a three-level tree.
+func TestSlotTreeSampleMatchesPrefixSums(t *testing.T) {
+	for _, n := range []int{75, deepSlots} {
+		recs := randomRecs(5, n)
+		tr := buildSlotTree(recs)
+		oracle := oracleSample(recs)
+		for _, u := range sampleVariates(tr.Total()) {
+			want := oracle(u)
+			if got := tr.sample(u); !sameRec(*got, recs[want]) {
+				t.Fatalf("%d slots: sample(%g) = slot ID %d, want slot %d", n, u, got.pt.ID, want)
 			}
 		}
 	}
@@ -290,4 +345,74 @@ func TestSlotTreeSampleAfterMutation(t *testing.T) {
 	tr = e.commit()
 	checkTree(t, tr, recs)
 	chiSquareSlots(t, tr, recs, 9)
+}
+
+// TestSlotTreeCheckSumsRejectsCorruption corrupts one internal child
+// sum at each level, the total, and one leaf µ, and expects checkSums
+// to notice each.
+func TestSlotTreeCheckSumsRejectsCorruption(t *testing.T) {
+	tr := buildSlotTree(randomRecs(12, deepSlots))
+	mid := tr.root.kids[0]
+	bottom := mid.kids[1]
+	corrupt := map[string]*float64{
+		"root sum":   &tr.root.sums[1],
+		"mid sum":    &mid.sums[2],
+		"bottom sum": &bottom.sums[3],
+		"total":      &tr.total,
+		"leaf µ":     &bottom.leaves[4][5].mu,
+	}
+	for name, p := range corrupt {
+		*p++
+		if err := tr.checkSums(); err == nil {
+			t.Errorf("checkSums accepted a corrupted %s", name)
+		}
+		*p--
+		if err := tr.checkSums(); err != nil {
+			t.Fatalf("after restoring the %s: %v", name, err)
+		}
+	}
+}
+
+// TestSlotTreeSampleShapeIndependent reaches the same records three
+// ways — a bulk build, one push per version, and one random-order
+// slotEdits batch over a taller tree whose extra slots it frees — and
+// checks all three draw the same slot at every sampleVariates point.
+func TestSlotTreeSampleShapeIndependent(t *testing.T) {
+	const n = twoLevelSlots - 100
+	recs := randomRecs(13, n)
+	bulk := buildSlotTree(recs)
+
+	pushed := buildSlotTree(nil)
+	for _, rec := range recs {
+		e := newSlotEdits(pushed)
+		e.push(rec)
+		pushed = e.commit()
+	}
+
+	edited := buildSlotTree(randomRecs(14, deepSlots))
+	r := rng.New(15)
+	e := newSlotEdits(edited)
+	for _, i := range r.Perm(deepSlots) {
+		rec := slotRec{pt: freeMarker(-1)}
+		if i < n {
+			rec = recs[i]
+		}
+		e.set(int32(i), rec)
+	}
+	edited = e.commit()
+
+	if bulk.height == edited.height {
+		t.Fatalf("the bulk and edited trees share height %d", bulk.height)
+	}
+	for _, tr := range []*slotTree{bulk, pushed, edited} {
+		if err := tr.checkSums(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, u := range sampleVariates(bulk.Total()) {
+		a, b, c := bulk.sample(u), pushed.sample(u), edited.sample(u)
+		if !sameRec(*a, *b) || !sameRec(*a, *c) {
+			t.Fatalf("sample(%g): bulk slot ID %d, pushed %d, edited %d", u, a.pt.ID, b.pt.ID, c.pt.ID)
+		}
+	}
 }
