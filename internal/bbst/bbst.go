@@ -23,8 +23,10 @@
 package bbst
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -126,7 +128,7 @@ func Build(points []geom.Point, bucketCap int) (*Pair, error) {
 	if bucketCap < 1 {
 		return nil, fmt.Errorf("bbst: bucket capacity must be >= 1, got %d", bucketCap)
 	}
-	if !sort.SliceIsSorted(points, func(i, j int) bool { return points[i].X < points[j].X }) {
+	if !slices.IsSortedFunc(points, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) }) {
 		return nil, fmt.Errorf("bbst: points must be sorted by x")
 	}
 	p := &Pair{cap: bucketCap, npts: len(points)}

@@ -4,7 +4,8 @@ package core
 // next to the frozen BBSTSampler on the same points (one Next per op,
 // and 10k-pair SampleInto batches), the cost of one churn batch, and
 // the one-off Unfreeze. Inputs are nyc-shaped, about
-// 100k points per side at l = 100. BenchmarkSlotTree times the
+// 100k points per side at l = 100. BenchmarkCount times the frozen
+// upper-bounding phase on its own. BenchmarkSlotTree times the
 // mutable index's slot tree alone, over 100k random slots.
 
 import (
@@ -157,6 +158,39 @@ func BenchmarkUnfreeze(b *testing.B) {
 		if _, err := s.Unfreeze(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCount times the upper-bounding phase (Count) alone, on nyc
+// inputs of n points per side: every op counts a freshly built
+// sampler, with Preprocess and Build outside the timer.
+func BenchmarkCount(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		l    float64
+	}{
+		{"nyc200k_l100", 200_000, 100},
+		{"nyc25k_l50", 25_000, 50},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			R, S := dataset.SplitRS(dataset.NYC(2*c.n, 1), 0.5, 2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := NewBBST(R, S, Config{HalfExtent: c.l, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Build(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := s.Count(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

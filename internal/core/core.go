@@ -95,7 +95,10 @@ func (c Config) Validate() error {
 type Stats struct {
 	PreprocessTime time.Duration // offline structure building
 	GridMapTime    time.Duration // GM: online data-structure building
-	UpperBoundTime time.Duration // UB: range counting + alias building
+	// UpperBoundTime is UB: counting µ(r, d) in one batched pass per
+	// grid cell of R (the 3×3 S block looked up once per cell, edge
+	// counts by sweeps, corners per point), plus alias building.
+	UpperBoundTime time.Duration
 	// SampleTime is the cumulative sampling-phase time. Samplers with
 	// a batch loop (the grid samplers and Mutable) read the clock once
 	// per SampleInto batch; Next is a batch of one, and the other

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/alias"
 	"repro/internal/bbst"
@@ -75,7 +76,7 @@ func (g *gridSampler) Preprocess() error {
 	}
 	timed(&g.stats.PreprocessTime, func() {
 		g.sortedS = append([]geom.Point(nil), g.S...)
-		sort.Slice(g.sortedS, func(i, j int) bool { return g.sortedS[i].X < g.sortedS[j].X })
+		slices.SortFunc(g.sortedS, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
 	})
 	g.state = phasePreprocessed
 	return nil
@@ -111,17 +112,12 @@ func (g *gridSampler) Build() error {
 	return nil
 }
 
-// muDir computes µ(r, d): exact counts for cases 1 and 2, the corner
-// structure's bound for case 3 (UPPER-BOUNDING in Algorithm 1).
-func (g *gridSampler) muDir(c *grid.Cell, d grid.Direction, w geom.Rect) int {
-	if d.Case() == 3 {
-		return g.corners[c.Index].mu(cornerFor(d), w, &g.sc)
-	}
-	return len(c.Matching(d, w))
-}
-
-// Count is the approximate range counting phase (UB): µ(r) per point,
-// the per-point cell alias A_r, and the global alias A.
+// Count is the approximate range counting phase (UB): µ(r, d) for every
+// R point, the per-point cell alias A_r, and the global alias A over
+// µ(r). The R points are grouped by grid cell through a throwaway index
+// permutation (R itself keeps its order, which the alias indexes), and
+// each cell is counted in one batched muCounter pass against its 3×3
+// block, looked up once per cell.
 func (g *gridSampler) Count() error {
 	if err := ensure(g, g.base, phaseBuilt); err != nil {
 		return err
@@ -131,24 +127,32 @@ func (g *gridSampler) Count() error {
 	}
 	var buildErr error
 	timed(&g.stats.UpperBoundTime, func() {
-		n := len(g.R)
-		mu := make([]float64, n)
-		g.cellAlias = make([]alias.Small, n)
+		// Counts land in R order, so the alias pass below writes
+		// cellAlias sequentially.
+		cnt := make([]dirCounts, len(g.R))
+		mc := muCounter{half: g.cfg.HalfExtent}
+		keys, starts, perm := groupByCell(g.R, g.g.Side())
+		for ci, k := range keys {
+			idx := perm[starts[ci]:starts[ci+1]]
+			mc.reset()
+			for _, i := range idx {
+				mc.add(g.R[i], dirCounts{})
+			}
+			nb := g.neighborhood(k)
+			mc.count(&nb, allDirs)
+			for j, i := range idx {
+				cnt[i] = mc.cnt[j]
+			}
+		}
+		mu := make([]float64, len(g.R))
+		g.cellAlias = make([]alias.Small, len(g.R))
 		total := 0.0
-		var nb [grid.NumDirections]*grid.Cell
 		var weights [grid.NumDirections]float64
-		for i, r := range g.R {
-			w := g.window(r)
-			g.g.Neighborhood(r, &nb)
+		for i := range cnt {
 			sum := 0.0
-			for d := grid.Direction(0); d < grid.NumDirections; d++ {
-				weights[d] = 0
-				if nb[d] == nil {
-					continue
-				}
-				v := float64(g.muDir(nb[d], d, w))
-				weights[d] = v
-				sum += v
+			for d, c := range cnt[i] {
+				weights[d] = float64(c)
+				sum += weights[d]
 			}
 			mu[i] = sum
 			total += sum
@@ -167,6 +171,50 @@ func (g *gridSampler) Count() error {
 	}
 	g.state = phaseCounted
 	return nil
+}
+
+// neighborhood looks up the S cells of the 3×3 block around cell k,
+// and the corner structures of its corners.
+func (g *gridSampler) neighborhood(k grid.Key) (nb nbhd) {
+	for d := grid.Direction(0); d < grid.NumDirections; d++ {
+		c := g.g.Cell(k.Neighbor(d))
+		nb.cells[d] = c
+		if c != nil && d.Case() == 3 {
+			nb.corners[d] = g.corners[c.Index]
+		}
+	}
+	return nb
+}
+
+// groupByCell groups the points by grid cell: keys lists the occupied
+// cells in order of first point, and perm[starts[c]:starts[c+1]] holds
+// the indexes of cell keys[c]'s points, ascending.
+func groupByCell(pts []geom.Point, side float64) (keys []grid.Key, starts, perm []int32) {
+	index := make(map[grid.Key]int32)
+	cellOf := make([]int32, len(pts))
+	starts = []int32{0}
+	for i, p := range pts {
+		k := grid.KeyFor(p.X, p.Y, side)
+		c, ok := index[k]
+		if !ok {
+			c = int32(len(keys))
+			index[k] = c
+			keys = append(keys, k)
+			starts = append(starts, 0)
+		}
+		cellOf[i] = c
+		starts[c+1]++
+	}
+	for c := range keys {
+		starts[c+1] += starts[c]
+	}
+	next := slices.Clone(starts)
+	perm = make([]int32, len(pts))
+	for i, c := range cellOf {
+		perm[next[c]] = int32(i)
+		next[c]++
+	}
+	return keys, starts, perm
 }
 
 // sampleDir draws one candidate point from cell c in direction d.

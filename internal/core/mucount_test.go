@@ -1,0 +1,260 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/grid"
+	"repro/internal/rng"
+)
+
+// latticePoints draws n points on the half-step lattice of side l
+// around the origin, negative coordinates included: most of them sit
+// exactly on cell edges, many share coordinates, and for any R point
+// some S points lie exactly at r.X ± l and r.Y ± l. A few far-off
+// points make one-point cells.
+func latticePoints(r *rng.RNG, n int, l float64, base int32) []geom.Point {
+	pts := make([]geom.Point, 0, n+4)
+	for i := 0; i < n; i++ {
+		pts = append(pts, geom.Point{
+			X:  float64(r.Intn(13)-6) * l / 2,
+			Y:  float64(r.Intn(13)-6) * l / 2,
+			ID: base + int32(i),
+		})
+	}
+	for i, c := range [][2]float64{{-40, 7}, {33, -21}, {0.5, 50}, {-61, -61}} {
+		pts = append(pts, geom.Point{X: c[0] * l, Y: c[1] * l, ID: base + int32(n+i)})
+	}
+	return pts
+}
+
+// ulpPoints draws n points whose coordinates lie a few ulps apart
+// around (x0, y0), in random order, each followed by points at and
+// one ulp past its four window sides, in the edge cells of its own. The
+// counter's sort keys cannot tell such coordinates apart, so its sweep
+// meets them out of order.
+func ulpPoints(r *rng.RNG, n int, x0, y0, l float64, base int32) []geom.Point {
+	near := func(v float64) float64 {
+		for k := r.Intn(40); k > 0; k-- {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		return v
+	}
+	var pts []geom.Point
+	add := func(x, y float64) { pts = append(pts, geom.Point{X: x, Y: y, ID: base + int32(len(pts))}) }
+	for i := 0; i < n; i++ {
+		p := geom.Point{X: near(x0), Y: near(y0)}
+		add(p.X, p.Y)
+		w := geom.Window(p, l)
+		for _, side := range []float64{w.XMin, w.XMax} {
+			add(side, p.Y)
+			add(math.Nextafter(side, float64(r.Intn(2)*2-1)*math.Inf(1)), p.Y)
+		}
+		for _, side := range []float64{w.YMin, w.YMax} {
+			add(p.X, side)
+			add(p.X, math.Nextafter(side, float64(r.Intn(2)*2-1)*math.Inf(1)))
+		}
+	}
+	return pts
+}
+
+// refCounts is the per-point reference for µ(r, d): r's own 3×3 block
+// looked up point by point, len(Cell.Matching) for cases 1–2 and the
+// cell's cornerIndex.mu for corners.
+func refCounts(g *gridSampler, r geom.Point, sc *cornerScratch) dirCounts {
+	var nb [grid.NumDirections]*grid.Cell
+	g.g.Neighborhood(r, &nb)
+	w := g.window(r)
+	var cnt dirCounts
+	for d, c := range nb {
+		if c == nil {
+			continue
+		}
+		dir := grid.Direction(d)
+		if dir.Case() == 3 {
+			cnt[d] = int32(g.corners[c.Index].mu(cornerFor(dir), w, sc))
+		} else {
+			cnt[d] = int32(len(c.Matching(dir, w)))
+		}
+	}
+	return cnt
+}
+
+// checkCounter runs the batched counter over every R cell of g under
+// each mask and compares every point's every direction with the
+// per-point reference; directions outside the mask must keep the
+// count the point was listed with.
+func checkCounter(t *testing.T, g *gridSampler, masks []dirMask) {
+	t.Helper()
+	const keep = -7 // listed count of every direction; survives outside the mask
+	var listed dirCounts
+	for d := range listed {
+		listed[d] = keep
+	}
+	var sc cornerScratch
+	mc := muCounter{half: g.cfg.HalfExtent}
+	keys, starts, perm := groupByCell(g.R, g.g.Side())
+	bad := 0
+	for ci, k := range keys {
+		idx := perm[starts[ci]:starts[ci+1]]
+		want := make([]dirCounts, len(idx))
+		for j, i := range idx {
+			want[j] = refCounts(g, g.R[i], &sc)
+		}
+		nb := g.neighborhood(k)
+		for _, mask := range masks {
+			mc.reset()
+			for _, i := range idx {
+				mc.add(g.R[i], listed)
+			}
+			mc.count(&nb, mask)
+			for j, i := range idx {
+				for d := range listed {
+					w := want[j][d]
+					if mask&(1<<d) == 0 {
+						w = keep
+					}
+					if got := mc.cnt[j][d]; got != w && bad < 10 {
+						bad++
+						t.Errorf("mask %09b, R[%d] %+v, %v: batched %d, per-point %d",
+							mask, i, g.R[i], grid.Direction(d), got, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMuCounterMatchesPerPoint holds the batched counter to the
+// per-point reference on every point and direction, for the BBST
+// (with and without fractional cascading) and GridKD corners, over
+// nyc, uniform, clustered and boundary-heavy lattice inputs at
+// several l. The lattice runs try every direction mask, which covers
+// every subset ApplyOps can ask for; the others use the full mask and
+// a sample of subsets.
+func TestMuCounterMatchesPerPoint(t *testing.T) {
+	everyMask := make([]dirMask, 0, allDirs+1)
+	for m := dirMask(0); m <= allDirs; m++ {
+		everyMask = append(everyMask, m)
+	}
+	someMasks := []dirMask{
+		allDirs,
+		1 << grid.Center,
+		1<<grid.West | 1<<grid.East,
+		1<<grid.South | 1<<grid.North | 1<<grid.SouthWest,
+		1<<grid.NorthWest | 1<<grid.SouthEast | 1<<grid.NorthEast | 1<<grid.East,
+	}
+	r := rng.New(5)
+	nycR, nycS := dataset.SplitRS(dataset.NYC(20_000, 3), 0.5, 4)
+	inputs := []struct {
+		name  string
+		R, S  []geom.Point
+		ls    []float64
+		masks []dirMask
+	}{
+		{"nyc", nycR, nycS, []float64{30, 100, 400}, someMasks},
+		{"uniform", randomPoints(r, 3000, 1000, 0), randomPoints(r, 3000, 1000, 1<<20), []float64{5, 40, 150}, someMasks},
+		{"clustered", clustered(r, 3000, 1000, 0), clustered(r, 3000, 1000, 1<<20), []float64{5, 40, 150}, someMasks},
+		{"lattice", latticePoints(r, 300, 4, 0), latticePoints(r, 300, 4, 1<<20), []float64{4}, everyMask},
+		{"ulps", ulpPoints(r, 200, 1.5*7, -0.5*7, 7, 0), ulpPoints(r, 200, 1.5*7, -0.5*7, 7, 1<<20), []float64{7}, everyMask},
+		{"lattice-fractional", latticePoints(r, 300, 2.5, 0), latticePoints(r, 300, 2.5, 1<<20), []float64{2.5}, everyMask},
+	}
+	samplers := []struct {
+		name string
+		mk   func(R, S []geom.Point, cfg Config) (*gridSampler, error)
+	}{
+		{"BBST", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+			s, err := NewBBST(R, S, cfg)
+			return &s.gridSampler, err
+		}},
+		{"BBST-FC", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+			cfg.FractionalCascading = true
+			s, err := NewBBST(R, S, cfg)
+			return &s.gridSampler, err
+		}},
+		{"GridKD", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+			s, err := NewGridKD(R, S, cfg)
+			return &s.gridSampler, err
+		}},
+	}
+	for _, in := range inputs {
+		for _, l := range in.ls {
+			for _, smp := range samplers {
+				g, err := smp.mk(in.R, in.S, Config{HalfExtent: l, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Build(); err != nil {
+					t.Fatal(err)
+				}
+				t.Run(fmt.Sprintf("%s/l=%g/%s", in.name, l, smp.name), func(t *testing.T) { checkCounter(t, g, in.masks) })
+			}
+		}
+	}
+}
+
+// TestMutableBatchedRecountOnBoundaries drives Unfreeze and ApplyOps,
+// whose recounts go through the batched counter, over lattice points
+// that sit on cell edges and window boundaries, with inserts and
+// deletes landing on them too; CheckInvariants recounts every slot
+// point by point after each batch.
+func TestMutableBatchedRecountOnBoundaries(t *testing.T) {
+	r := rng.New(9)
+	const l = 4
+	R, S := latticePoints(r, 400, l, 0), latticePoints(r, 400, l, 1<<20)
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 3})
+	if err := m.Index().CheckInvariants(); err != nil {
+		t.Fatalf("after Unfreeze: %v", err)
+	}
+	gen := newChurnGen(R, S, latticePoints(r, 500, l, 0), 4)
+	for i := 0; i < 40; i++ {
+		var err error
+		if m, err = m.Apply(gen.batch(6)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Index().CheckInvariants(); err != nil {
+			t.Fatalf("after batch %d: %v", i, err)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesCorruptCount corrupts one live slot's
+// cached counts, keeping its µ equal to their sum so the slot-tree sums
+// stay consistent, and expects CheckInvariants' per-point recount to
+// catch it.
+func TestCheckInvariantsCatchesCorruptCount(t *testing.T) {
+	r := rng.New(21)
+	R := randomPoints(r, 300, 200, 0)
+	S := randomPoints(r, 300, 200, 1<<20)
+	ix := mustUnfreeze(t, R, S, Config{HalfExtent: 15, Seed: 1}).Index()
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("clean index: %v", err)
+	}
+	slot := int32(-1)
+	for i := 0; i < ix.slots.Len(); i++ {
+		if ix.slots.get(i).mu > 0 {
+			slot = int32(i)
+			break
+		}
+	}
+	if slot < 0 {
+		t.Fatal("no slot with a positive count")
+	}
+	se := newSlotEdits(ix.slots)
+	rec := se.get(slot)
+	rec.cnt[grid.Center]++
+	se.set(slot, newSlotRec(rec.pt, rec.cnt))
+	bad := *ix
+	bad.slots = se.commit()
+	err := bad.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "cached counts") {
+		t.Fatalf("corrupt count in slot %d: CheckInvariants = %v, want a cached-count mismatch", slot, err)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("original version disturbed: %v", err)
+	}
+}

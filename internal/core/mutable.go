@@ -14,7 +14,8 @@ package core
 //     leaves of stChunk slots under a wide, shallow sum tree (stFan
 //     child sums per node) that replaces the frozen Walker alias; a
 //     cell→slots reverse index lets an S-side change recount only the
-//     R points whose 3×3 neighborhood was touched;
+//     R points whose 3×3 neighborhood was touched, one batched
+//     muCounter pass per R cell (the frozen Count's counter);
 //   - deleting an R point zeroes its counts and threads the slot onto
 //     a free list encoded in the slots themselves, so sustained churn
 //     reuses slots instead of growing without bound.
@@ -34,9 +35,11 @@ package core
 // for corners) picks the direction, and only that direction's cell is
 // looked up to draw a uniform candidate, accepted iff it lies in w(r).
 // The cached counts are kept equal to a recount against the version's
-// S side (ApplyOps recounts every slot a touched cell can affect), so
-// they sum to the stored µ(r) and every live pair is returned by one
-// trial with probability exactly 1/Σµ.
+// S side (ApplyOps recounts every slot a touched cell can affect, cell
+// by cell, in the directions that point into a touched cell), so they
+// sum to the stored µ(r) and every live pair is returned by one trial
+// with probability exactly 1/Σµ. CheckInvariants checks this against
+// the per-point countsOf, not the batched counter.
 
 import (
 	"errors"
@@ -148,38 +151,37 @@ type dirMask uint16
 
 const allDirs dirMask = 1<<grid.NumDirections - 1
 
-// neighborhood looks up the S cells around cell k in the directions of
-// mask (nil where the cell is empty).
-func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb [grid.NumDirections]*mutCell) {
+// neighborhood looks up the S cells of the 3×3 block around cell k in
+// the directions of mask, and the BBST pairs of its corners; the rest
+// stay nil.
+func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb nbhd) {
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		if mask&(1<<d) != 0 {
-			nb[d], _ = ix.scells.Get(k.Neighbor(d))
+		if mask&(1<<d) == 0 {
+			continue
+		}
+		if mc, ok := ix.scells.Get(k.Neighbor(d)); ok {
+			nb.cells[d] = mc.cell
+			if d.Case() == 3 {
+				nb.corners[d] = bbstCorner{pair: mc.pair}
+			}
 		}
 	}
 	return nb
 }
 
-// recount rewrites µ(r, d) of R point pt for every direction d in mask,
-// against the S cells nb around pt's cell.
-func (ix *MutableIndex) recount(pt geom.Point, cnt *dirCounts, nb *[grid.NumDirections]*mutCell, mask dirMask, sc *bbst.Scratch) {
+// countsOf computes µ(r, d) for one R point against this version's S
+// side, one direction at a time. It is the per-point reference the
+// batched muCounter must agree with: R inserts take their counts from
+// it, and CheckInvariants recounts every slot with it.
+func (ix *MutableIndex) countsOf(pt geom.Point, sc *bbst.Scratch) dirCounts {
+	k := grid.KeyFor(pt.X, pt.Y, ix.side)
 	w := geom.Window(pt, ix.cfg.HalfExtent)
+	var cnt dirCounts
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		if mask&(1<<d) == 0 {
-			continue
-		}
-		cnt[d] = 0
-		if nb[d] != nil {
-			cnt[d] = int32(nb[d].count(d, w, sc))
+		if mc, ok := ix.scells.Get(k.Neighbor(d)); ok {
+			cnt[d] = int32(mc.count(d, w, sc))
 		}
 	}
-}
-
-// countsOf computes µ(r, d) for one R point against this version's S
-// side.
-func (ix *MutableIndex) countsOf(pt geom.Point, sc *bbst.Scratch) dirCounts {
-	nb := ix.neighborhood(grid.KeyFor(pt.X, pt.Y, ix.side), allDirs)
-	var cnt dirCounts
-	ix.recount(pt, &cnt, &nb, allDirs, sc)
 	return cnt
 }
 
@@ -308,22 +310,29 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 			touched[rk] |= 1 << d.Opposite()
 		}
 	}
+	mc := muCounter{half: nx.cfg.HalfExtent}
+	var live []int32
 	for _, rk := range rkeys {
 		rl, ok := nx.rcells.Get(rk)
 		if !ok {
 			continue
 		}
-		mask := touched[rk]
-		nb := nx.neighborhood(rk, mask)
+		mc.reset()
+		live = live[:0]
 		for _, slot := range rl.slots {
 			rec := se.get(slot)
 			if isFreeSlot(rec.pt) || grid.KeyFor(rec.pt.X, rec.pt.Y, nx.side) != rk {
 				continue // retired entry awaiting re-filter
 			}
-			cnt := rec.cnt
-			nx.recount(rec.pt, &cnt, &nb, mask, &sc)
-			if cnt != rec.cnt {
-				se.set(slot, newSlotRec(rec.pt, cnt))
+			live = append(live, slot)
+			mc.add(rec.pt, rec.cnt)
+		}
+		mask := touched[rk]
+		nb := nx.neighborhood(rk, mask)
+		mc.count(&nb, mask)
+		for j, slot := range live {
+			if rec := se.get(slot); mc.cnt[j] != rec.cnt {
+				se.set(slot, newSlotRec(rec.pt, mc.cnt[j]))
 			}
 		}
 	}
@@ -479,9 +488,10 @@ type Mutable struct {
 // frozen structure: the cells and per-cell BBST pairs are adopted as-is
 // (the first mutation of a cell clones them copy-on-write, so the
 // frozen sampler keeps serving untouched). The slot tree is bulk-built
-// with every R point's direction counts taken once, and the
-// directories are bulk-built in one sort each. This is the one
-// O(n + m) step of the mutable path; every ApplyOps after it is Õ(ops).
+// with every R point's direction counts taken once, by one batched
+// muCounter pass per R cell, and the directories are bulk-built in one
+// sort each. This is the one O(n + m) step of the mutable path; every
+// ApplyOps after it is Õ(ops).
 // An empty side or an empty join is accepted: the result is a
 // zero-mass Mutable that inserts can fill.
 func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
@@ -530,15 +540,18 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	ix.rids = grid.BuildDir(len(R),
 		func(i int) grid.Key { return idKey(R[i].ID) },
 		func(idx []int32) []int32 { return idx })
-	// Count cell by cell, so each R cell's neighborhood is looked up once.
-	var sc bbst.Scratch
+	// Count cell by cell in one batched pass per cell.
+	mc := muCounter{half: s.cfg.HalfExtent}
 	recs := make([]slotRec, len(R))
 	ix.rcells.Range(func(k grid.Key, rl rlist) bool {
-		nb := ix.neighborhood(k, allDirs)
+		mc.reset()
 		for _, i := range rl.slots {
-			var cnt dirCounts
-			ix.recount(R[i], &cnt, &nb, allDirs, &sc)
-			recs[i] = newSlotRec(R[i], cnt)
+			mc.add(R[i], dirCounts{})
+		}
+		nb := ix.neighborhood(k, allDirs)
+		mc.count(&nb, allDirs)
+		for j, i := range rl.slots {
+			recs[i] = newSlotRec(R[i], mc.cnt[j])
 		}
 		return true
 	})

@@ -17,8 +17,10 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -207,9 +209,9 @@ func Build(points []geom.Point, side float64) (*Grid, error) {
 	}
 	for ci := range g.cells {
 		c := &g.cells[ci]
-		sort.Slice(c.XSorted, func(i, j int) bool { return c.XSorted[i].X < c.XSorted[j].X })
+		slices.SortFunc(c.XSorted, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
 		c.YSorted = append([]geom.Point(nil), c.XSorted...)
-		sort.Slice(c.YSorted, func(i, j int) bool { return c.YSorted[i].Y < c.YSorted[j].Y })
+		slices.SortFunc(c.YSorted, func(a, b geom.Point) int { return cmp.Compare(a.Y, b.Y) })
 	}
 	return g, nil
 }
