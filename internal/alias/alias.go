@@ -121,89 +121,6 @@ func (t *Table) SizeBytes() int {
 	return len(t.prob)*8 + len(t.alias)*4 + 8
 }
 
-// Small is a fixed-capacity alias table specialized for the per-point
-// cell distribution A_r of Algorithm 1: every r has at most nine
-// overlapping cells, so the table fits in a small inline array and
-// avoids per-query heap allocation. The zero value is empty; call
-// Reset to (re)build it.
-type Small struct {
-	prob  [9]float64
-	alias [9]int8
-	n     int8
-	total float64
-}
-
-// Reset rebuilds the table in place over weights[:n], n <= 9. Zero
-// total leaves the table empty (Len() == 0).
-func (s *Small) Reset(weights []float64) {
-	if len(weights) > 9 {
-		panic("alias: Small supports at most 9 weights")
-	}
-	s.n = int8(len(weights))
-	s.total = 0
-	for _, w := range weights {
-		s.total += w
-	}
-	if s.total <= 0 {
-		s.n = 0
-		return
-	}
-	var scaled [9]float64
-	var small, large [9]int8
-	ns, nl := 0, 0
-	scale := float64(len(weights)) / s.total
-	for i, w := range weights {
-		scaled[i] = w * scale
-		if scaled[i] < 1 {
-			small[ns] = int8(i)
-			ns++
-		} else {
-			large[nl] = int8(i)
-			nl++
-		}
-	}
-	for ns > 0 && nl > 0 {
-		ns--
-		sm := small[ns]
-		nl--
-		lg := large[nl]
-		s.prob[sm] = scaled[sm]
-		s.alias[sm] = lg
-		scaled[lg] -= 1 - scaled[sm]
-		if scaled[lg] < 1 {
-			small[ns] = lg
-			ns++
-		} else {
-			large[nl] = lg
-			nl++
-		}
-	}
-	for i := 0; i < nl; i++ {
-		s.prob[large[i]] = 1
-		s.alias[large[i]] = large[i]
-	}
-	for i := 0; i < ns; i++ {
-		s.prob[small[i]] = 1
-		s.alias[small[i]] = small[i]
-	}
-}
-
-// Len returns the number of weights in the table (0 when empty).
-func (s *Small) Len() int { return int(s.n) }
-
-// Total returns the sum of the weights the table was built over.
-func (s *Small) Total() float64 { return s.total }
-
-// Sample draws an index in [0, Len()) proportionally to its weight.
-// It panics when the table is empty.
-func (s *Small) Sample(r *rng.RNG) int {
-	i := r.Intn(int(s.n))
-	if r.Float64() < s.prob[i] {
-		return i
-	}
-	return int(s.alias[i])
-}
-
 // Cumulative is the binary-search alternative to the alias method:
 // O(n) build like the alias table, but O(log n) per draw instead of
 // O(1). The paper picks Walker's method for its O(1) draws; this type

@@ -162,63 +162,6 @@ func TestQuickAlwaysInRange(t *testing.T) {
 	}
 }
 
-func TestSmallMatchesWeights(t *testing.T) {
-	weights := []float64{4, 0, 1, 2, 0, 8, 1, 0, 2}
-	var s Small
-	s.Reset(weights)
-	if s.Len() != 9 {
-		t.Fatalf("Len = %d, want 9", s.Len())
-	}
-	if s.Total() != 18 {
-		t.Fatalf("Total = %g, want 18", s.Total())
-	}
-	r := rng.New(7)
-	const draws = 200000
-	counts := make([]int, 9)
-	for i := 0; i < draws; i++ {
-		counts[s.Sample(r)]++
-	}
-	for i, w := range weights {
-		if w == 0 && counts[i] != 0 {
-			t.Fatalf("zero-weight cell %d sampled %d times", i, counts[i])
-		}
-	}
-	// 5 effective dof (6 nonzero cells); p=0.001 critical ~ 20.52.
-	if stat := chi2(counts, weights, draws); stat > 20.52 {
-		t.Fatalf("chi2 = %g too high; counts = %v", stat, counts)
-	}
-}
-
-func TestSmallReuse(t *testing.T) {
-	var s Small
-	s.Reset([]float64{1, 1})
-	s.Reset([]float64{0, 0, 5})
-	r := rng.New(8)
-	for i := 0; i < 1000; i++ {
-		if got := s.Sample(r); got != 2 {
-			t.Fatalf("after Reset, Sample = %d, want 2", got)
-		}
-	}
-}
-
-func TestSmallZeroTotal(t *testing.T) {
-	var s Small
-	s.Reset([]float64{0, 0})
-	if s.Len() != 0 {
-		t.Fatalf("zero-total table should be empty, Len = %d", s.Len())
-	}
-}
-
-func TestSmallPanicsOver9(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for >9 weights")
-		}
-	}()
-	var s Small
-	s.Reset(make([]float64, 10))
-}
-
 func BenchmarkBuild1M(b *testing.B) {
 	weights := make([]float64, 1<<20)
 	r := rng.New(9)

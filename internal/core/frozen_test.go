@@ -19,13 +19,15 @@ import (
 
 // Golden digests of the seeded frozen draw streams in frozenDigest:
 // FNV-64a over the parent's batch, a clone's batch and a reseeded
-// clone's batch, as produced by an implementation with a map of
-// per-clone corner structures and a 3×3 neighborhood lookup per trial.
-// Any change to the trial's use of the random stream, the alias tables
-// or the per-cell structures moves them.
+// clone's batch, as produced by an implementation whose trial draws r
+// from the alias table over µ(r), picks the direction by a cumulative
+// scan of r's count record, reaches the cell through r's cell row, and
+// draws cases 1–2 by one Intn over the cached count. Any change to the
+// trial's use of the random stream, the alias table or the per-cell
+// structures moves them.
 const (
-	goldenBBSTDigest   = 0x8a8745e2dbf125f2
-	goldenGridKDDigest = 0xaad806e73dc9bd84
+	goldenBBSTDigest   = 0x5b87941abe884cb7
+	goldenGridKDDigest = 0xee0168be97624abc
 )
 
 type frozenFactory func(R, S []geom.Point, cfg Config) (Cloner, error)

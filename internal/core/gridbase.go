@@ -63,9 +63,24 @@ type gridSampler struct {
 	corners []cornerIndex // by grid.Cell.Index; shared by clones
 	sc      cornerScratch // this handle's own
 
-	tab       *alias.Table  // alias over µ(r)
-	cellAlias []alias.Small // A_r: per-point alias over the 9 cells
+	tab  *alias.Table // alias over µ(r)
+	recs []pointRec   // by R index
+	rows []cellRow    // by pointRec.row: one per occupied R cell
 }
+
+// pointRec is one R point's count record: µ(r, d) in the nine
+// directions, which a trial scans cumulatively to draw its direction
+// (where the paper keeps a per-point alias A_r), and the index of the
+// point's R cell in gridSampler.rows.
+type pointRec struct {
+	cnt dirCounts
+	row int32
+}
+
+// cellRow is one R cell's 3×3 block of S cells, by Direction: each
+// cell's grid.Cell.Index, -1 where the cell is empty. Every R point of
+// the cell shares it, so a trial reaches its S cell by indexing.
+type cellRow [grid.NumDirections]int32
 
 // Preprocess sorts a copy of S by x — the only offline work the
 // BBST pipeline needs (Table II notes this is why its pre-processing
@@ -112,12 +127,13 @@ func (g *gridSampler) Build() error {
 	return nil
 }
 
-// Count is the approximate range counting phase (UB): µ(r, d) for every
-// R point, the per-point cell alias A_r, and the global alias A over
-// µ(r). The R points are grouped by grid cell through a throwaway index
-// permutation (R itself keeps its order, which the alias indexes), and
-// each cell is counted in one batched muCounter pass against its 3×3
-// block, looked up once per cell.
+// Count is the approximate range counting phase (UB): every R point's
+// count record µ(r, d), one row of S cell indexes per R cell, and the
+// global alias A over µ(r). The R points are grouped by grid cell
+// through a throwaway index permutation (R itself keeps its order,
+// which the alias indexes), and each cell is counted in one batched
+// muCounter pass against its 3×3 block, looked up once per cell; the
+// same lookup fills the cell's row.
 func (g *gridSampler) Count() error {
 	if err := ensure(g, g.base, phaseBuilt); err != nil {
 		return err
@@ -127,11 +143,10 @@ func (g *gridSampler) Count() error {
 	}
 	var buildErr error
 	timed(&g.stats.UpperBoundTime, func() {
-		// Counts land in R order, so the alias pass below writes
-		// cellAlias sequentially.
-		cnt := make([]dirCounts, len(g.R))
 		mc := muCounter{half: g.cfg.HalfExtent}
 		keys, starts, perm := groupByCell(g.R, g.g.Side())
+		g.recs = make([]pointRec, len(g.R))
+		g.rows = make([]cellRow, len(keys))
 		for ci, k := range keys {
 			idx := perm[starts[ci]:starts[ci+1]]
 			mc.reset()
@@ -140,23 +155,21 @@ func (g *gridSampler) Count() error {
 			}
 			nb := g.neighborhood(k)
 			mc.count(&nb, allDirs)
+			for d, c := range nb.cells {
+				g.rows[ci][d] = -1
+				if c != nil {
+					g.rows[ci][d] = c.Index
+				}
+			}
 			for j, i := range idx {
-				cnt[i] = mc.cnt[j]
+				g.recs[i] = pointRec{cnt: mc.cnt[j], row: int32(ci)}
 			}
 		}
 		mu := make([]float64, len(g.R))
-		g.cellAlias = make([]alias.Small, len(g.R))
 		total := 0.0
-		var weights [grid.NumDirections]float64
-		for i := range cnt {
-			sum := 0.0
-			for d, c := range cnt[i] {
-				weights[d] = float64(c)
-				sum += weights[d]
-			}
-			mu[i] = sum
-			total += sum
-			g.cellAlias[i].Reset(weights[:])
+		for i := range g.recs {
+			mu[i] = float64(g.recs[i].cnt.total())
+			total += mu[i]
 		}
 		g.stats.MuSum = total
 		if total == 0 {
@@ -217,46 +230,67 @@ func groupByCell(pts []geom.Point, side float64) (keys []grid.Key, starts, perm 
 	return keys, starts, perm
 }
 
-// sampleDir draws one candidate point from cell c in direction d.
-// Cases 1 and 2 are exact, so the candidate always lies in w; case 3
-// may return an empty slot or an out-of-window point, which the
-// caller rejects.
-func (g *gridSampler) sampleDir(c *grid.Cell, d grid.Direction, w geom.Rect) (geom.Point, bool) {
-	if d.Case() == 3 {
-		return g.corners[c.Index].sample(cornerFor(d), w, g.rng, &g.sc)
+// pickDir picks a trial's direction by a cumulative scan of the
+// counts: the first d whose running sum exceeds u, for u uniform in
+// [0, Σ cnt). It returns d and its count k; k is 0 when rounding put u
+// at the sum, and the caller rejects the trial. The frozen and the
+// mutable trial share it.
+func pickDir(cnt *dirCounts, u float64) (grid.Direction, int32) {
+	acc := 0.0
+	for d, c := range cnt {
+		if c == 0 {
+			continue
+		}
+		acc += float64(c)
+		if u < acc {
+			return grid.Direction(d), c
+		}
 	}
-	return sampleRun(c.Matching(d, w), g.rng)
+	return 0, 0
 }
 
-// sampleRun draws one point of run uniformly; ok is false when it is
-// empty.
-func sampleRun(run []geom.Point, r *rng.RNG) (geom.Point, bool) {
-	if len(run) == 0 {
-		return geom.Point{}, false
+// drawRun returns point i of the k > 0 points of cell c that match a
+// case 1 or 2 direction d, k being the exact count the trial's record
+// holds; a uniform i in [0, k) draws one uniformly. They are the run
+// Cell.Matching(d, w) returns, found without a search: all of XSorted
+// for Center, its first k for East and last k for West, and likewise
+// on YSorted for North and South.
+func drawRun(c *grid.Cell, d grid.Direction, k int32, i int) geom.Point {
+	switch d {
+	case grid.West:
+		return c.XSorted[len(c.XSorted)-int(k)+i]
+	case grid.South:
+		return c.YSorted[len(c.YSorted)-int(k)+i]
+	case grid.North:
+		return c.YSorted[i]
 	}
-	return run[r.Intn(len(run))], true
+	return c.XSorted[i] // Center, East
 }
 
 // tryOnce is one iteration of the sampling phase (lines 10–15 of
 // Algorithm 1): weighted r, weighted cell, uniform slot, accept iff
-// the slot holds a point of w(r). Only the drawn direction's cell is
-// looked up. Every pair of J is accepted with probability exactly
-// 1/Σµ per trial.
+// the slot holds a point of w(r). The direction comes from r's count
+// record and its cell from r's cell row, so a trial does no key
+// lookup. Every pair of J is accepted with probability exactly 1/Σµ
+// per trial.
 func (g *gridSampler) tryOnce() (geom.Pair, bool, error) {
 	g.stats.Iterations++
 	ri := g.tab.Sample(g.rng)
-	ca := &g.cellAlias[ri]
-	if ca.Len() == 0 {
-		return geom.Pair{}, false, nil // µ(r) == 0; alias weight 0 makes this unreachable
+	rec := &g.recs[ri]
+	d, k := pickDir(&rec.cnt, g.rng.Float64()*float64(rec.cnt.total()))
+	if k == 0 {
+		return geom.Pair{}, false, nil // u rounded onto µ(r)
 	}
 	r := g.R[ri]
 	w := g.window(r)
-	d := grid.Direction(ca.Sample(g.rng))
-	c := g.g.Cell(g.g.KeyAt(r.X, r.Y).Neighbor(d))
-	if c == nil {
-		return geom.Pair{}, false, nil // zero-weight direction; defensive
+	// A positive count means the cell exists: its row entry is >= 0.
+	ci := g.rows[rec.row][d]
+	s, ok := geom.Point{}, true
+	if d.Case() == 3 {
+		s, ok = g.corners[ci].sample(cornerFor(d), w, g.rng, &g.sc)
+	} else {
+		s = drawRun(g.g.ByIndex(ci), d, k, g.rng.Intn(int(k)))
 	}
-	s, ok := g.sampleDir(c, d, w)
 	if !ok || !w.Contains(s) {
 		return geom.Pair{}, false, nil // empty slot or out-of-window candidate
 	}
@@ -302,12 +336,14 @@ func (g *gridSampler) cloneGrid() (gridSampler, error) {
 		g:         g.g,
 		corners:   g.corners,
 		tab:       g.tab,
-		cellAlias: g.cellAlias,
+		recs:      g.recs,
+		rows:      g.rows,
 	}, nil
 }
 
 // sizeBytes sums the pipeline structures: grid, corner structures,
-// global alias, and per-point cell aliases.
+// global alias, the 40-byte count record per R point and the 36-byte
+// row per R cell.
 func (g *gridSampler) sizeBytes() int {
 	total := 0
 	if g.g != nil {
@@ -319,7 +355,7 @@ func (g *gridSampler) sizeBytes() int {
 	if g.tab != nil {
 		total += g.tab.SizeBytes()
 	}
-	total += 96 * len(g.cellAlias)
+	total += 40*len(g.recs) + 36*len(g.rows)
 	total += 24 * len(g.sortedS)
 	return total
 }

@@ -7,8 +7,9 @@ package core
 // the cell's points in x (or y) order against the neighbour's sorted
 // run counts the whole cell. Corners stay per-point structure queries,
 // grouped by direction so one corner structure serves the whole cell
-// while it is in cache. The frozen Count, Unfreeze and ApplyOps'
-// recount all go through this one counter.
+// while it is in cache. The frozen Count and ApplyOps' recount both go
+// through this one counter; Unfreeze adopts the frozen Count's
+// records.
 
 import (
 	"math"

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,38 +149,61 @@ func TestMuCounterMatchesPerPoint(t *testing.T) {
 		1<<grid.South | 1<<grid.North | 1<<grid.SouthWest,
 		1<<grid.NorthWest | 1<<grid.SouthEast | 1<<grid.NorthEast | 1<<grid.East,
 	}
+	forCountInputs(t, gridFactories, func(t *testing.T, g *gridSampler, boundary bool) {
+		if err := g.Build(); err != nil {
+			t.Fatal(err)
+		}
+		if boundary {
+			checkCounter(t, g, everyMask)
+		} else {
+			checkCounter(t, g, someMasks)
+		}
+	})
+}
+
+// gridFactory names one way to create a gridSampler.
+type gridFactory struct {
+	name string
+	mk   func(R, S []geom.Point, cfg Config) (*gridSampler, error)
+}
+
+// gridFactories are the counting tests' samplers: the BBST (with and
+// without fractional cascading) and GridKD corners.
+var gridFactories = []gridFactory{
+	{"BBST", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+		s, err := NewBBST(R, S, cfg)
+		return &s.gridSampler, err
+	}},
+	{"BBST-FC", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+		cfg.FractionalCascading = true
+		s, err := NewBBST(R, S, cfg)
+		return &s.gridSampler, err
+	}},
+	{"GridKD", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+		s, err := NewGridKD(R, S, cfg)
+		return &s.gridSampler, err
+	}},
+}
+
+// forCountInputs runs check in a subtest "input/l=L/sampler" for every
+// sampler of samplers over nyc, uniform, clustered and boundary-heavy
+// (lattice and ulp-spaced) inputs at several l; boundary is true for
+// the boundary-heavy ones. The samplers are created, not built.
+func forCountInputs(t *testing.T, samplers []gridFactory, check func(t *testing.T, g *gridSampler, boundary bool)) {
 	r := rng.New(5)
 	nycR, nycS := dataset.SplitRS(dataset.NYC(20_000, 3), 0.5, 4)
 	inputs := []struct {
-		name  string
-		R, S  []geom.Point
-		ls    []float64
-		masks []dirMask
+		name     string
+		R, S     []geom.Point
+		ls       []float64
+		boundary bool
 	}{
-		{"nyc", nycR, nycS, []float64{30, 100, 400}, someMasks},
-		{"uniform", randomPoints(r, 3000, 1000, 0), randomPoints(r, 3000, 1000, 1<<20), []float64{5, 40, 150}, someMasks},
-		{"clustered", clustered(r, 3000, 1000, 0), clustered(r, 3000, 1000, 1<<20), []float64{5, 40, 150}, someMasks},
-		{"lattice", latticePoints(r, 300, 4, 0), latticePoints(r, 300, 4, 1<<20), []float64{4}, everyMask},
-		{"ulps", ulpPoints(r, 200, 1.5*7, -0.5*7, 7, 0), ulpPoints(r, 200, 1.5*7, -0.5*7, 7, 1<<20), []float64{7}, everyMask},
-		{"lattice-fractional", latticePoints(r, 300, 2.5, 0), latticePoints(r, 300, 2.5, 1<<20), []float64{2.5}, everyMask},
-	}
-	samplers := []struct {
-		name string
-		mk   func(R, S []geom.Point, cfg Config) (*gridSampler, error)
-	}{
-		{"BBST", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
-			s, err := NewBBST(R, S, cfg)
-			return &s.gridSampler, err
-		}},
-		{"BBST-FC", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
-			cfg.FractionalCascading = true
-			s, err := NewBBST(R, S, cfg)
-			return &s.gridSampler, err
-		}},
-		{"GridKD", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
-			s, err := NewGridKD(R, S, cfg)
-			return &s.gridSampler, err
-		}},
+		{"nyc", nycR, nycS, []float64{30, 100, 400}, false},
+		{"uniform", randomPoints(r, 3000, 1000, 0), randomPoints(r, 3000, 1000, 1<<20), []float64{5, 40, 150}, false},
+		{"clustered", clustered(r, 3000, 1000, 0), clustered(r, 3000, 1000, 1<<20), []float64{5, 40, 150}, false},
+		{"lattice", latticePoints(r, 300, 4, 0), latticePoints(r, 300, 4, 1<<20), []float64{4}, true},
+		{"ulps", ulpPoints(r, 200, 1.5*7, -0.5*7, 7, 0), ulpPoints(r, 200, 1.5*7, -0.5*7, 7, 1<<20), []float64{7}, true},
+		{"lattice-fractional", latticePoints(r, 300, 2.5, 0), latticePoints(r, 300, 2.5, 1<<20), []float64{2.5}, true},
 	}
 	for _, in := range inputs {
 		for _, l := range in.ls {
@@ -188,36 +212,89 @@ func TestMuCounterMatchesPerPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := g.Build(); err != nil {
-					t.Fatal(err)
-				}
-				t.Run(fmt.Sprintf("%s/l=%g/%s", in.name, l, smp.name), func(t *testing.T) { checkCounter(t, g, in.masks) })
+				t.Run(fmt.Sprintf("%s/l=%g/%s", in.name, l, smp.name), func(t *testing.T) { check(t, g, in.boundary) })
 			}
 		}
 	}
+}
+
+// TestFrozenRecordMatchesReference holds the frozen Count's records to
+// the per-point reference on the counting inputs, for the BBST and
+// GridKD samplers: every record's counts equal refCounts, every row
+// entry names the cell a key lookup of that direction finds (-1 for
+// none), and for every positive case 1–2 count k, drawRun's offsets
+// 0..k-1 enumerate exactly Cell.Matching's run.
+func TestFrozenRecordMatchesReference(t *testing.T) {
+	samplers := slices.DeleteFunc(slices.Clone(gridFactories), func(f gridFactory) bool { return f.name == "BBST-FC" })
+	forCountInputs(t, samplers, func(t *testing.T, g *gridSampler, _ bool) {
+		if err := g.Count(); err != nil {
+			t.Fatal(err)
+		}
+		var sc cornerScratch
+		bad := 0
+		fail := func(format string, args ...any) {
+			if bad++; bad <= 10 {
+				t.Errorf(format, args...)
+			}
+		}
+		for i, r := range g.R {
+			rec := g.recs[i]
+			if want := refCounts(g, r, &sc); rec.cnt != want {
+				fail("R[%d] %+v: record %v, per-point %v", i, r, rec.cnt, want)
+			}
+			w := g.window(r)
+			for d := grid.Direction(0); d < grid.NumDirections; d++ {
+				c, ci := g.g.Cell(g.g.KeyAt(r.X, r.Y).Neighbor(d)), g.rows[rec.row][d]
+				switch {
+				case c == nil && ci != -1:
+					fail("R[%d] %v: row names cell %d, no cell there", i, d, ci)
+				case c != nil && (ci != c.Index || g.g.ByIndex(ci) != c):
+					fail("R[%d] %v: row names cell %d, lookup finds %d", i, d, ci, c.Index)
+				}
+				k := rec.cnt[d]
+				if c == nil || d.Case() == 3 || k == 0 {
+					continue
+				}
+				run := c.Matching(d, w)
+				if len(run) != int(k) {
+					fail("R[%d] %v: count %d, run of %d", i, d, k, len(run))
+					continue
+				}
+				for j, want := range run {
+					if got := drawRun(c, d, k, j); got != want {
+						fail("R[%d] %v: offset %d draws %+v, run holds %+v", i, d, j, got, want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestMutableBatchedRecountOnBoundaries drives Unfreeze and ApplyOps,
 // whose recounts go through the batched counter, over lattice points
 // that sit on cell edges and window boundaries, with inserts and
 // deletes landing on them too; CheckInvariants recounts every slot
-// point by point after each batch.
+// point by point after each batch. Unfreeze adopts the frozen counts,
+// so the run with fractional cascading checks counts taken through the
+// cascaded corner queries too.
 func TestMutableBatchedRecountOnBoundaries(t *testing.T) {
-	r := rng.New(9)
-	const l = 4
-	R, S := latticePoints(r, 400, l, 0), latticePoints(r, 400, l, 1<<20)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 3})
-	if err := m.Index().CheckInvariants(); err != nil {
-		t.Fatalf("after Unfreeze: %v", err)
-	}
-	gen := newChurnGen(R, S, latticePoints(r, 500, l, 0), 4)
-	for i := 0; i < 40; i++ {
-		var err error
-		if m, err = m.Apply(gen.batch(6)); err != nil {
-			t.Fatal(err)
-		}
+	for _, fc := range []bool{false, true} {
+		r := rng.New(9)
+		const l = 4
+		R, S := latticePoints(r, 400, l, 0), latticePoints(r, 400, l, 1<<20)
+		m := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 3, FractionalCascading: fc})
 		if err := m.Index().CheckInvariants(); err != nil {
-			t.Fatalf("after batch %d: %v", i, err)
+			t.Fatalf("fc=%v, after Unfreeze: %v", fc, err)
+		}
+		gen := newChurnGen(R, S, latticePoints(r, 500, l, 0), 4)
+		for i := 0; i < 40; i++ {
+			var err error
+			if m, err = m.Apply(gen.batch(6)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Index().CheckInvariants(); err != nil {
+				t.Fatalf("fc=%v, after batch %d: %v", fc, i, err)
+			}
 		}
 	}
 }

@@ -137,13 +137,14 @@ func (mc *mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
 	return len(mc.cell.Matching(d, w))
 }
 
-// sample draws one candidate of direction d; ok is false on an empty
-// corner slot. The caller verifies window membership.
-func (mc *mutCell) sample(d grid.Direction, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
+// sample draws one candidate of direction d, whose cached count is
+// k > 0; ok is false on an empty corner slot. The caller verifies
+// window membership.
+func (mc *mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
 	if d.Case() == 3 {
 		return mc.pair.SampleSlotS(cornerFor(d), w, r, sc)
 	}
-	return sampleRun(mc.cell.Matching(d, w), r)
+	return drawRun(mc.cell, d, k, r.Intn(int(k))), true
 }
 
 // dirMask is a set of neighborhood directions, bit d for direction d.
@@ -488,9 +489,9 @@ type Mutable struct {
 // frozen structure: the cells and per-cell BBST pairs are adopted as-is
 // (the first mutation of a cell clones them copy-on-write, so the
 // frozen sampler keeps serving untouched). The slot tree is bulk-built
-// with every R point's direction counts taken once, by one batched
-// muCounter pass per R cell, and the directories are bulk-built in one
-// sort each. This is the one O(n + m) step of the mutable path; every
+// from the frozen count records, which were counted against these same
+// cells and pairs, and the directories are bulk-built in one sort
+// each. This is the one O(n + m) step of the mutable path; every
 // ApplyOps after it is Õ(ops).
 // An empty side or an empty join is accepted: the result is a
 // zero-mass Mutable that inserts can fill.
@@ -540,21 +541,10 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	ix.rids = grid.BuildDir(len(R),
 		func(i int) grid.Key { return idKey(R[i].ID) },
 		func(idx []int32) []int32 { return idx })
-	// Count cell by cell in one batched pass per cell.
-	mc := muCounter{half: s.cfg.HalfExtent}
 	recs := make([]slotRec, len(R))
-	ix.rcells.Range(func(k grid.Key, rl rlist) bool {
-		mc.reset()
-		for _, i := range rl.slots {
-			mc.add(R[i], dirCounts{})
-		}
-		nb := ix.neighborhood(k, allDirs)
-		mc.count(&nb, allDirs)
-		for j, i := range rl.slots {
-			recs[i] = newSlotRec(R[i], mc.cnt[j])
-		}
-		return true
-	})
+	for i, pr := range s.recs {
+		recs[i] = newSlotRec(R[i], pr.cnt)
+	}
 	ix.slots = buildSlotTree(recs)
 	m := &Mutable{
 		idx:        ix,
@@ -611,29 +601,19 @@ func (m *Mutable) TryNext() (geom.Pair, bool, error) {
 	m.stats.Iterations++
 	rec := ix.slots.sample(m.rng.Float64() * total)
 	r := rec.pt
-	u := m.rng.Float64() * rec.mu
-	acc := 0.0
-	for d, c := range rec.cnt {
-		if c == 0 {
-			continue
-		}
-		acc += float64(c)
-		if u < acc {
-			dir := grid.Direction(d)
-			// A positive count means the cell exists in this version.
-			mc, _ := ix.scells.Get(grid.KeyFor(r.X, r.Y, ix.side).Neighbor(dir))
-			w := geom.Window(r, ix.cfg.HalfExtent)
-			s, ok := mc.sample(dir, w, m.rng, &m.scratch)
-			if !ok || !w.Contains(s) {
-				return geom.Pair{}, false, nil
-			}
-			m.stats.Samples++
-			return geom.Pair{R: r, S: s}, true, nil
-		}
+	d, k := pickDir(&rec.cnt, m.rng.Float64()*rec.mu)
+	if k == 0 {
+		return geom.Pair{}, false, nil // u rounded onto µ(r)
 	}
-	// The counts sum to exactly µ(r); reaching here means u landed on
-	// the boundary by rounding. Reject the trial.
-	return geom.Pair{}, false, nil
+	// A positive count means the cell exists in this version.
+	mc, _ := ix.scells.Get(grid.KeyFor(r.X, r.Y, ix.side).Neighbor(d))
+	w := geom.Window(r, ix.cfg.HalfExtent)
+	s, ok := mc.sample(d, k, w, m.rng, &m.scratch)
+	if !ok || !w.Contains(s) {
+		return geom.Pair{}, false, nil
+	}
+	m.stats.Samples++
+	return geom.Pair{R: r, S: s}, true, nil
 }
 
 // sampleInto is the batch loop behind SampleInto and Next.

@@ -12,8 +12,9 @@ import (
 // slotTree is the R side of the mutable index: one persistent
 // (path-copied) tree over the slot array. Leaves hold stChunk
 // consecutive slots, each holding the slot's point, its 9
-// per-direction counts µ(r, d) — the paper's per-point alias A_r,
-// cached — and µ(r) = Σ_d µ(r, d). Internal nodes are wide: each keeps
+// per-direction counts µ(r, d) — the count record a trial scans for
+// its direction, as the frozen sampler's pointRec — and
+// µ(r) = Σ_d µ(r, d). Internal nodes are wide: each keeps
 // the µ totals of its stFan children in one contiguous array next to
 // the child pointers, so a trial is one short root-to-leaf descent
 // (three internal levels cover 2^18 slots) that scans one array per
@@ -57,12 +58,17 @@ type slotRec struct {
 	mu  float64
 }
 
-func newSlotRec(pt geom.Point, cnt dirCounts) slotRec {
+// total is µ(r) = Σ_d µ(r, d).
+func (cnt *dirCounts) total() int {
 	mu := 0
 	for _, c := range cnt {
 		mu += int(c)
 	}
-	return slotRec{pt: pt, cnt: cnt, mu: float64(mu)}
+	return mu
+}
+
+func newSlotRec(pt geom.Point, cnt dirCounts) slotRec {
+	return slotRec{pt: pt, cnt: cnt, mu: float64(cnt.total())}
 }
 
 // stLeaf is a chunk of stChunk consecutive slots.

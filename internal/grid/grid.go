@@ -250,6 +250,10 @@ func (g *Grid) Cell(k Key) *Cell {
 	return &g.cells[i]
 }
 
+// ByIndex returns the cell whose Index is i, 0 <= i < NumCells: the
+// lookup for callers that resolved a key to an Index once and keep it.
+func (g *Grid) ByIndex(i int32) *Cell { return &g.cells[i] }
+
 // Neighborhood fills dst with the 3x3 block of cells around the cell
 // containing r, indexed by Direction; empty cells are nil. It returns
 // dst to allow chaining.
