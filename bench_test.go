@@ -7,6 +7,7 @@ package srj
 // reproductions with rendered tables.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -356,7 +357,7 @@ func BenchmarkServingThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		runClients(b, clients, func() error {
-			_, err := eng.Sample(reqT)
+			_, err := eng.Draw(context.Background(), Request{T: reqT})
 			return err
 		})
 		report(b)
@@ -370,7 +371,7 @@ func BenchmarkServingThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		runClients(b, clients, func() error {
-			return eng.SampleFunc(reqT, func([]Pair) error { return nil })
+			return eng.DrawFunc(context.Background(), Request{T: reqT}, func([]Pair) error { return nil })
 		})
 		report(b)
 	})

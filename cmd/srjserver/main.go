@@ -18,8 +18,9 @@
 // Datasets are mutable over the wire: POST /v1/update applies
 // insert/delete batches to a key's dynamic store (created on first
 // update from the same resolver), bumps the dataset generation, and
-// evicts the engines the bump made stale; sampling always follows the
-// current generation, so deleted points are never served.
+// evicts the static engine the store replaces. Draws for that key then
+// come straight from the store's current view, so deleted points are
+// never served; stores count against -budget-mb and are never evicted.
 //
 // API (see internal/server): POST /v1/sample, POST /v1/update,
 // GET /v1/stats, GET /v1/engines, GET /healthz, GET /metrics

@@ -4,6 +4,7 @@ package srj
 // -race), per-request determinism, and the constructor's error paths.
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -20,10 +21,11 @@ func TestEngineAllAlgorithmsServe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pairs, err := e.Sample(500)
+			res, err := e.Draw(context.Background(), Request{T: 500})
 			if err != nil {
 				t.Fatal(err)
 			}
+			pairs := res.Pairs
 			if len(pairs) != 500 {
 				t.Fatalf("got %d pairs", len(pairs))
 			}
@@ -63,12 +65,12 @@ func TestEngineConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			buf := make([]Pair, perRequest)
 			for req := 0; req < requests; req++ {
-				n, err := e.SampleInto(buf)
+				res, err := e.Draw(context.Background(), Request{Into: buf})
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				for _, p := range buf[:n] {
+				for _, p := range res.Pairs {
 					if !Window(p.R, l).Contains(p.S) {
 						errs[i] = errors.New("pair outside window")
 						return
@@ -104,14 +106,15 @@ func TestEngineSeedDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for req := 0; req < 6; req++ {
-		a, err := e1.Sample(250)
+		ra, err := e1.Draw(context.Background(), Request{T: 250})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e2.Sample(250)
+		rb, err := e2.Draw(context.Background(), Request{T: 250})
 		if err != nil {
 			t.Fatal(err)
 		}
+		a, b := ra.Pairs, rb.Pairs
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("request %d diverged at sample %d", req, i)

@@ -262,8 +262,8 @@ func (st *Store) Replay(recs []SeqUpdate) error {
 	return nil
 }
 
-// SetPersister installs the durability hook. Like SetOnGeneration,
-// attach it before the store is published for serving — recovery
+// SetPersister installs the durability hook. Attach it before the
+// store is published for serving — recovery
 // wires it after Replay, so replayed records are never re-appended.
 func (st *Store) SetPersister(p Persister) {
 	st.mu.Lock()

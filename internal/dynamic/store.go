@@ -20,12 +20,11 @@
 // refuses updates addressed to them.
 //
 // Every applied batch and every compaction bumps the store's
-// *generation number* exactly once. Generations are the invalidation
-// currency of the serving stack: registry keys carry one
-// (internal/registry), so engines cached for an older generation
-// simply miss instead of serving deleted points, and the shard router
-// broadcasts updates so every backend's stores and caches advance
-// together.
+// *generation number* exactly once. The serving layer draws from a
+// store's current view directly — never from a cache — so no request
+// can be served a retired generation; the generation is what
+// responses and /v1/stats report, and the shard router broadcasts
+// updates so every backend's stores advance together.
 //
 // Concurrency model: Draw/DrawFunc never block on writers — they load
 // an immutable *view* (one index version plus its serving engine)
@@ -54,13 +53,6 @@ import (
 // applied since the last snapshot reach this fraction of the live point
 // count, the store persists a fresh snapshot so the log can be pruned.
 const snapshotFraction = 0.25
-
-// ErrStaleGeneration reports a request for a generation the store has
-// already moved past. The registry's BuildFunc returns it when a
-// generation-tagged key loses the race with a concurrent Apply; the
-// server retries with the fresh generation. It is never cached (the
-// registry does not cache build errors).
-var ErrStaleGeneration = errors.New("dynamic: generation is stale")
 
 // Update is one batch of mutations: points to insert and point IDs to
 // delete, per side. Deleting an ID removes every live point carrying
@@ -115,14 +107,6 @@ type Config struct {
 	// MaxT caps the samples one request may ask for on every view
 	// engine (0 = unlimited).
 	MaxT int
-	// OnGeneration, when non-nil, is invoked with the new generation
-	// after every view swap — Applies and compactions alike. The
-	// serving layer hangs cache invalidation here (evicting registry
-	// engines of older generations), so a Compact cannot strand a
-	// stale view engine in the cache until the next update. Called
-	// under the store's write lock: keep it fast and do not call back
-	// into the store.
-	OnGeneration func(gen uint64)
 	// Persister, when non-nil, is the write-ahead durability hook (see
 	// persist.go): every applied batch is appended before its view
 	// publishes, and compactions persist a snapshot. May also be
@@ -130,8 +114,8 @@ type Config struct {
 	// so replayed records are not re-appended).
 	Persister Persister
 	// InitialGeneration seeds the store's generation (recovery resumes
-	// at the snapshot's generation instead of 0, so pre-crash cache
-	// keys can never alias post-recovery contents).
+	// at the snapshot's generation instead of 0, so the generations a
+	// store reports never run backwards across a restart).
 	InitialGeneration uint64
 	// InitialLastApplied seeds the last applied update ID (recovery
 	// resumes at the snapshot's coverage; replayed records continue
@@ -382,9 +366,6 @@ func (st *Store) publishLocked(nv *view) {
 	if st.testHookSwap != nil {
 		st.testHookSwap(nv)
 	}
-	if st.cfg.OnGeneration != nil {
-		st.cfg.OnGeneration(nv.gen)
-	}
 	st.maybeSnapshotLocked()
 }
 
@@ -475,25 +456,14 @@ func (st *Store) Compact(ctx context.Context) error {
 	return nil
 }
 
-// SetOnGeneration installs (or replaces) the Config.OnGeneration
-// hook. Callers that build stores through an intermediate layer (the
-// root package's NewStore) use it to attach cache invalidation after
-// construction — before the store is published for serving, or the
-// earliest swaps may miss the hook.
-func (st *Store) SetOnGeneration(fn func(gen uint64)) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.cfg.OnGeneration = fn
-}
-
 // Generation reports the current generation: 0 at construction,
 // bumped once by every non-empty Apply and every Compact.
 func (st *Store) Generation() uint64 { return st.view.Load().gen }
 
 // ViewEngine returns the current generation and its serving engine.
 // The error is core.ErrEmptyJoin when the current join is empty. The
-// registry's BuildFunc uses the pair to cache view engines under
-// generation-tagged keys.
+// server draws from the returned engine: one atomic load, so a
+// request holds one generation from start to finish.
 func (st *Store) ViewEngine() (uint64, *engine.Engine, error) {
 	v := st.view.Load()
 	if v.eng == nil {

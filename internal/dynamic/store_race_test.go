@@ -1,9 +1,9 @@
 package dynamic
 
 // A race-focused hammer on the store's mutation paths — concurrent
-// Apply, Compact, Draw, and registry Get/Evict over generation-tagged
-// keys — mirroring registry_race_test.go. The store's correctness
-// argument is an invariant the view swap must preserve across every
+// Apply, Compact, Draw, and draws from view engines held across swaps
+// — mirroring registry_race_test.go. The store's correctness argument
+// is an invariant the view swap must preserve across every
 // interleaving:
 //
 //	a swapped-in view never serves a deleted point: every ID deleted
@@ -11,8 +11,8 @@ package dynamic
 //	  compacted base (a compaction racing an Apply must not lose the
 //	  delete), and draws never return it
 //	generations only move forward
-//	a view handed to a request stays usable however many swaps,
-//	  compactions, or registry evictions race it
+//	a view handed to a request stays usable however many swaps or
+//	  compactions race it
 //
 // The in-lock half runs through the store's testHookSwap (under mu,
 // at every swap); the behavioral half is the drawers asserting no
@@ -20,15 +20,14 @@ package dynamic
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/geom"
-	"repro/internal/registry"
 )
 
 func TestStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
@@ -107,21 +106,6 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A registry over generation-tagged keys, as the server wires it:
-	// the build resolves the store's current view and refuses stale
-	// generations.
-	baseKey := registry.Key{Dataset: "hammer", L: l, Algorithm: "bbst", Seed: 21}
-	reg := registry.New(func(ctx context.Context, key registry.Key) (*engine.Engine, error) {
-		gen, eng, err := st.ViewEngine()
-		if err != nil {
-			return nil, err
-		}
-		if gen != key.Generation {
-			return nil, ErrStaleGeneration
-		}
-		return eng, nil
-	}, 1<<20) // small budget: inserts evict constantly
-
 	const (
 		appliers = 3
 		drawers  = 4
@@ -156,8 +140,9 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 		}(w)
 	}
 
-	// Drawers: hammer Draw (direct and through the registry) and
-	// assert window containment and no-poison on every sample.
+	// Drawers: hammer Draw (direct, and on view engines held across
+	// swaps, as the server holds one for a request) and assert window
+	// containment and no-poison on every sample.
 	for w := 0; w < drawers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -175,6 +160,8 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 				}
 				return nil
 			}
+			var eng *engine.Engine
+			var heldGen uint64
 			for i := 0; i < rounds*4; i++ {
 				if w%2 == 0 {
 					res, err := st.Draw(ctx, engine.Request{Into: buf, Seed: uint64(i%5) * 7})
@@ -188,19 +175,21 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 					}
 					continue
 				}
-				key := baseKey
-				key.Generation = st.Generation()
-				eng, err := reg.Get(ctx, key)
-				if errors.Is(err, ErrStaleGeneration) {
-					continue // lost the race with an Apply; next round
-				}
-				if err != nil {
-					errs[slot] = fmt.Errorf("registry get gen %d: %w", key.Generation, err)
-					return
+				if eng == nil || i%8 == 0 {
+					gen, e, err := st.ViewEngine()
+					if err != nil {
+						errs[slot] = fmt.Errorf("view engine %d/%d: %w", w, i, err)
+						return
+					}
+					if gen < heldGen {
+						errs[slot] = fmt.Errorf("view generation moved backwards: %d after %d", gen, heldGen)
+						return
+					}
+					heldGen, eng = gen, e
 				}
 				res, err := eng.Draw(ctx, engine.Request{T: 128})
 				if err != nil {
-					errs[slot] = fmt.Errorf("registry draw: %w", err)
+					errs[slot] = fmt.Errorf("held view draw at gen %d: %w", heldGen, err)
 					return
 				}
 				if err := check(res.Pairs); err != nil {
@@ -211,28 +200,16 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 		}(w)
 	}
 
-	// Evictor: hammer Evict and EvictOlder across recent generations,
-	// compacting now and then so frozen bases race the appliers too.
+	// Compactor: compact now and then so frozen bases race the
+	// appliers too.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < rounds*6; i++ {
-			if i%40 == 39 {
-				if err := st.Compact(ctx); err != nil {
-					errs[appliers+drawers] = fmt.Errorf("compact %d: %w", i, err)
-					return
-				}
-			}
-			key := baseKey
-			key.Generation = st.Generation()
-			switch i % 3 {
-			case 0:
-				reg.Evict(key)
-			case 1:
-				reg.EvictOlder(key)
-			case 2:
-				key.Generation = ^uint64(0)
-				reg.EvictOlder(key)
+		for i := 0; i < 6; i++ {
+			runtime.Gosched()
+			if err := st.Compact(ctx); err != nil {
+				errs[appliers+drawers] = fmt.Errorf("compact %d: %w", i, err)
+				return
 			}
 		}
 	}()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -352,23 +351,18 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 
 // TestStoreAutoRebuild: a batch that drifts the live S count far past
 // the bulk-built geometry trips the rebase hatch inside the same
-// Apply — one generation bump, one OnGeneration call, a frozen base
-// published at it — and the store keeps serving the same join.
+// Apply — one generation bump, one published view, a frozen base at
+// it — and the store keeps serving the same join.
 func TestStoreAutoRebuild(t *testing.T) {
 	R, S := testData(t)
 	l := 1000.0
-	cfg := testConfig(l, 9)
-	var hookGens []uint64
-	var hookMu sync.Mutex
-	cfg.OnGeneration = func(gen uint64) {
-		hookMu.Lock()
-		hookGens = append(hookGens, gen)
-		hookMu.Unlock()
-	}
-	st, err := NewStore(R, S, cfg)
+	st, err := NewStore(R, S, testConfig(l, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// testHookSwap runs at every publish, inside the publishing call.
+	var hookGens []uint64
+	st.testHookSwap = func(v *view) { hookGens = append(hookGens, v.gen) }
 	model := &currentSets{R: R, S: S}
 	// 60 base S points: growing past 8x that is the hatch's trigger.
 	u := Update{DeleteR: []int32{R[0].ID, R[1].ID, R[2].ID, R[3].ID}}
@@ -391,12 +385,9 @@ func TestStoreAutoRebuild(t *testing.T) {
 	if st.InPlace() {
 		t.Fatal("InPlace = true after the rebase, want a frozen base")
 	}
-	// The invalidation hook fired once, for the one published view.
-	hookMu.Lock()
-	gens := append([]uint64(nil), hookGens...)
-	hookMu.Unlock()
-	if len(gens) != 1 || gens[0] != 1 {
-		t.Fatalf("OnGeneration calls = %v, want [1]", gens)
+	// One view was published, at the one bumped generation.
+	if len(hookGens) != 1 || hookGens[0] != 1 {
+		t.Fatalf("published generations = %v, want [1]", hookGens)
 	}
 	checkSupport(t, drawAll(t, st, 4000), joinSet(model.R, model.S, l))
 }

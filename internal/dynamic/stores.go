@@ -11,19 +11,18 @@ import (
 	"repro/internal/registry"
 )
 
-// StoreFactory builds the store for one engine key (generation
-// ignored): resolve the dataset, bulk-build the base, return the
-// store. Invoked at most once per key per residency, outside the
-// Stores map lock (builds are slow). Key problems should wrap
-// server.ErrBadKey so handlers answer 400.
+// StoreFactory builds the store for one engine key: resolve the
+// dataset, bulk-build the base, return the store. Invoked at most once
+// per key per residency, outside the Stores map lock (builds are
+// slow). Key problems should wrap server.ErrBadKey so handlers answer
+// 400.
 type StoreFactory func(ctx context.Context, key registry.Key) (*Store, error)
 
 // Stores tracks the mutable stores of one serving process, keyed by
-// engine key with the generation stripped (a store IS the thing that
-// owns the generation). A store springs into existence on the first
-// update addressed to its key; sampling for keys without a store
-// keeps using the static engine path, so a server that never sees an
-// update serves exactly as before this package existed.
+// engine key. A store springs into existence on the first update
+// addressed to its key; sampling for keys without a store keeps using
+// the static engine path, so a server that never sees an update serves
+// exactly as before this package existed.
 type Stores struct {
 	factory StoreFactory
 
@@ -49,20 +48,13 @@ func NewStores(factory StoreFactory) *Stores {
 	return &Stores{factory: factory, m: make(map[registry.Key]*storeEntry)}
 }
 
-// stripGen zeroes the generation: stores are keyed by what they
-// serve, not by a moment of their history.
-func stripGen(key registry.Key) registry.Key {
-	key.Generation = 0
-	return key
-}
-
 // Lookup returns the store for key when one has been created. It
 // never blocks — a store mid-creation is not yet visible, so the
 // sampling path stays on the static engines until the first update
 // lands.
 func (s *Stores) Lookup(key registry.Key) (*Store, bool) {
 	s.mu.Lock()
-	e, ok := s.m[stripGen(key)]
+	e, ok := s.m[key]
 	s.mu.Unlock()
 	if !ok {
 		return nil, false
@@ -78,7 +70,6 @@ func (s *Stores) Lookup(key registry.Key) (*Store, bool) {
 // (and the map) will share. Failed creations are forgotten so the
 // next update retries.
 func (s *Stores) get(ctx context.Context, key registry.Key) (*Store, error) {
-	key = stripGen(key)
 	s.mu.Lock()
 	e, ok := s.m[key]
 	if !ok {
@@ -141,7 +132,6 @@ func (s *Stores) Adopt(key registry.Key, st *Store) error {
 	if st == nil {
 		return fmt.Errorf("dynamic: Adopt called with a nil store")
 	}
-	key = stripGen(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.m[key]; ok {
@@ -158,8 +148,7 @@ func (s *Stores) Adopt(key registry.Key, st *Store) error {
 // /v1/stats (per-key detail lives here on the JSON surface; /metrics
 // exports only key-free aggregates to keep label cardinality bounded).
 type StoreInfo struct {
-	// Key identifies the store (generation always zero — the live
-	// generation is the Generation field).
+	// Key identifies the store; its live generation is Generation.
 	Key registry.Key `json:"key"`
 	// Backend is empty on a server's own stats; the router fills it
 	// when aggregating fleet stats per backend.
@@ -210,7 +199,7 @@ func (s *Stores) FirstPersistErr() (registry.Key, error) {
 	return registry.Key{}, nil
 }
 
-// keyedStore pairs a created store with its (generation-stripped) key.
+// keyedStore pairs a created store with its key.
 type keyedStore struct {
 	key registry.Key
 	st  *Store
@@ -241,6 +230,23 @@ func (s *Stores) snapshot() []keyedStore {
 		}
 	}
 	return out
+}
+
+// SizeBytes sums the footprints of the created stores (Store.SizeBytes)
+// — the memory a server charges to its engine budget through
+// registry.Registry.Reserve. Stores are never evicted, so the charge
+// only leaves less room for cached engines. It holds s.mu across the
+// walk and takes no store lock: each footprint is one atomic load.
+func (s *Stores) SizeBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, e := range s.m {
+		if st := e.st.Load(); st != nil {
+			n += int64(st.SizeBytes())
+		}
+	}
+	return n
 }
 
 // Infos snapshots every created store. Stores mid-creation are not

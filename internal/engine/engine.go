@@ -6,7 +6,7 @@
 // structures exactly once and serves every subsequent request from a
 // pool of lightweight clones: each request checks a clone out, gives
 // it a fresh independent random stream, draws through the
-// zero-allocation SampleInto hot path, and returns the clone for
+// zero-allocation core.SampleInto hot path, and returns the clone for
 // reuse. Aggregate request counters (requests, samples, failures,
 // cumulative and peak latency) are maintained lock-free.
 package engine
@@ -25,14 +25,14 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultBatch is the pooled buffer size SampleFunc streams through:
+// DefaultBatch is the pooled buffer size DrawFunc streams through:
 // large enough to amortize per-batch overhead, small enough (~200 KiB
 // of pairs) to stay cache-resident.
 const DefaultBatch = 4096
 
 // ErrSampleCap is returned (wrapped, with the offending numbers) when
 // a request asks for more samples than the Engine's configured
-// per-request cap. Sample checks the cap before allocating the result
+// per-request cap. Draw checks the cap before allocating the result
 // slice, so an adversarial t cannot OOM the process; servers should
 // treat this as a client error (it counts toward
 // Stats.ClientFailures).
@@ -127,7 +127,7 @@ type Stats struct {
 	// error: ClientFailures + SamplerFailures.
 	Failures uint64 `json:"failures"`
 	// ClientFailures counts request-level errors: a bad or over-cap
-	// t, an error returned by a SampleFunc callback, or a request
+	// t, an error returned by a DrawFunc callback, or a request
 	// context that expired or was cancelled mid-draw. These are
 	// problems with individual requests (or the capacity to serve
 	// them in time), not with the sampling structures.
@@ -175,7 +175,7 @@ type Engine struct {
 	name string
 	size int
 
-	buffers sync.Pool // *[]geom.Pair batches for SampleFunc
+	buffers sync.Pool // *[]geom.Pair batches for DrawFunc
 
 	maxT atomic.Int64 // per-request sample cap; 0 = unlimited
 
@@ -285,34 +285,23 @@ func (e *Engine) Draw(ctx context.Context, req Request) (Result, error) {
 		dst = make([]geom.Pair, t)
 	}
 	dst = dst[:t]
-	n, err := e.drawInto(ctx, start, req.Seed, dst)
-	return Result{Pairs: dst[:n], Elapsed: time.Since(start)}, err
-}
-
-// drawInto fills dst through a pooled clone, checking ctx between
-// chunks, and folds the finished request into the stats. It is the
-// shared core of Draw and the deprecated SampleInto shim.
-func (e *Engine) drawInto(ctx context.Context, start time.Time, seed uint64, dst []geom.Pair) (int, error) {
 	if err := ctx.Err(); err != nil {
 		e.record(start, 0, err)
-		return 0, err
+		return Result{Pairs: dst[:0], Elapsed: time.Since(start)}, err
 	}
-	s, err := e.checkout(seed)
+	s, err := e.checkout(req.Seed)
 	if err != nil {
 		e.record(start, 0, err)
-		return 0, err
+		return Result{Pairs: dst[:0], Elapsed: time.Since(start)}, err
 	}
 	trialsBefore := s.Stats().Iterations
 	drawn := 0
-	for drawn < len(dst) && err == nil {
+	for drawn < t && err == nil {
 		if cerr := ctx.Err(); cerr != nil {
 			err = cerr
 			break
 		}
-		end := drawn + DefaultBatch
-		if end > len(dst) {
-			end = len(dst)
-		}
+		end := min(drawn+DefaultBatch, t)
 		var n int
 		n, err = core.SampleInto(s, dst[drawn:end])
 		drawn += n
@@ -320,7 +309,7 @@ func (e *Engine) drawInto(ctx context.Context, start time.Time, seed uint64, dst
 	e.trials.Add(s.Stats().Iterations - trialsBefore)
 	e.pool.Put(s)
 	e.record(start, drawn, err)
-	return drawn, err
+	return Result{Pairs: dst[:drawn], Elapsed: time.Since(start)}, err
 }
 
 // DrawFunc serves one request for req.T samples by streaming them
@@ -379,48 +368,10 @@ func (e *Engine) DrawFunc(ctx context.Context, req Request, fn func(batch []geom
 	return err
 }
 
-// SampleInto serves one request: it draws len(dst) uniform independent
-// join samples into the caller's buffer and returns the number
-// written. It backs the root package's deprecated Engine.SampleInto
-// shim; new code uses Draw with Request.Into. An empty dst returns
-// immediately without checking out a clone or counting a request in
-// Stats (the pre-Source implementation counted it).
-func (e *Engine) SampleInto(dst []geom.Pair) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	return e.drawInto(context.Background(), time.Now(), 0, dst)
-}
-
-// Sample serves one request for t samples into a fresh slice. The
-// request is rejected — before the slice is allocated — when t is
-// negative or exceeds the SetMaxT cap, so no request can force an
-// unbounded allocation. It backs the root package's deprecated
-// Engine.Sample shim; new code uses Draw. t == 0 returns immediately
-// without checking out a clone or counting a request in Stats (the
-// pre-Source implementation counted it).
-func (e *Engine) Sample(t int) ([]geom.Pair, error) {
-	if t == 0 {
-		return nil, nil
-	}
-	res, err := e.Draw(context.Background(), Request{T: t})
-	return res.Pairs, err
-}
-
-// SampleFunc serves one request for t samples, streaming them to fn
-// in pooled batches. It backs the root package's deprecated
-// Engine.SampleFunc shim; new code uses DrawFunc.
-func (e *Engine) SampleFunc(t int, fn func(batch []geom.Pair) error) error {
-	if t == 0 {
-		return nil
-	}
-	return e.DrawFunc(context.Background(), Request{T: t}, fn)
-}
-
 // record folds one finished request into the aggregate counters.
 // Errors are classified: core.ErrLowAcceptance is the sampler giving
 // up (alertable); everything else a request can produce — bad t, an
-// over-cap t, a SampleFunc callback error — is the client's fault.
+// over-cap t, a DrawFunc callback error — is the client's fault.
 func (e *Engine) record(start time.Time, samples int, err error) {
 	lat := time.Since(start)
 	e.requests.Add(1)

@@ -41,9 +41,15 @@ func newTestEngine(t *testing.T, seed uint64) (*Engine, float64) {
 	return e, l
 }
 
+// sample draws t samples through Draw with a background context.
+func sample(e *Engine, t int) ([]geom.Pair, error) {
+	res, err := e.Draw(context.Background(), Request{T: t})
+	return res.Pairs, err
+}
+
 func TestEngineServesValidSamples(t *testing.T) {
 	e, l := newTestEngine(t, 1)
-	pairs, err := e.Sample(2000)
+	pairs, err := sample(e, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +82,12 @@ func TestEngineConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			buf := make([]geom.Pair, perRequest)
 			for req := 0; req < requests; req++ {
-				n, err := e.SampleInto(buf)
+				res, err := e.Draw(context.Background(), Request{Into: buf})
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				for _, p := range buf[:n] {
+				for _, p := range res.Pairs {
 					if !geom.InWindow(p.R, p.S, l) {
 						errs[i] = errors.New("pair outside window")
 						return
@@ -117,11 +123,11 @@ func TestEngineDeterminism(t *testing.T) {
 	e1, _ := newTestEngine(t, 99)
 	e2, _ := newTestEngine(t, 99)
 	for req := 0; req < 8; req++ {
-		a, err := e1.Sample(300)
+		a, err := sample(e1, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e2.Sample(300)
+		b, err := sample(e2, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +139,11 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 	// Different seeds must serve different streams.
 	e3, _ := newTestEngine(t, 100)
-	a, err := e1.Sample(300)
+	a, err := sample(e1, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e3.Sample(300)
+	b, err := sample(e3, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +163,7 @@ func TestEngineSampleFunc(t *testing.T) {
 	const want = DefaultBatch*2 + 137
 	got := 0
 	batches := 0
-	err := e.SampleFunc(want, func(batch []geom.Pair) error {
+	err := e.DrawFunc(context.Background(), Request{T: want}, func(batch []geom.Pair) error {
 		if len(batch) == 0 || len(batch) > DefaultBatch {
 			t.Fatalf("bad batch size %d", len(batch))
 		}
@@ -181,7 +187,7 @@ func TestEngineSampleFunc(t *testing.T) {
 	}
 	// fn errors abort the request and count as a failure.
 	boom := errors.New("boom")
-	if err := e.SampleFunc(want, func([]geom.Pair) error { return boom }); !errors.Is(err, boom) {
+	if err := e.DrawFunc(context.Background(), Request{T: want}, func([]geom.Pair) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if st := e.Stats(); st.Failures != 1 {
@@ -191,18 +197,11 @@ func TestEngineSampleFunc(t *testing.T) {
 
 func TestEngineEdgeCases(t *testing.T) {
 	e, _ := newTestEngine(t, 5)
-	if _, err := e.Sample(-1); err == nil {
+	if _, err := sample(e, -1); err == nil {
 		t.Error("negative t should fail")
 	}
-	if err := e.SampleFunc(-1, func([]geom.Pair) error { return nil }); err == nil {
+	if err := e.DrawFunc(context.Background(), Request{T: -1}, func([]geom.Pair) error { return nil }); err == nil {
 		t.Error("negative t should fail")
-	}
-	if err := e.SampleFunc(0, func([]geom.Pair) error { t.Error("fn called for t=0"); return nil }); err != nil {
-		t.Error(err)
-	}
-	out, err := e.Sample(0)
-	if err != nil || len(out) != 0 {
-		t.Errorf("t=0: %d pairs, %v", len(out), err)
 	}
 	if e.Name() != "BBST" {
 		t.Errorf("Name = %q", e.Name())
@@ -221,19 +220,19 @@ func TestEngineSampleCap(t *testing.T) {
 	if e.MaxT() != 1000 {
 		t.Fatalf("MaxT = %d", e.MaxT())
 	}
-	if _, err := e.Sample(1001); !errors.Is(err, ErrSampleCap) {
+	if _, err := sample(e, 1001); !errors.Is(err, ErrSampleCap) {
 		t.Fatalf("over-cap Sample: err = %v", err)
 	}
-	if err := e.SampleFunc(1001, func([]geom.Pair) error { t.Error("fn called"); return nil }); !errors.Is(err, ErrSampleCap) {
+	if err := e.DrawFunc(context.Background(), Request{T: 1001}, func([]geom.Pair) error { t.Error("fn called"); return nil }); !errors.Is(err, ErrSampleCap) {
 		t.Fatalf("over-cap SampleFunc: err = %v", err)
 	}
 	// At the cap is fine.
-	if pairs, err := e.Sample(1000); err != nil || len(pairs) != 1000 {
+	if pairs, err := sample(e, 1000); err != nil || len(pairs) != 1000 {
 		t.Fatalf("at-cap Sample: %d pairs, %v", len(pairs), err)
 	}
 	// Removing the cap restores unlimited requests.
 	e.SetMaxT(0)
-	if pairs, err := e.Sample(1001); err != nil || len(pairs) != 1001 {
+	if pairs, err := sample(e, 1001); err != nil || len(pairs) != 1001 {
 		t.Fatalf("uncapped Sample: %d pairs, %v", len(pairs), err)
 	}
 	st := e.Stats()
@@ -247,11 +246,11 @@ func TestEngineSampleCap(t *testing.T) {
 // (core.ErrLowAcceptance) land in SamplerFailures.
 func TestEngineFailureClassification(t *testing.T) {
 	e, _ := newTestEngine(t, 7)
-	if _, err := e.Sample(-1); err == nil {
+	if _, err := sample(e, -1); err == nil {
 		t.Fatal("negative t accepted")
 	}
 	boom := errors.New("boom")
-	if err := e.SampleFunc(10, func([]geom.Pair) error { return boom }); !errors.Is(err, boom) {
+	if err := e.DrawFunc(context.Background(), Request{T: 10}, func([]geom.Pair) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	st := e.Stats()
@@ -274,7 +273,7 @@ func TestEngineFailureClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := le.Sample(50000); !errors.Is(err, core.ErrLowAcceptance) {
+	if _, err := sample(le, 50000); !errors.Is(err, core.ErrLowAcceptance) {
 		t.Fatalf("want ErrLowAcceptance, got %v", err)
 	}
 	if st := le.Stats(); st.SamplerFailures != 1 || st.ClientFailures != 0 {

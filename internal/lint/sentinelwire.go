@@ -18,8 +18,8 @@ import (
 //     engine, dynamic, registry) — plus its own — must appear in
 //     those tables. A sentinel missing from CodeFor/sentinelFor
 //     decays to code "internal" on the wire and errors.Is breaks for
-//     remote callers; exactly the drift that left ErrStaleGeneration
-//     unmapped after PR 5.
+//     remote callers; a sentinel added without a table row is the
+//     drift this check exists for.
 //
 //  2. %w wrapping: wire-crossing tiers (path segments server,
 //     router) must wrap underlying errors with %w, never %v/%s —
@@ -108,8 +108,8 @@ func checkSentinelExhaustiveness(pass *Pass, codeFor *ast.FuncDecl) {
 	// the bodies of CodeFor/StatusFor/sentinelFor, or any package-
 	// level var initializer (codeSentinels is such a table). A use
 	// elsewhere — an errors.Is in a handler, say — does not count:
-	// that is exactly how ErrStaleGeneration hid from review. The
-	// analyzer checks reach; the round-trip test checks semantics.
+	// a sentinel only tested in a handler still decays on the wire.
+	// The analyzer checks reach; the round-trip test checks semantics.
 	used := make(map[types.Object]bool)
 	markUses := func(n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {

@@ -13,7 +13,9 @@
 //     holding every key ever requested would grow without bound. The
 //     registry tracks the SizeBytes of each resident engine and
 //     evicts least-recently-used entries when a configurable budget
-//     is exceeded.
+//     is exceeded. Memory the registry does not own but must leave
+//     room for (a server's dynamic stores) is charged through
+//     Reserve.
 //   - Build deduplication. A thundering herd of requests for a cold
 //     key must pay one preprocessing pass, not one per request:
 //     concurrent Gets for the same key coalesce onto a single build
@@ -40,37 +42,22 @@ import (
 )
 
 // Key identifies one cacheable engine: the named dataset pair, the
-// window half-extent l, the sampling algorithm, and the engine seed —
-// plus, for mutable datasets, the dataset *generation* the engine was
-// built at. Two requests with equal Keys are served by the same
-// structures. Static datasets stay at generation 0 forever; a dynamic
-// store bumps its generation on every applied update, so an engine
-// cached for an older generation simply misses — it can never serve
-// deleted points to a request that looked up the current generation.
+// window half-extent l, the sampling algorithm, and the engine seed.
+// Two requests with equal Keys are served by the same structures.
 type Key struct {
-	Dataset    string  `json:"dataset"`
-	L          float64 `json:"l"`
-	Algorithm  string  `json:"algorithm"`
-	Seed       uint64  `json:"seed"`
-	Generation uint64  `json:"generation,omitempty"`
+	Dataset   string  `json:"dataset"`
+	L         float64 `json:"l"`
+	Algorithm string  `json:"algorithm"`
+	Seed      uint64  `json:"seed"`
+	// Deprecated: always zero. The registry caches static engines
+	// only; a dynamic store's generation lives on the store.
+	Generation uint64 `json:"generation,omitempty"`
 }
 
 // String renders the key the way srjserver's logs and -warm flag
-// spell it: dataset:l:algorithm:seed, with an @generation suffix for
-// engines of a mutated dataset (generation 0 — every static engine —
-// keeps the historical spelling).
+// spell it: dataset:l:algorithm:seed.
 func (k Key) String() string {
-	if k.Generation != 0 {
-		return fmt.Sprintf("%s:%g:%s:%d@%d", k.Dataset, k.L, k.Algorithm, k.Seed, k.Generation)
-	}
 	return fmt.Sprintf("%s:%g:%s:%d", k.Dataset, k.L, k.Algorithm, k.Seed)
-}
-
-// sameSansGeneration reports whether the keys agree on every field
-// but the generation.
-func (k Key) sameSansGeneration(o Key) bool {
-	k.Generation, o.Generation = 0, 0
-	return k == o
 }
 
 // validate rejects keys the map bookkeeping cannot track. Builders
@@ -168,6 +155,7 @@ type Registry struct {
 	entries  map[Key]*entry
 	lru      *list.List // front = most recently used; values are *entry
 	bytes    int64
+	reserve  func() int64 // bytes held outside the cache; nil = none
 	inflight map[Key]*call
 
 	hits, misses, builds, evictions, manualEvictions uint64
@@ -290,6 +278,16 @@ func (r *Registry) wait(ctx context.Context, c *call) (*engine.Engine, error) {
 	}
 }
 
+// Reserve charges memory held outside the cache to the budget: every
+// eviction pass adds fn() to the resident bytes, so the engines share
+// what is left. fn runs under the registry lock; it must be cheap and
+// must not call back into the registry. A nil fn removes the charge.
+func (r *Registry) Reserve(fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reserve = fn
+}
+
 // evictLocked drops least-recently-used entries until the budget is
 // respected. The most recent entry always stays: evicting the engine
 // a request is about to use would turn an oversized engine into a
@@ -298,7 +296,11 @@ func (r *Registry) evictLocked() {
 	if r.budget <= 0 {
 		return
 	}
-	for r.bytes > r.budget && r.lru.Len() > 1 {
+	var reserved int64
+	if r.reserve != nil {
+		reserved = r.reserve()
+	}
+	for r.bytes+reserved > r.budget && r.lru.Len() > 1 {
 		back := r.lru.Back()
 		e := back.Value.(*entry)
 		r.lru.Remove(back)
@@ -324,30 +326,6 @@ func (r *Registry) Evict(key Key) bool {
 	r.bytes -= e.size
 	r.manualEvictions++
 	return true
-}
-
-// EvictOlder removes every resident engine that matches key on all
-// fields except the generation and carries a generation strictly
-// below key.Generation, reporting how many were dropped. Two callers
-// exist: the update path drops the engines a generation bump just
-// made stale (pass the new generation), and DELETE /v1/engines drops
-// every generation of a key (pass math.MaxUint64). Requests already
-// holding a dropped engine are unaffected, exactly as with Evict.
-func (r *Registry) EvictOlder(key Key) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for k, e := range r.entries {
-		if k.Generation >= key.Generation || !k.sameSansGeneration(key) {
-			continue
-		}
-		r.lru.Remove(e.elem)
-		delete(r.entries, k)
-		r.bytes -= e.size
-		r.manualEvictions++
-		n++
-	}
-	return n
 }
 
 // Stats snapshots the aggregate counters.

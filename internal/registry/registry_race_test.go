@@ -104,7 +104,7 @@ func TestRegistryConcurrentGetEvict(t *testing.T) {
 					// The engine stays usable even if an eviction
 					// races this draw: eviction only drops the
 					// registry's reference.
-					if _, err := eng.Sample(drawSize); err != nil {
+					if _, err := eng.Draw(context.Background(), engine.Request{T: drawSize}); err != nil {
 						errs[w] = fmt.Errorf("draw on %s: %w", key, err)
 						return
 					}
@@ -172,7 +172,7 @@ func TestRegistryEvictDuringBuild(t *testing.T) {
 	go func() {
 		eng, err := r.Get(context.Background(), key)
 		if err == nil {
-			_, err = eng.Sample(8)
+			_, err = eng.Draw(context.Background(), engine.Request{T: 8})
 		}
 		getDone <- err
 	}()

@@ -494,65 +494,61 @@ func TestKeyString(t *testing.T) {
 	if got := k.String(); got != "nyc:100.5:bbst:7" {
 		t.Fatalf("String = %q", got)
 	}
-	k.Generation = 3
-	if got := k.String(); got != "nyc:100.5:bbst:7@3" {
-		t.Fatalf("generation String = %q", got)
-	}
 }
 
-// TestRegistryGenerationsAndEvictOlder: generation-tagged keys are
-// distinct cache entries, and EvictOlder drops exactly the stale
-// generations of one key — never its current generation, never other
-// keys.
-func TestRegistryGenerationsAndEvictOlder(t *testing.T) {
-	build, builds := testBuild(200, 0)
-	r := New(build, 0)
+// TestRegistryReserve: memory charged through Reserve counts against
+// the budget at every eviction pass. A reserve past the budget leaves
+// only the newest engine resident; a nil reserve behaves as if none
+// were set.
+func TestRegistryReserve(t *testing.T) {
+	build, _ := testBuild(500, 0)
 	ctx := context.Background()
-	base := Key{Dataset: "dyn", L: 100, Algorithm: "bbst", Seed: 1}
-	other := Key{Dataset: "static", L: 100, Algorithm: "bbst", Seed: 1}
-	for gen := uint64(0); gen <= 3; gen++ {
-		k := base
-		k.Generation = gen
-		if _, err := r.Get(ctx, k); err != nil {
+	key := func(seed uint64) Key { return Key{Dataset: "uniform", L: 100, Algorithm: "bbst", Seed: seed} }
+
+	probe := New(build, 0)
+	e, err := probe.Get(ctx, key(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := int64(e.SizeBytes()) * 5 / 2 // room for two engines
+	resident := func(r *Registry) []Key {
+		var out []Key
+		for _, e := range r.Entries() {
+			out = append(out, e.Key)
+		}
+		return out
+	}
+
+	r := New(build, budget)
+	r.Reserve(nil)
+	for seed := uint64(1); seed <= 3; seed++ {
+		if _, err := r.Get(ctx, key(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Get(ctx, other); err != nil {
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 5 {
-		t.Fatalf("generations did not miss independently: %d builds", n)
+	if got := resident(r); len(got) != 2 || got[0] != key(3) || got[1] != key(2) {
+		t.Fatalf("nil reserve: resident = %v, want keys 3 and 2", got)
 	}
 
-	cur := base
-	cur.Generation = 3
-	if n := r.EvictOlder(cur); n != 3 {
-		t.Fatalf("EvictOlder dropped %d entries, want 3 (gens 0-2)", n)
-	}
-	st := r.Stats()
-	if st.Entries != 2 || st.ManualEvictions != 3 {
-		t.Fatalf("after EvictOlder: %+v", st)
-	}
-	// The current generation and the unrelated key survived: both are
-	// hits, not rebuilds.
-	before := builds.Load()
-	if _, err := r.Get(ctx, cur); err != nil {
+	var reserved atomic.Int64
+	r.Reserve(reserved.Load)
+	reserved.Store(budget + 1)
+	if _, err := r.Get(ctx, key(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Get(ctx, other); err != nil {
+	if got := resident(r); len(got) != 1 || got[0] != key(4) {
+		t.Fatalf("reserve over budget: resident = %v, want only key 4", got)
+	}
+	if st := r.Stats(); st.Evictions != 3 || st.Bytes > budget {
+		t.Fatalf("reserve over budget: %+v", st)
+	}
+
+	// Lifting the reserve makes room for two engines again.
+	reserved.Store(0)
+	if _, err := r.Get(ctx, key(5)); err != nil {
 		t.Fatal(err)
 	}
-	if builds.Load() != before {
-		t.Fatal("EvictOlder dropped a live entry")
-	}
-	// The evict-everything spelling (MaxUint64) clears the key's
-	// whole history and leaves the other key alone.
-	all := base
-	all.Generation = ^uint64(0)
-	if n := r.EvictOlder(all); n != 1 {
-		t.Fatalf("evict-all dropped %d, want 1", n)
-	}
-	if st := r.Stats(); st.Entries != 1 {
-		t.Fatalf("after evict-all: %+v", st)
+	if got := resident(r); len(got) != 2 {
+		t.Fatalf("reserve lifted: resident = %v, want two engines", got)
 	}
 }

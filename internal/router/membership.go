@@ -200,15 +200,8 @@ func (r *Router) RemoveBackend(ctx context.Context, addr string) error {
 	// Best-effort cleanup: the departing server may already be gone,
 	// and that is fine — eviction only matters when it lives on.
 	if engines, err := departing.client.Engines(ctx); err == nil {
-		seen := make(map[registry.Key]bool)
 		for _, e := range engines {
-			key := e.Key
-			key.Generation = 0
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			departing.client.EvictEngine(ctx, key) //nolint:errcheck // best-effort
+			departing.client.EvictEngine(ctx, e.Key) //nolint:errcheck // best-effort
 		}
 	}
 	for _, key := range moved {

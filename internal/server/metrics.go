@@ -3,6 +3,8 @@ package server
 import (
 	"time"
 
+	"repro/internal/dynamic"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -60,33 +62,42 @@ func (s *Server) collectMetrics(m *obs.MetricSet) {
 	m.Gauge(obs.MetricRegistryBudget, "Configured memory budget (0 = unlimited).", float64(rs.Budget))
 	m.Histogram(obs.MetricRegistryBuildDuration, "Engine build duration.", rs.BuildLatency)
 
+	var infos []dynamic.StoreInfo
+	if s.cfg.Stores != nil {
+		infos = s.cfg.Stores.Infos()
+	}
 	// Acceptance rate per algorithm, aggregated over the resident
-	// engines. A gauge: it is a ratio of a snapshot, and eviction
-	// shrinking the window is fine for a gauge.
+	// engines and the stores. A gauge: it is a ratio of a snapshot,
+	// and eviction shrinking the window is fine for a gauge.
 	type accum struct{ samples, trials uint64 }
 	byAlg := map[string]*accum{}
-	for _, e := range s.cfg.Registry.Entries() {
-		a := byAlg[e.Key.Algorithm]
+	add := func(alg string, st engine.Stats) {
+		a := byAlg[alg]
 		if a == nil {
 			a = &accum{}
-			byAlg[e.Key.Algorithm] = a
+			byAlg[alg] = a
 		}
-		a.samples += e.Engine.Samples
-		a.trials += e.Engine.Trials
+		a.samples += st.Samples
+		a.trials += st.Trials
+	}
+	for _, e := range s.cfg.Registry.Entries() {
+		add(e.Key.Algorithm, e.Engine)
+	}
+	for _, in := range infos {
+		add(in.Key.Algorithm, in.Engine)
 	}
 	for alg, a := range byAlg {
 		if a.trials == 0 {
 			continue
 		}
 		m.Gauge(obs.MetricAcceptanceRate,
-			"Accepted samples over rejection trials across resident engines.",
+			"Accepted samples over rejection trials across resident engines and stores.",
 			float64(a.samples)/float64(a.trials), obs.L(obs.LabelAlgorithm, alg))
 	}
 
 	if s.cfg.Stores == nil {
 		return
 	}
-	infos := s.cfg.Stores.Infos()
 	m.Gauge(obs.MetricStores, "Live dynamic stores.", float64(len(infos)))
 	if len(infos) == 0 {
 		return

@@ -36,7 +36,6 @@ func TestSentinelRoundTrip(t *testing.T) {
 		{"invalid_key", registry.ErrInvalidKey, CodeBadKey, http.StatusBadRequest, false},
 		{"empty_join", core.ErrEmptyJoin, CodeEmptyJoin, http.StatusUnprocessableEntity, true},
 		{"low_acceptance", core.ErrLowAcceptance, CodeLowAcceptance, http.StatusInternalServerError, true},
-		{"stale_generation", dynamic.ErrStaleGeneration, CodeStaleGeneration, http.StatusConflict, true},
 		{"update_sequence", dynamic.ErrUpdateSequence, CodeUpdateSequence, http.StatusConflict, true},
 		{"timeout", context.DeadlineExceeded, CodeTimeout, http.StatusGatewayTimeout, true},
 		{"canceled", context.Canceled, CodeCanceled, 499, true},
@@ -108,7 +107,7 @@ func TestSentinelRoundTripInternal(t *testing.T) {
 		t.Errorf("sentinelFor(internal) = %v, want nil", s)
 	}
 	apiErr := error(&APIError{Status: 500, Code: CodeInternal, Message: "x"})
-	if errors.Is(apiErr, engine.ErrSampleCap) || errors.Is(apiErr, dynamic.ErrStaleGeneration) {
+	if errors.Is(apiErr, engine.ErrSampleCap) || errors.Is(apiErr, dynamic.ErrUpdateSequence) {
 		t.Error("internal APIError matched a sentinel it does not carry")
 	}
 }

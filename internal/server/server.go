@@ -12,11 +12,11 @@
 //	                     dynamic store (JSON or the framed binary
 //	                     encoding of update_wire.go) and answer with
 //	                     the bumped dataset generation
-//	GET    /v1/stats   — registry + per-engine serving counters
+//	GET    /v1/stats   — registry, per-engine and per-store counters
 //	GET    /v1/engines — the resident engines, most recently used first
-//	DELETE /v1/engines — evict one engine by key (tools that insert
-//	                     throwaway keys, like srjbench -remote, clean
-//	                     up with this)
+//	DELETE /v1/engines — evict one static engine by key (tools that
+//	                     insert throwaway keys, like srjbench -remote,
+//	                     clean up with this)
 //	POST   /v1/snapshot/dump    — one dataset's complete store state
 //	                              (router state transfer, donor side)
 //	POST   /v1/snapshot/install — adopt a transferred store state
@@ -28,6 +28,12 @@
 // size-limited, sampling runs under a context deadline, and the
 // registry caps concurrent engine builds at GOMAXPROCS — adversarial
 // requests cannot force unbounded allocation or pin workers forever.
+//
+// A key that has received an update is served by its dynamic store,
+// not by the registry: every draw reads the store's current view
+// directly, and the registry caches static engines only. The stores'
+// memory is charged to the registry's budget (Registry.Reserve), and
+// stores are never evicted.
 package server
 
 import (
@@ -70,11 +76,13 @@ const (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Registry resolves keys to engines. Required.
+	// Registry resolves keys without a store to static engines.
+	// Required.
 	Registry *registry.Registry
 	// Stores resolves keys to dynamic stores for POST /v1/update and
-	// generation-aware sampling. nil disables updates (POST
-	// /v1/update answers 501) and serves every dataset statically.
+	// for sampling, which draws from a store's current view whenever
+	// the key has one. nil disables updates (POST /v1/update answers
+	// 501) and serves every dataset statically.
 	Stores *dynamic.Stores
 	// InstallStore adopts a transferred store state (POST
 	// /v1/snapshot/install): construct a store at the dump's
@@ -278,11 +286,6 @@ const (
 	CodeSampleCap     = "sample_cap"     // t exceeds a configured cap (engine.ErrSampleCap)
 	CodeEmptyJoin     = "empty_join"     // provably empty join (core.ErrEmptyJoin)
 	CodeLowAcceptance = "low_acceptance" // rejection budget exhausted (core.ErrLowAcceptance)
-	// CodeStaleGeneration reports a dataset generation that raced
-	// past the request mid-flight (dynamic.ErrStaleGeneration). The
-	// server retries internally; a client that still sees it can
-	// simply retry — the condition is transient by construction.
-	CodeStaleGeneration = "stale_generation"
 	// CodeUpdateSequence reports an update ID the store could not
 	// apply in order (dynamic.ErrUpdateSequence): too far ahead of the
 	// last applied ID, or a gap whose predecessor never arrived. The
@@ -328,10 +331,6 @@ func StatusFor(err error) int {
 		// The key is well-formed but the join it names has no pairs
 		// to sample: the request cannot be processed.
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, dynamic.ErrStaleGeneration):
-		// The dataset generation moved mid-request; the state the
-		// client addressed conflicts with the store's. Retryable.
-		return http.StatusConflict
 	case errors.Is(err, dynamic.ErrUpdateSequence):
 		// The update's ID conflicts with the store's sequence state.
 		return http.StatusConflict
@@ -367,7 +366,6 @@ var codeSentinels = []struct {
 	{CodeBadKey, registry.ErrInvalidKey},
 	{CodeEmptyJoin, core.ErrEmptyJoin},
 	{CodeLowAcceptance, core.ErrLowAcceptance},
-	{CodeStaleGeneration, dynamic.ErrStaleGeneration},
 	{CodeUpdateSequence, dynamic.ErrUpdateSequence},
 	{CodeTimeout, context.DeadlineExceeded},
 	{CodeCanceled, context.Canceled},
@@ -447,9 +445,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	key, eng, err := s.resolveEngine(ctx, req)
+	key := req.Key()
+	gen, eng, err := s.resolveEngine(ctx, key)
 	if err != nil {
-		WriteError(w, StatusFor(err), CodeFor(err), "building engine %s: %v", req.Key(), err)
+		WriteError(w, StatusFor(err), CodeFor(err), "building engine %s: %v", key, err)
 		return
 	}
 	dreq := engine.Request{T: req.T, Seed: req.DrawSeed}
@@ -471,7 +470,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			slog.String("request_id", obs.RequestIDFrom(r.Context())),
 			slog.String("dataset", req.Dataset),
 			slog.String("algorithm", key.Algorithm),
-			slog.Uint64("generation", key.Generation),
+			slog.Uint64("generation", gen),
 			slog.Int("t", req.T),
 			slog.Int("samples", samples),
 			slog.Duration("elapsed", elapsed),
@@ -568,23 +567,18 @@ type EvictResponse struct {
 	Evicted bool `json:"evicted"` // false when no engine was resident
 }
 
-// handleEvict drops one key's resident engines — every generation of
-// it, so a mutated dataset's history of view engines goes with the
-// static entry. The body is a registry key: {"dataset":..., "l":...,
-// "algorithm":..., "seed":...}; the default algorithm rule of
-// SampleRequest applies.
+// handleEvict drops one key's resident static engine. The body is a
+// registry key: {"dataset":..., "l":..., "algorithm":..., "seed":...};
+// the default algorithm rule of SampleRequest applies. A key served by
+// a dynamic store has no registry engine to drop — the store is never
+// evicted.
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	req, ok := DecodeEvictRequest(w, r)
 	if !ok {
 		return
 	}
-	// Generation MaxUint64 matches every real generation, the plain
-	// gen-0 static entry included — one call evicts the key's whole
-	// history.
-	all := req.Key()
-	all.Generation = ^uint64(0)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(EvictResponse{Evicted: s.cfg.Registry.EvictOlder(all) > 0})
+	json.NewEncoder(w).Encode(EvictResponse{Evicted: s.cfg.Registry.Evict(req.Key())})
 }
 
 // DecodeEvictRequest decodes and validates a DELETE /v1/engines body

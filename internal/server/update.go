@@ -7,8 +7,9 @@ package server
 // store (created on first update from the same dataset resolver the
 // static engines use; BBST keys only), which applies the batch in
 // place and bumps the dataset generation; the handler then evicts the
-// registry engines the bump just made stale and answers with the new
-// generation.
+// key's static engine, which the store now replaces, and answers with
+// the new generation. From then on the key's draws come from the
+// store's current view, never from the registry.
 //
 // Two request encodings are accepted, mirroring /v1/sample's two
 // response transports: JSON (self-describing, for small batches and
@@ -19,8 +20,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 
@@ -68,8 +67,7 @@ type UpdateRequest struct {
 	Format string `json:"-"`
 }
 
-// Key returns the registry key the update addresses (generation
-// zero: the store owns the generation).
+// Key returns the registry key the update addresses.
 func (q UpdateRequest) Key() registry.Key {
 	return registry.Key{Dataset: q.Dataset, L: q.L, Algorithm: NormalizeAlgorithm(q.Algorithm), Seed: q.Seed}
 }
@@ -155,9 +153,9 @@ func DecodeUpdateRequest(w http.ResponseWriter, r *http.Request, maxOps int) (re
 }
 
 // handleUpdate applies one mutation batch and answers with the new
-// generation. Engines cached for older generations of the key are
-// evicted — on this server; the router broadcasts the update so every
-// shard does the same.
+// generation. The key's static engine, if one is cached, is evicted —
+// on this server; the router broadcasts the update so every shard
+// does the same.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Stores == nil {
 		WriteError(w, http.StatusNotImplemented, CodeBadRequest,
@@ -175,11 +173,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, StatusFor(err), CodeFor(err), "updating %s: %v", req.Key(), err)
 		return
 	}
-	// The bump just made every older generation's cached engine
-	// stale; drop them now rather than letting them age out.
-	key := req.Key()
-	key.Generation = res.Generation
-	s.cfg.Registry.EvictOlder(key)
+	// The store serves the key from now on; drop the static engine
+	// it replaces rather than letting it age out.
+	s.cfg.Registry.Evict(req.Key())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(UpdateResponse{
 		Generation: res.Generation,
@@ -189,37 +185,17 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// resolveEngine resolves a sample request to a serving engine. Static
-// datasets go straight to the registry at generation 0. A dataset
-// with a store is served at the store's current generation: the
-// generation-tagged key either hits a cached engine of that exact
-// generation or builds (cheaply — the store already holds the view
-// engine), so a request can never be served deleted points by a
-// stale cache entry. A generation racing past us mid-lookup surfaces
-// as ErrStaleGeneration, which is retried with the fresh generation;
-// under pathological update pressure the store's current view serves
-// directly, uncached.
-func (s *Server) resolveEngine(ctx context.Context, req SampleRequest) (registry.Key, *engine.Engine, error) {
-	key := req.Key()
-	var st *dynamic.Store
+// resolveEngine resolves a sample request's key to a serving engine
+// and the generation it serves. A key with a store is served from the
+// store's current view — one atomic load, so a request can never see a
+// retired generation; every other key goes to the registry's static
+// engines at generation 0.
+func (s *Server) resolveEngine(ctx context.Context, key registry.Key) (uint64, *engine.Engine, error) {
 	if s.cfg.Stores != nil {
-		st, _ = s.cfg.Stores.Lookup(key)
-	}
-	if st == nil {
-		eng, err := s.cfg.Registry.Get(ctx, key)
-		return key, eng, err
-	}
-	for attempt := 0; attempt < 4; attempt++ {
-		key.Generation = st.Generation()
-		eng, err := s.cfg.Registry.Get(ctx, key)
-		if err == nil || !errors.Is(err, dynamic.ErrStaleGeneration) {
-			return key, eng, err
+		if st, ok := s.cfg.Stores.Lookup(key); ok {
+			return st.ViewEngine()
 		}
 	}
-	gen, eng, err := st.ViewEngine()
-	if err != nil {
-		return key, nil, fmt.Errorf("store %s: %w", key, err)
-	}
-	key.Generation = gen
-	return key, eng, nil
+	eng, err := s.cfg.Registry.Get(ctx, key)
+	return 0, eng, err
 }

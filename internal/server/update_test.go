@@ -1,8 +1,8 @@
 package server
 
 // End-to-end tests of the mutation path: POST /v1/update over both
-// request encodings, generation-aware sampling, and the registry
-// invalidation a generation bump performs.
+// request encodings, sampling served by the store, and the eviction
+// of the static engine the store replaces.
 
 import (
 	"bytes"
@@ -25,8 +25,8 @@ import (
 
 // newUpdatableStack is newTestStack with dynamic stores wired in, the
 // way srj.NewServer assembles them: the store factory resolves the
-// same in-memory datasets, and generation-tagged registry keys fetch
-// the store's current view engine.
+// same in-memory datasets, and the registry builds static engines
+// only.
 func newUpdatableStack(t *testing.T, maxT int) (*Client, *registry.Registry, *dynamic.Stores, *testEnv, func()) {
 	t.Helper()
 	r := rng.New(4)
@@ -36,8 +36,7 @@ func newUpdatableStack(t *testing.T, maxT int) (*Client, *registry.Registry, *dy
 		},
 		maxT: maxT,
 	}
-	var stores *dynamic.Stores
-	stores = dynamic.NewStores(func(ctx context.Context, key registry.Key) (*dynamic.Store, error) {
+	stores := dynamic.NewStores(func(ctx context.Context, key registry.Key) (*dynamic.Store, error) {
 		rs, ok := te.data[key.Dataset]
 		if !ok {
 			return nil, errors.Join(ErrBadKey, errors.New("unknown dataset "+key.Dataset))
@@ -50,23 +49,7 @@ func newUpdatableStack(t *testing.T, maxT int) (*Client, *registry.Registry, *dy
 			MaxT: maxT,
 		})
 	})
-	reg := registry.New(func(ctx context.Context, key registry.Key) (*engine.Engine, error) {
-		if key.Generation != 0 {
-			st, ok := stores.Lookup(key)
-			if !ok {
-				return nil, errors.Join(ErrBadKey, errors.New("no store for "+key.String()))
-			}
-			gen, eng, err := st.ViewEngine()
-			if err != nil {
-				return nil, err
-			}
-			if gen != key.Generation {
-				return nil, dynamic.ErrStaleGeneration
-			}
-			return eng, nil
-		}
-		return te.build(ctx, key)
-	}, 0)
+	reg := registry.New(te.build, 0)
 	srv, err := New(Config{Registry: reg, Stores: stores, MaxT: maxT, Timeout: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +61,7 @@ func newUpdatableStack(t *testing.T, maxT int) (*Client, *registry.Registry, *dy
 // TestUpdateEndToEnd drives the full mutation lifecycle over the
 // wire: generation probe, inserts and deletes through both request
 // encodings, sampling that reflects every applied batch, and the
-// stale-generation eviction in the registry.
+// eviction of the static engine the store replaces.
 func TestUpdateEndToEnd(t *testing.T) {
 	for _, format := range []string{"binary", "json"} {
 		t.Run(format, func(t *testing.T) {
@@ -93,9 +76,16 @@ func TestUpdateEndToEnd(t *testing.T) {
 			if _, err := cl.Sample(ctx, sreq); err != nil {
 				t.Fatal(err)
 			}
-			ents := reg.Entries()
-			if len(ents) != 1 || ents[0].Key.Generation != 0 {
+			if ents := reg.Entries(); len(ents) != 1 {
 				t.Fatalf("pre-update entries: %+v", ents)
+			}
+			noEngine := func(when string) {
+				t.Helper()
+				for _, e := range reg.Entries() {
+					if e.Key.Dataset == "tiny" {
+						t.Fatalf("%s: engine still resident: %+v", when, e.Key)
+					}
+				}
 			}
 
 			// An empty update is a generation probe that also creates
@@ -105,6 +95,9 @@ func TestUpdateEndToEnd(t *testing.T) {
 			if err != nil || resp.Generation != 0 {
 				t.Fatalf("probe: %+v, %v", resp, err)
 			}
+			// The first update evicted the static engine: the store
+			// serves the key from now on.
+			noEngine("after the first update")
 
 			// Insert a far-away cluster joined only with itself, and
 			// delete one existing R point.
@@ -141,13 +134,9 @@ func TestUpdateEndToEnd(t *testing.T) {
 				t.Fatal("inserted pair (777,888) never sampled")
 			}
 
-			// The registry now caches the generation-1 view; the
-			// stale generation-0 entry was evicted by the update.
-			for _, e := range reg.Entries() {
-				if e.Key.Dataset == "tiny" && e.Key.Generation == 0 {
-					t.Fatalf("stale generation-0 engine still resident: %+v", e.Key)
-				}
-			}
+			// The draws came straight from the store: nothing was
+			// cached for the key.
+			noEngine("after store-backed draws")
 
 			// Deleting the inserted S point empties that cluster again.
 			del := key
@@ -193,17 +182,22 @@ func TestUpdateEndToEnd(t *testing.T) {
 			if !strings.Contains(buf.String(), "srj_store_inplace_ops_total 4") {
 				t.Fatalf("srj_store_inplace_ops_total missing from /metrics:\n%s", buf.String())
 			}
+			// The registry holds no engine for the key, so the
+			// acceptance gauge can only come from the store.
+			if !strings.Contains(buf.String(), `srj_acceptance_rate{algorithm="bbst"}`) {
+				t.Fatalf("store draws missing from srj_acceptance_rate:\n%s", buf.String())
+			}
 
-			// DELETE /v1/engines drops every generation of the key.
+			// DELETE /v1/engines finds no static engine to drop, and
+			// the store keeps serving.
 			evicted, err := cl.EvictEngine(ctx, registry.Key{Dataset: "tiny", L: l, Algorithm: "bbst", Seed: 5})
-			if err != nil || !evicted {
-				t.Fatalf("evict: %v, %v", evicted, err)
+			if err != nil || evicted {
+				t.Fatalf("evict: %v, %v; want no engine resident", evicted, err)
 			}
-			for _, e := range reg.Entries() {
-				if e.Key.Dataset == "tiny" {
-					t.Fatalf("engine still resident after evict-all: %+v", e.Key)
-				}
+			if _, err := cl.Sample(ctx, sreq); err != nil {
+				t.Fatalf("draw after evict: %v", err)
 			}
+			noEngine("after a draw following the evict")
 		})
 	}
 }

@@ -459,9 +459,8 @@ func sanitize(name string) string {
 }
 
 // Open opens (or initializes) the dataset for key, reusing an
-// already-open one. The key's generation is ignored.
+// already-open one.
 func (m *Manager) Open(key registry.Key) (*Dataset, error) {
-	key.Generation = 0
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {

@@ -106,9 +106,11 @@ type ServerOptions struct {
 	// DatasetSeed seeds the default resolver's generators (default
 	// 1). Ignored when Datasets is set.
 	DatasetSeed uint64
-	// MemoryBudget bounds the summed SizeBytes of cached engines;
-	// least-recently-used engines are evicted beyond it. 0 means
-	// 1 GiB; negative means unlimited.
+	// MemoryBudget bounds the summed SizeBytes of cached engines and
+	// dynamic stores; least-recently-used engines are evicted beyond
+	// it. Stores are charged to the budget but never evicted, so they
+	// leave less room for cached engines. 0 means 1 GiB; negative
+	// means unlimited.
 	MemoryBudget int64
 	// MaxT caps the samples one request may ask for (default
 	// server.DefaultMaxT = 1e6). Every engine the server builds gets
@@ -206,10 +208,9 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 	}
 	// Mutable datasets: a dynamic store springs into existence on the
 	// first POST /v1/update addressed to its key, bulk-built from the
-	// same resolver the static engines use; sampling then follows the
-	// store's generation. reg is assigned below, before any store can
-	// exist — the factory only runs on a live server's first update.
-	var reg *registry.Registry
+	// same resolver the static engines use; sampling then draws from
+	// the store's current view, and the registry keeps caching only
+	// the static engines of keys without a store.
 	stores := dynamic.NewStores(func(ctx context.Context, key EngineKey) (*dynamic.Store, error) {
 		if err := validateKey(key); err != nil {
 			return nil, err
@@ -226,15 +227,6 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Every generation bump — an Apply, or a Compact that no
-		// handler observes — drops the registry engines it just made
-		// stale, so a compaction cannot strand a whole old base in the
-		// cache until the next update arrives.
-		st.st.SetOnGeneration(func(gen uint64) {
-			stale := key
-			stale.Generation = gen
-			reg.EvictOlder(stale)
-		})
 		if mgr != nil {
 			// A brand-new key (recovered keys never reach the factory —
 			// they are adopted below before the server serves) gets a
@@ -248,25 +240,6 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 		return st.st, nil
 	})
 	build := func(ctx context.Context, key EngineKey) (*engine.Engine, error) {
-		if key.Generation != 0 {
-			// A generation-tagged key is a dynamic store's view: the
-			// "build" is a cheap handle fetch — the store already holds
-			// the serving engine for its current generation. A stale
-			// generation (an Apply won the race) is reported, never
-			// cached, and retried by the handler with the fresh one.
-			st, ok := stores.Lookup(key)
-			if !ok {
-				return nil, fmt.Errorf("%w: no dynamic store for %s", server.ErrBadKey, key)
-			}
-			gen, eng, err := st.ViewEngine()
-			if err != nil {
-				return nil, err
-			}
-			if gen != key.Generation {
-				return nil, dynamic.ErrStaleGeneration
-			}
-			return eng, nil
-		}
 		if err := validateKey(key); err != nil {
 			return nil, err
 		}
@@ -284,7 +257,10 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 		eng.SetMaxT(o.MaxT)
 		return eng.e, nil
 	}
-	reg = registry.New(build, o.MemoryBudget)
+	reg := registry.New(build, o.MemoryBudget)
+	// Stores are never evicted, so their footprint is charged to the
+	// budget up front and the cached engines share what is left.
+	reg.Reserve(stores.SizeBytes)
 	if mgr != nil {
 		// Recovery: every dataset a previous process persisted comes
 		// back as snapshot base + log replay — not the seed data — and
@@ -297,7 +273,7 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			return nil, err
 		}
 		for _, key := range keys {
-			if err := recoverDataset(mgr, stores, reg, key, &o); err != nil {
+			if err := recoverDataset(mgr, stores, key, &o); err != nil {
 				return nil, fmt.Errorf("srj: recovering %s from %s: %w", key, o.DataDir, err)
 			}
 		}
@@ -333,11 +309,6 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 		if err != nil {
 			return err
 		}
-		st.st.SetOnGeneration(func(gen uint64) {
-			stale := key
-			stale.Generation = gen
-			reg.EvictOlder(stale)
-		})
 		if mgr != nil {
 			ds, err := mgr.Open(key)
 			if err != nil {
@@ -359,6 +330,9 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			}
 			return err
 		}
+		// The store serves the key from now on; drop the static
+		// engine it replaces.
+		reg.Evict(key)
 		return nil
 	}
 	h, err := server.New(server.Config{
@@ -383,7 +357,7 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 // resumed past the snapshot's, then every logged update after the
 // snapshot replayed in ID order. The recovered store is adopted into
 // the stores map so the factory never rebuilds this key from seed.
-func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, reg *registry.Registry, key EngineKey, o *ServerOptions) error {
+func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, key EngineKey, o *ServerOptions) error {
 	so, err := storeOptions(key, o.MaxT)
 	if err != nil {
 		return err
@@ -420,14 +394,8 @@ func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, reg *registry.Regi
 	if err := st.st.Replay(recs); err != nil {
 		return err
 	}
-	// Hooks attach after replay: replayed records must not be
-	// re-appended to the log they came from, and no engine can be
-	// cached for this key before the store exists.
-	st.st.SetOnGeneration(func(gen uint64) {
-		stale := key
-		stale.Generation = gen
-		reg.EvictOlder(stale)
-	})
+	// The persister attaches after replay: replayed records must not
+	// be re-appended to the log they came from.
 	st.st.SetPersister(ds)
 	return stores.Adopt(key, st.st)
 }
@@ -615,7 +583,7 @@ func (s *Server) Warm(ctx context.Context, key EngineKey) error {
 
 // Apply routes one update batch to key's dynamic store — creating the
 // store on first use — exactly as POST /v1/update does, including the
-// eviction of engines the generation bump made stale. For embedders;
+// eviction of the static engine the store replaces. For embedders;
 // remote clients use Client.Apply.
 func (s *Server) Apply(ctx context.Context, key EngineKey, u Update) (uint64, error) {
 	key.Algorithm = server.NormalizeAlgorithm(key.Algorithm)
@@ -623,8 +591,7 @@ func (s *Server) Apply(ctx context.Context, key EngineKey, u Update) (uint64, er
 	if err != nil {
 		return gen, err
 	}
-	key.Generation = gen
-	s.reg.EvictOlder(key)
+	s.reg.Evict(key)
 	return gen, nil
 }
 

@@ -79,6 +79,56 @@ func TestPublicServerWarm(t *testing.T) {
 	}
 }
 
+// TestPublicServerChargesStores: a dynamic store counts against
+// MemoryBudget. Under a budget of two and a half engines, two cached
+// engines fit beside nothing, but only one fits beside a store of
+// about an engine's size — and the store itself is never evicted.
+func TestPublicServerChargesStores(t *testing.T) {
+	ctx := context.Background()
+	key := func(seed uint64) EngineKey {
+		return EngineKey{Dataset: "uniform", L: 150, Algorithm: "bbst", Seed: seed}
+	}
+	storeKey := key(9)
+	u := Update{InsertR: []Point{{ID: 99_999, X: 5, Y: 5}}}
+
+	// Measure one engine and one store on an unlimited server.
+	probe, _, done := newTestServer(t, &ServerOptions{DatasetSize: 2000, MaxT: 10_000, MemoryBudget: -1})
+	defer done()
+	if err := probe.Warm(ctx, key(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := probe.Apply(ctx, storeKey, u); err != nil {
+		t.Fatal(err)
+	}
+	eng, st := probe.Engines()[0].SizeBytes, probe.stores.SizeBytes()
+	if st < eng/2 || st > eng*3/2 {
+		t.Fatalf("store %d bytes is not within half an engine of the engine's %d", st, eng)
+	}
+
+	s, cl, done2 := newTestServer(t, &ServerOptions{DatasetSize: 2000, MaxT: 10_000, MemoryBudget: eng * 5 / 2})
+	defer done2()
+	for seed := uint64(1); seed <= 2; seed++ {
+		if err := s.Warm(ctx, key(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.Engines()); n != 2 {
+		t.Fatalf("%d engines resident before any store, want 2", n)
+	}
+	if _, err := s.Apply(ctx, storeKey, u); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Warm(ctx, key(3)); err != nil {
+		t.Fatal(err)
+	}
+	if engines := s.Engines(); len(engines) != 1 || engines[0].Key != key(3) {
+		t.Fatalf("engines beside the store = %+v, want only the newest", engines)
+	}
+	if _, err := cl.Bind(storeKey).Draw(ctx, Request{T: 100}); err != nil {
+		t.Fatalf("store draw after budget evictions: %v", err)
+	}
+}
+
 func TestPublicServerErrorMapping(t *testing.T) {
 	_, cl, done := newTestServer(t, &ServerOptions{DatasetSize: 500, MaxT: 1000})
 	defer done()

@@ -57,16 +57,6 @@
 //
 // Anything written against Source swaps local for remote serving
 // freely — see serve.go, examples/serving, and examples/remote.
-//
-// # Migrating to the Source API
-//
-// The pre-Source per-implementation methods remain as thin shims:
-//
-//	Engine.Sample(t)            → Engine.Draw(ctx, Request{T: t})
-//	Engine.SampleInto(buf)      → Engine.Draw(ctx, Request{Into: buf})
-//	Engine.SampleFunc(t, fn)    → Engine.DrawFunc(ctx, Request{T: t}, fn)
-//	Client.Sample(ctx, req)     → Client.Bind(key).Draw(ctx, Request{T: req.T})
-//	Client.SampleFunc(ctx, req, fn) → Client.Bind(key).DrawFunc(ctx, Request{T: req.T}, fn)
 package srj
 
 import (
@@ -278,30 +268,6 @@ func NewEngine(R, S []Point, l float64, opts *Options) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{e: e}, nil
-}
-
-// Sample serves one request for t uniform independent join samples.
-//
-// Deprecated: use Draw — the context-first Source API adds
-// cancellation and per-request seeds. Sample(t) is
-// Draw(context.Background(), Request{T: t}) without the Result stats.
-func (e *Engine) Sample(t int) ([]Pair, error) { return e.e.Sample(t) }
-
-// SampleInto serves one request, filling the caller's buffer — the
-// zero-allocation hot path. It returns the number of samples written.
-//
-// Deprecated: use Draw with Request.Into — same zero-allocation path,
-// plus cancellation and per-request seeds.
-func (e *Engine) SampleInto(dst []Pair) (int, error) { return e.e.SampleInto(dst) }
-
-// SampleFunc serves one request for t samples, streaming them to fn
-// in batches whose backing array is pooled and reused — fn must not
-// retain the batch slice after returning.
-//
-// Deprecated: use DrawFunc — the same streaming path with
-// cancellation between batches and per-request seeds.
-func (e *Engine) SampleFunc(t int, fn func(batch []Pair) error) error {
-	return e.e.SampleFunc(t, fn)
 }
 
 // Warm pre-creates n pooled sampler clones (typically one per

@@ -7,10 +7,10 @@ package srj
 // BBST buckets and per-point counts copy-on-write in Õ(ops), so draws
 // stay uniform over the *live* join (see internal/dynamic). Stores are
 // BBST-only; the other algorithms are the paper's static baselines.
-// Every applied batch bumps the dataset's generation number, which is
-// what invalidates caches across the serving stack: srjserver keys its
-// engine registry by generation, and the shard router broadcasts
-// updates so every shard advances together.
+// Every applied batch bumps the dataset's generation number. srjserver
+// draws a store-backed key from the store's current view, never from
+// its engine cache, and the shard router broadcasts updates so every
+// shard advances together.
 
 import (
 	"context"
@@ -27,14 +27,6 @@ import (
 // no-op; re-inserting a deleted ID is allowed. The zero Update is
 // empty and acts as a generation probe.
 type Update = dynamic.Update
-
-// ErrStaleGeneration reports a draw that raced a concurrent update:
-// the engine it hit was built for a dataset generation that an
-// applied batch has since retired. Remote callers see it too — the
-// server maps it to wire code "stale_generation" (HTTP 409) — and
-// the fix is the same locally and remotely: retry against the
-// current generation.
-var ErrStaleGeneration = dynamic.ErrStaleGeneration
 
 // StoreOptions tunes a Store; the zero value (or nil) uses seed 0 and
 // the default BBST settings.

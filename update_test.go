@@ -2,8 +2,8 @@ package srj_test
 
 // Root-level tests of the dynamic-update stack that the conformance
 // harness cannot express: the router's fleet-wide broadcast (every
-// shard's store and registry must advance on a generation bump, not
-// just the key's home shard), and the random-interleaving property
+// shard's store must advance on a generation bump, not just the key's
+// home shard), and the random-interleaving property
 // test against a rebuild-from-scratch oracle.
 
 import (
@@ -19,8 +19,8 @@ import (
 // TestRouterUpdateBroadcast is the invalidation acceptance test: with
 // three in-process backends behind a router, one ApplyUpdate must
 // reach every shard — each backend's store advances to the same
-// generation, each backend's registry drops the engines the bump made
-// stale, and a draw against ANY backend directly (not through the
+// generation, each backend's registry drops the static engine the
+// store replaces, and a draw against ANY backend directly (not through the
 // ring) serves the mutated dataset. That is exactly the property
 // failover relies on: whichever shard a draw lands on, deleted points
 // are gone.
@@ -94,25 +94,21 @@ func TestRouterUpdateBroadcast(t *testing.T) {
 		}
 	}
 
-	// Every shard's registry dropped its stale generations: whatever
-	// engines remain for the key carry the current generation.
+	// Every shard serves the key from its store: the registry holds no
+	// engine for it, and /v1/stats reports the store at the fleet
+	// generation.
 	for i, a := range addrs {
-		engines, err := srj.NewClientHTTP(a, confTransport(t)).Engines(ctx)
+		st, err := srj.NewClientHTTP(a, confTransport(t)).Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		current := 0
-		for _, e := range engines {
-			if e.Key.Dataset != key.Dataset {
-				continue
-			}
-			if e.Key.Generation != gen {
+		for _, e := range st.Engines {
+			if e.Key.Dataset == key.Dataset {
 				t.Fatalf("backend %d still holds engine %s after the bump to %d", i, e.Key, gen)
 			}
-			current++
 		}
-		if current == 0 {
-			t.Fatalf("backend %d holds no engine at generation %d after drawing", i, gen)
+		if len(st.Stores) != 1 || st.Stores[0].Key.Dataset != key.Dataset || st.Stores[0].Generation != gen {
+			t.Fatalf("backend %d stores = %+v, want one store for %s at generation %d", i, st.Stores, key, gen)
 		}
 	}
 
