@@ -11,14 +11,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/bbst"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/join"
-	"repro/internal/rng"
 	"repro/internal/rtree"
 )
 
@@ -204,54 +202,43 @@ func BenchmarkPhases(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBucketCap sweeps the BBST bucket capacity around
+// BenchmarkAblationBucketCap sweeps the BBST bucket capacity b around
 // the paper's ceil(log2 m) choice (Definition 3): smaller buckets
-// tighten µ but deepen the tree; larger buckets do the opposite. The
-// benchmark measures end-to-end count+sample cost per capacity.
+// tighten µ, so fewer trials are rejected, but multiply buckets and
+// tree nodes. Each capacity builds and counts one frozen sampler (nyc,
+// 100k S and 20k R points, l = 100), then times 10k-sample SampleInto
+// batches. It reports ns/sample and trials/sample over the timed
+// batches, and the build (Preprocess through Count) in build-ms with
+// the sampler's footprint in MB.
 func BenchmarkAblationBucketCap(b *testing.B) {
-	pts := MustGenerate("nyc", 100_000, 1)
-	S := pts
+	S := MustGenerate("nyc", 100_000, 1)
 	R := MustGenerate("nyc", 20_000, 2)
 	for _, cap := range []int{4, 8, 17, 32, 64} { // 17 = ceil(log2 100k)
 		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
+			start := time.Now()
+			s, err := core.NewBBST(R, S, core.Config{HalfExtent: 100, Seed: 1, BucketCap: cap})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Count(); err != nil {
+				b.Fatal(err)
+			}
+			build := time.Since(start)
+			buf := make([]geom.Pair, 10_000)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runBucketCapTrial(b, R, S, cap)
+				if _, err := core.SampleInto(s, buf); err != nil {
+					b.Fatal(err)
+				}
 			}
+			b.StopTimer()
+			st := s.Stats()
+			samples := float64(b.N * len(buf))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/samples, "ns/sample")
+			b.ReportMetric(float64(st.Iterations)/samples, "trials/sample")
+			b.ReportMetric(float64(build.Microseconds())/1e3, "build-ms")
+			b.ReportMetric(float64(s.SizeBytes())/(1<<20), "MB")
 		})
-	}
-}
-
-func runBucketCapTrial(b *testing.B, R, S []Point, cap int) {
-	b.Helper()
-	g, err := grid.Build(S, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairs := map[grid.Key]*bbst.Pair{}
-	g.Cells(func(c *grid.Cell) {
-		p, err := bbst.Build(c.XSorted, cap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pairs[c.Key] = p
-	})
-	// Corner-count every R point against its SW corner cell.
-	r := rng.New(uint64(cap))
-	var scratch bbst.Scratch
-	total := 0
-	var nb [grid.NumDirections]*grid.Cell
-	for _, q := range R {
-		w := Window(q, 100)
-		g.Neighborhood(q, &nb)
-		if c := nb[grid.SouthWest]; c != nil {
-			total += pairs[c.Key].MuS(bbst.SouthWest, w, &scratch)
-			if pt, ok := pairs[c.Key].SampleSlotS(bbst.SouthWest, w, r, &scratch); ok {
-				_ = pt
-			}
-		}
-	}
-	if total < 0 {
-		b.Fatal("impossible")
 	}
 }
 

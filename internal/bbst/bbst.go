@@ -6,20 +6,25 @@
 // one grid cell — exactly the queries that arise at the four corner
 // cells of a window's 3x3 neighborhood (case 3). The points of the
 // cell, pre-sorted by x, are partitioned into consecutive buckets of
-// capacity b = ceil(log2 m); each bucket records min/max of both
-// coordinates. A balanced binary search tree is built over the buckets
-// keyed by the bucket's min-x (T^min) or max-x (T^max); every node
-// additionally stores the buckets of its subtree in two y-orders (by
-// min-y and by max-y), which is what turns the second coordinate into
-// a binary search instead of a tree walk.
+// at most b = ceil(log2 m) points: a cell of N points gets the paper's
+// ceil(N/b) buckets, balanced so that their sizes differ by at most
+// one, and its own capacity ceil(N/ceil(N/b)) <= b. Each bucket
+// records min/max of both coordinates. A balanced binary search tree
+// is built over the buckets keyed by the bucket's min-x (T^min) or
+// max-x (T^max); every node additionally stores the buckets of its
+// subtree in two y-orders (by min-y and by max-y), which is what turns
+// the second coordinate into a binary search instead of a tree walk.
 //
 // For a corner query the tree gives a canonical decomposition of the
 // x-constraint into O(log) node sets; within each set a binary search
 // on the appropriate y-order counts matching buckets. The approximate
-// count is (number of matching buckets) x b, which Lemma 5 of the
-// paper shows is an O(log m)-approximate upper bound of the exact
-// count. The same decomposition supports drawing a uniform (bucket,
-// slot) pair, which is how the sampling phase picks candidate points.
+// count is (number of matching buckets) x the cell's capacity, which
+// Lemma 5 of the paper shows is an O(log m)-approximate upper bound of
+// the exact count (the capacity never exceeds b). The same
+// decomposition supports drawing a uniform (bucket, slot) pair, which
+// is how the sampling phase picks candidate points. Balancing keeps
+// every bucket of a freshly built cell full or one short of full, so
+// few of those slots come up empty.
 package bbst
 
 import (
@@ -104,15 +109,17 @@ type Pair struct {
 	order   []int32 // live bucket ids in ascending (MinX, MaxX) order
 	free    []int32 // dead bucket ids available for reuse
 	npts    int     // live point count
-	cap     int     // bucket capacity b = ceil(log2 m)
+	cap     int     // bucket capacity: ceil(N/ceil(N/b)) <= b at build
 	tMin    tree
 	tMax    tree
 	fcOn    bool // fractional cascading enabled
 	deep    bool // an insert descended past the depth hatch; rebuild trees
 }
 
-// BucketCap returns the bucket capacity for a dataset of m points:
-// b = ceil(log2 m), at least 1 (Definition 3).
+// BucketCap returns the maximum bucket size for a dataset of m points:
+// b = ceil(log2 m), at least 1 (Definition 3). Build gives a cell a
+// smaller capacity when its points split evenly into smaller
+// buckets.
 func BucketCap(m int) int {
 	if m <= 2 {
 		return 1
@@ -122,8 +129,12 @@ func BucketCap(m int) int {
 
 // Build constructs the two BBSTs over points, which must already be
 // sorted in ascending x order (the paper pre-sorts S by x). bucketCap
-// is the bucket capacity b; use BucketCap(m) for the paper's setting.
-// The slice is retained, not copied.
+// is the maximum bucket size b; use BucketCap(m) for the paper's
+// setting. The N points are cut into the paper's ceil(N/b) buckets,
+// balanced so that their sizes differ by at most one, and the pair's
+// capacity (Cap) is the largest of them, ceil(N/ceil(N/b)) <= b (b
+// itself when b divides N or N is 0). The slice is retained, not
+// copied.
 func Build(points []geom.Point, bucketCap int) (*Pair, error) {
 	if bucketCap < 1 {
 		return nil, fmt.Errorf("bbst: bucket capacity must be >= 1, got %d", bucketCap)
@@ -131,21 +142,24 @@ func Build(points []geom.Point, bucketCap int) (*Pair, error) {
 	if !slices.IsSortedFunc(points, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) }) {
 		return nil, fmt.Errorf("bbst: points must be sorted by x")
 	}
-	p := &Pair{cap: bucketCap, npts: len(points)}
-	for start := 0; start < len(points); start += bucketCap {
-		end := start + bucketCap
-		if end > len(points) {
-			end = len(points)
-		}
-		// Three-index subslice: a later append through this header can
-		// never clobber the caller's array past end.
-		b := bucketOf(points[start:end:end])
-		p.order = append(p.order, int32(len(p.buckets)))
-		p.buckets = append(p.buckets, b)
+	n := len(points)
+	p := &Pair{cap: bucketCap, npts: n}
+	if n == 0 {
+		return p, nil
 	}
-	if len(p.buckets) > 0 {
-		p.rebuildTrees()
+	k := (n + bucketCap - 1) / bucketCap
+	p.cap = (n + k - 1) / k
+	p.buckets = make([]Bucket, k)
+	p.order = make([]int32, k)
+	for i := range k {
+		// Bucket i spans [⌊i·n/k⌋, ⌊(i+1)·n/k⌋): every size is ⌊n/k⌋
+		// or ⌈n/k⌉. The three-index subslice keeps a later append
+		// through this header from clobbering the caller's array.
+		start, end := i*n/k, (i+1)*n/k
+		p.buckets[i] = bucketOf(points[start:end:end])
+		p.order[i] = int32(i)
 	}
+	p.rebuildTrees()
 	return p, nil
 }
 
@@ -254,7 +268,10 @@ func (p *Pair) NumBuckets() int { return len(p.order) }
 // NumPoints returns the number of live points in the cell.
 func (p *Pair) NumPoints() int { return p.npts }
 
-// Cap returns the bucket capacity the pair was built with.
+// Cap returns the pair's bucket capacity: the largest bucket size
+// Build gave the cell, at most the b it was called with. It is the
+// per-bucket slot count of Mu and SampleSlot and the split threshold
+// of Insert.
 func (p *Pair) Cap() int { return p.cap }
 
 // Buckets returns the live bucket summaries in ascending x order, for
@@ -403,7 +420,9 @@ func (p *Pair) CountBuckets(c Corner, w geom.Rect, scratch *[]piece) int {
 }
 
 // Mu returns the paper's approximate upper bound µ(r, corner) for the
-// number of points of this cell inside w: bucket count times capacity.
+// number of points of this cell inside w: bucket count times the
+// cell's capacity Cap() (at most b; with balanced buckets a built
+// cell's buckets each hold Cap() or Cap()-1 points).
 func (p *Pair) Mu(c Corner, w geom.Rect, scratch *[]piece) int {
 	return p.CountBuckets(c, w, scratch) * p.cap
 }
@@ -411,9 +430,11 @@ func (p *Pair) Mu(c Corner, w geom.Rect, scratch *[]piece) int {
 // SampleSlot draws a uniform slot among the µ(r, corner) candidate
 // slots of corner c (each matching bucket contributes exactly Cap()
 // slots). It returns the point occupying the slot, or ok == false when
-// the slot is empty (bucket shorter than Cap()) — the caller must then
-// reject the whole sampling iteration to preserve uniformity. The
-// caller is also responsible for the final w(r)-membership check.
+// the slot is empty (bucket shorter than Cap(): after Build at most one
+// slot per bucket, more once deletes or splits have thinned a bucket)
+// — the caller must then reject the whole sampling iteration to
+// preserve uniformity. The caller is also responsible for the final
+// w(r)-membership check.
 func (p *Pair) SampleSlot(c Corner, w geom.Rect, r *rng.RNG, scratch *[]piece) (pt geom.Point, ok bool) {
 	var buf []piece
 	if scratch != nil {

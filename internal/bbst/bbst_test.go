@@ -83,6 +83,41 @@ func TestBucketCap(t *testing.T) {
 	}
 }
 
+// TestBuildBalancedBuckets pins Build's partition: N points cut into
+// ceil(N/b) buckets whose sizes differ by at most one, and a pair
+// capacity of ceil(N/ceil(N/b)) <= b that equals b when b divides N.
+func TestBuildBalancedBuckets(t *testing.T) {
+	r := rng.New(19)
+	for _, b := range []int{1, 2, 3, 5, 8, 17} {
+		for n := 0; n <= 3*b+1; n++ {
+			p, err := Build(sortedPoints(r, n, 100), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := (n + b - 1) / b
+			if got := p.NumBuckets(); got != k {
+				t.Fatalf("b=%d N=%d: %d buckets, want ceil(N/b) = %d", b, n, got, k)
+			}
+			if n%b == 0 && p.Cap() != b {
+				t.Fatalf("b=%d N=%d: Cap() = %d, want b since b divides N", b, n, p.Cap())
+			}
+			if n == 0 {
+				continue
+			}
+			if want := (n + k - 1) / k; p.Cap() != want || p.Cap() > b {
+				t.Fatalf("b=%d N=%d: Cap() = %d, want ceil(N/ceil(N/b)) = %d <= b", b, n, p.Cap(), want)
+			}
+			lo, hi := n, 0
+			for _, bk := range p.Buckets() {
+				lo, hi = min(lo, bk.Len()), max(hi, bk.Len())
+			}
+			if hi-lo > 1 || hi != p.Cap() {
+				t.Fatalf("b=%d N=%d: bucket sizes span [%d, %d], Cap() = %d", b, n, lo, hi, p.Cap())
+			}
+		}
+	}
+}
+
 func TestEmptyPair(t *testing.T) {
 	p, err := Build(nil, 4)
 	if err != nil {

@@ -1,9 +1,11 @@
 package bbst
 
-// In-place maintenance (the dynamic half of Section IV-B). Definition
-// 3's capacity b = ceil(log2 m) leaves deliberate slack in every
-// bucket, which is what makes the structure insert-friendly: a point
-// insert fills slack, a full bucket splits in two, an underflowing
+// In-place maintenance (the dynamic half of Section IV-B). Every
+// bucket holds 1..Cap() points, Cap() being the cell's capacity from
+// Build (at most Definition 3's b = ceil(log2 m)), and the structure
+// stays insert-friendly: a point insert fills a bucket's slack, a full
+// bucket splits in two (Build leaves buckets full or one short, so a
+// bucket's first insert usually splits it), an underflowing
 // bucket merges with (or steals from) an x-adjacent neighbor, and in
 // every case only the O(log) root paths of the two trees are patched —
 // the id is removed from the per-node y-orders under its old summary

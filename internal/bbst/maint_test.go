@@ -103,6 +103,34 @@ func TestInsertIntoEmptyPair(t *testing.T) {
 	checkAgainstOracle(t, p, live, r, 20)
 }
 
+// TestInsertIntoSingletonPair grows a pair built over one point. Its
+// capacity is 1 whatever b was asked for (a new mutable cell created
+// by one insert starts this way), so every insert finds a full
+// singleton bucket and takes Insert's cap == 1 path.
+func TestInsertIntoSingletonPair(t *testing.T) {
+	r := rng.New(2)
+	first := geom.Point{X: 10, Y: 10, ID: 0}
+	p, err := Build([]geom.Point{first}, BucketCap(1<<14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Cap() != 1 {
+		t.Fatalf("Cap() = %d over one point, want 1", p.Cap())
+	}
+	live := []geom.Point{first}
+	for i := 1; i < 60; i++ {
+		pt := geom.Point{X: r.Range(0, 20), Y: r.Range(0, 20), ID: int32(i)}
+		if err := p.Insert(pt); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, pt)
+	}
+	if p.NumBuckets() != len(live) {
+		t.Fatalf("%d buckets over %d points, want one singleton each", p.NumBuckets(), len(live))
+	}
+	checkAgainstOracle(t, p, live, r, 20)
+}
+
 func TestDeleteToEmptyAndRefill(t *testing.T) {
 	r := rng.New(2)
 	pts := sortedPoints(r, 60, 10)

@@ -61,10 +61,11 @@ type Config struct {
 	// queries the paper mentions as an optional optimization of the
 	// BBST (Lemma 4). Only the BBST sampler reads it.
 	FractionalCascading bool
-	// BucketCap overrides the BBST bucket capacity (Definition 3
-	// sets b = ceil(log2 m); the ablation harness sweeps other
-	// values). 0 keeps the paper's choice. Only the BBST sampler
-	// reads it.
+	// BucketCap overrides the BBST bucket capacity b, the per-cell
+	// maximum bucket size under which bbst.Build balances each cell's
+	// buckets (Definition 3 sets b = ceil(log2 m); the ablation
+	// harness sweeps other values). 0 keeps the paper's choice. Only
+	// the BBST sampler reads it.
 	BucketCap int
 }
 

@@ -13,8 +13,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bbst"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // Golden digests of the seeded frozen draw streams in frozenDigest:
@@ -22,11 +24,12 @@ import (
 // clone's batch, as produced by an implementation whose trial draws r
 // from the alias table over µ(r), picks the direction by a cumulative
 // scan of r's count record, reaches the cell through r's cell row, and
-// draws cases 1–2 by one Intn over the cached count. Any change to the
-// trial's use of the random stream, the alias table or the per-cell
-// structures moves them.
+// draws cases 1–2 by one Intn over the cached count, the BBST cells
+// cut into balanced buckets. Any change to the trial's use of the
+// random stream, the alias table or the per-cell structures moves
+// them.
 const (
-	goldenBBSTDigest   = 0x5b87941abe884cb7
+	goldenBBSTDigest   = 0xe315817f313a9434
 	goldenGridKDDigest = 0xee0168be97624abc
 )
 
@@ -217,5 +220,49 @@ func TestFrozenClonesConcurrentSampleInto(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCornerSlotFill holds the case-3 bound to the buckets behind it on
+// nyc-shaped input: over every R point and corner direction, the points
+// held by the matching buckets (the filled slots) must be at least 95%
+// of µ₃, the matching buckets times the cell's capacity. Build
+// balances each cell's buckets, so at most one slot per bucket is
+// empty; a cut into full runs of b plus one short last bucket would
+// leave about 30% of the slots empty on this input.
+func TestCornerSlotFill(t *testing.T) {
+	R, S := dataset.SplitRS(dataset.NYC(40000, 1), 0.5, 2)
+	s, err := NewBBST(R, S, Config{HalfExtent: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Count(); err != nil {
+		t.Fatal(err)
+	}
+	g := &s.gridSampler
+	var sc bbst.Scratch
+	var mu, filled int
+	for i, r := range g.R {
+		w := g.window(r)
+		row := &g.rows[g.recs[i].row]
+		for d := grid.Direction(0); d < grid.NumDirections; d++ {
+			if d.Case() != 3 || row[d] < 0 {
+				continue
+			}
+			mu += int(g.recs[i].cnt[d])
+			pair := g.corners[row[d]].(bbstCorner).pair
+			pair.ReportBuckets(cornerFor(d), w, &sc, func(b bbst.Bucket) bool {
+				filled += b.Len()
+				return true
+			})
+		}
+	}
+	if mu == 0 {
+		t.Fatal("no case-3 mass: the input does not exercise the corners")
+	}
+	ratio := float64(filled) / float64(mu)
+	t.Logf("case-3 slots: %d filled of µ₃ = %d (%.3f)", filled, mu, ratio)
+	if ratio < 0.95 {
+		t.Errorf("filled/µ₃ = %.3f, want >= 0.95: corner buckets are running partial", ratio)
 	}
 }

@@ -104,7 +104,7 @@ func isFreeSlot(pt geom.Point) bool { return math.IsNaN(pt.X) }
 type MutableIndex struct {
 	cfg  Config
 	side float64 // grid cell side (= HalfExtent), fixed per index line
-	bcap int     // BBST bucket capacity, sized for s0 live S points
+	bcap int     // BBST b for new cells, sized for s0 live S points
 
 	// S side.
 	scells *grid.Dir[*mutCell]

@@ -33,10 +33,10 @@ func mustUnfreeze(t *testing.T, R, S []geom.Point, cfg Config) *Mutable {
 // goldenMutableDigest pins the seeded draw stream of the mutable index:
 // FNV-64a over every draw and the live point order of the script in
 // mutableScriptDigest, as produced by an implementation with a separate
-// point vector and weight tree. Any change to the maintained µ, the
-// slot order, the directory order or the trial's use of the random
-// stream moves it.
-const goldenMutableDigest = 0x3c94c3b70c2427c3
+// point vector and weight tree, over balanced BBST buckets. Any change
+// to the maintained µ, the bucket boundaries, the slot order, the
+// directory order or the trial's use of the random stream moves it.
+const goldenMutableDigest = 0x3c20cb86ad0fd616
 
 // churnGen deals out fixed-shape churn batches: per side, k deletes of
 // random live IDs and k inserts of fresh IDs at points drawn from a

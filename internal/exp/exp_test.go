@@ -289,8 +289,11 @@ func TestRunAblationBucketCap(t *testing.T) {
 	rc := findColumn(t, tbl, "Σµ/|J|")
 	cc := findColumn(t, tbl, "capacity")
 	// Smaller capacity must never loosen the bound: µ per corner is
-	// (#matched buckets) x cap, and halving cap at least halves the
-	// per-bucket slack. Check monotonicity within each dataset.
+	// (#matched buckets) x the cell's capacity, and capacity b cuts a
+	// cell of N points into ceil(N/b) balanced buckets of at most b
+	// points, so a smaller b shrinks the slack each partially matching
+	// bucket adds on top of the exact count. Check monotonicity of Σµ
+	// within each dataset.
 	for i := 0; i+2 < len(tbl.Rows); i += 3 {
 		small, def, big := tbl.Rows[i][rc].Value, tbl.Rows[i+1][rc].Value, tbl.Rows[i+2][rc].Value
 		if small > def+1e-9 || def > big+1e-9 {

@@ -142,9 +142,10 @@ type Options struct {
 	// optimization in Lemma 4), trading extra memory for faster
 	// counting and sampling on large cells. BBST algorithm only.
 	FractionalCascading bool
-	// BucketCap overrides the BBST bucket capacity; 0 keeps the
-	// paper's b = ceil(log2 m) (Definition 3). BBST algorithm only;
-	// exposed for ablation studies.
+	// BucketCap overrides the BBST bucket capacity b, the largest
+	// bucket a cell may hold (each cell balances its buckets under
+	// it); 0 keeps the paper's b = ceil(log2 m) (Definition 3). BBST
+	// algorithm only; exposed for ablation studies.
 	BucketCap int
 }
 

@@ -37,10 +37,10 @@ type StoreOptions struct {
 	// MaxRejects bounds consecutive rejected sampling iterations
 	// (0 = default budget).
 	MaxRejects int
-	// FractionalCascading and BucketCap tune the BBST base exactly as
-	// in Options.
-	FractionalCascading bool
-	BucketCap           int
+	// BucketCap tunes the BBST base exactly as in Options. Options'
+	// FractionalCascading has no store twin: a cell's first edit
+	// drops the bridges.
+	BucketCap int
 	// MaxT caps the samples one request may ask for (0 = unlimited),
 	// like Engine.SetMaxT.
 	MaxT int
@@ -74,11 +74,10 @@ func NewStore(R, S []Point, l float64, opts *StoreOptions) (*Store, error) {
 		o = *opts
 	}
 	cfg := core.Config{
-		HalfExtent:          l,
-		Seed:                o.Seed,
-		MaxRejects:          o.MaxRejects,
-		FractionalCascading: o.FractionalCascading,
-		BucketCap:           o.BucketCap,
+		HalfExtent: l,
+		Seed:       o.Seed,
+		MaxRejects: o.MaxRejects,
+		BucketCap:  o.BucketCap,
 	}
 	st, err := dynamic.NewStore(R, S, dynamic.Config{
 		BuildBase: func(R, S []Point) (*core.BBSTSampler, error) {
