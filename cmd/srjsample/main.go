@@ -53,7 +53,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		algo    = fs.String("algo", "bbst", "algorithm ("+algoNames()+")")
 		seed    = fs.Uint64("seed", 1, "sampling seed")
 		noRepl  = fs.Bool("without-replacement", false, "suppress duplicate pairs")
-		fc      = fs.Bool("fc", false, "enable fractional cascading (BBST only)")
 		workers = fs.Int("workers", 1, "parallel sampling workers (with replacement only)")
 		stats   = fs.Bool("stats", false, "print phase timings and counters to stderr")
 	)
@@ -83,10 +82,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("invalid S: %w", err)
 	}
 	opts := &srj.Options{
-		Algorithm:           srj.Algorithm(*algo),
-		Seed:                *seed,
-		WithoutReplacement:  *noRepl,
-		FractionalCascading: *fc,
+		Algorithm:          srj.Algorithm(*algo),
+		Seed:               *seed,
+		WithoutReplacement: *noRepl,
 	}
 	if err := ctx.Err(); err != nil {
 		return err

@@ -88,17 +88,18 @@ func TestSampleParallelWorkers(t *testing.T) {
 	}
 }
 
-func TestSampleFractionalCascading(t *testing.T) {
+// TestSampleSeedReproducible: equal seeds reproduce the sample stream.
+func TestSampleSeedReproducible(t *testing.T) {
 	rPath, sPath := writeInputs(t)
-	var plain, fc, errBuf bytes.Buffer
-	if err := run(context.Background(), []string{"-r", rPath, "-s", sPath, "-l", "200", "-t", "100", "-seed", "9"}, &plain, &errBuf); err != nil {
-		t.Fatal(err)
+	var first, second, errBuf bytes.Buffer
+	args := []string{"-r", rPath, "-s", sPath, "-l", "200", "-t", "100", "-seed", "9"}
+	for _, out := range []*bytes.Buffer{&first, &second} {
+		if err := run(context.Background(), args, out, &errBuf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := run(context.Background(), []string{"-r", rPath, "-s", sPath, "-l", "200", "-t", "100", "-seed", "9", "-fc"}, &fc, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != fc.String() {
-		t.Fatal("FC must not change the sample stream for equal seeds")
+	if first.String() != second.String() {
+		t.Fatal("equal seeds must give equal sample streams")
 	}
 }
 
@@ -112,6 +113,7 @@ func TestSampleErrors(t *testing.T) {
 		{"-r", rPath, "-s", "/missing.bin"},      // bad S path
 		{"-r", rPath, "-s", sPath, "-l", "0"},    // invalid extent
 		{"-r", rPath, "-s", sPath, "-algo", "x"}, // unknown algorithm
+		{"-r", rPath, "-s", sPath, "-fc"},        // undefined flag
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, &out, &errBuf); err == nil {

@@ -25,6 +25,12 @@
 // is how the sampling phase picks candidate points. Balancing keeps
 // every bucket of a freshly built cell full or one short of full, so
 // few of those slots come up empty.
+//
+// The paper's optional fractional cascading (Lemma 4) is left out:
+// a corner cell holds only a few buckets, so its trees are one or two
+// nodes deep and bridges would have almost no per-node binary
+// searches to replace. Measured on nyc, they made draws slower and
+// the index larger.
 package bbst
 
 import (
@@ -90,7 +96,6 @@ type node struct {
 	bMinY, bMaxY []int32
 	aMinY, aMaxY []int32
 	left, right  *node
-	fc           *fcNode // fractional-cascading bridges; nil unless enabled
 }
 
 // tree is one of the two BBSTs of a cell: keyed by bucket MinX
@@ -101,9 +106,8 @@ type tree struct {
 
 // Pair bundles the shared bucket array and the two trees built over
 // one cell's x-sorted points, i.e. (T^min_c, T^max_c) in the paper.
-// A Pair built by Build is immediately queryable and, unless
-// fractional cascading has been enabled, mutable through Insert and
-// Delete (see maint.go).
+// A Pair built by Build is immediately queryable and mutable through
+// Insert and Delete (see maint.go).
 type Pair struct {
 	buckets []Bucket
 	order   []int32 // live bucket ids in ascending (MinX, MaxX) order
@@ -112,7 +116,6 @@ type Pair struct {
 	cap     int     // bucket capacity: ceil(N/ceil(N/b)) <= b at build
 	tMin    tree
 	tMax    tree
-	fcOn    bool // fractional cascading enabled
 	deep    bool // an insert descended past the depth hatch; rebuild trees
 }
 
@@ -309,14 +312,17 @@ func cornerQuery(c Corner, w geom.Rect) (qx, qy float64, xGE, yGE bool) {
 	panic("bbst: invalid corner")
 }
 
-// decompose walks the appropriate tree and appends to dst one piece
-// per visited node: the node's own b-list for on-path nodes and the
+// decompose walks the appropriate tree and collects one piece per
+// visited node: the node's own b-list for on-path nodes and the
 // a-array for canonical subtrees, each restricted to the region that
-// satisfies the y-constraint. It returns the extended slice and the
-// total number of matching buckets.
-func (p *Pair) decompose(c Corner, w geom.Rect, dst []piece) ([]piece, int) {
-	if p.fcOn {
-		return p.decomposeFC(c, w, dst)
+// satisfies the y-constraint. It returns the pieces and the total
+// number of matching buckets. The pieces live in s's buffer (a fresh
+// one when s is nil), which keeps its grown capacity for the next
+// query.
+func (p *Pair) decompose(c Corner, w geom.Rect, s *Scratch) ([]piece, int) {
+	var dst []piece
+	if s != nil {
+		dst = s.pieces[:0]
 	}
 	qx, qy, xGE, yGE := cornerQuery(c, w)
 	// The x-constraint "MaxX >= qx" is answered by the tree keyed on
@@ -400,22 +406,23 @@ func (p *Pair) decompose(c Corner, w geom.Rect, dst []piece) ([]piece, int) {
 			u = u.right
 		}
 	}
+	if s != nil {
+		s.pieces = dst
+	}
 	return dst, total
 }
+
+// Scratch is an opaque reusable buffer for the corner queries
+// (CountBuckets, Mu, SampleSlot, ReportBuckets, ReportPoints). A zero
+// value is ready to use; it must not be shared across goroutines. Every
+// query also accepts a nil *Scratch and then allocates per call.
+type Scratch struct{ pieces []piece }
 
 // CountBuckets returns the number of buckets whose min/max summary
 // satisfies the 2-sided constraint of corner c for window w. The
 // paper's upper bound is µ(r, corner) = Cap() * CountBuckets(...).
-// scratch, if non-nil, is reused to avoid per-query allocation.
-func (p *Pair) CountBuckets(c Corner, w geom.Rect, scratch *[]piece) int {
-	var buf []piece
-	if scratch != nil {
-		buf = (*scratch)[:0]
-	}
-	buf, total := p.decompose(c, w, buf)
-	if scratch != nil {
-		*scratch = buf
-	}
+func (p *Pair) CountBuckets(c Corner, w geom.Rect, s *Scratch) int {
+	_, total := p.decompose(c, w, s)
 	return total
 }
 
@@ -423,8 +430,8 @@ func (p *Pair) CountBuckets(c Corner, w geom.Rect, scratch *[]piece) int {
 // number of points of this cell inside w: bucket count times the
 // cell's capacity Cap() (at most b; with balanced buckets a built
 // cell's buckets each hold Cap() or Cap()-1 points).
-func (p *Pair) Mu(c Corner, w geom.Rect, scratch *[]piece) int {
-	return p.CountBuckets(c, w, scratch) * p.cap
+func (p *Pair) Mu(c Corner, w geom.Rect, s *Scratch) int {
+	return p.CountBuckets(c, w, s) * p.cap
 }
 
 // SampleSlot draws a uniform slot among the µ(r, corner) candidate
@@ -435,15 +442,8 @@ func (p *Pair) Mu(c Corner, w geom.Rect, scratch *[]piece) int {
 // — the caller must then reject the whole sampling iteration to
 // preserve uniformity. The caller is also responsible for the final
 // w(r)-membership check.
-func (p *Pair) SampleSlot(c Corner, w geom.Rect, r *rng.RNG, scratch *[]piece) (pt geom.Point, ok bool) {
-	var buf []piece
-	if scratch != nil {
-		buf = (*scratch)[:0]
-	}
-	buf, total := p.decompose(c, w, buf)
-	if scratch != nil {
-		*scratch = buf
-	}
+func (p *Pair) SampleSlot(c Corner, w geom.Rect, r *rng.RNG, s *Scratch) (pt geom.Point, ok bool) {
+	buf, total := p.decompose(c, w, s)
 	if total == 0 {
 		return geom.Point{}, false
 	}
@@ -463,26 +463,6 @@ func (p *Pair) SampleSlot(c Corner, w geom.Rect, r *rng.RNG, scratch *[]piece) (
 	}
 	// Unreachable: total is the sum of piece sizes.
 	panic("bbst: slot index out of decomposition")
-}
-
-// Scratch is an opaque reusable buffer for CountBuckets/Mu/SampleSlot.
-// A zero value is ready to use; it must not be shared across
-// goroutines.
-type Scratch struct{ pieces []piece }
-
-// CountBucketsS is CountBuckets using a Scratch buffer.
-func (p *Pair) CountBucketsS(c Corner, w geom.Rect, s *Scratch) int {
-	return p.CountBuckets(c, w, &s.pieces)
-}
-
-// MuS is Mu using a Scratch buffer.
-func (p *Pair) MuS(c Corner, w geom.Rect, s *Scratch) int {
-	return p.Mu(c, w, &s.pieces)
-}
-
-// SampleSlotS is SampleSlot using a Scratch buffer.
-func (p *Pair) SampleSlotS(c Corner, w geom.Rect, r *rng.RNG, s *Scratch) (geom.Point, bool) {
-	return p.SampleSlot(c, w, r, &s.pieces)
 }
 
 // Height returns the height of the taller of the two trees (root-only
@@ -522,7 +502,8 @@ func countNodes(n *node) int {
 // SizeBytes estimates the heap footprint of the pair (buckets, nodes,
 // and all id arrays), excluding the point storage itself, which a
 // freshly built pair shares with the grid cell (callers that account
-// for mutated, bucket-owned points add 16*NumPoints on top). Used by
+// for mutated, bucket-owned points add 24*NumPoints on top: a
+// geom.Point is two float64 and a padded int32). Used by
 // the memory experiment (Fig. 4).
 func (p *Pair) SizeBytes() int {
 	const bucketSize = 24 + 4*8     // Pts header + 4 float summaries
@@ -547,15 +528,8 @@ func (p *Pair) SizeBytes() int {
 // counting. fn returning false stops the enumeration. The per-bucket
 // point ranges let callers scan exactly the candidate points (each
 // bucket holds at most Cap() of them).
-func (p *Pair) ReportBuckets(c Corner, w geom.Rect, scratch *Scratch, fn func(Bucket) bool) {
-	var buf []piece
-	if scratch != nil {
-		buf = scratch.pieces[:0]
-	}
-	buf, _ = p.decompose(c, w, buf)
-	if scratch != nil {
-		scratch.pieces = buf
-	}
+func (p *Pair) ReportBuckets(c Corner, w geom.Rect, s *Scratch, fn func(Bucket) bool) {
+	buf, _ := p.decompose(c, w, s)
 	for _, pc := range buf {
 		for _, id := range pc.ids[pc.lo:pc.hi] {
 			if !fn(p.buckets[id]) {
@@ -568,7 +542,7 @@ func (p *Pair) ReportBuckets(c Corner, w geom.Rect, scratch *Scratch, fn func(Bu
 // ReportPoints calls fn for every point of the cell that satisfies the
 // corner's 2-sided constraint exactly (bucket candidates are filtered
 // point-by-point). fn returning false stops the enumeration.
-func (p *Pair) ReportPoints(c Corner, w geom.Rect, scratch *Scratch, fn func(geom.Point) bool) {
+func (p *Pair) ReportPoints(c Corner, w geom.Rect, s *Scratch, fn func(geom.Point) bool) {
 	qx, qy, xGE, yGE := cornerQuery(c, w)
 	match := func(pt geom.Point) bool {
 		if xGE && pt.X < qx {
@@ -585,17 +559,12 @@ func (p *Pair) ReportPoints(c Corner, w geom.Rect, scratch *Scratch, fn func(geo
 		}
 		return true
 	}
-	stopped := false
-	p.ReportBuckets(c, w, scratch, func(b Bucket) bool {
+	p.ReportBuckets(c, w, s, func(b Bucket) bool {
 		for _, pt := range b.Pts {
-			if match(pt) {
-				if !fn(pt) {
-					stopped = true
-					return false
-				}
+			if match(pt) && !fn(pt) {
+				return false
 			}
 		}
 		return true
 	})
-	_ = stopped
 }

@@ -189,7 +189,7 @@ func TestCountMatchesBruteForce(t *testing.T) {
 			q := geom.Point{X: r.Range(-5, 55), Y: r.Range(-5, 55)}
 			w := geom.Window(q, r.Range(0.1, 20))
 			for _, c := range allCorners {
-				got := p.CountBucketsS(c, w, &s)
+				got := p.CountBuckets(c, w, &s)
 				want := bruteBucketCount(p, c, w)
 				if got != want {
 					t.Fatalf("n=%d %v count = %d, want %d (w=%v)", n, c, got, want, w)
@@ -219,6 +219,33 @@ func TestDuplicateXCoordinates(t *testing.T) {
 			want := bruteBucketCount(p, c, w)
 			if got != want {
 				t.Fatalf("%v count = %d, want %d", c, got, want)
+			}
+		}
+	}
+}
+
+// TestDuplicateYKeys: equal bucket y summaries and window edges that
+// land exactly on them stress the >= / > boundary of the y searches.
+func TestDuplicateYKeys(t *testing.T) {
+	r := rng.New(3)
+	pts := make([]geom.Point, 400)
+	for i := range pts {
+		pts[i] = geom.Point{X: r.Range(0, 20), Y: float64(i % 4), ID: int32(i)}
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+	p, err := Build(pts, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 500; trial++ {
+		// Integer extents put the window's y edges on the keys.
+		w := geom.Window(geom.Point{X: r.Range(0, 20), Y: float64(r.Intn(5))}, float64(r.Intn(3)))
+		if w.YMax == w.YMin {
+			w.YMax++
+		}
+		for _, c := range allCorners {
+			if got, want := p.CountBuckets(c, w, nil), bruteBucketCount(p, c, w); got != want {
+				t.Fatalf("%v count = %d, want %d (w=%v)", c, got, want, w)
 			}
 		}
 	}
@@ -262,7 +289,7 @@ func TestMuUpperBound(t *testing.T) {
 		q := geom.Point{X: r.Range(0, 30), Y: r.Range(0, 30)}
 		w := geom.Window(q, r.Range(0.1, 10))
 		for _, c := range allCorners {
-			mu := p.MuS(c, w, &s)
+			mu := p.Mu(c, w, &s)
 			pred := cornerPredicate(c, w)
 			exact := 0
 			for _, pt := range pts {
@@ -327,7 +354,7 @@ func TestSamplingUniformOverSlots(t *testing.T) {
 	const draws = 300000
 	accepted := 0
 	for i := 0; i < draws; i++ {
-		pt, ok := p.SampleSlotS(SouthWest, w, r, &s)
+		pt, ok := p.SampleSlot(SouthWest, w, r, &s)
 		if !ok {
 			continue
 		}
@@ -451,7 +478,7 @@ func BenchmarkCount(b *testing.B) {
 	var s Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.CountBucketsS(SouthWest, w, &s)
+		_ = p.CountBuckets(SouthWest, w, &s)
 	}
 }
 
@@ -464,7 +491,7 @@ func BenchmarkSampleSlot(b *testing.B) {
 	var s Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = p.SampleSlotS(SouthWest, w, r, &s)
+		_, _ = p.SampleSlot(SouthWest, w, r, &s)
 	}
 }
 
@@ -553,7 +580,7 @@ func TestReportBucketsMatchesCount(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		w := geom.Window(geom.Point{X: r.Range(0, 40), Y: r.Range(0, 40)}, r.Range(0.5, 12))
 		for _, c := range allCorners {
-			want := p.CountBucketsS(c, w, &s)
+			want := p.CountBuckets(c, w, &s)
 			got := 0
 			p.ReportBuckets(c, w, &s, func(Bucket) bool { got++; return true })
 			if got != want {

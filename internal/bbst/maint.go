@@ -13,7 +13,8 @@ package bbst
 // way out. Tree node keys are immutable; inserts that find no node
 // with their key grow a leaf, and a depth escape hatch rebuilds a
 // cell's trees (O(nb log nb), amortized away) when repeated
-// single-sided growth has made them lopsided.
+// single-sided growth has made them lopsided. Every Pair accepts
+// these edits.
 //
 // Concurrency contract: Insert and Delete mutate the Pair and must be
 // externally serialized against readers. For the serving stack's
@@ -32,25 +33,15 @@ import (
 	"repro/internal/geom"
 )
 
-// ErrFrozen reports a mutation attempted on a pair with fractional
-// cascading enabled: the bridge arrays index positions of the y-orders
-// and cannot survive edits, so FC pairs are frozen (the dynamic path
-// never enables FC).
-var ErrFrozen = fmt.Errorf("bbst: pair is frozen (fractional cascading enabled)")
-
 // Insert adds one point to the cell, maintaining bucket occupancy
 // 1..Cap(), exact summaries, and the x-disjointness of bucket ranges.
 // Cost: O(log m) slice work in the target bucket plus O(log) tree-path
 // patches (amortized — a split or the depth hatch costs more).
-func (p *Pair) Insert(pt geom.Point) error {
-	if p.fcOn {
-		return ErrFrozen
-	}
+func (p *Pair) Insert(pt geom.Point) {
+	p.npts++
 	if len(p.order) == 0 {
-		id := p.allocBucket(bucketOf([]geom.Point{pt}))
-		p.attach(id)
-		p.npts++
-		return nil
+		p.attach(p.allocBucket(bucketOf([]geom.Point{pt})))
+		return
 	}
 	// Target: the last bucket whose MinX <= pt.X (the first bucket when
 	// pt precedes them all). Disjoint ranges make this the only bucket
@@ -62,30 +53,22 @@ func (p *Pair) Insert(pt geom.Point) error {
 		pos = 0
 	}
 	id := p.order[pos]
-	if b := p.buckets[id]; b.Len() >= p.cap {
-		if b.Len() >= 2 {
-			hiID := p.split(id)
-			if pt.X >= p.buckets[hiID].MinX {
-				id = hiID
-			}
-		} else {
-			// cap == 1: a full bucket is a singleton and cannot halve;
-			// grow a fresh singleton for the new point instead.
-			nid := p.allocBucket(bucketOf([]geom.Point{pt}))
-			p.attach(nid)
-			p.npts++
-			if p.deep {
-				p.rebuildTrees()
-			}
-			return nil
+	switch n := p.buckets[id].Len(); {
+	case n < p.cap:
+		p.bucketInsert(id, pt)
+	case n >= 2:
+		if hiID := p.split(id); pt.X >= p.buckets[hiID].MinX {
+			id = hiID
 		}
+		p.bucketInsert(id, pt)
+	default:
+		// cap == 1: a full bucket is a singleton and cannot halve;
+		// grow a fresh singleton for the new point instead.
+		p.attach(p.allocBucket(bucketOf([]geom.Point{pt})))
 	}
-	p.bucketInsert(id, pt)
-	p.npts++
 	if p.deep {
 		p.rebuildTrees()
 	}
-	return nil
 }
 
 // Delete removes the live point equal to pt (matching X, Y, and ID)
@@ -94,10 +77,7 @@ func (p *Pair) Insert(pt geom.Point) error {
 // triggers a merge with an x-adjacent bucket when the union fits, or a
 // boundary-point steal otherwise, so acceptance never decays from
 // emptying buckets.
-func (p *Pair) Delete(pt geom.Point) (bool, error) {
-	if p.fcOn {
-		return false, ErrFrozen
-	}
+func (p *Pair) Delete(pt geom.Point) bool {
 	// Candidate buckets have MinX <= pt.X <= MaxX: a run ending at the
 	// last bucket with MinX <= pt.X (disjointness bounds the leftward
 	// scan by the first bucket with MaxX < pt.X).
@@ -118,11 +98,11 @@ func (p *Pair) Delete(pt geom.Point) (bool, error) {
 					// Rebalancing reattachments can grow leaves too.
 					p.rebuildTrees()
 				}
-				return true, nil
+				return true
 			}
 		}
 	}
-	return false, nil
+	return false
 }
 
 // allocBucket places b in the bucket table (reusing a free slot when
@@ -444,9 +424,7 @@ func (p *Pair) removeMaxY(ids []int32, id int32) []int32 {
 // CloneForUpdate returns a pair whose Insert/Delete never write
 // through to the receiver: bucket table, order/free lists, and all
 // tree nodes with their id arrays are copied; point slices are shared
-// (bucket mutations replace, never write into, Pts). Fractional
-// cascading does not survive the clone — the clone is for mutating,
-// and mutation invalidates bridges.
+// (bucket mutations replace, never write into, Pts).
 func (p *Pair) CloneForUpdate() *Pair {
 	np := &Pair{
 		buckets: append([]Bucket(nil), p.buckets...),

@@ -74,7 +74,7 @@ func checkAgainstOracle(t *testing.T, p *Pair, live []geom.Point, r *rng.RNG, ex
 					exact++
 				}
 			}
-			if mu := p.MuS(c, w, &s); exact > mu {
+			if mu := p.Mu(c, w, &s); exact > mu {
 				t.Fatalf("%v: exact %d > µ %d after churn", c, exact, mu)
 			}
 			reported := 0
@@ -95,9 +95,7 @@ func TestInsertIntoEmptyPair(t *testing.T) {
 	var live []geom.Point
 	for i := 0; i < 100; i++ {
 		pt := geom.Point{X: r.Range(0, 20), Y: r.Range(0, 20), ID: int32(i)}
-		if err := p.Insert(pt); err != nil {
-			t.Fatal(err)
-		}
+		p.Insert(pt)
 		live = append(live, pt)
 	}
 	checkAgainstOracle(t, p, live, r, 20)
@@ -120,9 +118,7 @@ func TestInsertIntoSingletonPair(t *testing.T) {
 	live := []geom.Point{first}
 	for i := 1; i < 60; i++ {
 		pt := geom.Point{X: r.Range(0, 20), Y: r.Range(0, 20), ID: int32(i)}
-		if err := p.Insert(pt); err != nil {
-			t.Fatal(err)
-		}
+		p.Insert(pt)
 		live = append(live, pt)
 	}
 	if p.NumBuckets() != len(live) {
@@ -139,26 +135,20 @@ func TestDeleteToEmptyAndRefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range pts {
-		found, err := p.Delete(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !found {
+		if !p.Delete(pt) {
 			t.Fatalf("point %v not found", pt)
 		}
 	}
 	if p.NumPoints() != 0 || p.NumBuckets() != 0 {
 		t.Fatalf("drained pair not empty: %d points, %d buckets", p.NumPoints(), p.NumBuckets())
 	}
-	if found, _ := p.Delete(pts[0]); found {
+	if p.Delete(pts[0]) {
 		t.Fatal("delete on empty pair reported found")
 	}
 	var live []geom.Point
 	for i := 0; i < 40; i++ {
 		pt := geom.Point{X: r.Range(0, 10), Y: r.Range(0, 10), ID: int32(1000 + i)}
-		if err := p.Insert(pt); err != nil {
-			t.Fatal(err)
-		}
+		p.Insert(pt)
 		live = append(live, pt)
 	}
 	checkAgainstOracle(t, p, live, r, 10)
@@ -182,11 +172,7 @@ func TestSustainedChurnAgainstOracle(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		if len(live) > 0 && r.Bool(0.5) {
 			i := r.Intn(len(live))
-			found, err := p.Delete(live[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !found {
+			if !p.Delete(live[i]) {
 				t.Fatalf("step %d: live point %v not found", step, live[i])
 			}
 			live[i] = live[len(live)-1]
@@ -194,9 +180,7 @@ func TestSustainedChurnAgainstOracle(t *testing.T) {
 		} else {
 			pt := geom.Point{X: r.Range(0, extent), Y: r.Range(0, extent), ID: nextID}
 			nextID++
-			if err := p.Insert(pt); err != nil {
-				t.Fatal(err)
-			}
+			p.Insert(pt)
 			live = append(live, pt)
 		}
 		if step%400 == 0 {
@@ -257,7 +241,7 @@ func TestChurnSamplingUniform(t *testing.T) {
 		if len(ids) > 50 && r.Bool(0.5) {
 			i := r.Intn(len(ids))
 			id := ids[i]
-			if found, _ := p.Delete(live[id]); !found {
+			if !p.Delete(live[id]) {
 				t.Fatalf("step %d: delete missed", step)
 			}
 			delete(live, id)
@@ -265,9 +249,7 @@ func TestChurnSamplingUniform(t *testing.T) {
 			ids = ids[:len(ids)-1]
 		} else {
 			pt := geom.Point{X: r.Range(0, 20), Y: r.Range(0, 20), ID: nextID}
-			if err := p.Insert(pt); err != nil {
-				t.Fatal(err)
-			}
+			p.Insert(pt)
 			live[nextID] = pt
 			ids = append(ids, nextID)
 			nextID++
@@ -289,7 +271,7 @@ func TestChurnSamplingUniform(t *testing.T) {
 	accepted := 0
 	const draws = 300000
 	for i := 0; i < draws; i++ {
-		pt, ok := p.SampleSlotS(SouthWest, w, r, &s)
+		pt, ok := p.SampleSlot(SouthWest, w, r, &s)
 		if !ok || !pred(pt) {
 			continue
 		}
@@ -323,9 +305,7 @@ func TestDepthHatchBoundsHeight(t *testing.T) {
 	}
 	for i := 0; i < 4000; i++ {
 		pt := geom.Point{X: float64(i), Y: float64(i % 97), ID: int32(i)}
-		if err := p.Insert(pt); err != nil {
-			t.Fatal(err)
-		}
+		p.Insert(pt)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -339,9 +319,7 @@ func TestDepthHatchBoundsHeight(t *testing.T) {
 	p2, _ := Build(nil, 5)
 	for i := 0; i < 4000; i++ {
 		pt := geom.Point{X: float64(-i), Y: float64(i % 89), ID: int32(i)}
-		if err := p2.Insert(pt); err != nil {
-			t.Fatal(err)
-		}
+		p2.Insert(pt)
 	}
 	if err := p2.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -375,7 +353,7 @@ func TestCloneForUpdateIsolation(t *testing.T) {
 		var out []answer
 		for _, w := range queries {
 			for _, c := range allCorners {
-				a := answer{count: pr.CountBucketsS(c, w, &s)}
+				a := answer{count: pr.CountBuckets(c, w, &s)}
 				pr.ReportPoints(c, w, &s, func(pt geom.Point) bool {
 					a.ids = append(a.ids, pt.ID)
 					return true
@@ -392,14 +370,12 @@ func TestCloneForUpdateIsolation(t *testing.T) {
 		if r.Bool(0.5) && cl.NumPoints() > 0 {
 			bks := cl.Buckets()
 			b := bks[r.Intn(len(bks))]
-			if _, err := cl.Delete(b.Pts[r.Intn(len(b.Pts))]); err != nil {
-				t.Fatal(err)
+			if !cl.Delete(b.Pts[r.Intn(len(b.Pts))]) {
+				t.Fatal("clone delete: live point not found")
 			}
 		} else {
 			pt := geom.Point{X: r.Range(0, 15), Y: r.Range(0, 15), ID: int32(9000 + i)}
-			if err := cl.Insert(pt); err != nil {
-				t.Fatal(err)
-			}
+			cl.Insert(pt)
 		}
 	}
 	if err := cl.CheckInvariants(); err != nil {
@@ -424,30 +400,26 @@ func TestCloneForUpdateIsolation(t *testing.T) {
 	}
 }
 
-func TestMutationRefusedWhenFrozen(t *testing.T) {
+// TestCloneInsertLeavesOriginal: a clone of a small-capacity pair
+// takes an insert with its invariants intact, and the original keeps
+// its point count and invariants.
+func TestCloneInsertLeavesOriginal(t *testing.T) {
 	r := rng.New(7)
 	pts := sortedPoints(r, 50, 10)
 	p, err := Build(pts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.EnableFractionalCascading()
-	if err := p.Insert(geom.Point{X: 1, Y: 1, ID: 99}); err == nil {
-		t.Fatal("Insert on FC pair should fail")
-	}
-	if _, err := p.Delete(pts[0]); err == nil {
-		t.Fatal("Delete on FC pair should fail")
-	}
-	// The clone sheds FC and mutates freely.
 	cl := p.CloneForUpdate()
-	if cl.HasFractionalCascading() {
-		t.Fatal("clone kept FC")
-	}
-	if err := cl.Insert(geom.Point{X: 1, Y: 1, ID: 99}); err != nil {
-		t.Fatal(err)
-	}
+	cl.Insert(geom.Point{X: 1, Y: 1, ID: 99})
 	if err := cl.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if cl.NumPoints() != 51 || p.NumPoints() != 50 {
+		t.Fatalf("clone holds %d points, original %d; want 51 and 50", cl.NumPoints(), p.NumPoints())
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("original invariants after clone insert: %v", err)
 	}
 }
 
@@ -462,15 +434,13 @@ func TestDuplicatePointsChurn(t *testing.T) {
 	r := rng.New(8)
 	for i := 0; i < 600; i++ {
 		pt := geom.Point{X: float64(i % 3), Y: float64(i % 2), ID: int32(i)}
-		if err := p.Insert(pt); err != nil {
-			t.Fatal(err)
-		}
+		p.Insert(pt)
 		live = append(live, pt)
 	}
 	checkAgainstOracle(t, p, live, r, 3)
 	for i := 0; i < 400; i++ {
 		j := r.Intn(len(live))
-		if found, _ := p.Delete(live[j]); !found {
+		if !p.Delete(live[j]) {
 			t.Fatalf("delete %v missed", live[j])
 		}
 		live[j] = live[len(live)-1]
@@ -487,9 +457,7 @@ func BenchmarkInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt := geom.Point{X: r.Range(0, 1000), Y: r.Range(0, 1000), ID: int32(1 << 20)}
-		if err := p.Insert(pt); err != nil {
-			b.Fatal(err)
-		}
+		p.Insert(pt)
 	}
 }
 
@@ -502,11 +470,9 @@ func BenchmarkDeleteInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bks := p.Buckets()
 		victim := bks[r.Intn(len(bks))].Pts[0]
-		if found, err := p.Delete(victim); err != nil || !found {
-			b.Fatalf("delete: %v found=%v", err, found)
+		if !p.Delete(victim) {
+			b.Fatal("delete: victim not found")
 		}
-		if err := p.Insert(victim); err != nil {
-			b.Fatal(err)
-		}
+		p.Insert(victim)
 	}
 }

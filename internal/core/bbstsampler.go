@@ -10,14 +10,14 @@ import (
 type bbstCorner struct{ pair *bbst.Pair }
 
 func (b bbstCorner) mu(c bbst.Corner, w geom.Rect, sc *cornerScratch) int {
-	return b.pair.MuS(c, w, &sc.bbst)
+	return b.pair.Mu(c, w, &sc.bbst)
 }
 
 func (b bbstCorner) sample(c bbst.Corner, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
-	return b.pair.SampleSlotS(c, w, r, &sc.bbst)
+	return b.pair.SampleSlot(c, w, r, &sc.bbst)
 }
 
-func (b bbstCorner) sizeBytes() int { return b.pair.SizeBytes() + b.pair.SizeBytesFC() }
+func (b bbstCorner) sizeBytes() int { return b.pair.SizeBytes() }
 
 // BBSTSampler is the paper's proposed algorithm (Section IV,
 // Algorithm 1): grid mapping converts the 4-sided window into at most
@@ -47,9 +47,6 @@ func NewBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
 			// Cell points come from the grid pre-sorted by x and the
 			// capacity is >= 1, so Build cannot fail here.
 			panic("core: bbst build failed: " + err.Error())
-		}
-		if cfg.FractionalCascading {
-			pair.EnableFractionalCascading()
 		}
 		return bbstCorner{pair: pair}
 	}

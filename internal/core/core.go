@@ -57,10 +57,6 @@ type Config struct {
 	// MaxRejects bounds consecutive rejected iterations per sample;
 	// 0 means the default of 1<<24.
 	MaxRejects int
-	// FractionalCascading enables the bridge-based O(log m) corner
-	// queries the paper mentions as an optional optimization of the
-	// BBST (Lemma 4). Only the BBST sampler reads it.
-	FractionalCascading bool
 	// BucketCap overrides the BBST bucket capacity b, the per-cell
 	// maximum bucket size under which bbst.Build balances each cell's
 	// buckets (Definition 3 sets b = ceil(log2 m); the ablation

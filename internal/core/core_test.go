@@ -640,94 +640,6 @@ func TestJoinSampleJoinSize(t *testing.T) {
 	}
 }
 
-// TestBBSTFractionalCascadingEquivalent: the FC-enabled BBST sampler
-// must be statistically identical to the plain one — same MuSum, same
-// uniformity — since the decomposition is semantically unchanged.
-func TestBBSTFractionalCascadingEquivalent(t *testing.T) {
-	r := rng.New(30)
-	R := clustered(r, 400, 50, 0)
-	S := clustered(r, 400, 50, 10000)
-	const l = 4.0
-	plain, err := NewBBST(R, S, Config{HalfExtent: l, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, err := NewBBST(R, S, Config{HalfExtent: l, Seed: 5, FractionalCascading: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if plain.Stats().MuSum != fc.Stats().MuSum {
-		t.Fatalf("MuSum differs: plain %g, fc %g", plain.Stats().MuSum, fc.Stats().MuSum)
-	}
-	// Same seed, same decomposition semantics => identical samples.
-	a, err := plain.Sample(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fc.Sample(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sample %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if fc.SizeBytes() <= plain.SizeBytes() {
-		t.Error("FC sampler should report extra bridge memory")
-	}
-}
-
-// TestBBSTFractionalCascadingUniform runs the chi-square uniformity
-// check against an enumerated join with FC enabled.
-func TestBBSTFractionalCascadingUniform(t *testing.T) {
-	r := rng.New(31)
-	R := randomPoints(r, 25, 12, 0)
-	S := randomPoints(r, 25, 12, 10000)
-	const l = 3.0
-	joined := join.Materialize(R, S, l)
-	if len(joined) < 15 {
-		t.Fatalf("setup: |J| = %d", len(joined))
-	}
-	jset := map[string]bool{}
-	for _, p := range joined {
-		jset[pairID(p)] = true
-	}
-	s, err := NewBBST(R, S, Config{HalfExtent: l, Seed: 9, FractionalCascading: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const draws = 80000
-	pairs, err := s.Sample(draws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, p := range pairs {
-		k := pairID(p)
-		if !jset[k] {
-			t.Fatalf("pair %s not in J", k)
-		}
-		counts[k]++
-	}
-	expected := float64(draws) / float64(len(joined))
-	chi2 := 0.0
-	for k := range jset {
-		d := float64(counts[k]) - expected
-		chi2 += d * d / expected
-	}
-	dof := float64(len(joined) - 1)
-	if limit := dof + 4*math.Sqrt(2*dof) + 10; chi2 > limit {
-		t.Fatalf("FC sampler skewed: chi2 = %.1f > %.1f", chi2, limit)
-	}
-}
-
 func TestKDSStringer(t *testing.T) {
 	s, err := NewKDS(nil, nil, Config{HalfExtent: 2})
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -131,9 +130,8 @@ func checkCounter(t *testing.T, g *gridSampler, masks []dirMask) {
 }
 
 // TestMuCounterMatchesPerPoint holds the batched counter to the
-// per-point reference on every point and direction, for the BBST
-// (with and without fractional cascading) and GridKD corners, over
-// nyc, uniform, clustered and boundary-heavy lattice inputs at
+// per-point reference on every point and direction, for the BBST and
+// GridKD corners, over nyc, uniform, clustered and boundary-heavy lattice inputs at
 // several l. The lattice runs try every direction mask, which covers
 // every subset ApplyOps can ask for; the others use the full mask and
 // a sample of subsets.
@@ -167,15 +165,10 @@ type gridFactory struct {
 	mk   func(R, S []geom.Point, cfg Config) (*gridSampler, error)
 }
 
-// gridFactories are the counting tests' samplers: the BBST (with and
-// without fractional cascading) and GridKD corners.
+// gridFactories are the counting tests' samplers: the BBST and GridKD
+// corners.
 var gridFactories = []gridFactory{
 	{"BBST", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
-		s, err := NewBBST(R, S, cfg)
-		return &s.gridSampler, err
-	}},
-	{"BBST-FC", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
-		cfg.FractionalCascading = true
 		s, err := NewBBST(R, S, cfg)
 		return &s.gridSampler, err
 	}},
@@ -225,8 +218,7 @@ func forCountInputs(t *testing.T, samplers []gridFactory, check func(t *testing.
 // none), and for every positive case 1–2 count k, drawRun's offsets
 // 0..k-1 enumerate exactly Cell.Matching's run.
 func TestFrozenRecordMatchesReference(t *testing.T) {
-	samplers := slices.DeleteFunc(slices.Clone(gridFactories), func(f gridFactory) bool { return f.name == "BBST-FC" })
-	forCountInputs(t, samplers, func(t *testing.T, g *gridSampler, _ bool) {
+	forCountInputs(t, gridFactories, func(t *testing.T, g *gridSampler, _ bool) {
 		if err := g.Count(); err != nil {
 			t.Fatal(err)
 		}
@@ -274,27 +266,23 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 // whose recounts go through the batched counter, over lattice points
 // that sit on cell edges and window boundaries, with inserts and
 // deletes landing on them too; CheckInvariants recounts every slot
-// point by point after each batch. Unfreeze adopts the frozen counts,
-// so the run with fractional cascading checks counts taken through the
-// cascaded corner queries too.
+// point by point after each batch.
 func TestMutableBatchedRecountOnBoundaries(t *testing.T) {
-	for _, fc := range []bool{false, true} {
-		r := rng.New(9)
-		const l = 4
-		R, S := latticePoints(r, 400, l, 0), latticePoints(r, 400, l, 1<<20)
-		m := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 3, FractionalCascading: fc})
-		if err := m.Index().CheckInvariants(); err != nil {
-			t.Fatalf("fc=%v, after Unfreeze: %v", fc, err)
+	r := rng.New(9)
+	const l = 4
+	R, S := latticePoints(r, 400, l, 0), latticePoints(r, 400, l, 1<<20)
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 3})
+	if err := m.Index().CheckInvariants(); err != nil {
+		t.Fatalf("after Unfreeze: %v", err)
+	}
+	gen := newChurnGen(R, S, latticePoints(r, 500, l, 0), 4)
+	for i := 0; i < 40; i++ {
+		var err error
+		if m, err = m.Apply(gen.batch(6)); err != nil {
+			t.Fatal(err)
 		}
-		gen := newChurnGen(R, S, latticePoints(r, 500, l, 0), 4)
-		for i := 0; i < 40; i++ {
-			var err error
-			if m, err = m.Apply(gen.batch(6)); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Index().CheckInvariants(); err != nil {
-				t.Fatalf("fc=%v, after batch %d: %v", fc, i, err)
-			}
+		if err := m.Index().CheckInvariants(); err != nil {
+			t.Fatalf("after batch %d: %v", i, err)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func (ix *MutableIndex) MuSum() float64 { return ix.slots.Total() }
 // exact for cases 1–2, the BBST upper bound for corners.
 func (mc *mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
 	if d.Case() == 3 {
-		return mc.pair.MuS(cornerFor(d), w, sc)
+		return mc.pair.Mu(cornerFor(d), w, sc)
 	}
 	return len(mc.cell.Matching(d, w))
 }
@@ -142,7 +142,7 @@ func (mc *mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
 // window membership.
 func (mc *mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
 	if d.Case() == 3 {
-		return mc.pair.SampleSlotS(cornerFor(d), w, r, sc)
+		return mc.pair.SampleSlot(cornerFor(d), w, r, sc)
 	}
 	return drawRun(mc.cell, d, k, r.Intn(int(k))), true
 }
@@ -382,18 +382,12 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	} else {
 		npair = oldPair.CloneForUpdate()
 		for _, pt := range w.del {
-			found, err := npair.Delete(pt)
-			if err != nil {
-				return err
-			}
-			if !found {
+			if !npair.Delete(pt) {
 				return fmt.Errorf("core: mutable S delete: point ID %d missing from cell (%d,%d)", pt.ID, k.CX, k.CY)
 			}
 		}
 		for _, pt := range w.ins {
-			if err := npair.Insert(pt); err != nil {
-				return err
-			}
+			npair.Insert(pt)
 		}
 	}
 	nx.scells = nx.scells.With(k, &mutCell{cell: ncell, pair: npair})

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/bbst"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/join"
@@ -33,7 +34,7 @@ func RunAblationBucketCap(scale Scale, factors []float64) (*Table, error) {
 		if jSize == 0 {
 			continue
 		}
-		base := defaultBucketCap(len(w.S))
+		base := bbst.BucketCap(len(w.S))
 		for _, f := range factors {
 			cap := int(float64(base) * f)
 			if cap < 1 {
@@ -62,66 +63,6 @@ func RunAblationBucketCap(scale Scale, factors []float64) (*Table, error) {
 			t.Rows = append(t.Rows, []Cell{
 				cellStr(w.Name), cellInt(uint64(cap)), cellF(f, "%g"),
 				cellDur(online), cellF(st.MuSum/jSize, "%.4f"), cellInt(st.Iterations),
-			})
-		}
-	}
-	return t, nil
-}
-
-// defaultBucketCap mirrors bbst.BucketCap without importing it here.
-func defaultBucketCap(m int) int {
-	cap := 1
-	for v := 2; v < m; v *= 2 {
-		cap++
-	}
-	if cap < 1 {
-		cap = 1
-	}
-	return cap
-}
-
-// RunAblationFC compares the BBST sampler with and without fractional
-// cascading (the optional optimization of Lemma 4): same samples,
-// different constant factors and memory.
-func RunAblationFC(scale Scale) (*Table, error) {
-	ws, err := scale.Workloads(0.5)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation: fractional cascading (t = %d, l = %g)", scale.T, scale.L),
-		Columns: []string{"dataset", "variant", "total", "UB", "sampling", "memory"},
-	}
-	for _, w := range ws {
-		for _, fc := range []bool{false, true} {
-			s, err := core.NewBBST(w.R, w.S, core.Config{
-				HalfExtent: scale.L, Seed: scale.Seed, FractionalCascading: fc,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := s.Preprocess(); err != nil {
-				return nil, err
-			}
-			if err := s.Build(); err != nil {
-				return nil, err
-			}
-			if err := s.Count(); err != nil {
-				return nil, err
-			}
-			if _, err := s.Sample(scale.T); err != nil {
-				return nil, err
-			}
-			st := s.Stats()
-			name := "binary-search"
-			if fc {
-				name = "fractional-cascading"
-			}
-			online := st.GridMapTime + st.UpperBoundTime + st.SampleTime
-			t.Rows = append(t.Rows, []Cell{
-				cellStr(w.Name), cellStr(name),
-				cellDur(online), cellDur(st.UpperBoundTime), cellDur(st.SampleTime),
-				cellMB(s.SizeBytes()),
 			})
 		}
 	}

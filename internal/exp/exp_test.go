@@ -306,24 +306,6 @@ func TestRunAblationBucketCap(t *testing.T) {
 	}
 }
 
-func TestRunAblationFC(t *testing.T) {
-	scale := tinyScale()
-	scale.T = 300
-	tbl, err := RunAblationFC(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 { // 2 datasets x 2 variants
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	mc := findColumn(t, tbl, "memory")
-	for i := 0; i+1 < len(tbl.Rows); i += 2 {
-		if tbl.Rows[i+1][mc].Value <= tbl.Rows[i][mc].Value {
-			t.Error("FC variant should report more memory")
-		}
-	}
-}
-
 func TestRunFigure4Live(t *testing.T) {
 	tbl, err := RunFigure4Live(tinyScale(), []float64{1.0})
 	if err != nil {

@@ -267,7 +267,6 @@ func Runners(scale Scale) map[string]func() (*Table, error) {
 		"figure8":            func() (*Table, error) { return RunFigure8(scale, nil) },
 		"figure9":            func() (*Table, error) { return RunFigure9(scale) },
 		"ablation-bucketcap": func() (*Table, error) { return RunAblationBucketCap(scale, nil) },
-		"ablation-fc":        func() (*Table, error) { return RunAblationFC(scale) },
 		"figure4-live":       func() (*Table, error) { return RunFigure4Live(scale, nil) },
 	}
 }

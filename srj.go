@@ -137,11 +137,6 @@ type Options struct {
 	// MaxRejects bounds consecutive rejected sampling iterations
 	// (0 = default budget). Only relevant for degenerate inputs.
 	MaxRejects int
-	// FractionalCascading enables the O(log m) corner queries of the
-	// BBST via Chazelle–Guibas bridges (the paper's optional
-	// optimization in Lemma 4), trading extra memory for faster
-	// counting and sampling on large cells. BBST algorithm only.
-	FractionalCascading bool
 	// BucketCap overrides the BBST bucket capacity b, the largest
 	// bucket a cell may hold (each cell balances its buckets under
 	// it); 0 keeps the paper's b = ceil(log2 m) (Definition 3). BBST
@@ -166,12 +161,11 @@ func NewSampler(R, S []Point, l float64, opts *Options) (Sampler, error) {
 		o = *opts
 	}
 	cfg := core.Config{
-		HalfExtent:          l,
-		Seed:                o.Seed,
-		WithoutReplacement:  o.WithoutReplacement,
-		MaxRejects:          o.MaxRejects,
-		FractionalCascading: o.FractionalCascading,
-		BucketCap:           o.BucketCap,
+		HalfExtent:         l,
+		Seed:               o.Seed,
+		WithoutReplacement: o.WithoutReplacement,
+		MaxRejects:         o.MaxRejects,
+		BucketCap:          o.BucketCap,
 	}
 	switch o.Algorithm {
 	case "", BBST:

@@ -53,53 +53,79 @@ func Data() (R, S []srj.Point, l float64) {
 	return srj.MustGenerate("uniform", 60, 101), srj.MustGenerate("uniform", 60, 102), 1000.0
 }
 
+// serialCorrelation returns the first-lag autocorrelation of xs.
+func serialCorrelation(xs []float64) float64 {
+	mean := 0.0
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	varSum, cov := 0.0, 0.0
+	for i, x := range xs {
+		varSum += (x - mean) * (x - mean)
+		if i > 0 {
+			cov += (x - mean) * (xs[i-1] - mean)
+		}
+	}
+	return cov / varSum
+}
+
 // RunSourceConformance runs the shared suite against the sources make
-// constructs: uniformity, equal-seed determinism, context
-// cancellation, fn error precedence, the per-request cap, malformed
-// requests, and the Into buffer contract. Implementations pass all of
+// constructs: uniformity and independence, equal-seed determinism,
+// context cancellation, fn error precedence, the per-request cap,
+// malformed requests, and the Into buffer contract. Implementations pass all of
 // it or they are not a Source.
 func RunSourceConformance(t *testing.T, newSource MakeSource) {
 	R, S, l := Data()
 
 	t.Run("uniformity", func(t *testing.T) {
 		src := newSource(t, Config{R: R, S: S, L: l, MaxT: 500_000, BuildSeed: 1})
-		jset := map[[2]int32]bool{}
+		index := map[[2]int32]int{} // each pair's position in J
 		srj.Join(R, S, l, func(r, s srj.Point) bool {
-			jset[[2]int32{r.ID, s.ID}] = true
+			index[[2]int32{r.ID, s.ID}] = len(index)
 			return true
 		})
-		if len(jset) < 20 || len(jset) > 2000 {
-			t.Fatalf("test setup: |J| = %d not in a good range", len(jset))
+		if len(index) < 20 || len(index) > 2000 {
+			t.Fatalf("test setup: |J| = %d not in a good range", len(index))
 		}
 		const draws = 120_000
 		counts := map[[2]int32]int{}
+		seq := make([]float64, 0, draws)
 		err := src.DrawFunc(context.Background(), srj.Request{T: draws}, func(batch []srj.Pair) error {
 			for _, p := range batch {
 				k := [2]int32{p.R.ID, p.S.ID}
-				if !jset[k] {
+				pos, ok := index[k]
+				if !ok {
 					t.Fatalf("sampled pair %v not in J", p)
 				}
 				if !srj.Window(p.R, l).Contains(p.S) {
 					t.Fatalf("pair %v outside window", p)
 				}
 				counts[k]++
+				seq = append(seq, float64(pos))
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected := float64(draws) / float64(len(jset))
+		expected := float64(draws) / float64(len(index))
 		chi2 := 0.0
-		for k := range jset {
+		for k := range index {
 			d := float64(counts[k]) - expected
 			chi2 += d * d / expected
 		}
-		dof := float64(len(jset) - 1)
+		dof := float64(len(index) - 1)
 		// The p≈0.001 bound the in-process uniformity tests use.
 		limit := dof + 4*math.Sqrt(2*dof) + 10
 		if chi2 > limit {
 			t.Fatalf("distribution skewed: chi2 = %.1f > %.1f (dof %g)", chi2, limit, dof)
+		}
+		// Independence: under it the first-lag serial correlation of
+		// the drawn positions is ~N(0, 1/draws), so |corr| beyond
+		// 5/sqrt(draws) is a real signal.
+		if corr := serialCorrelation(seq); math.Abs(corr) > 5/math.Sqrt(draws) {
+			t.Fatalf("serial correlation %g too high", corr)
 		}
 	})
 

@@ -37,9 +37,7 @@ type StoreOptions struct {
 	// MaxRejects bounds consecutive rejected sampling iterations
 	// (0 = default budget).
 	MaxRejects int
-	// BucketCap tunes the BBST base exactly as in Options. Options'
-	// FractionalCascading has no store twin: a cell's first edit
-	// drops the bridges.
+	// BucketCap tunes the BBST base exactly as in Options.
 	BucketCap int
 	// MaxT caps the samples one request may ask for (0 = unlimited),
 	// like Engine.SetMaxT.
