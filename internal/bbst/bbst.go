@@ -23,8 +23,13 @@
 // the exact count (the capacity never exceeds b). The same
 // decomposition supports drawing a uniform (bucket, slot) pair, which
 // is how the sampling phase picks candidate points. Balancing keeps
-// every bucket of a freshly built cell full or one short of full, so
-// few of those slots come up empty.
+// every bucket full or one short of full, so few of those slots come
+// up empty.
+//
+// Every Pair comes from Build and is never edited afterwards: a cell
+// whose points change gets a freshly built pair over its new run. So
+// there are no dead buckets, no partly drained ones and no lopsided
+// trees to repair.
 //
 // The paper's optional fractional cascading (Lemma 4) is left out:
 // a corner cell holds only a few buckets, so its trees are one or two
@@ -44,13 +49,9 @@ import (
 	"repro/internal/rng"
 )
 
-// Bucket summarizes one bucket of a cell: at most Cap() points in
-// ascending x order, plus the exact min/max of both coordinates. After
-// a bulk Build the Pts slices are zero-copy windows into the caller's
-// x-sorted slice; every in-place mutation (Insert/Delete) replaces the
-// slice rather than writing through it, so the caller's backing array
-// is never modified. A nil Pts marks a dead (free-listed) slot in the
-// Pair's bucket table and never appears in query results.
+// Bucket summarizes one bucket of a cell: Cap() or Cap()-1 points in
+// ascending x order, plus the exact min/max of both coordinates. Pts
+// is a zero-copy window into the x-sorted slice Build was given.
 type Bucket struct {
 	Pts        []geom.Point
 	MinX, MaxX float64
@@ -98,25 +99,15 @@ type node struct {
 	left, right  *node
 }
 
-// tree is one of the two BBSTs of a cell: keyed by bucket MinX
-// (answers "key <= q") or by bucket MaxX (answers "key >= q").
-type tree struct {
-	root *node
-}
-
 // Pair bundles the shared bucket array and the two trees built over
-// one cell's x-sorted points, i.e. (T^min_c, T^max_c) in the paper.
-// A Pair built by Build is immediately queryable and mutable through
-// Insert and Delete (see maint.go).
+// one cell's x-sorted points, i.e. (T^min_c, T^max_c) in the paper:
+// tMin is keyed by bucket MinX (answers "key <= q"), tMax by bucket
+// MaxX (answers "key >= q"). Build makes it; nothing edits it after.
 type Pair struct {
-	buckets []Bucket
-	order   []int32 // live bucket ids in ascending (MinX, MaxX) order
-	free    []int32 // dead bucket ids available for reuse
-	npts    int     // live point count
-	cap     int     // bucket capacity: ceil(N/ceil(N/b)) <= b at build
-	tMin    tree
-	tMax    tree
-	deep    bool // an insert descended past the depth hatch; rebuild trees
+	buckets    []Bucket // in ascending x order, so the id is the x rank
+	npts       int
+	cap        int // bucket capacity: ceil(N/ceil(N/b)) <= b
+	tMin, tMax *node
 }
 
 // BucketCap returns the maximum bucket size for a dataset of m points:
@@ -153,16 +144,15 @@ func Build(points []geom.Point, bucketCap int) (*Pair, error) {
 	k := (n + bucketCap - 1) / bucketCap
 	p.cap = (n + k - 1) / k
 	p.buckets = make([]Bucket, k)
-	p.order = make([]int32, k)
 	for i := range k {
 		// Bucket i spans [⌊i·n/k⌋, ⌊(i+1)·n/k⌋): every size is ⌊n/k⌋
 		// or ⌈n/k⌉. The three-index subslice keeps a later append
 		// through this header from clobbering the caller's array.
 		start, end := i*n/k, (i+1)*n/k
 		p.buckets[i] = bucketOf(points[start:end:end])
-		p.order[i] = int32(i)
 	}
-	p.rebuildTrees()
+	p.tMin = p.makeTree(func(b Bucket) float64 { return b.MinX })
+	p.tMax = p.makeTree(func(b Bucket) float64 { return b.MaxX })
 	return p, nil
 }
 
@@ -185,26 +175,15 @@ func bucketOf(pts []geom.Point) Bucket {
 	return b
 }
 
-// rebuildTrees bulk-rebuilds both trees over the live buckets — the
-// build path, Compact, and the depth escape hatch of the incremental
-// path all land here.
-func (p *Pair) rebuildTrees() {
-	p.deep = false
-	if len(p.order) == 0 {
-		p.tMin.root, p.tMax.root = nil, nil
-		return
-	}
-	p.tMin.root = p.makeTree(func(b Bucket) float64 { return b.MinX })
-	p.tMax.root = p.makeTree(func(b Bucket) float64 { return b.MaxX })
-}
-
-// makeTree builds one balanced tree over the live buckets using key(b)
-// as the bucket's x-coordinate (Algorithm 2).
+// makeTree builds one balanced tree over the buckets using key(b) as
+// the bucket's x-coordinate (Algorithm 2). Buckets are consecutive
+// runs of x-sorted points, so both MinX and MaxX ascend with the
+// bucket id: the ids in order are already sorted by key.
 func (p *Pair) makeTree(key func(Bucket) float64) *node {
-	byKey := append([]int32(nil), p.order...)
-	sort.SliceStable(byKey, func(i, j int) bool {
-		return key(p.buckets[byKey[i]]) < key(p.buckets[byKey[j]])
-	})
+	byKey := make([]int32, len(p.buckets))
+	for i := range byKey {
+		byKey[i] = int32(i)
+	}
 	byMinY := append([]int32(nil), byKey...)
 	sort.SliceStable(byMinY, func(i, j int) bool {
 		return p.buckets[byMinY[i]].MinY < p.buckets[byMinY[j]].MinY
@@ -265,28 +244,20 @@ func (p *Pair) makeNode(byKey, byMinY, byMaxY []int32, key func(Bucket) float64)
 	return u
 }
 
-// NumBuckets returns the number of live buckets in the cell.
-func (p *Pair) NumBuckets() int { return len(p.order) }
+// NumBuckets returns the number of buckets in the cell.
+func (p *Pair) NumBuckets() int { return len(p.buckets) }
 
-// NumPoints returns the number of live points in the cell.
+// NumPoints returns the number of points in the cell.
 func (p *Pair) NumPoints() int { return p.npts }
 
 // Cap returns the pair's bucket capacity: the largest bucket size
 // Build gave the cell, at most the b it was called with. It is the
-// per-bucket slot count of Mu and SampleSlot and the split threshold
-// of Insert.
+// per-bucket slot count of Mu and SampleSlot.
 func (p *Pair) Cap() int { return p.cap }
 
-// Buckets returns the live bucket summaries in ascending x order, for
-// tests and diagnostics. The returned slice is freshly allocated (the
-// internal table may contain free-listed holes).
-func (p *Pair) Buckets() []Bucket {
-	out := make([]Bucket, len(p.order))
-	for i, id := range p.order {
-		out[i] = p.buckets[id]
-	}
-	return out
-}
+// Buckets returns a copy of the bucket summaries in ascending x order,
+// for tests and diagnostics.
+func (p *Pair) Buckets() []Bucket { return slices.Clone(p.buckets) }
 
 // piece is one element of the canonical decomposition: a y-sorted
 // bucket-id array together with the contiguous matching region
@@ -328,11 +299,9 @@ func (p *Pair) decompose(c Corner, w geom.Rect, s *Scratch) ([]piece, int) {
 	// The x-constraint "MaxX >= qx" is answered by the tree keyed on
 	// MaxX and vice versa; both trees store both y-orders, so the y
 	// side is independent.
-	var u *node
+	u := p.tMin
 	if xGE {
-		u = p.tMax.root
-	} else {
-		u = p.tMin.root
+		u = p.tMax
 	}
 	total := 0
 	addPiece := func(n *node, canonical bool) {
@@ -437,9 +406,8 @@ func (p *Pair) Mu(c Corner, w geom.Rect, s *Scratch) int {
 // SampleSlot draws a uniform slot among the µ(r, corner) candidate
 // slots of corner c (each matching bucket contributes exactly Cap()
 // slots). It returns the point occupying the slot, or ok == false when
-// the slot is empty (bucket shorter than Cap(): after Build at most one
-// slot per bucket, more once deletes or splits have thinned a bucket)
-// — the caller must then reject the whole sampling iteration to
+// the slot is empty (the last slot of a bucket one short of Cap()) —
+// the caller must then reject the whole sampling iteration to
 // preserve uniformity. The caller is also responsible for the final
 // w(r)-membership check.
 func (p *Pair) SampleSlot(c Corner, w geom.Rect, r *rng.RNG, s *Scratch) (pt geom.Point, ok bool) {
@@ -469,12 +437,7 @@ func (p *Pair) SampleSlot(c Corner, w geom.Rect, r *rng.RNG, s *Scratch) (pt geo
 // trees have height 1); 0 when the cell is empty. Used by tests to
 // verify balance.
 func (p *Pair) Height() int {
-	h1 := height(p.tMin.root)
-	h2 := height(p.tMax.root)
-	if h1 > h2 {
-		return h1
-	}
-	return h2
+	return max(height(p.tMin), height(p.tMax))
 }
 
 func height(n *node) int {
@@ -490,7 +453,7 @@ func height(n *node) int {
 
 // NumNodes returns the node count of both trees combined; tests use it
 // to verify the O(N / log m) node bound.
-func (p *Pair) NumNodes() int { return countNodes(p.tMin.root) + countNodes(p.tMax.root) }
+func (p *Pair) NumNodes() int { return countNodes(p.tMin) + countNodes(p.tMax) }
 
 func countNodes(n *node) int {
 	if n == nil {
@@ -500,15 +463,13 @@ func countNodes(n *node) int {
 }
 
 // SizeBytes estimates the heap footprint of the pair (buckets, nodes,
-// and all id arrays), excluding the point storage itself, which a
-// freshly built pair shares with the grid cell (callers that account
-// for mutated, bucket-owned points add 24*NumPoints on top: a
-// geom.Point is two float64 and a padded int32). Used by
-// the memory experiment (Fig. 4).
+// and all id arrays), excluding the point storage itself, which the
+// pair shares with the x-sorted slice it was built over. Used by the
+// memory experiment (Fig. 4).
 func (p *Pair) SizeBytes() int {
 	const bucketSize = 24 + 4*8     // Pts header + 4 float summaries
 	const nodeSize = 8 + 4*24 + 2*8 // key + 4 slice headers + 2 pointers
-	total := len(p.buckets)*bucketSize + 4*(len(p.order)+len(p.free))
+	total := len(p.buckets) * bucketSize
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n == nil {
@@ -518,8 +479,8 @@ func (p *Pair) SizeBytes() int {
 		walk(n.left)
 		walk(n.right)
 	}
-	walk(p.tMin.root)
-	walk(p.tMax.root)
+	walk(p.tMin)
+	walk(p.tMax)
 	return total
 }
 

@@ -94,6 +94,9 @@ func TestBuildBalancedBuckets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("b=%d N=%d: %v", b, n, err)
+			}
 			k := (n + b - 1) / b
 			if got := p.NumBuckets(); got != k {
 				t.Fatalf("b=%d N=%d: %d buckets, want ceil(N/b) = %d", b, n, got, k)
@@ -212,6 +215,9 @@ func TestDuplicateXCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 300; trial++ {
 		w := geom.Window(geom.Point{X: r.Range(-1, 6), Y: r.Range(0, 100)}, r.Range(0.1, 50))
 		for _, c := range allCorners {
@@ -258,6 +264,9 @@ func TestAllIdenticalPoints(t *testing.T) {
 	}
 	p, err := Build(pts, 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	w := geom.Rect{XMin: 0, YMin: 0, XMax: 10, YMax: 10}

@@ -1,0 +1,147 @@
+package core
+
+import (
+	"cmp"
+	"slices"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/grid"
+	"repro/internal/rng"
+)
+
+// fuzzSide is the half extent, and so the grid cell side, of the
+// FuzzMutableOps index. Its points sit on the integer lattice
+// [0, 16)², so every multiple of fuzzSide is a cell edge and identical
+// points come up often.
+const fuzzSide = 4
+
+// applyMutOracle applies one batch to a plain point list the way
+// ApplyOps defines it: every point carrying a deleted ID goes, then the
+// inserts are appended. live is not modified.
+func applyMutOracle(live []geom.Point, del []int32, ins []geom.Point) []geom.Point {
+	var out []geom.Point
+	for _, p := range live {
+		if !slices.Contains(del, p.ID) {
+			out = append(out, p)
+		}
+	}
+	return append(out, ins...)
+}
+
+func comparePoints(a, b geom.Point) int {
+	return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y), cmp.Compare(a.ID, b.ID))
+}
+
+// checkLive fails unless the version holds exactly the oracle's point
+// multisets and passes its own invariant sweep.
+func checkLive(t *testing.T, m *Mutable, wantR, wantS []geom.Point) {
+	t.Helper()
+	if err := m.Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	gotR, gotS := m.LivePoints()
+	for _, side := range []struct {
+		name      string
+		got, want []geom.Point
+	}{{"R", gotR, wantR}, {"S", gotS, wantS}} {
+		got, want := slices.Clone(side.got), slices.Clone(side.want)
+		slices.SortFunc(got, comparePoints)
+		slices.SortFunc(want, comparePoints)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s holds %d live points, oracle %d, or they differ", side.name, len(got), len(want))
+		}
+	}
+}
+
+// FuzzMutableOps runs fuzzed MutOps scripts through ApplyOps and
+// checks, after every batch, the new version and the one before it:
+// each must pass CheckInvariants (every touched cell's rebuilt BBST
+// pair, the cached counts against a recount, the reverse indexes) and
+// hold exactly the point sets a plain-list oracle says it should. The
+// script is a list of (op, arg) byte pairs; its op codes reach
+// repeated IDs, identical points, deletes of absent IDs, cells drained
+// to empty and refilled, and coordinates on cell edges.
+func FuzzMutableOps(f *testing.F) {
+	// Inserts at cell corners and edges, split over two batches.
+	f.Add(uint64(1), uint8(0), []byte{0x00, 0x00, 0x01, 0x44, 0x08, 0x88, 0x09, 0xcc, 0x07, 0x00, 0x00, 0x40, 0x01, 0x04})
+	// Drain the cell around (5,5), then refill it in the next batch.
+	f.Add(uint64(2), uint8(3), []byte{0x00, 0x55, 0x08, 0x56, 0x07, 0x00, 0x04, 0x55, 0x07, 0x00, 0x00, 0x55, 0x00, 0x65})
+	// Identical copies of live points on both sides, then their IDs deleted.
+	f.Add(uint64(3), uint8(1), []byte{0x05, 0x00, 0x05, 0x00, 0x06, 0x01, 0x07, 0x00, 0x02, 0x00, 0x03, 0x01, 0x05, 0x02})
+	// Deletes of IDs no point carries, beside real ones.
+	f.Add(uint64(4), uint8(2), []byte{0x02, 0x2f, 0x03, 0x2e, 0x02, 0x05, 0x07, 0x00, 0x03, 0x21, 0x00, 0x9a})
+	// One ID reused across cells and sides, deleted and reinserted in one batch.
+	f.Add(uint64(5), uint8(4), []byte{0x18, 0x11, 0x18, 0xee, 0x19, 0x3c, 0x07, 0x00, 0x02, 0x03, 0x18, 0x22, 0x03, 0x03})
+	f.Fuzz(func(t *testing.T, seed uint64, capRaw uint8, script []byte) {
+		if len(script) > 256 {
+			script = script[:256]
+		}
+		r := rng.New(seed)
+		initial := func() []geom.Point {
+			pts := make([]geom.Point, r.Intn(24))
+			for i := range pts {
+				pts[i] = geom.Point{X: float64(r.Intn(16)), Y: float64(r.Intn(16)), ID: int32(r.Intn(32))}
+			}
+			return pts
+		}
+		R, S := initial(), initial()
+		frozen, err := NewBBST(R, S, Config{HalfExtent: fuzzSide, Seed: seed, BucketCap: int(capRaw % 5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := frozen.Unfreeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveR, liveS := slices.Clone(R), slices.Clone(S)
+		checkLive(t, m, liveR, liveS)
+		var ops MutOps
+		apply := func() {
+			next, err := m.Apply(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nextR := applyMutOracle(liveR, ops.DelR, ops.InsR)
+			nextS := applyMutOracle(liveS, ops.DelS, ops.InsS)
+			checkLive(t, next, nextR, nextS)
+			checkLive(t, m, liveR, liveS)
+			m, liveR, liveS, ops = next, nextR, nextS, MutOps{}
+		}
+		for i := 0; i+1 < len(script); i += 2 {
+			op, arg := script[i], script[i+1]
+			// Op IDs are 0..31, the initial points' range; IDs 32..47
+			// are deleted but never carried by any point.
+			pt := geom.Point{X: float64(arg & 0x0f), Y: float64(arg >> 4), ID: int32(op >> 3)}
+			switch op & 7 {
+			case 0:
+				ops.InsS = append(ops.InsS, pt)
+			case 1:
+				ops.InsR = append(ops.InsR, pt)
+			case 2:
+				ops.DelS = append(ops.DelS, int32(arg%48))
+			case 3:
+				ops.DelR = append(ops.DelR, int32(arg%48))
+			case 4:
+				// Drain pt's S cell: delete every ID live in it.
+				k := grid.KeyFor(pt.X, pt.Y, fuzzSide)
+				for _, q := range liveS {
+					if grid.KeyFor(q.X, q.Y, fuzzSide) == k {
+						ops.DelS = append(ops.DelS, q.ID)
+					}
+				}
+			case 5:
+				if len(liveS) > 0 {
+					ops.InsS = append(ops.InsS, liveS[int(arg)%len(liveS)])
+				}
+			case 6:
+				if len(liveR) > 0 {
+					ops.InsR = append(ops.InsR, liveR[int(arg)%len(liveR)])
+				}
+			case 7:
+				apply()
+			}
+		}
+		apply()
+	})
+}

@@ -10,24 +10,17 @@ import (
 // kdCorner answers case-3 queries with a per-cell kd-tree: exact
 // counting via Count and exact sampling via the KDS primitive. This is
 // the variant the paper compares against in Fig. 9 to isolate the
-// benefit of the BBST structure.
+// benefit of the BBST structure. Both queries use the full window
+// w(r): the cell holds only its own points, and the two window sides
+// the corner constraint leaves out lie outside the cell.
 type kdCorner struct{ tree *kdtree.Tree }
 
-// cornerRegion clips the corner constraint into a rectangle; the cell
-// contains only its own points, so querying the half-open constraint
-// region is equivalent to querying w(r) within the cell.
-func cornerRegion(c bbst.Corner, w geom.Rect) geom.Rect {
-	// The opposite two sides of the window lie outside the corner
-	// cell, so they never exclude a cell point; use the full window.
-	return w
+func (k kdCorner) mu(_ bbst.Corner, w geom.Rect, _ *cornerScratch) int {
+	return k.tree.Count(w)
 }
 
-func (k kdCorner) mu(c bbst.Corner, w geom.Rect, _ *cornerScratch) int {
-	return k.tree.Count(cornerRegion(c, w))
-}
-
-func (k kdCorner) sample(c bbst.Corner, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
-	pt, _, ok := k.tree.Sample(cornerRegion(c, w), r, &sc.kd)
+func (k kdCorner) sample(_ bbst.Corner, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
+	pt, _, ok := k.tree.Sample(w, r, &sc.kd)
 	return pt, ok
 }
 

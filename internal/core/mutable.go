@@ -3,12 +3,14 @@ package core
 // Incremental index maintenance: the mutable successor of the frozen
 // BBST pipeline. A frozen BBSTSampler answers draws over immutable
 // structures built in bulk; a Mutable answers the same draws over
-// structures that absorb point inserts and deletes in place:
+// structures that absorb point inserts and deletes batch by batch:
 //
 //   - the S side keeps one copy-on-write cell (grid.WithUpdates) plus
-//     one incrementally-maintained BBST pair (bbst.Insert/Delete on a
-//     CloneForUpdate copy) per non-empty grid cell, reached through a
-//     persistent directory (grid.Dir) instead of a Go map;
+//     one BBST pair per non-empty grid cell, reached through a
+//     persistent directory (grid.Dir) instead of a Go map. A batch
+//     that touches a cell replaces both: the new cell's x-sorted run
+//     is never written after publication, so the pair bbst.Build makes
+//     over it shares its points;
 //   - the R side keeps one persistent slot tree (slotTree): each slot
 //     holds its point, its 9 per-direction counts µ(r, d) and µ(r), in
 //     leaves of stChunk slots under a wide, shallow sum tree (stFan
@@ -25,8 +27,8 @@ package core
 // published views keep serving the version they started with — the
 // same discipline the dynamic store already applies to whole views.
 // One batch of k operations costs Õ(k) (each op touches O(log) nodes
-// plus one cell's O(|cell|) copy-on-write, amortized by the batch),
-// so steady churn never needs a bulk rebuild.
+// plus one cell's O(|cell|) copy-on-write and pair rebuild, amortized
+// by the batch), so steady churn never needs a bulk rebuild.
 //
 // Sampling stays the paper's Algorithm 1: one short descent of the
 // slot tree (one child-sum scan per level, three levels up to 2^18
@@ -69,8 +71,8 @@ func (o MutOps) Empty() bool {
 }
 
 // mutCell is the per-cell S-side structure: the copy-on-write cell
-// (two sorted point orders for the exact 0/1-sided cases) and the
-// incrementally-maintained BBST pair (the 2-sided corners).
+// (two sorted point orders for the exact 0/1-sided cases) and the BBST
+// pair built over its x-sorted run (the 2-sided corners).
 type mutCell struct {
 	cell *grid.Cell
 	pair *bbst.Pair
@@ -104,7 +106,7 @@ func isFreeSlot(pt geom.Point) bool { return math.IsNaN(pt.X) }
 type MutableIndex struct {
 	cfg  Config
 	side float64 // grid cell side (= HalfExtent), fixed per index line
-	bcap int     // BBST b for new cells, sized for s0 live S points
+	bcap int     // BBST b for rebuilt cells, sized for s0 live S points
 
 	// S side.
 	scells *grid.Dir[*mutCell]
@@ -186,16 +188,18 @@ func (ix *MutableIndex) countsOf(pt geom.Point, sc *bbst.Scratch) dirCounts {
 	return cnt
 }
 
-// scw is the per-cell S work of one batch.
+// scw is the per-cell S work of one batch: the points to insert, and
+// the IDs to delete with the number of live points sids lists for them
+// in this cell.
 type scw struct {
 	ins    []geom.Point
-	del    []geom.Point
+	ndel   int
 	delIDs map[int32]struct{}
 }
 
 // ApplyOps absorbs one batch and returns the new index version. The
 // receiver is never modified. S operations are applied first (grouped
-// per cell, one copy-on-write cell replacement and one cloned BBST
+// per cell, one copy-on-write cell replacement and one rebuilt BBST
 // pair per touched cell), then R deletes, then R inserts with counts
 // taken against the final S state, and finally the live R slots whose
 // 3×3 neighborhood contains a touched S cell are recounted.
@@ -229,7 +233,7 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		}
 		for _, pt := range pts {
 			w := touch(grid.KeyFor(pt.X, pt.Y, nx.side))
-			w.del = append(w.del, pt)
+			w.ndel++
 			if w.delIDs == nil {
 				w.delIDs = make(map[int32]struct{})
 			}
@@ -351,13 +355,12 @@ func checkMutFinite(pts []geom.Point, side string) error {
 }
 
 // applySCell replaces one S cell: the copy-on-write cell in one merge
-// pass, the BBST pair via clone-and-edit (or a bulk build for a brand
-// new cell).
+// pass, and a BBST pair built over the new cell's x-sorted run, which
+// is never written after publication, so the buckets share its points.
 func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	var oldCell *grid.Cell
-	var oldPair *bbst.Pair
 	if mc, ok := nx.scells.Get(k); ok {
-		oldCell, oldPair = mc.cell, mc.pair
+		oldCell = mc.cell
 	}
 	var drop func(geom.Point) bool
 	if len(w.delIDs) > 0 {
@@ -368,27 +371,19 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 		}
 	}
 	ncell := grid.WithUpdates(k, oldCell, w.ins, drop)
+	// Every listed delete must remove exactly one point of the cell:
+	// sids and the cell disagree otherwise.
+	if got, want := ncell.Len(), oldCell.Len()-w.ndel+len(w.ins); got != want {
+		return fmt.Errorf("core: mutable S delete: cell (%d,%d) holds %d points after the batch, want %d",
+			k.CX, k.CY, got, want)
+	}
 	if ncell == nil {
 		nx.scells = nx.scells.Without(k)
 		return nil
 	}
-	var npair *bbst.Pair
-	if oldPair == nil {
-		p, err := bbst.Build(ncell.XSorted, nx.bcap)
-		if err != nil {
-			return err
-		}
-		npair = p
-	} else {
-		npair = oldPair.CloneForUpdate()
-		for _, pt := range w.del {
-			if !npair.Delete(pt) {
-				return fmt.Errorf("core: mutable S delete: point ID %d missing from cell (%d,%d)", pt.ID, k.CX, k.CY)
-			}
-		}
-		for _, pt := range w.ins {
-			npair.Insert(pt)
-		}
+	npair, err := bbst.Build(ncell.XSorted, nx.bcap)
+	if err != nil {
+		return err
 	}
 	nx.scells = nx.scells.With(k, &mutCell{cell: ncell, pair: npair})
 	return nil
@@ -459,8 +454,9 @@ func (ix *MutableIndex) NeedsRebase() bool {
 
 // SizeBytes estimates the standalone footprint of this version in O(1)
 // from the live counts: the slot tree, ~140 B per S point (two sorted
-// copies in its cell, its bucket slot and share of the BBST nodes, its
-// sids entry), the directories, and the reverse-list slot IDs.
+// copies in its cell, its share of the buckets and BBST nodes, which
+// point into the cell's x-sorted copy and own no points, and its sids
+// entry), the directories, and the reverse-list slot IDs.
 // TestMutableSizeBytesTracksHeap holds it to the measured live heap.
 func (ix *MutableIndex) SizeBytes() int {
 	return ix.slots.sizeBytes() + 140*ix.sCount + 8*ix.slots.Len() +
@@ -481,8 +477,8 @@ type Mutable struct {
 
 // Unfreeze converts the prepared sampler into a Mutable sharing every
 // frozen structure: the cells and per-cell BBST pairs are adopted as-is
-// (the first mutation of a cell clones them copy-on-write, so the
-// frozen sampler keeps serving untouched). The slot tree is bulk-built
+// (the first mutation of a cell replaces both, so the frozen sampler
+// keeps serving untouched). The slot tree is bulk-built
 // from the frozen count records, which were counted against these same
 // cells and pairs, and the directories are bulk-built in one sort
 // each. This is the one O(n + m) step of the mutable path; every

@@ -33,10 +33,11 @@ func mustUnfreeze(t *testing.T, R, S []geom.Point, cfg Config) *Mutable {
 // goldenMutableDigest pins the seeded draw stream of the mutable index:
 // FNV-64a over every draw and the live point order of the script in
 // mutableScriptDigest, as produced by an implementation with a separate
-// point vector and weight tree, over balanced BBST buckets. Any change
-// to the maintained µ, the bucket boundaries, the slot order, the
-// directory order or the trial's use of the random stream moves it.
-const goldenMutableDigest = 0x3c20cb86ad0fd616
+// point vector and weight tree, over balanced BBST buckets, with every
+// touched cell's pair rebuilt from its new run. Any change to the
+// maintained µ, the bucket boundaries, the slot order, the directory
+// order or the trial's use of the random stream moves it.
+const goldenMutableDigest uint64 = 0xc108cd5072de6a02
 
 // churnGen deals out fixed-shape churn batches: per side, k deletes of
 // random live IDs and k inserts of fresh IDs at points drawn from a
@@ -530,6 +531,22 @@ func TestMutableCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestMutableDeleteMissingPointFails: a delete of a point that sids
+// lists but its cell lacks fails the batch instead of publishing a
+// version whose ID index and cells disagree.
+func TestMutableDeleteMissingPointFails(t *testing.T) {
+	r := rng.New(12)
+	R := randomPoints(r, 40, 50, 0)
+	S := randomPoints(r, 40, 50, 10000)
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	ix := *m.Index()
+	ghost := geom.Point{X: S[0].X, Y: S[0].Y, ID: 99999}
+	ix.sids = ix.sids.With(idKey(ghost.ID), []geom.Point{ghost})
+	if _, err := ix.ApplyOps(MutOps{DelS: []int32{ghost.ID}}); err == nil {
+		t.Fatal("deleting a point missing from its cell succeeded")
+	}
+}
+
 // TestMutableReuseSlotInSameCell covers a batch whose R insert reuses
 // the slot its R delete just freed, in the same cell: the slot must be
 // listed once in the cell's reverse list, not twice.
@@ -552,14 +569,16 @@ func TestMutableReuseSlotInSameCell(t *testing.T) {
 }
 
 // TestMutableSizeBytesTracksHeap keeps the SizeBytes estimate within 2×
-// of the live heap an unfrozen index holds on its own (the frozen
-// sampler it came from is dropped), so the memory charge for stores
-// stays honest.
+// of the live heap an index holds on its own (the frozen sampler it
+// came from and every superseded version are dropped), both freshly
+// unfrozen and after 100 churn batches, so the memory charge for
+// stores stays honest.
 func TestMutableSizeBytesTracksHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 50k x 50k index")
 	}
 	R, S := dataset.SplitRS(dataset.NYC(100000, 1), 0.5, 2)
+	gen := newChurnGen(R, S, dataset.NYC(4000, 7), 3)
 	var ms runtime.MemStats
 	liveHeap := func() int64 {
 		runtime.GC()
@@ -568,12 +587,23 @@ func TestMutableSizeBytesTracksHeap(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	before := liveHeap()
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 100, Seed: 1})
-	measured := liveHeap() - before
-	est := int64(m.SizeBytes())
-	runtime.KeepAlive(m)
-	t.Logf("SizeBytes %d, live heap %d (%.2fx)", est, measured, float64(est)/float64(measured))
-	if est > 2*measured || measured > 2*est {
-		t.Fatalf("SizeBytes %d vs live heap %d: off by more than 2x", est, measured)
+	check := func(name string, m *Mutable) {
+		t.Helper()
+		measured := liveHeap() - before
+		est := int64(m.SizeBytes())
+		runtime.KeepAlive(m)
+		t.Logf("%s: SizeBytes %d, live heap %d (%.2fx)", name, est, measured, float64(est)/float64(measured))
+		if est > 2*measured || measured > 2*est {
+			t.Fatalf("%s: SizeBytes %d vs live heap %d: off by more than 2x", name, est, measured)
+		}
 	}
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: 100, Seed: 1})
+	check("unfrozen", m)
+	for batch := 0; batch < 100; batch++ {
+		var err error
+		if m, err = m.Apply(gen.batch(16)); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+	}
+	check("after 100 churn batches", m)
 }

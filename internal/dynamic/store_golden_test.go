@@ -23,8 +23,9 @@ import (
 // generation-0 and post-Compact ones) were recorded with a trial that
 // picks the direction by a cumulative scan of r's count record and
 // draws cases 1–2 by one Intn over the cached count; its mutable draws
-// with the slot-tree trial; both over balanced BBST buckets.
-const goldenStoreDigest uint64 = 0x887ccf9cf30d078
+// with the slot-tree trial; both over balanced BBST buckets, every
+// touched cell's pair rebuilt from its new run.
+const goldenStoreDigest uint64 = 0xbe764d2f6f37d373
 
 // storeScript generates deterministic mixed batches over a model of
 // the live sets: each batch deletes del random live points per side

@@ -119,8 +119,14 @@ type Cell struct {
 	YSorted []geom.Point
 }
 
-// Len returns the number of points in the cell.
-func (c *Cell) Len() int { return len(c.XSorted) }
+// Len returns the number of points in the cell; a nil cell (what
+// WithUpdates returns for an emptied one) has none.
+func (c *Cell) Len() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.XSorted)
+}
 
 // Rect returns the closed spatial extent of the cell given the grid
 // cell side.

@@ -3,9 +3,10 @@ package srj
 // The mutable-dataset surface. A Sampler and an Engine are bulk-built
 // over immutable R and S; a Store is the paper's BBST structure made
 // mutable: the bulk-built base is adopted for in-place maintenance on
-// the first update, and every batch after that edits the grid cells,
-// BBST buckets and per-point counts copy-on-write in Õ(ops), so draws
-// stay uniform over the *live* join (see internal/dynamic). Stores are
+// the first update, and every batch after that replaces the touched
+// grid cells with their BBST pairs, rebuilt over the new points, and
+// edits the per-point counts copy-on-write in Õ(ops), so draws stay
+// uniform over the *live* join (see internal/dynamic). Stores are
 // BBST-only; the other algorithms are the paper's static baselines.
 // Every applied batch bumps the dataset's generation number. srjserver
 // draws a store-backed key from the store's current view, never from
@@ -37,8 +38,6 @@ type StoreOptions struct {
 	// MaxRejects bounds consecutive rejected sampling iterations
 	// (0 = default budget).
 	MaxRejects int
-	// BucketCap tunes the BBST base exactly as in Options.
-	BucketCap int
 	// MaxT caps the samples one request may ask for (0 = unlimited),
 	// like Engine.SetMaxT.
 	MaxT int
@@ -75,7 +74,6 @@ func NewStore(R, S []Point, l float64, opts *StoreOptions) (*Store, error) {
 		HalfExtent: l,
 		Seed:       o.Seed,
 		MaxRejects: o.MaxRejects,
-		BucketCap:  o.BucketCap,
 	}
 	st, err := dynamic.NewStore(R, S, dynamic.Config{
 		BuildBase: func(R, S []Point) (*core.BBSTSampler, error) {
