@@ -382,7 +382,7 @@ func (p *Pair) decompose(c Corner, w geom.Rect, s *Scratch) ([]piece, int) {
 }
 
 // Scratch is an opaque reusable buffer for the corner queries
-// (CountBuckets, Mu, SampleSlot, ReportBuckets, ReportPoints). A zero
+// (CountBuckets, Mu, SampleSlot, ReportBuckets). A zero
 // value is ready to use; it must not be shared across goroutines. Every
 // query also accepts a nil *Scratch and then allocates per call.
 type Scratch struct{ pieces []piece }
@@ -498,34 +498,4 @@ func (p *Pair) ReportBuckets(c Corner, w geom.Rect, s *Scratch, fn func(Bucket) 
 			}
 		}
 	}
-}
-
-// ReportPoints calls fn for every point of the cell that satisfies the
-// corner's 2-sided constraint exactly (bucket candidates are filtered
-// point-by-point). fn returning false stops the enumeration.
-func (p *Pair) ReportPoints(c Corner, w geom.Rect, s *Scratch, fn func(geom.Point) bool) {
-	qx, qy, xGE, yGE := cornerQuery(c, w)
-	match := func(pt geom.Point) bool {
-		if xGE && pt.X < qx {
-			return false
-		}
-		if !xGE && pt.X > qx {
-			return false
-		}
-		if yGE && pt.Y < qy {
-			return false
-		}
-		if !yGE && pt.Y > qy {
-			return false
-		}
-		return true
-	}
-	p.ReportBuckets(c, w, s, func(b Bucket) bool {
-		for _, pt := range b.Pts {
-			if match(pt) && !fn(pt) {
-				return false
-			}
-		}
-		return true
-	})
 }

@@ -599,44 +599,6 @@ func TestReportBucketsMatchesCount(t *testing.T) {
 	}
 }
 
-func TestReportPointsExact(t *testing.T) {
-	r := rng.New(26)
-	pts := sortedPoints(r, 500, 30)
-	p, err := Build(pts, BucketCap(500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s Scratch
-	for trial := 0; trial < 200; trial++ {
-		w := geom.Window(geom.Point{X: r.Range(0, 30), Y: r.Range(0, 30)}, r.Range(0.5, 10))
-		for _, c := range allCorners {
-			pred := cornerPredicate(c, w)
-			want := map[int32]bool{}
-			for _, pt := range pts {
-				if pred(pt) {
-					want[pt.ID] = true
-				}
-			}
-			got := map[int32]bool{}
-			p.ReportPoints(c, w, &s, func(pt geom.Point) bool {
-				if got[pt.ID] {
-					t.Fatalf("%v: duplicate report of %v", c, pt)
-				}
-				got[pt.ID] = true
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("%v: reported %d points, want %d", c, len(got), len(want))
-			}
-			for id := range want {
-				if !got[id] {
-					t.Fatalf("%v: missing point %d", c, id)
-				}
-			}
-		}
-	}
-}
-
 func TestReportEarlyStops(t *testing.T) {
 	r := rng.New(27)
 	pts := sortedPoints(r, 300, 10)
@@ -646,19 +608,11 @@ func TestReportEarlyStops(t *testing.T) {
 	}
 	w := geom.Rect{XMin: 0, YMin: 0, XMax: 20, YMax: 20}
 	seen := 0
-	p.ReportPoints(SouthWest, w, nil, func(geom.Point) bool {
-		seen++
-		return seen < 4
-	})
-	if seen != 4 {
-		t.Fatalf("early stop saw %d points", seen)
-	}
-	seenB := 0
 	p.ReportBuckets(SouthWest, w, nil, func(Bucket) bool {
-		seenB++
-		return seenB < 2
+		seen++
+		return seen < 2
 	})
-	if seenB != 2 {
-		t.Fatalf("bucket early stop saw %d", seenB)
+	if seen != 2 {
+		t.Fatalf("bucket early stop saw %d", seen)
 	}
 }

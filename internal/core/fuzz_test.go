@@ -73,6 +73,9 @@ func FuzzMutableOps(f *testing.F) {
 	f.Add(uint64(4), uint8(2), []byte{0x02, 0x2f, 0x03, 0x2e, 0x02, 0x05, 0x07, 0x00, 0x03, 0x21, 0x00, 0x9a})
 	// One ID reused across cells and sides, deleted and reinserted in one batch.
 	f.Add(uint64(5), uint8(4), []byte{0x18, 0x11, 0x18, 0xee, 0x19, 0x3c, 0x07, 0x00, 0x02, 0x03, 0x18, 0x22, 0x03, 0x03})
+	// Fill the R cell around (5,5), then drain it and refill it in one
+	// batch, so the slots the drain frees are reused by the refill.
+	f.Add(uint64(6), uint8(0), []byte{0x01, 0x55, 0x09, 0x56, 0x11, 0x66, 0x07, 0x00, 0x04, 0x55, 0x19, 0x55, 0x21, 0x77, 0x29, 0x45})
 	f.Fuzz(func(t *testing.T, seed uint64, capRaw uint8, script []byte) {
 		if len(script) > 256 {
 			script = script[:256]
@@ -123,11 +126,16 @@ func FuzzMutableOps(f *testing.F) {
 			case 3:
 				ops.DelR = append(ops.DelR, int32(arg%48))
 			case 4:
-				// Drain pt's S cell: delete every ID live in it.
+				// Drain pt's S and R cells: delete every ID live in them.
 				k := grid.KeyFor(pt.X, pt.Y, fuzzSide)
 				for _, q := range liveS {
 					if grid.KeyFor(q.X, q.Y, fuzzSide) == k {
 						ops.DelS = append(ops.DelS, q.ID)
+					}
+				}
+				for _, q := range liveR {
+					if grid.KeyFor(q.X, q.Y, fuzzSide) == k {
+						ops.DelR = append(ops.DelR, q.ID)
 					}
 				}
 			case 5:

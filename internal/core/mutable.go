@@ -15,9 +15,11 @@ package core
 //     holds its point, its 9 per-direction counts µ(r, d) and µ(r), in
 //     leaves of stChunk slots under a wide, shallow sum tree (stFan
 //     child sums per node) that replaces the frozen Walker alias; a
-//     cell→slots reverse index lets an S-side change recount only the
-//     R points whose 3×3 neighborhood was touched, one batched
-//     muCounter pass per R cell (the frozen Count's counter);
+//     cell→slots reverse index lists exactly the live slots of each R
+//     cell (a batch gives every R cell it touches a new list), so an
+//     S-side change recounts only the R points whose 3×3 neighborhood
+//     was touched, one batched muCounter pass per R cell (the frozen
+//     Count's counter);
 //   - deleting an R point zeroes its counts and threads the slot onto
 //     a free list encoded in the slots themselves, so sustained churn
 //     reuses slots instead of growing without bound.
@@ -78,16 +80,6 @@ type mutCell struct {
 	pair *bbst.Pair
 }
 
-// rlist is one R cell's slot list. Deletes only decrement live (an
-// O(1) copy of the value struct) and leave the dead slot in the list;
-// the list is re-filtered when garbage exceeds live entries, so the
-// amortized cost per operation stays Õ(1). Readers validate entries
-// against the slots before use.
-type rlist struct {
-	slots []int32
-	live  int32
-}
-
 // idKey packs a point ID into a directory key, so the persistent cell
 // directory doubles as a persistent ID index.
 func idKey(id int32) grid.Key { return grid.Key{CX: id} }
@@ -106,19 +98,17 @@ func isFreeSlot(pt geom.Point) bool { return math.IsNaN(pt.X) }
 type MutableIndex struct {
 	cfg  Config
 	side float64 // grid cell side (= HalfExtent), fixed per index line
-	bcap int     // BBST b for rebuilt cells, sized for s0 live S points
 
 	// S side.
 	scells *grid.Dir[*mutCell]
 	sids   *grid.Dir[[]geom.Point] // ID -> live points with that ID
 	sCount int
-	s0     int // live S count the bucket capacity was sized for
 
 	// R side.
 	slots    *slotTree // slot -> point, direction counts, µ; dead slots hold free markers
 	freeHead int32     // head of the dead-slot chain (-1 when none)
 	nFree    int
-	rcells   *grid.Dir[rlist]
+	rcells   *grid.Dir[[]int32] // R cell -> its live slots, each listed once
 	rids     *grid.Dir[[]int32] // ID -> live slots with that ID
 	rCount   int
 }
@@ -188,6 +178,28 @@ func (ix *MutableIndex) countsOf(pt geom.Point, sc *bbst.Scratch) dirCounts {
 	return cnt
 }
 
+// cellWork groups one batch's per-cell work in first-touch order
+// (deterministic — derived from the batch's own order, never map
+// iteration).
+type cellWork[W any] struct {
+	keys []grid.Key
+	m    map[grid.Key]*W
+}
+
+// touch returns cell k's work, creating it on first touch.
+func (c *cellWork[W]) touch(k grid.Key) *W {
+	w := c.m[k]
+	if w == nil {
+		if c.m == nil {
+			c.m = make(map[grid.Key]*W)
+		}
+		w = new(W)
+		c.m[k] = w
+		c.keys = append(c.keys, k)
+	}
+	return w
+}
+
 // scw is the per-cell S work of one batch: the points to insert, and
 // the IDs to delete with the number of live points sids lists for them
 // in this cell.
@@ -197,12 +209,19 @@ type scw struct {
 	delIDs map[int32]struct{}
 }
 
+// rcw is the per-cell R work of one batch: the slots leaving the cell's
+// reverse list and the slots joining it.
+type rcw struct {
+	del, ins []int32
+}
+
 // ApplyOps absorbs one batch and returns the new index version. The
 // receiver is never modified. S operations are applied first (grouped
 // per cell, one copy-on-write cell replacement and one rebuilt BBST
 // pair per touched cell), then R deletes, then R inserts with counts
-// taken against the final S state, and finally the live R slots whose
-// 3×3 neighborhood contains a touched S cell are recounted.
+// taken against the final S state, then every touched R cell gets a
+// new reverse list, and finally the live R slots whose 3×3
+// neighborhood contains a touched S cell are recounted.
 func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 	if err := checkMutFinite(ops.InsR, "R"); err != nil {
 		return nil, err
@@ -213,26 +232,14 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 	nx := *ix
 	var sc bbst.Scratch
 
-	// S side: group per-cell work in first-touch order (deterministic —
-	// derived from the batch's own order, never map iteration).
-	var cellKeys []grid.Key
-	cells := make(map[grid.Key]*scw)
-	touch := func(k grid.Key) *scw {
-		w := cells[k]
-		if w == nil {
-			w = &scw{}
-			cells[k] = w
-			cellKeys = append(cellKeys, k)
-		}
-		return w
-	}
+	var swork cellWork[scw]
 	for _, id := range ops.DelS {
 		pts, ok := nx.sids.Get(idKey(id))
 		if !ok {
 			continue
 		}
 		for _, pt := range pts {
-			w := touch(grid.KeyFor(pt.X, pt.Y, nx.side))
+			w := swork.touch(grid.KeyFor(pt.X, pt.Y, nx.side))
 			w.ndel++
 			if w.delIDs == nil {
 				w.delIDs = make(map[int32]struct{})
@@ -243,14 +250,14 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		nx.sCount -= len(pts)
 	}
 	for _, pt := range ops.InsS {
-		w := touch(grid.KeyFor(pt.X, pt.Y, nx.side))
+		w := swork.touch(grid.KeyFor(pt.X, pt.Y, nx.side))
 		w.ins = append(w.ins, pt)
 		old, _ := nx.sids.Get(idKey(pt.ID))
 		nx.sids = nx.sids.With(idKey(pt.ID), append(old[:len(old):len(old)], pt))
 		nx.sCount++
 	}
-	for _, k := range cellKeys {
-		if err := nx.applySCell(k, cells[k]); err != nil {
+	for _, k := range swork.keys {
+		if err := nx.applySCell(k, swork.m[k]); err != nil {
 			return nil, err
 		}
 	}
@@ -258,9 +265,9 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 	// R side: every slot write of the batch goes through one edit
 	// buffer, so each touched slot-tree node is copied once.
 	se := newSlotEdits(nx.slots)
+	var rwork cellWork[rcw]
 
-	// R deletes: zero the slot, thread it onto the free list, and
-	// retire it from its cell's reverse list.
+	// R deletes: zero the slot and thread it onto the free list.
 	for _, id := range ops.DelR {
 		slots, ok := nx.rids.Get(idKey(id))
 		if !ok {
@@ -268,13 +275,11 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		}
 		for _, slot := range slots {
 			pt := se.get(slot).pt
-			k := grid.KeyFor(pt.X, pt.Y, nx.side)
+			w := rwork.touch(grid.KeyFor(pt.X, pt.Y, nx.side))
+			w.del = append(w.del, slot)
 			se.set(slot, slotRec{pt: freeMarker(nx.freeHead)})
 			nx.freeHead = slot
 			nx.nFree++
-			if err := nx.dropFromRCell(k, se); err != nil {
-				return nil, err
-			}
 		}
 		nx.rids = nx.rids.Without(idKey(id))
 		nx.rCount -= len(slots)
@@ -293,10 +298,16 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		} else {
 			slot = se.push(rec)
 		}
-		nx.addToRCell(grid.KeyFor(pt.X, pt.Y, nx.side), slot, se)
+		w := rwork.touch(grid.KeyFor(pt.X, pt.Y, nx.side))
+		w.ins = append(w.ins, slot)
 		old, _ := nx.rids.Get(idKey(pt.ID))
 		nx.rids = nx.rids.With(idKey(pt.ID), append(old[:len(old):len(old)], slot))
 		nx.rCount++
+	}
+	for _, k := range rwork.keys {
+		if err := nx.applyRCell(k, rwork.m[k]); err != nil {
+			return nil, err
+		}
 	}
 
 	// Recount the live R slots with a touched S cell in their
@@ -304,9 +315,9 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 	// touched cells — in the directions that point into a touched cell
 	// (no other count can change), rewriting only the slots whose counts
 	// changed. Freshly inserted slots recount to what was just stored.
-	touched := make(map[grid.Key]dirMask, 9*len(cellKeys))
+	touched := make(map[grid.Key]dirMask, 9*len(swork.keys))
 	var rkeys []grid.Key // first-touch order
-	for _, k := range cellKeys {
+	for _, k := range swork.keys {
 		for d := grid.Direction(0); d < grid.NumDirections; d++ {
 			rk := k.Neighbor(d)
 			if _, ok := touched[rk]; !ok {
@@ -316,26 +327,20 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		}
 	}
 	mc := muCounter{half: nx.cfg.HalfExtent}
-	var live []int32
 	for _, rk := range rkeys {
-		rl, ok := nx.rcells.Get(rk)
+		slots, ok := nx.rcells.Get(rk)
 		if !ok {
 			continue
 		}
 		mc.reset()
-		live = live[:0]
-		for _, slot := range rl.slots {
+		for _, slot := range slots {
 			rec := se.get(slot)
-			if isFreeSlot(rec.pt) || grid.KeyFor(rec.pt.X, rec.pt.Y, nx.side) != rk {
-				continue // retired entry awaiting re-filter
-			}
-			live = append(live, slot)
 			mc.add(rec.pt, rec.cnt)
 		}
 		mask := touched[rk]
 		nb := nx.neighborhood(rk, mask)
 		mc.count(&nb, mask)
-		for j, slot := range live {
+		for j, slot := range slots {
 			if rec := se.get(slot); mc.cnt[j] != rec.cnt {
 				se.set(slot, newSlotRec(rec.pt, mc.cnt[j]))
 			}
@@ -357,6 +362,9 @@ func checkMutFinite(pts []geom.Point, side string) error {
 // applySCell replaces one S cell: the copy-on-write cell in one merge
 // pass, and a BBST pair built over the new cell's x-sorted run, which
 // is never written after publication, so the buckets share its points.
+// The pair's b is Config.BucketCap when set, else Definition 3's
+// ⌈log₂ m⌉ for the batch's final live S count; cells the batch leaves
+// alone keep the capacity their own pair recorded.
 func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	var oldCell *grid.Cell
 	if mc, ok := nx.scells.Get(k); ok {
@@ -381,7 +389,11 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 		nx.scells = nx.scells.Without(k)
 		return nil
 	}
-	npair, err := bbst.Build(ncell.XSorted, nx.bcap)
+	bcap := nx.cfg.BucketCap
+	if bcap == 0 {
+		bcap = bbst.BucketCap(nx.sCount)
+	}
+	npair, err := bbst.Build(ncell.XSorted, bcap)
 	if err != nil {
 		return err
 	}
@@ -389,77 +401,53 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	return nil
 }
 
-// dropFromRCell retires one live slot from cell k's reverse list.
-func (nx *MutableIndex) dropFromRCell(k grid.Key, se *slotEdits) error {
-	rl, ok := nx.rcells.Get(k)
-	if !ok || rl.live == 0 {
-		return fmt.Errorf("core: mutable R delete: cell (%d,%d) has no live slots", k.CX, k.CY)
-	}
-	rl.live--
-	nx.putRList(k, rl, se)
-	return nil
-}
+// rcellSetMin is the number of deleted slots past which applyRCell
+// filters through a set rather than a scan of the deleted slots.
+const rcellSetMin = 8
 
-// addToRCell lists one live slot in cell k's reverse list. A reused
-// slot may still be listed there from its previous life (deletes leave
-// the entry until a re-filter); that entry is revived rather than
-// listed twice. The append may extend the backing array shared with
-// published versions, which is safe: their rlist value caps their view
-// of it, ApplyOps runs single-writer, and readers never touch rcells —
-// only ApplyOps and test invariants (both serialized) do.
-func (nx *MutableIndex) addToRCell(k grid.Key, slot int32, se *slotEdits) {
-	rl, _ := nx.rcells.Get(k)
-	rl.live++
-	if !slices.Contains(rl.slots, slot) {
-		rl.slots = append(rl.slots, slot)
-	}
-	nx.putRList(k, rl, se)
-}
-
-// putRList stores cell k's reverse list: the cell leaves rcells with
-// its last live slot, and the list is re-filtered down to slots that
-// are live and still in cell k once dead entries outnumber live ones.
-func (nx *MutableIndex) putRList(k grid.Key, rl rlist, se *slotEdits) {
-	if rl.live == 0 {
-		nx.rcells = nx.rcells.Without(k)
-		return
-	}
-	if len(rl.slots) > 2*int(rl.live) {
-		out := make([]int32, 0, len(rl.slots)/2+1)
-		for _, slot := range rl.slots {
-			if pt := se.get(slot).pt; !isFreeSlot(pt) && grid.KeyFor(pt.X, pt.Y, nx.side) == k {
-				out = append(out, slot)
-			}
+// applyRCell gives R cell k a new reverse list: the old list minus the
+// batch's deleted slots, plus its inserted ones. Every deleted slot must
+// be listed: rids and the cell disagree otherwise. The list is never
+// written after publication, like the S side's runs.
+func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
+	old, _ := nx.rcells.Get(k)
+	dropped := func(slot int32) bool { return slices.Contains(w.del, slot) }
+	if len(w.del) > rcellSetMin {
+		set := make(map[int32]struct{}, len(w.del))
+		for _, slot := range w.del {
+			set[slot] = struct{}{}
 		}
-		rl.slots = out
+		dropped = func(slot int32) bool { _, ok := set[slot]; return ok }
 	}
-	nx.rcells = nx.rcells.With(k, rl)
-}
-
-// rebaseDriftFactor is the live-S-count drift (either way) past which
-// the fixed bucket capacity is considered mis-sized.
-const rebaseDriftFactor = 8
-
-// NeedsRebase reports whether the live S count has drifted so far from
-// the count the bucket capacity was sized for that the corner upper
-// bounds may rot the acceptance rate — the pathological-skew escape
-// hatch. Steady churn keeps the live count near s0 and never trips it.
-func (ix *MutableIndex) NeedsRebase() bool {
-	hi := ix.s0 * rebaseDriftFactor
-	if hi < 64 {
-		hi = 64
+	keep := len(old) - len(w.del)
+	list := make([]int32, 0, max(keep, 0)+len(w.ins))
+	for _, slot := range old {
+		if !dropped(slot) {
+			list = append(list, slot)
+		}
 	}
-	return ix.sCount > hi || (ix.sCount > 0 && ix.sCount*rebaseDriftFactor < ix.s0)
+	if len(list) != keep {
+		return fmt.Errorf("core: mutable R delete: cell (%d,%d) lists %d of its %d deleted slots",
+			k.CX, k.CY, len(old)-len(list), len(w.del))
+	}
+	list = append(list, w.ins...)
+	if len(list) == 0 {
+		nx.rcells = nx.rcells.Without(k)
+	} else {
+		nx.rcells = nx.rcells.With(k, list)
+	}
+	return nil
 }
 
 // SizeBytes estimates the standalone footprint of this version in O(1)
 // from the live counts: the slot tree, ~140 B per S point (two sorted
 // copies in its cell, its share of the buckets and BBST nodes, which
 // point into the cell's x-sorted copy and own no points, and its sids
-// entry), the directories, and the reverse-list slot IDs.
+// entry), the directories, and 8 B per live R point for its slot's
+// entries in rcells and rids, which list live slots only.
 // TestMutableSizeBytesTracksHeap holds it to the measured live heap.
 func (ix *MutableIndex) SizeBytes() int {
-	return ix.slots.sizeBytes() + 140*ix.sCount + 8*ix.slots.Len() +
+	return ix.slots.sizeBytes() + 140*ix.sCount + 8*ix.rCount +
 		ix.scells.SizeBytes() + ix.sids.SizeBytes() + ix.rcells.SizeBytes() + ix.rids.SizeBytes()
 }
 
@@ -492,16 +480,10 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	if err := ensure(s, s.base, phaseCounted); err != nil && !errors.Is(err, ErrEmptyJoin) {
 		return nil, err
 	}
-	bcap := s.cfg.BucketCap
-	if bcap == 0 {
-		bcap = bbst.BucketCap(len(s.S))
-	}
 	ix := &MutableIndex{
 		cfg:      s.cfg,
 		side:     s.g.Side(),
-		bcap:     bcap,
 		sCount:   len(s.sortedS),
-		s0:       len(s.sortedS),
 		freeHead: -1,
 		rCount:   len(s.R),
 	}
@@ -527,7 +509,7 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	R := s.R
 	ix.rcells = grid.BuildDir(len(R),
 		func(i int) grid.Key { return grid.KeyFor(R[i].X, R[i].Y, ix.side) },
-		func(idx []int32) rlist { return rlist{slots: idx, live: int32(len(idx))} })
+		func(idx []int32) []int32 { return idx })
 	ix.rids = grid.BuildDir(len(R),
 		func(i int) grid.Key { return idKey(R[i].ID) },
 		func(idx []int32) []int32 { return idx })
@@ -659,14 +641,6 @@ func (m *Mutable) LivePoints() (R, S []geom.Point) {
 	return R, S
 }
 
-// NeedsRebase exposes the index's pathological-skew escape hatch.
-func (m *Mutable) NeedsRebase() bool { return m.idx.NeedsRebase() }
-
-// HasR and HasS report whether any live point of the side carries the
-// ID — invariant probes for callers asserting deletes stuck.
-func (ix *MutableIndex) HasR(id int32) bool { _, ok := ix.rids.Get(idKey(id)); return ok }
-func (ix *MutableIndex) HasS(id int32) bool { _, ok := ix.sids.Get(idKey(id)); return ok }
-
 var (
 	_ Sampler  = (*Mutable)(nil)
 	_ Cloner   = (*Mutable)(nil)
@@ -796,39 +770,33 @@ func (ix *MutableIndex) CheckInvariants() error {
 	if live+ix.nFree != nslots {
 		return fmt.Errorf("live %d + free %d != slots %d", live, ix.nFree, nslots)
 	}
+	// Every listed slot is live, in its own cell and listed once.
 	seen := make(map[int32]struct{}, live)
 	var rcErr error
-	rcLive := 0
-	ix.rcells.Range(func(k grid.Key, rl rlist) bool {
-		n := 0
-		for _, slot := range rl.slots {
+	ix.rcells.Range(func(k grid.Key, slots []int32) bool {
+		if len(slots) == 0 {
+			rcErr = fmt.Errorf("cell (%d,%d) with no live slots left in rcells", k.CX, k.CY)
+			return false
+		}
+		for _, slot := range slots {
 			pt := ix.slots.get(int(slot)).pt
 			if isFreeSlot(pt) || grid.KeyFor(pt.X, pt.Y, ix.side) != k {
-				continue
+				rcErr = fmt.Errorf("cell (%d,%d) lists slot %d (free or of another cell)", k.CX, k.CY, slot)
+				return false
 			}
 			if _, dup := seen[slot]; dup {
 				rcErr = fmt.Errorf("slot %d listed twice in rcells", slot)
 				return false
 			}
 			seen[slot] = struct{}{}
-			n++
 		}
-		if n != int(rl.live) {
-			rcErr = fmt.Errorf("cell (%d,%d): live %d, list holds %d valid", k.CX, k.CY, rl.live, n)
-			return false
-		}
-		if n == 0 {
-			rcErr = fmt.Errorf("cell (%d,%d) with no live slots left in rcells", k.CX, k.CY)
-			return false
-		}
-		rcLive += n
 		return true
 	})
 	if rcErr != nil {
 		return rcErr
 	}
-	if rcLive != ix.rCount {
-		return fmt.Errorf("rcells cover %d slots, rCount %d", rcLive, ix.rCount)
+	if len(seen) != ix.rCount {
+		return fmt.Errorf("rcells cover %d slots, rCount %d", len(seen), ix.rCount)
 	}
 	ridTotal := 0
 	var ridErr error

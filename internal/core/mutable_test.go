@@ -6,10 +6,12 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/join"
 	"repro/internal/rng"
 )
@@ -465,36 +467,31 @@ func TestMutableDrainAndRefill(t *testing.T) {
 	}
 }
 
-func TestMutableNeedsRebase(t *testing.T) {
-	r := rng.New(8)
-	R := randomPoints(r, 40, 50, 0)
-	S := randomPoints(r, 40, 50, 10000)
+// TestMutableBucketCapTracksLiveCount: a batch that grows S 17× sizes
+// the buckets of every cell it rebuilds from the new live count, so
+// Σµ equals that of a fresh bulk build over the same live points.
+func TestMutableBucketCapTracksLiveCount(t *testing.T) {
+	r := rng.New(14)
+	R := randomPoints(r, 300, 60, 0)
+	S := randomPoints(r, 100, 60, 10000)
 	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
-	if m.NeedsRebase() {
-		t.Fatal("fresh index claims rebase")
-	}
-	// Balanced churn never trips the hatch.
-	for batch := 0; batch < 20; batch++ {
-		var err error
-		m, err = m.Apply(MutOps{
-			InsS: randomPoints(r, 1, 50, 70000+int32(batch)),
-			DelS: []int32{10000 + int32(batch)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.NeedsRebase() {
-			t.Fatalf("balanced churn tripped the hatch at batch %d", batch)
-		}
-	}
-	// 8x growth does.
-	var err error
-	m, err = m.Apply(MutOps{InsS: randomPoints(r, 40*rebaseDriftFactor, 50, 80000)})
+	m, err := m.Apply(MutOps{InsS: randomPoints(r, 1600, 60, 20000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.NeedsRebase() {
-		t.Fatal("8x S growth did not trip the hatch")
+	if err := m.Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	liveR, liveS := m.LivePoints()
+	fresh, err := NewBBST(liveR, liveS, Config{HalfExtent: 10, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Count(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Stats().MuSum, fresh.Stats().MuSum; got != want {
+		t.Fatalf("Σµ after 17x S growth %g, fresh build %g", got, want)
 	}
 }
 
@@ -544,6 +541,71 @@ func TestMutableDeleteMissingPointFails(t *testing.T) {
 	ix.sids = ix.sids.With(idKey(ghost.ID), []geom.Point{ghost})
 	if _, err := ix.ApplyOps(MutOps{DelS: []int32{ghost.ID}}); err == nil {
 		t.Fatal("deleting a point missing from its cell succeeded")
+	}
+}
+
+// TestMutableRCellListsChecked: CheckInvariants rejects an R cell list
+// entry that is free, of another cell or listed twice, and a delete of
+// a slot its cell does not list fails the batch.
+func TestMutableRCellListsChecked(t *testing.T) {
+	r := rng.New(13)
+	R := randomPoints(r, 40, 50, 0)
+	S := randomPoints(r, 40, 50, 10000)
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	m, err := m.Apply(MutOps{DelR: []int32{R[0].ID}}) // frees slot 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := m.Index()
+	if err := base.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var k grid.Key
+	var list []int32
+	base.rcells.Range(func(ck grid.Key, slots []int32) bool {
+		k, list = ck, slots
+		return len(slots) < 3
+	})
+	if len(list) < 3 {
+		t.Fatal("no R cell lists three slots")
+	}
+	// A slot of another cell that lists at least two, moved into list.
+	var fk grid.Key
+	var fl []int32
+	foreign := int32(-1)
+	for i := 1; i < len(R) && foreign < 0; i++ {
+		fk = grid.KeyFor(R[i].X, R[i].Y, base.side)
+		if fl, _ = base.rcells.Get(fk); fk != k && len(fl) >= 2 {
+			foreign = int32(i)
+		}
+	}
+	if foreign < 0 {
+		t.Fatal("no other R cell lists two slots")
+	}
+	for _, tc := range []struct {
+		name  string
+		edits map[grid.Key][]int32
+	}{
+		{"free", map[grid.Key][]int32{k: append([]int32{0}, list[1:]...)}},
+		{"foreign", map[grid.Key][]int32{
+			k:  append(slices.Clone(list), foreign),
+			fk: slices.DeleteFunc(slices.Clone(fl), func(s int32) bool { return s == foreign }),
+		}},
+		{"duplicate", map[grid.Key][]int32{k: append(slices.Clone(list), list[0])}},
+	} {
+		ix := *base
+		for ek, el := range tc.edits {
+			ix.rcells = ix.rcells.With(ek, el)
+		}
+		if err := ix.CheckInvariants(); err == nil {
+			t.Errorf("%s entry: CheckInvariants passed", tc.name)
+		}
+	}
+	ix := *base
+	ix.rcells = ix.rcells.With(k, slices.Delete(slices.Clone(list), 1, 2))
+	victim := base.slots.get(int(list[1])).pt
+	if _, err := ix.ApplyOps(MutOps{DelR: []int32{victim.ID}}); err == nil {
+		t.Fatal("deleting a slot its cell does not list succeeded")
 	}
 }
 

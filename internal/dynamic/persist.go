@@ -218,8 +218,8 @@ func (st *Store) applyLocked(id uint64, u Update) (ApplyResult, error) {
 }
 
 // Replay folds recovered updates into the store without re-persisting
-// them — they came *from* the log. Each record takes the same step as
-// a live apply (including a rebase at the same update ID), advancing
+// them — they came *from* the log. Each record takes the same in-place
+// step as a live apply at the same update ID, advancing
 // the generation once per record so a recovered store never reuses a
 // pre-crash generation for different contents; one engine is built
 // for the final view. IDs must be strictly increasing and past the

@@ -6,14 +6,16 @@
 // core.Mutable (Unfreeze), and every Apply after that edits the live
 // structures copy-on-write along the touched paths only, in Õ(ops) per
 // batch. There are no insert buffers, no tombstones and no rebuild
-// threshold, so steady churn never rebuilds.
+// threshold: every S cell a batch touches gets its BBST pair rebuilt
+// with b = ⌈log₂ m⌉ for the live S count m (unless the options fix
+// b), so the bucket size follows the data however far it grows or
+// shrinks, and no Apply ever rebuilds the whole store.
 //
-// A bulk rebuild — a compaction — happens only on explicit Compact, or
-// inside the Apply whose batch drifts the live S count so far from
-// what the bucket capacity was sized for that the corner bounds would
-// rot the acceptance rate (core.Mutable.NeedsRebase, the
-// pathological-skew escape hatch). Both are synchronous: the fresh
-// frozen base is published by the call that built it.
+// The one bulk rebuild — a compaction — is an explicit Compact. It is
+// synchronous: the fresh frozen base is published by the call that
+// built it. Apply reuses the R slots deletes free but never shrinks
+// the slot array, so after a large shrink only Compact returns it to
+// the live count.
 //
 // Only BBST is mutable. KDS, GridKD, RTS and the other algorithms are
 // the paper's static baselines and ablations; the serving layer
@@ -179,9 +181,8 @@ type Store struct {
 	snapDone     chan struct{}
 	acc          engine.Stats // counters of retired view engines
 
-	// rebuilds counts compactions (explicit Compact calls and the
-	// rebase hatch alike, replayed ones included). It backs
-	// srj_store_rebuilds_total and never decreases.
+	// rebuilds counts compactions, which only an explicit Compact
+	// runs. It backs srj_store_rebuilds_total and never decreases.
 	rebuilds atomic.Uint64
 
 	// inplace counts operations absorbed by in-place index maintenance.
@@ -253,11 +254,10 @@ func mutOps(u Update) core.MutOps {
 
 // stepLocked derives the view one sequenced record produces from cur:
 // the record applied in place (unfreezing cur's base first when cur is
-// frozen), then — when the index has drifted past its bulk-built
-// geometry — compacted into a fresh frozen base, still one generation
-// past cur. ApplyAt and Replay share it, so live and recovered
-// stores rebase at the same update ID. The returned view has no engine
-// yet (finishView). Called with mu held.
+// frozen), one generation past cur. ApplyAt and Replay share it, so
+// live and recovered stores take the same step at the same update ID.
+// The returned view has no engine yet (finishView). Called with mu
+// held.
 func (st *Store) stepLocked(cur *view, id uint64, u Update) (*view, error) {
 	m := cur.mut
 	if m == nil {
@@ -269,9 +269,6 @@ func (st *Store) stepLocked(cur *view, id uint64, u Update) (*view, error) {
 	nm, err := m.Apply(mutOps(u))
 	if err != nil {
 		return nil, err
-	}
-	if nm.NeedsRebase() {
-		return st.compactLocked(nm, cur.gen+1, id)
 	}
 	return &view{gen: cur.gen + 1, lastID: id, mut: nm, size: nm.SizeBytes()}, nil
 }
@@ -345,8 +342,8 @@ func (st *Store) finishView(v *view) error {
 // generation. Batches serialize; draws in flight keep serving the
 // view they started on. An empty update returns the current
 // generation without bumping it (the remote tiers use this as a
-// generation probe). Apply edits the index in place in Õ(ops); only a
-// batch that trips the rebase hatch pays a bulk build.
+// generation probe). Apply edits the index in place in Õ(ops) and
+// never pays a bulk build; only Compact does.
 //
 // Apply self-stamps the next update ID — it is ApplyAt(ctx, 0, u),
 // the single-writer spelling of the sequenced path in persist.go.
@@ -534,8 +531,8 @@ func (st *Store) SizeBytes() int {
 	return v.size + 24*(len(v.R)+len(v.S))
 }
 
-// Rebuilds reports how many compactions have run since the store was
-// created.
+// Rebuilds reports how many compactions (explicit Compact calls) have
+// run since the store was created.
 func (st *Store) Rebuilds() uint64 { return st.rebuilds.Load() }
 
 // InPlaceOps reports how many operations were absorbed by in-place

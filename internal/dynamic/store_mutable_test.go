@@ -2,10 +2,10 @@ package dynamic
 
 // Tests pinning the in-place maintenance path: steady churn must be
 // absorbed without a single rebuild, size accounting must charge the
-// shared base exactly once across resident generations, the
-// pathological-skew hatch must still compact, the snapshot cadence
-// must count operations, and Compact must fold the mutable line back
-// into a frozen base.
+// shared base exactly once across resident generations, growth far
+// past the bulk-built size must stay in place too, the snapshot
+// cadence must count operations, and Compact must fold the mutable
+// line back into a frozen base.
 
 import (
 	"context"
@@ -254,10 +254,10 @@ func testStoreSizeAccountingAcrossGenerations(t *testing.T) {
 	}
 }
 
-// TestStoreInPlaceRebaseHatch grows one side far past the bulk-built
-// geometry, one point per batch: the escape hatch must compact even
-// though steady churn never does.
-func TestStoreInPlaceRebaseHatch(t *testing.T) {
+// TestStoreInPlaceGrowth grows S more than 10× past its bulk-built
+// size, one point per batch: every batch stays in place, with no
+// rebuild, and the store serves the grown join.
+func TestStoreInPlaceGrowth(t *testing.T) {
 	R, S := testData(t)
 	l := 1500.0
 	st, err := NewStore(R, S, testConfig(l, 13))
@@ -279,15 +279,19 @@ func TestStoreInPlaceRebaseHatch(t *testing.T) {
 		}
 		model.apply(u)
 	}
-	if got := st.Rebuilds(); got == 0 {
-		t.Error("Rebuilds = 0 after 10x S growth, want the skew hatch to fire")
+	if got := st.Rebuilds(); got != 0 {
+		t.Errorf("Rebuilds = %d after 10x S growth, want 0", got)
 	}
+	if !st.InPlace() {
+		t.Error("InPlace = false after 10x S growth, want the in-place index")
+	}
+	checkIndex(t, st)
 	checkSupport(t, drawAll(t, st, 4000), joinSet(model.R, model.S, l))
 }
 
 // TestStoreCompactFoldsInPlace: Compact turns a mutable view back into
-// a frozen bulk-built base (the only remaining planned rebuild), and
-// the next Apply unfreezes again.
+// a frozen bulk-built base (the only rebuild), and the next Apply
+// unfreezes again.
 func TestStoreCompactFoldsInPlace(t *testing.T) {
 	R, S := testData(t)
 	l := 1500.0

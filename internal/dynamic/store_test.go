@@ -349,11 +349,11 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 	}
 }
 
-// TestStoreAutoRebuild: a batch that drifts the live S count far past
-// the bulk-built geometry trips the rebase hatch inside the same
-// Apply — one generation bump, one published view, a frozen base at
-// it — and the store keeps serving the same join.
-func TestStoreAutoRebuild(t *testing.T) {
+// TestStoreGrowthInOneBatch: a batch that grows the live S count more
+// than 8× past the bulk-built size is absorbed in place — one
+// generation bump, one published view, no rebuild — and the store
+// serves the grown join.
+func TestStoreGrowthInOneBatch(t *testing.T) {
 	R, S := testData(t)
 	l := 1000.0
 	st, err := NewStore(R, S, testConfig(l, 9))
@@ -364,7 +364,7 @@ func TestStoreAutoRebuild(t *testing.T) {
 	var hookGens []uint64
 	st.testHookSwap = func(v *view) { hookGens = append(hookGens, v.gen) }
 	model := &currentSets{R: R, S: S}
-	// 60 base S points: growing past 8x that is the hatch's trigger.
+	// 60 base S points, grown past 8x in one batch.
 	u := Update{DeleteR: []int32{R[0].ID, R[1].ID, R[2].ID, R[3].ID}}
 	for i := 0; i < 8*len(S)+1; i++ {
 		r := R[4+i%(len(R)-4)]
@@ -379,12 +379,13 @@ func TestStoreAutoRebuild(t *testing.T) {
 	if gen != 1 || st.Generation() != 1 {
 		t.Fatalf("Apply returned generation %d, store at %d, want one bump to 1", gen, st.Generation())
 	}
-	if got := st.Rebuilds(); got != 1 {
-		t.Fatalf("Rebuilds = %d, want the hatch's one", got)
+	if got := st.Rebuilds(); got != 0 {
+		t.Fatalf("Rebuilds = %d after S growth, want 0", got)
 	}
-	if st.InPlace() {
-		t.Fatal("InPlace = true after the rebase, want a frozen base")
+	if !st.InPlace() {
+		t.Fatal("InPlace = false after S growth, want the in-place index")
 	}
+	checkIndex(t, st)
 	// One view was published, at the one bumped generation.
 	if len(hookGens) != 1 || hookGens[0] != 1 {
 		t.Fatalf("published generations = %v, want [1]", hookGens)

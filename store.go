@@ -93,9 +93,10 @@ func NewStore(R, S []Point, l float64, opts *StoreOptions) (*Store, error) {
 // Apply absorbs one batch of mutations and returns the new dataset
 // generation. Batches serialize; draws in flight keep serving the
 // snapshot they started on. An empty update returns the current
-// generation without bumping it. Apply edits the index in place; only
-// a batch that drifts the live S count far from the bulk-built
-// geometry pays a synchronous compaction.
+// generation without bumping it. Apply edits the index in place and
+// never rebuilds it, however far the live counts move: each touched
+// cell's buckets are sized for the live S count. Compact is the one
+// bulk rebuild.
 func (s *Store) Apply(ctx context.Context, u Update) (uint64, error) {
 	return s.st.Apply(ctx, u)
 }
@@ -125,7 +126,7 @@ func (s *Store) Generation() uint64 { return s.st.Generation() }
 
 // Compact folds the in-place maintained index into a fresh bulk build
 // and publishes it, at a bumped generation, before returning — the
-// only planned rebuild.
+// only rebuild.
 func (s *Store) Compact(ctx context.Context) error { return s.st.Compact(ctx) }
 
 // InPlaceOps reports how many operations were absorbed by in-place
@@ -133,9 +134,8 @@ func (s *Store) Compact(ctx context.Context) error { return s.st.Compact(ctx) }
 // structures copy-on-write instead of buffering toward a rebuild.
 func (s *Store) InPlaceOps() uint64 { return s.st.InPlaceOps() }
 
-// Rebuilds reports how many compactions have run. In steady churn it
-// stays 0: rebuilds happen only on Compact or when dataset geometry
-// drifts far from the bulk build.
+// Rebuilds reports how many compactions have run. Only Compact runs
+// one, so without it Rebuilds stays 0.
 func (s *Store) Rebuilds() uint64 { return s.st.Rebuilds() }
 
 // Stats aggregates serving counters across all generations served so
