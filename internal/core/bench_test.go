@@ -149,16 +149,21 @@ func BenchmarkMutableApply(b *testing.B) {
 }
 
 // BenchmarkUnfreeze measures adopting a counted frozen sampler for
-// in-place maintenance.
+// in-place maintenance, and reports the index it builds (index_MB,
+// MutableIndex.SizeBytes).
 func BenchmarkUnfreeze(b *testing.B) {
 	s := benchFrozen(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var m *Mutable
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Unfreeze(); err != nil {
+		var err error
+		if m, err = s.Unfreeze(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.Index().SizeBytes())/1e6, "index_MB")
 }
 
 // BenchmarkCount times the upper-bounding phase (Count) alone, on nyc

@@ -205,7 +205,6 @@ func (g *gridSampler) neighborhood(k grid.Key) (nb nbhd) {
 func groupByCell(pts []geom.Point, side float64) (keys []grid.Key, starts, perm []int32) {
 	index := make(map[grid.Key]int32)
 	cellOf := make([]int32, len(pts))
-	starts = []int32{0}
 	for i, p := range pts {
 		k := grid.KeyFor(p.X, p.Y, side)
 		c, ok := index[k]
@@ -213,21 +212,32 @@ func groupByCell(pts []geom.Point, side float64) (keys []grid.Key, starts, perm 
 			c = int32(len(keys))
 			index[k] = c
 			keys = append(keys, k)
-			starts = append(starts, 0)
 		}
 		cellOf[i] = c
-		starts[c+1]++
 	}
-	for c := range keys {
+	starts, perm = groupByRow(len(pts), len(keys), func(i int) int32 { return cellOf[i] })
+	return keys, starts, perm
+}
+
+// groupByRow is a counting sort of the indexes 0..n-1 by row(i) in
+// [0, rows): perm[starts[c]:starts[c+1]] holds row c's indexes,
+// ascending.
+func groupByRow(n, rows int, row func(i int) int32) (starts, perm []int32) {
+	starts = make([]int32, rows+1)
+	for i := range n {
+		starts[row(i)+1]++
+	}
+	for c := range rows {
 		starts[c+1] += starts[c]
 	}
 	next := slices.Clone(starts)
-	perm = make([]int32, len(pts))
-	for i, c := range cellOf {
+	perm = make([]int32, n)
+	for i := range n {
+		c := row(i)
 		perm[next[c]] = int32(i)
 		next[c]++
 	}
-	return keys, starts, perm
+	return starts, perm
 }
 
 // pickDir picks a trial's direction by a cumulative scan of the

@@ -80,10 +80,6 @@ type mutCell struct {
 	pair *bbst.Pair
 }
 
-// idKey packs a point ID into a directory key, so the persistent cell
-// directory doubles as a persistent ID index.
-func idKey(id int32) grid.Key { return grid.Key{CX: id} }
-
 // freeMarker encodes a free-list link in a dead slot: NaN X marks the
 // slot dead, ID carries the next free slot (-1 ends the chain).
 func freeMarker(next int32) geom.Point {
@@ -101,7 +97,7 @@ type MutableIndex struct {
 
 	// S side.
 	scells *grid.Dir[*mutCell]
-	sids   *grid.Dir[[]geom.Point] // ID -> live points with that ID
+	sids   *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
 	sCount int
 
 	// R side.
@@ -109,7 +105,7 @@ type MutableIndex struct {
 	freeHead int32     // head of the dead-slot chain (-1 when none)
 	nFree    int
 	rcells   *grid.Dir[[]int32] // R cell -> its live slots, each listed once
-	rids     *grid.Dir[[]int32] // ID -> live slots with that ID
+	rids     *grid.IDDir[int32] // ID -> live slots with that ID
 	rCount   int
 }
 
@@ -234,26 +230,26 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 
 	var swork cellWork[scw]
 	for _, id := range ops.DelS {
-		pts, ok := nx.sids.Get(idKey(id))
-		if !ok {
+		keys := nx.sids.Get(id)
+		if len(keys) == 0 {
 			continue
 		}
-		for _, pt := range pts {
-			w := swork.touch(grid.KeyFor(pt.X, pt.Y, nx.side))
+		for _, k := range keys {
+			w := swork.touch(k)
 			w.ndel++
 			if w.delIDs == nil {
 				w.delIDs = make(map[int32]struct{})
 			}
 			w.delIDs[id] = struct{}{}
 		}
-		nx.sids = nx.sids.Without(idKey(id))
-		nx.sCount -= len(pts)
+		nx.sids = nx.sids.Without(id)
+		nx.sCount -= len(keys)
 	}
 	for _, pt := range ops.InsS {
-		w := swork.touch(grid.KeyFor(pt.X, pt.Y, nx.side))
+		k := grid.KeyFor(pt.X, pt.Y, nx.side)
+		w := swork.touch(k)
 		w.ins = append(w.ins, pt)
-		old, _ := nx.sids.Get(idKey(pt.ID))
-		nx.sids = nx.sids.With(idKey(pt.ID), append(old[:len(old):len(old)], pt))
+		nx.sids = nx.sids.With(pt.ID, k)
 		nx.sCount++
 	}
 	for _, k := range swork.keys {
@@ -269,8 +265,8 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 
 	// R deletes: zero the slot and thread it onto the free list.
 	for _, id := range ops.DelR {
-		slots, ok := nx.rids.Get(idKey(id))
-		if !ok {
+		slots := nx.rids.Get(id)
+		if len(slots) == 0 {
 			continue
 		}
 		for _, slot := range slots {
@@ -281,7 +277,7 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 			nx.freeHead = slot
 			nx.nFree++
 		}
-		nx.rids = nx.rids.Without(idKey(id))
+		nx.rids = nx.rids.Without(id)
 		nx.rCount -= len(slots)
 	}
 
@@ -300,8 +296,7 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		}
 		w := rwork.touch(grid.KeyFor(pt.X, pt.Y, nx.side))
 		w.ins = append(w.ins, slot)
-		old, _ := nx.rids.Get(idKey(pt.ID))
-		nx.rids = nx.rids.With(idKey(pt.ID), append(old[:len(old):len(old)], slot))
+		nx.rids = nx.rids.With(pt.ID, slot)
 		nx.rCount++
 	}
 	for _, k := range rwork.keys {
@@ -440,14 +435,15 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 }
 
 // SizeBytes estimates the standalone footprint of this version in O(1)
-// from the live counts: the slot tree, ~140 B per S point (two sorted
-// copies in its cell, its share of the buckets and BBST nodes, which
-// point into the cell's x-sorted copy and own no points, and its sids
-// entry), the directories, and 8 B per live R point for its slot's
-// entries in rcells and rids, which list live slots only.
+// from the live counts: the slot tree, ~116 B per S point (two sorted
+// copies in its cell and its share of the buckets and BBST nodes, which
+// point into the cell's x-sorted copy and own no points), 4 B per live
+// R point for its slot's entry in rcells, which lists live slots only,
+// and the directories; the ID directories count their own entries, a
+// cell key per S point and a slot per R point.
 // TestMutableSizeBytesTracksHeap holds it to the measured live heap.
 func (ix *MutableIndex) SizeBytes() int {
-	return ix.slots.sizeBytes() + 140*ix.sCount + 8*ix.rCount +
+	return ix.slots.sizeBytes() + 116*ix.sCount + 4*ix.rCount +
 		ix.scells.SizeBytes() + ix.sids.SizeBytes() + ix.rcells.SizeBytes() + ix.rids.SizeBytes()
 }
 
@@ -466,11 +462,13 @@ type Mutable struct {
 // Unfreeze converts the prepared sampler into a Mutable sharing every
 // frozen structure: the cells and per-cell BBST pairs are adopted as-is
 // (the first mutation of a cell replaces both, so the frozen sampler
-// keeps serving untouched). The slot tree is bulk-built
-// from the frozen count records, which were counted against these same
-// cells and pairs, and the directories are bulk-built in one sort
-// each. This is the one O(n + m) step of the mutable path; every
-// ApplyOps after it is Õ(ops).
+// keeps serving untouched). The slot tree is bulk-built from the frozen
+// count records, which were counted against these same cells and
+// pairs. The cell directories are bulk-built over one item per cell:
+// rcells' lists come from a counting sort of R by the row Count filed
+// each point under. The ID directories are bulk-built from one radix
+// sort by ID each. This is the one O(n + m) step of the mutable path;
+// every ApplyOps after it is Õ(ops).
 // An empty side or an empty join is accepted: the result is a
 // zero-mass Mutable that inserts can fill.
 func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
@@ -495,24 +493,21 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 		func(i int) grid.Key { return cells[i].cell.Key },
 		func(idx []int32) *mutCell { return &cells[idx[0]] })
 	S := s.sortedS
-	sidPts := make([]geom.Point, 0, len(S))
-	ix.sids = grid.BuildDir(len(S),
-		func(i int) grid.Key { return idKey(S[i].ID) },
-		func(idx []int32) []geom.Point {
-			start := len(sidPts)
-			for _, i := range idx {
-				sidPts = append(sidPts, S[i])
-			}
-			return sidPts[start:len(sidPts):len(sidPts)]
-		})
+	ix.sids = grid.BuildIDDir(len(S),
+		func(i int) int32 { return S[i].ID },
+		func(i int) grid.Key { return grid.KeyFor(S[i].X, S[i].Y, ix.side) })
 
+	// Count filed every R point under its cell's row: grouping R by row
+	// lists each cell's points (= slots) in ascending order, and a
+	// row's first point gives its cell key.
 	R := s.R
-	ix.rcells = grid.BuildDir(len(R),
-		func(i int) grid.Key { return grid.KeyFor(R[i].X, R[i].Y, ix.side) },
-		func(idx []int32) []int32 { return idx })
-	ix.rids = grid.BuildDir(len(R),
-		func(i int) grid.Key { return idKey(R[i].ID) },
-		func(idx []int32) []int32 { return idx })
+	starts, rslots := groupByRow(len(R), len(s.rows), func(i int) int32 { return s.recs[i].row })
+	ix.rcells = grid.BuildDir(len(s.rows),
+		func(c int) grid.Key { r := R[rslots[starts[c]]]; return grid.KeyFor(r.X, r.Y, ix.side) },
+		func(idx []int32) []int32 { c := idx[0]; return rslots[starts[c]:starts[c+1]:starts[c+1]] })
+	ix.rids = grid.BuildIDDir(len(R),
+		func(i int) int32 { return R[i].ID },
+		func(i int) int32 { return int32(i) })
 	recs := make([]slotRec, len(R))
 	for i, pr := range s.recs {
 		recs[i] = newSlotRec(R[i], pr.cnt)
@@ -698,39 +693,38 @@ func (ix *MutableIndex) CheckInvariants() error {
 	if sTotal != ix.sCount {
 		return fmt.Errorf("sCount %d, cells hold %d", ix.sCount, sTotal)
 	}
+	// sids lists each live point's cell under its ID: as a multiset of
+	// (ID, cell) entries, exactly the cells' points.
+	type sidEntry struct {
+		id int32
+		k  grid.Key
+	}
+	unlisted := make(map[sidEntry]int, ix.sCount)
+	ix.scells.Range(func(k grid.Key, mc *mutCell) bool {
+		for _, pt := range mc.cell.XSorted {
+			unlisted[sidEntry{pt.ID, k}]++
+		}
+		return true
+	})
 	sidTotal := 0
 	var sidErr error
-	ix.sids.Range(func(k grid.Key, pts []geom.Point) bool {
-		sidTotal += len(pts)
-		for _, pt := range pts {
-			if pt.ID != k.CX {
-				sidErr = fmt.Errorf("sids list %d holds point ID %d", k.CX, pt.ID)
+	ix.sids.Range(func(id int32, keys []grid.Key) bool {
+		sidTotal += len(keys)
+		for _, k := range keys {
+			e := sidEntry{id, k}
+			if unlisted[e] == 0 {
+				sidErr = fmt.Errorf("sids lists ID %d in cell (%d,%d) once more than the cell holds it", id, k.CX, k.CY)
 				return false
 			}
-			mc, ok := ix.scells.Get(grid.KeyFor(pt.X, pt.Y, ix.side))
-			if !ok {
-				sidErr = fmt.Errorf("sids point ID %d has no cell", pt.ID)
-				return false
-			}
-			found := false
-			for _, q := range mc.cell.XSorted {
-				if q == pt {
-					found = true
-					break
-				}
-			}
-			if !found {
-				sidErr = fmt.Errorf("sids point ID %d missing from its cell", pt.ID)
-				return false
-			}
+			unlisted[e]--
 		}
 		return true
 	})
 	if sidErr != nil {
 		return sidErr
 	}
-	if sidTotal != ix.sCount {
-		return fmt.Errorf("sids hold %d points, sCount %d", sidTotal, ix.sCount)
+	if sidTotal != ix.sCount || ix.sids.Len() != ix.sCount {
+		return fmt.Errorf("sids list %d points (Len %d), sCount %d", sidTotal, ix.sids.Len(), ix.sCount)
 	}
 	// R side: slot tree, cached counts, free chain, reverse indexes.
 	if err := ix.slots.checkSums(); err != nil {
@@ -800,14 +794,20 @@ func (ix *MutableIndex) CheckInvariants() error {
 	}
 	ridTotal := 0
 	var ridErr error
-	ix.rids.Range(func(k grid.Key, slots []int32) bool {
+	clear(seen)
+	ix.rids.Range(func(id int32, slots []int32) bool {
 		ridTotal += len(slots)
 		for _, slot := range slots {
 			pt := ix.slots.get(int(slot)).pt
-			if isFreeSlot(pt) || pt.ID != k.CX {
-				ridErr = fmt.Errorf("rids list %d holds slot %d (free or wrong ID)", k.CX, slot)
+			if isFreeSlot(pt) || pt.ID != id {
+				ridErr = fmt.Errorf("rids list %d holds slot %d (free or wrong ID)", id, slot)
 				return false
 			}
+			if _, dup := seen[slot]; dup {
+				ridErr = fmt.Errorf("slot %d listed twice in rids", slot)
+				return false
+			}
+			seen[slot] = struct{}{}
 		}
 		return true
 	})

@@ -538,7 +538,7 @@ func TestMutableDeleteMissingPointFails(t *testing.T) {
 	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
 	ix := *m.Index()
 	ghost := geom.Point{X: S[0].X, Y: S[0].Y, ID: 99999}
-	ix.sids = ix.sids.With(idKey(ghost.ID), []geom.Point{ghost})
+	ix.sids = ix.sids.With(ghost.ID, grid.KeyFor(ghost.X, ghost.Y, ix.side))
 	if _, err := ix.ApplyOps(MutOps{DelS: []int32{ghost.ID}}); err == nil {
 		t.Fatal("deleting a point missing from its cell succeeded")
 	}
@@ -606,6 +606,52 @@ func TestMutableRCellListsChecked(t *testing.T) {
 	victim := base.slots.get(int(list[1])).pt
 	if _, err := ix.ApplyOps(MutOps{DelR: []int32{victim.ID}}); err == nil {
 		t.Fatal("deleting a slot its cell does not list succeeded")
+	}
+}
+
+// TestMutableSIDsChecked: CheckInvariants rejects an S ID directory
+// that misses a live point's entry, lists one twice, or files it under
+// another cell.
+func TestMutableSIDsChecked(t *testing.T) {
+	r := rng.New(14)
+	R := randomPoints(r, 40, 50, 0)
+	S := randomPoints(r, 40, 50, 10000)
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	m, err := m.Apply(MutOps{InsS: []geom.Point{{X: S[1].X, Y: S[1].Y, ID: S[0].ID}}}) // a repeated ID
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := m.Index()
+	if err := base.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	id := S[0].ID
+	keys := base.sids.Get(id)
+	if len(keys) != 2 {
+		t.Fatalf("ID %d lists %d cells, want 2", id, len(keys))
+	}
+	var other grid.Key
+	for _, p := range S {
+		if other = grid.KeyFor(p.X, p.Y, base.side); other != keys[0] && other != keys[1] {
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*grid.IDDir[grid.Key]) *grid.IDDir[grid.Key]
+	}{
+		{"missing", func(d *grid.IDDir[grid.Key]) *grid.IDDir[grid.Key] { return d.Without(id).With(id, keys[0]) }},
+		{"extra", func(d *grid.IDDir[grid.Key]) *grid.IDDir[grid.Key] { return d.With(id, keys[1]) }},
+		{"misplaced", func(d *grid.IDDir[grid.Key]) *grid.IDDir[grid.Key] {
+			return d.Without(id).With(id, keys[0]).With(id, other)
+		}},
+		{"ID dropped", func(d *grid.IDDir[grid.Key]) *grid.IDDir[grid.Key] { return d.Without(S[2].ID) }},
+	} {
+		ix := *base
+		ix.sids = tc.edit(ix.sids)
+		if err := ix.CheckInvariants(); err == nil {
+			t.Errorf("%s entry: CheckInvariants passed", tc.name)
+		}
 	}
 }
 
