@@ -222,56 +222,50 @@ func dropSlot[V any](u *dnode[V], bit uint64, pos int) *dnode[V] {
 // key's items in ascending order (val may retain idx; the slices share
 // one array, each capped at its length). The result looks up, iterates
 // and edits exactly like binding the same values with With in order of
-// each key's first item, but costs one radix sort and a few
-// allocations instead of one path copy per key.
+// each key's first item, but costs one sort and a few allocations
+// instead of one path copy per key.
 func BuildDir[V any](n int, key func(i int) Key, val func(idx []int32) V) *Dir[V] {
-	keys := make([]Key, n)
-	items := make([]radixItem, n) // key: the Range position of the key's hash
+	type item struct {
+		ord uint64 // Range position of the key's hash
+		k   Key
+		i   int32
+	}
+	items := make([]item, n)
 	for i := range items {
-		keys[i] = key(i)
-		items[i] = radixItem{key: dirOrder(dirHash(keys[i])), i: int32(i)}
+		k := key(i)
+		items[i] = item{ord: dirOrder(dirHash(k)), k: k, i: int32(i)}
 	}
-	items = radixSort(items, make([]radixItem, n))
-	// A run of equal positions holding distinct keys is a hash
-	// collision. Group it by key, keys in order of first item, as
-	// successive With calls would list them.
-	for lo := 0; lo < n; {
-		hi, mixed := lo+1, false
-		for hi < n && items[hi].key == items[lo].key {
-			mixed = mixed || keys[items[hi].i] != keys[items[lo].i]
-			hi++
-		}
-		if mixed {
-			first := make(map[Key]int32)
-			for _, it := range items[lo:hi] {
-				if _, ok := first[keys[it.i]]; !ok {
-					first[keys[it.i]] = it.i
-				}
-			}
-			slices.SortFunc(items[lo:hi], func(a, b radixItem) int {
-				return cmp.Or(cmp.Compare(first[keys[a.i]], first[keys[b.i]]), cmp.Compare(a.i, b.i))
-			})
-		}
-		lo = hi
-	}
+	slices.SortFunc(items, func(a, b item) int {
+		return cmp.Or(cmp.Compare(a.ord, b.ord), cmp.Compare(a.k.CX, b.k.CX), cmp.Compare(a.k.CY, b.k.CY), cmp.Compare(a.i, b.i))
+	})
 	order := make([]int32, n)
 	for j := range items {
 		order[j] = items[j].i
 	}
-	type group struct{ lo, hi int } // order[lo:hi] share one key
+	type group struct{ lo, hi int } // items[lo:hi] share one key
 	var gs []group
 	for lo := 0; lo < n; {
 		hi := lo + 1
-		for hi < n && keys[order[hi]] == keys[order[lo]] {
+		for hi < n && items[hi].k == items[lo].k {
 			hi++
 		}
 		gs = append(gs, group{lo, hi})
 		lo = hi
 	}
+	// Keys sharing a Range position (a hash collision) are listed in
+	// order of first item, as successive With calls would list them.
+	for lo := 0; lo < len(gs); {
+		hi := lo + 1
+		for hi < len(gs) && items[gs[hi].lo].ord == items[gs[lo].lo].ord {
+			hi++
+		}
+		slices.SortFunc(gs[lo:hi], func(a, b group) int { return cmp.Compare(items[a.lo].i, items[b.lo].i) })
+		lo = hi
+	}
 	kvs := make([]dkv[V], len(gs))
 	hs := make([]uint64, len(gs))
 	for j, g := range gs {
-		k := keys[order[g.lo]]
+		k := items[g.lo].k
 		kvs[j] = dkv[V]{k, val(order[g.lo:g.hi:g.hi])}
 		hs[j] = dirHash(k)
 	}

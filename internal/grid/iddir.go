@@ -202,7 +202,7 @@ func (d *IDDir[V]) without(n *idNode[V], lvl int, u uint32) (*idNode[V], bool) {
 func BuildIDDir[V any](n int, id func(i int) int32, val func(i int) V) *IDDir[V] {
 	items := make([]radixItem, n)
 	for i := range items {
-		items[i] = radixItem{key: uint64(uint32(id(i))), i: int32(i)}
+		items[i] = radixItem{key: uint32(id(i)), i: int32(i)}
 	}
 	items = radixSort(items, make([]radixItem, n))
 	d := &IDDir[V]{n: n}
@@ -219,7 +219,7 @@ func BuildIDDir[V any](n int, id func(i int) int32, val func(i int) V) *IDDir[V]
 			}
 		}
 	}
-	d.height = idHeight(uint32(items[n-1].key))
+	d.height = idHeight(items[n-1].key)
 	offs := make([]int32, 0, d.ids+d.leaves) // every leaf's offsets, back to back
 	d.root = d.build(items, vals, &offs, d.height)
 	return d
@@ -255,6 +255,54 @@ func (d *IDDir[V]) build(items []radixItem, vals []V, offs *[]int32, lvl int) *i
 		lo = hi
 	}
 	return n
+}
+
+// radixItem is one entry of a radix sort: the key it sorts by and the
+// index of the item it stands for.
+type radixItem struct {
+	key uint32
+	i   int32
+}
+
+// radixSort sorts items stably by key: an LSD radix sort over 16-bit
+// digits that skips every digit on which all keys agree. buf is
+// scratch of the same length; the result is items or buf. Items
+// entered in ascending i come out in (key, i) order.
+func radixSort(items, buf []radixItem) []radixItem {
+	if len(items) < 2 {
+		return items
+	}
+	and, or := ^uint32(0), uint32(0)
+	for _, it := range items {
+		and &= it.key
+		or |= it.key
+	}
+	var count []int32
+	for shift := 0; shift < 32; shift += 16 {
+		if (and^or)>>shift&0xffff == 0 {
+			continue // every key has the same digit here
+		}
+		if count == nil {
+			count = make([]int32, 1<<16)
+		} else {
+			clear(count)
+		}
+		for _, it := range items {
+			count[it.key>>shift&0xffff]++
+		}
+		sum := int32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, it := range items {
+			d := it.key >> shift & 0xffff
+			buf[count[d]] = it
+			count[d]++
+		}
+		items, buf = buf, items
+	}
+	return items
 }
 
 // Range calls fn for every ID and its list in ascending uint32(ID)

@@ -123,7 +123,13 @@ func TestBuildIDDirMatchesWith(t *testing.T) {
 		mixed[i] = int32(r.Intn(700)) - 350
 	}
 	mixed = append(mixed, math.MinInt32, math.MaxInt32, math.MinInt32, 0, math.MaxInt32)
-	for _, ids := range [][]int32{nil, {7}, {-3, -3}, {math.MaxInt32, math.MinInt32}, dense, mixed} {
+	// IDs agreeing in their top 16 bits, so the radix sort skips that
+	// digit; about 12 values per ID.
+	high := make([]int32, 4000)
+	for i := range high {
+		high[i] = 5<<16 + int32(r.Intn(330))
+	}
+	for _, ids := range [][]int32{nil, {7}, {-3, -3}, {math.MaxInt32, math.MinInt32}, dense, mixed, high} {
 		built := BuildIDDir(len(ids), func(i int) int32 { return ids[i] }, func(i int) int { return i })
 		inc := &IDDir[int]{}
 		oracle := map[int32][]int{}
@@ -161,5 +167,21 @@ func TestIDDirDenseFootprint(t *testing.T) {
 	d := BuildIDDir(n, func(i int) int32 { return int32(i) }, func(i int) int32 { return int32(i) })
 	if perID := float64(d.SizeBytes()) / n; perID > 12 {
 		t.Fatalf("dense IDDir costs %.1f B per ID, want <= 12", perID)
+	}
+}
+
+// BenchmarkBuildIDDir bulk-builds the shape Unfreeze passes for sids
+// and rids: 100k shuffled dense IDs, one value each.
+func BenchmarkBuildIDDir(b *testing.B) {
+	const n = 100_000
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	r := rng.New(6)
+	r.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BuildIDDir(n, func(i int) int32 { return ids[i] }, func(i int) Key { return Key{CX: int32(i)} })
 	}
 }
