@@ -177,7 +177,7 @@ func BenchmarkDirWith(b *testing.B) {
 }
 
 // BenchmarkBuildDir bulk-builds the shape Unfreeze passes for scells
-// and rcells: one item per occupied grid cell, about 8k cells.
+// and rcells: one item per occupied grid cell, about 7k cells.
 func BenchmarkBuildDir(b *testing.B) {
 	var keys []Key
 	for x := range int32(90) {
