@@ -6,8 +6,9 @@ package core
 // structures that absorb point inserts and deletes batch by batch:
 //
 //   - the S side keeps one copy-on-write cell (grid.WithUpdates) plus
-//     one BBST pair per non-empty grid cell, reached through a
-//     persistent directory (grid.Dir) instead of a Go map. A batch
+//     one BBST pair per non-empty grid cell, stored inline in a
+//     persistent directory (grid.Dir, a path-copied trie over mixed
+//     cell keys) instead of a Go map, so a lookup returns both. A batch
 //     that touches a cell replaces both: the new cell's x-sorted run
 //     is never written after publication, so the pair bbst.Build makes
 //     over it shares its points;
@@ -96,7 +97,7 @@ type MutableIndex struct {
 	side float64 // grid cell side (= HalfExtent), fixed per index line
 
 	// S side.
-	scells *grid.Dir[*mutCell]
+	scells *grid.Dir[mutCell]    // S cell -> its cell and pair, by value
 	sids   *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
 	sCount int
 
@@ -118,7 +119,7 @@ func (ix *MutableIndex) MuSum() float64 { return ix.slots.Total() }
 
 // count returns µ(r, d) for the cell in direction d of r's window w:
 // exact for cases 1–2, the BBST upper bound for corners.
-func (mc *mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
+func (mc mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
 	if d.Case() == 3 {
 		return mc.pair.Mu(cornerFor(d), w, sc)
 	}
@@ -128,7 +129,7 @@ func (mc *mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
 // sample draws one candidate of direction d, whose cached count is
 // k > 0; ok is false on an empty corner slot. The caller verifies
 // window membership.
-func (mc *mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
+func (mc mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
 	if d.Case() == 3 {
 		return mc.pair.SampleSlot(cornerFor(d), w, r, sc)
 	}
@@ -392,7 +393,7 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	if err != nil {
 		return err
 	}
-	nx.scells = nx.scells.With(k, &mutCell{cell: ncell, pair: npair})
+	nx.scells = nx.scells.With(k, mutCell{cell: ncell, pair: npair})
 	return nil
 }
 
@@ -464,11 +465,12 @@ type Mutable struct {
 // (the first mutation of a cell replaces both, so the frozen sampler
 // keeps serving untouched). The slot tree is bulk-built from the frozen
 // count records, which were counted against these same cells and
-// pairs. The cell directories are bulk-built over one item per cell:
-// rcells' lists come from a counting sort of R by the row Count filed
-// each point under. The ID directories are bulk-built from one radix
-// sort by ID each. This is the one O(n + m) step of the mutable path;
-// every ApplyOps after it is Õ(ops).
+// pairs. The cell directories are bulk-built over their distinct cell
+// keys, scells holding each cell and pair by value; rcells' lists come
+// from a counting sort of R by the row Count filed each point under.
+// The ID directories are bulk-built from one radix sort by ID each.
+// This is the one O(n + m) step of the mutable path; every ApplyOps
+// after it is Õ(ops).
 // An empty side or an empty join is accepted: the result is a
 // zero-mass Mutable that inserts can fill.
 func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
@@ -491,7 +493,7 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	})
 	ix.scells = grid.BuildDir(len(cells),
 		func(i int) grid.Key { return cells[i].cell.Key },
-		func(idx []int32) *mutCell { return &cells[idx[0]] })
+		func(i int) mutCell { return cells[i] })
 	S := s.sortedS
 	ix.sids = grid.BuildIDDir(len(S),
 		func(i int) int32 { return S[i].ID },
@@ -504,7 +506,7 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	starts, rslots := groupByRow(len(R), len(s.rows), func(i int) int32 { return s.recs[i].row })
 	ix.rcells = grid.BuildDir(len(s.rows),
 		func(c int) grid.Key { r := R[rslots[starts[c]]]; return grid.KeyFor(r.X, r.Y, ix.side) },
-		func(idx []int32) []int32 { c := idx[0]; return rslots[starts[c]:starts[c+1]:starts[c+1]] })
+		func(c int) []int32 { return rslots[starts[c]:starts[c+1]:starts[c+1]] })
 	ix.rids = grid.BuildIDDir(len(R),
 		func(i int) int32 { return R[i].ID },
 		func(i int) int32 { return int32(i) })
@@ -621,7 +623,7 @@ func (m *Mutable) Clone() (Sampler, error) {
 func (m *Mutable) Reseed(seed uint64) { m.rng.Reseed(seed) }
 
 // LivePoints materializes the live point sets (R in slot order, S in
-// directory hash order) — the compaction path's input.
+// the directory's mixed-key order) — the compaction path's input.
 func (m *Mutable) LivePoints() (R, S []geom.Point) {
 	ix := m.idx
 	for i := 0; i < ix.slots.Len(); i++ {
@@ -629,7 +631,7 @@ func (m *Mutable) LivePoints() (R, S []geom.Point) {
 			R = append(R, pt)
 		}
 	}
-	ix.scells.Range(func(_ grid.Key, mc *mutCell) bool {
+	ix.scells.Range(func(_ grid.Key, mc mutCell) bool {
 		S = append(S, mc.cell.XSorted...)
 		return true
 	})
@@ -652,7 +654,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 	// S side: cells well-formed, pairs in sync, counts add up.
 	sTotal := 0
 	var cellErr error
-	ix.scells.Range(func(k grid.Key, mc *mutCell) bool {
+	ix.scells.Range(func(k grid.Key, mc mutCell) bool {
 		c := mc.cell
 		if c.Len() == 0 {
 			cellErr = fmt.Errorf("empty cell (%d,%d) left in directory", k.CX, k.CY)
@@ -700,7 +702,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 		k  grid.Key
 	}
 	unlisted := make(map[sidEntry]int, ix.sCount)
-	ix.scells.Range(func(k grid.Key, mc *mutCell) bool {
+	ix.scells.Range(func(k grid.Key, mc mutCell) bool {
 		for _, pt := range mc.cell.XSorted {
 			unlisted[sidEntry{pt.ID, k}]++
 		}

@@ -287,16 +287,6 @@ func (st *Store) compactLocked(m *core.Mutable, gen, lastID uint64) (*view, erro
 	return nv, nil
 }
 
-// charged is a view's sampler as its engine sees it: the footprint the
-// engine reports to the registry budget is the view's charge, not the
-// sampler's own size.
-type charged struct {
-	core.Cloner
-	size int
-}
-
-func (c charged) SizeBytes() int { return c.size }
-
 // finishView builds the view's serving engine and estimator. An empty
 // current join leaves v.eng nil; Draw answers core.ErrEmptyJoin until
 // an Apply makes the join non-empty again.
@@ -304,15 +294,12 @@ func (c charged) SizeBytes() int { return c.size }
 // The engine runs over a clone taken here, under st.mu: Unfreeze and
 // Mutable.Apply derive from the view's own handle (Apply splits its
 // stream), which must not race the engine pool cloning its parent.
-// Charging: a freshly built frozen base charges its size; a mutable
-// version charges nothing, since it shares almost all structure with
-// the bulk build it descends from. Store.SizeBytes adds it back
-// exactly once.
+// The engine never enters the registry: the store's footprint is
+// charged once, through Registry.Reserve(Stores.SizeBytes).
 func (st *Store) finishView(v *view) error {
 	var src core.Cloner = v.mut
-	charge := 0
 	if v.base != nil {
-		src, charge = v.base, v.size
+		src = v.base
 	}
 	if src.Stats().MuSum <= 0 {
 		return nil
@@ -326,7 +313,7 @@ func (st *Store) finishView(v *view) error {
 	if err != nil {
 		return err
 	}
-	eng, err := engine.New(charged{Cloner: c, size: charge}, st.cfg.Seed)
+	eng, err := engine.New(c, st.cfg.Seed)
 	if err != nil {
 		return err
 	}

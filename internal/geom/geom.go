@@ -12,6 +12,7 @@
 package geom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -27,6 +28,28 @@ type Point struct {
 // String renders the point for diagnostics.
 func (p Point) String() string {
 	return fmt.Sprintf("(%g, %g)#%d", p.X, p.Y, p.ID)
+}
+
+// PointBytes is the size of one encoded point record: the ID, X and Y,
+// little-endian, in 4 + 8 + 8 bytes. The wire formats and the WAL
+// snapshots share this record.
+const PointBytes = 20
+
+// PutPoint encodes p into b[:PointBytes] and returns PointBytes.
+func PutPoint(b []byte, p Point) int {
+	binary.LittleEndian.PutUint32(b[0:4], uint32(p.ID))
+	binary.LittleEndian.PutUint64(b[4:12], math.Float64bits(p.X))
+	binary.LittleEndian.PutUint64(b[12:20], math.Float64bits(p.Y))
+	return PointBytes
+}
+
+// GetPoint decodes the point record in b[:PointBytes].
+func GetPoint(b []byte) Point {
+	return Point{
+		ID: int32(binary.LittleEndian.Uint32(b[0:4])),
+		X:  math.Float64frombits(binary.LittleEndian.Uint64(b[4:12])),
+		Y:  math.Float64frombits(binary.LittleEndian.Uint64(b[12:20])),
+	}
 }
 
 // Rect is a closed axis-aligned rectangle. A Rect with XMin > XMax or

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -183,5 +184,28 @@ func TestStringers(t *testing.T) {
 	pr := Pair{R: p, S: p}
 	if pr.String() == "" {
 		t.Error("Pair.String should not be empty")
+	}
+}
+
+// TestPointCodec pins the 20-byte record layout the wire formats and
+// WAL snapshots share, and round-trips edge values through it.
+func TestPointCodec(t *testing.T) {
+	var b [PointBytes]byte
+	if n := PutPoint(b[:], Point{ID: -2, X: 1, Y: -0.5}); n != PointBytes {
+		t.Fatalf("PutPoint wrote %d bytes, want %d", n, PointBytes)
+	}
+	want := []byte{
+		0xfe, 0xff, 0xff, 0xff, // ID -2
+		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // X 1.0
+		0, 0, 0, 0, 0, 0, 0xe0, 0xbf, // Y -0.5
+	}
+	if !bytes.Equal(b[:], want) {
+		t.Fatalf("PutPoint bytes %x, want %x", b, want)
+	}
+	for _, p := range []Point{{}, {ID: math.MaxInt32, X: math.MaxFloat64, Y: math.SmallestNonzeroFloat64}, {ID: math.MinInt32, X: math.Inf(-1), Y: -0.0}} {
+		PutPoint(b[:], p)
+		if got := GetPoint(b[:]); got != p || math.Signbit(got.Y) != math.Signbit(p.Y) {
+			t.Fatalf("GetPoint(PutPoint(%v)) = %v", p, got)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package grid
 
 import (
-	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -97,37 +98,7 @@ func TestDirRandomOpsVsMap(t *testing.T) {
 	}
 }
 
-// TestDirForcedCollisions overrides the hash to a near-constant so the
-// collision-leaf and push-down paths run.
-func TestDirForcedCollisions(t *testing.T) {
-	orig := dirHash
-	defer func() { dirHash = orig }()
-	dirHash = func(k Key) uint64 { return uint64(uint32(k.CX)) % 3 } // 3 hash classes
-	var d Dir[int]
-	cur := &d
-	want := map[Key]int{}
-	for i := 0; i < 200; i++ {
-		k := Key{CX: int32(i), CY: int32(i % 7)}
-		cur = cur.With(k, i)
-		want[k] = i
-	}
-	if cur.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", cur.Len(), len(want))
-	}
-	for k, v := range want {
-		if got, ok := cur.Get(k); !ok || got != v {
-			t.Fatalf("Get(%v) = %d,%v want %d", k, got, ok, v)
-		}
-	}
-	for k := range want {
-		cur = cur.Without(k)
-	}
-	if cur.Len() != 0 {
-		t.Fatalf("drained dir has Len %d", cur.Len())
-	}
-}
-
-// TestDirRangeDeterministic pins the hash-order iteration contract:
+// TestDirRangeDeterministic pins the mixed-key iteration contract:
 // two directories holding the same keys (built in different op orders)
 // iterate identically.
 func TestDirRangeDeterministic(t *testing.T) {
@@ -189,37 +160,86 @@ func BenchmarkBuildDir(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		BuildDir(len(keys), func(i int) Key { return keys[i] }, func(idx []int32) int32 { return idx[0] })
+		BuildDir(len(keys), func(i int) Key { return keys[i] }, func(i int) int { return i })
 	}
 }
 
-// buildVsWith bulk-builds a directory over keys (values: the item
-// indexes filed under each key) and the same bindings through With in
-// order of first occurrence, then checks Len, Get and Range order agree
-// and that both keep agreeing under further With/Without edits.
+// unmix inverts dirMix: each xor-shift and each multiply by an odd
+// constant is undone in reverse order.
+func unmix(h uint64) Key {
+	unshift := func(y uint64, s int) uint64 {
+		x := y
+		for t := s; t < 64; t += s {
+			x ^= y >> t
+		}
+		return x
+	}
+	inv := func(c uint64) uint64 { // Newton's iteration mod 2^64
+		x := c
+		for range 5 {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	x := unshift(h, 31) * inv(0x94d049bb133111eb)
+	x = unshift(x, 27) * inv(0xbf58476d1ce4e5b9)
+	x = unshift(x, 30)
+	return Key{CX: int32(uint32(x)), CY: int32(uint32(x >> 32))}
+}
+
+// TestDirMixInjective round-trips random mixes and edge keys through
+// unmix: dirMix has an inverse, so no two keys share a mix and a leaf
+// slot never needs a second entry.
+func TestDirMixInjective(t *testing.T) {
+	r := rng.New(5)
+	for range 10_000 {
+		h := r.Uint64()
+		if got := dirMix(unmix(h)); got != h {
+			t.Fatalf("dirMix(unmix(%#x)) = %#x", h, got)
+		}
+	}
+	edges := []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	for _, cx := range edges {
+		for _, cy := range edges {
+			if k := (Key{CX: cx, CY: cy}); unmix(dirMix(k)) != k {
+				t.Fatalf("unmix(dirMix(%v)) = %v", k, unmix(dirMix(k)))
+			}
+		}
+	}
+}
+
+// buildVsWith bulk-builds a directory over distinct keys (value: the
+// key's index) and the same bindings through With in order, then checks
+// Len, Get and Range order agree and that both keep agreeing under
+// further With/Without edits.
 func buildVsWith(t *testing.T, keys []Key) {
 	t.Helper()
-	built := BuildDir(len(keys), func(i int) Key { return keys[i] }, func(idx []int32) []int32 { return idx })
-	inc := &Dir[[]int32]{}
+	built := BuildDir(len(keys), func(i int) Key { return keys[i] }, func(i int) int { return i })
+	inc := &Dir[int]{}
 	for i, k := range keys {
-		old, _ := inc.Get(k)
-		inc = inc.With(k, append(old[:len(old):len(old)], int32(i)))
+		inc = inc.With(k, i)
 	}
-	same := func(a, b *Dir[[]int32]) {
+	same := func(a, b *Dir[int]) {
 		t.Helper()
 		if a.Len() != b.Len() {
 			t.Fatalf("Len %d vs %d", a.Len(), b.Len())
 		}
-		var ka, kb []Key
-		var va, vb [][]int32
-		a.Range(func(k Key, v []int32) bool { ka = append(ka, k); va = append(va, v); return true })
-		b.Range(func(k Key, v []int32) bool { kb = append(kb, k); vb = append(vb, v); return true })
-		for i := range ka {
-			if ka[i] != kb[i] || fmt.Sprint(va[i]) != fmt.Sprint(vb[i]) {
-				t.Fatalf("Range entry %d: %v=%v vs %v=%v", i, ka[i], va[i], kb[i], vb[i])
+		type kv struct {
+			k Key
+			v int
+		}
+		var ea, eb []kv
+		a.Range(func(k Key, v int) bool { ea = append(ea, kv{k, v}); return true })
+		b.Range(func(k Key, v int) bool { eb = append(eb, kv{k, v}); return true })
+		if len(ea) != a.Len() || len(eb) != b.Len() {
+			t.Fatalf("Range yielded %d and %d entries, Len %d", len(ea), len(eb), a.Len())
+		}
+		for i := range ea {
+			if ea[i] != eb[i] {
+				t.Fatalf("Range entry %d: %v vs %v", i, ea[i], eb[i])
 			}
-			if got, ok := a.Get(kb[i]); !ok || fmt.Sprint(got) != fmt.Sprint(vb[i]) {
-				t.Fatalf("Get(%v) = %v,%v want %v", kb[i], got, ok, vb[i])
+			if got, ok := a.Get(eb[i].k); !ok || got != eb[i].v {
+				t.Fatalf("Get(%v) = %d,%v want %d", eb[i].k, got, ok, eb[i].v)
 			}
 		}
 	}
@@ -229,42 +249,116 @@ func buildVsWith(t *testing.T, keys []Key) {
 		case 0:
 			built, inc = built.Without(k), inc.Without(k)
 		case 1:
-			built, inc = built.With(k, []int32{-1}), inc.With(k, []int32{-1})
+			built, inc = built.With(k, -1), inc.With(k, -1)
 		}
 	}
 	extra := Key{CX: 1 << 20, CY: -7}
-	built, inc = built.With(extra, nil), inc.With(extra, nil)
+	built, inc = built.With(extra, -2), inc.With(extra, -2)
 	same(built, inc)
 }
 
 func TestBuildDirMatchesWith(t *testing.T) {
 	r := rng.New(4)
-	keys := make([]Key, 3000)
-	for i := range keys {
-		keys[i] = Key{CX: int32(r.Intn(200)) - 100, CY: int32(r.Intn(20))} // repeats
+	var keys []Key
+	seen := map[Key]bool{}
+	for range 3000 {
+		k := Key{CX: int32(r.Intn(200)) - 100, CY: int32(r.Intn(20))}
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
 	}
 	buildVsWith(t, keys)
 	buildVsWith(t, nil)
-	if d := BuildDir(0, nil, func([]int32) int { return 0 }); d.Len() != 0 {
-		t.Fatalf("empty build has Len %d", d.Len())
-	}
 	buildVsWith(t, []Key{{3, -4}})
 	buildVsWith(t, []Key{{3, -4}, {5, 6}})
-	buildVsWith(t, []Key{{5, 6}, {5, 6}})
 }
 
-// TestBuildDirForcedCollisions runs the collision-list and deep
-// push-down shapes: three hash classes, and hashes that agree on every
-// bit the trie consumes but differ above them.
-func TestBuildDirForcedCollisions(t *testing.T) {
-	orig := dirHash
-	defer func() { dirHash = orig }()
-	keys := make([]Key, 300)
-	for i := range keys {
-		keys[i] = Key{CX: int32(i % 120), CY: int32(i % 7)}
+// TestDirDeepPushDown runs real key pairs whose mixes agree on their
+// low 60 bits, so every pair shares one path down to the last, 4-bit
+// level: through BuildDir against With, and through Get, With and
+// Without on every version.
+func TestDirDeepPushDown(t *testing.T) {
+	r := rng.New(6)
+	var keys []Key
+	for range 40 {
+		h := r.Uint64()
+		keys = append(keys, unmix(h), unmix(h^1<<62))
 	}
-	dirHash = func(k Key) uint64 { return uint64(uint32(k.CX)) % 3 }
 	buildVsWith(t, keys)
-	dirHash = func(k Key) uint64 { return uint64(uint32(k.CX)%5)<<60 | uint64(uint32(k.CX)%2)<<12 }
-	buildVsWith(t, keys)
+	d := &Dir[int]{}
+	for i, k := range keys {
+		d = d.With(k, i)
+	}
+	for i, k := range keys {
+		if v, ok := d.Get(k); !ok || v != i {
+			t.Fatalf("Get(%v) = %d,%v want %d", k, v, ok, i)
+		}
+	}
+	for i := 0; i < len(keys); i += 2 { // drop one key of each pair
+		d = d.Without(keys[i])
+	}
+	if d.Len() != len(keys)/2 {
+		t.Fatalf("Len = %d after dropping half, want %d", d.Len(), len(keys)/2)
+	}
+	for i, k := range keys {
+		v, ok := d.Get(k)
+		if ok != (i%2 == 1) || (ok && v != i) {
+			t.Fatalf("Get(%v) = %d,%v after dropping its partner", k, v, ok)
+		}
+	}
+	for i := 1; i < len(keys); i += 2 {
+		d = d.Without(keys[i])
+	}
+	if d.Len() != 0 || d.root != nil {
+		t.Fatalf("drained dir has Len %d, root %v", d.Len(), d.root)
+	}
+}
+
+func TestBuildDirRepeatedKeyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BuildDir over a repeated key did not panic")
+		}
+	}()
+	keys := []Key{{1, 2}, {3, 4}, {1, 2}}
+	BuildDir(len(keys), func(i int) Key { return keys[i] }, func(i int) int { return i })
+}
+
+// TestDirFootprint holds SizeBytes within 2x of the heap a built
+// directory retains, at the value size of both cell directories.
+func TestDirFootprint(t *testing.T) {
+	var ms runtime.MemStats
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	measure := func(name string, n int, build func() interface{ SizeBytes() int }) {
+		t.Helper()
+		before := liveHeap()
+		d := build()
+		measured := liveHeap() - before
+		est := int64(d.SizeBytes())
+		runtime.KeepAlive(d)
+		t.Logf("%s n=%d: SizeBytes %d, live heap %d (%.2fx)", name, n, est, measured, float64(est)/float64(measured))
+		if est > 2*measured || measured > 2*est {
+			t.Fatalf("%s n=%d: SizeBytes %d vs live heap %d: off by more than 2x", name, n, est, measured)
+		}
+	}
+	r := rng.New(7)
+	for _, n := range []int{1000, 7000, 50_000} {
+		keys := make([]Key, n)
+		for i := range keys {
+			keys[i] = unmix(r.Uint64())
+		}
+		key := func(i int) Key { return keys[i] }
+		measure("16-byte values", n, func() interface{ SizeBytes() int } {
+			return BuildDir(n, key, func(int) [2]*int { return [2]*int{} })
+		})
+		measure("slice values", n, func() interface{ SizeBytes() int } {
+			return BuildDir(n, key, func(int) []int32 { return nil })
+		})
+	}
 }

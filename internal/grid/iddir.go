@@ -2,8 +2,8 @@ package grid
 
 // IDDir is a persistent (path-copied) multimap from point IDs to short
 // value lists: a radix trie over the ID's own 32 bits (as uint32), 6
-// bits per level, every node bitmap-compressed. Where Dir hashes cell
-// keys, IDDir needs no hash: dense IDs fill whole leaves, so the trie
+// bits per level, every node bitmap-compressed. Where Dir mixes cell
+// keys, IDDir needs no mix: dense IDs fill whole leaves, so the trie
 // is a chunked vector, and sparse or negative IDs cost a short chain
 // of one-child nodes. A leaf keeps the lists of its up to 64 IDs back
 // to back in one value array. Like Dir, With and Without return a NEW

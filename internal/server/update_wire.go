@@ -110,12 +110,12 @@ func writePointSections(w io.Writer, tag uint8, pts []geom.Point) error {
 			chunk = chunk[:MaxUpdateSectionOps]
 		}
 		pts = pts[len(chunk):]
-		buf := make([]byte, 5+20*len(chunk))
+		buf := make([]byte, 5+geom.PointBytes*len(chunk))
 		buf[0] = tag
 		binary.LittleEndian.PutUint32(buf[1:5], uint32(len(chunk)))
 		off := 5
 		for _, p := range chunk {
-			off += putPoint(buf[off:], p)
+			off += geom.PutPoint(buf[off:], p)
 		}
 		if _, err := w.Write(buf); err != nil {
 			return err
@@ -206,13 +206,13 @@ func DecodeUpdateBody(r io.Reader, maxOps int) (UpdateRequest, error) {
 		}
 		switch tag[0] {
 		case updateTagInsertR, updateTagInsertS:
-			raw := make([]byte, 20*int(n))
+			raw := make([]byte, geom.PointBytes*int(n))
 			if _, err := io.ReadFull(r, raw); err != nil {
 				return req, fmt.Errorf("server: update truncated mid-section: %w", err)
 			}
 			pts := make([]geom.Point, n)
 			for i := range pts {
-				pts[i] = getPoint(raw[i*20:])
+				pts[i] = geom.GetPoint(raw[i*geom.PointBytes:])
 			}
 			if tag[0] == updateTagInsertR {
 				req.InsertR = append(req.InsertR, pts...)

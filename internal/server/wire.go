@@ -27,7 +27,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/geom"
 )
@@ -39,7 +38,7 @@ const (
 	// error frame grew a code field).
 	wireVersion = uint8(2)
 	// pairBytes is the encoded size of one pair record.
-	pairBytes = 40
+	pairBytes = 2 * geom.PointBytes
 	// frameError marks an error frame's count field.
 	frameError = uint32(0xFFFFFFFF)
 	// MaxFramePairs bounds the pairs a reader accepts in one frame,
@@ -91,19 +90,11 @@ func WriteStreamFrame(w io.Writer, pairs []geom.Pair, scratch []byte) ([]byte, e
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(pairs)))
 	off := 4
 	for _, p := range pairs {
-		off += putPoint(buf[off:], p.R)
-		off += putPoint(buf[off:], p.S)
+		off += geom.PutPoint(buf[off:], p.R)
+		off += geom.PutPoint(buf[off:], p.S)
 	}
 	_, err := w.Write(buf)
 	return scratch, err
-}
-
-// putPoint encodes one point record and returns its size.
-func putPoint(b []byte, p geom.Point) int {
-	binary.LittleEndian.PutUint32(b[0:4], uint32(p.ID))
-	binary.LittleEndian.PutUint64(b[4:12], math.Float64bits(p.X))
-	binary.LittleEndian.PutUint64(b[12:20], math.Float64bits(p.Y))
-	return 20
 }
 
 // WriteStreamEnd closes a binary pair stream cleanly.
@@ -234,8 +225,8 @@ func readWireStream(r io.Reader, fn func(batch []geom.Pair) error) (int, error) 
 		batch = batch[:n]
 		for i := range batch {
 			off := i * pairBytes
-			batch[i].R = getPoint(raw[off:])
-			batch[i].S = getPoint(raw[off+20:])
+			batch[i].R = geom.GetPoint(raw[off:])
+			batch[i].S = geom.GetPoint(raw[off+geom.PointBytes:])
 		}
 		total += int(n)
 		if fn != nil {
@@ -243,14 +234,5 @@ func readWireStream(r io.Reader, fn func(batch []geom.Pair) error) (int, error) 
 				return total, err
 			}
 		}
-	}
-}
-
-// getPoint decodes one 20-byte point record.
-func getPoint(b []byte) geom.Point {
-	return geom.Point{
-		ID: int32(binary.LittleEndian.Uint32(b[0:4])),
-		X:  math.Float64frombits(binary.LittleEndian.Uint64(b[4:12])),
-		Y:  math.Float64frombits(binary.LittleEndian.Uint64(b[12:20])),
 	}
 }

@@ -39,7 +39,6 @@ const (
 
 	// snapHeaderLen: magic, version, keyhash, generation, lastID, nR, nS.
 	snapHeaderLen = 4 + 1 + 8 + 8 + 8 + 4 + 4
-	pointLen      = 20
 
 	// maxSnapshotPoints bounds one side of a snapshot so a corrupt
 	// count cannot force an unbounded allocation before the CRC check.
@@ -192,7 +191,8 @@ func (d *Dataset) Snapshot(gen, lastID uint64, R, S []geom.Point) error {
 	if lastID < d.lastSnapID {
 		return fmt.Errorf("wal: snapshot at ID %d behind existing snapshot %d", lastID, d.lastSnapID)
 	}
-	buf := make([]byte, snapHeaderLen, snapHeaderLen+pointLen*(len(R)+len(S))+4)
+	n := snapHeaderLen + geom.PointBytes*(len(R)+len(S))
+	buf := make([]byte, n, n+4)
 	binary.LittleEndian.PutUint32(buf[:4], snapMagic)
 	buf[4] = snapVersion
 	binary.LittleEndian.PutUint64(buf[5:13], d.hash)
@@ -200,11 +200,12 @@ func (d *Dataset) Snapshot(gen, lastID uint64, R, S []geom.Point) error {
 	binary.LittleEndian.PutUint64(buf[21:29], lastID)
 	binary.LittleEndian.PutUint32(buf[29:33], uint32(len(R)))
 	binary.LittleEndian.PutUint32(buf[33:37], uint32(len(S)))
+	off := snapHeaderLen
 	for _, p := range R {
-		buf = appendPoint(buf, p)
+		off += geom.PutPoint(buf[off:], p)
 	}
 	for _, p := range S {
-		buf = appendPoint(buf, p)
+		off += geom.PutPoint(buf[off:], p)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	name := fmt.Sprintf("%s%016x%s", snapPrefix, lastID, snapSuffix)
@@ -220,12 +221,6 @@ func (d *Dataset) Snapshot(gen, lastID uint64, R, S []geom.Point) error {
 		return err
 	}
 	return nil
-}
-
-func appendPoint(buf []byte, p geom.Point) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
 }
 
 // pruneSnapshotsLocked removes snapshots older than keep.
@@ -330,14 +325,14 @@ func decodeSnapshot(raw []byte, wantHash uint64) (Snapshot, error) {
 	nR := binary.LittleEndian.Uint32(raw[29:33])
 	nS := binary.LittleEndian.Uint32(raw[33:37])
 	if nR > maxSnapshotPoints || nS > maxSnapshotPoints ||
-		int64(len(body)) != int64(snapHeaderLen)+pointLen*(int64(nR)+int64(nS)) {
+		int64(len(body)) != int64(snapHeaderLen)+geom.PointBytes*(int64(nR)+int64(nS)) {
 		return Snapshot{}, fmt.Errorf("%w: snapshot size does not match point counts", ErrCorrupt)
 	}
 	snap := Snapshot{
 		Generation: binary.LittleEndian.Uint64(raw[13:21]),
 		LastID:     binary.LittleEndian.Uint64(raw[21:29]),
 		R:          decodePoints(raw[snapHeaderLen:], int(nR)),
-		S:          decodePoints(raw[snapHeaderLen+pointLen*int(nR):], int(nS)),
+		S:          decodePoints(raw[snapHeaderLen+geom.PointBytes*int(nR):], int(nS)),
 	}
 	return snap, nil
 }
@@ -345,12 +340,7 @@ func decodeSnapshot(raw []byte, wantHash uint64) (Snapshot, error) {
 func decodePoints(raw []byte, n int) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
-		rec := raw[i*pointLen:]
-		pts[i] = geom.Point{
-			ID: int32(binary.LittleEndian.Uint32(rec[:4])),
-			X:  math.Float64frombits(binary.LittleEndian.Uint64(rec[4:12])),
-			Y:  math.Float64frombits(binary.LittleEndian.Uint64(rec[12:20])),
-		}
+		pts[i] = geom.GetPoint(raw[i*geom.PointBytes:])
 	}
 	return pts
 }

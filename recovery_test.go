@@ -75,19 +75,21 @@ func TestServerRecoversFromLogReplay(t *testing.T) {
 
 	cl, stop := openRecoverable(t, dir, R, S)
 	bound := cl.Bind(key)
-	// Three acknowledged updates, kept far below the rebuild threshold
+	// A peer fed the same updates and never restarted.
+	peerCl, _ := openRecoverable(t, t.TempDir(), R, S)
+	peer := peerCl.Bind(key)
+	// Three acknowledged updates, kept far below the snapshot cadence
 	// so recovery exercises pure log replay (no snapshot exists yet).
-	if _, err := bound.Apply(ctx, srj.Update{
-		InsertR: []srj.Point{{ID: 4000, X: 9000, Y: 9000}},
-		InsertS: []srj.Point{{ID: 4001, X: 9001, Y: 9001}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bound.Apply(ctx, srj.Update{DeleteR: []int32{victim}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bound.Apply(ctx, srj.Update{InsertS: []srj.Point{{ID: 4002, X: 8999, Y: 9000}}}); err != nil {
-		t.Fatal(err)
+	for _, u := range []srj.Update{
+		{InsertR: []srj.Point{{ID: 4000, X: 9000, Y: 9000}}, InsertS: []srj.Point{{ID: 4001, X: 9001, Y: 9001}}},
+		{DeleteR: []int32{victim}},
+		{InsertS: []srj.Point{{ID: 4002, X: 8999, Y: 9000}}},
+	} {
+		for _, b := range []*srj.Client{bound, peer} {
+			if _, err := b.Apply(ctx, u); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if got := lastApplied(t, cl, key); got != 3 {
 		t.Fatalf("last applied %d before restart, want 3", got)
@@ -101,6 +103,13 @@ func TestServerRecoversFromLogReplay(t *testing.T) {
 		t.Fatalf("last applied %d after restart, want 3", got)
 	}
 	bound2 := cl2.Bind(key)
+	// Log replay repeats the peer's build history batch for batch, so
+	// seeded draws match the peer's byte for byte.
+	for _, seed := range []uint64{1, 42} {
+		if i := firstDifference(t, bound2, peer, seed); i >= 0 {
+			t.Fatalf("seed %d: the replayed shard's draws differ from its peer's from sample %d", seed, i)
+		}
+	}
 	res, err := bound2.Draw(ctx, srj.Request{T: 30_000})
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +132,99 @@ func TestServerRecoversFromLogReplay(t *testing.T) {
 	}
 	if got := lastApplied(t, cl2, key); got != 4 {
 		t.Fatalf("last applied %d after post-restart update, want 4", got)
+	}
+}
+
+// firstDifference draws 2000 samples under seed from a and from b and
+// returns the index of the first pair that differs, -1 when none does.
+func firstDifference(t *testing.T, a, b *srj.Client, seed uint64) int {
+	t.Helper()
+	var draws [2][]srj.Pair
+	for i, c := range []*srj.Client{a, b} {
+		res, err := c.Draw(context.Background(), srj.Request{T: 2000, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		draws[i] = res.Pairs
+	}
+	if len(draws[0]) != len(draws[1]) {
+		t.Fatalf("seed %d: drew %d and %d pairs", seed, len(draws[0]), len(draws[1]))
+	}
+	for i := range draws[0] {
+		if draws[0][i] != draws[1][i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// waitSnapshot waits until the store for key reports a snapshot.
+func waitSnapshot(t *testing.T, cl *srj.Client, key srj.EngineKey) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		stats, err := cl.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range stats.Stores {
+			if info.Key.Dataset == key.Dataset && info.LastSnapshotID > 0 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no snapshot appeared within 10s of crossing the snapshot cadence")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestServerSnapshotRecoveryDivergesFromPeer pins a known gap (ROADMAP
+// item 6): a shard restarted after a cadence snapshot serves the same
+// live join as its never-restarted peer, but not the same seeded bytes.
+// The snapshot flattens the in-place view into point lists and recovery
+// bulk-builds a base over them, while the peer keeps serving the index
+// its batches edited. When recovery replays the same build history,
+// this test fails and should assert byte identity instead.
+func TestServerSnapshotRecoveryDivergesFromPeer(t *testing.T) {
+	R, S, l := srjtest.Data()
+	key := srj.EngineKey{Dataset: "conf", L: l, Algorithm: "bbst", Seed: 7}
+	ctx := context.Background()
+	dir := t.TempDir()
+	cl, stop := openRecoverable(t, dir, R, S)
+	peerCl, _ := openRecoverable(t, t.TempDir(), R, S)
+	bound, peer := cl.Bind(key), peerCl.Bind(key)
+	// TestServerRecoversFromSnapshot's 35 batches, past the snapshot
+	// cadence (a quarter of the live points): 20 R deletes, then 15
+	// inserts of a far-away pair.
+	for i := 0; i < 35; i++ {
+		u := srj.Update{DeleteR: []int32{R[i].ID}}
+		if i >= 20 {
+			u = srj.Update{
+				InsertR: []srj.Point{{ID: int32(5000 + i), X: 9000, Y: 9000 + float64(i)}},
+				InsertS: []srj.Point{{ID: int32(6000 + i), X: 9001, Y: 9000 + float64(i)}},
+			}
+		}
+		for _, b := range []*srj.Client{bound, peer} {
+			if _, err := b.Apply(ctx, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitSnapshot(t, cl, key)
+	stop()
+	cl2, _ := openRecoverable(t, dir, R, S)
+	if got := lastApplied(t, cl2, key); got != 35 {
+		t.Fatalf("last applied %d after snapshot recovery, want 35", got)
+	}
+	bound2 := cl2.Bind(key)
+	for _, seed := range []uint64{1, 42} {
+		i := firstDifference(t, bound2, peer, seed)
+		if i < 0 {
+			t.Fatalf("seed %d: the shard recovered from a snapshot now draws its peer's bytes; "+
+				"the ROADMAP item 6 gap is closed, so assert byte identity here", seed)
+		}
+		t.Logf("seed %d: draws differ from the peer's from sample %d", seed, i)
 	}
 }
 
@@ -153,28 +255,9 @@ func TestServerRecoversFromSnapshot(t *testing.T) {
 		}
 		n++
 	}
-	// The rebuild (and with it the snapshot) runs in the background;
-	// wait for the persister to report one.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		stats, err := cl.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapped := false
-		for _, info := range stats.Stores {
-			if info.Key.Dataset == key.Dataset && info.LastSnapshotID > 0 {
-				snapped = true
-			}
-		}
-		if snapped {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no snapshot appeared within 10s of crossing the rebuild threshold")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// The snapshot runs in the background; wait for the persister to
+	// report one.
+	waitSnapshot(t, cl, key)
 	stop()
 
 	cl2, _ := openRecoverable(t, dir, R, S)
