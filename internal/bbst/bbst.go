@@ -4,7 +4,11 @@
 //
 // A BBST answers 2-sided orthogonal range questions over the points of
 // one grid cell — exactly the queries that arise at the four corner
-// cells of a window's 3x3 neighborhood (case 3). The points of the
+// cells of a window's 3x3 neighborhood (case 3). The sampler builds a
+// pair only for a cell of more than T = c·⌈log₂ m⌉ points (package
+// core, c = 2): a smaller cell's trees would be one or two nodes deep
+// and buy no log factor, so it answers its corners by an exact scan of
+// its x-sorted points instead. The points of the
 // cell, pre-sorted by x, are partitioned into consecutive buckets of
 // at most b = ceil(log2 m) points: a cell of N points gets the paper's
 // ceil(N/b) buckets, balanced so that their sizes differ by at most

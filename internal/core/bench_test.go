@@ -9,9 +9,11 @@ package core
 // mutable index's slot tree alone, over 100k random slots.
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -196,6 +198,51 @@ func BenchmarkCount(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkScanThreshold sweeps c in the scan threshold
+// T = c·⌈log₂ m⌉ through the sampler's unexported scanC: S cells of at
+// most T points answer their corners by an exact scan, larger ones
+// through their BBST pair; c = 0 (T = 0) is the paper's pure BBST. On
+// nyc inputs of n points per side, each c builds and counts one frozen
+// sampler, then times 10k-sample SampleInto batches. It reports T,
+// ns/sample and trials/sample over the timed batches, the build
+// (Preprocess through Count) in build-ms and the footprint in MB.
+func BenchmarkScanThreshold(b *testing.B) {
+	for _, in := range []struct {
+		n int
+		l float64
+	}{{25_000, 50}, {25_000, 200}, {200_000, 100}} {
+		R, S := dataset.SplitRS(dataset.NYC(2*in.n, 1), 0.5, 2)
+		for _, c := range []float64{0, 1, 2, 3, 4, 6} {
+			b.Run(fmt.Sprintf("n=%dk/l=%g/c=%g", in.n/1000, in.l, c), func(b *testing.B) {
+				start := time.Now()
+				s, err := NewBBST(R, S, Config{HalfExtent: in.l, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.scanC = c
+				if err := s.Count(); err != nil {
+					b.Fatal(err)
+				}
+				build := time.Since(start)
+				buf := make([]geom.Pair, 10_000)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := SampleInto(s, buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				samples := float64(b.N * len(buf))
+				b.ReportMetric(float64(scanMax(c, len(S))), "T")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/samples, "ns/sample")
+				b.ReportMetric(float64(s.Stats().Iterations)/samples, "trials/sample")
+				b.ReportMetric(float64(build.Microseconds())/1e3, "build-ms")
+				b.ReportMetric(float64(s.SizeBytes())/(1<<20), "MB")
+			})
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bbst"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/rng"
@@ -76,6 +77,19 @@ func FuzzMutableOps(f *testing.F) {
 	// Fill the R cell around (5,5), then drain it and refill it in one
 	// batch, so the slots the drain frees are reused by the refill.
 	f.Add(uint64(6), uint8(0), []byte{0x01, 0x55, 0x09, 0x56, 0x11, 0x66, 0x07, 0x00, 0x04, 0x55, 0x19, 0x55, 0x21, 0x77, 0x29, 0x45})
+	// Grow the S cell around (5,5) past the scan threshold T (about 10
+	// for this many points) in one batch, drain it, refill it and
+	// delete its points one batch at a time back under T.
+	grow := []byte{}
+	for id := byte(20); id < 32; id++ {
+		grow = append(grow, id<<3, 0x44+(id%4)+(id%3)<<4)
+	}
+	cross := append(slices.Clone(grow), 0x07, 0x00, 0x04, 0x55, 0x07, 0x00)
+	cross = append(cross, grow...)
+	for id := byte(20); id < 32; id += 3 {
+		cross = append(cross, 0x07, 0x00, 0x02, id, 0x02, id+1, 0x02, id+2)
+	}
+	f.Add(uint64(7), uint8(0), cross)
 	f.Fuzz(func(t *testing.T, seed uint64, capRaw uint8, script []byte) {
 		if len(script) > 256 {
 			script = script[:256]
@@ -151,5 +165,72 @@ func FuzzMutableOps(f *testing.F) {
 			}
 		}
 		apply()
+	})
+}
+
+// FuzzCornerScan holds the scan corner of a small cell to brute force.
+// The cell is the grid cell [0, 16)² at l = 16 with up to 64 points on
+// the half-step lattice, so ties in both coordinates are common; the
+// window's centre ranges over the 3×3 block around the cell and
+// beyond, so the cell is a corner of the window, an edge of it, or
+// apart from it. For each corner query it checks that the scan count
+// equals the number of points inside the window, that picks 0..k-1
+// enumerate exactly those points, and that the BBST's Mu over the same
+// cell is at least the count.
+func FuzzCornerScan(f *testing.F) {
+	f.Add(uint8(0), uint8(2), int8(-7), int8(-7), []byte{0x00, 0x11, 0x12, 0x21, 0xff, 0x0f, 0xf0, 0x88})
+	f.Add(uint8(3), uint8(1), int8(40), int8(40), []byte{0x55, 0x55, 0x56, 0x65, 0x00})
+	f.Add(uint8(1), uint8(4), int8(-1), int8(33), []byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60})
+	f.Add(uint8(2), uint8(0), int8(32), int8(0), []byte{0xaa, 0xab, 0xba, 0xbb, 0x0a, 0xa0})
+	f.Fuzz(func(t *testing.T, cornerRaw, capRaw uint8, rx, ry int8, coords []byte) {
+		const l = 16
+		if len(coords) > 64 {
+			coords = coords[:64]
+		}
+		pts := make([]geom.Point, len(coords))
+		for i, b := range coords {
+			pts[i] = geom.Point{X: float64(b&0x0f) + float64(b>>7)/2, Y: float64(b>>4&7) * 2, ID: int32(i)}
+		}
+		slices.SortStableFunc(pts, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+		cell := &grid.Cell{XSorted: pts}
+		w := geom.Window(geom.Point{X: float64(rx) / 2, Y: float64(ry) / 2}, l)
+		q := cornerFor(grid.SouthWest + grid.Direction(cornerRaw%4))
+
+		var inside []geom.Point
+		for _, p := range pts {
+			if w.Contains(p) {
+				inside = append(inside, p)
+			}
+		}
+		k := scanCount(cell, q, w)
+		if k != len(inside) {
+			t.Fatalf("%v: scan counts %d, %d points inside %+v", q, k, len(inside), w)
+		}
+		var picked []geom.Point
+		for j := range k {
+			p, ok := scanPick(cell, q, w, j)
+			if !ok {
+				t.Fatalf("%v: pick %d of %d failed", q, j, k)
+			}
+			picked = append(picked, p)
+		}
+		if _, ok := scanPick(cell, q, w, k); ok {
+			t.Fatalf("%v: pick %d succeeded past the count", q, k)
+		}
+		slices.SortFunc(picked, comparePoints)
+		slices.SortFunc(inside, comparePoints)
+		if !slices.Equal(picked, inside) {
+			t.Fatalf("%v: picks %v, points inside %v", q, picked, inside)
+		}
+		if len(pts) == 0 {
+			return
+		}
+		pair, err := bbst.Build(pts, 1+int(capRaw%6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mu := pair.Mu(q, w, nil); mu < k {
+			t.Fatalf("%v: BBST Mu %d below the exact count %d", q, mu, k)
+		}
 	})
 }

@@ -13,17 +13,22 @@ import (
 )
 
 // cornerIndex is the per-cell structure that answers the 2-sided
-// (case 3) corner queries: the two BBSTs of the paper, or the per-cell
-// kd-tree of the Fig. 9 ablation. It is immutable once built: every
-// clone of a sampler shares the same corner structures, and the query
-// buffers live in the calling handle's cornerScratch.
+// (case 3) corner queries: the two BBSTs of the paper for a cell of
+// more than T points, the exact scan of a smaller cell's x-sorted run
+// (scanCorner), or the per-cell kd-tree of the Fig. 9 ablation. It is
+// immutable once built: every clone of a sampler shares the same
+// corner structures, and the query buffers live in the calling
+// handle's cornerScratch.
 type cornerIndex interface {
-	// mu returns the (upper-bound) count of cell points matching the
-	// corner constraint of w.
+	// mu returns the count of cell points matching the corner
+	// constraint of w: Lemma 5's upper bound for a BBST, exact for
+	// the scan and the kd-tree.
 	mu(c bbst.Corner, w geom.Rect, sc *cornerScratch) int
-	// sample draws one candidate slot for the corner; ok is false on
-	// an empty slot. The caller still verifies window membership.
-	sample(c bbst.Corner, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool)
+	// sample draws one candidate for the corner, k > 0 being the
+	// count mu returned, which the trial's record holds (only the scan
+	// reads it); ok is false on an empty slot. The caller still
+	// verifies window membership.
+	sample(c bbst.Corner, w geom.Rect, k int32, r *rng.RNG, sc *cornerScratch) (geom.Point, bool)
 	// sizeBytes estimates the structure footprint.
 	sizeBytes() int
 }
@@ -57,6 +62,7 @@ func cornerFor(d grid.Direction) bbst.Corner {
 type gridSampler struct {
 	*base
 	newCorner func(cellPoints []geom.Point, m int) cornerIndex
+	scanC     float64 // c of the scan threshold T = c·⌈log₂ m⌉; 0 scans no cell
 
 	sortedS []geom.Point // copy of S sorted by x (offline phase)
 	g       *grid.Grid
@@ -98,7 +104,9 @@ func (g *gridSampler) Preprocess() error {
 }
 
 // Build is the online data-structure building phase (GM): grid
-// mapping of S plus per-cell corner structures (BBST-BUILDING).
+// mapping of S plus per-cell corner structures (BBST-BUILDING). A cell
+// of at most T = scanMax(scanC, m) points gets a scanCorner over its
+// own run instead, which allocates nothing.
 func (g *gridSampler) Build() error {
 	if err := ensure(g, g.base, phasePreprocessed); err != nil {
 		return err
@@ -114,9 +122,14 @@ func (g *gridSampler) Build() error {
 		}
 		g.corners = make([]cornerIndex, 0, g.g.NumCells())
 		m := len(g.S)
+		t := scanMax(g.scanC, m)
 		// Cells runs in Index order, so corners[c.Index] is c's.
 		g.g.Cells(func(c *grid.Cell) {
-			g.corners = append(g.corners, g.newCorner(c.XSorted, m))
+			if c.Len() <= t {
+				g.corners = append(g.corners, scanCorner{cell: c})
+			} else {
+				g.corners = append(g.corners, g.newCorner(c.XSorted, m))
+			}
 		})
 	})
 	if buildErr != nil {
@@ -278,8 +291,10 @@ func drawRun(c *grid.Cell, d grid.Direction, k int32, i int) geom.Point {
 }
 
 // tryOnce is one iteration of the sampling phase (lines 10–15 of
-// Algorithm 1): weighted r, weighted cell, uniform slot, accept iff
-// the slot holds a point of w(r). The direction comes from r's count
+// Algorithm 1): weighted r, weighted cell, uniform slot (a BBST
+// bucket slot, or for a scanned corner cell one of the k points its
+// record counts), accept iff the slot holds a point of w(r). The
+// direction comes from r's count
 // record and its cell from r's cell row, so a trial does no key
 // lookup. Every pair of J is accepted with probability exactly 1/Σµ
 // per trial.
@@ -297,7 +312,7 @@ func (g *gridSampler) tryOnce() (geom.Pair, bool, error) {
 	ci := g.rows[rec.row][d]
 	s, ok := geom.Point{}, true
 	if d.Case() == 3 {
-		s, ok = g.corners[ci].sample(cornerFor(d), w, g.rng, &g.sc)
+		s, ok = g.corners[ci].sample(cornerFor(d), w, k, g.rng, &g.sc)
 	} else {
 		s = drawRun(g.g.ByIndex(ci), d, k, g.rng.Intn(int(k)))
 	}
@@ -342,6 +357,7 @@ func (g *gridSampler) cloneGrid() (gridSampler, error) {
 	return gridSampler{
 		base:      nb,
 		newCorner: g.newCorner,
+		scanC:     g.scanC,
 		sortedS:   g.sortedS,
 		g:         g.g,
 		corners:   g.corners,

@@ -19,7 +19,7 @@ func (k kdCorner) mu(_ bbst.Corner, w geom.Rect, _ *cornerScratch) int {
 	return k.tree.Count(w)
 }
 
-func (k kdCorner) sample(_ bbst.Corner, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
+func (k kdCorner) sample(_ bbst.Corner, w geom.Rect, _ int32, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
 	pt, _, ok := k.tree.Sample(w, r, &sc.kd)
 	return pt, ok
 }

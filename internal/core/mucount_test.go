@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bbst"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -130,8 +131,8 @@ func checkCounter(t *testing.T, g *gridSampler, masks []dirMask) {
 }
 
 // TestMuCounterMatchesPerPoint holds the batched counter to the
-// per-point reference on every point and direction, for the BBST and
-// GridKD corners, over nyc, uniform, clustered and boundary-heavy lattice inputs at
+// per-point reference on every point and direction, for the BBST,
+// hybrid and GridKD corners, over nyc, uniform, clustered and boundary-heavy lattice inputs at
 // several l. The lattice runs try every direction mask, which covers
 // every subset ApplyOps can ask for; the others use the full mask and
 // a sample of subsets.
@@ -165,17 +166,45 @@ type gridFactory struct {
 	mk   func(R, S []geom.Point, cfg Config) (*gridSampler, error)
 }
 
-// gridFactories are the counting tests' samplers: the BBST and GridKD
-// corners.
+// gridFactories are the counting tests' samplers: the BBST (with its
+// default scan threshold), a hybrid BBST whose threshold puts cells on
+// both sides of it on every input, and the GridKD corners.
 var gridFactories = []gridFactory{
 	{"BBST", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
 		s, err := NewBBST(R, S, cfg)
 		return &s.gridSampler, err
 	}},
+	{"hybrid", newHybridBBST},
 	{"GridKD", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
 		s, err := NewGridKD(R, S, cfg)
 		return &s.gridSampler, err
 	}},
+}
+
+// newHybridBBST creates a BBST sampler whose scan threshold T lies
+// halfway between the smallest and the largest S cell, so the smallest
+// cells are scanned and the largest keep their BBST pair.
+func newHybridBBST(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+	s, err := NewBBST(R, S, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g, err := grid.Build(S, cfg.HalfExtent)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := len(S), 0
+	g.Cells(func(c *grid.Cell) { lo, hi = min(lo, c.Len()), max(hi, c.Len()) })
+	if lo >= hi {
+		return nil, fmt.Errorf("hybrid BBST: every cell holds %d points", lo)
+	}
+	// c·⌈log₂ m⌉ lands half a point above T, so scanMax floors to T.
+	t := (lo + hi) / 2
+	s.scanC = (float64(t) + 0.5) / float64(bbst.BucketCap(len(S)))
+	if got := scanMax(s.scanC, len(S)); got != t {
+		return nil, fmt.Errorf("hybrid BBST: threshold %d, want %d", got, t)
+	}
+	return &s.gridSampler, nil
 }
 
 // forCountInputs runs check in a subtest "input/l=L/sampler" for every
@@ -212,11 +241,13 @@ func forCountInputs(t *testing.T, samplers []gridFactory, check func(t *testing.
 }
 
 // TestFrozenRecordMatchesReference holds the frozen Count's records to
-// the per-point reference on the counting inputs, for the BBST and
-// GridKD samplers: every record's counts equal refCounts, every row
+// the per-point reference on the counting inputs, for the BBST, hybrid
+// and GridKD samplers: every record's counts equal refCounts, every row
 // entry names the cell a key lookup of that direction finds (-1 for
-// none), and for every positive case 1–2 count k, drawRun's offsets
-// 0..k-1 enumerate exactly Cell.Matching's run.
+// none), for every positive case 1–2 count k, drawRun's offsets
+// 0..k-1 enumerate exactly Cell.Matching's run, and for every positive
+// count k of a scanned corner, scanPick's 0..k-1 enumerate exactly the
+// cell's points inside w(r).
 func TestFrozenRecordMatchesReference(t *testing.T) {
 	forCountInputs(t, gridFactories, func(t *testing.T, g *gridSampler, _ bool) {
 		if err := g.Count(); err != nil {
@@ -244,7 +275,13 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 					fail("R[%d] %v: row names cell %d, lookup finds %d", i, d, ci, c.Index)
 				}
 				k := rec.cnt[d]
-				if c == nil || d.Case() == 3 || k == 0 {
+				if c == nil || k == 0 {
+					continue
+				}
+				if d.Case() == 3 {
+					if _, ok := g.corners[ci].(scanCorner); ok {
+						checkScanPicks(fail, c, cornerFor(d), w, int(k))
+					}
 					continue
 				}
 				run := c.Matching(d, w)
@@ -260,6 +297,30 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 			}
 		}
 	})
+}
+
+// checkScanPicks fails unless scanPick's picks 0..k-1 over cell c are
+// exactly c's points inside w, each once.
+func checkScanPicks(fail func(string, ...any), c *grid.Cell, q bbst.Corner, w geom.Rect, k int) {
+	left := make(map[geom.Point]int)
+	for _, p := range c.XSorted {
+		if w.Contains(p) {
+			left[p]++
+		}
+	}
+	for j := range k {
+		p, ok := scanPick(c, q, w, j)
+		if !ok || left[p] == 0 {
+			fail("%v of cell %v: pick %d of %d is %+v (ok %v), not an unpicked point inside %+v", q, c.Key, j, k, p, ok, w)
+			return
+		}
+		left[p]--
+	}
+	for p, n := range left {
+		if n > 0 {
+			fail("%v of cell %v: %+v inside %+v never picked", q, c.Key, p, w)
+		}
+	}
 }
 
 // TestMutableBatchedRecountOnBoundaries drives Unfreeze and ApplyOps,

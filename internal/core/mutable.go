@@ -5,13 +5,19 @@ package core
 // structures built in bulk; a Mutable answers the same draws over
 // structures that absorb point inserts and deletes batch by batch:
 //
-//   - the S side keeps one copy-on-write cell (grid.WithUpdates) plus
-//     one BBST pair per non-empty grid cell, stored inline in a
-//     persistent directory (grid.Dir, a path-copied trie over mixed
-//     cell keys) instead of a Go map, so a lookup returns both. A batch
-//     that touches a cell replaces both: the new cell's x-sorted run
-//     is never written after publication, so the pair bbst.Build makes
-//     over it shares its points;
+//   - the S side keeps one copy-on-write cell (grid.WithUpdates) per
+//     non-empty grid cell, plus a BBST pair for a cell of more than
+//     T = c·⌈log₂ m⌉ points (m the live S count); a cell of at most T
+//     points has no pair and answers its corners by scanning its
+//     x-sorted run, exactly, as the frozen scanCorner does. Both are
+//     stored inline in a persistent directory (grid.Dir, a path-copied
+//     trie over mixed cell keys) instead of a Go map, so a lookup
+//     returns both. A batch that touches a cell replaces both, choosing
+//     the structure by the cell's new size and the batch's final live
+//     count, with no hysteresis: the touched cell's structure is
+//     rebuilt either way. The new cell's x-sorted run is never written
+//     after publication, so the pair bbst.Build makes over it shares
+//     its points;
 //   - the R side keeps one persistent slot tree (slotTree): each slot
 //     holds its point, its 9 per-direction counts µ(r, d) and µ(r), in
 //     leaves of stChunk slots under a wide, shallow sum tree (stFan
@@ -36,8 +42,8 @@ package core
 // Sampling stays the paper's Algorithm 1: one short descent of the
 // slot tree (one child-sum scan per level, three levels up to 2^18
 // slots) draws a slot proportional to µ(r), a cumulative scan of the
-// slot's cached direction counts (exact for cases 1–2, the BBST bound
-// for corners) picks the direction, and only that direction's cell is
+// slot's cached direction counts (exact for cases 1–2 and scanned
+// corners, the BBST bound for the others) picks the direction, and only that direction's cell is
 // looked up to draw a uniform candidate, accepted iff it lies in w(r).
 // The cached counts are kept equal to a recount against the version's
 // S side (ApplyOps recounts every slot a touched cell can affect, cell
@@ -75,10 +81,19 @@ func (o MutOps) Empty() bool {
 
 // mutCell is the per-cell S-side structure: the copy-on-write cell
 // (two sorted point orders for the exact 0/1-sided cases) and the BBST
-// pair built over its x-sorted run (the 2-sided corners).
+// pair built over its x-sorted run (the 2-sided corners). pair is nil
+// for a scan cell, whose corners scan the run (scanCount, scanPick).
 type mutCell struct {
 	cell *grid.Cell
 	pair *bbst.Pair
+}
+
+// corner returns the cell's corner structure for the batched counter.
+func (mc mutCell) corner() cornerIndex {
+	if mc.pair == nil {
+		return scanCorner{cell: mc.cell}
+	}
+	return bbstCorner{pair: mc.pair}
 }
 
 // freeMarker encodes a free-list link in a dead slot: NaN X marks the
@@ -93,13 +108,15 @@ func isFreeSlot(pt geom.Point) bool { return math.IsNaN(pt.X) }
 // ApplyOps returns a new version; old versions stay valid and answer
 // concurrent draws unchanged.
 type MutableIndex struct {
-	cfg  Config
-	side float64 // grid cell side (= HalfExtent), fixed per index line
+	cfg   Config
+	side  float64 // grid cell side (= HalfExtent), fixed per index line
+	scanC float64 // c of the scan threshold T = c·⌈log₂ m⌉, from the frozen sampler
 
 	// S side.
 	scells *grid.Dir[mutCell]    // S cell -> its cell and pair, by value
-	sids   *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
-	sCount int
+	sids    *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
+	sCount  int
+	pairPts int // live S points in cells with a BBST pair
 
 	// R side.
 	slots    *slotTree // slot -> point, direction counts, µ; dead slots hold free markers
@@ -118,22 +135,29 @@ func (ix *MutableIndex) NumS() int { return ix.sCount }
 func (ix *MutableIndex) MuSum() float64 { return ix.slots.Total() }
 
 // count returns µ(r, d) for the cell in direction d of r's window w:
-// exact for cases 1–2, the BBST upper bound for corners.
+// exact for cases 1–2 and scan cells, the BBST upper bound for the
+// other corners.
 func (mc mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
-	if d.Case() == 3 {
-		return mc.pair.Mu(cornerFor(d), w, sc)
+	switch {
+	case d.Case() != 3:
+		return len(mc.cell.Matching(d, w))
+	case mc.pair == nil:
+		return scanCount(mc.cell, cornerFor(d), w)
 	}
-	return len(mc.cell.Matching(d, w))
+	return mc.pair.Mu(cornerFor(d), w, sc)
 }
 
 // sample draws one candidate of direction d, whose cached count is
 // k > 0; ok is false on an empty corner slot. The caller verifies
 // window membership.
 func (mc mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
-	if d.Case() == 3 {
-		return mc.pair.SampleSlot(cornerFor(d), w, r, sc)
+	switch {
+	case d.Case() != 3:
+		return drawRun(mc.cell, d, k, r.Intn(int(k))), true
+	case mc.pair == nil:
+		return scanPick(mc.cell, cornerFor(d), w, r.Intn(int(k)))
 	}
-	return drawRun(mc.cell, d, k, r.Intn(int(k))), true
+	return mc.pair.SampleSlot(cornerFor(d), w, r, sc)
 }
 
 // dirMask is a set of neighborhood directions, bit d for direction d.
@@ -142,8 +166,8 @@ type dirMask uint16
 const allDirs dirMask = 1<<grid.NumDirections - 1
 
 // neighborhood looks up the S cells of the 3×3 block around cell k in
-// the directions of mask, and the BBST pairs of its corners; the rest
-// stay nil.
+// the directions of mask, and the corner structures (BBST or scan) of
+// its corners; the rest stay nil.
 func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb nbhd) {
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
 		if mask&(1<<d) == 0 {
@@ -152,7 +176,7 @@ func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb nbhd) {
 		if mc, ok := ix.scells.Get(k.Neighbor(d)); ok {
 			nb.cells[d] = mc.cell
 			if d.Case() == 3 {
-				nb.corners[d] = bbstCorner{pair: mc.pair}
+				nb.corners[d] = mc.corner()
 			}
 		}
 	}
@@ -356,15 +380,20 @@ func checkMutFinite(pts []geom.Point, side string) error {
 }
 
 // applySCell replaces one S cell: the copy-on-write cell in one merge
-// pass, and a BBST pair built over the new cell's x-sorted run, which
-// is never written after publication, so the buckets share its points.
-// The pair's b is Config.BucketCap when set, else Definition 3's
-// ⌈log₂ m⌉ for the batch's final live S count; cells the batch leaves
-// alone keep the capacity their own pair recorded.
+// pass and, when the new cell holds more than T = scanMax(scanC, m)
+// points for the batch's final live S count m, a BBST pair built over
+// its x-sorted run, which is never written after publication, so the
+// buckets share its points. A cell of at most T points gets no pair
+// (a scan cell). The pair's b is Config.BucketCap when set, else
+// Definition 3's ⌈log₂ m⌉; cells the batch leaves alone keep the
+// structure and capacity they were built with.
 func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	var oldCell *grid.Cell
 	if mc, ok := nx.scells.Get(k); ok {
 		oldCell = mc.cell
+		if mc.pair != nil {
+			nx.pairPts -= oldCell.Len()
+		}
 	}
 	var drop func(geom.Point) bool
 	if len(w.delIDs) > 0 {
@@ -385,15 +414,19 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 		nx.scells = nx.scells.Without(k)
 		return nil
 	}
-	bcap := nx.cfg.BucketCap
-	if bcap == 0 {
-		bcap = bbst.BucketCap(nx.sCount)
+	nc := mutCell{cell: ncell}
+	if ncell.Len() > scanMax(nx.scanC, nx.sCount) {
+		bcap := nx.cfg.BucketCap
+		if bcap == 0 {
+			bcap = bbst.BucketCap(nx.sCount)
+		}
+		var err error
+		if nc.pair, err = bbst.Build(ncell.XSorted, bcap); err != nil {
+			return err
+		}
+		nx.pairPts += ncell.Len()
 	}
-	npair, err := bbst.Build(ncell.XSorted, bcap)
-	if err != nil {
-		return err
-	}
-	nx.scells = nx.scells.With(k, mutCell{cell: ncell, pair: npair})
+	nx.scells = nx.scells.With(k, nc)
 	return nil
 }
 
@@ -436,15 +469,16 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 }
 
 // SizeBytes estimates the standalone footprint of this version in O(1)
-// from the live counts: the slot tree, ~116 B per S point (two sorted
-// copies in its cell and its share of the buckets and BBST nodes, which
-// point into the cell's x-sorted copy and own no points), 4 B per live
-// R point for its slot's entry in rcells, which lists live slots only,
-// and the directories; the ID directories count their own entries, a
-// cell key per S point and a slot per R point.
+// from the live counts: the slot tree, 48 B per S point for the two
+// sorted copies in its cell, ~68 B more per S point of a cell with a
+// BBST pair for its share of the buckets and nodes (which point into
+// the cell's x-sorted copy and own no points; a scan cell has none),
+// 4 B per live R point for its slot's entry in rcells, which lists live
+// slots only, and the directories; the ID directories count their own
+// entries, a cell key per S point and a slot per R point.
 // TestMutableSizeBytesTracksHeap holds it to the measured live heap.
 func (ix *MutableIndex) SizeBytes() int {
-	return ix.slots.sizeBytes() + 116*ix.sCount + 4*ix.rCount +
+	return ix.slots.sizeBytes() + 48*ix.sCount + 68*ix.pairPts + 4*ix.rCount +
 		ix.scells.SizeBytes() + ix.sids.SizeBytes() + ix.rcells.SizeBytes() + ix.rids.SizeBytes()
 }
 
@@ -461,9 +495,9 @@ type Mutable struct {
 }
 
 // Unfreeze converts the prepared sampler into a Mutable sharing every
-// frozen structure: the cells and per-cell BBST pairs are adopted as-is
-// (the first mutation of a cell replaces both, so the frozen sampler
-// keeps serving untouched). The slot tree is bulk-built from the frozen
+// frozen structure: the cells and per-cell BBST pairs are adopted as-is,
+// a frozen scan cell staying a scan cell (the first mutation of a cell
+// replaces both, so the frozen sampler keeps serving untouched). The slot tree is bulk-built from the frozen
 // count records, which were counted against these same cells and
 // pairs. The cell directories are bulk-built over their distinct cell
 // keys, scells holding each cell and pair by value; rcells' lists come
@@ -483,13 +517,19 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	ix := &MutableIndex{
 		cfg:      s.cfg,
 		side:     s.g.Side(),
+		scanC:    s.scanC,
 		sCount:   len(s.sortedS),
 		freeHead: -1,
 		rCount:   len(s.R),
 	}
 	var cells []mutCell
 	s.g.Cells(func(c *grid.Cell) {
-		cells = append(cells, mutCell{cell: c, pair: s.corners[c.Index].(bbstCorner).pair})
+		mc := mutCell{cell: c}
+		if bc, ok := s.corners[c.Index].(bbstCorner); ok {
+			mc.pair = bc.pair
+			ix.pairPts += c.Len()
+		}
+		cells = append(cells, mc)
 	})
 	ix.scells = grid.BuildDir(len(cells),
 		func(i int) grid.Key { return cells[i].cell.Key },
@@ -645,14 +685,15 @@ var (
 )
 
 // CheckInvariants exhaustively validates one index version against its
-// own redundant state — every per-cell BBST invariant, the reverse
+// own redundant state — every per-cell BBST invariant (scan cells have
+// none beyond their sorted runs), the reverse
 // indexes, the free list, every slot's cached direction counts against
 // a recount, and every slot-tree sum against the pairwise
 // recomputation. Test and race-hammer use only: O(everything).
 func (ix *MutableIndex) CheckInvariants() error {
 	var sc bbst.Scratch
 	// S side: cells well-formed, pairs in sync, counts add up.
-	sTotal := 0
+	sTotal, pairTotal := 0, 0
 	var cellErr error
 	ix.scells.Range(func(k grid.Key, mc mutCell) bool {
 		c := mc.cell
@@ -678,6 +719,10 @@ func (ix *MutableIndex) CheckInvariants() error {
 				return false
 			}
 		}
+		sTotal += c.Len()
+		if mc.pair == nil {
+			return true // a scan cell: its run is all there is
+		}
 		if err := mc.pair.CheckInvariants(); err != nil {
 			cellErr = fmt.Errorf("cell (%d,%d): %w", k.CX, k.CY, err)
 			return false
@@ -686,7 +731,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 			cellErr = fmt.Errorf("cell (%d,%d): pair holds %d points, cell %d", k.CX, k.CY, mc.pair.NumPoints(), c.Len())
 			return false
 		}
-		sTotal += c.Len()
+		pairTotal += c.Len()
 		return true
 	})
 	if cellErr != nil {
@@ -694,6 +739,9 @@ func (ix *MutableIndex) CheckInvariants() error {
 	}
 	if sTotal != ix.sCount {
 		return fmt.Errorf("sCount %d, cells hold %d", ix.sCount, sTotal)
+	}
+	if pairTotal != ix.pairPts {
+		return fmt.Errorf("pairPts %d, cells with a pair hold %d", ix.pairPts, pairTotal)
 	}
 	// sids lists each live point's cell under its ID: as a multiset of
 	// (ID, cell) entries, exactly the cells' points.

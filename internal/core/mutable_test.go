@@ -35,11 +35,13 @@ func mustUnfreeze(t *testing.T, R, S []geom.Point, cfg Config) *Mutable {
 // goldenMutableDigest pins the seeded draw stream of the mutable index:
 // FNV-64a over every draw and the live point order of the script in
 // mutableScriptDigest, as produced by an implementation with a separate
-// point vector and weight tree, over balanced BBST buckets, with every
-// touched cell's pair rebuilt from its new run. Any change to the
-// maintained µ, the bucket boundaries, the slot order, the directory
-// order or the trial's use of the random stream moves it.
-const goldenMutableDigest uint64 = 0xc108cd5072de6a02
+// point vector and weight tree, over balanced BBST buckets in cells of
+// more than T = 2⌈log₂ m⌉ points and an exact scan of smaller cells,
+// with every touched cell's structure rebuilt from its new run. Any
+// change to the maintained µ, the bucket boundaries, the scan
+// threshold, the slot order, the directory order or the trial's use of
+// the random stream moves it.
+const goldenMutableDigest uint64 = 0xdcbc897b6f1011ac
 
 // churnGen deals out fixed-shape churn batches: per side, k deletes of
 // random live IDs and k inserts of fresh IDs at points drawn from a
@@ -714,4 +716,94 @@ func TestMutableSizeBytesTracksHeap(t *testing.T) {
 		}
 	}
 	check("after 100 churn batches", m)
+}
+
+// TestMutableScanCellCrossesThreshold grows one S cell past the scan
+// threshold T by inserts, then drains it back under T, over several
+// batches. Every batch must leave a version that passes
+// CheckInvariants, gives the cell a BBST pair exactly while it holds
+// more than T points, and has the Σµ of a fresh NewBBST over its live
+// points. Draws at the peak and at the end must be uniform over the
+// live join.
+func TestMutableScanCellCrossesThreshold(t *testing.T) {
+	r := rng.New(25)
+	const l = 10.0
+	cfg := Config{HalfExtent: l, Seed: 6}
+	R := randomPoints(r, 150, 60, 0)
+	S := randomPoints(r, 150, 60, 10000)
+	m := mustUnfreeze(t, R, S, cfg)
+	key := grid.Key{CX: 2, CY: 2} // the cell [20, 30)²
+	var grown []int32
+	nextID := int32(50000)
+	chi2 := func(when string) {
+		t.Helper()
+		liveR, liveS := m.LivePoints()
+		jsize := int(join.Size(liveR, liveS, l))
+		draws := min(200*jsize, 400000)
+		m.Reseed(7)
+		counts := drawLive(t, m, liveR, liveS, l, draws)
+		expected := float64(draws) / float64(jsize)
+		x := float64(jsize-len(counts)) * expected // never-drawn pairs
+		for _, c := range counts {
+			d := float64(c) - expected
+			x += d * d / expected
+		}
+		if dof := float64(jsize - 1); x > 2*dof+100 {
+			t.Fatalf("%s: chi2 %.1f over %.0f dof — draws not uniform", when, x, dof)
+		}
+	}
+	sawPair, sawScan := false, false
+	for batch := 0; batch < 12; batch++ {
+		var ops MutOps
+		if batch < 6 {
+			for range 5 {
+				p := geom.Point{X: r.Range(20, 30), Y: r.Range(20, 30), ID: nextID}
+				ops.InsS = append(ops.InsS, p)
+				grown = append(grown, nextID)
+				nextID++
+			}
+		} else {
+			ops.DelS, grown = grown[:5], grown[5:]
+		}
+		// Move one R point per batch too, so R slots churn beside it.
+		ops.DelR = []int32{R[batch].ID}
+		ops.InsR = []geom.Point{{X: r.Range(15, 35), Y: r.Range(15, 35), ID: nextID}}
+		nextID++
+		var err error
+		if m, err = m.Apply(ops); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		ix := m.Index()
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		mc, ok := ix.scells.Get(key)
+		if !ok {
+			t.Fatalf("batch %d: cell %v empty", batch, key)
+		}
+		T := scanMax(ix.scanC, ix.sCount)
+		if hasPair := mc.pair != nil; hasPair != (mc.cell.Len() > T) {
+			t.Fatalf("batch %d: cell of %d points, T = %d, has a BBST pair: %v", batch, mc.cell.Len(), T, hasPair)
+		}
+		sawPair = sawPair || mc.pair != nil
+		sawScan = sawScan || mc.pair == nil
+		liveR, liveS := m.LivePoints()
+		fresh, err := NewBBST(liveR, liveS, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Count(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.Stats().MuSum, fresh.Stats().MuSum; got != want {
+			t.Fatalf("batch %d: Σµ %g, fresh build over the live points %g", batch, got, want)
+		}
+		if batch == 5 {
+			chi2("at the peak")
+		}
+	}
+	if !sawPair || !sawScan {
+		t.Fatalf("cell never crossed T: saw a pair %v, saw a scan %v", sawPair, sawScan)
+	}
+	chi2("after the drain")
 }

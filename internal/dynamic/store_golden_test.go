@@ -23,9 +23,11 @@ import (
 // generation-0 and post-Compact ones) were recorded with a trial that
 // picks the direction by a cumulative scan of r's count record and
 // draws cases 1–2 by one Intn over the cached count; its mutable draws
-// with the slot-tree trial; both over balanced BBST buckets, every
-// touched cell's pair rebuilt from its new run.
-const goldenStoreDigest uint64 = 0xbe764d2f6f37d373
+// with the slot-tree trial; both over balanced BBST buckets in cells of
+// more than T = 2⌈log₂ m⌉ points and an exact scan of smaller cells (a
+// scanned corner drawn by one Intn over the cached count), every
+// touched cell's structure rebuilt from its new run.
+const goldenStoreDigest uint64 = 0x68a41aa952ae85f4
 
 // storeScript generates deterministic mixed batches over a model of
 // the live sets: each batch deletes del random live points per side

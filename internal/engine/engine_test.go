@@ -261,11 +261,14 @@ func TestEngineFailureClassification(t *testing.T) {
 	// A rejection budget of 1 makes the first rejected iteration fatal;
 	// the BBST's corner-bucket upper bounds overcount, so drawing many
 	// samples is certain to reject at least once. That give-up must be
-	// classified as a sampler failure.
+	// classified as a sampler failure. Cells of at most c·⌈log₂ m⌉
+	// points are counted exactly and never reject, so S is dense
+	// enough (about 160 points per cell) that every corner cell keeps
+	// its BBST.
 	r := rng.New(9)
 	R := testPoints(r, 400, 50, 0)
-	S := testPoints(r, 400, 50, 10000)
-	s, err := core.NewBBST(R, S, core.Config{HalfExtent: 5, Seed: 1, MaxRejects: 1})
+	S := testPoints(r, 4000, 50, 10000)
+	s, err := core.NewBBST(R, S, core.Config{HalfExtent: 10, Seed: 1, MaxRejects: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

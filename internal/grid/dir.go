@@ -133,7 +133,9 @@ func withNode[V any](u *dnode[V], shift int, h uint64, e dslot[V]) (*dnode[V], b
 }
 
 // Without returns a new version with k removed (the receiver when k is
-// absent), path-copying along the way and dropping emptied nodes.
+// absent), path-copying along the way, dropping emptied nodes and
+// hoisting a child left with one key into its parent's slot, so the
+// shape stays the one BuildDir gives the remaining keys.
 func (d *Dir[V]) Without(k Key) *Dir[V] {
 	if d.root == nil {
 		return d
@@ -157,7 +159,11 @@ func withoutNode[V any](u *dnode[V], shift int, h uint64, k Key) (*dnode[V], boo
 		}
 		if child != nil {
 			nu := &dnode[V]{bitmap: u.bitmap, slots: slices.Clone(u.slots)}
-			nu.slots[j].child = child
+			if len(child.slots) == 1 && child.slots[0].child == nil {
+				nu.slots[j] = child.slots[0] // one key left: a leaf slot here
+			} else {
+				nu.slots[j].child = child
+			}
 			return nu, true
 		}
 	} else if s.k != k {

@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -360,5 +361,67 @@ func TestDirFootprint(t *testing.T) {
 		measure("slice values", n, func() interface{ SizeBytes() int } {
 			return BuildDir(n, key, func(int) []int32 { return nil })
 		})
+	}
+}
+
+// dirShape returns the node count and depth (1 for a lone root) of d.
+func dirShape[V any](d *Dir[V]) (nodes, depth int) {
+	var walk func(u *dnode[V], level int)
+	walk = func(u *dnode[V], level int) {
+		nodes++
+		depth = max(depth, level)
+		for _, s := range u.slots {
+			if s.child != nil {
+				walk(s.child, level+1)
+			}
+		}
+	}
+	if d.root != nil {
+		walk(d.root, 1)
+	}
+	return nodes, depth
+}
+
+// TestDirChurnKeepsBuildShape adds and removes batches of keys around
+// a fixed set for several rounds: every round must leave the same node
+// count, depth and Range order as BuildDir over the surviving keys.
+// Without hoists a child left holding one key into its parent's slot;
+// without that, churn leaves one-key chains BuildDir never makes.
+func TestDirChurnKeepsBuildShape(t *testing.T) {
+	r := rng.New(11)
+	const n = 7000
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = unmix(r.Uint64())
+	}
+	built := BuildDir(n, func(i int) Key { return keys[i] }, func(i int) int { return i })
+	wantNodes, wantDepth := dirShape(built)
+	var want []Key
+	built.Range(func(k Key, _ int) bool { want = append(want, k); return true })
+	d := built
+	for round := range 5 {
+		extra := make([]Key, n)
+		for i := range extra {
+			extra[i] = unmix(r.Uint64())
+			d = d.With(extra[i], -1)
+		}
+		for _, k := range extra {
+			d = d.Without(k)
+		}
+		if nodes, depth := dirShape(d); nodes != wantNodes || depth != wantDepth {
+			t.Fatalf("round %d: %d nodes at depth %d, BuildDir over the same keys %d at depth %d",
+				round, nodes, depth, wantNodes, wantDepth)
+		}
+		var got []Key
+		d.Range(func(k Key, _ int) bool { got = append(got, k); return true })
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: Range order differs from BuildDir's", round)
+		}
+	}
+	for _, k := range keys {
+		d = d.Without(k)
+	}
+	if d.Len() != 0 || d.root != nil {
+		t.Fatalf("drained dir has Len %d, root %v", d.Len(), d.root)
 	}
 }
