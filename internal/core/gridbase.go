@@ -294,9 +294,8 @@ func drawRun(c *grid.Cell, d grid.Direction, k int32, i int) geom.Point {
 // Algorithm 1): weighted r, weighted cell, uniform slot (a BBST
 // bucket slot, or for a scanned corner cell one of the k points its
 // record counts), accept iff the slot holds a point of w(r). The
-// direction comes from r's count
-// record and its cell from r's cell row, so a trial does no key
-// lookup. Every pair of J is accepted with probability exactly 1/Σµ
+// direction comes from r's count record and its cell from r's cell
+// row, so a trial does no key lookup. Every pair of J is accepted with probability exactly 1/Σµ
 // per trial.
 func (g *gridSampler) tryOnce() (geom.Pair, bool, error) {
 	g.stats.Iterations++

@@ -43,8 +43,9 @@ package core
 // slot tree (one child-sum scan per level, three levels up to 2^18
 // slots) draws a slot proportional to µ(r), a cumulative scan of the
 // slot's cached direction counts (exact for cases 1–2 and scanned
-// corners, the BBST bound for the others) picks the direction, and only that direction's cell is
-// looked up to draw a uniform candidate, accepted iff it lies in w(r).
+// corners, the BBST bound for the others) picks the direction, and
+// only that direction's cell is looked up to draw a uniform candidate,
+// accepted iff it lies in w(r).
 // The cached counts are kept equal to a recount against the version's
 // S side (ApplyOps recounts every slot a touched cell can affect, cell
 // by cell, in the directions that point into a touched cell), so they
@@ -113,7 +114,7 @@ type MutableIndex struct {
 	scanC float64 // c of the scan threshold T = c·⌈log₂ m⌉, from the frozen sampler
 
 	// S side.
-	scells *grid.Dir[mutCell]    // S cell -> its cell and pair, by value
+	scells  *grid.Dir[mutCell]    // S cell -> its cell and pair, by value
 	sids    *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
 	sCount  int
 	pairPts int // live S points in cells with a BBST pair
