@@ -6,7 +6,8 @@
 //   - KDSRejection  — baseline 2 (Section III-B): grid upper bounds µ(r),
 //     alias over µ, kd-tree sampling with rejection.
 //   - BBST          — the proposed algorithm (Section IV, Algorithm 1):
-//     grid + two BBSTs per cell, Õ(1) approximate counting and Õ(1)
+//     grid + two BBSTs per cell of more than T = 2⌈log₂ m⌉ points (an
+//     exact scan of smaller cells), Õ(1) approximate counting and Õ(1)
 //     expected-time sampling.
 //   - GridKD        — the Fig. 9 ablation: the BBST pipeline with a
 //     kd-tree per cell instead of the two BBSTs.

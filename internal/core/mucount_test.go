@@ -132,10 +132,10 @@ func checkCounter(t *testing.T, g *gridSampler, masks []dirMask) {
 
 // TestMuCounterMatchesPerPoint holds the batched counter to the
 // per-point reference on every point and direction, for the BBST,
-// hybrid and GridKD corners, over nyc, uniform, clustered and boundary-heavy lattice inputs at
-// several l. The lattice runs try every direction mask, which covers
-// every subset ApplyOps can ask for; the others use the full mask and
-// a sample of subsets.
+// hybrid and GridKD corners, over nyc, uniform, clustered and
+// boundary-heavy lattice inputs at several l. The lattice runs try
+// every direction mask, which covers every subset ApplyOps can ask
+// for; the others use the full mask and a sample of subsets.
 func TestMuCounterMatchesPerPoint(t *testing.T) {
 	everyMask := make([]dirMask, 0, allDirs+1)
 	for m := dirMask(0); m <= allDirs; m++ {

@@ -471,7 +471,7 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 
 // SizeBytes estimates the standalone footprint of this version in O(1)
 // from the live counts: the slot tree, 48 B per S point for the two
-// sorted copies in its cell, ~68 B more per S point of a cell with a
+// sorted copies in its cell, ~32 B more per S point of a cell with a
 // BBST pair for its share of the buckets and nodes (which point into
 // the cell's x-sorted copy and own no points; a scan cell has none),
 // 4 B per live R point for its slot's entry in rcells, which lists live
@@ -479,7 +479,7 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 // entries, a cell key per S point and a slot per R point.
 // TestMutableSizeBytesTracksHeap holds it to the measured live heap.
 func (ix *MutableIndex) SizeBytes() int {
-	return ix.slots.sizeBytes() + 48*ix.sCount + 68*ix.pairPts + 4*ix.rCount +
+	return ix.slots.sizeBytes() + 48*ix.sCount + 32*ix.pairPts + 4*ix.rCount +
 		ix.scells.SizeBytes() + ix.sids.SizeBytes() + ix.rcells.SizeBytes() + ix.rids.SizeBytes()
 }
 
