@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/bbst"
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/rng"
 )
 
@@ -31,48 +30,59 @@ const defaultScanC = 2
 // not depend on Config.BucketCap: b only shapes the cells above T.
 func scanMax(c float64, m int) int { return int(c * float64(bbst.BucketCap(m))) }
 
+// cellCorner builds one S cell's case-3 structure over its x-sorted
+// run, m being the S count the cell is built for. It is the one rule
+// the frozen build and the mutable index share: a run of at most
+// T = scanMax(scanC, m) points gets a scanCorner over the run itself,
+// which builds nothing, and a longer one a BBST pair with bucket
+// capacity b = bucketCap, or Definition 3's ⌈log₂ m⌉ when that is 0.
+// The pair's buckets share the run's points, so the run must never be
+// written after.
+func cellCorner(run []geom.Point, m int, scanC float64, bucketCap int) (cornerIndex, error) {
+	if len(run) <= scanMax(scanC, m) {
+		return scanCorner{run: run}, nil
+	}
+	if bucketCap == 0 {
+		bucketCap = bbst.BucketCap(m)
+	}
+	pair, err := bbst.Build(run, bucketCap)
+	if err != nil {
+		return nil, err
+	}
+	return bbstCorner{pair: pair}, nil
+}
+
 // scanCorner answers the corners of a small cell exactly, by scanning
-// the cell's x-sorted run, which the grid already holds: it has no
-// structure of its own, so it charges no bytes. µ(r, d) is the exact
-// count of the run's points inside w(r), and a draw returns the j-th
-// of them for j uniform in [0, k), k being the count the trial's
-// record holds. A scan costs O(T) = O(log m) per query, within the
-// paper's per-trial bound.
-type scanCorner struct{ cell *grid.Cell }
+// the cell's x-sorted run, which the cell already holds: it wraps the
+// run, not the cell, so it builds nothing and keeps no other cell's
+// structures alive. µ(r, d) is the exact count of the run's points
+// inside w(r), and a draw returns the j-th of them for j uniform in
+// [0, k), k being the count the trial's record holds. A scan costs
+// O(T) = O(log m) per query, within the paper's per-trial bound.
+type scanCorner struct{ run []geom.Point }
 
 func (s scanCorner) mu(c bbst.Corner, w geom.Rect, _ *cornerScratch) int {
-	return scanCount(s.cell, c, w)
-}
-
-func (s scanCorner) sample(c bbst.Corner, w geom.Rect, k int32, r *rng.RNG, _ *cornerScratch) (geom.Point, bool) {
-	return scanPick(s.cell, c, w, r.Intn(int(k)))
-}
-
-func (s scanCorner) sizeBytes() int { return 0 }
-
-// scanCount counts the points of c's x-sorted run inside w (scanRun).
-func scanCount(c *grid.Cell, q bbst.Corner, w geom.Rect) int {
-	n, _, _ := scanRun(c, q, w, -1)
+	n, _, _ := scanRun(s.run, c, w, -1)
 	return n
 }
 
-// scanPick returns point j (from 0) of c's run inside w, in scanRun's
-// order; ok is false when fewer than j+1 points are inside. The frozen
-// and the mutable trial draw scan cells through it.
-func scanPick(c *grid.Cell, q bbst.Corner, w geom.Rect, j int) (geom.Point, bool) {
-	_, p, ok := scanRun(c, q, w, j)
+func (s scanCorner) sample(c bbst.Corner, w geom.Rect, k int32, r *rng.RNG, _ *cornerScratch) (geom.Point, bool) {
+	_, p, ok := scanRun(s.run, c, w, r.Intn(int(k)))
 	return p, ok
 }
 
-// scanRun walks c's x-sorted run from the end that corner q's x side
-// keeps, the west corners' x >= w.XMin a suffix and the east corners'
-// x <= w.XMax a prefix, until that side fails, and counts the points
-// inside w; it stops early at point j of them (never for j < 0). Every
-// point inside w passes the x side, so the count is exact for any
-// window; for a corner cell, which lies beyond two sides of w, it is
-// the corner's 2-sided count.
-func scanRun(c *grid.Cell, q bbst.Corner, w geom.Rect, j int) (n int, p geom.Point, ok bool) {
-	pts := c.XSorted
+// sizeBytes charges the run header the interface value boxes; the run
+// belongs to the cell.
+func (s scanCorner) sizeBytes() int { return 24 }
+
+// scanRun walks pts, a cell's x-sorted run, from the end that corner
+// q's x side keeps, the west corners' x >= w.XMin a suffix and the
+// east corners' x <= w.XMax a prefix, until that side fails, and
+// counts the points inside w; it stops early at point j of them (never
+// for j < 0), which it returns with ok. Every point inside w passes
+// the x side, so the count is exact for any window; for a corner cell,
+// which lies beyond two sides of w, it is the corner's 2-sided count.
+func scanRun(pts []geom.Point, q bbst.Corner, w geom.Rect, j int) (n int, p geom.Point, ok bool) {
 	west := q == bbst.SouthWest || q == bbst.NorthWest
 	i, step := 0, 1
 	if west {
@@ -101,7 +111,10 @@ func scanRun(c *grid.Cell, q bbst.Corner, w geom.Rect, j int) (n int, p geom.Poi
 // giving Õ(1)-approximate counting and Õ(1) expected-time sampling; a
 // cell of at most T points is scanned instead (scanCorner), which is
 // exact and costs O(log m). The end-to-end expected running time for t
-// samples is Õ(n + m + t) with O(n + m) space.
+// samples is Õ(n + m + t) with O(n + m) space. Its one offline step in
+// the paper, sorting S by x, is done per cell by the grid mapping
+// instead, so it has no offline phase: PreprocessTime stays 0 and
+// GridMapTime counts the sorts.
 type BBSTSampler struct {
 	gridSampler
 }
@@ -112,21 +125,7 @@ func NewBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &BBSTSampler{gridSampler{base: b, scanC: defaultScanC}}
-	s.newCorner = func(cellPoints []geom.Point, m int) cornerIndex {
-		cap := cfg.BucketCap
-		if cap == 0 {
-			cap = bbst.BucketCap(m)
-		}
-		pair, err := bbst.Build(cellPoints, cap)
-		if err != nil {
-			// Cell points come from the grid pre-sorted by x and the
-			// capacity is >= 1, so Build cannot fail here.
-			panic("core: bbst build failed: " + err.Error())
-		}
-		return bbstCorner{pair: pair}
-	}
-	return s, nil
+	return &BBSTSampler{gridSampler{base: b, newCorner: cellCorner, scanC: defaultScanC}}, nil
 }
 
 // Next draws one uniform independent join sample.

@@ -91,8 +91,16 @@ func (c Config) Validate() error {
 // times Preprocess; Table III decomposes GridMap (GM) and UpperBound
 // (UB); Table IV reports SampleTime and Iterations.
 type Stats struct {
-	PreprocessTime time.Duration // offline structure building
-	GridMapTime    time.Duration // GM: online data-structure building
+	// PreprocessTime is the offline phase: the kd-tree of S for KDS
+	// and KDS-rejection, the R-tree for RTS. BBST, GridKD and
+	// JoinSample have no offline phase and read 0: the grid samplers'
+	// sort of S by x is done per cell by the grid mapping, inside
+	// GridMapTime.
+	PreprocessTime time.Duration
+	// GridMapTime is GM: online data-structure building (for the grid
+	// samplers, grid mapping with each cell's sorts, and the per-cell
+	// corner structures).
+	GridMapTime time.Duration
 	// UpperBoundTime is UB: counting µ(r, d) in one batched pass per
 	// grid cell of R (the 3×3 S block looked up once per cell, edge
 	// counts by sweeps, corners per point), plus alias building.

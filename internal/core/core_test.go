@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/join"
 	"repro/internal/rng"
 )
@@ -55,44 +56,128 @@ func allFactories() []factory {
 }
 
 // drawFactories adds the mutable sampler to allFactories for the
-// distribution tests: BBST, Unfreeze, then a small churn script that
-// exercises slot reuse, appends, the free list and recounts but ends
-// with the live sets equal to R and S, so the join under test is
-// unchanged.
+// distribution tests.
 func drawFactories() []factory {
 	return append(allFactories(), factory{"Mutable", func(R, S []geom.Point, cfg Config) (Sampler, error) {
-		s, err := NewBBST(R, S, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Count(); err != nil {
-			return nil, err
-		}
-		m, err := s.Unfreeze()
-		if err != nil {
-			return nil, err
-		}
-		const extra = 1 << 30 // IDs of the transient points
-		// A third of R, deleted last-first so that the free list hands
-		// each re-inserted point its own slot back.
-		var ids []int32
-		for i := len(R)/3 - 1; i >= 0; i-- {
-			ids = append(ids, R[i].ID)
-		}
-		script := []MutOps{
-			// Delete and re-insert a third of R in one batch, plus
-			// transient points.
-			{DelR: ids, InsR: append(append([]geom.Point(nil), R[:len(R)/3]...), geom.Point{X: R[0].X, Y: R[0].Y, ID: extra})},
-			{DelS: []int32{S[0].ID, S[len(S)-1].ID}, InsS: []geom.Point{{X: S[1].X, Y: S[1].Y, ID: extra}}},
-			{InsS: []geom.Point{S[0], S[len(S)-1]}, DelS: []int32{extra}, DelR: []int32{extra}},
-		}
-		for _, ops := range script {
-			if m, err = m.Apply(ops); err != nil {
-				return nil, err
-			}
-		}
-		return m, m.Index().CheckInvariants()
+		return churnedMutable(NewBBST, R, S, cfg)
 	}})
+}
+
+// scanSettings are the scan thresholds T the BBST and the mutable
+// sampler are also tested at: the default, scanC = 0 (every cell a
+// BBST, the paper's pure form) and gridFactories' hybrid T (the
+// smallest cells scanned, the largest with a pair).
+var scanSettings = []struct {
+	name string
+	mk   func(R, S []geom.Point, cfg Config) (*BBSTSampler, error)
+}{
+	{"default", NewBBST},
+	{"pure", func(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
+		s, err := NewBBST(R, S, cfg)
+		if err == nil {
+			s.scanC = 0
+		}
+		return s, err
+	}},
+	{"hybrid", newHybridBBST},
+}
+
+// scanFactories are the BBST and mutable samplers at the non-default
+// scanSettings, for the pair-level distribution tests. Each fails to
+// build unless its fixture leaves it at least one BBST cell, so the
+// Lemma 5 bound and SampleSlot stay under test whatever T is.
+func scanFactories() []factory {
+	var fs []factory
+	for _, set := range scanSettings[1:] {
+		fs = append(fs,
+			factory{"BBST-" + set.name, func(R, S []geom.Point, cfg Config) (Sampler, error) {
+				s, err := set.mk(R, S, cfg)
+				if err != nil {
+					return nil, err
+				}
+				if err := s.Count(); err != nil {
+					return nil, err
+				}
+				return s, needBBSTCells(frozenBBSTCells(s))
+			}},
+			factory{"Mutable-" + set.name, func(R, S []geom.Point, cfg Config) (Sampler, error) {
+				m, err := churnedMutable(set.mk, R, S, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return m, needBBSTCells(mutableBBSTCells(m.Index()))
+			}},
+		)
+	}
+	return fs
+}
+
+// frozenBBSTCells counts a built sampler's S cells with a BBST pair.
+func frozenBBSTCells(s *BBSTSampler) int {
+	n := 0
+	for _, c := range s.corners {
+		if _, ok := c.(bbstCorner); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// mutableBBSTCells counts an index version's S cells with a BBST pair.
+func mutableBBSTCells(ix *MutableIndex) int {
+	n := 0
+	ix.scells.Range(func(_ grid.Key, mc mutCell) bool {
+		if _, ok := mc.corner.(bbstCorner); ok {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
+func needBBSTCells(n int) error {
+	if n == 0 {
+		return errors.New("test setup: no S cell has a BBST pair")
+	}
+	return nil
+}
+
+// churnedMutable unfreezes the sampler mk builds, then applies a small
+// churn script that exercises slot reuse, appends, the free list and
+// recounts but ends with the live sets equal to R and S, so the join
+// under test is unchanged.
+func churnedMutable(mk func(R, S []geom.Point, cfg Config) (*BBSTSampler, error), R, S []geom.Point, cfg Config) (*Mutable, error) {
+	s, err := mk(R, S, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Count(); err != nil {
+		return nil, err
+	}
+	m, err := s.Unfreeze()
+	if err != nil {
+		return nil, err
+	}
+	const extra = 1 << 30 // IDs of the transient points
+	// A third of R, deleted last-first so that the free list hands
+	// each re-inserted point its own slot back.
+	var ids []int32
+	for i := len(R)/3 - 1; i >= 0; i-- {
+		ids = append(ids, R[i].ID)
+	}
+	script := []MutOps{
+		// Delete and re-insert a third of R in one batch, plus
+		// transient points.
+		{DelR: ids, InsR: append(append([]geom.Point(nil), R[:len(R)/3]...), geom.Point{X: R[0].X, Y: R[0].Y, ID: extra})},
+		{DelS: []int32{S[0].ID, S[len(S)-1].ID}, InsS: []geom.Point{{X: S[1].X, Y: S[1].Y, ID: extra}}},
+		{InsS: []geom.Point{S[0], S[len(S)-1]}, DelS: []int32{extra}, DelR: []int32{extra}},
+	}
+	for _, ops := range script {
+		if m, err = m.Apply(ops); err != nil {
+			return nil, err
+		}
+	}
+	return m, m.Index().CheckInvariants()
 }
 
 func pairID(p geom.Pair) string { return fmt.Sprintf("%d|%d", p.R.ID, p.S.ID) }
@@ -171,7 +256,7 @@ func TestUniformity(t *testing.T) {
 		jset[pairID(p)] = true
 	}
 	const draws = 120000
-	for _, f := range drawFactories() {
+	for _, f := range append(drawFactories(), scanFactories()...) {
 		t.Run(f.name, func(t *testing.T) {
 			s, err := f.make(R, S, Config{HalfExtent: l, Seed: 99})
 			if err != nil {
@@ -222,7 +307,7 @@ func TestUniformityClustered(t *testing.T) {
 		jset[pairID(p)] = true
 	}
 	const draws = 100000
-	for _, f := range drawFactories() {
+	for _, f := range append(drawFactories(), scanFactories()...) {
 		t.Run(f.name, func(t *testing.T) {
 			s, err := f.make(R, S, Config{HalfExtent: l, Seed: 5})
 			if err != nil {

@@ -192,7 +192,6 @@ func FuzzCornerScan(f *testing.F) {
 			pts[i] = geom.Point{X: float64(b&0x0f) + float64(b>>7)/2, Y: float64(b>>4&7) * 2, ID: int32(i)}
 		}
 		slices.SortStableFunc(pts, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
-		cell := &grid.Cell{XSorted: pts}
 		w := geom.Window(geom.Point{X: float64(rx) / 2, Y: float64(ry) / 2}, l)
 		q := cornerFor(grid.SouthWest + grid.Direction(cornerRaw%4))
 
@@ -202,19 +201,19 @@ func FuzzCornerScan(f *testing.F) {
 				inside = append(inside, p)
 			}
 		}
-		k := scanCount(cell, q, w)
+		k, _, _ := scanRun(pts, q, w, -1)
 		if k != len(inside) {
 			t.Fatalf("%v: scan counts %d, %d points inside %+v", q, k, len(inside), w)
 		}
 		var picked []geom.Point
 		for j := range k {
-			p, ok := scanPick(cell, q, w, j)
+			_, p, ok := scanRun(pts, q, w, j)
 			if !ok {
 				t.Fatalf("%v: pick %d of %d failed", q, j, k)
 			}
 			picked = append(picked, p)
 		}
-		if _, ok := scanPick(cell, q, w, k); ok {
+		if _, _, ok := scanRun(pts, q, w, k); ok {
 			t.Fatalf("%v: pick %d succeeded past the count", q, k)
 		}
 		slices.SortFunc(picked, comparePoints)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/alias"
@@ -15,10 +14,11 @@ import (
 // cornerIndex is the per-cell structure that answers the 2-sided
 // (case 3) corner queries: the two BBSTs of the paper for a cell of
 // more than T points, the exact scan of a smaller cell's x-sorted run
-// (scanCorner), or the per-cell kd-tree of the Fig. 9 ablation. It is
-// immutable once built: every clone of a sampler shares the same
-// corner structures, and the query buffers live in the calling
-// handle's cornerScratch.
+// (scanCorner), both chosen by cellCorner, or the per-cell kd-tree of
+// the Fig. 9 ablation. It is immutable once built: every clone of a
+// sampler, and every mutable index version unfrozen from it, shares
+// the same corner structures, and the query buffers live in the
+// calling handle's cornerScratch.
 type cornerIndex interface {
 	// mu returns the count of cell points matching the corner
 	// constraint of w: Lemma 5's upper bound for a BBST, exact for
@@ -61,10 +61,12 @@ func cornerFor(d grid.Direction) bbst.Corner {
 // are thin wrappers around it.
 type gridSampler struct {
 	*base
-	newCorner func(cellPoints []geom.Point, m int) cornerIndex
+	// newCorner builds one cell's corner structure over its x-sorted
+	// run for m S points: cellCorner for the BBST, which reads scanC
+	// and bucketCap, a kd-tree for GridKD, which ignores them.
+	newCorner func(run []geom.Point, m int, scanC float64, bucketCap int) (cornerIndex, error)
 	scanC     float64 // c of the scan threshold T = c·⌈log₂ m⌉; 0 scans no cell
 
-	sortedS []geom.Point // copy of S sorted by x (offline phase)
 	g       *grid.Grid
 	corners []cornerIndex // by grid.Cell.Index; shared by clones
 	sc      cornerScratch // this handle's own
@@ -88,25 +90,20 @@ type pointRec struct {
 // the cell shares it, so a trial reaches its S cell by indexing.
 type cellRow [grid.NumDirections]int32
 
-// Preprocess sorts a copy of S by x — the only offline work the
-// BBST pipeline needs (Table II notes this is why its pre-processing
-// is cheaper than building a kd-tree).
+// Preprocess does nothing and takes no time: the grid pipeline has no
+// offline phase. The paper's one offline step, sorting S by x (which
+// Table II credits for BBST's cheap pre-processing), is done per cell
+// by the grid mapping in Build, so GridMapTime counts it.
 func (g *gridSampler) Preprocess() error {
-	if g.state >= phasePreprocessed {
-		return g.err
+	if g.state < phasePreprocessed {
+		g.state = phasePreprocessed
 	}
-	timed(&g.stats.PreprocessTime, func() {
-		g.sortedS = append([]geom.Point(nil), g.S...)
-		slices.SortFunc(g.sortedS, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
-	})
-	g.state = phasePreprocessed
-	return nil
+	return g.err
 }
 
 // Build is the online data-structure building phase (GM): grid
-// mapping of S plus per-cell corner structures (BBST-BUILDING). A cell
-// of at most T = scanMax(scanC, m) points gets a scanCorner over its
-// own run instead, which allocates nothing.
+// mapping of S, which sorts each cell's points by x and by y, plus one
+// corner structure per cell by newCorner (BBST-BUILDING).
 func (g *gridSampler) Build() error {
 	if err := ensure(g, g.base, phasePreprocessed); err != nil {
 		return err
@@ -116,21 +113,17 @@ func (g *gridSampler) Build() error {
 	}
 	var buildErr error
 	timed(&g.stats.GridMapTime, func() {
-		g.g, buildErr = grid.Build(g.sortedS, g.cfg.HalfExtent)
+		g.g, buildErr = grid.Build(g.S, g.cfg.HalfExtent)
 		if buildErr != nil {
 			return
 		}
-		g.corners = make([]cornerIndex, 0, g.g.NumCells())
-		m := len(g.S)
-		t := scanMax(g.scanC, m)
-		// Cells runs in Index order, so corners[c.Index] is c's.
-		g.g.Cells(func(c *grid.Cell) {
-			if c.Len() <= t {
-				g.corners = append(g.corners, scanCorner{cell: c})
-			} else {
-				g.corners = append(g.corners, g.newCorner(c.XSorted, m))
+		g.corners = make([]cornerIndex, g.g.NumCells())
+		for i := range g.corners {
+			run := g.g.ByIndex(int32(i)).XSorted
+			if g.corners[i], buildErr = g.newCorner(run, len(g.S), g.scanC, g.cfg.BucketCap); buildErr != nil {
+				return
 			}
-		})
+		}
 	})
 	if buildErr != nil {
 		g.err = buildErr
@@ -357,7 +350,6 @@ func (g *gridSampler) cloneGrid() (gridSampler, error) {
 		base:      nb,
 		newCorner: g.newCorner,
 		scanC:     g.scanC,
-		sortedS:   g.sortedS,
 		g:         g.g,
 		corners:   g.corners,
 		tab:       g.tab,
@@ -380,7 +372,5 @@ func (g *gridSampler) sizeBytes() int {
 	if g.tab != nil {
 		total += g.tab.SizeBytes()
 	}
-	total += 40*len(g.recs) + 36*len(g.rows)
-	total += 24 * len(g.sortedS)
-	return total
+	return total + 40*len(g.recs) + 36*len(g.rows)
 }

@@ -26,6 +26,12 @@ func (k kdCorner) sample(_ bbst.Corner, w geom.Rect, _ int32, r *rng.RNG, sc *co
 
 func (k kdCorner) sizeBytes() int { return k.tree.SizeBytes() }
 
+// newKDCorner builds a cell's kd-tree over its run: every cell, however
+// small, so the scan threshold and the bucket capacity do not apply.
+func newKDCorner(run []geom.Point, _ int, _ float64, _ int) (cornerIndex, error) {
+	return kdCorner{tree: kdtree.New(run)}, nil
+}
+
 // GridKD is the Fig. 9 ablation of the proposed algorithm: the same
 // grid pipeline (exact cases 1–2) but with one kd-tree per cell in
 // place of the two BBSTs, sampled with KDS. Counting and sampling at
@@ -41,11 +47,7 @@ func NewGridKD(R, S []geom.Point, cfg Config) (*GridKD, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &GridKD{gridSampler{base: b}}
-	s.newCorner = func(cellPoints []geom.Point, m int) cornerIndex {
-		return kdCorner{tree: kdtree.New(cellPoints)}
-	}
-	return s, nil
+	return &GridKD{gridSampler{base: b, newCorner: newKDCorner}}, nil
 }
 
 // Next draws one uniform independent join sample.

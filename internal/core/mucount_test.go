@@ -174,7 +174,13 @@ var gridFactories = []gridFactory{
 		s, err := NewBBST(R, S, cfg)
 		return &s.gridSampler, err
 	}},
-	{"hybrid", newHybridBBST},
+	{"hybrid", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+		s, err := newHybridBBST(R, S, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &s.gridSampler, nil
+	}},
 	{"GridKD", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
 		s, err := NewGridKD(R, S, cfg)
 		return &s.gridSampler, err
@@ -184,7 +190,7 @@ var gridFactories = []gridFactory{
 // newHybridBBST creates a BBST sampler whose scan threshold T lies
 // halfway between the smallest and the largest S cell, so the smallest
 // cells are scanned and the largest keep their BBST pair.
-func newHybridBBST(R, S []geom.Point, cfg Config) (*gridSampler, error) {
+func newHybridBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
 	s, err := NewBBST(R, S, cfg)
 	if err != nil {
 		return nil, err
@@ -194,7 +200,10 @@ func newHybridBBST(R, S []geom.Point, cfg Config) (*gridSampler, error) {
 		return nil, err
 	}
 	lo, hi := len(S), 0
-	g.Cells(func(c *grid.Cell) { lo, hi = min(lo, c.Len()), max(hi, c.Len()) })
+	for i := range g.NumCells() {
+		n := g.ByIndex(int32(i)).Len()
+		lo, hi = min(lo, n), max(hi, n)
+	}
 	if lo >= hi {
 		return nil, fmt.Errorf("hybrid BBST: every cell holds %d points", lo)
 	}
@@ -204,7 +213,7 @@ func newHybridBBST(R, S []geom.Point, cfg Config) (*gridSampler, error) {
 	if got := scanMax(s.scanC, len(S)); got != t {
 		return nil, fmt.Errorf("hybrid BBST: threshold %d, want %d", got, t)
 	}
-	return &s.gridSampler, nil
+	return s, nil
 }
 
 // forCountInputs runs check in a subtest "input/l=L/sampler" for every
@@ -246,8 +255,8 @@ func forCountInputs(t *testing.T, samplers []gridFactory, check func(t *testing.
 // entry names the cell a key lookup of that direction finds (-1 for
 // none), for every positive case 1–2 count k, drawRun's offsets
 // 0..k-1 enumerate exactly Cell.Matching's run, and for every positive
-// count k of a scanned corner, scanPick's 0..k-1 enumerate exactly the
-// cell's points inside w(r).
+// count k of a scanned corner, scanRun's picks 0..k-1 enumerate exactly
+// the cell's points inside w(r).
 func TestFrozenRecordMatchesReference(t *testing.T) {
 	forCountInputs(t, gridFactories, func(t *testing.T, g *gridSampler, _ bool) {
 		if err := g.Count(); err != nil {
@@ -299,7 +308,7 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 	})
 }
 
-// checkScanPicks fails unless scanPick's picks 0..k-1 over cell c are
+// checkScanPicks fails unless scanRun's picks 0..k-1 over cell c are
 // exactly c's points inside w, each once.
 func checkScanPicks(fail func(string, ...any), c *grid.Cell, q bbst.Corner, w geom.Rect, k int) {
 	left := make(map[geom.Point]int)
@@ -309,7 +318,7 @@ func checkScanPicks(fail func(string, ...any), c *grid.Cell, q bbst.Corner, w ge
 		}
 	}
 	for j := range k {
-		p, ok := scanPick(c, q, w, j)
+		_, p, ok := scanRun(c.XSorted, q, w, j)
 		if !ok || left[p] == 0 {
 			fail("%v of cell %v: pick %d of %d is %+v (ok %v), not an unpicked point inside %+v", q, c.Key, j, k, p, ok, w)
 			return

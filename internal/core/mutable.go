@@ -6,18 +6,18 @@ package core
 // structures that absorb point inserts and deletes batch by batch:
 //
 //   - the S side keeps one copy-on-write cell (grid.WithUpdates) per
-//     non-empty grid cell, plus a BBST pair for a cell of more than
-//     T = c·⌈log₂ m⌉ points (m the live S count); a cell of at most T
-//     points has no pair and answers its corners by scanning its
-//     x-sorted run, exactly, as the frozen scanCorner does. Both are
-//     stored inline in a persistent directory (grid.Dir, a path-copied
-//     trie over mixed cell keys) instead of a Go map, so a lookup
-//     returns both. A batch that touches a cell replaces both, choosing
-//     the structure by the cell's new size and the batch's final live
-//     count, with no hysteresis: the touched cell's structure is
-//     rebuilt either way. The new cell's x-sorted run is never written
-//     after publication, so the pair bbst.Build makes over it shares
-//     its points;
+//     non-empty grid cell, plus the corner structure cellCorner builds
+//     over its x-sorted run, the frozen sampler's own rule: a BBST pair
+//     for a cell of more than T = c·⌈log₂ m⌉ points (m the live S
+//     count), an exact scanCorner over the run for a smaller one. Both
+//     are stored inline in a persistent directory (grid.Dir, a
+//     path-copied trie over mixed cell keys) instead of a Go map, so a
+//     lookup returns both. A batch that touches a cell replaces both,
+//     choosing the structure by the cell's new size and the batch's
+//     final live count, with no hysteresis: the touched cell's
+//     structure is rebuilt either way. The new cell's x-sorted run is
+//     never written after publication, so the structure built over it
+//     shares its points;
 //   - the R side keeps one persistent slot tree (slotTree): each slot
 //     holds its point, its 9 per-direction counts µ(r, d) and µ(r), in
 //     leaves of stChunk slots under a wide, shallow sum tree (stFan
@@ -36,7 +36,7 @@ package core
 // published views keep serving the version they started with — the
 // same discipline the dynamic store already applies to whole views.
 // One batch of k operations costs Õ(k) (each op touches O(log) nodes
-// plus one cell's O(|cell|) copy-on-write and pair rebuild, amortized
+// plus one cell's O(|cell|) copy-on-write and corner rebuild, amortized
 // by the batch), so steady churn never needs a bulk rebuild.
 //
 // Sampling stays the paper's Algorithm 1: one short descent of the
@@ -59,7 +59,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/bbst"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/rng"
@@ -81,20 +80,14 @@ func (o MutOps) Empty() bool {
 }
 
 // mutCell is the per-cell S-side structure: the copy-on-write cell
-// (two sorted point orders for the exact 0/1-sided cases) and the BBST
-// pair built over its x-sorted run (the 2-sided corners). pair is nil
-// for a scan cell, whose corners scan the run (scanCount, scanPick).
+// (two sorted point orders for the exact 0/1-sided cases) and the
+// corner structure cellCorner built over its x-sorted run (the
+// 2-sided corners), the same one the frozen sampler's corners table
+// holds. Neither points into a frozen grid's cell array, so a version
+// keeps alive only the cells it serves.
 type mutCell struct {
-	cell *grid.Cell
-	pair *bbst.Pair
-}
-
-// corner returns the cell's corner structure for the batched counter.
-func (mc mutCell) corner() cornerIndex {
-	if mc.pair == nil {
-		return scanCorner{cell: mc.cell}
-	}
-	return bbstCorner{pair: mc.pair}
+	cell   *grid.Cell
+	corner cornerIndex
 }
 
 // freeMarker encodes a free-list link in a dead slot: NaN X marks the
@@ -114,10 +107,10 @@ type MutableIndex struct {
 	scanC float64 // c of the scan threshold T = c·⌈log₂ m⌉, from the frozen sampler
 
 	// S side.
-	scells  *grid.Dir[mutCell]    // S cell -> its cell and pair, by value
-	sids    *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
-	sCount  int
-	pairPts int // live S points in cells with a BBST pair
+	scells      *grid.Dir[mutCell]    // S cell -> its cell and corner structure, by value
+	sids        *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
+	sCount      int
+	cornerBytes int // Σ sizeBytes of the cells' corner structures
 
 	// R side.
 	slots    *slotTree // slot -> point, direction counts, µ; dead slots hold free markers
@@ -136,29 +129,22 @@ func (ix *MutableIndex) NumS() int { return ix.sCount }
 func (ix *MutableIndex) MuSum() float64 { return ix.slots.Total() }
 
 // count returns µ(r, d) for the cell in direction d of r's window w:
-// exact for cases 1–2 and scan cells, the BBST upper bound for the
-// other corners.
-func (mc mutCell) count(d grid.Direction, w geom.Rect, sc *bbst.Scratch) int {
-	switch {
-	case d.Case() != 3:
+// exact for cases 1–2, the corner structure's count for case 3.
+func (mc mutCell) count(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
+	if d.Case() != 3 {
 		return len(mc.cell.Matching(d, w))
-	case mc.pair == nil:
-		return scanCount(mc.cell, cornerFor(d), w)
 	}
-	return mc.pair.Mu(cornerFor(d), w, sc)
+	return mc.corner.mu(cornerFor(d), w, sc)
 }
 
 // sample draws one candidate of direction d, whose cached count is
 // k > 0; ok is false on an empty corner slot. The caller verifies
 // window membership.
-func (mc mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *bbst.Scratch) (geom.Point, bool) {
-	switch {
-	case d.Case() != 3:
+func (mc mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
+	if d.Case() != 3 {
 		return drawRun(mc.cell, d, k, r.Intn(int(k))), true
-	case mc.pair == nil:
-		return scanPick(mc.cell, cornerFor(d), w, r.Intn(int(k)))
 	}
-	return mc.pair.SampleSlot(cornerFor(d), w, r, sc)
+	return mc.corner.sample(cornerFor(d), w, k, r, sc)
 }
 
 // dirMask is a set of neighborhood directions, bit d for direction d.
@@ -167,8 +153,8 @@ type dirMask uint16
 const allDirs dirMask = 1<<grid.NumDirections - 1
 
 // neighborhood looks up the S cells of the 3×3 block around cell k in
-// the directions of mask, and the corner structures (BBST or scan) of
-// its corners; the rest stay nil.
+// the directions of mask, and the corner structures of its corners;
+// the rest stay nil.
 func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb nbhd) {
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
 		if mask&(1<<d) == 0 {
@@ -177,7 +163,7 @@ func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb nbhd) {
 		if mc, ok := ix.scells.Get(k.Neighbor(d)); ok {
 			nb.cells[d] = mc.cell
 			if d.Case() == 3 {
-				nb.corners[d] = mc.corner()
+				nb.corners[d] = mc.corner
 			}
 		}
 	}
@@ -188,7 +174,7 @@ func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb nbhd) {
 // side, one direction at a time. It is the per-point reference the
 // batched muCounter must agree with: R inserts take their counts from
 // it, and CheckInvariants recounts every slot with it.
-func (ix *MutableIndex) countsOf(pt geom.Point, sc *bbst.Scratch) dirCounts {
+func (ix *MutableIndex) countsOf(pt geom.Point, sc *cornerScratch) dirCounts {
 	k := grid.KeyFor(pt.X, pt.Y, ix.side)
 	w := geom.Window(pt, ix.cfg.HalfExtent)
 	var cnt dirCounts
@@ -239,8 +225,8 @@ type rcw struct {
 
 // ApplyOps absorbs one batch and returns the new index version. The
 // receiver is never modified. S operations are applied first (grouped
-// per cell, one copy-on-write cell replacement and one rebuilt BBST
-// pair per touched cell), then R deletes, then R inserts with counts
+// per cell, one copy-on-write cell replacement and one rebuilt corner
+// structure per touched cell), then R deletes, then R inserts with counts
 // taken against the final S state, then every touched R cell gets a
 // new reverse list, and finally the live R slots whose 3×3
 // neighborhood contains a touched S cell are recounted.
@@ -252,7 +238,7 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		return nil, err
 	}
 	nx := *ix
-	var sc bbst.Scratch
+	var sc cornerScratch
 
 	var swork cellWork[scw]
 	for _, id := range ops.DelS {
@@ -381,20 +367,15 @@ func checkMutFinite(pts []geom.Point, side string) error {
 }
 
 // applySCell replaces one S cell: the copy-on-write cell in one merge
-// pass and, when the new cell holds more than T = scanMax(scanC, m)
-// points for the batch's final live S count m, a BBST pair built over
-// its x-sorted run, which is never written after publication, so the
-// buckets share its points. A cell of at most T points gets no pair
-// (a scan cell). The pair's b is Config.BucketCap when set, else
-// Definition 3's ⌈log₂ m⌉; cells the batch leaves alone keep the
-// structure and capacity they were built with.
+// pass and the corner structure cellCorner builds over its x-sorted
+// run, which is never written after publication, for the batch's final
+// live S count m. Cells the batch leaves alone keep the structure they
+// were built with.
 func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	var oldCell *grid.Cell
 	if mc, ok := nx.scells.Get(k); ok {
 		oldCell = mc.cell
-		if mc.pair != nil {
-			nx.pairPts -= oldCell.Len()
-		}
+		nx.cornerBytes -= mc.corner.sizeBytes()
 	}
 	var drop func(geom.Point) bool
 	if len(w.delIDs) > 0 {
@@ -415,19 +396,12 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 		nx.scells = nx.scells.Without(k)
 		return nil
 	}
-	nc := mutCell{cell: ncell}
-	if ncell.Len() > scanMax(nx.scanC, nx.sCount) {
-		bcap := nx.cfg.BucketCap
-		if bcap == 0 {
-			bcap = bbst.BucketCap(nx.sCount)
-		}
-		var err error
-		if nc.pair, err = bbst.Build(ncell.XSorted, bcap); err != nil {
-			return err
-		}
-		nx.pairPts += ncell.Len()
+	corner, err := cellCorner(ncell.XSorted, nx.sCount, nx.scanC, nx.cfg.BucketCap)
+	if err != nil {
+		return err
 	}
-	nx.scells = nx.scells.With(k, nc)
+	nx.cornerBytes += corner.sizeBytes()
+	nx.scells = nx.scells.With(k, mutCell{cell: ncell, corner: corner})
 	return nil
 }
 
@@ -470,16 +444,18 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 }
 
 // SizeBytes estimates the standalone footprint of this version in O(1)
-// from the live counts: the slot tree, 48 B per S point for the two
-// sorted copies in its cell, ~32 B more per S point of a cell with a
-// BBST pair for its share of the buckets and nodes (which point into
-// the cell's x-sorted copy and own no points; a scan cell has none),
-// 4 B per live R point for its slot's entry in rcells, which lists live
-// slots only, and the directories; the ID directories count their own
-// entries, a cell key per S point and a slot per R point.
-// TestMutableSizeBytesTracksHeap holds it to the measured live heap.
+// from the live counts: the slot tree, 52 B per S point for the two
+// sorted copies in its cell (48 B, plus about 4 B of allocation
+// rounding), 64 B per S cell for its header, the corner structures'
+// own bytes (cornerBytes: a BBST pair's buckets and nodes, which point
+// into the cell's x-sorted copy and own no points; a scan corner's
+// boxed run header), 4 B per live R point for its slot's entry in
+// rcells, which lists live slots only, and the directories; the ID
+// directories count their own entries, a cell key per S point and a
+// slot per R point. TestMutableSizeBytesTracksHeap holds it to the
+// measured live heap.
 func (ix *MutableIndex) SizeBytes() int {
-	return ix.slots.sizeBytes() + 48*ix.sCount + 32*ix.pairPts + 4*ix.rCount +
+	return ix.slots.sizeBytes() + 52*ix.sCount + 64*ix.scells.Len() + ix.cornerBytes + 4*ix.rCount +
 		ix.scells.SizeBytes() + ix.sids.SizeBytes() + ix.rcells.SizeBytes() + ix.rids.SizeBytes()
 }
 
@@ -491,19 +467,23 @@ type Mutable struct {
 	name       string
 	maxRejects int
 	rng        *rng.RNG
-	scratch    bbst.Scratch
+	scratch    cornerScratch
 	stats      Stats
 }
 
 // Unfreeze converts the prepared sampler into a Mutable sharing every
-// frozen structure: the cells and per-cell BBST pairs are adopted as-is,
-// a frozen scan cell staying a scan cell (the first mutation of a cell
-// replaces both, so the frozen sampler keeps serving untouched). The slot tree is bulk-built from the frozen
-// count records, which were counted against these same cells and
-// pairs. The cell directories are bulk-built over their distinct cell
-// keys, scells holding each cell and pair by value; rcells' lists come
+// frozen run and corner structure: each cell gets its own copy of the
+// grid's cell header, over the same runs, and adopts the cell's corner
+// structure as it is (the first mutation of a cell replaces both, so
+// the frozen sampler keeps serving untouched). Nothing adopted points
+// into the grid's cell array, so a version pins only the cells it
+// still serves. The slot tree is bulk-built from the frozen count
+// records, which were counted against these same cells and corners.
+// The cell directories are bulk-built over their distinct cell keys,
+// scells holding each cell and corner by value; rcells' lists come
 // from a counting sort of R by the row Count filed each point under.
-// The ID directories are bulk-built from one radix sort by ID each.
+// The ID directories are bulk-built from one radix sort by ID each,
+// sids over S, whose points the cells hold.
 // This is the one O(n + m) step of the mutable path; every ApplyOps
 // after it is Õ(ops).
 // An empty side or an empty join is accepted: the result is a
@@ -519,23 +499,21 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 		cfg:      s.cfg,
 		side:     s.g.Side(),
 		scanC:    s.scanC,
-		sCount:   len(s.sortedS),
+		sCount:   s.g.Len(),
 		freeHead: -1,
 		rCount:   len(s.R),
 	}
-	var cells []mutCell
-	s.g.Cells(func(c *grid.Cell) {
-		mc := mutCell{cell: c}
-		if bc, ok := s.corners[c.Index].(bbstCorner); ok {
-			mc.pair = bc.pair
-			ix.pairPts += c.Len()
-		}
-		cells = append(cells, mc)
-	})
+	cells := make([]mutCell, s.g.NumCells())
+	for i, corner := range s.corners {
+		c := *s.g.ByIndex(int32(i))
+		c.Index = -1 // a header of its own, outside the grid
+		cells[i] = mutCell{cell: &c, corner: corner}
+		ix.cornerBytes += corner.sizeBytes()
+	}
 	ix.scells = grid.BuildDir(len(cells),
 		func(i int) grid.Key { return cells[i].cell.Key },
 		func(i int) mutCell { return cells[i] })
-	S := s.sortedS
+	S := s.S
 	ix.sids = grid.BuildIDDir(len(S),
 		func(i int) int32 { return S[i].ID },
 		func(i int) grid.Key { return grid.KeyFor(S[i].X, S[i].Y, ix.side) })
@@ -686,15 +664,16 @@ var (
 )
 
 // CheckInvariants exhaustively validates one index version against its
-// own redundant state — every per-cell BBST invariant (scan cells have
-// none beyond their sorted runs), the reverse
+// own redundant state — every cell's corner structure against its run
+// (a scan corner wraps the run, a BBST pair passes its own invariants
+// over the run's points), the reverse
 // indexes, the free list, every slot's cached direction counts against
 // a recount, and every slot-tree sum against the pairwise
 // recomputation. Test and race-hammer use only: O(everything).
 func (ix *MutableIndex) CheckInvariants() error {
-	var sc bbst.Scratch
-	// S side: cells well-formed, pairs in sync, counts add up.
-	sTotal, pairTotal := 0, 0
+	var sc cornerScratch
+	// S side: cells well-formed, corners in sync, counts add up.
+	sTotal, cornerTotal := 0, 0
 	var cellErr error
 	ix.scells.Range(func(k grid.Key, mc mutCell) bool {
 		c := mc.cell
@@ -721,19 +700,22 @@ func (ix *MutableIndex) CheckInvariants() error {
 			}
 		}
 		sTotal += c.Len()
-		if mc.pair == nil {
-			return true // a scan cell: its run is all there is
+		cornerTotal += mc.corner.sizeBytes()
+		switch cr := mc.corner.(type) {
+		case scanCorner:
+			if len(cr.run) != c.Len() || &cr.run[0] != &c.XSorted[0] {
+				cellErr = fmt.Errorf("cell (%d,%d): scan corner does not wrap the cell's x-sorted run", k.CX, k.CY)
+			}
+		case bbstCorner:
+			if err := cr.pair.CheckInvariants(); err != nil {
+				cellErr = fmt.Errorf("cell (%d,%d): %w", k.CX, k.CY, err)
+			} else if cr.pair.NumPoints() != c.Len() {
+				cellErr = fmt.Errorf("cell (%d,%d): pair holds %d points, cell %d", k.CX, k.CY, cr.pair.NumPoints(), c.Len())
+			}
+		default:
+			cellErr = fmt.Errorf("cell (%d,%d): corner structure %T", k.CX, k.CY, mc.corner)
 		}
-		if err := mc.pair.CheckInvariants(); err != nil {
-			cellErr = fmt.Errorf("cell (%d,%d): %w", k.CX, k.CY, err)
-			return false
-		}
-		if mc.pair.NumPoints() != c.Len() {
-			cellErr = fmt.Errorf("cell (%d,%d): pair holds %d points, cell %d", k.CX, k.CY, mc.pair.NumPoints(), c.Len())
-			return false
-		}
-		pairTotal += c.Len()
-		return true
+		return cellErr == nil
 	})
 	if cellErr != nil {
 		return cellErr
@@ -741,8 +723,8 @@ func (ix *MutableIndex) CheckInvariants() error {
 	if sTotal != ix.sCount {
 		return fmt.Errorf("sCount %d, cells hold %d", ix.sCount, sTotal)
 	}
-	if pairTotal != ix.pairPts {
-		return fmt.Errorf("pairPts %d, cells with a pair hold %d", ix.pairPts, pairTotal)
+	if cornerTotal != ix.cornerBytes {
+		return fmt.Errorf("cornerBytes %d, the cells' corner structures hold %d", ix.cornerBytes, cornerTotal)
 	}
 	// sids lists each live point's cell under its ID: as a multiset of
 	// (ID, cell) entries, exactly the cells' points.

@@ -197,21 +197,34 @@ type Grid struct {
 
 // Build maps each point to its cell and sorts the per-cell copies.
 // It corresponds to GRID-MAPPING(S, l) plus the per-cell sorting of
-// Algorithm 1. side must be positive.
+// Algorithm 1; points need no order. Each run is its own allocation of
+// exactly the cell's size, so a run outlives the grid only as long as
+// something holds that cell. side must be positive.
 func Build(points []geom.Point, side float64) (*Grid, error) {
 	if side <= 0 || math.IsNaN(side) || math.IsInf(side, 0) {
 		return nil, fmt.Errorf("grid: cell side must be positive and finite, got %g", side)
 	}
 	g := &Grid{side: side, index: make(map[Key]int32), size: len(points)}
-	for _, p := range points {
+	cellOf := make([]int32, len(points))
+	var counts []int
+	for j, p := range points {
 		k := g.KeyAt(p.X, p.Y)
 		i, ok := g.index[k]
 		if !ok {
 			i = int32(len(g.cells))
 			g.index[k] = i
 			g.cells = append(g.cells, Cell{Key: k, Index: i})
+			counts = append(counts, 0)
 		}
-		g.cells[i].XSorted = append(g.cells[i].XSorted, p)
+		cellOf[j] = i
+		counts[i]++
+	}
+	for ci := range g.cells {
+		g.cells[ci].XSorted = make([]geom.Point, 0, counts[ci])
+	}
+	for j, p := range points {
+		c := &g.cells[cellOf[j]]
+		c.XSorted = append(c.XSorted, p)
 	}
 	for ci := range g.cells {
 		c := &g.cells[ci]
@@ -269,13 +282,6 @@ func (g *Grid) Neighborhood(r geom.Point, dst *[NumDirections]*Cell) *[NumDirect
 		dst[d] = g.Cell(k.Neighbor(d))
 	}
 	return dst
-}
-
-// Cells calls fn for every non-empty cell in Index order.
-func (g *Grid) Cells(fn func(*Cell)) {
-	for i := range g.cells {
-		fn(&g.cells[i])
-	}
 }
 
 // SizeBytes estimates the heap footprint of the grid: two point copies

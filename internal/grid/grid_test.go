@@ -67,7 +67,8 @@ func TestCellsPartitionPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	g.Cells(func(c *Cell) {
+	for i := range g.NumCells() {
+		c := g.ByIndex(int32(i))
 		total += c.Len()
 		rect := c.Rect(g.Side())
 		for _, p := range c.XSorted {
@@ -87,7 +88,7 @@ func TestCellsPartitionPoints(t *testing.T) {
 		if !sort.SliceIsSorted(c.YSorted, func(i, j int) bool { return c.YSorted[i].Y < c.YSorted[j].Y }) {
 			t.Fatal("YSorted not sorted by y")
 		}
-	})
+	}
 	if total != len(pts) {
 		t.Fatalf("cells hold %d points, want %d", total, len(pts))
 	}
@@ -249,7 +250,8 @@ func TestQuickCountHelpersMatchBruteForce(t *testing.T) {
 		}
 		th := math.Mod(math.Abs(threshold), 10)
 		ok := true
-		g.Cells(func(c *Cell) {
+		for i := range g.NumCells() {
+			c := g.ByIndex(int32(i))
 			wantGE, wantLE := 0, 0
 			for _, p := range c.XSorted {
 				if p.X >= th {
@@ -280,7 +282,7 @@ func TestQuickCountHelpersMatchBruteForce(t *testing.T) {
 			if c.CountYAtMost(th) != wantLE {
 				ok = false
 			}
-		})
+		}
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: nil}); err != nil {

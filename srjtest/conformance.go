@@ -25,6 +25,7 @@ import (
 	"time"
 
 	srj "repro"
+	"repro/internal/rng"
 	"repro/internal/testutil"
 )
 
@@ -53,6 +54,57 @@ func Data() (R, S []srj.Point, l float64) {
 	return srj.MustGenerate("uniform", 60, 101), srj.MustGenerate("uniform", 60, 102), 1000.0
 }
 
+// DenseData returns a second fixture in Data's shape whose join runs
+// through crowded grid cells: three clusters of 32 S points, each
+// filling one cell of side l, with 15 R points scattered over each
+// cluster's 3×3 block of cells, and 20 S points strewn between them.
+// A cell of more than 2⌈log₂|S|⌉ points answers its corner queries
+// through the BBST pair rather than an exact scan, and Data's cells
+// are all smaller than that, so this fixture is what puts the BBST's
+// bound and bucket sampling under the suite. |J| is 609.
+func DenseData() (R, S []srj.Point, l float64) {
+	const side = 1000.0
+	r := rng.New(103)
+	in := func(cx, cy, w float64) srj.Point {
+		return srj.Point{X: (cx + r.Range(0, w)) * side, Y: (cy + r.Range(0, w)) * side}
+	}
+	for _, c := range [][2]float64{{10, 10}, {14, 30}, {40, 15}} {
+		for range 32 {
+			p := in(c[0], c[1], 1)
+			p.ID = int32(len(S))
+			S = append(S, p)
+		}
+		for range 15 {
+			p := in(c[0]-1, c[1]-1, 3)
+			p.ID = int32(len(R))
+			R = append(R, p)
+		}
+	}
+	for range 20 {
+		p := in(0, 0, 50)
+		p.ID = int32(len(S))
+		S = append(S, p)
+	}
+	return R, S, side
+}
+
+// crowdedCells counts the grid cells of side l holding more than
+// 2⌈log₂|S|⌉ points of S: the cells whose corners the BBST answers.
+func crowdedCells(S []srj.Point, l float64) int {
+	perCell := map[[2]float64]int{}
+	for _, p := range S {
+		perCell[[2]float64{math.Floor(p.X / l), math.Floor(p.Y / l)}]++
+	}
+	limit := 2 * int(math.Ceil(math.Log2(float64(len(S)))))
+	n := 0
+	for _, c := range perCell {
+		if c > limit {
+			n++
+		}
+	}
+	return n
+}
+
 // serialCorrelation returns the first-lag autocorrelation of xs.
 func serialCorrelation(xs []float64) float64 {
 	mean := 0.0
@@ -71,62 +123,22 @@ func serialCorrelation(xs []float64) float64 {
 }
 
 // RunSourceConformance runs the shared suite against the sources make
-// constructs: uniformity and independence, equal-seed determinism,
-// context cancellation, fn error precedence, the per-request cap,
-// malformed requests, and the Into buffer contract. Implementations pass all of
-// it or they are not a Source.
+// constructs: uniformity and independence (over Data and over
+// DenseData), equal-seed determinism, context cancellation, fn error
+// precedence, the per-request cap, malformed requests, and the Into
+// buffer contract. Implementations pass all of it or they are not a
+// Source.
 func RunSourceConformance(t *testing.T, newSource MakeSource) {
 	R, S, l := Data()
 
-	t.Run("uniformity", func(t *testing.T) {
-		src := newSource(t, Config{R: R, S: S, L: l, MaxT: 500_000, BuildSeed: 1})
-		index := map[[2]int32]int{} // each pair's position in J
-		srj.Join(R, S, l, func(r, s srj.Point) bool {
-			index[[2]int32{r.ID, s.ID}] = len(index)
-			return true
-		})
-		if len(index) < 20 || len(index) > 2000 {
-			t.Fatalf("test setup: |J| = %d not in a good range", len(index))
+	t.Run("uniformity", func(t *testing.T) { checkUniformity(t, newSource, R, S, l) })
+
+	t.Run("uniformity dense", func(t *testing.T) {
+		R, S, l := DenseData()
+		if crowdedCells(S, l) == 0 {
+			t.Fatal("test setup: the dense fixture has no cell above 2⌈log₂|S|⌉ points")
 		}
-		const draws = 120_000
-		counts := map[[2]int32]int{}
-		seq := make([]float64, 0, draws)
-		err := src.DrawFunc(context.Background(), srj.Request{T: draws}, func(batch []srj.Pair) error {
-			for _, p := range batch {
-				k := [2]int32{p.R.ID, p.S.ID}
-				pos, ok := index[k]
-				if !ok {
-					t.Fatalf("sampled pair %v not in J", p)
-				}
-				if !srj.Window(p.R, l).Contains(p.S) {
-					t.Fatalf("pair %v outside window", p)
-				}
-				counts[k]++
-				seq = append(seq, float64(pos))
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		expected := float64(draws) / float64(len(index))
-		chi2 := 0.0
-		for k := range index {
-			d := float64(counts[k]) - expected
-			chi2 += d * d / expected
-		}
-		dof := float64(len(index) - 1)
-		// The p≈0.001 bound the in-process uniformity tests use.
-		limit := dof + 4*math.Sqrt(2*dof) + 10
-		if chi2 > limit {
-			t.Fatalf("distribution skewed: chi2 = %.1f > %.1f (dof %g)", chi2, limit, dof)
-		}
-		// Independence: under it the first-lag serial correlation of
-		// the drawn positions is ~N(0, 1/draws), so |corr| beyond
-		// 5/sqrt(draws) is a real signal.
-		if corr := serialCorrelation(seq); math.Abs(corr) > 5/math.Sqrt(draws) {
-			t.Fatalf("serial correlation %g too high", corr)
-		}
+		checkUniformity(t, newSource, R, S, l)
 	})
 
 	t.Run("determinism by seed", func(t *testing.T) {
@@ -308,4 +320,59 @@ func RunSourceConformance(t *testing.T, newSource MakeSource) {
 			t.Fatalf("Elapsed = %v", res.Elapsed)
 		}
 	})
+}
+
+// checkUniformity draws 120k pairs from a source over R and S and
+// holds them to the exact join: every pair in J, a chi-square over J
+// at p ≈ 0.001 for uniformity, and the first-lag serial correlation of
+// the drawn pairs' positions for independence.
+func checkUniformity(t *testing.T, newSource MakeSource, R, S []srj.Point, l float64) {
+	src := newSource(t, Config{R: R, S: S, L: l, MaxT: 500_000, BuildSeed: 1})
+	index := map[[2]int32]int{} // each pair's position in J
+	srj.Join(R, S, l, func(r, s srj.Point) bool {
+		index[[2]int32{r.ID, s.ID}] = len(index)
+		return true
+	})
+	if len(index) < 20 || len(index) > 2000 {
+		t.Fatalf("test setup: |J| = %d not in a good range", len(index))
+	}
+	const draws = 120_000
+	counts := map[[2]int32]int{}
+	seq := make([]float64, 0, draws)
+	err := src.DrawFunc(context.Background(), srj.Request{T: draws}, func(batch []srj.Pair) error {
+		for _, p := range batch {
+			k := [2]int32{p.R.ID, p.S.ID}
+			pos, ok := index[k]
+			if !ok {
+				t.Fatalf("sampled pair %v not in J", p)
+			}
+			if !srj.Window(p.R, l).Contains(p.S) {
+				t.Fatalf("pair %v outside window", p)
+			}
+			counts[k]++
+			seq = append(seq, float64(pos))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expected := float64(draws) / float64(len(index))
+	chi2 := 0.0
+	for k := range index {
+		d := float64(counts[k]) - expected
+		chi2 += d * d / expected
+	}
+	dof := float64(len(index) - 1)
+	// The p≈0.001 bound the in-process uniformity tests use.
+	limit := dof + 4*math.Sqrt(2*dof) + 10
+	if chi2 > limit {
+		t.Fatalf("distribution skewed: chi2 = %.1f > %.1f (dof %g)", chi2, limit, dof)
+	}
+	// Independence: under it the first-lag serial correlation of
+	// the drawn positions is ~N(0, 1/draws), so |corr| beyond
+	// 5/sqrt(draws) is a real signal.
+	if corr := serialCorrelation(seq); math.Abs(corr) > 5/math.Sqrt(draws) {
+		t.Fatalf("serial correlation %g too high", corr)
+	}
 }
