@@ -26,7 +26,7 @@ func ExampleNewSampler() {
 	}
 	// Unordered output:
 	// r#0 pairs with s#0
-	// r#0 pairs with s#0
+	// r#1 pairs with s#1
 	// r#1 pairs with s#1
 	// r#1 pairs with s#1
 }

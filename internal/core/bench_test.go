@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -108,24 +109,87 @@ func BenchmarkFrozenSampleInto(b *testing.B) {
 		{"mutable", func(b *testing.B) Sampler { return benchChurned(b) }},
 	}
 	for _, h := range handles {
-		b.Run(h.name, func(b *testing.B) {
-			s := h.mk(b)
-			buf := make([]geom.Pair, 10_000)
-			if _, err := SampleInto(s, buf); err != nil {
+		b.Run(h.name, func(b *testing.B) { benchBatches(b, h.mk(b)) })
+	}
+}
+
+// benchBatches draws b.N 10k-pair SampleInto batches from s after one
+// warm-up batch and reports ns/sample, trials/sample and allocs.
+func benchBatches(b *testing.B, s Sampler) {
+	b.Helper()
+	buf := make([]geom.Pair, 10_000)
+	if _, err := SampleInto(s, buf); err != nil {
+		b.Fatal(err)
+	}
+	before := s.Stats().Iterations
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SampleInto(s, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	samples := float64(b.N * len(buf))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/samples, "ns/sample")
+	b.ReportMetric(float64(s.Stats().Iterations-before)/samples, "trials/sample")
+}
+
+// BenchmarkTrialScale times the trial against input size at fixed work
+// per trial: uniform R and S of n points per side, with l chosen so an
+// S cell holds ppc points in expectation (ppc = 8: every cell scanned;
+// ppc = 64: every cell a BBST), plus a row shaped like the bench
+// module's bulk workload (R and S halves of two 400k nyc pools, l =
+// 100). Each row builds one frozen sampler and draws 10k-pair batches
+// from a clone of it and from its unfrozen Mutable. Memory latency, not
+// the trial's Õ(1) work, is what grows with n.
+func BenchmarkTrialScale(b *testing.B) {
+	type row struct {
+		name  string
+		l     float64
+		input func() (R, S []geom.Point)
+	}
+	var rows []row
+	for _, ppc := range []float64{8, 64} {
+		for _, n := range []int{25_000, 200_000, 400_000} {
+			rows = append(rows, row{
+				name: fmt.Sprintf("uniform/ppc=%g/n=%dk", ppc, n/1000),
+				l:    math.Sqrt(ppc * dataset.Domain * dataset.Domain / float64(n)),
+				input: func() (R, S []geom.Point) {
+					return dataset.Uniform(n, 1), dataset.Uniform(n, 2)
+				},
+			})
+		}
+	}
+	rows = append(rows, row{name: "bulk/nyc/n=200k", l: 100, input: func() (R, S []geom.Point) {
+		R, _ = dataset.SplitRS(dataset.NYC(400_000, 1), 0.5, 3)
+		_, S = dataset.SplitRS(dataset.NYC(400_000, 2), 0.5, 4)
+		return R, S
+	}})
+	for _, rw := range rows {
+		b.Run(rw.name, func(b *testing.B) {
+			R, S := rw.input()
+			s, err := NewBBST(R, S, Config{HalfExtent: rw.l, Seed: 1})
+			if err != nil {
 				b.Fatal(err)
 			}
-			before := s.Stats().Iterations
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := SampleInto(s, buf); err != nil {
+			if err := s.Count(); err != nil {
+				b.Fatal(err)
+			}
+			b.Run("frozen", func(b *testing.B) {
+				c, err := s.Clone()
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			samples := float64(b.N * len(buf))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/samples, "ns/sample")
-			b.ReportMetric(float64(s.Stats().Iterations-before)/samples, "trials/sample")
+				benchBatches(b, c)
+			})
+			b.Run("mutable", func(b *testing.B) {
+				m, err := s.Unfreeze()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchBatches(b, m)
+			})
 		})
 	}
 }

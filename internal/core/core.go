@@ -271,30 +271,64 @@ type batchSampler interface {
 	sampleInto(dst []geom.Pair) (int, error)
 }
 
-// fillBatch is the batch loop: it fills dst with accepted trials,
-// giving each sample the rejection budget, and adds the batch's wall
-// time to *sampleTime once. try reports an error only when no trial
-// can succeed.
-func fillBatch(dst []geom.Pair, budget int, sampleTime *time.Duration, try func() (geom.Pair, bool, error)) (n int, err error) {
+// laneN is the number of trials the sampling loop runs as one group,
+// phase by phase across the group's lanes, so the chains of dependent
+// loads of independent trials (alias, count record, cell row, cell,
+// point or BBST nodes) overlap instead of running one after another.
+// It and the phase order are part of the trial's use of the random
+// stream.
+const laneN = 8
+
+// laneGroup is one handle's current group of laneN trials: each lane's
+// candidate pair and whether it passed the window test. The last left
+// lanes are not yet delivered: they are the handle's carry, which the
+// next call delivers first, so a seeded stream does not depend on how
+// it is cut into calls. behind counts the trials delivered since the
+// last accepted pair, which Stats.Iterations does not hold yet.
+// The zero value is empty.
+type laneGroup struct {
+	pair   [laneN]geom.Pair
+	ok     [laneN]bool
+	left   int
+	behind int
+}
+
+// drawLanes is the sampling loop of the grid samplers and Mutable: it
+// fills dst from lg's carry, then from fresh groups that run fills
+// with laneN trials, taking the lanes in order; accept, when not nil,
+// is the without-replacement filter, applied as a lane is delivered.
+// Stats.Iterations counts the trials up to the last delivered pair, so
+// the trials behind a carried pair count when it is delivered, and
+// budget consecutive failures, counted across groups and calls, end
+// the call with ErrLowAcceptance. The call's wall time is added to
+// st.SampleTime once. run reports an error only when no trial can
+// succeed.
+func drawLanes(dst []geom.Pair, lg *laneGroup, budget int, st *Stats, run func(*laneGroup) error, accept func(geom.Pair) bool) (n int, err error) {
 	start := time.Now()
-fill:
 	for n < len(dst) {
-		for attempt := 0; attempt < budget; attempt++ {
-			p, ok, terr := try()
-			if terr != nil {
-				err = terr
-				break fill
+		if lg.left == 0 {
+			if err = run(lg); err != nil {
+				break
 			}
-			if ok {
-				dst[n] = p
-				n++
-				continue fill
-			}
+			lg.left = laneN
 		}
-		err = ErrLowAcceptance
-		break
+		i := laneN - lg.left
+		lg.left--
+		lg.behind++
+		if lg.ok[i] && (accept == nil || accept(lg.pair[i])) {
+			dst[n] = lg.pair[i]
+			n++
+			st.Samples++
+			st.Iterations += uint64(lg.behind)
+			lg.behind = 0
+		} else if lg.behind >= budget {
+			st.Iterations += uint64(lg.behind)
+			lg.behind = 0
+			err = ErrLowAcceptance
+			break
+		}
 	}
-	*sampleTime += time.Since(start)
+	st.SampleTime += time.Since(start)
 	return n, err
 }
 

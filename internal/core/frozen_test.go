@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,17 +22,20 @@ import (
 
 // Golden digests of the seeded frozen draw streams in frozenDigest:
 // FNV-64a over the parent's batch, a clone's batch and a reseeded
-// clone's batch, as produced by an implementation whose trial draws r
-// from the alias table over µ(r), picks the direction by a cumulative
-// scan of r's count record, reaches the cell through r's cell row, and
-// draws cases 1–2 by one Intn over the cached count, the BBST cells
-// cut into balanced buckets. The BBST digest has cells of at most
-// T = 2⌈log₂ m⌉ points scanned, a scanned corner drawn by one Intn over
-// the cached count. Any change to the trial's use of the random
-// stream, the alias table or the per-cell structures moves them.
+// clone's batch, as produced by an implementation that runs trials in
+// groups of laneN = 8, each phase across the group before the next
+// (every lane's r from the alias table over µ(r); its direction by a
+// cumulative scan of r's count record and its cell through r's cell
+// row; its candidate, cases 1–2 by one Intn over the cached count),
+// delivering the lanes in order and carrying what a call did not take
+// into the next, the BBST cells cut into balanced buckets. The BBST
+// digest has cells of at most T = 2⌈log₂ m⌉ points scanned, a scanned
+// corner drawn by one Intn over the cached count. Any change to the
+// trial's use of the random stream (laneN and the phase order
+// included), the alias table or the per-cell structures moves them.
 const (
-	goldenBBSTDigest   = 0x88a398d3078b298c
-	goldenGridKDDigest = 0xee0168be97624abc
+	goldenBBSTDigest   = 0x9a5ca74ddafaa15d
+	goldenGridKDDigest = 0x7bfe6ee490b032c1
 )
 
 type frozenFactory func(R, S []geom.Point, cfg Config) (Cloner, error)
@@ -130,7 +134,9 @@ func TestBBSTGoldenDigest(t *testing.T) {
 }
 
 // TestSampleIntoZeroAllocs holds the bulk API to its contract: once a
-// handle has drawn one batch, further batches allocate nothing.
+// handle has drawn one batch, further batches allocate nothing, and
+// neither does a Next loop, which runs the same lane groups and carry
+// one pair at a time.
 func TestSampleIntoZeroAllocs(t *testing.T) {
 	R, S := dataset.SplitRS(dataset.NYC(40000, 1), 0.5, 2)
 	cfg := Config{HalfExtent: 100, Seed: 5}
@@ -165,8 +171,108 @@ func TestSampleIntoZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("%v allocs per 1000-sample batch after warm-up, want 0", allocs)
 			}
+			allocs = testing.AllocsPerRun(20, func() {
+				for range 100 {
+					if _, err := s.Next(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v allocs per 100 Next calls after warm-up, want 0", allocs)
+			}
 		})
 	}
+}
+
+// TestReseedDropsCarry: a handle whose last call left accepted pairs
+// in its lane carry must, once reseeded, draw exactly what a fresh
+// handle reseeded with the same seed draws, with the same trial and
+// sample counts, so a pooled handle never gives one request another's
+// leftovers. It covers a frozen BBST clone, a Mutable, and a
+// ClonePool.GetSeeded checkout after a Put.
+func TestReseedDropsCarry(t *testing.T) {
+	R, S := dataset.SplitRS(dataset.NYC(20000, 1), 0.5, 2)
+	parent, err := NewBBST(R, S, Config{HalfExtent: 100, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: 100, Seed: 31})
+	const seed = 77
+	// check draws 3 pairs from used (which leaves some in the carry),
+	// then reseeds it and compares it with a fresh handle.
+	check := func(t *testing.T, used Sampler, reseed func(Sampler) Sampler, fresh Sampler) {
+		t.Helper()
+		mustSampleInto(t, used, 3)
+		if carried(used) == 0 {
+			t.Fatal("a draw of 3 left no carry: the test does not reach the case it is for")
+		}
+		used = reseed(used)
+		fresh.(Reseeder).Reseed(seed)
+		before := used.Stats()
+		got, want := mustSampleInto(t, used, 500), mustSampleInto(t, fresh, 500)
+		if !slices.Equal(got, want) {
+			t.Fatal("reseeded handle draws another stream than a fresh one")
+		}
+		a, b := used.Stats(), fresh.Stats()
+		if a.Iterations-before.Iterations != b.Iterations || a.Samples-before.Samples != b.Samples {
+			t.Fatalf("reseeded handle counted %d trials / %d samples, fresh %d / %d",
+				a.Iterations-before.Iterations, a.Samples-before.Samples, b.Iterations, b.Samples)
+		}
+	}
+	reseed := func(s Sampler) Sampler { s.(Reseeder).Reseed(seed); return s }
+	clone := func(t *testing.T, c Cloner) Sampler {
+		s, err := c.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	t.Run("BBST", func(t *testing.T) {
+		check(t, clone(t, parent), reseed, clone(t, parent))
+	})
+	t.Run("Mutable", func(t *testing.T) {
+		check(t, clone(t, m), reseed, clone(t, m))
+	})
+	t.Run("ClonePool", func(t *testing.T) {
+		pool, err := NewClonePool(parent, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// sync.Pool may hand back another idle clone; retry until the
+		// checkout after Put is the handle that left the carry.
+		for range 10 {
+			s, err := pool.GetSeeded(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again Sampler
+			check(t, s, func(s Sampler) Sampler {
+				pool.Put(s)
+				if again, err = pool.GetSeeded(seed); err != nil {
+					t.Fatal(err)
+				}
+				return again
+			}, clone(t, parent))
+			pool.Put(again)
+			if again == s {
+				return
+			}
+		}
+		t.Fatal("the pool never handed back the clone put into it")
+	})
+}
+
+// carried returns the number of lanes a handle still holds in its
+// carry.
+func carried(s Sampler) int {
+	switch h := s.(type) {
+	case *BBSTSampler:
+		return h.lanes.left
+	case *Mutable:
+		return h.lanes.left
+	}
+	return 0
 }
 
 // TestFrozenClonesConcurrentSampleInto runs reseeded clones of each

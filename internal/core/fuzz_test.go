@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bbst"
+	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/rng"
@@ -230,6 +233,103 @@ func FuzzCornerScan(f *testing.F) {
 		}
 		if mu := pair.Mu(q, w, nil); mu < k {
 			t.Fatalf("%v: BBST Mu %d below the exact count %d", q, mu, k)
+		}
+	})
+}
+
+// chunkFixture is FuzzChunkedDraws' two handles' sources, built once
+// per process: a counted frozen BBST sampler over nyc-shaped points,
+// and its unfrozen Mutable after 20 churn batches.
+var chunkFixture = sync.OnceValues(func() (*BBSTSampler, *Mutable) {
+	R, S := dataset.SplitRS(dataset.NYC(6000, 1), 0.5, 2)
+	s, err := NewBBST(R, S, Config{HalfExtent: 100, Seed: 3})
+	if err != nil {
+		panic(err)
+	}
+	m, err := s.Unfreeze()
+	if err != nil {
+		panic(err)
+	}
+	gen := newChurnGen(R, S, dataset.NYC(2000, 7), 5)
+	for range 20 {
+		if m, err = m.Apply(gen.batch(4)); err != nil {
+			panic(err)
+		}
+	}
+	return s, m
+})
+
+// FuzzChunkedDraws holds a seeded stream independent of how it is cut
+// into calls: for a BBST clone and a churned Mutable reseeded with
+// seed, SampleInto calls of the fuzzed chunk sizes (each byte mod 41,
+// so 0–40 pairs) must return, concatenated, exactly what one SampleInto
+// of the total and a Next loop return, with equal Iterations and
+// Samples, although the lane groups leave pairs in the carry at
+// different points of each; and one more pair must count at least one
+// more trial.
+func FuzzChunkedDraws(f *testing.F) {
+	f.Add(uint64(1), []byte{1, 7, 8, 9})
+	f.Add(uint64(2), bytes.Repeat([]byte{40}, 10))
+	f.Add(uint64(3), []byte{0, 1, 0, 7, 9, 8, 8, 40, 3})
+	f.Add(uint64(4), bytes.Repeat([]byte{1}, 17))
+	f.Fuzz(func(t *testing.T, seed uint64, chunks []byte) {
+		if len(chunks) > 64 {
+			chunks = chunks[:64]
+		}
+		total := 0
+		for _, c := range chunks {
+			total += int(c % 41)
+		}
+		frozen, mut := chunkFixture()
+		for _, src := range []Cloner{frozen, mut} {
+			var h [3]Sampler
+			for i := range h {
+				c, err := src.Clone()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.(Reseeder).Reseed(seed)
+				h[i] = c
+			}
+			var chunked []geom.Pair
+			for _, c := range chunks {
+				buf := make([]geom.Pair, c%41)
+				if n, err := SampleInto(h[0], buf); err != nil || n != len(buf) {
+					t.Fatalf("%s: chunk of %d: %d, %v", src.Name(), len(buf), n, err)
+				}
+				chunked = append(chunked, buf...)
+			}
+			whole := make([]geom.Pair, total)
+			if n, err := SampleInto(h[1], whole); err != nil || n != total {
+				t.Fatalf("%s: SampleInto of %d: %d, %v", src.Name(), total, n, err)
+			}
+			loop := make([]geom.Pair, total)
+			for i := range loop {
+				p, err := h[2].Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				loop[i] = p
+			}
+			if !slices.Equal(chunked, whole) || !slices.Equal(loop, whole) {
+				t.Fatalf("%s: chunks %v draw a stream other than SampleInto of %d or a Next loop", src.Name(), chunks, total)
+			}
+			for i, s := range h[1:] {
+				a, b := h[0].Stats(), s.Stats()
+				if a.Iterations != b.Iterations || a.Samples != b.Samples {
+					t.Fatalf("%s: chunked stats %d trials / %d samples, handle %d %d / %d",
+						src.Name(), a.Iterations, a.Samples, i+1, b.Iterations, b.Samples)
+				}
+			}
+			// Iterations counts the trials up to the last delivered pair,
+			// so the next pair adds its own trials, carried or not.
+			before := h[2].Stats().Iterations
+			if _, err := h[2].Next(); err != nil {
+				t.Fatal(err)
+			}
+			if h[2].Stats().Iterations <= before {
+				t.Fatalf("%s: a pair delivered after %d counted no trial", src.Name(), total)
+			}
 		}
 	})
 }

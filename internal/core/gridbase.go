@@ -70,6 +70,7 @@ type gridSampler struct {
 	g       *grid.Grid
 	corners []cornerIndex // by grid.Cell.Index; shared by clones
 	sc      cornerScratch // this handle's own
+	lanes   laneGroup     // this handle's own
 
 	tab  *alias.Table // alias over µ(r)
 	recs []pointRec   // by R index
@@ -283,49 +284,62 @@ func drawRun(c *grid.Cell, d grid.Direction, k int32, i int) geom.Point {
 	return c.XSorted[i] // Center, East
 }
 
-// tryOnce is one iteration of the sampling phase (lines 10–15 of
-// Algorithm 1): weighted r, weighted cell, uniform slot (a BBST
-// bucket slot, or for a scanned corner cell one of the k points its
-// record counts), accept iff the slot holds a point of w(r). The
-// direction comes from r's count record and its cell from r's cell
-// row, so a trial does no key lookup. Every pair of J is accepted with probability exactly 1/Σµ
-// per trial.
-func (g *gridSampler) tryOnce() (geom.Pair, bool, error) {
-	g.stats.Iterations++
-	ri := g.tab.Sample(g.rng)
-	rec := &g.recs[ri]
-	d, k := pickDir(&rec.cnt, g.rng.Float64()*float64(rec.cnt.total()))
-	if k == 0 {
-		return geom.Pair{}, false, nil // u rounded onto µ(r)
+// tryGroup runs one group of trials (lines 10–15 of Algorithm 1),
+// each phase across all laneN lanes before the next: every lane's
+// weighted r from the alias over µ(r); its direction by a cumulative
+// scan of r's count record, then its S cell from r's cell row, so no
+// trial does a key lookup; a uniform candidate of that cell (a BBST
+// bucket slot, or one of the k points the record counts for cases 1–2
+// and a scanned corner); and the window test. Every pair of J passes
+// one trial with probability exactly 1/Σµ.
+func (g *gridSampler) tryGroup(lg *laneGroup) error {
+	var ri, row, ci, k [laneN]int32
+	var dir [laneN]grid.Direction
+	for i := range ri {
+		ri[i] = int32(g.tab.Sample(g.rng))
 	}
-	r := g.R[ri]
-	w := g.window(r)
-	// A positive count means the cell exists: its row entry is >= 0.
-	ci := g.rows[rec.row][d]
-	s, ok := geom.Point{}, true
-	if d.Case() == 3 {
-		s, ok = g.corners[ci].sample(cornerFor(d), w, k, g.rng, &g.sc)
-	} else {
-		s = drawRun(g.g.ByIndex(ci), d, k, g.rng.Intn(int(k)))
+	for i := range ri {
+		rec := &g.recs[ri[i]]
+		dir[i], k[i] = pickDir(&rec.cnt, g.rng.Float64()*float64(rec.cnt.total()))
+		row[i] = rec.row
 	}
-	if !ok || !w.Contains(s) {
-		return geom.Pair{}, false, nil // empty slot or out-of-window candidate
+	for i := range ri {
+		// A positive count means the cell exists: its row entry is >= 0.
+		ci[i] = g.rows[row[i]][dir[i]]
 	}
-	p := geom.Pair{R: r, S: s}
-	if !g.accept(p) {
-		return geom.Pair{}, false, nil
+	for i := range ri {
+		lg.ok[i] = false
+		if k[i] == 0 {
+			continue // u rounded onto µ(r)
+		}
+		r := g.R[ri[i]]
+		w := g.window(r)
+		s, ok := geom.Point{}, true
+		if dir[i].Case() == 3 {
+			s, ok = g.corners[ci[i]].sample(cornerFor(dir[i]), w, k[i], g.rng, &g.sc)
+		} else {
+			s = drawRun(g.g.ByIndex(ci[i]), dir[i], k[i], g.rng.Intn(int(k[i])))
+		}
+		lg.pair[i] = geom.Pair{R: r, S: s}
+		lg.ok[i] = ok && w.Contains(s) // else an empty slot or an out-of-window candidate
 	}
-	g.stats.Samples++
-	return p, true, nil
+	return nil
 }
 
 // sampleInto is the sampling phase behind SampleInto and Next: one
-// phase check per call, then the batch loop over tryOnce.
+// phase check per call, then the lane loop over tryGroup.
 func (g *gridSampler) sampleInto(dst []geom.Pair) (int, error) {
 	if err := ensure(g, g.base, phaseCounted); err != nil {
 		return 0, err
 	}
-	return fillBatch(dst, g.cfg.maxRejects(), &g.stats.SampleTime, g.tryOnce)
+	return drawLanes(dst, &g.lanes, g.cfg.maxRejects(), &g.stats, g.tryGroup, g.accept)
+}
+
+// Reseed reinitializes the handle's random stream and drops its carry,
+// so it draws what a fresh handle with that seed would.
+func (g *gridSampler) Reseed(seed uint64) {
+	g.rng.Reseed(seed)
+	g.lanes = laneGroup{}
 }
 
 // next draws one sample through the batch loop.

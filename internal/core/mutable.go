@@ -468,6 +468,7 @@ type Mutable struct {
 	maxRejects int
 	rng        *rng.RNG
 	scratch    cornerScratch
+	lanes      laneGroup
 	stats      Stats
 }
 
@@ -481,9 +482,11 @@ type Mutable struct {
 // records, which were counted against these same cells and corners.
 // The cell directories are bulk-built over their distinct cell keys,
 // scells holding each cell and corner by value; rcells' lists come
-// from a counting sort of R by the row Count filed each point under.
-// The ID directories are bulk-built from one radix sort by ID each,
-// sids over S, whose points the cells hold.
+// from a counting sort of R by the row Count filed each point under,
+// each list copied to an exact-size array of its own, like a list
+// ApplyOps makes. The ID directories are bulk-built from one radix sort
+// by ID each, sids over S, whose points the cells hold. So no list or
+// leaf a later version leaves untouched pins a bulk-built array.
 // This is the one O(n + m) step of the mutable path; every ApplyOps
 // after it is Õ(ops).
 // An empty side or an empty join is accepted: the result is a
@@ -525,7 +528,7 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	starts, rslots := groupByRow(len(R), len(s.rows), func(i int) int32 { return s.recs[i].row })
 	ix.rcells = grid.BuildDir(len(s.rows),
 		func(c int) grid.Key { r := R[rslots[starts[c]]]; return grid.KeyFor(r.X, r.Y, ix.side) },
-		func(c int) []int32 { return rslots[starts[c]:starts[c+1]:starts[c+1]] })
+		func(c int) []int32 { return slices.Clone(rslots[starts[c]:starts[c+1]]) })
 	ix.rids = grid.BuildIDDir(len(R),
 		func(i int) int32 { return R[i].ID },
 		func(i int) int32 { return int32(i) })
@@ -576,37 +579,49 @@ func (m *Mutable) Build() error { return nil }
 // Count is a no-op: µ is maintained incrementally.
 func (m *Mutable) Count() error { return nil }
 
-// TryNext runs one sampling trial: one slot-tree descent draws the
-// slot ∝ µ(r), a cumulative scan of its cached direction counts picks
-// the direction, and only that direction's cell is looked up to draw a
-// uniform candidate, accepted iff it lies in w(r).
-func (m *Mutable) TryNext() (geom.Pair, bool, error) {
+// tryGroup runs one group of trials, each phase across all laneN
+// lanes before the next: every lane's slot ∝ µ(r) by one slot-tree
+// descent; its direction by a cumulative scan of the slot's cached
+// counts, then only that direction's cell looked up; a uniform
+// candidate of the cell; and the window test.
+func (m *Mutable) tryGroup(lg *laneGroup) error {
 	ix := m.idx
 	total := ix.slots.Total()
 	if total <= 0 {
-		return geom.Pair{}, false, ErrEmptyJoin
+		return ErrEmptyJoin
 	}
-	m.stats.Iterations++
-	rec := ix.slots.sample(m.rng.Float64() * total)
-	r := rec.pt
-	d, k := pickDir(&rec.cnt, m.rng.Float64()*rec.mu)
-	if k == 0 {
-		return geom.Pair{}, false, nil // u rounded onto µ(r)
+	var recs [laneN]*slotRec
+	var k [laneN]int32
+	var dir [laneN]grid.Direction
+	var cells [laneN]mutCell
+	for i := range recs {
+		recs[i] = ix.slots.sample(m.rng.Float64() * total)
 	}
-	// A positive count means the cell exists in this version.
-	mc, _ := ix.scells.Get(grid.KeyFor(r.X, r.Y, ix.side).Neighbor(d))
-	w := geom.Window(r, ix.cfg.HalfExtent)
-	s, ok := mc.sample(d, k, w, m.rng, &m.scratch)
-	if !ok || !w.Contains(s) {
-		return geom.Pair{}, false, nil
+	for i, rec := range recs {
+		dir[i], k[i] = pickDir(&rec.cnt, m.rng.Float64()*rec.mu)
 	}
-	m.stats.Samples++
-	return geom.Pair{R: r, S: s}, true, nil
+	for i, rec := range recs {
+		if k[i] > 0 {
+			// A positive count means the cell exists in this version.
+			cells[i], _ = ix.scells.Get(grid.KeyFor(rec.pt.X, rec.pt.Y, ix.side).Neighbor(dir[i]))
+		}
+	}
+	for i, rec := range recs {
+		lg.ok[i] = false
+		if k[i] == 0 {
+			continue // u rounded onto µ(r)
+		}
+		w := geom.Window(rec.pt, ix.cfg.HalfExtent)
+		s, ok := cells[i].sample(dir[i], k[i], w, m.rng, &m.scratch)
+		lg.pair[i] = geom.Pair{R: rec.pt, S: s}
+		lg.ok[i] = ok && w.Contains(s)
+	}
+	return nil
 }
 
-// sampleInto is the batch loop behind SampleInto and Next.
+// sampleInto is the lane loop behind SampleInto and Next.
 func (m *Mutable) sampleInto(dst []geom.Pair) (int, error) {
-	return fillBatch(dst, m.maxRejects, &m.stats.SampleTime, m.TryNext)
+	return drawLanes(dst, &m.lanes, m.maxRejects, &m.stats, m.tryGroup, nil)
 }
 
 // Next draws one uniform independent join sample under the rejection
@@ -638,8 +653,12 @@ func (m *Mutable) Clone() (Sampler, error) {
 	return nm, nil
 }
 
-// Reseed reinitializes the handle's random stream.
-func (m *Mutable) Reseed(seed uint64) { m.rng.Reseed(seed) }
+// Reseed reinitializes the handle's random stream and drops its carry,
+// so it draws what a fresh handle with that seed would.
+func (m *Mutable) Reseed(seed uint64) {
+	m.rng.Reseed(seed)
+	m.lanes = laneGroup{}
+}
 
 // LivePoints materializes the live point sets (R in slot order, S in
 // the directory's mixed-key order) — the compaction path's input.

@@ -26,8 +26,9 @@ import (
 // with the slot-tree trial; both over balanced BBST buckets in cells of
 // more than T = 2⌈log₂ m⌉ points and an exact scan of smaller cells (a
 // scanned corner drawn by one Intn over the cached count), every
-// touched cell's structure rebuilt from its new run.
-const goldenStoreDigest uint64 = 0x68a41aa952ae85f4
+// touched cell's structure rebuilt from its new run. Both run trials
+// in lane groups of eight, phase by phase, with a carry between calls.
+const goldenStoreDigest uint64 = 0xbe7f08a0941a8541
 
 // storeScript generates deterministic mixed batches over a model of
 // the live sets: each batch deletes del random live points per side

@@ -199,6 +199,9 @@ func (d *IDDir[V]) without(n *idNode[V], lvl int, u uint32) (*idNode[V], bool) {
 // BuildIDDir bulk-builds a version over n values, value i = val(i)
 // appended to the list of id(i) in ascending i: the same lists as n
 // With calls in that order, from one radix sort by ID and one pass.
+// Each leaf gets exact-size offset and value arrays of its own, as a
+// leaf With or Without makes does, so a leaf left untouched by later
+// versions keeps nothing else alive.
 func BuildIDDir[V any](n int, id func(i int) int32, val func(i int) V) *IDDir[V] {
 	items := make([]radixItem, n)
 	for i := range items {
@@ -209,38 +212,35 @@ func BuildIDDir[V any](n int, id func(i int) int32, val func(i int) V) *IDDir[V]
 	if n == 0 {
 		return d
 	}
-	vals := make([]V, n)
-	for j, it := range items {
-		vals[j] = val(int(it.i))
-		if j == 0 || it.key != items[j-1].key {
-			d.ids++
-			if j == 0 || it.key>>idBits != items[j-1].key>>idBits {
-				d.leaves++
-			}
-		}
-	}
 	d.height = idHeight(items[n-1].key)
-	offs := make([]int32, 0, d.ids+d.leaves) // every leaf's offsets, back to back
-	d.root = d.build(items, vals, &offs, d.height)
+	d.root = d.build(items, val, d.height)
 	return d
 }
 
 // build builds the node at lvl over items (sorted by ID, sharing every
-// chunk above lvl) and their values.
-func (d *IDDir[V]) build(items []radixItem, vals []V, offs *[]int32, lvl int) *idNode[V] {
+// chunk above lvl), taking each item's value from val.
+func (d *IDDir[V]) build(items []radixItem, val func(i int) V, lvl int) *idNode[V] {
 	n := &idNode[V]{}
 	d.nodes++
 	if lvl == 0 {
-		start := len(*offs)
+		d.leaves++
+		ids := 0
 		for j := range items {
 			if j == 0 || items[j].key != items[j-1].key {
-				n.bitmap |= 1 << (items[j].key & idMask)
-				*offs = append(*offs, int32(j))
+				ids++
 			}
 		}
-		*offs = append(*offs, int32(len(items)))
-		n.offs = (*offs)[start:len(*offs):len(*offs)]
-		n.vals = vals[:len(vals):len(vals)]
+		d.ids += ids
+		n.offs = make([]int32, 0, ids+1)
+		n.vals = make([]V, len(items))
+		for j, it := range items {
+			if j == 0 || it.key != items[j-1].key {
+				n.bitmap |= 1 << (it.key & idMask)
+				n.offs = append(n.offs, int32(j))
+			}
+			n.vals[j] = val(int(it.i))
+		}
+		n.offs = append(n.offs, int32(len(items)))
 		return n
 	}
 	shift := idBits * lvl
@@ -251,7 +251,7 @@ func (d *IDDir[V]) build(items []radixItem, vals []V, offs *[]int32, lvl int) *i
 			hi++
 		}
 		n.bitmap |= 1 << c
-		n.kids = append(n.kids, d.build(items[lo:hi], vals[lo:hi], offs, lvl-1))
+		n.kids = append(n.kids, d.build(items[lo:hi], val, lvl-1))
 		lo = hi
 	}
 	return n
