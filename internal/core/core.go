@@ -111,8 +111,12 @@ type Stats struct {
 	// samplers time each Next call.
 	SampleTime time.Duration
 
-	Samples    uint64  // accepted join samples returned so far
-	Iterations uint64  // sampling iterations including rejections
+	Samples uint64 // accepted join samples returned so far
+	// Iterations counts the sampling iterations up to the last sample
+	// returned, rejections included. The samplers with a batch loop run
+	// trials ahead in lane groups; those count once a sample behind them
+	// is returned (or the rejection budget runs out).
+	Iterations uint64
 	MuSum      float64 // Σ_r µ(r): total weight of the alias over R
 }
 
@@ -283,9 +287,9 @@ const laneN = 8
 // candidate pair and whether it passed the window test. The last left
 // lanes are not yet delivered: they are the handle's carry, which the
 // next call delivers first, so a seeded stream does not depend on how
-// it is cut into calls. behind counts the trials delivered since the
-// last accepted pair, which Stats.Iterations does not hold yet.
-// The zero value is empty.
+// it is cut into calls. behind counts the lanes taken since the last
+// delivered pair, all of them failed trials, which Stats.Iterations
+// does not hold yet. The zero value is empty.
 type laneGroup struct {
 	pair   [laneN]geom.Pair
 	ok     [laneN]bool

@@ -70,7 +70,7 @@ type gridSampler struct {
 	g       *grid.Grid
 	corners []cornerIndex // by grid.Cell.Index; shared by clones
 	sc      cornerScratch // this handle's own
-	lanes   laneGroup     // this handle's own
+	lanes   laneGroup     // this handle's own lane group and carry
 
 	tab  *alias.Table // alias over µ(r)
 	recs []pointRec   // by R index

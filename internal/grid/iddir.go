@@ -199,8 +199,8 @@ func (d *IDDir[V]) without(n *idNode[V], lvl int, u uint32) (*idNode[V], bool) {
 // BuildIDDir bulk-builds a version over n values, value i = val(i)
 // appended to the list of id(i) in ascending i: the same lists as n
 // With calls in that order, from one radix sort by ID and one pass.
-// Each leaf gets exact-size offset and value arrays of its own, as a
-// leaf With or Without makes does, so a leaf left untouched by later
+// Each leaf gets exact-size offset and value arrays of its own, like
+// the leaves With and Without make, so a leaf left untouched by later
 // versions keeps nothing else alive.
 func BuildIDDir[V any](n int, id func(i int) int32, val func(i int) V) *IDDir[V] {
 	items := make([]radixItem, n)

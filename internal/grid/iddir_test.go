@@ -3,6 +3,7 @@ package grid
 import (
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -157,6 +158,23 @@ func TestBuildIDDirMatchesWith(t *testing.T) {
 		}
 		checkIDDir(t, built, oracle)
 		checkIDDir(t, inc, oracle)
+	}
+}
+
+// TestBuildIDDirLeavesOwnValues: a list kept from a bulk-built
+// directory pins its own leaf's values, not every value of the build,
+// so an untouched leaf of a later version keeps nothing else alive.
+func TestBuildIDDirLeavesOwnValues(t *testing.T) {
+	const n = 200_000 // 1.6 MB of values
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	keep := BuildIDDir(n, func(i int) int32 { return int32(i) }, func(i int) int { return i }).Get(0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 256<<10 {
+		t.Fatalf("one kept list retains %d KB of a %d-value build", retained>>10, n)
 	}
 }
 
