@@ -440,3 +440,51 @@ func TestEngineEmptyJoin(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestEngineDrawZeroAllocs pins the engine's zero-allocation promise:
+// once warmed, a Draw into a caller buffer and a DrawFunc through the
+// pooled batch allocate nothing per request. The clone checkout, the
+// batch loop, the trial count and the request record all run on
+// reused state; a draw path that boxes, grows or copies per request
+// fails here. Under -race sync.Pool drops Puts at random, so the
+// count is only meaningful in a normal build.
+func TestEngineDrawZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool does not reliably reuse buffers under -race")
+	}
+	e, _ := newTestEngine(t, 5)
+	ctx := context.Background()
+	dst := make([]geom.Pair, 3*DefaultBatch/2)
+	req := Request{Into: dst}
+	seeded := Request{Into: dst, Seed: 17}
+	var got int
+	fn := func(batch []geom.Pair) error {
+		got += len(batch)
+		return nil
+	}
+	// Warm the pool, the batch buffer and the first-use state.
+	for range 3 {
+		if _, err := e.Draw(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.DrawFunc(ctx, req, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Draw/Into", func() { e.Draw(ctx, req) }},
+		{"Draw/Into/seeded", func() { e.Draw(ctx, seeded) }},
+		{"DrawFunc", func() { e.DrawFunc(ctx, req, fn) }},
+		{"DrawFunc/seeded", func() { e.DrawFunc(ctx, seeded, fn) }},
+	} {
+		if a := testing.AllocsPerRun(50, tc.run); a != 0 {
+			t.Errorf("%s: %.1f allocs per warmed request, want 0", tc.name, a)
+		}
+	}
+	if got == 0 {
+		t.Fatal("DrawFunc delivered nothing")
+	}
+}
