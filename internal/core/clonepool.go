@@ -7,12 +7,17 @@ import (
 	"repro/internal/rng"
 )
 
-// Reseed reinitializes the sampler's random stream in place (the
-// Reseeder contract). ClonePool calls it on every checkout so that the
-// samples a request draws depend only on the pool's seed and the
-// checkout order — never on which recycled clone happens to serve the
-// request. Every sampler embeds *base, so every clone implements it.
-func (b *base) Reseed(seed uint64) { b.rng.Reseed(seed) }
+// Reseed reinitializes the sampler's random stream in place and
+// empties its without-replacement filter, so it draws what a fresh
+// sampler with that seed would (the Reseeder contract). ClonePool
+// calls it on every checkout so that the samples a request draws
+// depend only on the pool's seed and the checkout order — never on
+// which recycled clone happens to serve the request. Every sampler
+// embeds *base, so every clone implements it.
+func (b *base) Reseed(seed uint64) {
+	b.rng.Reseed(seed)
+	clear(b.seen)
+}
 
 // ClonePool is a concurrency-safe pool of sampler clones over one
 // prepared parent. The parent's structures (grid, per-cell corner

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -487,6 +488,46 @@ func TestWithoutReplacement(t *testing.T) {
 					t.Fatalf("duplicate pair %s", k)
 				}
 				seen[k] = true
+			}
+		})
+	}
+}
+
+// TestReseedClearsWithoutReplacement: Reseed resets a sampler that
+// draws without replacement completely, duplicate filter included, so
+// after Sample(15), Reseed(9) and Sample(15) it draws what a fresh
+// sampler draws after Reseed(9) — the Reseeder contract. A filter
+// kept across the reseed rejects the pairs of the first draw.
+func TestReseedClearsWithoutReplacement(t *testing.T) {
+	r := rng.New(7)
+	R := randomPoints(r, 20, 10, 0)
+	S := randomPoints(r, 20, 10, 10000)
+	cfg := Config{HalfExtent: 3, Seed: 3, WithoutReplacement: true, MaxRejects: 1 << 16}
+	for _, f := range allFactories() {
+		t.Run(f.name, func(t *testing.T) {
+			used, err := f.make(R, S, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := f.make(R, S, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := used.Sample(15); err != nil {
+				t.Fatal(err)
+			}
+			used.(Reseeder).Reseed(9)
+			fresh.(Reseeder).Reseed(9)
+			got, err := used.Sample(15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Sample(15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("reseeded sampler drew %v, a fresh one %v", got, want)
 			}
 		})
 	}

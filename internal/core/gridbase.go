@@ -335,10 +335,10 @@ func (g *gridSampler) sampleInto(dst []geom.Pair) (int, error) {
 	return drawLanes(dst, &g.lanes, g.cfg.maxRejects(), &g.stats, g.tryGroup, g.accept)
 }
 
-// Reseed reinitializes the handle's random stream and drops its carry,
-// so it draws what a fresh handle with that seed would.
+// Reseed is base.Reseed plus dropping the handle's carry, so it draws
+// what a fresh handle with that seed would.
 func (g *gridSampler) Reseed(seed uint64) {
-	g.rng.Reseed(seed)
+	g.base.Reseed(seed)
 	g.lanes = laneGroup{}
 }
 

@@ -284,32 +284,8 @@ func (e *Engine) Draw(ctx context.Context, req Request) (Result, error) {
 	if dst == nil {
 		dst = make([]geom.Pair, t)
 	}
-	dst = dst[:t]
-	if err := ctx.Err(); err != nil {
-		e.record(start, 0, err)
-		return Result{Pairs: dst[:0], Elapsed: time.Since(start)}, err
-	}
-	s, err := e.checkout(req.Seed)
-	if err != nil {
-		e.record(start, 0, err)
-		return Result{Pairs: dst[:0], Elapsed: time.Since(start)}, err
-	}
-	trialsBefore := s.Stats().Iterations
-	drawn := 0
-	for drawn < t && err == nil {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		end := min(drawn+DefaultBatch, t)
-		var n int
-		n, err = core.SampleInto(s, dst[drawn:end])
-		drawn += n
-	}
-	e.trials.Add(s.Stats().Iterations - trialsBefore)
-	e.pool.Put(s)
-	e.record(start, drawn, err)
-	return Result{Pairs: dst[:drawn], Elapsed: time.Since(start)}, err
+	n, err := e.run(ctx, start, req.Seed, t, dst[:t], nil)
+	return Result{Pairs: dst[:n], Elapsed: time.Since(start)}, err
 }
 
 // DrawFunc serves one request for req.T samples by streaming them
@@ -331,41 +307,53 @@ func (e *Engine) DrawFunc(ctx context.Context, req Request, fn func(batch []geom
 		e.record(start, 0, err)
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		e.record(start, 0, err)
-		return err
+	buf := e.buffers.Get().(*[]geom.Pair)
+	_, err = e.run(ctx, start, req.Seed, t, *buf, fn)
+	e.buffers.Put(buf)
+	return err
+}
+
+// run is the batch loop behind Draw and DrawFunc, for a request
+// already resolved to t samples and capped. It checks ctx, checks a
+// clone out, and draws in chunks of at most DefaultBatch pairs,
+// checking ctx between them. With fn nil, dst holds all t pairs and
+// the chunks fill it in order; otherwise dst is one batch buffer that
+// every chunk reuses from its front, handed to fn once drawn. It
+// folds the request into the counters and returns the pairs drawn.
+func (e *Engine) run(ctx context.Context, start time.Time, seed uint64, t int, dst []geom.Pair, fn func([]geom.Pair) error) (int, error) {
+	err := ctx.Err()
+	var s core.Sampler
+	if err == nil {
+		s, err = e.checkout(seed)
 	}
-	s, err := e.checkout(req.Seed)
 	if err != nil {
 		e.record(start, 0, err)
-		return err
+		return 0, err
 	}
 	trialsBefore := s.Stats().Iterations
-	buf := e.buffers.Get().(*[]geom.Pair)
 	drawn := 0
 	for drawn < t && err == nil {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
+		if err = ctx.Err(); err != nil {
 			break
 		}
-		batch := *buf
-		if rem := t - drawn; rem < len(batch) {
-			batch = batch[:rem]
+		off := drawn
+		if fn != nil {
+			off = 0
 		}
+		batch := dst[off : off+min(t-drawn, DefaultBatch)]
 		var n int
 		n, err = core.SampleInto(s, batch)
 		drawn += n
-		if n > 0 {
+		if fn != nil && n > 0 {
 			if ferr := fn(batch[:n]); ferr != nil && err == nil {
 				err = ferr
 			}
 		}
 	}
 	e.trials.Add(s.Stats().Iterations - trialsBefore)
-	e.buffers.Put(buf)
 	e.pool.Put(s)
 	e.record(start, drawn, err)
-	return err
+	return drawn, err
 }
 
 // record folds one finished request into the aggregate counters.

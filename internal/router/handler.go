@@ -6,21 +6,23 @@ package router
 // wire protocol — point at one address and get the whole fleet:
 // requests route to the key's shard, failover included, and every
 // endpoint answers in the exact shapes srjserver does (same status
-// codes, same error codes, same JSON bodies). Routing-specific
-// telemetry lives on its own path, /v1/router, so the shared paths
-// stay byte-compatible.
+// codes, same error codes, same JSON bodies). For POST /v1/sample
+// that holds by construction: both tiers answer through one writer
+// (server.RespondSample) behind one middleware (server.Instrument), so
+// a draw that fails before its first sample gets the same status and
+// code from either, and counts under that code on both. Routing-
+// specific telemetry lives on its own path, /v1/router, so the shared
+// paths stay byte-compatible.
 
 import (
 	"encoding/json"
 	"errors"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/server"
@@ -73,126 +75,26 @@ func (r *Router) Handler() http.Handler {
 	if r.pprof {
 		obs.MountPprof(mux)
 	}
-	// The same middleware srjserver's ServeHTTP applies: ensure a
-	// request ID (minting here makes the router the origin of the ID a
-	// whole proxied draw shares — EnsureRequestID writes it back onto
-	// the request headers, and the backend clients forward it from the
-	// context), echo it on the response, count the outcome, log.
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		id := obs.EnsureRequestID(req)
-		w.Header().Set(obs.RequestIDHeader, id)
-		req = req.WithContext(obs.WithRequestID(req.Context(), id))
-		rec := &obs.StatusRecorder{ResponseWriter: w}
-		start := time.Now()
-		mux.ServeHTTP(rec, req)
-		r.requests.Inc(routerOutcome(rec))
-		if r.logger != nil {
-			r.logger.LogAttrs(req.Context(), slog.LevelInfo, "request",
-				slog.String("request_id", id),
-				slog.String("method", req.Method),
-				slog.String("path", req.URL.Path),
-				slog.Int("status", rec.Status),
-				slog.Duration("elapsed", time.Since(start)),
-			)
-		}
-	})
+	// srjserver's middleware. Minting the request ID here makes the
+	// router the origin of the ID a whole proxied draw shares.
+	return server.Instrument(mux, r.requests, r.logger)
 }
 
-// routerOutcome classifies a finished response for srj_requests_total,
-// mirroring the server's outcomeCode: error paths stamp their code
-// into ErrorCodeHeader (WriteError does it on both tiers), everything
-// else classifies by status class.
-func routerOutcome(rec *obs.StatusRecorder) string {
-	if code := rec.Header().Get(server.ErrorCodeHeader); code != "" {
-		return code
-	}
-	switch {
-	case rec.Status < http.StatusBadRequest:
-		return "ok"
-	case rec.Status < http.StatusInternalServerError:
-		return server.CodeBadRequest
-	default:
-		return server.CodeInternal
-	}
-}
-
+// handleSample routes one draw to the key's shard and answers it
+// through srjserver's own writer (server.RespondSample), so both
+// transports answer in srjserver's shapes: a refusal or failure before
+// the first sample — a backend's ErrSampleCap, a bad key, a sampler
+// giving up, a shard that died before delivering and exhausted
+// failover — with its pre-stream HTTP status, a later one as an error
+// frame. Mid-stream failover happens underneath, invisibly, so the
+// client only ever sees one contiguous stream.
 func (r *Router) handleSample(w http.ResponseWriter, req *http.Request) {
 	sreq, binaryOut, ok := server.DecodeSampleRequest(w, req, 0, server.DefaultMaxTJSON)
 	if !ok {
 		return
 	}
-	bound := r.Bind(sreq.Key())
-	if binaryOut {
-		r.streamBinary(req, w, bound, engine.Request{T: sreq.T, Seed: sreq.DrawSeed})
-		return
-	}
-	// The JSON transport buffers, but not before the fleet has seen
-	// the request: Draw without Into caps its preallocation (at
-	// server.MaxFramePairs) and grows only as validated samples
-	// actually arrive — a burst of bogus-key requests costs the
-	// router nothing, exactly as on srjserver, where the JSON buffer
-	// exists only after registry.Get accepted the key.
-	res, err := bound.Draw(req.Context(), engine.Request{T: sreq.T, Seed: sreq.DrawSeed})
-	if err != nil {
-		server.WriteError(w, server.StatusFor(err), server.CodeFor(err), "sampling: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(writeDeadline))
-	json.NewEncoder(w).Encode(server.SampleResponse{Count: len(res.Pairs), Pairs: res.Pairs})
-}
-
-// streamBinary re-frames the routed draw onto the response, flushing
-// per batch. The stream header is deferred until the first batch
-// arrives, so a refusal that reaches us before any samples — a
-// backend's ErrSampleCap, a bad key, even a shard that died before
-// delivering and exhausted failover — answers with the same pre-
-// stream HTTP status srjserver would send, not a 200 hiding an error
-// frame. Errors after the first frame arrive as in-stream error
-// frames carrying the same code a backend would; mid-stream failover
-// happens underneath, invisibly, so the client only ever sees one
-// contiguous stream.
-func (r *Router) streamBinary(req *http.Request, w http.ResponseWriter, bound *Bound, dreq engine.Request) {
-	rc := http.NewResponseController(w)
-	flusher, _ := w.(http.Flusher)
-	wroteHeader := false
-	var scratch []byte
-	err := bound.DrawFunc(req.Context(), dreq, func(batch []geom.Pair) error {
-		rc.SetWriteDeadline(time.Now().Add(writeDeadline))
-		if !wroteHeader {
-			w.Header().Set("Content-Type", server.ContentTypeBinary)
-			if herr := server.WriteStreamHeader(w); herr != nil {
-				return herr
-			}
-			wroteHeader = true
-		}
-		var werr error
-		scratch, werr = server.WriteStreamFrame(w, batch, scratch)
-		if werr != nil {
-			return werr
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	switch {
-	case err != nil && !wroteHeader:
-		server.WriteError(w, server.StatusFor(err), server.CodeFor(err), "sampling: %v", err)
-	case err != nil:
-		server.WriteStreamError(w, server.CodeFor(err), err.Error())
-	case !wroteHeader:
-		// Unreachable with t > 0, but a complete empty stream is the
-		// right degenerate answer.
-		w.Header().Set("Content-Type", server.ContentTypeBinary)
-		rc.SetWriteDeadline(time.Now().Add(writeDeadline))
-		if herr := server.WriteStreamHeader(w); herr != nil {
-			return
-		}
-		server.WriteStreamEnd(w)
-	default:
-		server.WriteStreamEnd(w)
-	}
+	server.RespondSample(req.Context(), w, r.Bind(sreq.Key()),
+		engine.Request{T: sreq.T, Seed: sreq.DrawSeed}, binaryOut, writeDeadline)
 }
 
 // handleUpdate sequences and broadcasts one mutation batch across the

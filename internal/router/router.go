@@ -408,23 +408,11 @@ func (b *Bound) Draw(ctx context.Context, req engine.Request) (engine.Result, er
 	if err != nil {
 		return engine.Result{Elapsed: time.Since(start)}, err
 	}
-	var out []geom.Pair
-	if req.Into != nil {
-		// Total delivery is bounded by t <= len(Into) (each attempt
-		// aborts on over-delivery and retries only fill the gap), so
-		// the appends never reallocate: Result.Pairs stays backed by
-		// the caller's buffer.
-		out = req.Into[:0]
-	} else {
-		capHint := t
-		if capHint > server.MaxFramePairs {
-			capHint = server.MaxFramePairs
-		}
-		out = make([]geom.Pair, 0, capHint)
-	}
-	err = b.r.drawFunc(ctx, b.key, t, req.Seed, func(batch []geom.Pair) error {
-		out = append(out, batch...)
-		return nil
+	// Total delivery is bounded by t (each attempt aborts on
+	// over-delivery and retries only fill the gap), so Result.Pairs
+	// stays backed by req.Into when one was given.
+	out, err := server.Collect(req.Into, t, func(fn func([]geom.Pair) error) error {
+		return b.r.drawFunc(ctx, b.key, t, req.Seed, fn)
 	})
 	return engine.Result{Pairs: out, Elapsed: time.Since(start)}, err
 }

@@ -118,21 +118,9 @@ func (c *Client) Sample(ctx context.Context, req SampleRequest) ([]geom.Pair, er
 	if req.T < 0 {
 		return nil, fmt.Errorf("server: negative sample count %d", req.T)
 	}
-	// Cap the preallocation: req.T is client input the server has not
-	// validated yet, and trusting it here would reintroduce the
-	// allocate-before-validate OOM that Engine.SetMaxT exists to
-	// prevent. Oversized requests fail at the server before the slice
-	// ever needs to grow past this.
-	capHint := req.T
-	if capHint > MaxFramePairs {
-		capHint = MaxFramePairs
-	}
-	out := make([]geom.Pair, 0, capHint)
-	err := c.SampleFunc(ctx, req, func(batch []geom.Pair) error {
-		out = append(out, batch...)
-		return nil
+	return Collect(nil, req.T, func(fn func([]geom.Pair) error) error {
+		return c.SampleFunc(ctx, req, fn)
 	})
-	return out, err
 }
 
 // SampleFunc streams req.T samples, invoking fn with each decoded

@@ -7,7 +7,7 @@
 //
 //	POST   /v1/sample  — draw t samples for a key; JSON or a framed
 //	                     binary encoding (see wire.go) streamed in
-//	                     Engine.SampleFunc chunks
+//	                     Engine.DrawFunc batches
 //	POST   /v1/update  — apply an insert/delete batch to a key's
 //	                     dynamic store (JSON or the framed binary
 //	                     encoding of update_wire.go) and answer with
@@ -126,6 +126,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
+	handler http.Handler // mux behind Instrument
 	start   time.Time
 	metrics serverMetrics
 }
@@ -160,50 +161,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.EnablePprof {
 		obs.MountPprof(s.mux)
 	}
+	s.handler = Instrument(s.mux, s.metrics.requests, cfg.Logger)
 	return s, nil
 }
 
-// ServeHTTP implements http.Handler: it threads the request ID
-// through (accepting a caller-supplied one, minting otherwise, and
-// echoing it on the response so clients can attribute errors), counts
-// the outcome code, and emits the access log line.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := obs.EnsureRequestID(r)
-	w.Header().Set(obs.RequestIDHeader, id)
-	r = r.WithContext(obs.WithRequestID(r.Context(), id))
-	rec := &obs.StatusRecorder{ResponseWriter: w}
-	start := time.Now()
-	s.mux.ServeHTTP(rec, r)
-	s.metrics.requests.Inc(outcomeCode(rec))
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("request_id", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", rec.Status),
-			slog.Duration("elapsed", time.Since(start)),
-		)
-	}
-}
-
-// outcomeCode classifies one finished response for srj_requests_total.
-// Error paths stamp their exact code into ErrorCodeHeader; anything
-// without one is classified by status class. A draw that fails after
-// the 200 and first frame are on the wire counts as ok here — the
-// mid-stream error frame is the client's signal, not HTTP's.
-func outcomeCode(rec *obs.StatusRecorder) string {
-	if code := rec.Header().Get(ErrorCodeHeader); code != "" {
-		return code
-	}
-	switch {
-	case rec.Status < http.StatusBadRequest:
-		return "ok"
-	case rec.Status < http.StatusInternalServerError:
-		return CodeBadRequest
-	default:
-		return CodeInternal
-	}
-}
+// ServeHTTP implements http.Handler: the API behind the middleware
+// both serving tiers share (see Instrument).
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // MaxT reports the configured per-request sample cap.
 func (s *Server) MaxT() int { return s.cfg.MaxT }
@@ -451,14 +415,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, StatusFor(err), CodeFor(err), "building engine %s: %v", key, err)
 		return
 	}
-	dreq := engine.Request{T: req.T, Seed: req.DrawSeed}
 	start := time.Now()
-	var samples int
-	if binaryOut {
-		samples, err = s.streamBinary(ctx, w, eng, dreq)
-	} else {
-		samples, err = s.respondJSON(ctx, w, eng, dreq)
-	}
+	samples, err := RespondSample(ctx, w, eng, engine.Request{T: req.T, Seed: req.DrawSeed}, binaryOut, s.cfg.Timeout)
 	elapsed := time.Since(start)
 	// One histogram observation per request, after the draw — never
 	// inside the sampler's rejection loop. The algorithm label comes
@@ -481,66 +439,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelWarn, "slow draw", attrs...)
 	}
-}
-
-// respondJSON draws all requested samples (bounded by MaxTJSON), then
-// encodes one JSON body. Drawing goes through the engine's
-// context-aware DrawFunc, so the deadline is honored between chunks;
-// the response write gets its own deadline so a client that stops
-// reading cannot pin the handler.
-func (s *Server) respondJSON(ctx context.Context, w http.ResponseWriter, eng *engine.Engine, req engine.Request) (int, error) {
-	pairs := make([]geom.Pair, 0, req.T)
-	err := eng.DrawFunc(ctx, req, func(batch []geom.Pair) error {
-		pairs = append(pairs, batch...)
-		return nil
-	})
-	if err != nil {
-		WriteError(w, StatusFor(err), CodeFor(err), "sampling: %v", err)
-		return len(pairs), err
-	}
-	w.Header().Set("Content-Type", "application/json")
-	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.cfg.Timeout))
-	json.NewEncoder(w).Encode(SampleResponse{Count: len(pairs), Pairs: pairs})
-	return len(pairs), nil
-}
-
-// streamBinary streams the requested samples as framed chunks,
-// flushing per chunk, in constant memory. Errors after the first
-// chunk arrive as an in-stream error frame (the 200 status is already
-// on the wire). The engine's DrawFunc checks ctx between batches, and
-// each frame write gets a fresh deadline: a client making progress
-// can stream forever, but one that stops reading blocks our Write,
-// trips the deadline, and frees the handler and its sampler clone —
-// the between-batch ctx check alone never fires while Write is stuck.
-func (s *Server) streamBinary(ctx context.Context, w http.ResponseWriter, eng *engine.Engine, req engine.Request) (int, error) {
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	rc := http.NewResponseController(w)
-	rc.SetWriteDeadline(time.Now().Add(s.cfg.Timeout))
-	if err := WriteStreamHeader(w); err != nil {
-		return 0, err
-	}
-	flusher, _ := w.(http.Flusher)
-	var scratch []byte
-	delivered := 0
-	err := eng.DrawFunc(ctx, req, func(batch []geom.Pair) error {
-		rc.SetWriteDeadline(time.Now().Add(s.cfg.Timeout))
-		var werr error
-		scratch, werr = WriteStreamFrame(w, batch, scratch)
-		if werr != nil {
-			return werr
-		}
-		delivered += len(batch)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	if err != nil {
-		WriteStreamError(w, CodeFor(err), err.Error())
-		return delivered, err
-	}
-	WriteStreamEnd(w)
-	return delivered, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

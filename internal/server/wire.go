@@ -4,7 +4,7 @@ package server
 // ~100 bytes per sampled pair and most of the server's CPU in the
 // encoder; a sampling service exists to move millions of pairs, so
 // the wire format matters. The binary stream is framed so that the
-// server can flush chunks as Engine.SampleFunc produces them and the
+// server can flush chunks as Engine.DrawFunc produces them and the
 // client can consume them incrementally with bounded memory:
 //
 //	header : magic uint32 ("SRJP"), version uint8
@@ -54,10 +54,10 @@ const (
 	ContentTypeBinary = "application/x-srj-pairs"
 )
 
-// WriteStreamHeader opens a binary pair stream. The Write* stream
-// functions are exported for alternative serving fronts — the shard
-// router's proxy re-encodes routed draws with them — so every tier
-// emits one wire format.
+// WriteStreamHeader opens a binary pair stream. RespondSample writes
+// every tier's draw stream with the Write* functions; they are
+// exported for tools that encode the format outside a server (the
+// benchmark's wire-encoding probe, test fixtures).
 func WriteStreamHeader(w io.Writer) error {
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], wireMagic)

@@ -117,22 +117,13 @@ func (c *Client) Draw(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sr := c.wireRequest(t, req.Seed)
-	if req.Into == nil {
-		// The low-level client already accumulates a stream with a
-		// bounded preallocation; reuse it rather than duplicate it.
-		pairs, err := c.Client.Sample(ctx, sr)
-		return Result{Pairs: pairs, Elapsed: time.Since(start)}, err
-	}
-	// The stream aborts if the server over-delivers, so the appends
-	// stay within t <= len(Into) and never reallocate: Result.Pairs
-	// remains backed by the caller's buffer.
-	out := req.Into[:0]
-	err = c.Client.SampleFunc(ctx, sr, func(batch []Pair) error {
-		out = append(out, batch...)
-		return nil
+	// The stream aborts if the server over-delivers, so with Into the
+	// pairs stay within its backing array: Result.Pairs is the
+	// caller's buffer.
+	pairs, err := server.Collect(req.Into, t, func(fn func([]Pair) error) error {
+		return c.Client.SampleFunc(ctx, c.wireRequest(t, req.Seed), fn)
 	})
-	return Result{Pairs: out, Elapsed: time.Since(start)}, err
+	return Result{Pairs: pairs, Elapsed: time.Since(start)}, err
 }
 
 // DrawFunc serves one request against the bound engine key, streaming
