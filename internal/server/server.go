@@ -125,8 +125,7 @@ type Config struct {
 // New; it is safe for concurrent use.
 type Server struct {
 	cfg     Config
-	mux     *http.ServeMux
-	handler http.Handler // mux behind Instrument
+	handler http.Handler // the API mux behind Instrument
 	start   time.Time
 	metrics serverMetrics
 }
@@ -148,20 +147,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now(), metrics: newServerMetrics()}
-	s.mux.HandleFunc("POST /v1/sample", s.handleSample)
-	s.mux.HandleFunc("POST /v1/update", s.handleUpdate)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/engines", s.handleEngines)
-	s.mux.HandleFunc("DELETE /v1/engines", s.handleEvict)
-	s.mux.HandleFunc("POST /v1/snapshot/dump", s.handleSnapshotDump)
-	s.mux.HandleFunc("POST /v1/snapshot/install", s.handleSnapshotInstall)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.Handle("GET /metrics", obs.Handler(s.collectMetrics))
+	s := &Server{cfg: cfg, start: time.Now(), metrics: newServerMetrics()}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/sample", s.handleSample)
+	mux.HandleFunc("POST /v1/update", s.handleUpdate)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/engines", s.handleEngines)
+	mux.HandleFunc("DELETE /v1/engines", s.handleEvict)
+	mux.HandleFunc("POST /v1/snapshot/dump", s.handleSnapshotDump)
+	mux.HandleFunc("POST /v1/snapshot/install", s.handleSnapshotInstall)
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.Handle("GET /metrics", obs.Handler(s.collectMetrics))
 	if cfg.EnablePprof {
-		obs.MountPprof(s.mux)
+		obs.MountPprof(mux)
 	}
-	s.handler = Instrument(s.mux, s.metrics.requests, cfg.Logger)
+	s.handler = Instrument(mux, s.metrics.requests, cfg.Logger)
 	return s, nil
 }
 
