@@ -750,6 +750,10 @@ func TestMutableSizeBytesTracksHeap(t *testing.T) {
 	check("after 100 churn batches", m)
 	runtime.KeepAlive(R)
 	runtime.KeepAlive(S)
+	// The churn generator's ID lists were allocated before the
+	// baseline. Kept live to the end, they cancel out of every reading,
+	// instead of leaving the churned one once the last batch is drawn.
+	runtime.KeepAlive(gen)
 }
 
 // TestMutableScanCellCrossesThreshold grows one S cell past the scan

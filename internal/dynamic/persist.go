@@ -33,9 +33,8 @@ const maxGapBuffer = 64
 // Persister is the write-ahead durability hook of a Store. Append is
 // called under the store's write lock *before* an update's view is
 // published — if it errors the update fails and is never visible.
-// Snapshot is called outside the lock — after a compaction, or on the
-// store's operation-count cadence — with the live point sets covering
-// IDs <= lastID. Implementations must be safe for concurrent
+// Snapshot is called outside the lock, on the store's operation-count
+// cadence only, with the live point sets covering IDs <= lastID. Implementations must be safe for concurrent
 // use; internal/wal provides the real one.
 type Persister interface {
 	Append(id uint64, u Update) error

@@ -111,9 +111,11 @@ type Config struct {
 	MaxT int
 	// Persister, when non-nil, is the write-ahead durability hook (see
 	// persist.go): every applied batch is appended before its view
-	// publishes, and compactions persist a snapshot. May also be
-	// installed after construction with SetPersister (recovery does,
-	// so replayed records are not re-appended).
+	// publishes, and the live point sets are snapshotted in the
+	// background on the operation-count cadence (maybeSnapshotLocked),
+	// the only snapshot trigger. May also be installed after
+	// construction with SetPersister (recovery does, so replayed
+	// records are not re-appended).
 	Persister Persister
 	// InitialGeneration seeds the store's generation (recovery resumes
 	// at the snapshot's generation instead of 0, so the generations a
@@ -172,11 +174,9 @@ type Store struct {
 	lastPersistErr error
 
 	// snapPending counts operations applied since the last snapshot,
-	// snapDue marks a compacted base not yet snapshotted, and
-	// snapshotting guards the one in-flight background snapshot
+	// and snapshotting guards the one in-flight background snapshot
 	// (maybeSnapshotLocked).
 	snapPending  int
-	snapDue      bool
 	snapshotting bool
 	snapDone     chan struct{}
 	acc          engine.Stats // counters of retired view engines
@@ -273,9 +273,8 @@ func (st *Store) stepLocked(cur *view, id uint64, u Update) (*view, error) {
 	return &view{gen: cur.gen + 1, lastID: id, mut: nm, size: nm.SizeBytes()}, nil
 }
 
-// compactLocked bulk-builds a frozen view over m's live point sets.
-// It counts the compaction and marks the new base due for a snapshot
-// (maybeSnapshotLocked). Called with mu held.
+// compactLocked bulk-builds a frozen view over m's live point sets
+// and counts the compaction. Called with mu held.
 func (st *Store) compactLocked(m *core.Mutable, gen, lastID uint64) (*view, error) {
 	nv, err := st.baseView(m.LivePoints())
 	if err != nil {
@@ -283,7 +282,6 @@ func (st *Store) compactLocked(m *core.Mutable, gen, lastID uint64) (*view, erro
 	}
 	nv.gen, nv.lastID = gen, lastID
 	st.rebuilds.Add(1)
-	st.snapDue = true
 	return nv, nil
 }
 
@@ -370,10 +368,10 @@ func addStats(a, b engine.Stats) engine.Stats {
 }
 
 // maybeSnapshotLocked schedules a background snapshot of the current
-// view when a compaction has not been snapshotted yet, or once the
-// operations applied since the last snapshot reach snapshotFraction of
-// the live point count. Without the cadence the log would never be
-// pruned: steady churn runs no compactions. Called with mu held.
+// view once the operations applied since the last snapshot reach
+// snapshotFraction of the live point count — the store's only
+// snapshot trigger. Without it the log would never be pruned: steady
+// churn runs no compactions. Called with mu held.
 func (st *Store) maybeSnapshotLocked() {
 	p := st.cfg.Persister
 	if p == nil || st.snapshotting {
@@ -385,11 +383,10 @@ func (st *Store) maybeSnapshotLocked() {
 		ix := v.mut.Index()
 		live = ix.NumR() + ix.NumS()
 	}
-	if !st.snapDue && float64(st.snapPending) < snapshotFraction*float64(live) {
+	if float64(st.snapPending) < snapshotFraction*float64(live) {
 		return
 	}
 	st.snapPending = 0
-	st.snapDue = false
 	st.snapshotting = true
 	st.snapDone = make(chan struct{})
 	go st.snapshot(v, p)
@@ -416,9 +413,11 @@ func (st *Store) snapshot(v *view, p Persister) {
 }
 
 // Compact folds the in-place maintained index into a fresh bulk build
-// now and publishes it at a bumped generation before returning; its
-// snapshot is persisted in the background. It returns nil without a
-// bump when the current view already is a bulk build.
+// now and publishes it at a bumped generation before returning. It
+// writes no snapshot of its own: like any view, the compacted one is
+// persisted only when the cadence fires (maybeSnapshotLocked). It
+// returns nil without a bump when the current view already is a bulk
+// build.
 func (st *Store) Compact(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -577,51 +576,10 @@ func (st *Store) Dump() (gen, lastID uint64, R, S []geom.Point) {
 	return v.gen, v.lastID, R, S
 }
 
-// SnapshotNow persists the store's state through its persister
-// synchronously when that can be done *faithfully* — the shutdown
-// path's bound on recovery time. Faithful means recovery from the
-// snapshot reproduces the exact sampler a live peer at the same
-// generation carries, which holds only when the current view is a
-// frozen bulk build: snapshotting a mutable view would flatten its
-// incremental state into a fresh bulk build, and seeded draws after
-// recovery would fork from fleet peers at the same generation.
-// Mutable views succeed as a no-op — the write-ahead log already holds
-// every record past the last faithful snapshot, and replay rebuilds
-// the identical incremental history. An in-flight background snapshot
-// is waited out first, so a snapshot the cadence already started is
-// on disk before shutdown returns. A store without a persister
-// succeeds as a no-op.
-func (st *Store) SnapshotNow(ctx context.Context) error {
-	st.mu.Lock()
-	p := st.cfg.Persister
-	st.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	if err := st.Quiesce(ctx); err != nil {
-		return err
-	}
-	v := st.view.Load()
-	if v.mut != nil {
-		return nil
-	}
-	err := p.Snapshot(v.gen, v.lastID, v.R, v.S)
-	if err != nil {
-		st.persistErrs.Add(1)
-	}
-	st.mu.Lock()
-	st.lastPersistErr = err
-	if err == nil {
-		st.snapPending = 0
-	}
-	st.mu.Unlock()
-	return err
-}
-
 // Quiesce waits for the in-flight background snapshot, if any —
-// shutdown paths, benchmarks and tests use it so goroutine-leak
-// checks and timing sections see a settled store. It does not prevent
-// new snapshots.
+// Server.Close waits here before closing the logs, and benchmarks and
+// tests use it so goroutine-leak checks and timing sections see a
+// settled store. It does not prevent new snapshots.
 func (st *Store) Quiesce(ctx context.Context) error {
 	for {
 		st.mu.Lock()

@@ -15,15 +15,15 @@ import (
 var CtxLoop = &Analyzer{
 	Name: "ctxloop",
 	Doc: "ctxloop flags for-loops that issue sampling calls (Draw, DrawFunc, " +
-		"Sample, SampleInto, SampleFunc, TryNext) inside a function that has a " +
+		"Sample, SampleInto, SampleFunc, Next) inside a function that has a " +
 		"context.Context parameter without consulting any context in the loop " +
 		"body. Cancellation must take effect between batches.",
 	Run: runCtxLoop,
 }
 
 // drawCallNames are the method/function names that mean "sampling
-// work happens here". The Source API names plus the per-trial
-// TryNext; matching is by name so the check also covers mocks and
+// work happens here". The Source API names plus the per-sample
+// Sampler.Next; matching is by name so the check also covers mocks and
 // future implementations without a types dependency on the repo.
 var drawCallNames = map[string]bool{
 	"Draw":       true,
@@ -31,7 +31,7 @@ var drawCallNames = map[string]bool{
 	"Sample":     true,
 	"SampleInto": true,
 	"SampleFunc": true,
-	"TryNext":    true,
+	"Next":       true,
 }
 
 func runCtxLoop(pass *Pass) error {

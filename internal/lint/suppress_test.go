@@ -26,7 +26,7 @@ func TestSuppressions(t *testing.T) {
 		analyzer string
 		substr   string
 	}{
-		{"ctxloop", "loop calls TryNext"},       // bare directive does not suppress
+		{"ctxloop", "loop calls Next"},          // bare directive does not suppress
 		{"lintdirective", "needs a reason"},     // ...and is reported itself
 		{"lintdirective", "unknown analyzer"},   // nosuchanalyzer
 		{"lintdirective", "suppresses nothing"}, // stale directive

@@ -8,14 +8,14 @@ import "context"
 
 type src struct{}
 
-func (src) TryNext() (int, bool) { return 0, false }
+func (src) Next() (int, bool) { return 0, false }
 
 // justified: a directive with a reason on the line above the loop
 // suppresses the diagnostic.
 func justified(ctx context.Context, s src) {
 	//lint:allow ctxloop the caller bounds this drain by wall clock
 	for {
-		s.TryNext()
+		s.Next()
 	}
 }
 
@@ -23,7 +23,7 @@ func justified(ctx context.Context, s src) {
 // line itself.
 func justifiedSameLine(ctx context.Context, s src) {
 	for { //lint:allow ctxloop the caller bounds this drain by wall clock
-		s.TryNext()
+		s.Next()
 	}
 }
 
@@ -32,7 +32,7 @@ func justifiedSameLine(ctx context.Context, s src) {
 func bare(ctx context.Context, s src) {
 	//lint:allow ctxloop
 	for {
-		s.TryNext()
+		s.Next()
 	}
 }
 
@@ -43,7 +43,7 @@ func unknown(ctx context.Context, s src) {
 		if ctx.Err() != nil {
 			return
 		}
-		s.TryNext()
+		s.Next()
 	}
 }
 
@@ -55,6 +55,6 @@ func stale(ctx context.Context, s src) {
 		if ctx.Err() != nil {
 			return
 		}
-		s.TryNext()
+		s.Next()
 	}
 }

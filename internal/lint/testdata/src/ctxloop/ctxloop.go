@@ -7,7 +7,7 @@ type source struct{}
 
 func (source) Draw(ctx context.Context, t int) (int, error) { return 0, nil }
 func (source) Sample(t int) []int                           { return nil }
-func (source) TryNext() (int, bool)                         { return 0, false }
+func (source) Next() (int, bool)                            { return 0, false }
 
 // drainNoCtx has a ctx but its draw loop never consults one.
 func drainNoCtx(ctx context.Context, src source, batches int) {
@@ -18,8 +18,8 @@ func drainNoCtx(ctx context.Context, src source, batches int) {
 
 // drainRange: range loops are checked the same way.
 func drainRange(ctx context.Context, src source, ts []int) {
-	for range ts { // want `loop calls TryNext but never consults a context`
-		src.TryNext()
+	for range ts { // want `loop calls Next but never consults a context`
+		src.Next()
 	}
 }
 
@@ -53,8 +53,8 @@ func drainNoParam(src source, batches int) {
 // discipline, and is checked independently of its enclosing function.
 func launcher(src source) {
 	go func(ctx context.Context) {
-		for { // want `loop calls TryNext but never consults a context`
-			src.TryNext()
+		for { // want `loop calls Next but never consults a context`
+			src.Next()
 		}
 	}(context.Background())
 }

@@ -4,12 +4,14 @@ package srj_test
 // must come back from close-and-reopen serving exactly the state its
 // write-ahead log acknowledged — deletes stay deleted, inserts stay
 // present, the update sequence resumes where it stopped — both on the
-// pure log-replay path and on the snapshot-plus-tail path a
-// background compaction leaves behind.
+// pure log-replay path and on the snapshot-plus-tail path the
+// snapshot cadence leaves behind.
 
 import (
 	"context"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,6 +97,10 @@ func TestServerRecoversFromLogReplay(t *testing.T) {
 		t.Fatalf("last applied %d before restart, want 3", got)
 	}
 	stop()
+	// Shutdown writes no snapshot: it never flattens an updated store.
+	if snaps, err := filepath.Glob(filepath.Join(dir, "*", "snap-*.srs")); err != nil || len(snaps) != 0 {
+		t.Fatalf("snapshots after shutdown: %v (%v), want none", snaps, err)
+	}
 
 	// Reopen the same directory: the resolver still hands out the seed
 	// data, but the store must resume from the log, not from scratch.
@@ -180,7 +186,7 @@ func waitSnapshot(t *testing.T, cl *srj.Client, key srj.EngineKey) {
 }
 
 // TestServerSnapshotRecoveryDivergesFromPeer pins a known gap (ROADMAP
-// item 6): a shard restarted after a cadence snapshot serves the same
+// item 4): a shard restarted after a cadence snapshot serves the same
 // live join as its never-restarted peer, but not the same seeded bytes.
 // The snapshot flattens the in-place view into point lists and recovery
 // bulk-builds a base over them, while the peer keeps serving the index
@@ -222,7 +228,7 @@ func TestServerSnapshotRecoveryDivergesFromPeer(t *testing.T) {
 		i := firstDifference(t, bound2, peer, seed)
 		if i < 0 {
 			t.Fatalf("seed %d: the shard recovered from a snapshot now draws its peer's bytes; "+
-				"the ROADMAP item 6 gap is closed, so assert byte identity here", seed)
+				"the ROADMAP item 4 gap is closed, so assert byte identity here", seed)
 		}
 		t.Logf("seed %d: draws differ from the peer's from sample %d", seed, i)
 	}
@@ -236,9 +242,10 @@ func TestServerRecoversFromSnapshot(t *testing.T) {
 
 	cl, stop := openRecoverable(t, dir, R, S)
 	bound := cl.Bind(key)
-	// Push the delta fraction past the rebuild threshold (0.25 of 120
-	// base points) so the background compaction snapshots: delete the
-	// first 20 R points and insert a far-away cluster.
+	// Push the operations since the last snapshot past the snapshot
+	// cadence (a quarter of the 120 live points) so the store snapshots
+	// in the background: delete the first 20 R points and insert a
+	// far-away cluster.
 	var n uint64
 	for i := 0; i < 20; i++ {
 		if _, err := bound.Apply(ctx, srj.Update{DeleteR: []int32{R[i].ID}}); err != nil {
@@ -284,5 +291,91 @@ func TestServerRecoversFromSnapshot(t *testing.T) {
 	}
 	if !sawInsert {
 		t.Fatal("inserted cluster lost across snapshot recovery")
+	}
+}
+
+// TestServerInstalledStoreSurvivesRestart: a store dumped from one
+// server and installed on a durable one (POST /v1/snapshot/install, as
+// a ring join does) comes back from close-and-reopen at the dump's
+// generation and last applied update ID, serving the dump's live join.
+// The install snapshots the dump's points and recovery bulk-builds over
+// that snapshot, so before and after the restart the store is a bulk
+// build over the same points in the same order and draws the same
+// seeded bytes.
+func TestServerInstalledStoreSurvivesRestart(t *testing.T) {
+	R, S, l := srjtest.Data()
+	key := srj.EngineKey{Dataset: "conf", L: l, Algorithm: "bbst", Seed: 7}
+	ctx := context.Background()
+	donor, _ := openRecoverable(t, t.TempDir(), R, S)
+	victim := R[2].ID
+	for _, u := range []srj.Update{
+		{DeleteR: []int32{victim}},
+		{InsertR: []srj.Point{{ID: 4000, X: 9000, Y: 9000}}, InsertS: []srj.Point{{ID: 4001, X: 9001, Y: 9001}}},
+	} {
+		if _, err := donor.Bind(key).Apply(ctx, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump, err := donor.DumpSnapshot(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dump.Generation != 2 || dump.LastAppliedID != 2 {
+		t.Fatalf("dump at generation %d, update %d, want 2 and 2", dump.Generation, dump.LastAppliedID)
+	}
+
+	dir := t.TempDir()
+	cl, stop := openRecoverable(t, dir, R, S)
+	if _, err := cl.InstallSnapshot(ctx, dump); err != nil {
+		t.Fatal(err)
+	}
+	draw := func(cl *srj.Client, seed uint64) []srj.Pair {
+		t.Helper()
+		res, err := cl.Bind(key).Draw(ctx, srj.Request{T: 30_000, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Pairs
+	}
+	before := [][]srj.Pair{draw(cl, 1), draw(cl, 42)}
+	stop()
+
+	cl2, _ := openRecoverable(t, dir, R, S)
+	stats, err := cl2.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Stores) != 1 {
+		t.Fatalf("%d stores after restart, want 1", len(stats.Stores))
+	}
+	if info := stats.Stores[0]; info.Generation != dump.Generation || info.LastAppliedID != dump.LastAppliedID {
+		t.Fatalf("reopened store at generation %d, update %d, want %d and %d",
+			info.Generation, info.LastAppliedID, dump.Generation, dump.LastAppliedID)
+	}
+	type pairID struct{ r, s int32 }
+	live := make(map[pairID]bool)
+	srj.Join(dump.R, dump.S, l, func(r, s srj.Point) bool {
+		live[pairID{r.ID, s.ID}] = true
+		return true
+	})
+	for i, seed := range []uint64{1, 42} {
+		after := draw(cl2, seed)
+		if !slices.Equal(after, before[i]) {
+			t.Fatalf("seed %d: the reopened store's draws differ from the installed store's", seed)
+		}
+		seen := make(map[pairID]bool)
+		for _, p := range after {
+			id := pairID{p.R.ID, p.S.ID}
+			if !live[id] {
+				t.Fatalf("seed %d: drew (%d, %d), not in the dump's live join", seed, p.R.ID, p.S.ID)
+			}
+			seen[id] = true
+		}
+		if len(seen) != len(live) {
+			t.Fatalf("seed %d: %d of the dump's %d live pairs drawn in %d samples", seed, len(seen), len(live), len(after))
+		}
+	}
+	if !live[pairID{4000, 4001}] {
+		t.Fatal("the inserted pair is not in the dump's live join")
 	}
 }

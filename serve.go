@@ -128,9 +128,10 @@ type ServerOptions struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// DataDir enables durability: every dynamic store writes ahead to
-	// a per-dataset log under this directory, compactions persist
-	// snapshots there, and NewServer recovers every dataset it finds
-	// (snapshot + log replay) instead of resurrecting the seed data.
+	// a per-dataset log under this directory and snapshots its live
+	// points there on an operation-count cadence, and NewServer
+	// recovers every dataset it finds (snapshot + log replay) instead
+	// of resurrecting the seed data.
 	// Empty means in-memory only — updates do not survive a restart.
 	DataDir string
 	// FsyncPolicy selects when log appends reach disk: "always" (the
@@ -215,29 +216,10 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 		if err := validateKey(key); err != nil {
 			return nil, err
 		}
-		so, err := storeOptions(key, o.MaxT)
-		if err != nil {
-			return nil, err
-		}
-		R, S, err := o.Datasets(key.Dataset)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", server.ErrBadKey, err)
-		}
-		st, err := NewStore(R, S, key.L, so)
-		if err != nil {
-			return nil, err
-		}
-		if mgr != nil {
-			// A brand-new key (recovered keys never reach the factory —
-			// they are adopted below before the server serves) gets a
-			// fresh dataset directory to write ahead into.
-			ds, err := mgr.Open(key)
-			if err != nil {
-				return nil, err
-			}
-			st.st.SetPersister(ds)
-		}
-		return st.st, nil
+		// A brand-new key (recovered keys never reach the factory —
+		// they are adopted below before the server serves) starts from
+		// the resolver's data with an empty log.
+		return newServerStore(&o, mgr, key, nil, nil, false)
 	})
 	build := func(ctx context.Context, key EngineKey) (*engine.Engine, error) {
 		if err := validateKey(key); err != nil {
@@ -273,7 +255,7 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			return nil, err
 		}
 		for _, key := range keys {
-			if err := recoverDataset(mgr, stores, key, &o); err != nil {
+			if err := recoverDataset(&o, mgr, stores, key); err != nil {
 				return nil, fmt.Errorf("srj: recovering %s from %s: %w", key, o.DataDir, err)
 			}
 		}
@@ -300,29 +282,13 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			return fmt.Errorf("%w: store for %s is live at update %d, cannot install at %d",
 				dynamic.ErrUpdateSequence, key, st.LastApplied(), dump.LastAppliedID)
 		}
-		so, err := storeOptions(key, o.MaxT)
+		st, err := newServerStore(&o, mgr, key, &wal.Snapshot{
+			Generation: dump.Generation, LastID: dump.LastAppliedID, R: dump.R, S: dump.S,
+		}, nil, true)
 		if err != nil {
 			return err
 		}
-		so.initialGeneration, so.initialLastApplied = dump.Generation, dump.LastAppliedID
-		st, err := NewStore(dump.R, dump.S, key.L, so)
-		if err != nil {
-			return err
-		}
-		if mgr != nil {
-			ds, err := mgr.Open(key)
-			if err != nil {
-				return err
-			}
-			// Persist the transferred base before taking writes: a
-			// crash after the install must recover to the installed
-			// state, not to seed data missing the donor's history.
-			if err := ds.Snapshot(dump.Generation, dump.LastAppliedID, dump.R, dump.S); err != nil {
-				return err
-			}
-			st.st.SetPersister(ds)
-		}
-		if err := stores.Adopt(key, st.st); err != nil {
+		if err := stores.Adopt(key, st); err != nil {
 			// A concurrent install (or first update) won the race;
 			// re-check whether what landed already covers this dump.
 			if live, ok := stores.Lookup(key); ok && live.LastApplied() >= dump.LastAppliedID {
@@ -352,35 +318,16 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 }
 
 // recoverDataset rebuilds one dynamic store from its persisted state:
-// base point sets from the newest snapshot (or the dataset resolver
-// when none was ever taken), generation and last-applied update ID
-// resumed past the snapshot's, then every logged update after the
-// snapshot replayed in ID order. The recovered store is adopted into
-// the stores map so the factory never rebuilds this key from seed.
-func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, key EngineKey, o *ServerOptions) error {
-	so, err := storeOptions(key, o.MaxT)
-	if err != nil {
-		return err
-	}
+// the newest snapshot as base (or the dataset resolver's data when
+// none was ever taken), with every logged update after it replayed in
+// ID order. The recovered store is adopted into the stores map so the
+// factory never rebuilds this key from seed.
+func recoverDataset(o *ServerOptions, mgr *wal.Manager, stores *dynamic.Stores, key EngineKey) error {
 	ds, err := mgr.Open(key)
 	if err != nil {
 		return err
 	}
 	snap, ok, err := ds.LoadSnapshot()
-	if err != nil {
-		return err
-	}
-	R, S := snap.R, snap.S
-	if !ok {
-		// No snapshot yet: the log holds every update since the seed
-		// base, so recovery starts from the same resolver data the
-		// original store was bulk-built over.
-		if R, S, err = o.Datasets(key.Dataset); err != nil {
-			return err
-		}
-	}
-	so.initialGeneration, so.initialLastApplied = snap.Generation, snap.LastID
-	st, err := NewStore(R, S, key.L, so)
 	if err != nil {
 		return err
 	}
@@ -391,36 +338,78 @@ func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, key EngineKey, o *
 	}); err != nil {
 		return err
 	}
-	if err := st.st.Replay(recs); err != nil {
+	base := &snap
+	if !ok {
+		base = nil
+	}
+	st, err := newServerStore(o, mgr, key, base, recs, false)
+	if err != nil {
 		return err
 	}
-	// The persister attaches after replay: replayed records must not
-	// be re-appended to the log they came from.
-	st.st.SetPersister(ds)
-	return stores.Adopt(key, st.st)
+	return stores.Adopt(key, st)
 }
 
-// storeOptions returns the options of key's dynamic store. Stores are
-// BBST-only — the other algorithms are the paper's static baselines —
-// so a key (already normalized) naming another algorithm is refused
-// with engine.ErrBadRequest before any store exists.
-func storeOptions(key EngineKey, maxT int) (*StoreOptions, error) {
+// newServerStore builds the dynamic store of one server key, whether
+// created by a first update, recovered at startup or installed by a
+// ring join: a bulk build over base, standing at its generation and
+// update ID (nil base: the resolver's data for key.Dataset at
+// generation 0), with recs replayed over it. With a DataDir (mgr
+// non-nil) it then opens the key's dataset log and attaches it as the
+// store's persister. It attaches after the replay, so replayed records
+// are not appended to the log they came from. With install set it
+// first writes base to the log as a snapshot, so a crash after the
+// install recovers the installed state, not seed data missing the
+// donor's history. Stores are BBST-only — the other algorithms are the
+// paper's static baselines — so a key naming another algorithm is
+// refused with engine.ErrBadRequest before any store or dataset
+// directory exists.
+func newServerStore(o *ServerOptions, mgr *wal.Manager, key EngineKey, base *wal.Snapshot, recs []dynamic.SeqUpdate, install bool) (*dynamic.Store, error) {
 	if key.Algorithm != string(BBST) {
 		return nil, fmt.Errorf("%w: dynamic stores support only algorithm %q, not %q",
 			engine.ErrBadRequest, BBST, key.Algorithm)
 	}
-	return &StoreOptions{Seed: key.Seed, MaxT: maxT}, nil
+	if base == nil {
+		R, S, err := o.Datasets(key.Dataset)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", server.ErrBadKey, err)
+		}
+		base = &wal.Snapshot{R: R, S: S}
+	}
+	cfg := storeConfig(key.L, StoreOptions{Seed: key.Seed, MaxT: o.MaxT})
+	cfg.InitialGeneration, cfg.InitialLastApplied = base.Generation, base.LastID
+	st, err := dynamic.NewStore(base.R, base.S, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Replay(recs); err != nil {
+		return nil, err
+	}
+	if mgr == nil {
+		return st, nil
+	}
+	ds, err := mgr.Open(key)
+	if err != nil {
+		return nil, err
+	}
+	if install {
+		if err := ds.Snapshot(base.Generation, base.LastID, base.R, base.S); err != nil {
+			return nil, err
+		}
+	}
+	st.SetPersister(ds)
+	return st, nil
 }
 
-// shutdownSnapshotTimeout bounds the shutdown snapshots of Close —
-// shutdown must terminate even when a disk is wedged.
-const shutdownSnapshotTimeout = 30 * time.Second
+// shutdownQuiesceTimeout bounds how long Close waits for in-flight
+// snapshots — shutdown must terminate even when a disk is wedged.
+const shutdownQuiesceTimeout = 30 * time.Second
 
-// Close releases the server's durability resources: every dynamic
-// store takes one final snapshot at its current state (so the next
-// start replays zero log records — snapshot-on-shutdown bounds
-// recovery time), then the write-ahead logs are synced and closed and
-// their background flushers stopped. A server without a DataDir has
+// Close releases the server's durability resources: it waits for
+// every dynamic store's in-flight background snapshot, then syncs and
+// closes the write-ahead logs and stops their background flushers. It
+// writes no snapshot of its own: a store's state is already durable as
+// its newest snapshot (or its seed data) plus the logged records past
+// it, which the next start replays. A server without a DataDir has
 // nothing to close. The HTTP handler itself holds no resources — stop
 // accepting requests before Close, or late updates fail their
 // write-ahead append.
@@ -428,12 +417,12 @@ func (s *Server) Close() error {
 	if s.wal == nil {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), shutdownSnapshotTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownQuiesceTimeout)
 	defer cancel()
 	var firstErr error
 	s.stores.Each(func(key EngineKey, st *dynamic.Store) {
-		if err := st.SnapshotNow(ctx); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("srj: snapshot on shutdown for %s: %w", key, err)
+		if err := st.Quiesce(ctx); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("srj: waiting for the snapshot of %s on shutdown: %w", key, err)
 		}
 	})
 	if err := s.wal.Close(); err != nil && firstErr == nil {

@@ -41,13 +41,6 @@ type StoreOptions struct {
 	// MaxT caps the samples one request may ask for (0 = unlimited),
 	// like Engine.SetMaxT.
 	MaxT int
-
-	// Recovery knobs, set by NewServer when it rebuilds a store from a
-	// snapshot: the generation and update ID the snapshot was taken at.
-	// Unexported on purpose — callers outside this package construct
-	// stores at generation 0 and recover through ServerOptions.DataDir.
-	initialGeneration  uint64
-	initialLastApplied uint64
 }
 
 // Store is a mutable join-sampling dataset: the fourth Source
@@ -70,24 +63,30 @@ func NewStore(R, S []Point, l float64, opts *StoreOptions) (*Store, error) {
 	if opts != nil {
 		o = *opts
 	}
+	st, err := dynamic.NewStore(R, S, storeConfig(l, o))
+	if err != nil {
+		return nil, err
+	}
+	return &Store{st: st}, nil
+}
+
+// storeConfig is the dynamic.Config of a BBST store over half-extent
+// l with options o, at generation 0 and without a persister: the
+// configuration of NewStore and of every server store
+// (newServerStore).
+func storeConfig(l float64, o StoreOptions) dynamic.Config {
 	cfg := core.Config{
 		HalfExtent: l,
 		Seed:       o.Seed,
 		MaxRejects: o.MaxRejects,
 	}
-	st, err := dynamic.NewStore(R, S, dynamic.Config{
+	return dynamic.Config{
 		BuildBase: func(R, S []Point) (*core.BBSTSampler, error) {
 			return core.NewBBST(R, S, cfg)
 		},
-		Seed:               o.Seed,
-		MaxT:               o.MaxT,
-		InitialGeneration:  o.initialGeneration,
-		InitialLastApplied: o.initialLastApplied,
-	})
-	if err != nil {
-		return nil, err
+		Seed: o.Seed,
+		MaxT: o.MaxT,
 	}
-	return &Store{st: st}, nil
 }
 
 // Apply absorbs one batch of mutations and returns the new dataset
