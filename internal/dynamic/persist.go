@@ -42,6 +42,19 @@ type Persister interface {
 	PersistStats() PersistStats
 }
 
+// Snapshot is one store state: the live point sets R and S after every
+// update through LastID, served at Generation. It is what Store.Dump
+// returns, what a ring join installs (Stores.Install), what recovery
+// loads from a dataset's newest snapshot file, and the base a
+// StoreFactory builds over. The JSON names are the state fields of the
+// /v1/snapshot/dump and /v1/snapshot/install bodies.
+type Snapshot struct {
+	Generation uint64       `json:"generation"`
+	LastID     uint64       `json:"last_applied_update_id"`
+	R          []geom.Point `json:"r"`
+	S          []geom.Point `json:"s"`
+}
+
 // PersistStats is the observable state of a store's persister,
 // surfaced on /v1/stats and /metrics.
 type PersistStats struct {

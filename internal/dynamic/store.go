@@ -562,18 +562,18 @@ func (st *Store) PersistErrors() uint64 { return st.persistErrs.Load() }
 // Dump snapshots the store's complete logical state: the current
 // generation, the last applied update ID, and the live point sets at
 // that moment. The returned slices must not be mutated. This is the
-// donor half of router state transfer: a store constructed from
-// (R, S) at (gen, lastID) and fed the sequenced updates after lastID
+// donor half of router state transfer: a store built over the dump
+// (Stores.Install) and fed the sequenced updates after its LastID
 // converges on this store's *logical* state — the same live points and
 // sequence position. Byte-level draw identity is a stronger property
 // that holds only between stores sharing the same build history (base
 // build plus the same in-place applies in the same order); a store
 // bulk-built from a flattened dump serves correct draws, not
 // necessarily this store's draws.
-func (st *Store) Dump() (gen, lastID uint64, R, S []geom.Point) {
+func (st *Store) Dump() Snapshot {
 	v := st.view.Load()
-	R, S = v.points()
-	return v.gen, v.lastID, R, S
+	R, S := v.points()
+	return Snapshot{Generation: v.gen, LastID: v.lastID, R: R, S: S}
 }
 
 // Quiesce waits for the in-flight background snapshot, if any —

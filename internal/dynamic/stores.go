@@ -11,18 +11,22 @@ import (
 	"repro/internal/registry"
 )
 
-// StoreFactory builds the store for one engine key: resolve the
-// dataset, bulk-build the base, return the store. Invoked at most once
-// per key per residency, outside the Stores map lock (builds are
-// slow). Key problems should wrap server.ErrBadKey so handlers answer
-// 400.
-type StoreFactory func(ctx context.Context, key registry.Key) (*Store, error)
+// StoreFactory builds the store for one engine key over base: the
+// given state at its generation and update ID when base is non-nil (a
+// ring join's install), otherwise the key's own state (the host's
+// persisted history, or the dataset's seed data at generation 0). It
+// is the one way a store enters a Stores map: invoked at most once per
+// key per residency, outside the map lock (builds are slow). Key
+// problems should wrap server.ErrBadKey so handlers answer 400.
+type StoreFactory func(ctx context.Context, key registry.Key, base *Snapshot) (*Store, error)
 
 // Stores tracks the mutable stores of one serving process, keyed by
-// engine key. A store springs into existence on the first update
-// addressed to its key; sampling for keys without a store keeps using
-// the static engine path, so a server that never sees an update serves
-// exactly as before this package existed.
+// engine key. A store enters the map through Open (a first update, or
+// recovery at startup) or Install (a ring join's state transfer); both
+// coalesce onto one factory build per key, so a key never has two
+// stores. Sampling for keys without a store keeps using the static
+// engine path, so a server that never sees an update serves exactly as
+// before this package existed.
 type Stores struct {
 	factory StoreFactory
 
@@ -63,13 +67,39 @@ func (s *Stores) Lookup(key registry.Key) (*Store, bool) {
 	return st, st != nil
 }
 
-// get returns key's store, creating it through the factory on first
-// use. The factory runs in its own goroutine on a context detached
-// from the caller that happened to trigger it — like the registry's
-// builds, ctx cancels the *wait*, never a bulk build other callers
-// (and the map) will share. Failed creations are forgotten so the
-// next update retries.
-func (s *Stores) get(ctx context.Context, key registry.Key) (*Store, error) {
+// Open returns key's store, building it through the factory (with no
+// base) on first use.
+func (s *Stores) Open(ctx context.Context, key registry.Key) (*Store, error) {
+	st, _, err := s.open(ctx, key, nil)
+	return st, err
+}
+
+// Install builds key's store over snap — a ring join's transferred
+// state — unless key already has a store, built or in flight. Then it
+// never builds: it waits for that store and acknowledges when the
+// store's last applied update ID covers snap's, and refuses with
+// ErrUpdateSequence otherwise (the store owns its sequence; the gap is
+// the sequenced-update path's to fill). It returns the store that
+// serves key.
+func (s *Stores) Install(ctx context.Context, key registry.Key, snap Snapshot) (*Store, error) {
+	st, built, err := s.open(ctx, key, &snap)
+	if err != nil || built {
+		return st, err
+	}
+	if last := st.LastApplied(); last < snap.LastID {
+		return nil, fmt.Errorf("%w: store for %s is live at update %d, cannot install at %d",
+			ErrUpdateSequence, key, last, snap.LastID)
+	}
+	return st, nil
+}
+
+// open returns key's store, creating it through the factory over base
+// when key has no entry; built reports that this call created it. The
+// factory runs in its own goroutine on a context detached from the
+// caller that happened to trigger it — like the registry's builds, ctx
+// cancels the *wait*, never a bulk build other callers (and the map)
+// will share. Failed creations are forgotten so the next call retries.
+func (s *Stores) open(ctx context.Context, key registry.Key, base *Snapshot) (st *Store, built bool, err error) {
 	s.mu.Lock()
 	e, ok := s.m[key]
 	if !ok {
@@ -77,7 +107,7 @@ func (s *Stores) get(ctx context.Context, key registry.Key) (*Store, error) {
 		s.m[key] = e
 		buildCtx := context.WithoutCancel(ctx)
 		go func() {
-			st, err := s.factory(buildCtx, key)
+			st, err := s.factory(buildCtx, key, base)
 			if err != nil {
 				e.err = err
 			} else {
@@ -97,11 +127,11 @@ func (s *Stores) get(ctx context.Context, key registry.Key) (*Store, error) {
 	select {
 	case <-e.done:
 		if e.err != nil {
-			return nil, e.err
+			return nil, !ok, e.err
 		}
-		return e.st.Load(), nil
+		return e.st.Load(), !ok, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, !ok, ctx.Err()
 	}
 }
 
@@ -115,33 +145,11 @@ func (s *Stores) Apply(ctx context.Context, key registry.Key, u Update) (uint64,
 // ApplyAt routes one sequenced update batch (see Store.ApplyAt) to
 // key's store, creating the store on first use.
 func (s *Stores) ApplyAt(ctx context.Context, key registry.Key, id uint64, u Update) (ApplyResult, error) {
-	st, err := s.get(ctx, key)
+	st, err := s.Open(ctx, key)
 	if err != nil {
 		return ApplyResult{}, err
 	}
 	return st.ApplyAt(ctx, id, u)
-}
-
-// Adopt publishes an externally-built store for key — the recovery
-// path hands over stores it restored from snapshot + log replay, so
-// the first update (or stats scrape) sees the recovered state instead
-// of triggering the factory's cold build. Adopting over a key that
-// already has a store (or one mid-creation) is refused: two stores
-// for one key would fork the generation sequence.
-func (s *Stores) Adopt(key registry.Key, st *Store) error {
-	if st == nil {
-		return fmt.Errorf("dynamic: Adopt called with a nil store")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; ok {
-		return fmt.Errorf("dynamic: store for %s already exists", key)
-	}
-	e := &storeEntry{done: make(chan struct{})}
-	e.st.Store(st)
-	close(e.done)
-	s.m[key] = e
-	return nil
 }
 
 // StoreInfo is the observable state of one live store, served on

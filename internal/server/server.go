@@ -19,7 +19,7 @@
 //	                     clean up with this)
 //	POST   /v1/snapshot/dump    — one dataset's complete store state
 //	                              (router state transfer, donor side)
-//	POST   /v1/snapshot/install — adopt a transferred store state
+//	POST   /v1/snapshot/install — install a transferred store state
 //	                              (router state transfer, recipient)
 //	GET    /healthz    — liveness; 503 when a store's persister fails
 //
@@ -79,20 +79,12 @@ type Config struct {
 	// Registry resolves keys without a store to static engines.
 	// Required.
 	Registry *registry.Registry
-	// Stores resolves keys to dynamic stores for POST /v1/update and
-	// for sampling, which draws from a store's current view whenever
-	// the key has one. nil disables updates (POST /v1/update answers
-	// 501) and serves every dataset statically.
+	// Stores resolves keys to dynamic stores for POST /v1/update, for
+	// a ring join's POST /v1/snapshot/dump and /v1/snapshot/install
+	// (Stores.Install), and for sampling, which draws from a store's
+	// current view whenever the key has one. nil disables updates (all
+	// three endpoints answer 501) and serves every dataset statically.
 	Stores *dynamic.Stores
-	// InstallStore adopts a transferred store state (POST
-	// /v1/snapshot/install): construct a store at the dump's
-	// generation and last-applied ID and register it for the key. The
-	// host process wires it (srj.NewServer does) because store
-	// construction, WAL attachment, and engine eviction live above
-	// this package. nil answers 501. Installing state the server
-	// already holds at the same or a newer last-applied ID must
-	// succeed idempotently.
-	InstallStore func(ctx context.Context, dump SnapshotDump) error
 	// MaxT caps the samples one request may ask for (default
 	// DefaultMaxT). Binary responses stream in constant memory, so
 	// this cap is about sampling work, not response size.

@@ -16,25 +16,22 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/geom"
+	"repro/internal/dynamic"
 	"repro/internal/registry"
 )
 
 // SnapshotDump is one dataset's complete dynamic-store state: the
 // body of a /v1/snapshot/dump response and a /v1/snapshot/install
-// request.
+// request. The embedded state's generation and last-applied update ID
+// seat the installed store in the dataset's version history and the
+// router's update sequence; its R and S are the live point sets at
+// that generation.
 type SnapshotDump struct {
 	Dataset   string  `json:"dataset"`
 	L         float64 `json:"l"`
 	Algorithm string  `json:"algorithm,omitempty"`
 	Seed      uint64  `json:"seed,omitempty"`
-	// Generation and LastAppliedID seat the installed store in the
-	// dataset's version history and the router's update sequence.
-	Generation    uint64 `json:"generation"`
-	LastAppliedID uint64 `json:"last_applied_update_id"`
-	// R and S are the live point sets at that generation.
-	R []geom.Point `json:"r"`
-	S []geom.Point `json:"s"`
+	dynamic.Snapshot
 }
 
 // Key returns the registry key the dump addresses.
@@ -77,30 +74,26 @@ func (s *Server) handleSnapshotDump(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, CodeBadKey, "no dynamic store for %s", req.Key())
 		return
 	}
-	gen, lastID, rpts, spts := st.Dump()
 	key := req.Key()
 	w.Header().Set("Content-Type", "application/json")
 	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.cfg.Timeout))
 	json.NewEncoder(w).Encode(SnapshotDump{
-		Dataset:       key.Dataset,
-		L:             key.L,
-		Algorithm:     key.Algorithm,
-		Seed:          key.Seed,
-		Generation:    gen,
-		LastAppliedID: lastID,
-		R:             rpts,
-		S:             spts,
+		Dataset:   key.Dataset,
+		L:         key.L,
+		Algorithm: key.Algorithm,
+		Seed:      key.Seed,
+		Snapshot:  st.Dump(),
 	})
 }
 
-// handleSnapshotInstall adopts a transferred store. The actual
-// construction is the host process's business (the store factory, WAL
-// attachment, and engine eviction live above this package), so the
-// work happens in Config.InstallStore; a server wired without it
-// answers 501.
+// handleSnapshotInstall builds a store over a transferred state
+// (Stores.Install), or acknowledges one the key's store already
+// covers, and answers with the generation and last-applied update ID
+// of the store that serves the key — which may be further along than
+// the dump.
 func (s *Server) handleSnapshotInstall(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.InstallStore == nil {
-		WriteError(w, http.StatusNotImplemented, CodeBadRequest, "snapshot install is not wired on this server")
+	if s.cfg.Stores == nil {
+		WriteError(w, http.StatusNotImplemented, CodeBadRequest, "dynamic updates are disabled on this server")
 		return
 	}
 	var dump SnapshotDump
@@ -116,14 +109,18 @@ func (s *Server) handleSnapshotInstall(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	if err := s.cfg.InstallStore(ctx, dump); err != nil {
+	st, err := s.cfg.Stores.Install(ctx, dump.Key(), dump.Snapshot)
+	if err != nil {
 		WriteError(w, StatusFor(err), CodeFor(err), "installing %s: %v", dump.Key(), err)
 		return
 	}
+	// The store serves the key from now on; drop the static engine
+	// it replaces, as handleUpdate does.
+	s.cfg.Registry.Evict(dump.Key())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(SnapshotInstallResponse{
-		Generation:    dump.Generation,
-		LastAppliedID: dump.LastAppliedID,
+		Generation:    st.Generation(),
+		LastAppliedID: st.LastApplied(),
 	})
 }
 

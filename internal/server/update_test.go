@@ -36,7 +36,7 @@ func newUpdatableStack(t *testing.T, maxT int) (*Client, *registry.Registry, *dy
 		},
 		maxT: maxT,
 	}
-	stores := dynamic.NewStores(func(ctx context.Context, key registry.Key) (*dynamic.Store, error) {
+	stores := dynamic.NewStores(func(ctx context.Context, key registry.Key, _ *dynamic.Snapshot) (*dynamic.Store, error) {
 		rs, ok := te.data[key.Dataset]
 		if !ok {
 			return nil, errors.Join(ErrBadKey, errors.New("unknown dataset "+key.Dataset))

@@ -79,14 +79,6 @@ func (m meta) key() registry.Key {
 	return registry.Key{Dataset: m.Dataset, L: m.L, Algorithm: server.NormalizeAlgorithm(m.Algorithm), Seed: m.Seed}
 }
 
-// Snapshot is one recovered point-set snapshot: the materialized base
-// sides as of LastID, served at Generation when it was taken.
-type Snapshot struct {
-	Generation uint64
-	LastID     uint64
-	R, S       []geom.Point
-}
-
 // Dataset is the durability unit of one engine key: its meta record,
 // segment log, and snapshots, in one directory. It implements
 // dynamic.Persister. All methods are safe for concurrent use.
@@ -139,6 +131,7 @@ func openDataset(dir string, key registry.Key, opts Options) (*Dataset, error) {
 	d := &Dataset{dir: dir, key: key, hash: hash, log: log}
 	if id, _, err := d.newestSnapshotLocked(); err == nil {
 		d.lastSnapID = id
+		log.skipTo(id)
 	}
 	return d, nil
 }
@@ -214,6 +207,7 @@ func (d *Dataset) Snapshot(gen, lastID uint64, R, S []geom.Point) error {
 	}
 	d.snapshots++
 	d.lastSnapID = lastID
+	d.log.skipTo(lastID)
 	// Best effort from here: the snapshot is durable; stale files just
 	// occupy space until the next snapshot retries the cleanup.
 	d.pruneSnapshotsLocked(lastID)
@@ -284,51 +278,51 @@ func (d *Dataset) newestSnapshotLocked() (uint64, string, error) {
 // LoadSnapshot reads the newest snapshot. ok is false when none
 // exists; a snapshot that fails validation is an error (recovery must
 // refuse, not silently fall back past pruned log records).
-func (d *Dataset) LoadSnapshot() (snap Snapshot, ok bool, err error) {
+func (d *Dataset) LoadSnapshot() (snap dynamic.Snapshot, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	_, name, err := d.newestSnapshotLocked()
 	if errors.Is(err, os.ErrNotExist) {
-		return Snapshot{}, false, nil
+		return dynamic.Snapshot{}, false, nil
 	}
 	if err != nil {
-		return Snapshot{}, false, err
+		return dynamic.Snapshot{}, false, err
 	}
 	raw, err := os.ReadFile(filepath.Join(d.dir, name))
 	if err != nil {
-		return Snapshot{}, false, err
+		return dynamic.Snapshot{}, false, err
 	}
 	snap, err = decodeSnapshot(raw, d.hash)
 	if err != nil {
-		return Snapshot{}, false, fmt.Errorf("%s: %w", name, err)
+		return dynamic.Snapshot{}, false, fmt.Errorf("%s: %w", name, err)
 	}
 	return snap, true, nil
 }
 
-func decodeSnapshot(raw []byte, wantHash uint64) (Snapshot, error) {
+func decodeSnapshot(raw []byte, wantHash uint64) (dynamic.Snapshot, error) {
 	if len(raw) < snapHeaderLen+4 {
-		return Snapshot{}, fmt.Errorf("%w: snapshot truncated (%d bytes)", ErrCorrupt, len(raw))
+		return dynamic.Snapshot{}, fmt.Errorf("%w: snapshot truncated (%d bytes)", ErrCorrupt, len(raw))
 	}
 	if m := binary.LittleEndian.Uint32(raw[:4]); m != snapMagic {
-		return Snapshot{}, fmt.Errorf("%w: bad snapshot magic %#x", ErrCorrupt, m)
+		return dynamic.Snapshot{}, fmt.Errorf("%w: bad snapshot magic %#x", ErrCorrupt, m)
 	}
 	if v := raw[4]; v != snapVersion {
-		return Snapshot{}, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorrupt, v)
+		return dynamic.Snapshot{}, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorrupt, v)
 	}
 	if h := binary.LittleEndian.Uint64(raw[5:13]); h != wantHash {
-		return Snapshot{}, fmt.Errorf("%w: snapshot key hash %#x (want %#x)", ErrKeyMismatch, h, wantHash)
+		return dynamic.Snapshot{}, fmt.Errorf("%w: snapshot key hash %#x (want %#x)", ErrKeyMismatch, h, wantHash)
 	}
 	body, crcRaw := raw[:len(raw)-4], raw[len(raw)-4:]
 	if sum := crc32.Checksum(body, castagnoli); sum != binary.LittleEndian.Uint32(crcRaw) {
-		return Snapshot{}, fmt.Errorf("%w: snapshot CRC mismatch", ErrCorrupt)
+		return dynamic.Snapshot{}, fmt.Errorf("%w: snapshot CRC mismatch", ErrCorrupt)
 	}
 	nR := binary.LittleEndian.Uint32(raw[29:33])
 	nS := binary.LittleEndian.Uint32(raw[33:37])
 	if nR > maxSnapshotPoints || nS > maxSnapshotPoints ||
 		int64(len(body)) != int64(snapHeaderLen)+geom.PointBytes*(int64(nR)+int64(nS)) {
-		return Snapshot{}, fmt.Errorf("%w: snapshot size does not match point counts", ErrCorrupt)
+		return dynamic.Snapshot{}, fmt.Errorf("%w: snapshot size does not match point counts", ErrCorrupt)
 	}
-	snap := Snapshot{
+	snap := dynamic.Snapshot{
 		Generation: binary.LittleEndian.Uint64(raw[13:21]),
 		LastID:     binary.LittleEndian.Uint64(raw[21:29]),
 		R:          decodePoints(raw[snapHeaderLen:], int(nR)),
@@ -466,6 +460,16 @@ func (m *Manager) Open(key registry.Key) (*Dataset, error) {
 	}
 	m.open[dir] = d
 	return d, nil
+}
+
+// Exists reports whether key has a dataset directory (its meta
+// record) under the data dir. Unlike Open it creates nothing.
+func (m *Manager) Exists(key registry.Key) (bool, error) {
+	_, err := os.Stat(filepath.Join(m.dirFor(key), metaName))
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // Keys enumerates the datasets persisted under the data dir (from

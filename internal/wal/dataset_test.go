@@ -181,6 +181,44 @@ func TestDatasetSnapshotRoundtripAndPrune(t *testing.T) {
 	}
 }
 
+// TestDatasetSnapshotOnEmptyLogSeatsSequence: a snapshot written to a
+// dataset whose log holds nothing (an installed state at update 5)
+// makes the next append ID 6, before and after a reopen, and replay
+// past the snapshot yields only the records appended after it.
+func TestDatasetSnapshotOnEmptyLogSeatsSequence(t *testing.T) {
+	R := []geom.Point{{ID: 1, X: 1, Y: 2}}
+	S := []geom.Point{{ID: 7, X: -1, Y: -2}}
+	for _, reopen := range []bool{false, true} {
+		dir := t.TempDir()
+		d := openTestDataset(t, dir, Options{})
+		if err := d.Snapshot(5, 5, R, S); err != nil {
+			t.Fatal(err)
+		}
+		if reopen {
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d = openTestDataset(t, dir, Options{})
+		}
+		if err := d.Append(6, scriptUpdate(6)); err != nil {
+			t.Fatalf("reopen %v: append after the snapshot: %v", reopen, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var ids []uint64
+		if err := openTestDataset(t, dir, Options{}).Replay(5, func(id uint64, u dynamic.Update) error {
+			ids = append(ids, id)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != 1 || ids[0] != 6 {
+			t.Fatalf("reopen %v: replay past the snapshot yields IDs %v, want [6]", reopen, ids)
+		}
+	}
+}
+
 func TestDatasetCorruptSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDataset(t, dir, Options{})

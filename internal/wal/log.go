@@ -513,6 +513,17 @@ func (l *Log) Prune(upTo uint64) error {
 	return nil
 }
 
+// skipTo moves an empty log's next append to id+1: the history through
+// id lives in a snapshot the log never held (an installed state). A
+// log holding a segment keeps its own sequence.
+func (l *Log) skipTo(id uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.segs) == 0 && id > l.lastID {
+		l.lastID = id
+	}
+}
+
 // LastID reports the last appended (or recovered) record ID.
 func (l *Log) LastID() uint64 {
 	l.mu.Lock()

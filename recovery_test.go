@@ -5,17 +5,24 @@ package srj_test
 // write-ahead log acknowledged — deletes stay deleted, inserts stay
 // present, the update sequence resumes where it stopped — both on the
 // pure log-replay path and on the snapshot-plus-tail path the
-// snapshot cadence leaves behind.
+// snapshot cadence leaves behind. A ring join's install persists only
+// the store it builds: one that meets the key's live or in-flight
+// store writes nothing, and the restart recovers the store that won.
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	srj "repro"
+	"repro/internal/server"
 	"repro/srjtest"
 )
 
@@ -25,12 +32,18 @@ import (
 // the directory can be reopened.
 func openRecoverable(t *testing.T, dir string, R, S []srj.Point) (*srj.Client, func()) {
 	t.Helper()
+	return openDurable(t, dir, func(name string) ([]srj.Point, []srj.Point, error) {
+		return R, S, nil
+	})
+}
+
+// openDurable is openRecoverable with a resolver of the test's own.
+func openDurable(t *testing.T, dir string, resolve func(name string) ([]srj.Point, []srj.Point, error)) (*srj.Client, func()) {
+	t.Helper()
 	srv, err := srj.NewServer(&srj.ServerOptions{
-		Datasets: func(name string) ([]srj.Point, []srj.Point, error) {
-			return R, S, nil
-		},
-		MaxT:    200_000,
-		DataDir: dir,
+		Datasets: resolve,
+		MaxT:     200_000,
+		DataDir:  dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,8 +333,8 @@ func TestServerInstalledStoreSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dump.Generation != 2 || dump.LastAppliedID != 2 {
-		t.Fatalf("dump at generation %d, update %d, want 2 and 2", dump.Generation, dump.LastAppliedID)
+	if dump.Generation != 2 || dump.LastID != 2 {
+		t.Fatalf("dump at generation %d, update %d, want 2 and 2", dump.Generation, dump.LastID)
 	}
 
 	dir := t.TempDir()
@@ -348,9 +361,9 @@ func TestServerInstalledStoreSurvivesRestart(t *testing.T) {
 	if len(stats.Stores) != 1 {
 		t.Fatalf("%d stores after restart, want 1", len(stats.Stores))
 	}
-	if info := stats.Stores[0]; info.Generation != dump.Generation || info.LastAppliedID != dump.LastAppliedID {
+	if info := stats.Stores[0]; info.Generation != dump.Generation || info.LastAppliedID != dump.LastID {
 		t.Fatalf("reopened store at generation %d, update %d, want %d and %d",
-			info.Generation, info.LastAppliedID, dump.Generation, dump.LastAppliedID)
+			info.Generation, info.LastAppliedID, dump.Generation, dump.LastID)
 	}
 	type pairID struct{ r, s int32 }
 	live := make(map[pairID]bool)
@@ -377,5 +390,218 @@ func TestServerInstalledStoreSurvivesRestart(t *testing.T) {
 	}
 	if !live[pairID{4000, 4001}] {
 		t.Fatal("the inserted pair is not in the dump's live join")
+	}
+}
+
+// joinPair names one join pair by its point IDs.
+type joinPair struct{ r, s int32 }
+
+// liveJoin enumerates the join of R and S within l.
+func liveJoin(R, S []srj.Point, l float64) map[joinPair]bool {
+	live := make(map[joinPair]bool)
+	srj.Join(R, S, l, func(r, s srj.Point) bool {
+		live[joinPair{r.ID, s.ID}] = true
+		return true
+	})
+	return live
+}
+
+// dumpAt applies updates to key on a fresh in-memory donor and returns
+// its dump.
+func dumpAt(t *testing.T, key srj.EngineKey, R, S []srj.Point, updates []srj.Update) server.SnapshotDump {
+	t.Helper()
+	ctx := context.Background()
+	donor, _ := openRecoverable(t, t.TempDir(), R, S)
+	for _, u := range updates {
+		if _, err := donor.Bind(key).Apply(ctx, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump, err := donor.DumpSnapshot(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := uint64(len(updates)); dump.Generation != n || dump.LastID != n {
+		t.Fatalf("dump at generation %d, update %d, want %d and %d", dump.Generation, dump.LastID, n, n)
+	}
+	return dump
+}
+
+// donorUpdates are three updates no test applies to the recipient.
+var donorUpdates = []srj.Update{
+	{InsertR: []srj.Point{{ID: 5000, X: 9500, Y: 9500}}, InsertS: []srj.Point{{ID: 5001, X: 9501, Y: 9501}}},
+	{InsertS: []srj.Point{{ID: 5002, X: 9499, Y: 9500}}},
+	{InsertR: []srj.Point{{ID: 5003, X: 9500, Y: 9499}}},
+}
+
+// TestServerInstallRacingFirstUpdateIsNotPersisted: a ring join's
+// install that arrives while a first update is still building the
+// key's store waits for that store instead of building its own. The
+// store does not cover the dump's update ID, so the install is refused
+// with 409 update_sequence and writes no snapshot: after a restart the
+// key serves the acknowledged update, not the refused dump.
+func TestServerInstallRacingFirstUpdateIsNotPersisted(t *testing.T) {
+	R, S, l := srjtest.Data()
+	key := srj.EngineKey{Dataset: "conf", L: l, Algorithm: "bbst", Seed: 7}
+	ctx := context.Background()
+	dump := dumpAt(t, key, R, S, donorUpdates)
+
+	dir := t.TempDir()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	cl, stop := openDurable(t, dir, func(name string) ([]srj.Point, []srj.Point, error) {
+		once.Do(func() { close(entered) })
+		<-release
+		return R, S, nil
+	})
+
+	insert := srj.Update{InsertR: []srj.Point{{ID: 4000, X: 9000, Y: 9000}}, InsertS: []srj.Point{{ID: 4001, X: 9001, Y: 9001}}}
+	applied := make(chan error, 1)
+	go func() {
+		_, err := cl.Bind(key).Apply(ctx, insert)
+		applied <- err
+	}()
+	<-entered
+	installed := make(chan error, 1)
+	go func() {
+		_, err := cl.InstallSnapshot(ctx, dump)
+		installed <- err
+	}()
+	select {
+	case err := <-installed:
+		close(release)
+		t.Fatalf("install answered (%v) while the key's first store build was in flight", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *srj.APIError
+	if err := <-installed; !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict || apiErr.Code != "update_sequence" {
+		t.Fatalf("install over a store at update 1: %v, want 409 update_sequence", err)
+	}
+	if snaps, err := filepath.Glob(filepath.Join(dir, "*", "snap-*.srs")); err != nil || len(snaps) != 0 {
+		t.Fatalf("snapshots after the refused install: %v (%v), want none", snaps, err)
+	}
+	if got := lastApplied(t, cl, key); got != 1 {
+		t.Fatalf("last applied %d before restart, want 1", got)
+	}
+	stop()
+
+	cl2, _ := openRecoverable(t, dir, R, S)
+	if got := lastApplied(t, cl2, key); got != 1 {
+		t.Fatalf("last applied %d after restart, want 1", got)
+	}
+	live := liveJoin(append(slices.Clone(R), insert.InsertR...), append(slices.Clone(S), insert.InsertS...), l)
+	res, err := cl2.Bind(key).Draw(ctx, srj.Request{T: 30_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[joinPair]bool)
+	for _, p := range res.Pairs {
+		id := joinPair{p.R.ID, p.S.ID}
+		if !live[id] {
+			t.Fatalf("drew (%d, %d), not in the seed-plus-update live join", p.R.ID, p.S.ID)
+		}
+		seen[id] = true
+	}
+	if len(seen) != len(live) {
+		t.Fatalf("%d of the %d live pairs drawn in %d samples", len(seen), len(live), len(res.Pairs))
+	}
+}
+
+// TestServerInstallAnswersStoreState: an install the key's store
+// already covers is acknowledged with the store's own generation and
+// last applied update ID, not the dump's.
+func TestServerInstallAnswersStoreState(t *testing.T) {
+	R, S, l := srjtest.Data()
+	key := srj.EngineKey{Dataset: "conf", L: l, Algorithm: "bbst", Seed: 7}
+	ctx := context.Background()
+	dump := dumpAt(t, key, R, S, donorUpdates[:2])
+	cl, _ := openRecoverable(t, t.TempDir(), R, S)
+	for i := 0; i < 4; i++ {
+		if _, err := cl.Bind(key).Apply(ctx, srj.Update{DeleteR: []int32{R[i].ID}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := cl.InstallSnapshot(ctx, dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Generation != 4 || resp.LastAppliedID != 4 {
+		t.Fatalf("install of a dump at update 2 answered generation %d, update %d; the store is at 4 and 4",
+			resp.Generation, resp.LastAppliedID)
+	}
+}
+
+// TestServerInstallConcurrentDumpsBuildOnce: two concurrent installs of
+// one dump on an empty durable server both succeed through one build,
+// which writes the one snapshot.
+func TestServerInstallConcurrentDumpsBuildOnce(t *testing.T) {
+	R, S, l := srjtest.Data()
+	key := srj.EngineKey{Dataset: "conf", L: l, Algorithm: "bbst", Seed: 7}
+	ctx := context.Background()
+	dump := dumpAt(t, key, R, S, donorUpdates)
+	cl, _ := openRecoverable(t, t.TempDir(), R, S)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := cl.InstallSnapshot(ctx, dump)
+			if err == nil && resp.LastAppliedID != dump.LastID {
+				err = fmt.Errorf("answered update %d, want %d", resp.LastAppliedID, dump.LastID)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("install %d: %v", i, err)
+		}
+	}
+	stats, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Stores) != 1 {
+		t.Fatalf("%d stores, want 1", len(stats.Stores))
+	}
+	if info := stats.Stores[0]; info.WALSnapshots != 1 || info.LastAppliedID != dump.LastID {
+		t.Fatalf("store with %d snapshots at update %d, want 1 at %d", info.WALSnapshots, info.LastAppliedID, dump.LastID)
+	}
+}
+
+// TestServerInstalledStoreTakesUpdates: a durable store installed at
+// update 3 appends the next update at ID 4, whether the update comes
+// right after the install or after a restart that recovered the
+// installed state with an empty log, and the update survives the next
+// restart.
+func TestServerInstalledStoreTakesUpdates(t *testing.T) {
+	R, S, l := srjtest.Data()
+	key := srj.EngineKey{Dataset: "conf", L: l, Algorithm: "bbst", Seed: 7}
+	ctx := context.Background()
+	dump := dumpAt(t, key, R, S, donorUpdates)
+	for _, restartFirst := range []bool{false, true} {
+		dir := t.TempDir()
+		cl, stop := openRecoverable(t, dir, R, S)
+		if _, err := cl.InstallSnapshot(ctx, dump); err != nil {
+			t.Fatal(err)
+		}
+		if restartFirst {
+			stop()
+			cl, stop = openRecoverable(t, dir, R, S)
+		}
+		if _, err := cl.Bind(key).Apply(ctx, srj.Update{DeleteR: []int32{5003}}); err != nil {
+			t.Fatalf("restart first %v: update after the install: %v", restartFirst, err)
+		}
+		stop()
+		cl, _ = openRecoverable(t, dir, R, S)
+		if got := lastApplied(t, cl, key); got != 4 {
+			t.Fatalf("restart first %v: last applied %d after restart, want 4", restartFirst, got)
+		}
 	}
 }

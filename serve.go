@@ -131,7 +131,12 @@ type ServerOptions struct {
 	// a per-dataset log under this directory and snapshots its live
 	// points there on an operation-count cadence, and NewServer
 	// recovers every dataset it finds (snapshot + log replay) instead
-	// of resurrecting the seed data.
+	// of resurrecting the seed data. A ring join's install (POST
+	// /v1/snapshot/install) writes the transferred state as a snapshot
+	// only when it builds the key's store; an install that meets a
+	// live or in-flight store for its key writes nothing: the store
+	// acknowledges it when it already covers the dump's update ID, and
+	// it is refused (409) otherwise.
 	// Empty means in-memory only — updates do not survive a restart.
 	DataDir string
 	// FsyncPolicy selects when log appends reach disk: "always" (the
@@ -207,19 +212,17 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 		}
 		return nil
 	}
-	// Mutable datasets: a dynamic store springs into existence on the
-	// first POST /v1/update addressed to its key, bulk-built from the
-	// same resolver the static engines use; sampling then draws from
-	// the store's current view, and the registry keeps caching only
-	// the static engines of keys without a store.
-	stores := dynamic.NewStores(func(ctx context.Context, key EngineKey) (*dynamic.Store, error) {
+	// Mutable datasets: every dynamic store — created by the first POST
+	// /v1/update addressed to its key, recovered at startup or installed
+	// by a ring join — is built here, coalesced per key by the store map;
+	// sampling then draws from the store's current view, and the
+	// registry keeps caching only the static engines of keys without a
+	// store.
+	stores := dynamic.NewStores(func(ctx context.Context, key EngineKey, install *dynamic.Snapshot) (*dynamic.Store, error) {
 		if err := validateKey(key); err != nil {
 			return nil, err
 		}
-		// A brand-new key (recovered keys never reach the factory —
-		// they are adopted below before the server serves) starts from
-		// the resolver's data with an empty log.
-		return newServerStore(&o, mgr, key, nil, nil, false)
+		return newServerStore(&o, mgr, key, install)
 	})
 	build := func(ctx context.Context, key EngineKey) (*engine.Engine, error) {
 		if err := validateKey(key); err != nil {
@@ -244,72 +247,30 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 	// budget up front and the cached engines share what is left.
 	reg.Reserve(stores.SizeBytes)
 	if mgr != nil {
-		// Recovery: every dataset a previous process persisted comes
-		// back as snapshot base + log replay — not the seed data — and
-		// is adopted into the store map before the server serves its
-		// first request. Any damage beyond a torn log tail refuses the
-		// whole startup: serving a silently-shortened history would let
-		// the router hand out update IDs the fleet disagrees on.
+		// Recovery: every dataset a previous process persisted enters the
+		// store map before the server serves its first request, through
+		// the same coalesced build as a first update. Any damage beyond a
+		// torn log tail refuses the whole startup: serving a
+		// silently-shortened history would let the router hand out update
+		// IDs the fleet disagrees on.
 		keys, err := mgr.Keys()
 		if err != nil {
 			return nil, err
 		}
 		for _, key := range keys {
-			if err := recoverDataset(&o, mgr, stores, key); err != nil {
+			if _, err := stores.Open(context.Background(), key); err != nil {
 				return nil, fmt.Errorf("srj: recovering %s from %s: %w", key, o.DataDir, err)
 			}
 		}
 	}
-	// installStore backs POST /v1/snapshot/install: the router's state
-	// transfer hands this server a dataset's complete store state when
-	// it joins a live fleet, and the server adopts it at the dump's
-	// generation and last-applied update ID — so the router's next
-	// sequenced broadcast applies here gap-free.
-	installStore := func(ctx context.Context, dump server.SnapshotDump) error {
-		key := dump.Key()
-		if err := validateKey(key); err != nil {
-			return err
-		}
-		if st, ok := stores.Lookup(key); ok {
-			// Idempotent re-install: state we already hold (same or
-			// newer last-applied ID) acknowledges without rebuilding.
-			// Installing *newer* state over a live store is refused —
-			// the store owns its sequence, and the gap between its ID
-			// and the dump's is the sequenced-update path's to fill.
-			if st.LastApplied() >= dump.LastAppliedID {
-				return nil
-			}
-			return fmt.Errorf("%w: store for %s is live at update %d, cannot install at %d",
-				dynamic.ErrUpdateSequence, key, st.LastApplied(), dump.LastAppliedID)
-		}
-		st, err := newServerStore(&o, mgr, key, &wal.Snapshot{
-			Generation: dump.Generation, LastID: dump.LastAppliedID, R: dump.R, S: dump.S,
-		}, nil, true)
-		if err != nil {
-			return err
-		}
-		if err := stores.Adopt(key, st); err != nil {
-			// A concurrent install (or first update) won the race;
-			// re-check whether what landed already covers this dump.
-			if live, ok := stores.Lookup(key); ok && live.LastApplied() >= dump.LastAppliedID {
-				return nil
-			}
-			return err
-		}
-		// The store serves the key from now on; drop the static
-		// engine it replaces.
-		reg.Evict(key)
-		return nil
-	}
 	h, err := server.New(server.Config{
-		Registry:     reg,
-		Stores:       stores,
-		InstallStore: installStore,
-		MaxT:         o.MaxT,
-		Timeout:      o.Timeout,
-		Logger:       o.Logger,
-		SlowDraw:     o.SlowDraw,
-		EnablePprof:  o.EnablePprof,
+		Registry:    reg,
+		Stores:      stores,
+		MaxT:        o.MaxT,
+		Timeout:     o.Timeout,
+		Logger:      o.Logger,
+		SlowDraw:    o.SlowDraw,
+		EnablePprof: o.EnablePprof,
 	})
 	if err != nil {
 		return nil, err
@@ -317,63 +278,59 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 	return &Server{h: h, reg: reg, stores: stores, wal: mgr}, nil
 }
 
-// recoverDataset rebuilds one dynamic store from its persisted state:
-// the newest snapshot as base (or the dataset resolver's data when
-// none was ever taken), with every logged update after it replayed in
-// ID order. The recovered store is adopted into the stores map so the
-// factory never rebuilds this key from seed.
-func recoverDataset(o *ServerOptions, mgr *wal.Manager, stores *dynamic.Stores, key EngineKey) error {
-	ds, err := mgr.Open(key)
-	if err != nil {
-		return err
-	}
-	snap, ok, err := ds.LoadSnapshot()
-	if err != nil {
-		return err
-	}
-	var recs []dynamic.SeqUpdate
-	if err := ds.Replay(snap.LastID, func(id uint64, u Update) error {
-		recs = append(recs, dynamic.SeqUpdate{ID: id, U: u})
-		return nil
-	}); err != nil {
-		return err
-	}
-	base := &snap
-	if !ok {
-		base = nil
-	}
-	st, err := newServerStore(o, mgr, key, base, recs, false)
-	if err != nil {
-		return err
-	}
-	return stores.Adopt(key, st)
-}
-
-// newServerStore builds the dynamic store of one server key, whether
-// created by a first update, recovered at startup or installed by a
-// ring join: a bulk build over base, standing at its generation and
-// update ID (nil base: the resolver's data for key.Dataset at
-// generation 0), with recs replayed over it. With a DataDir (mgr
-// non-nil) it then opens the key's dataset log and attaches it as the
-// store's persister. It attaches after the replay, so replayed records
-// are not appended to the log they came from. With install set it
-// first writes base to the log as a snapshot, so a crash after the
-// install recovers the installed state, not seed data missing the
-// donor's history. Stores are BBST-only — the other algorithms are the
-// paper's static baselines — so a key naming another algorithm is
-// refused with engine.ErrBadRequest before any store or dataset
-// directory exists.
-func newServerStore(o *ServerOptions, mgr *wal.Manager, key EngineKey, base *wal.Snapshot, recs []dynamic.SeqUpdate, install bool) (*dynamic.Store, error) {
+// newServerStore builds the dynamic store of one server key — the
+// store map's factory, so the one way a store enters a server. Its
+// base is, in order: install, a ring join's transferred state; the
+// key's dataset directory, when one exists (its newest snapshot, or the
+// resolver's data when none was ever taken, with every logged update
+// after it replayed in ID order); otherwise the resolver's data at
+// generation 0. With a DataDir (mgr non-nil) it then opens the key's
+// dataset log and attaches it as the store's persister, after the
+// replay, so replayed records are not appended to the log they came
+// from. An install first writes its state to the log as a snapshot, so
+// a crash after the install recovers the installed state, not seed
+// data missing the donor's history. Stores are BBST-only — the other
+// algorithms are the paper's static baselines — so a key naming
+// another algorithm is refused with engine.ErrBadRequest; the refusal,
+// like a resolver failure, leaves no dataset directory behind.
+func newServerStore(o *ServerOptions, mgr *wal.Manager, key EngineKey, install *dynamic.Snapshot) (*dynamic.Store, error) {
 	if key.Algorithm != string(BBST) {
 		return nil, fmt.Errorf("%w: dynamic stores support only algorithm %q, not %q",
 			engine.ErrBadRequest, BBST, key.Algorithm)
+	}
+	base := install
+	var recs []dynamic.SeqUpdate
+	if base == nil && mgr != nil {
+		persisted, err := mgr.Exists(key)
+		if err != nil {
+			return nil, err
+		}
+		if persisted {
+			ds, err := mgr.Open(key)
+			if err != nil {
+				return nil, err
+			}
+			snap, ok, err := ds.LoadSnapshot()
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				base = &snap
+			}
+			if err := ds.Replay(snap.LastID, func(id uint64, u Update) error {
+				recs = append(recs, dynamic.SeqUpdate{ID: id, U: u})
+				return nil
+			}); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if base == nil {
 		R, S, err := o.Datasets(key.Dataset)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", server.ErrBadKey, err)
 		}
-		base = &wal.Snapshot{R: R, S: S}
+		base = &dynamic.Snapshot{R: R, S: S}
 	}
 	cfg := storeConfig(key.L, StoreOptions{Seed: key.Seed, MaxT: o.MaxT})
 	cfg.InitialGeneration, cfg.InitialLastApplied = base.Generation, base.LastID
@@ -391,8 +348,8 @@ func newServerStore(o *ServerOptions, mgr *wal.Manager, key EngineKey, base *wal
 	if err != nil {
 		return nil, err
 	}
-	if install {
-		if err := ds.Snapshot(base.Generation, base.LastID, base.R, base.S); err != nil {
+	if install != nil {
+		if err := ds.Snapshot(install.Generation, install.LastID, install.R, install.S); err != nil {
 			return nil, err
 		}
 	}
