@@ -4,9 +4,10 @@ package core
 // next to the frozen BBSTSampler on the same points (one Next per op,
 // and 10k-pair SampleInto batches), the cost of one churn batch, and
 // the one-off Unfreeze. Inputs are nyc-shaped, about
-// 100k points per side at l = 100. BenchmarkCount times the frozen
-// upper-bounding phase on its own. BenchmarkSlotTree times the
-// mutable index's slot tree alone, over 100k random slots.
+// 100k points per side at l = 100. BenchmarkBuild and BenchmarkCount
+// time the frozen building and upper-bounding phases on their own.
+// BenchmarkSlotTree times the mutable index's slot tree alone, over
+// 100k random slots.
 
 import (
 	"fmt"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -230,20 +232,48 @@ func BenchmarkUnfreeze(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(m.Index().SizeBytes())/1e6, "index_MB")
+	b.ReportMetric(float64(par.Limit(0)), "workers")
 }
 
-// BenchmarkCount times the upper-bounding phase (Count) alone, on nyc
-// inputs of n points per side: every op counts a freshly built
-// sampler, with Preprocess and Build outside the timer.
+// buildCases are the inputs of BenchmarkBuild and BenchmarkCount: nyc
+// points, n per side, at window half-extent l.
+var buildCases = []struct {
+	name string
+	n    int
+	l    float64
+}{
+	{"nyc200k_l100", 200_000, 100},
+	{"nyc25k_l50", 25_000, 50},
+}
+
+// BenchmarkBuild times the data-structure building phase (Build: grid
+// mapping with each cell's sorts, then the corner structures) alone:
+// every op builds a fresh sampler. It reports the workers the phase
+// may split its cells across (GOMAXPROCS; set it with -cpu).
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range buildCases {
+		b.Run(c.name, func(b *testing.B) {
+			R, S := dataset.SplitRS(dataset.NYC(2*c.n, 1), 0.5, 2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := NewBBST(R, S, Config{HalfExtent: c.l, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(par.Limit(0)), "workers")
+		})
+	}
+}
+
+// BenchmarkCount times the upper-bounding phase (Count) alone, on the
+// same inputs: every op counts a freshly built sampler, with Build
+// outside the timer.
 func BenchmarkCount(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		n    int
-		l    float64
-	}{
-		{"nyc200k_l100", 200_000, 100},
-		{"nyc25k_l50", 25_000, 50},
-	} {
+	for _, c := range buildCases {
 		b.Run(c.name, func(b *testing.B) {
 			R, S := dataset.SplitRS(dataset.NYC(2*c.n, 1), 0.5, 2)
 			b.ReportAllocs()
@@ -261,6 +291,7 @@ func BenchmarkCount(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(par.Limit(0)), "workers")
 		})
 	}
 }

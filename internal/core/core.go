@@ -64,6 +64,13 @@ type Config struct {
 	// harness sweeps other values). 0 keeps the paper's choice. Only
 	// the BBST sampler reads it.
 	BucketCap int
+	// Workers caps the goroutines, the caller included, that index
+	// construction splits its per-cell work across (the grid mapping,
+	// the corner builds, upper bounding and the BBST's Unfreeze); 0
+	// means GOMAXPROCS. The structures and every seeded draw are the
+	// same for every value. The experiment harness sets 1, so its
+	// phase timings compare like for like with the serial baselines.
+	Workers int
 }
 
 func (c Config) maxRejects() int {
@@ -83,6 +90,9 @@ func (c Config) Validate() error {
 	}
 	if c.BucketCap < 0 {
 		return fmt.Errorf("core: BucketCap must be non-negative, got %d", c.BucketCap)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("core: Workers must be non-negative, got %d", c.Workers)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/kdtree"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -105,6 +106,8 @@ func (g *gridSampler) Preprocess() error {
 // Build is the online data-structure building phase (GM): grid
 // mapping of S, which sorts each cell's points by x and by y, plus one
 // corner structure per cell by newCorner (BBST-BUILDING).
+// Both the sorts and the corner builds are split by cell across
+// cfg.Workers; each cell writes only its own slots.
 func (g *gridSampler) Build() error {
 	if err := ensure(g, g.base, phasePreprocessed); err != nil {
 		return err
@@ -114,14 +117,19 @@ func (g *gridSampler) Build() error {
 	}
 	var buildErr error
 	timed(&g.stats.GridMapTime, func() {
-		g.g, buildErr = grid.Build(g.S, g.cfg.HalfExtent)
+		g.g, buildErr = grid.BuildWorkers(g.S, g.cfg.HalfExtent, g.cfg.Workers)
 		if buildErr != nil {
 			return
 		}
 		g.corners = make([]cornerIndex, g.g.NumCells())
-		for i := range g.corners {
+		errs := make([]error, len(g.corners))
+		par.ForEach(len(g.corners), g.cfg.Workers, func(_, i int) {
 			run := g.g.ByIndex(int32(i)).XSorted
-			if g.corners[i], buildErr = g.newCorner(run, len(g.S), g.scanC, g.cfg.BucketCap); buildErr != nil {
+			g.corners[i], errs[i] = g.newCorner(run, len(g.S), g.scanC, g.cfg.BucketCap)
+		})
+		for _, err := range errs {
+			if err != nil {
+				buildErr = err // the lowest-indexed failing cell's
 				return
 			}
 		}
@@ -140,7 +148,11 @@ func (g *gridSampler) Build() error {
 // through a throwaway index permutation (R itself keeps its order,
 // which the alias indexes), and each cell is counted in one batched
 // muCounter pass against its 3×3 block, looked up once per cell; the
-// same lookup fills the cell's row.
+// same lookup fills the cell's row. The cells are split across
+// cfg.Workers, each worker with a muCounter of its own; a cell writes
+// only its points' records and its own row, and µ and the alias are
+// summed serially in R order, so the result does not depend on the
+// split.
 func (g *gridSampler) Count() error {
 	if err := ensure(g, g.base, phaseBuilt); err != nil {
 		return err
@@ -150,17 +162,21 @@ func (g *gridSampler) Count() error {
 	}
 	var buildErr error
 	timed(&g.stats.UpperBoundTime, func() {
-		mc := muCounter{half: g.cfg.HalfExtent}
+		mcs := make([]muCounter, par.Limit(g.cfg.Workers))
+		for w := range mcs {
+			mcs[w].half = g.cfg.HalfExtent
+		}
 		keys, starts, perm := groupByCell(g.R, g.g.Side())
 		g.recs = make([]pointRec, len(g.R))
 		g.rows = make([]cellRow, len(keys))
-		for ci, k := range keys {
+		par.ForEach(len(keys), g.cfg.Workers, func(w, ci int) {
+			mc := &mcs[w]
 			idx := perm[starts[ci]:starts[ci+1]]
 			mc.reset()
 			for _, i := range idx {
 				mc.add(g.R[i], dirCounts{})
 			}
-			nb := g.neighborhood(k)
+			nb := g.neighborhood(keys[ci])
 			mc.count(&nb, allDirs)
 			for d, c := range nb.cells {
 				g.rows[ci][d] = -1
@@ -171,7 +187,7 @@ func (g *gridSampler) Count() error {
 			for j, i := range idx {
 				g.recs[i] = pointRec{cnt: mc.cnt[j], row: int32(ci)}
 			}
-		}
+		})
 		mu := make([]float64, len(g.R))
 		total := 0.0
 		for i := range g.recs {

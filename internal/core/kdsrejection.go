@@ -55,7 +55,7 @@ func (k *KDSRejection) Build() error {
 	}
 	var buildErr error
 	timed(&k.stats.GridMapTime, func() {
-		k.g, buildErr = grid.Build(k.S, k.cfg.HalfExtent)
+		k.g, buildErr = grid.BuildWorkers(k.S, k.cfg.HalfExtent, k.cfg.Workers)
 	})
 	if buildErr != nil {
 		k.err = buildErr

@@ -61,6 +61,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -506,37 +507,47 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 		freeHead: -1,
 		rCount:   len(s.R),
 	}
-	cells := make([]mutCell, s.g.NumCells())
-	for i, corner := range s.corners {
-		c := *s.g.ByIndex(int32(i))
-		c.Index = -1 // a header of its own, outside the grid
-		cells[i] = mutCell{cell: &c, corner: corner}
-		ix.cornerBytes += corner.sizeBytes()
-	}
-	ix.scells = grid.BuildDir(len(cells),
-		func(i int) grid.Key { return cells[i].cell.Key },
-		func(i int) mutCell { return cells[i] })
-	S := s.S
-	ix.sids = grid.BuildIDDir(len(S),
-		func(i int) int32 { return S[i].ID },
-		func(i int) grid.Key { return grid.KeyFor(S[i].X, S[i].Y, ix.side) })
-
-	// Count filed every R point under its cell's row: grouping R by row
-	// lists each cell's points (= slots) in ascending order, and a
-	// row's first point gives its cell key.
-	R := s.R
-	starts, rslots := groupByRow(len(R), len(s.rows), func(i int) int32 { return s.recs[i].row })
-	ix.rcells = grid.BuildDir(len(s.rows),
-		func(c int) grid.Key { r := R[rslots[starts[c]]]; return grid.KeyFor(r.X, r.Y, ix.side) },
-		func(c int) []int32 { return slices.Clone(rslots[starts[c]:starts[c+1]]) })
-	ix.rids = grid.BuildIDDir(len(R),
-		func(i int) int32 { return R[i].ID },
-		func(i int) int32 { return int32(i) })
-	recs := make([]slotRec, len(R))
-	for i, pr := range s.recs {
-		recs[i] = newSlotRec(R[i], pr.cnt)
-	}
-	ix.slots = buildSlotTree(recs)
+	S, R := s.S, s.R
+	// The five builds (scells, sids, rcells, rids and the slot tree)
+	// read only the frozen sampler and each writes fields of its own,
+	// so they run side by side across cfg.Workers.
+	par.ForEach(5, s.cfg.Workers, func(_, job int) {
+		switch job {
+		case 0:
+			cells := make([]mutCell, s.g.NumCells())
+			for i, corner := range s.corners {
+				c := *s.g.ByIndex(int32(i))
+				c.Index = -1 // a header of its own, outside the grid
+				cells[i] = mutCell{cell: &c, corner: corner}
+				ix.cornerBytes += corner.sizeBytes()
+			}
+			ix.scells = grid.BuildDir(len(cells),
+				func(i int) grid.Key { return cells[i].cell.Key },
+				func(i int) mutCell { return cells[i] })
+		case 1:
+			ix.sids = grid.BuildIDDir(len(S),
+				func(i int) int32 { return S[i].ID },
+				func(i int) grid.Key { return grid.KeyFor(S[i].X, S[i].Y, ix.side) })
+		case 2:
+			// Count filed every R point under its cell's row: grouping R
+			// by row lists each cell's points (= slots) in ascending
+			// order, and a row's first point gives its cell key.
+			starts, rslots := groupByRow(len(R), len(s.rows), func(i int) int32 { return s.recs[i].row })
+			ix.rcells = grid.BuildDir(len(s.rows),
+				func(c int) grid.Key { r := R[rslots[starts[c]]]; return grid.KeyFor(r.X, r.Y, ix.side) },
+				func(c int) []int32 { return slices.Clone(rslots[starts[c]:starts[c+1]]) })
+		case 3:
+			ix.rids = grid.BuildIDDir(len(R),
+				func(i int) int32 { return R[i].ID },
+				func(i int) int32 { return int32(i) })
+		case 4:
+			recs := make([]slotRec, len(R))
+			for i, pr := range s.recs {
+				recs[i] = newSlotRec(R[i], pr.cnt)
+			}
+			ix.slots = buildSlotTree(recs)
+		}
+	})
 	m := &Mutable{
 		idx:        ix,
 		name:       s.name,

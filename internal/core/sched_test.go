@@ -1,0 +1,148 @@
+package core_test
+
+// Index construction splits its per-cell work across GOMAXPROCS
+// workers; these tests hold everything it builds, and every seeded
+// draw, independent of how many there are.
+
+import (
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/srjtest"
+)
+
+// schedFixtures are nyc-shaped points, whose crowded cells are BBST
+// cells, and srjtest.DenseData, built for exactly that.
+func schedFixtures() []struct {
+	name string
+	R, S []geom.Point
+	l    float64
+} {
+	nycR, nycS := dataset.SplitRS(dataset.NYC(40_000, 1), 0.5, 2)
+	denseR, denseS, denseL := srjtest.DenseData()
+	return []struct {
+		name string
+		R, S []geom.Point
+		l    float64
+	}{
+		{"nyc", nycR, nycS, 100},
+		{"dense", denseR, denseS, denseL},
+	}
+}
+
+// atProcs runs fn with GOMAXPROCS set to n, restoring it after.
+func atProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// drawN draws n seeded pairs from s.
+func drawN(t *testing.T, s core.Sampler, n int) []geom.Pair {
+	t.Helper()
+	pairs := make([]geom.Pair, n)
+	if _, err := core.SampleInto(s, pairs); err != nil {
+		t.Fatal(err)
+	}
+	return pairs
+}
+
+// TestBuildIndependentOfWorkers builds each frozen grid sampler at
+// GOMAXPROCS 1 and 4 and requires equal count records, cell rows,
+// corner structures (kind and size), Σµ and 10k seeded draws.
+func TestBuildIndependentOfWorkers(t *testing.T) {
+	samplers := []struct {
+		name string
+		mk   func(R, S []geom.Point, cfg core.Config) (core.Sampler, error)
+	}{
+		{"BBST", func(R, S []geom.Point, cfg core.Config) (core.Sampler, error) { return core.NewBBST(R, S, cfg) }},
+		{"GridKD", func(R, S []geom.Point, cfg core.Config) (core.Sampler, error) { return core.NewGridKD(R, S, cfg) }},
+	}
+	for _, fx := range schedFixtures() {
+		for _, sm := range samplers {
+			t.Run(fx.name+"/"+sm.name, func(t *testing.T) {
+				build := func(procs int) (core.FrozenBuild, []geom.Pair) {
+					var fb core.FrozenBuild
+					var pairs []geom.Pair
+					atProcs(procs, func() {
+						s, err := sm.mk(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := s.Count(); err != nil {
+							t.Fatal(err)
+						}
+						fb, pairs = core.FrozenBuildOf(s), drawN(t, s, 10_000)
+					})
+					return fb, pairs
+				}
+				one, onePairs := build(1)
+				four, fourPairs := build(4)
+				if sm.name == "BBST" && !slices.ContainsFunc(one.Corners, func(c string) bool {
+					return strings.HasPrefix(c, "core.bbstCorner")
+				}) {
+					t.Fatal("fixture has no BBST cell")
+				}
+				if !slices.Equal(one.Recs, four.Recs) {
+					t.Error("count records differ between GOMAXPROCS 1 and 4")
+				}
+				if !slices.Equal(one.Rows, four.Rows) {
+					t.Error("cell rows differ between GOMAXPROCS 1 and 4")
+				}
+				if !slices.Equal(one.Corners, four.Corners) {
+					t.Error("corner structures differ between GOMAXPROCS 1 and 4")
+				}
+				if one.MuSum != four.MuSum {
+					t.Errorf("Σµ %g at GOMAXPROCS 1, %g at 4", one.MuSum, four.MuSum)
+				}
+				if !slices.Equal(onePairs, fourPairs) {
+					t.Error("seeded draws differ between GOMAXPROCS 1 and 4")
+				}
+			})
+		}
+	}
+}
+
+// TestUnfreezeIndependentOfWorkers unfreezes a BBST sampler built at
+// GOMAXPROCS 1 and at 4: both indexes must pass CheckInvariants and
+// give the same size, Σµ and 10k seeded draws.
+func TestUnfreezeIndependentOfWorkers(t *testing.T) {
+	for _, fx := range schedFixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			build := func(procs int) (m *core.Mutable, pairs []geom.Pair) {
+				atProcs(procs, func() {
+					s, err := core.NewBBST(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Count(); err != nil {
+						t.Fatal(err)
+					}
+					if m, err = s.Unfreeze(); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Index().CheckInvariants(); err != nil {
+						t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+					}
+					pairs = drawN(t, m, 10_000)
+				})
+				return m, pairs
+			}
+			one, onePairs := build(1)
+			four, fourPairs := build(4)
+			if a, b := one.Index().SizeBytes(), four.Index().SizeBytes(); a != b {
+				t.Errorf("SizeBytes %d at GOMAXPROCS 1, %d at 4", a, b)
+			}
+			if a, b := one.Index().MuSum(), four.Index().MuSum(); a != b {
+				t.Errorf("Σµ %g at GOMAXPROCS 1, %g at 4", a, b)
+			}
+			if !slices.Equal(onePairs, fourPairs) {
+				t.Error("seeded draws differ between GOMAXPROCS 1 and 4")
+			}
+		})
+	}
+}

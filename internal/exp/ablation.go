@@ -41,7 +41,7 @@ func RunAblationBucketCap(scale Scale, factors []float64) (*Table, error) {
 				cap = 1
 			}
 			s, err := core.NewBBST(w.R, w.S, core.Config{
-				HalfExtent: scale.L, Seed: scale.Seed, BucketCap: cap,
+				HalfExtent: scale.L, Seed: scale.Seed, BucketCap: cap, Workers: 1,
 			})
 			if err != nil {
 				return nil, err

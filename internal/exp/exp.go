@@ -8,6 +8,11 @@
 // artifact makes: who wins, by roughly what factor, and how the curves
 // move with the swept parameter.
 //
+// Every sampler the harness builds runs single-worker (core.Config's
+// Workers = 1): the KDS and R-tree baselines build on one goroutine,
+// so Table II's pre-processing and Table III's GM and UB columns, and
+// the ablations, time the grid samplers on one core too, like for like.
+//
 // Experiment index (see DESIGN.md for the full mapping):
 //
 //	Table II  -> RunTable2      pre-processing time, KDS vs BBST
@@ -48,8 +53,10 @@ const (
 // paperAlgos are the three algorithms every paper experiment compares.
 var paperAlgos = []Algo{AlgoKDS, AlgoKDSRejection, AlgoBBST}
 
-// newSampler constructs the named algorithm.
+// newSampler constructs the named algorithm on one worker (see the
+// package doc).
 func newSampler(a Algo, R, S []geom.Point, cfg core.Config) (core.Sampler, error) {
+	cfg.Workers = 1
 	switch a {
 	case AlgoKDS:
 		return core.NewKDS(R, S, cfg)

@@ -94,6 +94,7 @@ func RunTable3(scale Scale) (*Table, error) {
 		Notes: []string{
 			"total = GM + UB + sampling (pre-processing excluded, as in the paper)",
 			"for BBST, GM is the online data-structure building phase and UB the approximate range counting phase",
+			"every algorithm builds on one worker, so GM and UB compare like for like",
 		},
 	}
 	for _, w := range ws {

@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/par"
 )
 
 // Direction indexes the 3x3 neighborhood of the cell containing a
@@ -201,6 +202,13 @@ type Grid struct {
 // exactly the cell's size, so a run outlives the grid only as long as
 // something holds that cell. side must be positive.
 func Build(points []geom.Point, side float64) (*Grid, error) {
+	return BuildWorkers(points, side, 0)
+}
+
+// BuildWorkers is Build with the per-cell sorts split across at most
+// par.Limit(workers) goroutines. The grid is the same for every worker
+// count.
+func BuildWorkers(points []geom.Point, side float64, workers int) (*Grid, error) {
 	if side <= 0 || math.IsNaN(side) || math.IsInf(side, 0) {
 		return nil, fmt.Errorf("grid: cell side must be positive and finite, got %g", side)
 	}
@@ -226,12 +234,12 @@ func Build(points []geom.Point, side float64) (*Grid, error) {
 		c := &g.cells[cellOf[j]]
 		c.XSorted = append(c.XSorted, p)
 	}
-	for ci := range g.cells {
+	par.ForEach(len(g.cells), workers, func(_, ci int) {
 		c := &g.cells[ci]
 		slices.SortFunc(c.XSorted, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
 		c.YSorted = append([]geom.Point(nil), c.XSorted...)
 		slices.SortFunc(c.YSorted, func(a, b geom.Point) int { return cmp.Compare(a.Y, b.Y) })
-	}
+	})
 	return g, nil
 }
 

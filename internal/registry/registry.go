@@ -23,7 +23,12 @@
 //     *distinct* keys are additionally capped at GOMAXPROCS in
 //     flight — they are CPU-bound, and an unbounded fan of them
 //     would hold unbounded not-yet-evictable structures outside the
-//     budget's reach.
+//     budget's reach. Inside a build, the per-cell phases (grid
+//     mapping, corner builds, upper bounding) draw extra workers
+//     from internal/par's one process-wide pool of GOMAXPROCS−1
+//     helper tokens, taken without blocking: a lone miss builds on
+//     every core, concurrent builds each fall back towards one, and
+//     the cap above stays the only limit on builds in flight.
 //   - Observability. Per-entry hit counts and build times plus
 //     aggregate hit/miss/build/eviction counters feed /v1/stats.
 package registry
