@@ -63,9 +63,10 @@ func benchDraws(b *testing.B, s Sampler) {
 	b.ReportMetric(float64(s.Stats().Iterations-before)/float64(b.N), "trials/sample")
 }
 
-// benchChurned unfreezes the frozen sampler and applies 100 churn
-// batches.
-func benchChurned(b *testing.B) *Mutable {
+// benchChurned unfreezes the frozen sampler and applies n churn
+// batches of 32 ops. It returns the Mutable and the generator, which
+// deals the batches that follow.
+func benchChurned(b *testing.B, n int) (*Mutable, *churnGen) {
 	b.Helper()
 	m, err := benchFrozen(b).Unfreeze()
 	if err != nil {
@@ -73,12 +74,12 @@ func benchChurned(b *testing.B) *Mutable {
 	}
 	R, S := mutBenchInput()
 	gen := newChurnGen(R, S, dataset.NYC(10_000, 7), 3)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < n; i++ {
 		if m, err = m.Apply(gen.batch(8)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return m
+	return m, gen
 }
 
 // BenchmarkMutableDraw compares one sample from the frozen sampler
@@ -88,7 +89,8 @@ func BenchmarkMutableDraw(b *testing.B) {
 		benchDraws(b, benchFrozen(b))
 	})
 	b.Run("mutable", func(b *testing.B) {
-		benchDraws(b, benchChurned(b))
+		m, _ := benchChurned(b, 100)
+		benchDraws(b, m)
 	})
 }
 
@@ -108,7 +110,7 @@ func BenchmarkFrozenSampleInto(b *testing.B) {
 			}
 			return c
 		}},
-		{"mutable", func(b *testing.B) Sampler { return benchChurned(b) }},
+		{"mutable", func(b *testing.B) Sampler { m, _ := benchChurned(b, 100); return m }},
 	}
 	for _, h := range handles {
 		b.Run(h.name, func(b *testing.B) { benchBatches(b, h.mk(b)) })
@@ -197,23 +199,28 @@ func BenchmarkTrialScale(b *testing.B) {
 }
 
 // BenchmarkMutableApply measures one 32-op churn batch (8 inserts and
-// 8 deletes per side), one op per batch.
+// 8 deletes per side), one op per batch: on a fresh Unfreeze, whose
+// slots lie cell by cell, and after 1,000 batches, whose inserts took
+// free slots from anywhere.
 func BenchmarkMutableApply(b *testing.B) {
-	m, err := benchFrozen(b).Unfreeze()
-	if err != nil {
-		b.Fatal(err)
+	for _, row := range []struct {
+		name   string
+		warmup int
+	}{{"fresh", 0}, {"churned", 1000}} {
+		b.Run(row.name, func(b *testing.B) {
+			m, gen := benchChurned(b, row.warmup)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if m, err = m.Apply(gen.batch(8)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(32*b.N), "ns/update")
+		})
 	}
-	R, S := mutBenchInput()
-	gen := newChurnGen(R, S, dataset.NYC(10_000, 7), 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m, err = m.Apply(gen.batch(8)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(32*b.N), "ns/update")
 }
 
 // BenchmarkUnfreeze measures adopting a counted frozen sampler for

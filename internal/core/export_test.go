@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/geom"
+	"repro/internal/grid"
+)
 
 // Hooks for the external test package: its fixtures (srjtest) import
 // the root package, which imports this one.
@@ -32,4 +37,33 @@ func FrozenBuildOf(s Sampler) FrozenBuild {
 		fb.Corners = append(fb.Corners, fmt.Sprintf("%T %d", c, c.sizeBytes()))
 	}
 	return fb
+}
+
+// SlotLayout is the R side of a mutable index version as slots: each
+// R cell's key and its rcells list, the point each slot holds, and the
+// slots rids lists under each ID.
+type SlotLayout struct {
+	Side  float64
+	Keys  []grid.Key
+	Lists [][]int32
+	Slots []geom.Point
+	IDs   map[int32][]int32
+}
+
+// SlotLayoutOf returns the slot layout of m's index version.
+func SlotLayoutOf(m *Mutable) SlotLayout {
+	ix := m.idx
+	sl := SlotLayout{Side: ix.side, IDs: make(map[int32][]int32)}
+	ix.rcells.Range(func(k grid.Key, slots []int32) bool {
+		sl.Keys, sl.Lists = append(sl.Keys, k), append(sl.Lists, slots)
+		return true
+	})
+	for i := range ix.slots.Len() {
+		sl.Slots = append(sl.Slots, ix.slots.get(i).pt)
+	}
+	ix.rids.Range(func(id int32, slots []int32) bool {
+		sl.IDs[id] = slots
+		return true
+	})
+	return sl
 }

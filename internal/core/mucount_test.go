@@ -371,7 +371,7 @@ func TestCheckInvariantsCatchesCorruptCount(t *testing.T) {
 	}
 	slot := int32(-1)
 	for i := 0; i < ix.slots.Len(); i++ {
-		if ix.slots.get(i).mu > 0 {
+		if ix.slots.get(i).mu() > 0 {
 			slot = int32(i)
 			break
 		}
@@ -379,10 +379,10 @@ func TestCheckInvariantsCatchesCorruptCount(t *testing.T) {
 	if slot < 0 {
 		t.Fatal("no slot with a positive count")
 	}
-	se := newSlotEdits(ix.slots)
+	se := newSlotEdits(ix.slots, 0)
 	rec := se.get(slot)
 	rec.cnt[grid.Center]++
-	se.set(slot, newSlotRec(rec.pt, rec.cnt))
+	se.set(slot, rec)
 	bad := *ix
 	bad.slots = se.commit()
 	err := bad.CheckInvariants()

@@ -19,17 +19,23 @@ package core
 //     never written after publication, so the structure built over it
 //     shares its points;
 //   - the R side keeps one persistent slot tree (slotTree): each slot
-//     holds its point, its 9 per-direction counts µ(r, d) and µ(r), in
-//     leaves of stChunk slots under a wide, shallow sum tree (stFan
-//     child sums per node) that replaces the frozen Walker alias; a
-//     cell→slots reverse index lists exactly the live slots of each R
-//     cell (a batch gives every R cell it touches a new list), so an
-//     S-side change recounts only the R points whose 3×3 neighborhood
-//     was touched, one batched muCounter pass per R cell (the frozen
-//     Count's counter);
+//     holds its point and its 9 per-direction counts µ(r, d), and each
+//     leaf of stChunk slots their µ(r), under a wide, shallow sum tree
+//     (stFan child sums per node) that replaces the frozen Walker
+//     alias; a cell→slots reverse index lists exactly the live slots of
+//     each R cell (a batch gives every R cell it touches a new list),
+//     so an S-side change recounts only the R points whose 3×3
+//     neighborhood was touched, one batched muCounter pass per R cell
+//     (the frozen Count's counter);
+//   - Unfreeze lays the slots out cell by cell, so each R cell's slots
+//     are one run of consecutive slots that share a few leaves, and a
+//     recount reads and path-copies those leaves rather than one leaf
+//     per point;
 //   - deleting an R point zeroes its counts and threads the slot onto
 //     a free list encoded in the slots themselves, so sustained churn
-//     reuses slots instead of growing without bound.
+//     reuses slots instead of growing without bound. An insert takes
+//     the free slot deleted last, wherever it lies, so under long churn
+//     a cell's slots drift apart from the layout Unfreeze gave them.
 //
 // Every version of the index is immutable: ApplyOps path-copies the
 // touched cells and slot-tree paths and returns a NEW index, so
@@ -271,9 +277,30 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		}
 	}
 
+	// The recount covers the live R slots with a touched S cell in their
+	// neighborhood: exactly the slots in the 3×3 blocks around the
+	// touched cells. Their cells are listed here, before the R side
+	// changes, so the edit buffer is sized for every slot they hold.
+	touched := make(map[grid.Key]dirMask, 9*len(swork.keys))
+	var rkeys []grid.Key // first-touch order
+	for _, k := range swork.keys {
+		for d := grid.Direction(0); d < grid.NumDirections; d++ {
+			rk := k.Neighbor(d)
+			if _, ok := touched[rk]; !ok {
+				rkeys = append(rkeys, rk)
+			}
+			touched[rk] |= 1 << d.Opposite()
+		}
+	}
+	hint := len(ops.DelR) + len(ops.InsR)
+	for _, rk := range rkeys {
+		slots, _ := nx.rcells.Get(rk)
+		hint += len(slots)
+	}
+
 	// R side: every slot write of the batch goes through one edit
 	// buffer, so each touched slot-tree node is copied once.
-	se := newSlotEdits(nx.slots)
+	se := newSlotEdits(nx.slots, hint)
 	var rwork cellWork[rcw]
 
 	// R deletes: zero the slot and thread it onto the free list.
@@ -297,7 +324,7 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 	// R inserts: reuse a free slot when one exists, counts against the
 	// final S side.
 	for _, pt := range ops.InsR {
-		rec := newSlotRec(pt, nx.countsOf(pt, &sc))
+		rec := slotRec{pt: pt, cnt: nx.countsOf(pt, &sc)}
 		var slot int32
 		if nx.freeHead >= 0 {
 			slot = nx.freeHead
@@ -318,23 +345,12 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		}
 	}
 
-	// Recount the live R slots with a touched S cell in their
-	// neighborhood — exactly the slots in the 3×3 blocks around the
-	// touched cells — in the directions that point into a touched cell
-	// (no other count can change), rewriting only the slots whose counts
-	// changed. Freshly inserted slots recount to what was just stored.
-	touched := make(map[grid.Key]dirMask, 9*len(swork.keys))
-	var rkeys []grid.Key // first-touch order
-	for _, k := range swork.keys {
-		for d := grid.Direction(0); d < grid.NumDirections; d++ {
-			rk := k.Neighbor(d)
-			if _, ok := touched[rk]; !ok {
-				rkeys = append(rkeys, rk)
-			}
-			touched[rk] |= 1 << d.Opposite()
-		}
-	}
+	// Recount the listed cells in the directions that point into a
+	// touched cell (no other count can change), reading each slot once
+	// and rewriting only the slots whose counts changed. Freshly
+	// inserted slots recount to what was just stored.
 	mc := muCounter{half: nx.cfg.HalfExtent}
+	var prev []dirCounts
 	for _, rk := range rkeys {
 		slots, ok := nx.rcells.Get(rk)
 		if !ok {
@@ -345,12 +361,13 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 			rec := se.get(slot)
 			mc.add(rec.pt, rec.cnt)
 		}
+		prev = append(prev[:0], mc.cnt...)
 		mask := touched[rk]
 		nb := nx.neighborhood(rk, mask)
 		mc.count(&nb, mask)
 		for j, slot := range slots {
-			if rec := se.get(slot); mc.cnt[j] != rec.cnt {
-				se.set(slot, newSlotRec(rec.pt, mc.cnt[j]))
+			if mc.cnt[j] != prev[j] {
+				se.set(slot, slotRec{pt: mc.pts[j], cnt: mc.cnt[j]})
 			}
 		}
 	}
@@ -480,14 +497,17 @@ type Mutable struct {
 // the frozen sampler keeps serving untouched). Nothing adopted points
 // into the grid's cell array, so a version pins only the cells it
 // still serves. The slot tree is bulk-built from the frozen count
-// records, which were counted against these same cells and corners.
+// records, which were counted against these same cells and corners,
+// with R laid out cell by cell: a counting sort of R by the row Count
+// filed each point under gives the slot order, so each R cell's slots
+// are one run of consecutive slots.
 // The cell directories are bulk-built over their distinct cell keys,
-// scells holding each cell and corner by value; rcells' lists come
-// from a counting sort of R by the row Count filed each point under,
-// each list copied to an exact-size array of its own, like a list
-// ApplyOps makes. The ID directories are bulk-built from one radix sort
-// by ID each, sids over S, whose points the cells hold. So no list or
-// leaf a later version leaves untouched pins a bulk-built array.
+// scells holding each cell and corner by value, and rcells each cell's
+// run as an exact-size list of its own, like a list ApplyOps makes.
+// The ID directories are bulk-built from one radix sort by ID each,
+// sids over S, whose points the cells hold, and rids over the slots. So
+// no list or leaf a later version leaves untouched pins a bulk-built
+// array.
 // This is the one O(n + m) step of the mutable path; every ApplyOps
 // after it is Õ(ops).
 // An empty side or an empty join is accepted: the result is a
@@ -508,9 +528,24 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 		rCount:   len(s.R),
 	}
 	S, R := s.S, s.R
+	// Count filed every R point under its cell's row. The slots are laid
+	// out row by row, R[i] with its count record in slot slotOf[i], so
+	// each cell's slots are one run starts[c] .. starts[c+1]-1. The
+	// records are scattered to their slots in R order, split across
+	// cfg.Workers, so R and its records are read in order; rids is
+	// built over R in its own order too.
+	starts, perm := groupByRow(len(R), len(s.rows), func(i int) int32 { return s.recs[i].row })
+	slotOf := make([]int32, len(R))
+	for j, i := range perm {
+		slotOf[i] = int32(j)
+	}
+	recs := make([]slotRec, len(R))
+	par.ForEach(len(R), s.cfg.Workers, func(_, i int) {
+		recs[slotOf[i]] = slotRec{pt: R[i], cnt: s.recs[i].cnt}
+	})
 	// The five builds (scells, sids, rcells, rids and the slot tree)
-	// read only the frozen sampler and each writes fields of its own,
-	// so they run side by side across cfg.Workers.
+	// read only the frozen sampler and the slots, and each writes
+	// fields of its own, so they run side by side across cfg.Workers.
 	par.ForEach(5, s.cfg.Workers, func(_, job int) {
 		switch job {
 		case 0:
@@ -529,22 +564,20 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 				func(i int) int32 { return S[i].ID },
 				func(i int) grid.Key { return grid.KeyFor(S[i].X, S[i].Y, ix.side) })
 		case 2:
-			// Count filed every R point under its cell's row: grouping R
-			// by row lists each cell's points (= slots) in ascending
-			// order, and a row's first point gives its cell key.
-			starts, rslots := groupByRow(len(R), len(s.rows), func(i int) int32 { return s.recs[i].row })
 			ix.rcells = grid.BuildDir(len(s.rows),
-				func(c int) grid.Key { r := R[rslots[starts[c]]]; return grid.KeyFor(r.X, r.Y, ix.side) },
-				func(c int) []int32 { return slices.Clone(rslots[starts[c]:starts[c+1]]) })
+				func(c int) grid.Key { r := recs[starts[c]].pt; return grid.KeyFor(r.X, r.Y, ix.side) },
+				func(c int) []int32 {
+					list := make([]int32, starts[c+1]-starts[c])
+					for j := range list {
+						list[j] = starts[c] + int32(j)
+					}
+					return list
+				})
 		case 3:
 			ix.rids = grid.BuildIDDir(len(R),
 				func(i int) int32 { return R[i].ID },
-				func(i int) int32 { return int32(i) })
+				func(i int) int32 { return slotOf[i] })
 		case 4:
-			recs := make([]slotRec, len(R))
-			for i, pr := range s.recs {
-				recs[i] = newSlotRec(R[i], pr.cnt)
-			}
 			ix.slots = buildSlotTree(recs)
 		}
 	})
@@ -609,7 +642,7 @@ func (m *Mutable) tryGroup(lg *laneGroup) error {
 		recs[i] = ix.slots.sample(m.rng.Float64() * total)
 	}
 	for i, rec := range recs {
-		dir[i], k[i] = pickDir(&rec.cnt, m.rng.Float64()*rec.mu)
+		dir[i], k[i] = pickDir(&rec.cnt, m.rng.Float64()*rec.mu())
 	}
 	for i, rec := range recs {
 		if k[i] > 0 {
@@ -671,8 +704,10 @@ func (m *Mutable) Reseed(seed uint64) {
 	m.lanes = laneGroup{}
 }
 
-// LivePoints materializes the live point sets (R in slot order, S in
-// the directory's mixed-key order) — the compaction path's input.
+// LivePoints materializes the live point sets (R in slot order, which
+// after Unfreeze is cell by cell, with later inserts in the slots they
+// took; S in the directory's mixed-key order) — the compaction path's
+// input.
 func (m *Mutable) LivePoints() (R, S []geom.Point) {
 	ix := m.idx
 	for i := 0; i < ix.slots.Len(); i++ {

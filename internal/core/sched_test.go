@@ -5,6 +5,7 @@ package core_test
 // draw, independent of how many there are.
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/srjtest"
 )
 
@@ -144,5 +146,68 @@ func TestUnfreezeIndependentOfWorkers(t *testing.T) {
 				t.Error("seeded draws differ between GOMAXPROCS 1 and 4")
 			}
 		})
+	}
+}
+
+// TestUnfreezeLaysOutSlotsByCell holds Unfreeze's slot layout, at
+// GOMAXPROCS 1 and 4: every rcells list is an ascending run of
+// consecutive slots, the runs tile [0, NumR), each slot lies in its
+// list's cell, and rids maps every R point's ID to the slot holding it.
+func TestUnfreezeLaysOutSlotsByCell(t *testing.T) {
+	for _, fx := range schedFixtures() {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/procs=%d", fx.name, procs), func(t *testing.T) {
+				var sl core.SlotLayout
+				atProcs(procs, func() {
+					s, err := core.NewBBST(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Count(); err != nil {
+						t.Fatal(err)
+					}
+					m, err := s.Unfreeze()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sl = core.SlotLayoutOf(m)
+				})
+				if len(sl.Slots) != len(fx.R) {
+					t.Fatalf("%d slots for %d R points", len(sl.Slots), len(fx.R))
+				}
+				runs := make([]int, len(sl.Lists)) // list indexes by first slot
+				for i := range runs {
+					runs[i] = i
+				}
+				slices.SortFunc(runs, func(a, b int) int { return int(sl.Lists[a][0] - sl.Lists[b][0]) })
+				next := int32(0)
+				for _, c := range runs {
+					for _, slot := range sl.Lists[c] {
+						if slot != next {
+							t.Fatalf("cell %v lists slot %d where the layout's next slot is %d", sl.Keys[c], slot, next)
+						}
+						next++
+						if pt := sl.Slots[slot]; grid.KeyFor(pt.X, pt.Y, sl.Side) != sl.Keys[c] {
+							t.Fatalf("slot %d holds %v, outside its list's cell %v", slot, pt, sl.Keys[c])
+						}
+					}
+				}
+				if int(next) != len(fx.R) {
+					t.Fatalf("the runs cover slots [0, %d), want [0, %d)", next, len(fx.R))
+				}
+				for _, p := range fx.R {
+					if !slices.ContainsFunc(sl.IDs[p.ID], func(slot int32) bool { return sl.Slots[slot] == p }) {
+						t.Fatalf("rids lists no slot holding %v under its ID", p)
+					}
+				}
+				for id, slots := range sl.IDs {
+					for _, slot := range slots {
+						if sl.Slots[slot].ID != id {
+							t.Fatalf("rids lists slot %d, holding %v, under ID %d", slot, sl.Slots[slot], id)
+						}
+					}
+				}
+			})
+		}
 	}
 }

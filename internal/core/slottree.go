@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -11,10 +12,12 @@ import (
 
 // slotTree is the R side of the mutable index: one persistent
 // (path-copied) tree over the slot array. Leaves hold stChunk
-// consecutive slots, each holding the slot's point, its 9
+// consecutive slots, each holding the slot's point and its 9
 // per-direction counts µ(r, d) — the count record a trial scans for
-// its direction, as the frozen sampler's pointRec — and
-// µ(r) = Σ_d µ(r, d). Internal nodes are wide: each keeps
+// its direction, as the frozen sampler's pointRec — in one 64 B record
+// (one cache line), and beside the records one array of the slots'
+// µ(r) = Σ_d µ(r, d), which a descent's leaf scan reads as one line.
+// Internal nodes are wide: each keeps
 // the µ totals of its stFan children in one contiguous array next to
 // the child pointers, so a trial is one short root-to-leaf descent
 // (three internal levels cover 2^18 slots) that scans one array per
@@ -50,12 +53,11 @@ const (
 // cases 1–2, the BBST bound for corners; 0 where the cell is empty.
 type dirCounts [grid.NumDirections]int32
 
-// slotRec is one slot. A dead slot holds a free marker, zero counts and
-// zero µ.
+// slotRec is one slot: 24 B of point and 36 B of counts, 64 B with
+// padding. A dead slot holds a free marker and zero counts.
 type slotRec struct {
 	pt  geom.Point
 	cnt dirCounts
-	mu  float64
 }
 
 // total is µ(r) = Σ_d µ(r, d).
@@ -67,12 +69,16 @@ func (cnt *dirCounts) total() int {
 	return mu
 }
 
-func newSlotRec(pt geom.Point, cnt dirCounts) slotRec {
-	return slotRec{pt: pt, cnt: cnt, mu: float64(cnt.total())}
-}
+// mu is the slot's µ(r), the weight the descent draws it by.
+func (rec *slotRec) mu() float64 { return float64(rec.cnt.total()) }
 
-// stLeaf is a chunk of stChunk consecutive slots.
-type stLeaf [stChunk]slotRec
+// stLeaf is a chunk of stChunk consecutive slots, 576 B: mu[k] is
+// recs[k].mu(), kept apart from the records so a descent scans one
+// cache line and reads one record.
+type stLeaf struct {
+	mu   [stChunk]float64
+	recs [stChunk]slotRec
+}
 
 // stNode is an internal node. sums[j] is the µ total under child j;
 // the children are kids above height 1 and leaves at height 1. A child
@@ -112,7 +118,7 @@ func (t *slotTree) get(i int) *slotRec {
 	for h := t.height; h > 1; h-- {
 		u = u.kids[i>>childShift(h)&(stFan-1)]
 	}
-	return &u.leaves[i>>stChunkBits&(stFan-1)][i&(stChunk-1)]
+	return &u.leaves[i>>stChunkBits&(stFan-1)].recs[i&(stChunk-1)]
 }
 
 // sample returns the slot whose prefix-sum interval holds u, for u in
@@ -137,11 +143,11 @@ func (t *slotTree) sample(u float64) *slotRec {
 	j, u := pickChild(&node.sums, u)
 	leaf := node.leaves[j]
 	k := 0
-	for u >= leaf[k].mu {
-		u -= leaf[k].mu
+	for u >= leaf.mu[k] {
+		u -= leaf.mu[k]
 		k++
 	}
-	return &leaf[k]
+	return &leaf.recs[k]
 }
 
 // pickChild returns the child whose prefix-sum interval holds u, for u
@@ -195,7 +201,8 @@ func setNode(u *stNode, h, base int, idx []int32, recs []slotRec) (*stNode, floa
 				*nl = *l
 			}
 			for m, i := range idx[:k] {
-				nl[int(i)-cb] = recs[m]
+				nl.recs[int(i)-cb] = recs[m]
+				nl.mu[int(i)-cb] = recs[m].mu()
 			}
 			nu.leaves[j], nu.sums[j] = nl, leafSum(nl)
 		} else {
@@ -216,8 +223,8 @@ func nodeSum(sums *[stFan]float64) float64 {
 
 func leafSum(l *stLeaf) float64 {
 	var s float64
-	for k := range l {
-		s += l[k].mu
+	for _, mu := range l.mu {
+		s += mu
 	}
 	return s
 }
@@ -233,29 +240,43 @@ func buildSlotTree(recs []slotRec) *slotTree {
 
 // slotEdits buffers one batch's slot writes over a base version. Reads
 // see the pending writes; commit applies them in one setMany pass.
+// The pending records sit in one slice in first-write order, reached
+// through a small map from slot to position, so a batch's map holds
+// 8 B entries and never moves a record when it grows.
 type slotEdits struct {
 	base *slotTree
 	n    int
-	pend map[int32]slotRec
-	idx  []int32 // slots in pend, in first-write order
+	at   map[int32]int32 // slot -> its position in idx and recs
+	idx  []int32         // pending slots, in first-write order
+	recs []slotRec       // recs[j] is the pending record of idx[j]
 }
 
-func newSlotEdits(t *slotTree) *slotEdits {
-	return &slotEdits{base: t, n: t.Len(), pend: make(map[int32]slotRec)}
+// newSlotEdits starts a batch over t, sized for about hint writes.
+func newSlotEdits(t *slotTree, hint int) *slotEdits {
+	return &slotEdits{
+		base: t,
+		n:    t.Len(),
+		at:   make(map[int32]int32, hint),
+		idx:  make([]int32, 0, hint),
+		recs: make([]slotRec, 0, hint),
+	}
 }
 
 func (e *slotEdits) get(i int32) slotRec {
-	if rec, ok := e.pend[i]; ok {
-		return rec
+	if j, ok := e.at[i]; ok {
+		return e.recs[j]
 	}
 	return *e.base.get(int(i))
 }
 
 func (e *slotEdits) set(i int32, rec slotRec) {
-	if _, ok := e.pend[i]; !ok {
-		e.idx = append(e.idx, i)
+	if j, ok := e.at[i]; ok {
+		e.recs[j] = rec
+		return
 	}
-	e.pend[i] = rec
+	e.at[i] = int32(len(e.idx))
+	e.idx = append(e.idx, i)
+	e.recs = append(e.recs, rec)
 }
 
 // push appends a slot and returns its index.
@@ -266,13 +287,21 @@ func (e *slotEdits) push(rec slotRec) int32 {
 	return i
 }
 
+// commit returns the new version. It sorts the pending writes in
+// place, so the buffer is spent.
 func (e *slotEdits) commit() *slotTree {
-	slices.Sort(e.idx)
-	recs := make([]slotRec, len(e.idx))
-	for j, i := range e.idx {
-		recs[j] = e.pend[i]
-	}
-	return e.base.setMany(e.idx, recs)
+	sort.Sort((*bySlot)(e))
+	return e.base.setMany(e.idx, e.recs)
+}
+
+// bySlot orders a buffer's pending writes by slot.
+type bySlot slotEdits
+
+func (b *bySlot) Len() int           { return len(b.idx) }
+func (b *bySlot) Less(i, j int) bool { return b.idx[i] < b.idx[j] }
+func (b *bySlot) Swap(i, j int) {
+	b.idx[i], b.idx[j] = b.idx[j], b.idx[i]
+	b.recs[i], b.recs[j] = b.recs[j], b.recs[i]
 }
 
 // checkSums validates the tree's shape and every stored sum: each µ is
@@ -328,16 +357,18 @@ func checkLeaf(l *stLeaf, base, n int) (float64, error) {
 	if l == nil {
 		return 0, nil
 	}
-	for k, rec := range l {
-		if rec.mu != newSlotRec(rec.pt, rec.cnt).mu || (base+k >= n && rec != slotRec{}) {
-			return 0, fmt.Errorf("slot %d: µ %g does not match its counts %v", base+k, rec.mu, rec.cnt)
+	for k := range l.recs {
+		rec := &l.recs[k]
+		if l.mu[k] != rec.mu() || (base+k >= n && *rec != slotRec{}) {
+			return 0, fmt.Errorf("slot %d: µ %g does not match its counts %v", base+k, l.mu[k], rec.cnt)
 		}
 	}
 	return leafSum(l), nil
 }
 
 // sizeBytes estimates the standalone footprint: per stChunk slots, one
-// 576 B leaf and a 1/stFan share of a 768 B internal node.
+// 576 B leaf (8 records of 64 B and 8 µ of 8 B) and a 1/stFan share of
+// a 768 B internal node.
 func (t *slotTree) sizeBytes() int {
 	return (t.n + stChunk - 1) / stChunk * (576 + 768/stFan)
 }

@@ -21,7 +21,7 @@ func randomRec(r *rng.RNG, id int32) slotRec {
 			}
 		}
 	}
-	return newSlotRec(geom.Point{X: float64(id), Y: r.Float64(), ID: id}, cnt)
+	return slotRec{pt: geom.Point{X: float64(id), Y: r.Float64(), ID: id}, cnt: cnt}
 }
 
 // Trees past stChunk·stFan² slots need three internal levels.
@@ -42,7 +42,7 @@ func randomRecs(seed uint64, n int) []slotRec {
 // sameRec compares slots bit-for-bit (a free marker's X is NaN).
 func sameRec(a, b slotRec) bool {
 	return math.Float64bits(a.pt.X) == math.Float64bits(b.pt.X) && a.pt.Y == b.pt.Y &&
-		a.pt.ID == b.pt.ID && a.cnt == b.cnt && a.mu == b.mu
+		a.pt.ID == b.pt.ID && a.cnt == b.cnt && a.mu() == b.mu()
 }
 
 // checkTree compares a version against its flat oracle: every slot,
@@ -57,7 +57,7 @@ func checkTree(t *testing.T, tr *slotTree, want []slotRec) {
 		if got := *tr.get(i); !sameRec(got, want[i]) {
 			t.Fatalf("slot %d = %+v, want %+v", i, got, want[i])
 		}
-		total += want[i].mu
+		total += want[i].mu()
 	}
 	if tr.Total() != total {
 		t.Fatalf("Total = %g, want %g", tr.Total(), total)
@@ -81,7 +81,7 @@ func TestSlotTreeBasics(t *testing.T) {
 func TestSlotTreeEmpty(t *testing.T) {
 	empty := buildSlotTree(nil)
 	checkTree(t, empty, nil)
-	rec := newSlotRec(geom.Point{X: 1, ID: 7}, dirCounts{2, 0, 3})
+	rec := slotRec{pt: geom.Point{X: 1, ID: 7}, cnt: dirCounts{2, 0, 3}}
 	one := empty.setMany([]int32{0}, []slotRec{rec})
 	checkTree(t, one, []slotRec{rec})
 	checkTree(t, empty, nil) // the receiver is untouched
@@ -108,7 +108,7 @@ func TestSlotTreeSetAppend(t *testing.T) {
 	var want []slotRec
 	tr := buildSlotTree(nil)
 	for step := 0; step < 300; step++ {
-		e := newSlotEdits(tr)
+		e := newSlotEdits(tr, 0)
 		for k := r.Intn(6); k >= 0; k-- {
 			if len(want) > 0 && r.Intn(3) > 0 {
 				i := r.Intn(len(want))
@@ -142,7 +142,7 @@ func TestSlotTreeVersionIsolation(t *testing.T) {
 	oracles := [][]slotRec{append([]slotRec(nil), base...)}
 	cur := append([]slotRec(nil), base...)
 	for step := 0; step < 200; step++ {
-		e := newSlotEdits(tr)
+		e := newSlotEdits(tr, 0)
 		if r.Bool(0.5) {
 			i := r.Intn(len(cur))
 			rec := randomRec(r, int32(100+step))
@@ -179,7 +179,7 @@ func TestSlotTreeAppendGrowth(t *testing.T) {
 	for _, rec := range recs {
 		prev, n := tr, len(want)
 		i := n / 2
-		e := newSlotEdits(tr)
+		e := newSlotEdits(tr, 0)
 		e.push(rec)
 		e.set(int32(i), rec)
 		want = append(want, rec)
@@ -213,9 +213,9 @@ func oracleSample(recs []slotRec) func(u float64) int {
 	prefix := make([]float64, len(recs))
 	acc, last := 0.0, -1
 	for i, rec := range recs {
-		acc += rec.mu
+		acc += rec.mu()
 		prefix[i] = acc
-		if rec.mu > 0 {
+		if rec.mu() > 0 {
 			last = i
 		}
 	}
@@ -269,13 +269,13 @@ func chiSquareSlots(t *testing.T, tr *slotTree, want []slotRec, seed uint64) {
 	}
 	chi2, dof := 0.0, -1
 	for _, rec := range want {
-		if rec.mu == 0 {
+		if rec.mu() == 0 {
 			if counts[rec.pt.ID] != 0 {
 				t.Fatalf("zero-µ slot ID %d drawn %d times", rec.pt.ID, counts[rec.pt.ID])
 			}
 			continue
 		}
-		exp := draws * rec.mu / tr.Total()
+		exp := draws * rec.mu() / tr.Total()
 		d := float64(counts[rec.pt.ID]) - exp
 		chi2 += d * d / exp
 		dof++
@@ -298,10 +298,10 @@ func TestSlotTreeSampleDistribution(t *testing.T) {
 // with nothing to draw: empty, all slots zero-µ, and all slots freed.
 func TestSlotTreeSampleZeroTotalPanics(t *testing.T) {
 	zero := buildSlotTree([]slotRec{
-		newSlotRec(geom.Point{ID: 0}, dirCounts{}),
-		newSlotRec(geom.Point{ID: 1}, dirCounts{}),
+		{pt: geom.Point{ID: 0}},
+		{pt: geom.Point{ID: 1}},
 	})
-	e := newSlotEdits(buildSlotTree([]slotRec{newSlotRec(geom.Point{ID: 0}, dirCounts{1})}))
+	e := newSlotEdits(buildSlotTree([]slotRec{{pt: geom.Point{ID: 0}, cnt: dirCounts{1}}}), 0)
 	e.set(0, slotRec{pt: freeMarker(-1)})
 	freed := e.commit()
 	for name, tr := range map[string]*slotTree{"empty": buildSlotTree(nil), "zero": zero, "freed": freed} {
@@ -323,12 +323,12 @@ func TestSlotTreeSampleAfterMutation(t *testing.T) {
 	r := rng.New(8)
 	recs := make([]slotRec, 4)
 	for i := range recs {
-		recs[i] = newSlotRec(geom.Point{ID: int32(i)}, dirCounts{1})
+		recs[i] = slotRec{pt: geom.Point{ID: int32(i)}, cnt: dirCounts{1}}
 	}
 	tr := buildSlotTree(recs)
-	e := newSlotEdits(tr)
+	e := newSlotEdits(tr, 0)
 	for i := 4; i < 64; i++ {
-		rec := newSlotRec(geom.Point{ID: int32(i)}, dirCounts{})
+		rec := slotRec{pt: geom.Point{ID: int32(i)}, cnt: dirCounts{}}
 		e.push(rec)
 		recs = append(recs, rec)
 	}
@@ -339,7 +339,6 @@ func TestSlotTreeSampleAfterMutation(t *testing.T) {
 	for _, i := range []int{17, 40, 63} {
 		recs[i] = randomRec(r, int32(i))
 		recs[i].cnt[0]++
-		recs[i] = newSlotRec(recs[i].pt, recs[i].cnt)
 		e.set(int32(i), recs[i])
 	}
 	tr = e.commit()
@@ -359,7 +358,7 @@ func TestSlotTreeCheckSumsRejectsCorruption(t *testing.T) {
 		"mid sum":    &mid.sums[2],
 		"bottom sum": &bottom.sums[3],
 		"total":      &tr.total,
-		"leaf µ":     &bottom.leaves[4][5].mu,
+		"leaf µ":     &bottom.leaves[4].mu[5],
 	}
 	for name, p := range corrupt {
 		*p++
@@ -384,14 +383,14 @@ func TestSlotTreeSampleShapeIndependent(t *testing.T) {
 
 	pushed := buildSlotTree(nil)
 	for _, rec := range recs {
-		e := newSlotEdits(pushed)
+		e := newSlotEdits(pushed, 0)
 		e.push(rec)
 		pushed = e.commit()
 	}
 
 	edited := buildSlotTree(randomRecs(14, deepSlots))
 	r := rng.New(15)
-	e := newSlotEdits(edited)
+	e := newSlotEdits(edited, 0)
 	for _, i := range r.Perm(deepSlots) {
 		rec := slotRec{pt: freeMarker(-1)}
 		if i < n {
