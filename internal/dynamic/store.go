@@ -1,9 +1,10 @@
 // Package dynamic makes the paper's BBST join sampler mutable. The
 // structures of "Random Sampling over Spatial Range Joins" are built
 // once over immutable R and S; a serving system also needs insert and
-// delete. A Store lands that with one write path, in-place
-// maintenance: the bulk-built BBST sampler is converted once into a
-// core.Mutable (Unfreeze), and every Apply after that edits the live
+// delete. A Store lands that with one index kind and one write path,
+// in-place maintenance: NewStore bulk-builds the BBST sampler and
+// converts it at once into a core.Mutable (Unfreeze), so every view
+// serves through the mutable index, and every Apply edits the live
 // structures copy-on-write along the touched paths only, in Õ(ops) per
 // batch. There are no insert buffers, no tombstones and no rebuild
 // threshold: every S cell a batch touches gets its BBST pair rebuilt
@@ -12,10 +13,10 @@
 // shrinks, and no Apply ever rebuilds the whole store.
 //
 // The one bulk rebuild — a compaction — is an explicit Compact. It is
-// synchronous: the fresh frozen base is published by the call that
-// built it. Apply reuses the R slots deletes free but never shrinks
-// the slot array, so after a large shrink only Compact returns it to
-// the live count.
+// synchronous: it bulk-builds and unfreezes a fresh index over the
+// live points, and the call that built it publishes it. Apply reuses
+// the R slots deletes free but never shrinks the slot array, so after
+// a large shrink only Compact returns it to the live count.
 //
 // Only BBST is mutable. KDS, GridKD, RTS and the other algorithms are
 // the paper's static baselines and ablations; the serving layer
@@ -39,7 +40,6 @@ package dynamic
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -99,13 +99,11 @@ func validFinite(pts []geom.Point, side string) error {
 
 // Config parameterizes a Store.
 type Config struct {
-	// BuildBase bulk-builds the frozen BBST sampler over the given point
-	// sets (the root package supplies core.NewBBST with the store's
-	// options). It must accept empty sides. Required.
-	BuildBase func(R, S []geom.Point) (*core.BBSTSampler, error)
-	// Seed drives the per-view serving pools; equal seeds make
-	// equal-seeded draws reproducible within one generation.
-	Seed uint64
+	// BBST configures the index NewStore and Compact bulk-build
+	// (core.NewBBST) before unfreezing it. Its Seed also drives the
+	// per-view serving pools; equal seeds make equal-seeded draws
+	// reproducible within one generation.
+	BBST core.Config
 	// MaxT caps the samples one request may ask for on every view
 	// engine (0 = unlimited).
 	MaxT int
@@ -136,29 +134,15 @@ type view struct {
 	// what a snapshot of this view covers.
 	lastID uint64
 
-	// Exactly one of base and mut is set. base is a frozen bulk build
-	// over R and S: the store's state at construction and right after
-	// a compaction, so those generations draw exactly like a plain
-	// engine over the same points. mut is an in-place maintained
-	// version; it shares almost all structure copy-on-write with the
-	// bulk build it was unfrozen from.
-	base *core.BBSTSampler
-	R, S []geom.Point
-	mut  *core.Mutable
-	size int // footprint of base or mut
+	// mut is the view's index version. It shares almost all structure
+	// copy-on-write with the versions before it, back to the bulk
+	// build it was unfrozen from.
+	mut *core.Mutable
 
 	eng *engine.Engine // nil when the current join is empty
 
 	estMu sync.Mutex
 	est   core.Sampler // clone for join-size estimation
-}
-
-// points returns the view's live point sets.
-func (v *view) points() (R, S []geom.Point) {
-	if v.mut != nil {
-		return v.mut.LivePoints()
-	}
-	return v.R, v.S
 }
 
 // Store is a mutable join-sampling dataset: the Source-serving front
@@ -203,15 +187,12 @@ type Store struct {
 	testHookSwap func(*view)
 }
 
-// NewStore bulk-builds the base over R and S and returns a store
+// NewStore bulk-builds the index over R and S and returns a store
 // serving them at generation 0. The slices are not copied and must
 // not be mutated afterwards (Apply never touches them — it edits the
 // store's own index). Empty sides are allowed: a store may start empty
 // and be filled through Apply.
 func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
-	if cfg.BuildBase == nil {
-		return nil, fmt.Errorf("dynamic: Config.BuildBase is required")
-	}
 	if err := validFinite(R, "R"); err != nil {
 		return nil, err
 	}
@@ -219,12 +200,11 @@ func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{cfg: cfg, lastApplied: cfg.InitialLastApplied}
-	v, err := st.baseView(R, S)
+	m, err := st.build(R, S)
 	if err != nil {
 		return nil, err
 	}
-	v.gen = cfg.InitialGeneration
-	v.lastID = cfg.InitialLastApplied
+	v := &view{gen: cfg.InitialGeneration, lastID: cfg.InitialLastApplied, mut: m}
 	if err := st.finishView(v); err != nil {
 		return nil, err
 	}
@@ -232,18 +212,16 @@ func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// baseView bulk-builds a frozen view over R and S and prepares it
-// through Count. An empty join is not an error for a mutable store,
-// which may become non-empty through Apply.
-func (st *Store) baseView(R, S []geom.Point) (*view, error) {
-	base, err := st.cfg.BuildBase(R, S)
+// build bulk-builds the BBST sampler over R and S and unfreezes it at
+// once, so every view serves through the mutable index. An empty side
+// or an empty join is not an error for a mutable store, which may
+// become non-empty through Apply.
+func (st *Store) build(R, S []geom.Point) (*core.Mutable, error) {
+	base, err := core.NewBBST(R, S, st.cfg.BBST)
 	if err != nil {
 		return nil, err
 	}
-	if err := base.Count(); err != nil && !errors.Is(err, core.ErrEmptyJoin) {
-		return nil, err
-	}
-	return &view{base: base, R: R, S: S, size: base.SizeBytes()}, nil
+	return base.Unfreeze()
 }
 
 // mutOps converts an Update into the core batch type. Slices are
@@ -253,56 +231,32 @@ func mutOps(u Update) core.MutOps {
 }
 
 // stepLocked derives the view one sequenced record produces from cur:
-// the record applied in place (unfreezing cur's base first when cur is
-// frozen), one generation past cur. ApplyAt and Replay share it, so
-// live and recovered stores take the same step at the same update ID.
-// The returned view has no engine yet (finishView). Called with mu
-// held.
+// the record applied in place, one generation past cur. ApplyAt and
+// Replay share it, so live and recovered stores take the same step at
+// the same update ID. The returned view has no engine yet
+// (finishView). Called with mu held.
 func (st *Store) stepLocked(cur *view, id uint64, u Update) (*view, error) {
-	m := cur.mut
-	if m == nil {
-		var err error
-		if m, err = cur.base.Unfreeze(); err != nil {
-			return nil, err
-		}
-	}
-	nm, err := m.Apply(mutOps(u))
+	nm, err := cur.mut.Apply(mutOps(u))
 	if err != nil {
 		return nil, err
 	}
-	return &view{gen: cur.gen + 1, lastID: id, mut: nm, size: nm.SizeBytes()}, nil
-}
-
-// compactLocked bulk-builds a frozen view over m's live point sets
-// and counts the compaction. Called with mu held.
-func (st *Store) compactLocked(m *core.Mutable, gen, lastID uint64) (*view, error) {
-	nv, err := st.baseView(m.LivePoints())
-	if err != nil {
-		return nil, err
-	}
-	nv.gen, nv.lastID = gen, lastID
-	st.rebuilds.Add(1)
-	return nv, nil
+	return &view{gen: cur.gen + 1, lastID: id, mut: nm}, nil
 }
 
 // finishView builds the view's serving engine and estimator. An empty
 // current join leaves v.eng nil; Draw answers core.ErrEmptyJoin until
 // an Apply makes the join non-empty again.
 //
-// The engine runs over a clone taken here, under st.mu: Unfreeze and
-// Mutable.Apply derive from the view's own handle (Apply splits its
-// stream), which must not race the engine pool cloning its parent.
+// The engine runs over a clone taken here, under st.mu: Mutable.Apply
+// derives from the view's own handle (Apply splits its stream), which
+// must not race the engine pool cloning its parent.
 // The engine never enters the registry: the store's footprint is
 // charged once, through Registry.Reserve(Stores.SizeBytes).
 func (st *Store) finishView(v *view) error {
-	var src core.Cloner = v.mut
-	if v.base != nil {
-		src = v.base
-	}
-	if src.Stats().MuSum <= 0 {
+	if v.mut.Stats().MuSum <= 0 {
 		return nil
 	}
-	sc, err := src.Clone()
+	sc, err := v.mut.Clone()
 	if err != nil {
 		return err
 	}
@@ -311,7 +265,7 @@ func (st *Store) finishView(v *view) error {
 	if err != nil {
 		return err
 	}
-	eng, err := engine.New(c, st.cfg.Seed)
+	eng, err := engine.New(c, st.cfg.BBST.Seed)
 	if err != nil {
 		return err
 	}
@@ -378,12 +332,8 @@ func (st *Store) maybeSnapshotLocked() {
 		return
 	}
 	v := st.view.Load()
-	live := len(v.R) + len(v.S)
-	if v.mut != nil {
-		ix := v.mut.Index()
-		live = ix.NumR() + ix.NumS()
-	}
-	if float64(st.snapPending) < snapshotFraction*float64(live) {
+	ix := v.mut.Index()
+	if float64(st.snapPending) < snapshotFraction*float64(ix.NumR()+ix.NumS()) {
 		return
 	}
 	st.snapPending = 0
@@ -397,7 +347,7 @@ func (st *Store) maybeSnapshotLocked() {
 // while it is read. The snapshot covers everything folded into v (all
 // records <= v.lastID): the log prunes up to there.
 func (st *Store) snapshot(v *view, p Persister) {
-	R, S := v.points()
+	R, S := v.mut.LivePoints()
 	err := p.Snapshot(v.gen, v.lastID, R, S)
 	if err != nil {
 		st.persistErrs.Add(1)
@@ -412,12 +362,12 @@ func (st *Store) snapshot(v *view, p Persister) {
 	st.mu.Unlock()
 }
 
-// Compact folds the in-place maintained index into a fresh bulk build
-// now and publishes it at a bumped generation before returning. It
-// writes no snapshot of its own: like any view, the compacted one is
-// persisted only when the cadence fires (maybeSnapshotLocked). It
-// returns nil without a bump when the current view already is a bulk
-// build.
+// Compact bulk-builds and unfreezes a fresh index over the live points
+// now, and publishes it at a bumped generation before returning. Apply
+// never shrinks the slot array, so after a large shrink this is the
+// one way to bring it back to the live count. Compact writes no
+// snapshot of its own: like any view, the compacted one is persisted
+// only when the cadence fires (maybeSnapshotLocked).
 func (st *Store) Compact(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -425,16 +375,15 @@ func (st *Store) Compact(ctx context.Context) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cur := st.view.Load()
-	if cur.mut == nil {
-		return nil
-	}
-	nv, err := st.compactLocked(cur.mut, cur.gen+1, cur.lastID)
+	m, err := st.build(cur.mut.LivePoints())
 	if err != nil {
 		return err
 	}
+	nv := &view{gen: cur.gen + 1, lastID: cur.lastID, mut: m}
 	if err := st.finishView(nv); err != nil {
 		return err
 	}
+	st.rebuilds.Add(1)
 	st.publishLocked(nv)
 	return nil
 }
@@ -509,13 +458,9 @@ func (st *Store) Stats() engine.Stats {
 	return acc
 }
 
-// SizeBytes estimates the retained footprint of the current view: the
-// index structures (charged once, whichever engines are resident) plus
-// a frozen base's point sets.
-func (st *Store) SizeBytes() int {
-	v := st.view.Load()
-	return v.size + 24*(len(v.R)+len(v.S))
-}
+// SizeBytes estimates the retained footprint of the current view's
+// index structures, charged once, whichever engines are resident.
+func (st *Store) SizeBytes() int { return st.view.Load().mut.SizeBytes() }
 
 // Rebuilds reports how many compactions (explicit Compact calls) have
 // run since the store was created.
@@ -524,10 +469,6 @@ func (st *Store) Rebuilds() uint64 { return st.rebuilds.Load() }
 // InPlaceOps reports how many operations were absorbed by in-place
 // index maintenance since the store was created.
 func (st *Store) InPlaceOps() uint64 { return st.inplace.Load() }
-
-// InPlace reports whether the current view is served by the in-place
-// maintained index (vs a freshly bulk-built base).
-func (st *Store) InPlace() bool { return st.view.Load().mut != nil }
 
 // EstimateJoinSize draws `samples` calibration samples through the
 // current view's estimator clone and returns the acceptance-rate
@@ -572,7 +513,7 @@ func (st *Store) PersistErrors() uint64 { return st.persistErrs.Load() }
 // necessarily this store's draws.
 func (st *Store) Dump() Snapshot {
 	v := st.view.Load()
-	R, S := v.points()
+	R, S := v.mut.LivePoints()
 	return Snapshot{Generation: v.gen, LastID: v.lastID, R: R, S: S}
 }
 

@@ -4,8 +4,8 @@ package dynamic
 // absorbed without a single rebuild, size accounting must charge the
 // shared base exactly once across resident generations, growth far
 // past the bulk-built size must stay in place too, the snapshot
-// cadence must count operations, and Compact must fold the mutable
-// line back into a frozen base.
+// cadence must count operations, and Compact must give back the slots
+// a large shrink left behind.
 
 import (
 	"context"
@@ -183,16 +183,7 @@ func TestStoreInPlaceSteadyChurn(t *testing.T) {
 	if got := st.InPlaceOps(); got != uint64(wantOps) {
 		t.Errorf("InPlaceOps = %d, want %d", got, wantOps)
 	}
-	if !st.InPlace() {
-		t.Error("InPlace = false after in-place churn")
-	}
-	v := st.view.Load()
-	if v.mut == nil {
-		t.Fatal("view carries no mutable index after in-place churn")
-	}
-	if err := v.mut.Index().CheckInvariants(); err != nil {
-		t.Fatalf("bucket invariants after churn: %v", err)
-	}
+	checkIndex(t, st)
 	checkSupport(t, drawAll(t, st, 4000), joinSet(model.R, model.S, l))
 }
 
@@ -270,19 +261,22 @@ func TestStoreInPlaceGrowth(t *testing.T) {
 	if got := st.Rebuilds(); got != 0 {
 		t.Errorf("Rebuilds = %d after 10x S growth, want 0", got)
 	}
-	if !st.InPlace() {
-		t.Error("InPlace = false after 10x S growth, want the in-place index")
-	}
 	checkIndex(t, st)
 	checkSupport(t, drawAll(t, st, 4000), joinSet(model.R, model.S, l))
 }
 
-// TestStoreCompactFoldsInPlace: Compact turns a mutable view back into
-// a frozen bulk-built base (the only rebuild), and the next Apply
-// unfreezes again.
+// TestStoreCompactFoldsInPlace: Apply reuses the R slots deletes free
+// but never shrinks the slot array, so after most of R is deleted only
+// Compact (the one rebuild) brings the footprint down to the live
+// count. The compacted index passes its invariants, serves the live
+// join at a bumped generation, and takes further updates in place.
 func TestStoreCompactFoldsInPlace(t *testing.T) {
-	R, S := testData(t)
-	l := 1500.0
+	gen, err := dataset.ByName("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	R, S := gen(2000, 31), gen(2000, 32)
+	l := 400.0
 	st, err := NewStore(R, S, testConfig(l, 17))
 	if err != nil {
 		t.Fatal(err)
@@ -290,45 +284,41 @@ func TestStoreCompactFoldsInPlace(t *testing.T) {
 	ctx := context.Background()
 	model := &currentSets{R: R, S: S}
 
-	u := Update{
-		InsertR: []geom.Point{{ID: 3000, X: 100, Y: -200}},
-		DeleteS: []int32{S[4].ID},
+	var u Update
+	for _, p := range R[:1800] {
+		u.DeleteR = append(u.DeleteR, p.ID)
 	}
 	if _, err := st.Apply(ctx, u); err != nil {
 		t.Fatal(err)
 	}
 	model.apply(u)
-	if !st.InPlace() {
-		t.Fatal("InPlace = false after an in-place apply")
-	}
+	shrunk := st.SizeBytes()
 
 	genBefore := st.Generation()
 	if err := st.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st.InPlace() {
-		t.Error("InPlace = true after Compact, want a frozen base")
+	if got := st.SizeBytes(); got >= shrunk {
+		t.Errorf("SizeBytes = %d after Compact, want below the %d left after the deletes", got, shrunk)
 	}
+	checkIndex(t, st)
 	if got := st.Rebuilds(); got != 1 {
 		t.Errorf("Rebuilds = %d after Compact, want 1", got)
 	}
 	if got := st.Generation(); got <= genBefore {
 		t.Errorf("Generation = %d after Compact, want > %d", got, genBefore)
 	}
-	jset := joinSet(model.R, model.S, l)
-	checkSupport(t, drawAll(t, st, 3000), jset)
+	checkSupport(t, drawAll(t, st, 3000), joinSet(model.R, model.S, l))
 
-	// The compacted base supports in-place maintenance again.
-	u2 := Update{InsertS: []geom.Point{{ID: 3001, X: -50, Y: 75}}}
+	// The compacted index takes updates in place.
+	u2 := Update{InsertS: []geom.Point{{ID: 9001, X: R[1900].X, Y: R[1900].Y}}}
 	if _, err := st.Apply(ctx, u2); err != nil {
 		t.Fatal(err)
 	}
 	model.apply(u2)
-	if !st.InPlace() {
-		t.Error("InPlace = false after post-Compact apply")
-	}
 	if got := st.Rebuilds(); got != 1 {
 		t.Errorf("Rebuilds = %d after post-Compact apply, want still 1", got)
 	}
+	checkIndex(t, st)
 	checkSupport(t, drawAll(t, st, 3000), joinSet(model.R, model.S, l))
 }

@@ -66,18 +66,16 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 		if prev := lastGen.Swap(v.gen); v.gen <= prev {
 			fail("generation moved backwards: %d after %d", v.gen, prev)
 		}
-		if v.mut != nil {
-			// In-place path: the swapped-in version must satisfy every
-			// bucket invariant (µ consistency, free-list integrity, ID
-			// indexes matching live slots).
-			if err := v.mut.Index().CheckInvariants(); err != nil {
-				fail("gen %d: bucket invariants: %v", v.gen, err)
-			}
+		// The swapped-in version must satisfy every bucket invariant
+		// (µ consistency, free-list integrity, ID indexes matching live
+		// slots).
+		if err := v.mut.Index().CheckInvariants(); err != nil {
+			fail("gen %d: bucket invariants: %v", v.gen, err)
 		}
-		// No poisoned ID may be live in the swapped-in view: a mutable
-		// index that still holds one, or a compacted base bulk-built
-		// with one, lost a delete.
-		R, S := v.points()
+		// No poisoned ID may be live in the swapped-in view: an index
+		// that still holds one, or a compacted one bulk-built with one,
+		// lost a delete.
+		R, S := v.mut.LivePoints()
 		for _, p := range R {
 			if poisonR[p.ID] {
 				fail("gen %d: poisoned R point %d live in a swapped-in view", v.gen, p.ID)
@@ -189,7 +187,7 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 		}(w)
 	}
 
-	// Compactor: compact now and then so frozen bases race the
+	// Compactor: compact now and then so rebuilt indexes race the
 	// appliers too.
 	wg.Add(1)
 	go func() {

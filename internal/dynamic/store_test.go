@@ -15,22 +15,16 @@ import (
 
 // testConfig returns a BBST-backed store config over half-extent l.
 func testConfig(l float64, seed uint64) Config {
-	return Config{
-		BuildBase: func(R, S []geom.Point) (*core.BBSTSampler, error) {
-			return core.NewBBST(R, S, core.Config{HalfExtent: l, Seed: seed})
-		},
-		Seed: seed,
-	}
+	return Config{BBST: core.Config{HalfExtent: l, Seed: seed}}
 }
 
 // checkIndex asserts the bucket invariants of the store's current
-// index version, when it is in place.
+// index version.
 func checkIndex(t *testing.T, st *Store) {
 	t.Helper()
-	if v := st.view.Load(); v.mut != nil {
-		if err := v.mut.Index().CheckInvariants(); err != nil {
-			t.Fatalf("generation %d: bucket invariants: %v", v.gen, err)
-		}
+	v := st.view.Load()
+	if err := v.mut.Index().CheckInvariants(); err != nil {
+		t.Fatalf("generation %d: bucket invariants: %v", v.gen, err)
 	}
 }
 
@@ -110,6 +104,7 @@ func TestStoreAppliesAndGenerations(t *testing.T) {
 	if st.Generation() != 0 {
 		t.Fatalf("fresh store at generation %d", st.Generation())
 	}
+	checkIndex(t, st)
 	model := &currentSets{R: R, S: S}
 	ctx := context.Background()
 
@@ -129,6 +124,7 @@ func TestStoreAppliesAndGenerations(t *testing.T) {
 		t.Fatalf("apply 1: gen %d, err %v", gen, err)
 	}
 	model.apply(u1)
+	checkIndex(t, st)
 	jset := joinSet(model.R, model.S, l)
 	pairs := drawAll(t, st, 4000)
 	checkSupport(t, pairs, jset)
@@ -152,17 +148,15 @@ func TestStoreAppliesAndGenerations(t *testing.T) {
 		}
 	}
 
-	// Compact folds the in-place index into a fresh base at a bumped
-	// generation, with identical serving behavior.
+	// Compact rebuilds the index over the live points at a bumped
+	// generation, serving the same join.
 	if err := st.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if g := st.Generation(); g != 3 {
 		t.Fatalf("post-compact generation %d, want 3", g)
 	}
-	if st.InPlace() {
-		t.Fatal("post-compact view is still in place")
-	}
+	checkIndex(t, st)
 	checkSupport(t, drawAll(t, st, 4000), jset)
 }
 
@@ -306,6 +300,7 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkIndex(t, st)
 	ctx := context.Background()
 	if _, err := st.Draw(ctx, engine.Request{T: 5}); !errors.Is(err, core.ErrEmptyJoin) {
 		t.Fatalf("empty store draw: %v, want ErrEmptyJoin", err)
@@ -324,9 +319,6 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 	if _, err := st.Apply(ctx, u); err != nil {
 		t.Fatal(err)
 	}
-	if !st.InPlace() {
-		t.Fatal("InPlace = false after the first apply to an empty store")
-	}
 	checkIndex(t, st)
 	res, err := st.Draw(ctx, engine.Request{T: 10})
 	if err != nil || len(res.Pairs) != 10 {
@@ -339,9 +331,6 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 	}
 	if _, err := st.Apply(ctx, Update{DeleteR: []int32{1}}); err != nil {
 		t.Fatal(err)
-	}
-	if !st.InPlace() {
-		t.Fatal("InPlace = false after deleting back to an empty join")
 	}
 	checkIndex(t, st)
 	if _, err := st.Draw(ctx, engine.Request{T: 5}); !errors.Is(err, core.ErrEmptyJoin) {
@@ -381,9 +370,6 @@ func TestStoreGrowthInOneBatch(t *testing.T) {
 	}
 	if got := st.Rebuilds(); got != 0 {
 		t.Fatalf("Rebuilds = %d after S growth, want 0", got)
-	}
-	if !st.InPlace() {
-		t.Fatal("InPlace = false after S growth, want the in-place index")
 	}
 	checkIndex(t, st)
 	// One view was published, at the one bumped generation.

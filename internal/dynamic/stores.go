@@ -164,7 +164,6 @@ type StoreInfo struct {
 	Generation uint64       `json:"generation"`
 	Rebuilds   uint64       `json:"rebuilds"`
 	InPlaceOps uint64       `json:"inplace_ops"`
-	InPlace    bool         `json:"inplace,omitempty"`
 	SizeBytes  int          `json:"size_bytes"`
 	Engine     engine.Stats `json:"engine"`
 
@@ -269,7 +268,6 @@ func (s *Stores) Infos() []StoreInfo {
 			Generation:    st.Generation(),
 			Rebuilds:      st.Rebuilds(),
 			InPlaceOps:    st.InPlaceOps(),
-			InPlace:       st.InPlace(),
 			SizeBytes:     st.SizeBytes(),
 			Engine:        st.Stats(),
 			LastAppliedID: st.LastApplied(),

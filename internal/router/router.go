@@ -23,8 +23,8 @@
 // understood and refused would turn every client error into n client
 // errors and every cancellation into a stampede.
 //
-// Because the update broadcast keeps every shard's store a
-// byte-identical replica, reads need not pin to the ring owner:
+// Because the update broadcast keeps every shard's store a replica of
+// the same live join, reads need not pin to the ring owner:
 // Options.ReadReplicas spreads each key's draws across the first k
 // healthy nodes of its failover order, and AddBackend/RemoveBackend
 // resize the ring on a live router (see membership.go).
@@ -80,13 +80,19 @@ type Options struct {
 	// nodes of its failover order instead of pinning every read to the
 	// ring owner (default 1 — today's owner-only routing). Safe
 	// because the update broadcast keeps every shard's store a
-	// byte-identical replica, and a nonzero request seed makes the
-	// sampled stream independent of which engine serves it. The
+	// replica of the same live join, and a nonzero request seed makes
+	// the sampled stream independent of which engine serves it. The
 	// replica choice is a deterministic tie-break from the request
-	// seed and the key hash — never wall clock or a global RNG — so a
-	// seeded draw returns byte-identical samples no matter which
-	// replica answers; unseeded draws rotate round-robin. Values
-	// beyond the healthy backend count are clamped per draw.
+	// seed and the key hash — never wall clock or a global RNG. Shards
+	// with the same build history (booted over the same data, fed the
+	// same updates) answer a seeded draw with byte-identical samples.
+	// A shard recovered from a snapshot or added at runtime rebuilt
+	// its store from flattened point lists: it serves the same live
+	// join with other seeded bytes, so with one in the replica set a
+	// seeded draw's bytes depend on the replica that answers
+	// (TestServerSnapshotRecoveryDivergesFromPeer). Unseeded draws
+	// rotate round-robin. Values beyond the healthy backend count are
+	// clamped per draw.
 	ReadReplicas int
 	// ProbeInterval paces background /healthz probes of every backend
 	// (default DefaultProbeInterval); negative disables probing —
@@ -753,8 +759,8 @@ type UpdateResult struct {
 // backends apply strictly in ID order, parking small reorderings in a
 // gap buffer and acknowledging duplicates idempotently. Concurrent
 // ApplyUpdates through ONE router therefore commute onto every shard
-// in the same order — byte-identical replicas hold for multi-writer
-// traffic. Run one router per dataset's write path; two routers
+// in the same order — shards with the same build history stay
+// byte-identical replicas under multi-writer traffic. Run one router per dataset's write path; two routers
 // stamping the same key independently would fork the sequence.
 //
 // err reports backends that could not apply. The result's UpdateID

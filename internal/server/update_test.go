@@ -42,10 +42,7 @@ func newUpdatableStack(t *testing.T, maxT int) (*Client, *registry.Registry, *dy
 			return nil, errors.Join(ErrBadKey, errors.New("unknown dataset "+key.Dataset))
 		}
 		return dynamic.NewStore(rs[0], rs[1], dynamic.Config{
-			BuildBase: func(R, S []geom.Point) (*core.BBSTSampler, error) {
-				return core.NewBBST(R, S, core.Config{HalfExtent: key.L, Seed: key.Seed})
-			},
-			Seed: key.Seed,
+			BBST: core.Config{HalfExtent: key.L, Seed: key.Seed},
 			MaxT: maxT,
 		})
 	})
@@ -167,7 +164,7 @@ func TestUpdateEndToEnd(t *testing.T) {
 				t.Fatalf("stores in stats: %+v", stats.Stores)
 			}
 			info := stats.Stores[0]
-			if info.InPlaceOps != 4 || !info.InPlace || info.Rebuilds != 0 {
+			if info.InPlaceOps != 4 || info.Rebuilds != 0 {
 				t.Fatalf("in-place counters not surfaced: %+v", info)
 			}
 			mres, err := cl.hc.Get(cl.base + "/metrics")

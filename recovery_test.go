@@ -156,10 +156,10 @@ func TestServerRecoversFromLogReplay(t *testing.T) {
 
 // firstDifference draws 2000 samples under seed from a and from b and
 // returns the index of the first pair that differs, -1 when none does.
-func firstDifference(t *testing.T, a, b *srj.Client, seed uint64) int {
+func firstDifference(t *testing.T, a, b srj.Source, seed uint64) int {
 	t.Helper()
 	var draws [2][]srj.Pair
-	for i, c := range []*srj.Client{a, b} {
+	for i, c := range []srj.Source{a, b} {
 		res, err := c.Draw(context.Background(), srj.Request{T: 2000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)

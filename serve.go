@@ -502,8 +502,9 @@ type Router = router.Router
 
 // RouterOptions configures NewRouter: virtual nodes per backend,
 // read replicas per key (ReadReplicas — spread draws across the
-// first k healthy ring nodes while keeping seeded draws
-// byte-identical), health-probe cadence, and the shared http.Client.
+// first k healthy ring nodes; seeded draws stay byte-identical among
+// shards with the same build history), health-probe cadence, and the
+// shared http.Client.
 type RouterOptions = router.Options
 
 // RouterStats snapshots a Router's routing state: per-backend health

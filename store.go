@@ -2,9 +2,9 @@ package srj
 
 // The mutable-dataset surface. A Sampler and an Engine are bulk-built
 // over immutable R and S; a Store is the paper's BBST structure made
-// mutable: the bulk-built base is adopted for in-place maintenance on
-// the first update, and every batch after that replaces the touched
-// grid cells with their BBST pairs, rebuilt over the new points, and
+// mutable: the bulk-built structures are adopted for in-place
+// maintenance at construction, so every generation draws through the
+// one mutable index, and every batch replaces the touched grid cells with their BBST pairs, rebuilt over the new points, and
 // edits the per-point counts copy-on-write in Õ(ops), so draws stay
 // uniform over the *live* join (see internal/dynamic). Stores are
 // BBST-only; the other algorithms are the paper's static baselines.
@@ -51,8 +51,11 @@ type Store struct {
 	st *dynamic.Store
 }
 
-// NewStore validates R and S, bulk-builds the BBST base structures,
-// and returns a Store serving them at generation 0.
+// NewStore validates R and S, bulk-builds the BBST structures, adopts
+// them into the mutable index every generation draws through, and
+// returns a Store serving them at generation 0. Its seeded draws are
+// not an Engine's over the same points: the Engine draws through the
+// frozen structures, the Store through the mutable index.
 // Unlike NewEngine, empty inputs (even a provably empty join) are
 // accepted: a mutable dataset may start empty and be filled through
 // Apply, with Draw answering ErrEmptyJoin until it is. The slices are
@@ -75,16 +78,8 @@ func NewStore(R, S []Point, l float64, opts *StoreOptions) (*Store, error) {
 // configuration of NewStore and of every server store
 // (newServerStore).
 func storeConfig(l float64, o StoreOptions) dynamic.Config {
-	cfg := core.Config{
-		HalfExtent: l,
-		Seed:       o.Seed,
-		MaxRejects: o.MaxRejects,
-	}
 	return dynamic.Config{
-		BuildBase: func(R, S []Point) (*core.BBSTSampler, error) {
-			return core.NewBBST(R, S, cfg)
-		},
-		Seed: o.Seed,
+		BBST: core.Config{HalfExtent: l, Seed: o.Seed, MaxRejects: o.MaxRejects},
 		MaxT: o.MaxT,
 	}
 }
@@ -123,9 +118,11 @@ func (s *Store) Bind() Source { return s }
 // Compact.
 func (s *Store) Generation() uint64 { return s.st.Generation() }
 
-// Compact folds the in-place maintained index into a fresh bulk build
-// and publishes it, at a bumped generation, before returning — the
-// only rebuild.
+// Compact bulk-builds a fresh index over the live points, adopts it
+// like NewStore does, and publishes it, at a bumped generation, before
+// returning — the only rebuild. Apply reuses the slots deletes free
+// but never drops them, so after a large shrink Compact is the one way
+// to bring the footprint back to the live count.
 func (s *Store) Compact(ctx context.Context) error { return s.st.Compact(ctx) }
 
 // InPlaceOps reports how many operations were absorbed by in-place
