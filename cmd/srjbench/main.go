@@ -384,8 +384,7 @@ func runServeMixedLocal(ctx context.Context, stdout io.Writer, cfg serveConfig) 
 	st := store.Stats()
 	fmt.Fprintf(stdout, "store: generation %d, avg draw latency %v\n",
 		store.Generation(), st.AvgLatency().Round(time.Microsecond))
-	fmt.Fprintf(stdout, "write path: %d ops absorbed in place, %d base rebuilds\n",
-		store.InPlaceOps(), store.Rebuilds())
+	fmt.Fprintf(stdout, "write path: %d ops absorbed in place\n", store.InPlaceOps())
 	return nil
 }
 

@@ -127,8 +127,3 @@ func (p *ClonePool) Warm(n int) error {
 	}
 	return nil
 }
-
-// Parent exposes the prepared parent sampler (for Name, SizeBytes, and
-// structure-level Stats). Callers must not sample from it while the
-// pool is serving.
-func (p *ClonePool) Parent() Cloner { return p.parent }

@@ -93,6 +93,23 @@ func FuzzMutableOps(f *testing.F) {
 		cross = append(cross, 0x07, 0x00, 0x02, id, 0x02, id+1, 0x02, id+2)
 	}
 	f.Add(uint64(7), uint8(0), cross)
+	// Delete more than half of R in one batch, so ApplyOps repacks the R
+	// side, then refill it, and delete and insert fewer than half, which
+	// reuses the freed slots.
+	shrink := []byte{0xf1, 0x3c, 0xf9, 0xc3}
+	for id := byte(0); id < 10; id++ {
+		shrink = append(shrink, id<<3|1, id*7)
+	}
+	shrink = append(shrink, 0x07, 0x00)
+	for id := byte(0); id < 24; id++ {
+		shrink = append(shrink, 0x03, id)
+	}
+	shrink = append(shrink, 0x00, 0x99, 0x07, 0x00)
+	for id := byte(0); id < 12; id++ {
+		shrink = append(shrink, id<<3|1, id*11)
+	}
+	shrink = append(shrink, 0x06, 0x01, 0x0e, 0x05, 0x07, 0x00, 0x03, 24, 0x03, 25, 0x03, 26, 0x61, 0x3a, 0x69, 0xc4)
+	f.Add(uint64(26), uint8(2), shrink)
 	f.Fuzz(func(t *testing.T, seed uint64, capRaw uint8, script []byte) {
 		if len(script) > 256 {
 			script = script[:256]

@@ -35,7 +35,11 @@ package core
 //     a free list encoded in the slots themselves, so sustained churn
 //     reuses slots instead of growing without bound. An insert takes
 //     the free slot deleted last, wherever it lies, so under long churn
-//     a cell's slots drift apart from the layout Unfreeze gave them.
+//     a cell's slots drift apart from the layout Unfreeze gave them;
+//   - a batch that leaves more dead slots than live ones repacks the R
+//     side: the live slots are laid out cell by cell again and the dead
+//     ones dropped, so the slot array never holds more than twice the
+//     live count and a shrink gives its memory back.
 //
 // Every version of the index is immutable: ApplyOps path-copies the
 // touched cells and slot-tree paths and returns a NEW index, so
@@ -235,8 +239,9 @@ type rcw struct {
 // per cell, one copy-on-write cell replacement and one rebuilt corner
 // structure per touched cell), then R deletes, then R inserts with counts
 // taken against the final S state, then every touched R cell gets a
-// new reverse list, and finally the live R slots whose 3×3
-// neighborhood contains a touched S cell are recounted.
+// new reverse list, and the live R slots whose 3×3 neighborhood
+// contains a touched S cell are recounted. Finally, if the batch leaves
+// more dead slots than live ones, the R side is repacked.
 func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 	if err := checkMutFinite(ops.InsR, "R"); err != nil {
 		return nil, err
@@ -372,7 +377,44 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 		}
 	}
 	nx.slots = se.commit()
+	if nx.nFree > nx.rCount {
+		nx.repack()
+	}
 	return &nx, nil
+}
+
+// repack drops the dead slots once they outnumber the live ones: the
+// live slots are laid out again cell by cell, in rcells order and each
+// cell's list order, and the slot tree, rcells and rids are bulk-built
+// over the new layout, as Unfreeze builds them, side by side across
+// cfg.Workers. Every dead slot was freed by a delete since the last
+// repack (or Unfreeze), and the slots moved number fewer than those
+// deletes, so the repack's O(slots) cost keeps ApplyOps Õ(ops)
+// amortized, and the slot array stays within twice the live count.
+func (nx *MutableIndex) repack() {
+	recs := make([]slotRec, 0, nx.rCount)
+	starts := make([]int32, 0, nx.rcells.Len()+1)
+	nx.rcells.Range(func(_ grid.Key, slots []int32) bool {
+		starts = append(starts, int32(len(recs)))
+		for _, slot := range slots {
+			recs = append(recs, *nx.slots.get(int(slot)))
+		}
+		return true
+	})
+	starts = append(starts, int32(len(recs)))
+	par.ForEach(3, nx.cfg.Workers, func(_, job int) {
+		switch job {
+		case 0:
+			nx.slots = buildSlotTree(recs)
+		case 1:
+			nx.rcells = slotRuns(recs, starts, nx.side)
+		case 2:
+			nx.rids = grid.BuildIDDir(len(recs),
+				func(i int) int32 { return recs[i].pt.ID },
+				func(i int) int32 { return int32(i) })
+		}
+	})
+	nx.freeHead, nx.nFree = -1, 0
 }
 
 func checkMutFinite(pts []geom.Point, side string) error {
@@ -564,15 +606,7 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 				func(i int) int32 { return S[i].ID },
 				func(i int) grid.Key { return grid.KeyFor(S[i].X, S[i].Y, ix.side) })
 		case 2:
-			ix.rcells = grid.BuildDir(len(s.rows),
-				func(c int) grid.Key { r := recs[starts[c]].pt; return grid.KeyFor(r.X, r.Y, ix.side) },
-				func(c int) []int32 {
-					list := make([]int32, starts[c+1]-starts[c])
-					for j := range list {
-						list[j] = starts[c] + int32(j)
-					}
-					return list
-				})
+			ix.rcells = slotRuns(recs, starts, ix.side)
 		case 3:
 			ix.rids = grid.BuildIDDir(len(R),
 				func(i int) int32 { return R[i].ID },
@@ -589,6 +623,22 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	}
 	m.stats.MuSum = ix.MuSum()
 	return m, nil
+}
+
+// slotRuns bulk-builds the R cell directory of slots laid out cell by
+// cell: the c-th cell's slots are the run starts[c] .. starts[c+1]-1 of
+// recs, listed in an exact-size array of its own, like a list ApplyOps
+// makes. Unfreeze and repack share it.
+func slotRuns(recs []slotRec, starts []int32, side float64) *grid.Dir[[]int32] {
+	return grid.BuildDir(len(starts)-1,
+		func(c int) grid.Key { r := recs[starts[c]].pt; return grid.KeyFor(r.X, r.Y, side) },
+		func(c int) []int32 {
+			list := make([]int32, starts[c+1]-starts[c])
+			for j := range list {
+				list[j] = starts[c] + int32(j)
+			}
+			return list
+		})
 }
 
 // Apply absorbs one batch into a new index version and returns a
@@ -705,9 +755,9 @@ func (m *Mutable) Reseed(seed uint64) {
 }
 
 // LivePoints materializes the live point sets (R in slot order, which
-// after Unfreeze is cell by cell, with later inserts in the slots they
-// took; S in the directory's mixed-key order) — the compaction path's
-// input.
+// after Unfreeze or a repack is cell by cell, with later inserts in the
+// slots they took; S in the directory's mixed-key order) — what snapshots and
+// dumps record.
 func (m *Mutable) LivePoints() (R, S []geom.Point) {
 	ix := m.idx
 	for i := 0; i < ix.slots.Len(); i++ {
@@ -858,6 +908,9 @@ func (ix *MutableIndex) CheckInvariants() error {
 	}
 	if chain != ix.nFree {
 		return fmt.Errorf("free chain length %d, nFree %d", chain, ix.nFree)
+	}
+	if ix.nFree > ix.rCount {
+		return fmt.Errorf("%d dead slots outnumber the %d live ones", ix.nFree, ix.rCount)
 	}
 	if live+ix.nFree != nslots {
 		return fmt.Errorf("live %d + free %d != slots %d", live, ix.nFree, nslots)

@@ -472,14 +472,37 @@ func TestMutableDrainAndRefill(t *testing.T) {
 	if _, err := m.Next(); !errors.Is(err, ErrEmptyJoin) {
 		t.Fatalf("Next on drained index: %v", err)
 	}
-	// Refill: slots must be reused, not appended.
-	before := m.Index().slots.Len()
-	m, err = m.Apply(MutOps{InsR: randomPoints(r, len(R), 40, 60000)})
+	// A drained index keeps no dead slots: the batch that left more dead
+	// slots than live ones repacked the slot array down to nothing.
+	if got := m.Index().slots.Len(); got != 0 {
+		t.Fatalf("slot array holds %d slots after draining R", got)
+	}
+	refill := randomPoints(r, len(R), 40, 60000)
+	m, err = m.Apply(MutOps{InsR: refill})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Index().slots.Len(); got != before {
-		t.Fatalf("slot array grew %d -> %d despite %d free slots", before, got, len(R))
+	if got := m.Index().slots.Len(); got != len(refill) {
+		t.Fatalf("slot array holds %d slots after refilling %d points", got, len(refill))
+	}
+	// Deleting fewer than half the points keeps their slots on the free
+	// list, and a refill reuses them rather than appending.
+	ops = MutOps{}
+	for _, p := range refill[:len(refill)/3] {
+		ops.DelR = append(ops.DelR, p.ID)
+	}
+	if m, err = m.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Index().nFree, len(ops.DelR); got != want {
+		t.Fatalf("%d free slots after deleting %d of %d points", got, want, len(refill))
+	}
+	m, err = m.Apply(MutOps{InsR: randomPoints(r, len(ops.DelR), 40, 70000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Index().slots.Len(); got != len(refill) {
+		t.Fatalf("slot array grew %d -> %d despite %d free slots", len(refill), got, len(ops.DelR))
 	}
 	if err := m.Index().CheckInvariants(); err != nil {
 		t.Fatal(err)

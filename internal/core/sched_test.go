@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -172,42 +173,113 @@ func TestUnfreezeLaysOutSlotsByCell(t *testing.T) {
 					}
 					sl = core.SlotLayoutOf(m)
 				})
-				if len(sl.Slots) != len(fx.R) {
-					t.Fatalf("%d slots for %d R points", len(sl.Slots), len(fx.R))
-				}
-				runs := make([]int, len(sl.Lists)) // list indexes by first slot
-				for i := range runs {
-					runs[i] = i
-				}
-				slices.SortFunc(runs, func(a, b int) int { return int(sl.Lists[a][0] - sl.Lists[b][0]) })
-				next := int32(0)
-				for _, c := range runs {
-					for _, slot := range sl.Lists[c] {
-						if slot != next {
-							t.Fatalf("cell %v lists slot %d where the layout's next slot is %d", sl.Keys[c], slot, next)
-						}
-						next++
-						if pt := sl.Slots[slot]; grid.KeyFor(pt.X, pt.Y, sl.Side) != sl.Keys[c] {
-							t.Fatalf("slot %d holds %v, outside its list's cell %v", slot, pt, sl.Keys[c])
-						}
-					}
-				}
-				if int(next) != len(fx.R) {
-					t.Fatalf("the runs cover slots [0, %d), want [0, %d)", next, len(fx.R))
-				}
-				for _, p := range fx.R {
-					if !slices.ContainsFunc(sl.IDs[p.ID], func(slot int32) bool { return sl.Slots[slot] == p }) {
-						t.Fatalf("rids lists no slot holding %v under its ID", p)
-					}
-				}
-				for id, slots := range sl.IDs {
-					for _, slot := range slots {
-						if sl.Slots[slot].ID != id {
-							t.Fatalf("rids lists slot %d, holding %v, under ID %d", slot, sl.Slots[slot], id)
-						}
-					}
-				}
+				checkSlotRuns(t, sl, fx.R)
 			})
 		}
+	}
+}
+
+// checkSlotRuns fails unless the layout holds exactly the points R, one
+// per slot, every rcells list is an ascending run of consecutive slots,
+// the runs tile the slots, each slot lies in its list's cell, and rids
+// maps every point's ID to the slot holding it.
+func checkSlotRuns(t *testing.T, sl core.SlotLayout, R []geom.Point) {
+	t.Helper()
+	if len(sl.Slots) != len(R) {
+		t.Fatalf("%d slots for %d R points", len(sl.Slots), len(R))
+	}
+	runs := make([]int, len(sl.Lists)) // list indexes by first slot
+	for i := range runs {
+		runs[i] = i
+	}
+	slices.SortFunc(runs, func(a, b int) int { return int(sl.Lists[a][0] - sl.Lists[b][0]) })
+	next := int32(0)
+	for _, c := range runs {
+		for _, slot := range sl.Lists[c] {
+			if slot != next {
+				t.Fatalf("cell %v lists slot %d where the layout's next slot is %d", sl.Keys[c], slot, next)
+			}
+			next++
+			if pt := sl.Slots[slot]; grid.KeyFor(pt.X, pt.Y, sl.Side) != sl.Keys[c] {
+				t.Fatalf("slot %d holds %v, outside its list's cell %v", slot, pt, sl.Keys[c])
+			}
+		}
+	}
+	if int(next) != len(R) {
+		t.Fatalf("the runs cover slots [0, %d), want [0, %d)", next, len(R))
+	}
+	for _, p := range R {
+		if !slices.ContainsFunc(sl.IDs[p.ID], func(slot int32) bool { return sl.Slots[slot] == p }) {
+			t.Fatalf("rids lists no slot holding %v under its ID", p)
+		}
+	}
+	for id, slots := range sl.IDs {
+		for _, slot := range slots {
+			if sl.Slots[slot].ID != id {
+				t.Fatalf("rids lists slot %d, holding %v, under ID %d", slot, sl.Slots[slot], id)
+			}
+		}
+	}
+}
+
+// TestRepackIndependentOfWorkers applies, at GOMAXPROCS 1 and at 4, one
+// batch that deletes three quarters of R and inserts a few points into
+// the freed slots, which leaves more dead slots than live ones, so
+// ApplyOps repacks the R side. Both versions must pass CheckInvariants,
+// hold their live points one per slot, laid out cell by cell, and give
+// the same layout, size, Σµ and 10k seeded draws.
+func TestRepackIndependentOfWorkers(t *testing.T) {
+	for _, fx := range schedFixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			var ops core.MutOps
+			var live []geom.Point
+			for i, p := range fx.R {
+				if i%4 == 0 {
+					live = append(live, p)
+				} else {
+					ops.DelR = append(ops.DelR, p.ID)
+				}
+			}
+			for i, p := range fx.S[:8] {
+				q := geom.Point{ID: int32(1<<30 + i), X: p.X, Y: p.Y}
+				ops.InsR, live = append(ops.InsR, q), append(live, q)
+			}
+			build := func(procs int) (m *core.Mutable, pairs []geom.Pair) {
+				atProcs(procs, func() {
+					s, err := core.NewBBST(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m, err = s.Unfreeze(); err != nil {
+						t.Fatal(err)
+					}
+					if m, err = m.Apply(ops); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Index().CheckInvariants(); err != nil {
+						t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+					}
+					m.Reseed(9)
+					pairs = drawN(t, m, 10_000)
+				})
+				return m, pairs
+			}
+			one, onePairs := build(1)
+			four, fourPairs := build(4)
+			sl := core.SlotLayoutOf(one)
+			checkSlotRuns(t, sl, live)
+			if !reflect.DeepEqual(sl, core.SlotLayoutOf(four)) {
+				t.Error("slot layouts differ between GOMAXPROCS 1 and 4")
+			}
+			if a, b := one.Index().SizeBytes(), four.Index().SizeBytes(); a != b {
+				t.Errorf("SizeBytes %d at GOMAXPROCS 1, %d at 4", a, b)
+			}
+			if a, b := one.Index().MuSum(), four.Index().MuSum(); a != b {
+				t.Errorf("Σµ %g at GOMAXPROCS 1, %g at 4", a, b)
+			}
+			if !slices.Equal(onePairs, fourPairs) {
+				t.Error("seeded draws differ between GOMAXPROCS 1 and 4")
+			}
+		})
 	}
 }

@@ -34,8 +34,9 @@ const maxGapBuffer = 64
 // called under the store's write lock *before* an update's view is
 // published — if it errors the update fails and is never visible.
 // Snapshot is called outside the lock, on the store's operation-count
-// cadence only, with the live point sets covering IDs <= lastID. Implementations must be safe for concurrent
-// use; internal/wal provides the real one.
+// cadence only, with the live point sets covering IDs <= lastID.
+// Implementations must be safe for concurrent use; internal/wal
+// provides the real one.
 type Persister interface {
 	Append(id uint64, u Update) error
 	Snapshot(gen, lastID uint64, R, S []geom.Point) error
@@ -214,7 +215,7 @@ func (st *Store) applyLocked(id uint64, u Update) (ApplyResult, error) {
 	if err := st.finishView(nv); err != nil {
 		return ApplyResult{}, err
 	}
-	if p := st.cfg.Persister; p != nil {
+	if p := st.persister; p != nil {
 		// Write-ahead: the record is durable (per the fsync policy)
 		// before any reader can observe the new view. On error the
 		// update fails wholesale — memory and log never diverge.
@@ -280,7 +281,7 @@ func (st *Store) Replay(recs []SeqUpdate) error {
 func (st *Store) SetPersister(p Persister) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.cfg.Persister = p
+	st.persister = p
 }
 
 // LastApplied reports the last applied update ID (0 when the store
@@ -295,7 +296,7 @@ func (st *Store) LastApplied() uint64 {
 // store runs without durability.
 func (st *Store) PersistStats() (PersistStats, bool) {
 	st.mu.Lock()
-	p := st.cfg.Persister
+	p := st.persister
 	st.mu.Unlock()
 	if p == nil {
 		return PersistStats{}, false

@@ -5,37 +5,33 @@
 // in-place maintenance: NewStore bulk-builds the BBST sampler and
 // converts it at once into a core.Mutable (Unfreeze), so every view
 // serves through the mutable index, and every Apply edits the live
-// structures copy-on-write along the touched paths only, in Õ(ops) per
-// batch. There are no insert buffers, no tombstones and no rebuild
-// threshold: every S cell a batch touches gets its BBST pair rebuilt
-// with b = ⌈log₂ m⌉ for the live S count m (unless the options fix
-// b), so the bucket size follows the data however far it grows or
-// shrinks, and no Apply ever rebuilds the whole store.
-//
-// The one bulk rebuild — a compaction — is an explicit Compact. It is
-// synchronous: it bulk-builds and unfreezes a fresh index over the
-// live points, and the call that built it publishes it. Apply reuses
-// the R slots deletes free but never shrinks the slot array, so after
-// a large shrink only Compact returns it to the live count.
+// structures copy-on-write along the touched paths only, in Õ(ops)
+// amortized per batch. There are no insert buffers, no tombstones and
+// no rebuild threshold: every S cell a batch touches gets its BBST
+// pair rebuilt with b = ⌈log₂ m⌉ for the live S count m (unless the
+// options fix b), so the bucket size follows the data however far it
+// grows or shrinks. Inserts reuse the R slots deletes free, and a
+// batch that leaves more dead slots than live ones repacks the R side
+// (core.MutableIndex.ApplyOps), so the footprint follows the live
+// count down as well as up. No Apply ever rebuilds the whole store.
 //
 // Only BBST is mutable. KDS, GridKD, RTS and the other algorithms are
 // the paper's static baselines and ablations; the serving layer
 // refuses updates addressed to them.
 //
-// Every applied batch and every compaction bumps the store's
-// *generation number* exactly once. The serving layer draws from a
-// store's current view directly — never from a cache — so no request
-// can be served a retired generation; the generation is what
-// responses and /v1/stats report, and the shard router broadcasts
-// updates so every backend's stores advance together.
+// Every applied batch bumps the store's *generation number* exactly
+// once. The serving layer draws from a store's current view directly —
+// never from a cache — so no request can be served a retired
+// generation; the generation is what responses and /v1/stats report,
+// and the shard router broadcasts updates so every backend's stores
+// advance together.
 //
 // Concurrency model: Draw/DrawFunc never block on writers — they load
 // an immutable *view* (one index version plus its serving engine)
-// through an atomic pointer and draw from it. Apply and Compact
-// serialize on one mutex and publish whole new views; requests in
-// flight on an old view finish against the version they started with,
-// exactly like a registry eviction never invalidates an engine already
-// checked out.
+// through an atomic pointer and draw from it. Applies serialize on one
+// mutex and publish whole new views; requests in flight on an old view
+// finish against the version they started with, exactly like a
+// registry eviction never invalidates an engine already checked out.
 package dynamic
 
 import (
@@ -99,22 +95,14 @@ func validFinite(pts []geom.Point, side string) error {
 
 // Config parameterizes a Store.
 type Config struct {
-	// BBST configures the index NewStore and Compact bulk-build
-	// (core.NewBBST) before unfreezing it. Its Seed also drives the
-	// per-view serving pools; equal seeds make equal-seeded draws
-	// reproducible within one generation.
+	// BBST configures the index NewStore bulk-builds (core.NewBBST)
+	// before unfreezing it. Its Seed also drives the per-view serving
+	// pools; equal seeds make equal-seeded draws reproducible within
+	// one generation.
 	BBST core.Config
 	// MaxT caps the samples one request may ask for on every view
 	// engine (0 = unlimited).
 	MaxT int
-	// Persister, when non-nil, is the write-ahead durability hook (see
-	// persist.go): every applied batch is appended before its view
-	// publishes, and the live point sets are snapshotted in the
-	// background on the operation-count cadence (maybeSnapshotLocked),
-	// the only snapshot trigger. May also be installed after
-	// construction with SetPersister (recovery does, so replayed
-	// records are not re-appended).
-	Persister Persister
 	// InitialGeneration seeds the store's generation (recovery resumes
 	// at the snapshot's generation instead of 0, so the generations a
 	// store reports never run backwards across a restart).
@@ -152,8 +140,14 @@ type Store struct {
 	cfg  Config
 	view atomic.Pointer[view]
 
-	mu             sync.Mutex
-	lastApplied    uint64 // last sequenced update ID (persist.go)
+	mu          sync.Mutex
+	lastApplied uint64 // last sequenced update ID (persist.go)
+	// persister, when non-nil, is the write-ahead durability hook
+	// (persist.go), installed with SetPersister: every applied batch is
+	// appended before its view publishes, and the live point sets are
+	// snapshotted in the background on the operation-count cadence
+	// (maybeSnapshotLocked), the only snapshot trigger.
+	persister      Persister
 	gap            map[uint64]*gapWaiter
 	lastPersistErr error
 
@@ -165,14 +159,9 @@ type Store struct {
 	snapDone     chan struct{}
 	acc          engine.Stats // counters of retired view engines
 
-	// rebuilds counts compactions, which only an explicit Compact
-	// runs. It backs srj_store_rebuilds_total and never decreases.
-	rebuilds atomic.Uint64
-
 	// inplace counts operations absorbed by in-place index maintenance.
 	// It backs srj_store_inplace_ops_total and the /v1/stats
-	// inplace_ops field; in steady churn it grows while rebuilds stays
-	// flat.
+	// inplace_ops field.
 	inplace atomic.Uint64
 
 	// persistErrs counts snapshot failures. lastPersistErr holds only
@@ -187,11 +176,12 @@ type Store struct {
 	testHookSwap func(*view)
 }
 
-// NewStore bulk-builds the index over R and S and returns a store
-// serving them at generation 0. The slices are not copied and must
+// NewStore bulk-builds the BBST sampler over R and S, unfreezes it at
+// once, so every view serves through the mutable index, and returns a
+// store serving it at generation 0. The slices are not copied and must
 // not be mutated afterwards (Apply never touches them — it edits the
-// store's own index). Empty sides are allowed: a store may start empty
-// and be filled through Apply.
+// store's own index). Empty sides, and an empty join, are allowed: a
+// store may start empty and be filled through Apply.
 func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	if err := validFinite(R, "R"); err != nil {
 		return nil, err
@@ -199,29 +189,21 @@ func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	if err := validFinite(S, "S"); err != nil {
 		return nil, err
 	}
-	st := &Store{cfg: cfg, lastApplied: cfg.InitialLastApplied}
-	m, err := st.build(R, S)
+	base, err := core.NewBBST(R, S, cfg.BBST)
 	if err != nil {
 		return nil, err
 	}
+	m, err := base.Unfreeze()
+	if err != nil {
+		return nil, err
+	}
+	st := &Store{cfg: cfg, lastApplied: cfg.InitialLastApplied}
 	v := &view{gen: cfg.InitialGeneration, lastID: cfg.InitialLastApplied, mut: m}
 	if err := st.finishView(v); err != nil {
 		return nil, err
 	}
 	st.view.Store(v)
 	return st, nil
-}
-
-// build bulk-builds the BBST sampler over R and S and unfreezes it at
-// once, so every view serves through the mutable index. An empty side
-// or an empty join is not an error for a mutable store, which may
-// become non-empty through Apply.
-func (st *Store) build(R, S []geom.Point) (*core.Mutable, error) {
-	base, err := core.NewBBST(R, S, st.cfg.BBST)
-	if err != nil {
-		return nil, err
-	}
-	return base.Unfreeze()
 }
 
 // mutOps converts an Update into the core batch type. Slices are
@@ -281,8 +263,8 @@ func (st *Store) finishView(v *view) error {
 // generation. Batches serialize; draws in flight keep serving the
 // view they started on. An empty update returns the current
 // generation without bumping it (the remote tiers use this as a
-// generation probe). Apply edits the index in place in Õ(ops) and
-// never pays a bulk build; only Compact does.
+// generation probe). Apply edits the index in place in Õ(ops)
+// amortized and never pays a bulk build.
 //
 // Apply self-stamps the next update ID — it is ApplyAt(ctx, 0, u),
 // the single-writer spelling of the sequenced path in persist.go.
@@ -324,10 +306,10 @@ func addStats(a, b engine.Stats) engine.Stats {
 // maybeSnapshotLocked schedules a background snapshot of the current
 // view once the operations applied since the last snapshot reach
 // snapshotFraction of the live point count — the store's only
-// snapshot trigger. Without it the log would never be pruned: steady
-// churn runs no compactions. Called with mu held.
+// snapshot trigger. Without it the log would never be pruned. Called
+// with mu held.
 func (st *Store) maybeSnapshotLocked() {
-	p := st.cfg.Persister
+	p := st.persister
 	if p == nil || st.snapshotting {
 		return
 	}
@@ -362,34 +344,8 @@ func (st *Store) snapshot(v *view, p Persister) {
 	st.mu.Unlock()
 }
 
-// Compact bulk-builds and unfreezes a fresh index over the live points
-// now, and publishes it at a bumped generation before returning. Apply
-// never shrinks the slot array, so after a large shrink this is the
-// one way to bring it back to the live count. Compact writes no
-// snapshot of its own: like any view, the compacted one is persisted
-// only when the cadence fires (maybeSnapshotLocked).
-func (st *Store) Compact(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cur := st.view.Load()
-	m, err := st.build(cur.mut.LivePoints())
-	if err != nil {
-		return err
-	}
-	nv := &view{gen: cur.gen + 1, lastID: cur.lastID, mut: m}
-	if err := st.finishView(nv); err != nil {
-		return err
-	}
-	st.rebuilds.Add(1)
-	st.publishLocked(nv)
-	return nil
-}
-
 // Generation reports the current generation: 0 at construction,
-// bumped once by every non-empty Apply and every Compact.
+// bumped once by every non-empty Apply.
 func (st *Store) Generation() uint64 { return st.view.Load().gen }
 
 // ViewEngine returns the current generation and its serving engine.
@@ -461,10 +417,6 @@ func (st *Store) Stats() engine.Stats {
 // SizeBytes estimates the retained footprint of the current view's
 // index structures, charged once, whichever engines are resident.
 func (st *Store) SizeBytes() int { return st.view.Load().mut.SizeBytes() }
-
-// Rebuilds reports how many compactions (explicit Compact calls) have
-// run since the store was created.
-func (st *Store) Rebuilds() uint64 { return st.rebuilds.Load() }
 
 // InPlaceOps reports how many operations were absorbed by in-place
 // index maintenance since the store was created.

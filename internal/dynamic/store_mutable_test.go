@@ -1,11 +1,11 @@
 package dynamic
 
 // Tests pinning the in-place maintenance path: steady churn must be
-// absorbed without a single rebuild, size accounting must charge the
-// shared base exactly once across resident generations, growth far
-// past the bulk-built size must stay in place too, the snapshot
-// cadence must count operations, and Compact must give back the slots
-// a large shrink left behind.
+// absorbed in place, size accounting must charge the shared base
+// exactly once across resident generations, growth far past the
+// bulk-built size must stay in place too, the snapshot cadence must
+// count operations, and a large shrink must give back the slots it
+// frees.
 
 import (
 	"context"
@@ -56,11 +56,11 @@ func TestStoreInPlaceSnapshotCadence(t *testing.T) {
 	l := 1500.0
 	p := &countingPersister{}
 	cfg := testConfig(l, 23)
-	cfg.Persister = p
 	st, err := NewStore(R, S, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.SetPersister(p)
 	ctx := context.Background()
 
 	const rounds = 100
@@ -76,9 +76,6 @@ func TestStoreInPlaceSnapshotCadence(t *testing.T) {
 	}
 	if err := st.Quiesce(ctx); err != nil {
 		t.Fatal(err)
-	}
-	if got := st.Rebuilds(); got != 0 {
-		t.Errorf("Rebuilds = %d under steady churn, want 0", got)
 	}
 	p.mu.Lock()
 	if p.appends != rounds {
@@ -102,11 +99,11 @@ func TestStoreInPlaceSnapshotCadence(t *testing.T) {
 	// 16 ops over ~120 live points must snapshot repeatedly, though
 	// the record count alone never reaches a quarter of the live set.
 	p2 := &countingPersister{}
-	cfg.Persister = p2
 	st2, err := NewStore(R, S, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st2.SetPersister(p2)
 	const batches = 20
 	for i := 0; i < batches; i++ {
 		var u Update
@@ -136,9 +133,9 @@ func TestStoreInPlaceSnapshotCadence(t *testing.T) {
 
 // TestStoreInPlaceSteadyChurn is the tentpole's acceptance test at the
 // store level: a long insert/delete churn with roughly constant
-// cardinality is absorbed entirely in place — zero rebuilds, zero
-// rebuilds, every op counted by InPlaceOps — and the store still
-// serves exactly the current join with valid bucket invariants.
+// cardinality is absorbed entirely in place — every op counted by
+// InPlaceOps — and the store still serves exactly the current join
+// with valid bucket invariants.
 func TestStoreInPlaceSteadyChurn(t *testing.T) {
 	R, S := testData(t)
 	l := 1500.0
@@ -177,9 +174,6 @@ func TestStoreInPlaceSteadyChurn(t *testing.T) {
 		wantOps += u.Ops()
 	}
 
-	if got := st.Rebuilds(); got != 0 {
-		t.Errorf("Rebuilds = %d after steady churn, want 0", got)
-	}
 	if got := st.InPlaceOps(); got != uint64(wantOps) {
 		t.Errorf("InPlaceOps = %d, want %d", got, wantOps)
 	}
@@ -234,8 +228,8 @@ func testStoreSizeAccountingAcrossGenerations(t *testing.T) {
 }
 
 // TestStoreInPlaceGrowth grows S more than 10× past its bulk-built
-// size, one point per batch: every batch stays in place, with no
-// rebuild, and the store serves the grown join.
+// size, one point per batch: every batch stays in place, and the store
+// serves the grown join.
 func TestStoreInPlaceGrowth(t *testing.T) {
 	R, S := testData(t)
 	l := 1500.0
@@ -258,19 +252,16 @@ func TestStoreInPlaceGrowth(t *testing.T) {
 		}
 		model.apply(u)
 	}
-	if got := st.Rebuilds(); got != 0 {
-		t.Errorf("Rebuilds = %d after 10x S growth, want 0", got)
-	}
 	checkIndex(t, st)
 	checkSupport(t, drawAll(t, st, 4000), joinSet(model.R, model.S, l))
 }
 
-// TestStoreCompactFoldsInPlace: Apply reuses the R slots deletes free
-// but never shrinks the slot array, so after most of R is deleted only
-// Compact (the one rebuild) brings the footprint down to the live
-// count. The compacted index passes its invariants, serves the live
-// join at a bumped generation, and takes further updates in place.
-func TestStoreCompactFoldsInPlace(t *testing.T) {
+// TestStoreShrinkRepacksInPlace: a batch that deletes 1,800 of 2,000
+// R points leaves more dead slots than live ones, so Apply repacks the
+// R side and the footprint falls to what a fresh store over the live
+// points reports. The repacked index passes its invariants, serves the
+// live join, and takes further updates in place.
+func TestStoreShrinkRepacksInPlace(t *testing.T) {
 	gen, err := dataset.ByName("uniform")
 	if err != nil {
 		t.Fatal(err)
@@ -292,32 +283,28 @@ func TestStoreCompactFoldsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.apply(u)
-	shrunk := st.SizeBytes()
-
-	genBefore := st.Generation()
-	if err := st.Compact(ctx); err != nil {
+	fresh, err := NewStore(model.R, model.S, testConfig(l, 17))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.SizeBytes(); got >= shrunk {
-		t.Errorf("SizeBytes = %d after Compact, want below the %d left after the deletes", got, shrunk)
+	if got, want := st.SizeBytes(), fresh.SizeBytes(); got != want {
+		t.Errorf("SizeBytes = %d after deleting 1800 of 2000 R points, a fresh store over the live points %d", got, want)
 	}
 	checkIndex(t, st)
-	if got := st.Rebuilds(); got != 1 {
-		t.Errorf("Rebuilds = %d after Compact, want 1", got)
-	}
-	if got := st.Generation(); got <= genBefore {
-		t.Errorf("Generation = %d after Compact, want > %d", got, genBefore)
-	}
 	checkSupport(t, drawAll(t, st, 3000), joinSet(model.R, model.S, l))
 
-	// The compacted index takes updates in place.
-	u2 := Update{InsertS: []geom.Point{{ID: 9001, X: R[1900].X, Y: R[1900].Y}}}
+	// The repacked index takes updates in place.
+	u2 := Update{
+		InsertR: []geom.Point{{ID: 9000, X: S[5].X, Y: S[5].Y}},
+		InsertS: []geom.Point{{ID: 9001, X: R[1900].X, Y: R[1900].Y}},
+		DeleteR: []int32{R[1950].ID},
+	}
 	if _, err := st.Apply(ctx, u2); err != nil {
 		t.Fatal(err)
 	}
 	model.apply(u2)
-	if got := st.Rebuilds(); got != 1 {
-		t.Errorf("Rebuilds = %d after post-Compact apply, want still 1", got)
+	if got, want := st.InPlaceOps(), uint64(u.Ops()+u2.Ops()); got != want {
+		t.Errorf("InPlaceOps = %d, want %d", got, want)
 	}
 	checkIndex(t, st)
 	checkSupport(t, drawAll(t, st, 3000), joinSet(model.R, model.S, l))

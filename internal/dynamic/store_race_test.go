@@ -1,22 +1,23 @@
 package dynamic
 
 // A race-focused hammer on the store's mutation paths — concurrent
-// Apply, Compact, Draw, and draws from view engines held across swaps
-// — mirroring registry_race_test.go. The store's correctness argument
-// is an invariant the view swap must preserve across every
+// Apply (small batches, and large shrinks that repack the R side),
+// Draw, draws from view engines held across swaps, and the background
+// snapshot — mirroring registry_race_test.go. The store's correctness
+// argument is an invariant the view swap must preserve across every
 // interleaving:
 //
 //	a swapped-in view never serves a deleted point: every ID deleted
-//	  and never re-inserted is absent from the view's index version or
-//	  compacted base (a compaction racing an Apply must not lose the
-//	  delete), and draws never return it
+//	  and never re-inserted is absent from the view's index version
+//	  (a repack must not bring a dead slot back), and draws never
+//	  return it
 //	generations only move forward
 //	a view handed to a request stays usable however many swaps or
-//	  compactions race it
+//	  repacks race it
 //
 // The in-lock half runs through the store's testHookSwap (under mu,
 // at every swap); the behavioral half is the drawers asserting no
-// poisoned ID is ever sampled while compactions churn underneath.
+// poisoned ID is ever sampled while repacks churn underneath.
 
 import (
 	"context"
@@ -67,14 +68,13 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 			fail("generation moved backwards: %d after %d", v.gen, prev)
 		}
 		// The swapped-in version must satisfy every bucket invariant
-		// (µ consistency, free-list integrity, ID indexes matching live
-		// slots).
+		// (µ consistency, free-list integrity, dead slots never
+		// outnumbering live ones, ID indexes matching live slots).
 		if err := v.mut.Index().CheckInvariants(); err != nil {
 			fail("gen %d: bucket invariants: %v", v.gen, err)
 		}
 		// No poisoned ID may be live in the swapped-in view: an index
-		// that still holds one, or a compacted one bulk-built with one,
-		// lost a delete.
+		// that still holds one lost a delete.
 		R, S := v.mut.LivePoints()
 		for _, p := range R {
 			if poisonR[p.ID] {
@@ -88,6 +88,11 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 		}
 	}
 
+	// A persister, so the cadence snapshot reads views in the
+	// background while batches and repacks publish new ones.
+	p := &countingPersister{}
+	st.SetPersister(p)
+
 	ctx := context.Background()
 	if _, err := st.Apply(ctx, poison); err != nil {
 		t.Fatal(err)
@@ -97,6 +102,7 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 		appliers = 3
 		drawers  = 4
 		rounds   = 40
+		shrinks  = 6
 	)
 	var wg sync.WaitGroup
 	errs := make([]error, appliers+drawers+1)
@@ -187,16 +193,30 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 		}(w)
 	}
 
-	// Compactor: compact now and then so rebuilt indexes race the
-	// appliers too.
+	// Shrinker: insert a block of R points several times the live
+	// count, then delete it in one batch, which leaves more dead slots
+	// than live ones, so that batch repacks the R side while the
+	// appliers, drawers and snapshots run. The hook's CheckInvariants
+	// fails any version whose dead slots outnumber its live ones, so a
+	// shrink that did not repack fails the test.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 6; i++ {
+		const block = 300
+		for i := 0; i < shrinks; i++ {
 			runtime.Gosched()
-			if err := st.Compact(ctx); err != nil {
-				errs[appliers+drawers] = fmt.Errorf("compact %d: %w", i, err)
-				return
+			var grow, shrink Update
+			for j := 0; j < block; j++ {
+				id := int32(90_000 + block*i + j)
+				s := S[j%len(S)]
+				grow.InsertR = append(grow.InsertR, geom.Point{ID: id, X: s.X + float64(j%11), Y: s.Y})
+				shrink.DeleteR = append(shrink.DeleteR, id)
+			}
+			for _, u := range []Update{grow, shrink} {
+				if _, err := st.Apply(ctx, u); err != nil {
+					errs[appliers+drawers] = fmt.Errorf("shrink %d: %w", i, err)
+					return
+				}
 			}
 		}
 	}()
@@ -213,10 +233,14 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 	if err, _ := hookErr.Load().(error); err != nil {
 		t.Fatal(err)
 	}
+	if ps, _ := st.PersistStats(); ps.Snapshots == 0 {
+		t.Error("no background snapshot ran beside the hammer")
+	}
 
 	// Reconstruct the exact expected sets (appliers own disjoint ID
-	// ranges and only delete their own inserts; poison never
-	// returns) and verify the settled store serves exactly that join.
+	// ranges and only delete their own inserts; the shrinker deletes
+	// every point it inserts; poison never returns) and verify the
+	// settled store serves exactly that join.
 	model := &currentSets{R: R, S: S}
 	model.apply(poison)
 	for w := 0; w < appliers; w++ {
@@ -234,13 +258,8 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
 			model.apply(u)
 		}
 	}
-	jset := joinSet(model.R, model.S, l)
-	checkSupport(t, drawAll(t, st, 6000), jset)
-
-	// Compact once more and re-verify: the final base absorbs every
-	// surviving op with nothing lost.
-	if err := st.Compact(ctx); err != nil {
-		t.Fatal(err)
+	checkSupport(t, drawAll(t, st, 6000), joinSet(model.R, model.S, l))
+	if got, want := st.view.Load().mut.Index().NumR(), len(model.R); got != want {
+		t.Fatalf("settled store holds %d live R points, the model %d", got, want)
 	}
-	checkSupport(t, drawAll(t, st, 6000), jset)
 }

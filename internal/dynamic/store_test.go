@@ -147,17 +147,7 @@ func TestStoreAppliesAndGenerations(t *testing.T) {
 			t.Fatal("deleted inserted point 500 sampled")
 		}
 	}
-
-	// Compact rebuilds the index over the live points at a bumped
-	// generation, serving the same join.
-	if err := st.Compact(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if g := st.Generation(); g != 3 {
-		t.Fatalf("post-compact generation %d, want 3", g)
-	}
 	checkIndex(t, st)
-	checkSupport(t, drawAll(t, st, 4000), jset)
 }
 
 // TestStoreUniformityAfterUpdates: sampling must stay uniform over
@@ -367,9 +357,6 @@ func TestStoreGrowthInOneBatch(t *testing.T) {
 	model.apply(u)
 	if gen != 1 || st.Generation() != 1 {
 		t.Fatalf("Apply returned generation %d, store at %d, want one bump to 1", gen, st.Generation())
-	}
-	if got := st.Rebuilds(); got != 0 {
-		t.Fatalf("Rebuilds = %d after S growth, want 0", got)
 	}
 	checkIndex(t, st)
 	// One view was published, at the one bumped generation.

@@ -162,7 +162,6 @@ type StoreInfo struct {
 	// when aggregating fleet stats per backend.
 	Backend    string       `json:"backend,omitempty"`
 	Generation uint64       `json:"generation"`
-	Rebuilds   uint64       `json:"rebuilds"`
 	InPlaceOps uint64       `json:"inplace_ops"`
 	SizeBytes  int          `json:"size_bytes"`
 	Engine     engine.Stats `json:"engine"`
@@ -266,7 +265,6 @@ func (s *Stores) Infos() []StoreInfo {
 		info := StoreInfo{
 			Key:           ks.key,
 			Generation:    st.Generation(),
-			Rebuilds:      st.Rebuilds(),
 			InPlaceOps:    st.InPlaceOps(),
 			SizeBytes:     st.SizeBytes(),
 			Engine:        st.Stats(),

@@ -76,11 +76,9 @@ const (
 	// the process's dynamic stores (per-store detail carries dataset
 	// names and lives in /v1/stats instead).
 	MetricStoreGeneration = "srj_store_generation"
-	MetricStoreRebuilds   = "srj_store_rebuilds_total"
 	// MetricStoreInPlaceOps counts operations absorbed by in-place
-	// index maintenance. In steady churn it grows while
-	// srj_store_rebuilds_total stays flat — the two together are the
-	// dashboard signal that stores are on the Õ(ops) write path.
+	// index maintenance, which is every applied operation: a store has
+	// no other write path, so it grows with the update traffic.
 	MetricStoreInPlaceOps = "srj_store_inplace_ops_total"
 
 	// The durability family (internal/wal). All key-free aggregates

@@ -103,7 +103,7 @@ func (s *Server) collectMetrics(m *obs.MetricSet) {
 		return
 	}
 	var maxGen, maxApplied uint64
-	var rebuilds, inplaceOps uint64
+	var inplaceOps uint64
 	var walAppends, walSyncs, walSnapshots, persistErrs uint64
 	var walSegments int
 	var walBytes int64
@@ -115,7 +115,6 @@ func (s *Server) collectMetrics(m *obs.MetricSet) {
 		if in.LastAppliedID > maxApplied {
 			maxApplied = in.LastAppliedID
 		}
-		rebuilds += in.Rebuilds
 		inplaceOps += in.InPlaceOps
 		persisted = persisted || in.WALSegments > 0 || in.WALAppends > 0 || in.WALSnapshots > 0 || in.PersistErrors > 0
 		persistErrs += in.PersistErrors
@@ -128,7 +127,6 @@ func (s *Server) collectMetrics(m *obs.MetricSet) {
 	m.Gauge(obs.MetricStoreGeneration, "Highest store generation.", float64(maxGen))
 	// Stores are never dropped from the map, so this sum of per-store
 	// counters is monotonic and may be exported as a counter.
-	m.Counter(obs.MetricStoreRebuilds, "Store compactions into a fresh bulk-built base.", float64(rebuilds))
 	m.Counter(obs.MetricStoreInPlaceOps, "Operations absorbed by in-place index maintenance.", float64(inplaceOps))
 	m.Gauge(obs.MetricStoreLastApplied, "Highest last-applied update ID across stores.", float64(maxApplied))
 	if persisted {

@@ -56,6 +56,9 @@ const (
 	// radius can be.
 	DefaultSegmentBytes = int64(64 << 20)
 
+	// syncInterval is the flush period of the SyncInterval policy.
+	syncInterval = 100 * time.Millisecond
+
 	// MaxRecordBytes bounds one record's payload so a corrupt length
 	// field cannot force an unbounded allocation before the CRC check.
 	MaxRecordBytes = 256 << 20
@@ -78,9 +81,9 @@ const (
 	// SyncAlways fsyncs after every append: no acknowledged update is
 	// ever lost, at the cost of one fsync per batch.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs dirty segments on a background ticker
-	// (Options.SyncInterval): a crash loses at most one interval of
-	// acknowledged updates.
+	// SyncInterval fsyncs dirty segments on a background ticker, every
+	// syncInterval: a crash loses at most one interval of acknowledged
+	// updates.
 	SyncInterval
 	// SyncOff never fsyncs explicitly; the OS page cache decides.
 	// Durability is then only as good as a clean process exit.
@@ -118,9 +121,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy.
 	Sync SyncPolicy
-	// SyncInterval is the flush period under SyncInterval (<= 0 means
-	// 100ms).
-	SyncInterval time.Duration
 	// KeyHash stamps every segment header; Open refuses segments whose
 	// header hash differs — a moved or mislabeled directory fails fast
 	// instead of replaying a different dataset's records.
@@ -132,13 +132,6 @@ func (o Options) segmentBytes() int64 {
 		return o.SegmentBytes
 	}
 	return DefaultSegmentBytes
-}
-
-func (o Options) syncInterval() time.Duration {
-	if o.SyncInterval > 0 {
-		return o.SyncInterval
-	}
-	return 100 * time.Millisecond
 }
 
 // segment is one on-disk log file. Records inside carry consecutive
@@ -567,7 +560,7 @@ func (l *Log) Stats() LogStats {
 // flushLoop is the SyncInterval background flusher.
 func (l *Log) flushLoop() {
 	defer l.wg.Done()
-	t := time.NewTicker(l.opts.syncInterval())
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

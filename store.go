@@ -4,8 +4,9 @@ package srj
 // over immutable R and S; a Store is the paper's BBST structure made
 // mutable: the bulk-built structures are adopted for in-place
 // maintenance at construction, so every generation draws through the
-// one mutable index, and every batch replaces the touched grid cells with their BBST pairs, rebuilt over the new points, and
-// edits the per-point counts copy-on-write in Õ(ops), so draws stay
+// one mutable index, and every batch replaces the touched grid cells
+// with their BBST pairs, rebuilt over the new points, and edits the
+// per-point counts copy-on-write in Õ(ops) amortized, so draws stay
 // uniform over the *live* join (see internal/dynamic). Stores are
 // BBST-only; the other algorithms are the paper's static baselines.
 // Every applied batch bumps the dataset's generation number. srjserver
@@ -89,8 +90,9 @@ func storeConfig(l float64, o StoreOptions) dynamic.Config {
 // snapshot they started on. An empty update returns the current
 // generation without bumping it. Apply edits the index in place and
 // never rebuilds it, however far the live counts move: each touched
-// cell's buckets are sized for the live S count. Compact is the one
-// bulk rebuild.
+// cell's buckets are sized for the live S count, and a batch that
+// leaves more deleted R slots than live ones repacks the R side, so
+// the footprint follows a shrink.
 func (s *Store) Apply(ctx context.Context, u Update) (uint64, error) {
 	return s.st.Apply(ctx, u)
 }
@@ -114,25 +116,19 @@ func (s *Store) DrawFunc(ctx context.Context, req Request, fn func(batch []Pair)
 func (s *Store) Bind() Source { return s }
 
 // Generation reports the current dataset generation: 0 at
-// construction, bumped once by every non-empty Apply and every
-// Compact.
+// construction, bumped once by every non-empty Apply.
 func (s *Store) Generation() uint64 { return s.st.Generation() }
-
-// Compact bulk-builds a fresh index over the live points, adopts it
-// like NewStore does, and publishes it, at a bumped generation, before
-// returning — the only rebuild. Apply reuses the slots deletes free
-// but never drops them, so after a large shrink Compact is the one way
-// to bring the footprint back to the live count.
-func (s *Store) Compact(ctx context.Context) error { return s.st.Compact(ctx) }
 
 // InPlaceOps reports how many operations were absorbed by in-place
 // index maintenance — the Õ(ops) write path that edits the live
 // structures copy-on-write instead of buffering toward a rebuild.
 func (s *Store) InPlaceOps() uint64 { return s.st.InPlaceOps() }
 
-// Rebuilds reports how many compactions have run. Only Compact runs
-// one, so without it Rebuilds stays 0.
-func (s *Store) Rebuilds() uint64 { return s.st.Rebuilds() }
+// Rebuilds reports 0: no store operation rebuilds the index.
+//
+// Deprecated: always zero. Apply is a store's one write path, and it
+// repacks in place.
+func (s *Store) Rebuilds() uint64 { return 0 }
 
 // Stats aggregates serving counters across all generations served so
 // far.

@@ -149,7 +149,8 @@ func oracleJoin(R, S []srj.Point, l float64) map[[2]int32]bool {
 // against a rebuild-from-scratch oracle over the same mutated point
 // sets: the sample support set must stay inside the oracle join, and
 // EstimateJoinSize must track the oracle's |J| within tolerance. A
-// mid-sequence Compact must be invisible to both properties.
+// mid-sequence batch that deletes two thirds of live R, so the store
+// repacks its R side, must be invisible to both properties.
 func TestStorePropertyAgainstOracle(t *testing.T) {
 	R, S, l := srjtest.Data()
 	st, err := srj.NewStore(R, S, l, &srj.StoreOptions{Seed: 77})
@@ -242,13 +243,22 @@ func TestStorePropertyAgainstOracle(t *testing.T) {
 		checkStep(step)
 
 		if step == steps/2 {
-			// Compaction mid-sequence: everything folds into a fresh
-			// base with no observable change.
-			if err := st.Compact(ctx); err != nil {
-				t.Fatalf("compact: %v", err)
+			// Shrink mid-sequence: the dead slots outnumber the live
+			// ones, so the batch repacks R and the footprint falls,
+			// with no other observable change.
+			var shrink srj.Update
+			for i, p := range curR {
+				if i%3 != 0 {
+					shrink.DeleteR = append(shrink.DeleteR, p.ID)
+				}
 			}
-			if n := st.Rebuilds(); n != 1 {
-				t.Fatalf("%d rebuilds after one compact", n)
+			before := st.SizeBytes()
+			if _, err := st.Apply(ctx, shrink); err != nil {
+				t.Fatalf("shrink: %v", err)
+			}
+			curR = model(curR, nil, shrink.DeleteR)
+			if got := st.SizeBytes(); got >= before {
+				t.Fatalf("SizeBytes %d after deleting two thirds of R, %d before", got, before)
 			}
 			checkStep(step)
 		}
