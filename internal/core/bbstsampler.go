@@ -20,8 +20,8 @@ func (b bbstCorner) sample(c bbst.Corner, w geom.Rect, _ int32, r *rng.RNG, sc *
 func (b bbstCorner) sizeBytes() int { return b.pair.SizeBytes() }
 
 // defaultScanC is c in the scan threshold T = c·⌈log₂ m⌉: an S cell of
-// at most T points answers its corners by scanning (scanCorner), a
-// larger one through its BBST pair. Chosen by BenchmarkScanThreshold's
+// at most T points answers its corners by scanning its run (scanRun),
+// a larger one through its BBST pair. Chosen by BenchmarkScanThreshold's
 // sweep at 25k and 200k points per side.
 const defaultScanC = 2
 
@@ -33,14 +33,14 @@ func scanMax(c float64, m int) int { return int(c * float64(bbst.BucketCap(m))) 
 // cellCorner builds one S cell's case-3 structure over its x-sorted
 // run, m being the S count the cell is built for. It is the one rule
 // the frozen build and the mutable index share: a run of at most
-// T = scanMax(scanC, m) points gets a scanCorner over the run itself,
-// which builds nothing, and a longer one a BBST pair with bucket
-// capacity b = bucketCap, or Definition 3's ⌈log₂ m⌉ when that is 0.
-// The pair's buckets share the run's points, so the run must never be
-// written after.
+// T = scanMax(scanC, m) points gets none (nil), and its corners are
+// answered by scanning the run, which the cell already holds; a longer
+// one gets a BBST pair with bucket capacity b = bucketCap, or
+// Definition 3's ⌈log₂ m⌉ when that is 0. The pair's buckets share the
+// run's points, so the run must never be written after.
 func cellCorner(run []geom.Point, m int, scanC float64, bucketCap int) (cornerIndex, error) {
 	if len(run) <= scanMax(scanC, m) {
-		return scanCorner{run: run}, nil
+		return nil, nil
 	}
 	if bucketCap == 0 {
 		bucketCap = bbst.BucketCap(m)
@@ -52,36 +52,15 @@ func cellCorner(run []geom.Point, m int, scanC float64, bucketCap int) (cornerIn
 	return bbstCorner{pair: pair}, nil
 }
 
-// scanCorner answers the corners of a small cell exactly, by scanning
-// the cell's x-sorted run, which the cell already holds: it wraps the
-// run, not the cell, so it builds nothing and keeps no other cell's
-// structures alive. µ(r, d) is the exact count of the run's points
-// inside w(r), and a draw returns the j-th of them for j uniform in
-// [0, k), k being the count the trial's record holds. A scan costs
-// O(T) = O(log m) per query, within the paper's per-trial bound.
-type scanCorner struct{ run []geom.Point }
-
-func (s scanCorner) mu(c bbst.Corner, w geom.Rect, _ *cornerScratch) int {
-	n, _, _ := scanRun(s.run, c, w, -1)
-	return n
-}
-
-func (s scanCorner) sample(c bbst.Corner, w geom.Rect, k int32, r *rng.RNG, _ *cornerScratch) (geom.Point, bool) {
-	_, p, ok := scanRun(s.run, c, w, r.Intn(int(k)))
-	return p, ok
-}
-
-// sizeBytes charges the run header the interface value boxes; the run
-// belongs to the cell.
-func (s scanCorner) sizeBytes() int { return 24 }
-
-// scanRun walks pts, a cell's x-sorted run, from the end that corner
-// q's x side keeps, the west corners' x >= w.XMin a suffix and the
-// east corners' x <= w.XMax a prefix, until that side fails, and
-// counts the points inside w; it stops early at point j of them (never
-// for j < 0), which it returns with ok. Every point inside w passes
-// the x side, so the count is exact for any window; for a corner cell,
-// which lies beyond two sides of w, it is the corner's 2-sided count.
+// scanRun answers a scan cell's corners exactly in O(T) = O(log m), the
+// paper's per-trial bound: it walks pts, the cell's x-sorted run, from
+// the end that corner q's x side keeps, the west corners' x >= w.XMin
+// a suffix and the east corners' x <= w.XMax a prefix, until that side
+// fails, and counts the points inside w; it stops early at point j of
+// them (never for j < 0), which it returns with ok. Every point inside
+// w passes the x side, so the count is exact for any window; for a
+// corner cell, which lies beyond two sides of w, it is the corner's
+// 2-sided count.
 func scanRun(pts []geom.Point, q bbst.Corner, w geom.Rect, j int) (n int, p geom.Point, ok bool) {
 	west := q == bbst.SouthWest || q == bbst.NorthWest
 	i, step := 0, 1
@@ -109,7 +88,7 @@ func scanRun(pts []geom.Point, q bbst.Corner, w geom.Rect, j int) (n int, p geom
 // via sorted arrays. The 2-sided corners of a cell holding more than
 // T = c·⌈log₂ m⌉ points use two Bucket-based Binary Search Trees,
 // giving Õ(1)-approximate counting and Õ(1) expected-time sampling; a
-// cell of at most T points is scanned instead (scanCorner), which is
+// cell of at most T points is scanned instead (scanRun), which is
 // exact and costs O(log m). The end-to-end expected running time for t
 // samples is Õ(n + m + t) with O(n + m) space. Its one offline step in
 // the paper, sorting S by x, is done per cell by the grid mapping

@@ -243,7 +243,9 @@ func BenchmarkUnfreeze(b *testing.B) {
 }
 
 // buildCases are the inputs of BenchmarkBuild and BenchmarkCount: nyc
-// points, n per side, at window half-extent l.
+// points, n per side, at window half-extent l. The 25k rows are the
+// keyspread workload's shape, whose registry misses each build one
+// sampler at l in [50, 200].
 var buildCases = []struct {
 	name string
 	n    int
@@ -251,6 +253,9 @@ var buildCases = []struct {
 }{
 	{"nyc200k_l100", 200_000, 100},
 	{"nyc25k_l50", 25_000, 50},
+	{"nyc25k_l100", 25_000, 100},
+	{"nyc25k_l150", 25_000, 150},
+	{"nyc25k_l200", 25_000, 200},
 }
 
 // BenchmarkBuild times the data-structure building phase (Build: grid

@@ -34,7 +34,7 @@ func FrozenBuildOf(s Sampler) FrozenBuild {
 	}
 	fb := FrozenBuild{Recs: g.recs, Rows: g.rows, MuSum: g.stats.MuSum}
 	for _, c := range g.corners {
-		fb.Corners = append(fb.Corners, fmt.Sprintf("%T %d", c, c.sizeBytes()))
+		fb.Corners = append(fb.Corners, fmt.Sprintf("%T %d", c, cornerBytes(c)))
 	}
 	return fb
 }

@@ -188,7 +188,7 @@ func FuzzMutableOps(f *testing.F) {
 	})
 }
 
-// FuzzCornerScan holds the scan corner of a small cell to brute force.
+// FuzzCornerScan holds the corner scan of a small cell to brute force.
 // The cell is the grid cell [0, 16)² at l = 16 with up to 64 points on
 // the half-step lattice, so ties in both coordinates are common; the
 // window's centre ranges over the 3×3 block around the cell and

@@ -14,12 +14,11 @@ import (
 
 // cornerIndex is the per-cell structure that answers the 2-sided
 // (case 3) corner queries: the two BBSTs of the paper for a cell of
-// more than T points, the exact scan of a smaller cell's x-sorted run
-// (scanCorner), both chosen by cellCorner, or the per-cell kd-tree of
-// the Fig. 9 ablation. It is immutable once built: every clone of a
-// sampler, and every mutable index version unfrozen from it, shares
-// the same corner structures, and the query buffers live in the
-// calling handle's cornerScratch.
+// more than T points, or the per-cell kd-tree of the Fig. 9 ablation;
+// a smaller BBST cell has none (nil) and scans its run (scanRun). It is
+// immutable once built: every clone of a sampler, and every mutable
+// index version unfrozen from it, shares the same corner structures,
+// and the query buffers live in the calling handle's cornerScratch.
 type cornerIndex interface {
 	// mu returns the count of cell points matching the corner
 	// constraint of w: Lemma 5's upper bound for a BBST, exact for
@@ -32,6 +31,24 @@ type cornerIndex interface {
 	sample(c bbst.Corner, w geom.Rect, k int32, r *rng.RNG, sc *cornerScratch) (geom.Point, bool)
 	// sizeBytes estimates the structure footprint.
 	sizeBytes() int
+}
+
+// cornerMu is µ for corner q of cell c under w: ci's count, or the exact
+// count of a scan of c's run when c is a scan cell (ci nil).
+func cornerMu(ci cornerIndex, c *grid.Cell, q bbst.Corner, w geom.Rect, sc *cornerScratch) int {
+	if ci == nil {
+		n, _, _ := scanRun(c.XSorted, q, w, -1)
+		return n
+	}
+	return ci.mu(q, w, sc)
+}
+
+// cornerBytes is ci's footprint, 0 for a scan cell's nil.
+func cornerBytes(ci cornerIndex) int {
+	if ci == nil {
+		return 0
+	}
+	return ci.sizeBytes()
 }
 
 // cornerScratch is one sampler handle's query buffers, reused across
@@ -69,7 +86,7 @@ type gridSampler struct {
 	scanC     float64 // c of the scan threshold T = c·⌈log₂ m⌉; 0 scans no cell
 
 	g       *grid.Grid
-	corners []cornerIndex // by grid.Cell.Index; shared by clones
+	corners []cornerIndex // by grid.Cell.Index, nil for a scan cell; shared by clones
 	sc      cornerScratch // this handle's own
 	lanes   laneGroup     // this handle's own lane group and carry
 
@@ -147,12 +164,12 @@ func (g *gridSampler) Build() error {
 // global alias A over µ(r). The R points are grouped by grid cell
 // through a throwaway index permutation (R itself keeps its order,
 // which the alias indexes), and each cell is counted in one batched
-// muCounter pass against its 3×3 block, looked up once per cell; the
-// same lookup fills the cell's row. The cells are split across
-// cfg.Workers, each worker with a muCounter of its own; a cell writes
-// only its points' records and its own row, and µ and the alias are
-// summed serially in R order, so the result does not depend on the
-// split.
+// muCounter pass against its 3×3 block, looked up once per cell (one
+// search per row); the same lookup fills the cell's row. The cells are
+// split across cfg.Workers, each worker with a muCounter of its own; a
+// cell writes only its points' records and its own row, and µ and the
+// alias are summed serially in R order, so the result does not depend
+// on the split.
 func (g *gridSampler) Count() error {
 	if err := ensure(g, g.base, phaseBuilt); err != nil {
 		return err
@@ -166,26 +183,33 @@ func (g *gridSampler) Count() error {
 		for w := range mcs {
 			mcs[w].half = g.cfg.HalfExtent
 		}
-		keys, starts, perm := groupByCell(g.R, g.g.Side())
+		keys, starts, perm := grid.GroupByCell(g.R, g.g.Side())
+		// Rows go in the order R first touches their cells (Unfreeze's
+		// slot layout): mark each cell's first point, meet them in order.
+		rowOf, first := make([]int32, len(keys)), make([]int32, len(g.R))
+		for c := range keys {
+			first[perm[starts[c]]] = int32(c) + 1
+		}
+		next := int32(0)
+		for _, c := range first {
+			if c > 0 {
+				rowOf[c-1], next = next, next+1
+			}
+		}
 		g.recs = make([]pointRec, len(g.R))
 		g.rows = make([]cellRow, len(keys))
-		par.ForEach(len(keys), g.cfg.Workers, func(w, ci int) {
+		par.ForEach(len(keys), g.cfg.Workers, func(w, c int) {
 			mc := &mcs[w]
-			idx := perm[starts[ci]:starts[ci+1]]
+			idx := perm[starts[c]:starts[c+1]]
 			mc.reset()
 			for _, i := range idx {
 				mc.add(g.R[i], dirCounts{})
 			}
-			nb := g.neighborhood(keys[ci])
+			row := rowOf[c]
+			nb := g.neighborhood(keys[c], &g.rows[row])
 			mc.count(&nb, allDirs)
-			for d, c := range nb.cells {
-				g.rows[ci][d] = -1
-				if c != nil {
-					g.rows[ci][d] = c.Index
-				}
-			}
 			for j, i := range idx {
-				g.recs[i] = pointRec{cnt: mc.cnt[j], row: int32(ci)}
+				g.recs[i] = pointRec{cnt: mc.cnt[j], row: row}
 			}
 		})
 		mu := make([]float64, len(g.R))
@@ -209,37 +233,19 @@ func (g *gridSampler) Count() error {
 	return nil
 }
 
-// neighborhood looks up the S cells of the 3×3 block around cell k,
-// and the corner structures of its corners.
-func (g *gridSampler) neighborhood(k grid.Key) (nb nbhd) {
-	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		c := g.g.Cell(k.Neighbor(d))
-		nb.cells[d] = c
-		if c != nil && d.Case() == 3 {
-			nb.corners[d] = g.corners[c.Index]
+// neighborhood looks up the S cells of the 3×3 block around cell k
+// into row, and returns them with their corner structures.
+func (g *gridSampler) neighborhood(k grid.Key, row *cellRow) (nb nbhd) {
+	g.g.Block(k, (*[grid.NumDirections]int32)(row))
+	for d, ci := range row {
+		if ci >= 0 {
+			nb.cells[d] = g.g.ByIndex(ci)
+			if grid.Direction(d).Case() == 3 {
+				nb.corners[d] = g.corners[ci]
+			}
 		}
 	}
 	return nb
-}
-
-// groupByCell groups the points by grid cell: keys lists the occupied
-// cells in order of first point, and perm[starts[c]:starts[c+1]] holds
-// the indexes of cell keys[c]'s points, ascending.
-func groupByCell(pts []geom.Point, side float64) (keys []grid.Key, starts, perm []int32) {
-	index := make(map[grid.Key]int32)
-	cellOf := make([]int32, len(pts))
-	for i, p := range pts {
-		k := grid.KeyFor(p.X, p.Y, side)
-		c, ok := index[k]
-		if !ok {
-			c = int32(len(keys))
-			index[k] = c
-			keys = append(keys, k)
-		}
-		cellOf[i] = c
-	}
-	starts, perm = groupByRow(len(pts), len(keys), func(i int) int32 { return cellOf[i] })
-	return keys, starts, perm
 }
 
 // groupByRow is a counting sort of the indexes 0..n-1 by row(i) in
@@ -331,10 +337,12 @@ func (g *gridSampler) tryGroup(lg *laneGroup) error {
 		r := g.R[ri[i]]
 		w := g.window(r)
 		s, ok := geom.Point{}, true
-		if dir[i].Case() == 3 {
-			s, ok = g.corners[ci[i]].sample(cornerFor(dir[i]), w, k[i], g.rng, &g.sc)
-		} else {
+		if dir[i].Case() != 3 {
 			s = drawRun(g.g.ByIndex(ci[i]), dir[i], k[i], g.rng.Intn(int(k[i])))
+		} else if cr := g.corners[ci[i]]; cr != nil {
+			s, ok = cr.sample(cornerFor(dir[i]), w, k[i], g.rng, &g.sc)
+		} else {
+			_, s, ok = scanRun(g.g.ByIndex(ci[i]).XSorted, cornerFor(dir[i]), w, g.rng.Intn(int(k[i])))
 		}
 		lg.pair[i] = geom.Pair{R: r, S: s}
 		lg.ok[i] = ok && w.Contains(s) // else an empty slot or an out-of-window candidate
@@ -388,16 +396,16 @@ func (g *gridSampler) cloneGrid() (gridSampler, error) {
 	}, nil
 }
 
-// sizeBytes sums the pipeline structures: grid, corner structures,
-// global alias, the 40-byte count record per R point and the 36-byte
-// row per R cell.
+// sizeBytes sums the pipeline structures: grid, corner structures (and
+// their 16-byte slots), global alias, the 40-byte count record per R
+// point and the 36-byte row per R cell.
 func (g *gridSampler) sizeBytes() int {
-	total := 0
+	total := 16 * len(g.corners)
 	if g.g != nil {
 		total += g.g.SizeBytes()
 	}
 	for _, ci := range g.corners {
-		total += ci.sizeBytes()
+		total += cornerBytes(ci)
 	}
 	if g.tab != nil {
 		total += g.tab.SizeBytes()

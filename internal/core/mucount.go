@@ -22,7 +22,8 @@ import (
 
 // nbhd is the S side of one R cell's 3×3 block, by Direction: each
 // non-empty cell with its corner structure, nil where the cell is
-// empty. Only case-3 directions read their corner structure.
+// empty (and the structure nil for a scan cell). Only case-3
+// directions read their corner structure.
 type nbhd struct {
 	cells   [grid.NumDirections]*grid.Cell
 	corners [grid.NumDirections]cornerIndex
@@ -80,7 +81,7 @@ func (mc *muCounter) count(nb *nbhd, mask dirMask) {
 		default:
 			ci, q := nb.corners[d], cornerFor(d)
 			for i, r := range mc.pts {
-				mc.cnt[i][d] = int32(ci.mu(q, geom.Window(r, mc.half), &mc.sc))
+				mc.cnt[i][d] = int32(cornerMu(ci, c, q, geom.Window(r, mc.half), &mc.sc))
 			}
 		}
 	}

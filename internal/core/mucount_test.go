@@ -65,7 +65,7 @@ func ulpPoints(r *rng.RNG, n int, x0, y0, l float64, base int32) []geom.Point {
 
 // refCounts is the per-point reference for µ(r, d): r's own 3×3 block
 // looked up point by point, len(Cell.Matching) for cases 1–2 and the
-// cell's cornerIndex.mu for corners.
+// cell's cornerIndex.mu (its scan for a scan cell) for corners.
 func refCounts(g *gridSampler, r geom.Point, sc *cornerScratch) dirCounts {
 	var nb [grid.NumDirections]*grid.Cell
 	g.g.Neighborhood(r, &nb)
@@ -77,7 +77,7 @@ func refCounts(g *gridSampler, r geom.Point, sc *cornerScratch) dirCounts {
 		}
 		dir := grid.Direction(d)
 		if dir.Case() == 3 {
-			cnt[d] = int32(g.corners[c.Index].mu(cornerFor(dir), w, sc))
+			cnt[d] = int32(cornerMu(g.corners[c.Index], c, cornerFor(dir), w, sc))
 		} else {
 			cnt[d] = int32(len(c.Matching(dir, w)))
 		}
@@ -98,7 +98,7 @@ func checkCounter(t *testing.T, g *gridSampler, masks []dirMask) {
 	}
 	var sc cornerScratch
 	mc := muCounter{half: g.cfg.HalfExtent}
-	keys, starts, perm := groupByCell(g.R, g.g.Side())
+	keys, starts, perm := grid.GroupByCell(g.R, g.g.Side())
 	bad := 0
 	for ci, k := range keys {
 		idx := perm[starts[ci]:starts[ci+1]]
@@ -106,7 +106,8 @@ func checkCounter(t *testing.T, g *gridSampler, masks []dirMask) {
 		for j, i := range idx {
 			want[j] = refCounts(g, g.R[i], &sc)
 		}
-		nb := g.neighborhood(k)
+		var row cellRow
+		nb := g.neighborhood(k, &row)
 		for _, mask := range masks {
 			mc.reset()
 			for _, i := range idx {
@@ -288,7 +289,7 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 					continue
 				}
 				if d.Case() == 3 {
-					if _, ok := g.corners[ci].(scanCorner); ok {
+					if g.corners[ci] == nil {
 						checkScanPicks(fail, c, cornerFor(d), w, int(k))
 					}
 					continue

@@ -9,8 +9,8 @@ package core
 //     non-empty grid cell, plus the corner structure cellCorner builds
 //     over its x-sorted run, the frozen sampler's own rule: a BBST pair
 //     for a cell of more than T = c·⌈log₂ m⌉ points (m the live S
-//     count), an exact scanCorner over the run for a smaller one. Both
-//     are stored inline in a persistent directory (grid.Dir, a
+//     count), none (nil: an exact scan of the run) for a smaller one.
+//     Both are stored inline in a persistent directory (grid.Dir, a
 //     path-copied trie over mixed cell keys) instead of a Go map, so a
 //     lookup returns both. A batch that touches a cell replaces both,
 //     choosing the structure by the cell's new size and the batch's
@@ -93,9 +93,9 @@ func (o MutOps) Empty() bool {
 // mutCell is the per-cell S-side structure: the copy-on-write cell
 // (two sorted point orders for the exact 0/1-sided cases) and the
 // corner structure cellCorner built over its x-sorted run (the
-// 2-sided corners), the same one the frozen sampler's corners table
-// holds. Neither points into a frozen grid's cell array, so a version
-// keeps alive only the cells it serves.
+// 2-sided corners; nil for a scan cell), the same one the frozen
+// sampler's corners table holds. Neither points into a frozen grid's
+// cell array, so a version keeps alive only the cells it serves.
 type mutCell struct {
 	cell   *grid.Cell
 	corner cornerIndex
@@ -121,7 +121,8 @@ type MutableIndex struct {
 	scells      *grid.Dir[mutCell]    // S cell -> its cell and corner structure, by value
 	sids        *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
 	sCount      int
-	cornerBytes int // Σ sizeBytes of the cells' corner structures
+	cornerBytes int // Σ cornerBytes of the cells' corner structures
+	tMin, tMax  int // bound the T each cell was last built under
 
 	// R side.
 	slots    *slotTree // slot -> point, direction counts, µ; dead slots hold free markers
@@ -145,7 +146,7 @@ func (mc mutCell) count(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
 	if d.Case() != 3 {
 		return len(mc.cell.Matching(d, w))
 	}
-	return mc.corner.mu(cornerFor(d), w, sc)
+	return cornerMu(mc.corner, mc.cell, cornerFor(d), w, sc)
 }
 
 // sample draws one candidate of direction d, whose cached count is
@@ -154,6 +155,10 @@ func (mc mutCell) count(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
 func (mc mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
 	if d.Case() != 3 {
 		return drawRun(mc.cell, d, k, r.Intn(int(k))), true
+	}
+	if mc.corner == nil {
+		_, p, ok := scanRun(mc.cell.XSorted, cornerFor(d), w, r.Intn(int(k)))
+		return p, ok
 	}
 	return mc.corner.sample(cornerFor(d), w, k, r, sc)
 }
@@ -435,7 +440,7 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	var oldCell *grid.Cell
 	if mc, ok := nx.scells.Get(k); ok {
 		oldCell = mc.cell
-		nx.cornerBytes -= mc.corner.sizeBytes()
+		nx.cornerBytes -= cornerBytes(mc.corner)
 	}
 	var drop func(geom.Point) bool
 	if len(w.delIDs) > 0 {
@@ -460,7 +465,9 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	if err != nil {
 		return err
 	}
-	nx.cornerBytes += corner.sizeBytes()
+	t := scanMax(nx.scanC, nx.sCount)
+	nx.tMin, nx.tMax = min(nx.tMin, t), max(nx.tMax, t)
+	nx.cornerBytes += cornerBytes(corner)
 	nx.scells = nx.scells.With(k, mutCell{cell: ncell, corner: corner})
 	return nil
 }
@@ -508,8 +515,8 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 // sorted copies in its cell (48 B, plus about 4 B of allocation
 // rounding), 64 B per S cell for its header, the corner structures'
 // own bytes (cornerBytes: a BBST pair's buckets and nodes, which point
-// into the cell's x-sorted copy and own no points; a scan corner's
-// boxed run header), 4 B per live R point for its slot's entry in
+// into the cell's x-sorted copy and own no points; a scan cell has
+// none), 4 B per live R point for its slot's entry in
 // rcells, which lists live slots only, and the directories; the ID
 // directories count their own entries, a cell key per S point and a
 // slot per R point. TestMutableSizeBytesTracksHeap holds it to the
@@ -565,6 +572,8 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 		cfg:      s.cfg,
 		side:     s.g.Side(),
 		scanC:    s.scanC,
+		tMin:     scanMax(s.scanC, s.g.Len()),
+		tMax:     scanMax(s.scanC, s.g.Len()),
 		sCount:   s.g.Len(),
 		freeHead: -1,
 		rCount:   len(s.R),
@@ -596,7 +605,7 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 				c := *s.g.ByIndex(int32(i))
 				c.Index = -1 // a header of its own, outside the grid
 				cells[i] = mutCell{cell: &c, corner: corner}
-				ix.cornerBytes += corner.sizeBytes()
+				ix.cornerBytes += cornerBytes(corner)
 			}
 			ix.scells = grid.BuildDir(len(cells),
 				func(i int) grid.Key { return cells[i].cell.Key },
@@ -780,8 +789,8 @@ var (
 
 // CheckInvariants exhaustively validates one index version against its
 // own redundant state — every cell's corner structure against its run
-// (a scan corner wraps the run, a BBST pair passes its own invariants
-// over the run's points), the reverse
+// (none exactly for a run of at most T; a BBST pair passes its own
+// invariants over the run's points), the reverse
 // indexes, the free list, every slot's cached direction counts against
 // a recount, and every slot-tree sum against the pairwise
 // recomputation. Test and race-hammer use only: O(everything).
@@ -815,14 +824,16 @@ func (ix *MutableIndex) CheckInvariants() error {
 			}
 		}
 		sTotal += c.Len()
-		cornerTotal += mc.corner.sizeBytes()
+		cornerTotal += cornerBytes(mc.corner)
 		switch cr := mc.corner.(type) {
-		case scanCorner:
-			if len(cr.run) != c.Len() || &cr.run[0] != &c.XSorted[0] {
-				cellErr = fmt.Errorf("cell (%d,%d): scan corner does not wrap the cell's x-sorted run", k.CX, k.CY)
+		case nil:
+			if c.Len() > ix.tMax {
+				cellErr = fmt.Errorf("cell (%d,%d) of %d points has no corner structure, T <= %d", k.CX, k.CY, c.Len(), ix.tMax)
 			}
 		case bbstCorner:
-			if err := cr.pair.CheckInvariants(); err != nil {
+			if c.Len() <= ix.tMin {
+				cellErr = fmt.Errorf("cell (%d,%d) of %d points has a BBST pair, T >= %d", k.CX, k.CY, c.Len(), ix.tMin)
+			} else if err := cr.pair.CheckInvariants(); err != nil {
 				cellErr = fmt.Errorf("cell (%d,%d): %w", k.CX, k.CY, err)
 			} else if cr.pair.NumPoints() != c.Len() {
 				cellErr = fmt.Errorf("cell (%d,%d): pair holds %d points, cell %d", k.CX, k.CY, cr.pair.NumPoints(), c.Len())

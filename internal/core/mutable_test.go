@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -735,25 +736,7 @@ func TestMutableSizeBytesTracksHeap(t *testing.T) {
 	}
 	R, S := dataset.SplitRS(dataset.NYC(100000, 1), 0.5, 2)
 	gen := newChurnGen(R, S, dataset.NYC(4000, 7), 3)
-	var ms runtime.MemStats
-	liveHeap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	before := liveHeap()
-	check := func(name string, s interface{ SizeBytes() int }) {
-		t.Helper()
-		measured := liveHeap() - before
-		est := int64(s.SizeBytes())
-		runtime.KeepAlive(s)
-		ratio := float64(est) / float64(measured)
-		t.Logf("%s: SizeBytes %d, live heap %d (%.2fx)", name, est, measured, ratio)
-		if ratio < 0.8 || ratio > 1.25 {
-			t.Fatalf("%s: SizeBytes %d vs live heap %d: ratio %.2f outside [0.8, 1.25]", name, est, measured, ratio)
-		}
-	}
+	check := sizeChecker(t)
 	s, err := NewBBST(R, S, Config{HalfExtent: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -779,6 +762,97 @@ func TestMutableSizeBytesTracksHeap(t *testing.T) {
 	// baseline. Kept live to the end, they cancel out of every reading,
 	// instead of leaving the churned one once the last batch is drawn.
 	runtime.KeepAlive(gen)
+}
+
+// TestScanCellsHaveNoCorner builds S cells of T-1, T, T+1 and T+2
+// points around the scan threshold T: exactly the cells of at most T
+// points must have no corner structure (nil), in the frozen sampler
+// and in the index unfrozen from it, whose CheckInvariants holds the
+// same rule.
+func TestScanCellsHaveNoCorner(t *testing.T) {
+	const m, l = 100, 10.0
+	T := scanMax(defaultScanC, m)
+	r := rng.New(31)
+	var S []geom.Point
+	for c, n := range []int{T - 1, T, T + 1, T + 2} {
+		for range n {
+			S = append(S, geom.Point{X: r.Range(0, l) + float64(2*c)*l, Y: r.Range(0, l), ID: int32(len(S))})
+		}
+	}
+	for len(S) < m { // one-point cells, far from the rest
+		S = append(S, geom.Point{X: float64(2*len(S)) * l, Y: 50 * l, ID: int32(len(S))})
+	}
+	R := randomPoints(r, 60, 8*l, 1000)
+	s, err := NewBBST(R, S, Config{HalfExtent: l, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Count(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ci := range s.corners {
+		if n := s.g.ByIndex(int32(i)).Len(); (ci == nil) != (n <= T) {
+			t.Errorf("cell of %d points, T = %d: corner structure %T", n, T, ci)
+		}
+	}
+	mu, err := s.Unfreeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mu.Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrozenSizeBytesTracksHeap holds the frozen sampler's SizeBytes to
+// between 0.8 and 1.25 times its live heap at the keyspread workload's
+// shape, nyc with 25k points per side, at both ends of its l range: at
+// l = 50 the average cell holds under three points and at l = 200
+// about thirteen, so the per-cell and the per-point charges both
+// count. The registry evicts engines by these estimates.
+func TestFrozenSizeBytesTracksHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two 25k x 25k samplers")
+	}
+	R, S := dataset.SplitRS(dataset.NYC(50000, 1), 0.5, 2)
+	for _, l := range []float64{50, 200} {
+		check := sizeChecker(t)
+		s, err := NewBBST(R, S, Config{HalfExtent: l, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Count(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("l=%g", l), s)
+	}
+	runtime.KeepAlive(R)
+	runtime.KeepAlive(S)
+}
+
+// sizeChecker takes a live-heap baseline and returns a check that holds
+// a structure's SizeBytes to between 0.8 and 1.25 times the live heap
+// allocated since, which the structure must hold on its own.
+func sizeChecker(t *testing.T) func(name string, s interface{ SizeBytes() int }) {
+	var ms runtime.MemStats
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	return func(name string, s interface{ SizeBytes() int }) {
+		t.Helper()
+		measured := liveHeap() - before
+		est := int64(s.SizeBytes())
+		runtime.KeepAlive(s)
+		ratio := float64(est) / float64(measured)
+		t.Logf("%s: SizeBytes %d, live heap %d (%.2fx)", name, est, measured, ratio)
+		if ratio < 0.8 || ratio > 1.25 {
+			t.Fatalf("%s: SizeBytes %d vs live heap %d: ratio %.2f outside [0.8, 1.25]", name, est, measured, ratio)
+		}
+	}
 }
 
 // TestMutableScanCellCrossesThreshold grows one S cell past the scan

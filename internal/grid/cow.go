@@ -35,12 +35,9 @@ func WithUpdates(key Key, c *Cell, ins []geom.Point, drop func(geom.Point) bool)
 	if keep+len(ins) == 0 {
 		return nil
 	}
-	nc := &Cell{
-		Key:     key,
-		Index:   -1,
-		XSorted: make([]geom.Point, 0, keep+len(ins)),
-		YSorted: make([]geom.Point, 0, keep+len(ins)),
-	}
+	n := keep + len(ins)
+	buf := make([]geom.Point, 2*n) // both orders in one allocation, as Build lays them out
+	nc := &Cell{Key: key, Index: -1, XSorted: buf[:0:n], YSorted: buf[n:n]}
 	insX := append([]geom.Point(nil), ins...)
 	sort.Slice(insX, func(i, j int) bool { return insX[i].X < insX[j].X })
 	nc.XSorted = filterMerge(nc.XSorted, oldX, insX, drop,

@@ -1,6 +1,6 @@
-// Package grid implements the hash grid over non-empty cells used by
-// both the KDS-rejection baseline and the BBST algorithm (GRID-MAPPING
-// in Algorithm 1 of the paper).
+// Package grid implements the grid over the non-empty cells, found by a
+// radix sort of their keys and searched, used by both the KDS-rejection
+// baseline and the BBST algorithm (GRID-MAPPING in Algorithm 1).
 //
 // The cell side equals the window half-extent l (the paper states this
 // as "side length l/2" for an l x l window; our windows are written as
@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -89,6 +90,13 @@ type Key struct {
 	CX, CY int32
 }
 
+// packed is k's row-major sort key, CY above CX, each sign bit flipped
+// so unsigned order is signed order: the cells of a row west to east
+// have consecutive keys unless CX±1 wraps around int32.
+func (k Key) packed() uint64 {
+	return uint64(uint32(k.CY)^1<<31)<<32 | uint64(uint32(k.CX)^1<<31)
+}
+
 var opposites = [NumDirections]Direction{
 	Center, East, West, North, South, NorthEast, SouthEast, NorthWest, SouthWest,
 }
@@ -108,11 +116,11 @@ func (k Key) Neighbor(d Direction) Key {
 // x) and YSorted to Sy(c).
 //
 // Index is the cell's dense position in the Grid that Build made it
-// for: 0 <= Index < NumCells, assigned in the order Build's input
-// first touches each cell. Callers keep per-cell side tables in a
-// slice indexed by it, so reaching a cell's structures costs the one
-// key lookup that found the cell. Cells made outside a Grid
-// (WithUpdates) carry -1.
+// for: 0 <= Index < NumCells, the rank of its key in row-major order
+// (by CY, then CX). Callers keep per-cell side tables in a slice
+// indexed by it, so reaching a cell's structures costs the one key
+// lookup that found the cell. Cells made outside a Grid (WithUpdates)
+// carry -1.
 type Cell struct {
 	Key     Key
 	Index   int32
@@ -188,19 +196,21 @@ func (c *Cell) Matching(d Direction, w geom.Rect) []geom.Point {
 	panic("grid: Matching on a corner direction")
 }
 
-// Grid is a hash grid over the non-empty cells of a point set.
+// Grid is the grid over the non-empty cells of a point set, in
+// row-major key order.
 type Grid struct {
 	side  float64
-	cells []Cell        // dense, by Cell.Index
-	index map[Key]int32 // key -> Cell.Index
-	size  int           // total number of points
+	keys  []uint64 // packed cell keys, ascending
+	cells []Cell   // cells[i] has key keys[i] and Index i
+	size  int      // total number of points
 }
 
 // Build maps each point to its cell and sorts the per-cell copies.
 // It corresponds to GRID-MAPPING(S, l) plus the per-cell sorting of
-// Algorithm 1; points need no order. Each run is its own allocation of
-// exactly the cell's size, so a run outlives the grid only as long as
-// something holds that cell. side must be positive.
+// Algorithm 1; points need no order. Each cell's two runs are one
+// allocation of its own, XSorted its first half and YSorted its second,
+// so a run outlives the grid only as long as something holds that
+// cell. side must be positive.
 func Build(points []geom.Point, side float64) (*Grid, error) {
 	return BuildWorkers(points, side, 0)
 }
@@ -212,35 +222,52 @@ func BuildWorkers(points []geom.Point, side float64, workers int) (*Grid, error)
 	if side <= 0 || math.IsNaN(side) || math.IsInf(side, 0) {
 		return nil, fmt.Errorf("grid: cell side must be positive and finite, got %g", side)
 	}
-	g := &Grid{side: side, index: make(map[Key]int32), size: len(points)}
-	cellOf := make([]int32, len(points))
-	var counts []int
-	for j, p := range points {
-		k := g.KeyAt(p.X, p.Y)
-		i, ok := g.index[k]
-		if !ok {
-			i = int32(len(g.cells))
-			g.index[k] = i
-			g.cells = append(g.cells, Cell{Key: k, Index: i})
-			counts = append(counts, 0)
+	keys, starts, perm := GroupByCell(points, side)
+	g := &Grid{side: side, keys: make([]uint64, len(keys)), cells: make([]Cell, len(keys)), size: len(points)}
+	par.ForEach(len(keys), workers, func(_, ci int) {
+		idx := perm[starts[ci]:starts[ci+1]]
+		n := len(idx)
+		buf := make([]geom.Point, 2*n)
+		for j, i := range idx {
+			buf[j] = points[i]
 		}
-		cellOf[j] = i
-		counts[i]++
-	}
-	for ci := range g.cells {
-		g.cells[ci].XSorted = make([]geom.Point, 0, counts[ci])
-	}
-	for j, p := range points {
-		c := &g.cells[cellOf[j]]
-		c.XSorted = append(c.XSorted, p)
-	}
-	par.ForEach(len(g.cells), workers, func(_, ci int) {
-		c := &g.cells[ci]
-		slices.SortFunc(c.XSorted, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
-		c.YSorted = append([]geom.Point(nil), c.XSorted...)
-		slices.SortFunc(c.YSorted, func(a, b geom.Point) int { return cmp.Compare(a.Y, b.Y) })
+		xs, ys := buf[:n:n], buf[n:]
+		slices.SortFunc(xs, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+		copy(ys, xs)
+		slices.SortFunc(ys, func(a, b geom.Point) int { return cmp.Compare(a.Y, b.Y) })
+		g.keys[ci] = keys[ci].packed()
+		g.cells[ci] = Cell{Key: keys[ci], Index: int32(ci), XSorted: xs, YSorted: ys}
 	})
 	return g, nil
+}
+
+// GroupByCell groups pts by grid cell with a stable radix sort of their
+// row-major cell keys, offset to the occupied bounding box: keys lists
+// the occupied cells in that order, and perm[starts[c]:starts[c+1]]
+// holds the indexes of cell keys[c]'s points, ascending.
+func GroupByCell(pts []geom.Point, side float64) (keys []Key, starts, perm []int32) {
+	lo, hi := Key{math.MaxInt32, math.MaxInt32}, Key{math.MinInt32, math.MinInt32}
+	for _, p := range pts {
+		k := KeyFor(p.X, p.Y, side)
+		lo = Key{min(lo.CX, k.CX), min(lo.CY, k.CY)}
+		hi = Key{max(hi.CX, k.CX), max(hi.CY, k.CY)}
+	}
+	xbits := bits.Len64(uint64(int64(hi.CX) - int64(lo.CX)))
+	items := make([]radixItem[uint64], len(pts))
+	for i, p := range pts {
+		k := KeyFor(p.X, p.Y, side)
+		items[i] = radixItem[uint64]{key: uint64(int64(k.CY)-int64(lo.CY))<<xbits | uint64(int64(k.CX)-int64(lo.CX)), i: int32(i)}
+	}
+	items = radixSort(items, make([]radixItem[uint64], len(items)))
+	perm = make([]int32, len(items))
+	for j, it := range items {
+		perm[j] = it.i
+		if j == 0 || it.key != items[j-1].key {
+			keys = append(keys, Key{CX: lo.CX + int32(it.key&(1<<xbits-1)), CY: lo.CY + int32(it.key>>xbits)})
+			starts = append(starts, int32(j))
+		}
+	}
+	return keys, append(starts, int32(len(items))), perm
 }
 
 // Side returns the cell side length.
@@ -270,16 +297,36 @@ func (g *Grid) CellAt(x, y float64) *Cell { return g.Cell(g.KeyAt(x, y)) }
 
 // Cell returns the cell with key k, or nil when it is empty.
 func (g *Grid) Cell(k Key) *Cell {
-	i, ok := g.index[k]
-	if !ok {
-		return nil
+	if i, ok := slices.BinarySearch(g.keys, k.packed()); ok {
+		return &g.cells[i]
 	}
-	return &g.cells[i]
+	return nil
 }
 
 // ByIndex returns the cell whose Index is i, 0 <= i < NumCells: the
 // lookup for callers that resolved a key to an Index once and keep it.
 func (g *Grid) ByIndex(i int32) *Cell { return &g.cells[i] }
+
+// Block fills dst with the Index of each cell of the 3x3 block around
+// cell k, by Direction, -1 where the cell is empty: one search per row,
+// whose three cells have consecutive packed keys.
+func (g *Grid) Block(k Key, dst *[NumDirections]int32) {
+	wraps := k.CX == math.MinInt32 || k.CX == math.MaxInt32 // the rows are not consecutive
+	for _, row := range [3][3]Direction{{SouthWest, South, SouthEast}, {West, Center, East}, {NorthWest, North, NorthEast}} {
+		i := 0
+		for j, d := range row {
+			want := k.Neighbor(d).packed()
+			if j == 0 || wraps {
+				i, _ = slices.BinarySearch(g.keys, want)
+			}
+			dst[d] = -1
+			if i < len(g.keys) && g.keys[i] == want {
+				dst[d] = int32(i)
+				i++
+			}
+		}
+	}
+}
 
 // Neighborhood fills dst with the 3x3 block of cells around the cell
 // containing r, indexed by Direction; empty cells are nil. It returns
@@ -292,14 +339,9 @@ func (g *Grid) Neighborhood(r geom.Point, dst *[NumDirections]*Cell) *[NumDirect
 	return dst
 }
 
-// SizeBytes estimates the heap footprint of the grid: two point copies
-// per point plus map overhead. Used by the memory experiment.
+// SizeBytes estimates the heap footprint of the grid: per point two
+// 24-byte copies and about 2 B of size-class rounding, per cell its
+// 64-byte header and 8-byte key.
 func (g *Grid) SizeBytes() int {
-	const pointSize = 24 // 2 float64 + int32 padded
-	const cellOverhead = 96
-	total := 0
-	for _, c := range g.cells {
-		total += cellOverhead + pointSize*(len(c.XSorted)+len(c.YSorted))
-	}
-	return total
+	return 72*len(g.cells) + 50*g.size
 }

@@ -203,11 +203,11 @@ func (d *IDDir[V]) without(n *idNode[V], lvl int, u uint32) (*idNode[V], bool) {
 // the leaves With and Without make, so a leaf left untouched by later
 // versions keeps nothing else alive.
 func BuildIDDir[V any](n int, id func(i int) int32, val func(i int) V) *IDDir[V] {
-	items := make([]radixItem, n)
+	items := make([]radixItem[uint32], n)
 	for i := range items {
-		items[i] = radixItem{key: uint32(id(i)), i: int32(i)}
+		items[i] = radixItem[uint32]{key: uint32(id(i)), i: int32(i)}
 	}
-	items = radixSort(items, make([]radixItem, n))
+	items = radixSort(items, make([]radixItem[uint32], n))
 	d := &IDDir[V]{n: n}
 	if n == 0 {
 		return d
@@ -219,7 +219,7 @@ func BuildIDDir[V any](n int, id func(i int) int32, val func(i int) V) *IDDir[V]
 
 // build builds the node at lvl over items (sorted by ID, sharing every
 // chunk above lvl), taking each item's value from val.
-func (d *IDDir[V]) build(items []radixItem, val func(i int) V, lvl int) *idNode[V] {
+func (d *IDDir[V]) build(items []radixItem[uint32], val func(i int) V, lvl int) *idNode[V] {
 	n := &idNode[V]{}
 	d.nodes++
 	if lvl == 0 {
@@ -259,36 +259,37 @@ func (d *IDDir[V]) build(items []radixItem, val func(i int) V, lvl int) *idNode[
 
 // radixItem is one entry of a radix sort: the key it sorts by and the
 // index of the item it stands for.
-type radixItem struct {
-	key uint32
+type radixItem[K uint32 | uint64] struct {
+	key K
 	i   int32
 }
 
-// radixSort sorts items stably by key: an LSD radix sort over 16-bit
-// digits that skips every digit on which all keys agree. buf is
-// scratch of the same length; the result is items or buf. Items
-// entered in ascending i come out in (key, i) order.
-func radixSort(items, buf []radixItem) []radixItem {
-	if len(items) < 2 {
-		return items
-	}
-	and, or := ^uint32(0), uint32(0)
+// radixSort sorts items stably by key: an LSD radix sort in the fewest
+// passes of at most 11 bits that cover the bits on which keys differ,
+// skipping a digit all keys share. buf is scratch of the same length;
+// the result is items or buf. Items entered in ascending i come out in
+// (key, i) order.
+func radixSort[K uint32 | uint64](items, buf []radixItem[K]) []radixItem[K] {
+	and, or := ^K(0), K(0)
 	for _, it := range items {
 		and &= it.key
 		or |= it.key
 	}
-	var count []int32
-	for shift := 0; shift < 32; shift += 16 {
-		if (and^or)>>shift&0xffff == 0 {
+	width := bits.Len64(uint64(and ^ or))
+	if width == 0 {
+		return items // at most one distinct key
+	}
+	passes := (width + 10) / 11
+	digit := (width + passes - 1) / passes
+	mask := K(1)<<digit - 1
+	count := make([]int32, 1<<digit)
+	for shift := 0; shift < width; shift += digit {
+		if (and^or)>>shift&mask == 0 {
 			continue // every key has the same digit here
 		}
-		if count == nil {
-			count = make([]int32, 1<<16)
-		} else {
-			clear(count)
-		}
+		clear(count)
 		for _, it := range items {
-			count[it.key>>shift&0xffff]++
+			count[it.key>>shift&mask]++
 		}
 		sum := int32(0)
 		for d, c := range count {
@@ -296,7 +297,7 @@ func radixSort(items, buf []radixItem) []radixItem {
 			sum += c
 		}
 		for _, it := range items {
-			d := it.key >> shift & 0xffff
+			d := it.key >> shift & mask
 			buf[count[d]] = it
 			count[d]++
 		}

@@ -80,9 +80,10 @@ func TestPublicServerWarm(t *testing.T) {
 }
 
 // TestPublicServerChargesStores: a dynamic store counts against
-// MemoryBudget. Under a budget of two and a half engines, two cached
-// engines fit beside nothing, but only one fits beside a store of
-// about an engine's size — and the store itself is never evicted.
+// MemoryBudget. Under a budget of the store plus one and a half
+// engines, two cached engines fit beside nothing, but only one fits
+// beside a store of at least half an engine — and the store itself is
+// never evicted.
 func TestPublicServerChargesStores(t *testing.T) {
 	ctx := context.Background()
 	key := func(seed uint64) EngineKey {
@@ -101,11 +102,11 @@ func TestPublicServerChargesStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, st := probe.Engines()[0].SizeBytes, probe.stores.SizeBytes()
-	if st < eng/2 || st > eng*3/2 {
-		t.Fatalf("store %d bytes is not within half an engine of the engine's %d", st, eng)
+	if st < eng/2 {
+		t.Fatalf("store %d bytes is under half the engine's %d", st, eng)
 	}
 
-	s, cl, done2 := newTestServer(t, &ServerOptions{DatasetSize: 2000, MaxT: 10_000, MemoryBudget: eng * 5 / 2})
+	s, cl, done2 := newTestServer(t, &ServerOptions{DatasetSize: 2000, MaxT: 10_000, MemoryBudget: st + eng*3/2})
 	defer done2()
 	for seed := uint64(1); seed <= 2; seed++ {
 		if err := s.Warm(ctx, key(seed)); err != nil {
