@@ -1,7 +1,8 @@
 // Command srjserver serves join samples over HTTP: one process pays
 // each (dataset, l, algorithm, seed) preprocessing pass once and any
 // number of clients draw Õ(1) expected-time samples from the cached
-// engines (LRU-evicted under a memory budget).
+// engines (under a memory budget, evicting the least frequently used
+// with aging).
 //
 // Datasets are the built-in generators by default; -load mounts point
 // files (written by srjgen or srj.SavePoints), each split 50/50 into

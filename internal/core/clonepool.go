@@ -31,13 +31,21 @@ func (b *base) Reseed(seed uint64) {
 // seed sequence, so request streams stay uniform and independent of
 // each other, and a single-goroutine request sequence is reproducible
 // across runs of a pool with the same seed.
+//
+// Idle clones wait in a slice under the pool's mutex, not in a
+// sync.Pool. The runtime keeps a sync.Pool's contents reachable until
+// the second garbage collection after its last use, and an idle clone
+// reaches the parent's structures, so a dropped engine's structures
+// would survive the first collection after it: under a registry's
+// memory budget, an evicted engine would still hold its memory while
+// its replacement is built. The slice holds at most as many clones
+// as were ever checked out at once.
 type ClonePool struct {
 	parent Cloner
 
-	mu  sync.Mutex // guards seq and parent.Clone (both advance RNG state)
-	seq *rng.RNG   // per-checkout seed sequence
-
-	pool sync.Pool // idle Sampler clones
+	mu   sync.Mutex // guards seq, idle and parent.Clone (which advances RNG state)
+	seq  *rng.RNG   // per-checkout seed sequence
+	idle []Sampler  // clones returned by Put, ready for reuse
 }
 
 // NewClonePool prepares parent through Count (building every shared
@@ -55,21 +63,21 @@ func NewClonePool(parent Cloner, seed uint64) (*ClonePool, error) {
 	if _, ok := first.(Reseeder); !ok {
 		return nil, fmt.Errorf("core: %s clones do not support reseeding", parent.Name())
 	}
-	p := &ClonePool{parent: parent, seq: rng.New(seed)}
-	p.pool.Put(first)
-	return p, nil
+	return &ClonePool{parent: parent, seq: rng.New(seed), idle: []Sampler{first}}, nil
 }
 
-// idleOrClone returns an idle pooled clone, or creates one under the
-// lock (Clone advances the parent's RNG state). The returned clone
-// still carries its previous stream; callers reseed it.
-func (p *ClonePool) idleOrClone() (Sampler, error) {
-	if v := p.pool.Get(); v != nil {
-		return v.(Sampler), nil
+// idleOrCloneLocked returns an idle clone, or creates one (Clone
+// advances the parent's RNG state, hence the lock). The returned
+// clone still carries its previous stream; callers reseed it.
+func (p *ClonePool) idleOrCloneLocked() (Sampler, error) {
+	n := len(p.idle)
+	if n == 0 {
+		return p.parent.Clone()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.parent.Clone()
+	s := p.idle[n-1]
+	p.idle[n-1] = nil
+	p.idle = p.idle[:n-1]
+	return s, nil
 }
 
 // Get checks a clone out of the pool — creating one when no idle clone
@@ -77,8 +85,8 @@ func (p *ClonePool) idleOrClone() (Sampler, error) {
 // Exactly one seed is consumed from the pool's sequence per call,
 // whether or not a clone had to be created.
 func (p *ClonePool) Get() (Sampler, error) {
-	s, err := p.idleOrClone()
 	p.mu.Lock()
+	s, err := p.idleOrCloneLocked()
 	seed := p.seq.Uint64()
 	p.mu.Unlock()
 	if err != nil {
@@ -96,7 +104,9 @@ func (p *ClonePool) Get() (Sampler, error) {
 // seeded checkouts never perturb the reproducibility of the unseeded
 // request stream interleaved with them.
 func (p *ClonePool) GetSeeded(seed uint64) (Sampler, error) {
-	s, err := p.idleOrClone()
+	p.mu.Lock()
+	s, err := p.idleOrCloneLocked()
+	p.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -110,20 +120,22 @@ func (p *ClonePool) Put(s Sampler) {
 	if s == nil {
 		return
 	}
-	p.pool.Put(s)
+	p.mu.Lock()
+	p.idle = append(p.idle, s)
+	p.mu.Unlock()
 }
 
 // Warm pre-populates the pool with n idle clones so that the first n
 // concurrent checkouts pay no construction cost.
 func (p *ClonePool) Warm(n int) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i := 0; i < n; i++ {
-		p.mu.Lock()
 		c, err := p.parent.Clone()
-		p.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		p.pool.Put(c)
+		p.idle = append(p.idle, c)
 	}
 	return nil
 }

@@ -175,7 +175,12 @@ type Engine struct {
 	name string
 	size int
 
-	buffers sync.Pool // *[]geom.Pair batches for DrawFunc
+	// buffers holds *[]geom.Pair batches for DrawFunc. It is a
+	// pointer so that the runtime's list of pools, which keeps a pool
+	// reachable until the second collection after its last use, points
+	// at the pool alone and not into the Engine: a dropped engine is
+	// freed at the next collection.
+	buffers *sync.Pool
 
 	maxT atomic.Int64 // per-request sample cap; 0 = unlimited
 
@@ -211,10 +216,10 @@ func New(parent core.Cloner, seed uint64) (*Engine, error) {
 		name: parent.Name(),
 		size: parent.SizeBytes(),
 		hist: obs.NewHistogram(obs.DrawDurationBuckets),
-	}
-	e.buffers.New = func() any {
-		buf := make([]geom.Pair, DefaultBatch)
-		return &buf
+		buffers: &sync.Pool{New: func() any {
+			buf := make([]geom.Pair, DefaultBatch)
+			return &buf
+		}},
 	}
 	return e, nil
 }

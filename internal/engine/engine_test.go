@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -486,5 +488,51 @@ func TestEngineDrawZeroAllocs(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatal("DrawFunc delivered nothing")
+	}
+}
+
+// TestEngineFreedAtNextGC pins that a dropped engine keeps nothing of
+// its parent sampler alive: after one collection the parent's
+// finalizer has run. The runtime keeps every sync.Pool's contents,
+// and the pool itself, reachable until the second collection after
+// its last use, so an engine whose batch pool is a field of the
+// Engine (the runtime then holds a pointer into it), or whose idle
+// clones (which reach the parent's structures) wait in a sync.Pool,
+// outlives its last reference by a collection. Under a registry's
+// budget that is an evicted engine holding its memory while its
+// replacement is built. The finalizer sits on the parent only: one on
+// the Engine would itself keep what the Engine references alive for
+// one more cycle and hide the bug.
+func TestEngineFreedAtNextGC(t *testing.T) {
+	var freed atomic.Bool
+	drawAndDrop(t, &freed)
+	runtime.GC()
+	for deadline := time.Now().Add(200 * time.Millisecond); !freed.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("the parent sampler is still reachable one collection after its engine was dropped")
+	}
+}
+
+// drawAndDrop builds an engine over a BBST parent that sets freed when
+// it is collected, serves one DrawFunc request and drops every
+// reference. It is a function of its own so that nothing it built
+// stays live in the caller's frame.
+//
+//go:noinline
+func drawAndDrop(t *testing.T, freed *atomic.Bool) {
+	r := rng.New(3)
+	s, err := core.NewBBST(testPoints(r, 400, 50, 0), testPoints(r, 400, 50, 10000), core.Config{HalfExtent: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.SetFinalizer(s, func(*core.BBSTSampler) { freed.Store(true) })
+	e, err := New(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DrawFunc(context.Background(), Request{T: 100}, func([]geom.Pair) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
 }

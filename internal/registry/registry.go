@@ -11,11 +11,15 @@
 //
 //   - Memory budget. Engines retain O(n + m) structures; a registry
 //     holding every key ever requested would grow without bound. The
-//     registry tracks the SizeBytes of each resident engine and
-//     evicts least-recently-used entries when a configurable budget
-//     is exceeded. Memory the registry does not own but must leave
-//     room for (a server's dynamic stores) is charged through
-//     Reserve.
+//     registry tracks the SizeBytes of each resident engine and, when
+//     a configurable budget is exceeded, evicts by LFU with dynamic
+//     aging (LFU-DA): the entry with the lowest priority, clock +
+//     hits + 1, goes first, and the clock rises to each victim's
+//     priority. Under skewed key popularity this keeps the engines
+//     that are asked for often through a run of one-shot keys, and
+//     the clock ages out an entry whose popularity has passed. Memory
+//     the registry does not own but must leave room for (a server's
+//     dynamic stores) is charged through Reserve.
 //   - Build deduplication. A thundering herd of requests for a cold
 //     key must pay one preprocessing pass, not one per request:
 //     concurrent Gets for the same key coalesce onto a single build
@@ -123,6 +127,9 @@ type entry struct {
 	size    int64
 	hits    uint64
 	buildNS int64
+	// priority is the entry's LFU-DA eviction priority, clock + hits
+	// + 1, set on insert and on every hit.
+	priority uint64
 }
 
 // call is one in-flight build that concurrent Gets coalesce onto.
@@ -142,15 +149,18 @@ type call struct {
 // Every mutation path — Get's hit/miss/insert, explicit Evict, and
 // budget eviction — holds mu across its whole read-modify-write, and
 // preserves one structural invariant: entries and lru hold exactly
-// the same set, and bytes equals the summed size of that set. Two
-// consequences follow and are part of the contract: an engine
-// returned by Get stays usable when eviction races it (eviction only
-// drops the registry's reference — in-flight holders keep serving,
-// GC reclaims after the last one returns), and an Evict that races a
-// build finds nothing (an in-flight build is not resident; its insert
-// lands atomically afterwards). The race-focused tests in
-// registry_race_test.go hammer these interleavings under -race and
-// assert the invariant at quiescent points.
+// the same set (lru orders it by recency, for Entries and for
+// eviction's ties), bytes equals the summed size of that set, and no
+// resident priority is below the eviction clock. Two consequences
+// follow and are part of the contract: an engine returned by Get
+// stays usable when eviction races it (eviction only drops the
+// registry's reference — in-flight holders keep serving, and the
+// first collection after the last one returns frees the engine), and
+// an Evict that races a build finds nothing (an in-flight build is
+// not resident; its insert lands atomically afterwards). The
+// race-focused tests in registry_race_test.go hammer these
+// interleavings under -race and assert the invariant at quiescent
+// points.
 type Registry struct {
 	build    BuildFunc
 	budget   int64         // bytes; 0 = unlimited
@@ -160,6 +170,7 @@ type Registry struct {
 	entries  map[Key]*entry
 	lru      *list.List // front = most recently used; values are *entry
 	bytes    int64
+	clock    uint64       // LFU-DA aging clock: the last victim's priority
 	reserve  func() int64 // bytes held outside the cache; nil = none
 	inflight map[Key]*call
 
@@ -169,10 +180,11 @@ type Registry struct {
 }
 
 // New returns a registry that builds cold keys with build and keeps
-// resident engines within budgetBytes (0 disables the budget). The
-// most recently inserted engine is never evicted — a single engine
-// larger than the budget serves its requests and is dropped as soon
-// as a different key becomes more recent.
+// resident engines within budgetBytes (0 disables the budget),
+// evicting by LFU-DA (see evictLocked). The most recently inserted
+// engine is never evicted — a single engine larger than the budget
+// serves its requests and is dropped as soon as a different key
+// becomes more recent.
 func New(build BuildFunc, budgetBytes int64) *Registry {
 	if build == nil {
 		panic("registry: nil BuildFunc")
@@ -207,6 +219,7 @@ func (r *Registry) Get(ctx context.Context, key Key) (*engine.Engine, error) {
 	if e, ok := r.entries[key]; ok {
 		r.hits++
 		e.hits++
+		e.priority = r.clock + e.hits + 1
 		r.lru.MoveToFront(e.elem)
 		r.mu.Unlock()
 		return e.eng, nil
@@ -261,6 +274,9 @@ func (r *Registry) Get(ctx context.Context, key Key) (*engine.Engine, error) {
 			r.entries[key] = e
 			r.bytes += e.size
 			r.evictLocked()
+			// Priced after the evictions its arrival caused, as if it
+			// had been inserted into the room they made.
+			e.priority = r.clock + 1
 		}
 		r.mu.Unlock()
 		close(c.done)
@@ -293,10 +309,15 @@ func (r *Registry) Reserve(fn func() int64) {
 	r.reserve = fn
 }
 
-// evictLocked drops least-recently-used entries until the budget is
-// respected. The most recent entry always stays: evicting the engine
-// a request is about to use would turn an oversized engine into a
-// rebuild-per-request livelock.
+// evictLocked drops entries until the budget is respected, by LFU
+// with dynamic aging (Arlitt et al., 2000): the victim is the lowest
+// priority, found scanning from the least recently used end so that
+// ties go to the least recently used, and the clock becomes the
+// victim's priority. Since every priority is set from the clock, a
+// recent hit outweighs an old one: a key that was popular once is
+// aged out by keys that are popular now. The most recent entry always
+// stays: evicting the engine a request is about to use would turn an
+// oversized engine into a rebuild-per-request livelock.
 func (r *Registry) evictLocked() {
 	if r.budget <= 0 {
 		return
@@ -306,11 +327,16 @@ func (r *Registry) evictLocked() {
 		reserved = r.reserve()
 	}
 	for r.bytes+reserved > r.budget && r.lru.Len() > 1 {
-		back := r.lru.Back()
-		e := back.Value.(*entry)
-		r.lru.Remove(back)
-		delete(r.entries, e.key)
-		r.bytes -= e.size
+		victim := r.lru.Back().Value.(*entry)
+		for el := victim.elem.Prev(); el != r.lru.Front(); el = el.Prev() {
+			if e := el.Value.(*entry); e.priority < victim.priority {
+				victim = e
+			}
+		}
+		r.clock = victim.priority
+		r.lru.Remove(victim.elem)
+		delete(r.entries, victim.key)
+		r.bytes -= victim.size
 		r.evictions++
 		// In-flight requests holding the *engine.Engine keep serving;
 		// the structures are freed by GC once they return.

@@ -8,6 +8,7 @@ package registry
 //
 //	bytes == Σ size of resident entries
 //	entries map and LRU list hold exactly the same set
+//	no resident priority is below the eviction clock
 //	an engine returned by Get is usable even if evicted concurrently
 //	  (eviction drops the registry's reference, never the engine)
 //
@@ -47,6 +48,9 @@ func checkInvariants(t *testing.T, r *Registry) {
 			t.Fatalf("map and LRU disagree on entry %s", e.key)
 		}
 		bytes += e.size
+		if e.priority < r.clock {
+			t.Fatalf("entry %s has priority %d, below the eviction clock %d", e.key, e.priority, r.clock)
+		}
 	}
 	if bytes != r.bytes {
 		t.Fatalf("bytes counter %d, entries sum to %d", r.bytes, bytes)

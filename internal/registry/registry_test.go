@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,6 +185,81 @@ func TestRegistryLRUOrder(t *testing.T) {
 	if !resident[keyA] || !resident[keyC] || resident[keyB] {
 		t.Fatalf("resident = %v, want A and C", resident)
 	}
+}
+
+// budgetFor returns a budget with room for n of testBuild's engines
+// but not n+1, sized from one probe build.
+func budgetFor(t *testing.T, build BuildFunc, n int64) int64 {
+	t.Helper()
+	e, err := New(build, 0).Get(context.Background(), Key{Dataset: "probe", L: 100, Algorithm: "bbst", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(e.SizeBytes()) * (2*n + 1) / 2
+}
+
+// residentKeys lists the resident keys, most recently used first.
+func residentKeys(r *Registry) []Key {
+	var out []Key
+	for _, e := range r.Entries() {
+		out = append(out, e.Key)
+	}
+	return out
+}
+
+// TestRegistryKeepsFrequentEntries: a key asked for often outlives a
+// run of one-shot keys that would have pushed it out of a
+// least-recently-used cache.
+func TestRegistryKeepsFrequentEntries(t *testing.T) {
+	build, _ := testBuild(500, 0)
+	ctx := context.Background()
+	key := func(seed uint64) Key { return Key{Dataset: "uniform", L: 100, Algorithm: "bbst", Seed: seed} }
+	r := New(build, budgetFor(t, build, 3))
+	hot := key(1)
+	for range 6 { // one build, five hits
+		if _, err := r.Get(ctx, hot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := uint64(100); seed < 110; seed++ {
+		if _, err := r.Get(ctx, key(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := r.Stats(); st.Evictions != 8 {
+		t.Fatalf("evictions = %d, want 8 (3 resident of 11 keys): %+v", st.Evictions, st)
+	}
+	if !slices.Contains(residentKeys(r), hot) {
+		t.Fatalf("the key hit 5 times was evicted by 10 one-shot keys; resident = %v", residentKeys(r))
+	}
+}
+
+// TestRegistryAgesOutStaleEntries: once a popular key goes quiet, the
+// aging clock lets keys that are asked for now, if less often than it
+// once was, evict it.
+func TestRegistryAgesOutStaleEntries(t *testing.T) {
+	build, _ := testBuild(500, 0)
+	ctx := context.Background()
+	key := func(seed uint64) Key { return Key{Dataset: "uniform", L: 100, Algorithm: "bbst", Seed: seed} }
+	r := New(build, budgetFor(t, build, 3))
+	stale := key(1)
+	for range 6 { // one build, five hits
+		if _, err := r.Get(ctx, stale); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := uint64(100); seed < 130; seed++ {
+		for range 2 {
+			if _, err := r.Get(ctx, key(seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Contains(residentKeys(r), stale) {
+			t.Logf("the stale key went after %d keys requested twice", seed-99)
+			return
+		}
+	}
+	t.Fatalf("30 keys requested twice each never evicted a key that went quiet after 5 hits; resident = %v", residentKeys(r))
 }
 
 // TestRegistryOversizedEngine: an engine bigger than the whole budget

@@ -107,10 +107,11 @@ type ServerOptions struct {
 	// 1). Ignored when Datasets is set.
 	DatasetSeed uint64
 	// MemoryBudget bounds the summed SizeBytes of cached engines and
-	// dynamic stores; least-recently-used engines are evicted beyond
-	// it. Stores are charged to the budget but never evicted, so they
-	// leave less room for cached engines. 0 means 1 GiB; negative
-	// means unlimited.
+	// dynamic stores; beyond it the least frequently used engines are
+	// evicted, with aging so that a key whose popularity has passed
+	// goes too (LFU-DA, internal/registry). Stores are charged to the
+	// budget but never evicted, so they leave less room for cached
+	// engines. 0 means 1 GiB; negative means unlimited.
 	MemoryBudget int64
 	// MaxT caps the samples one request may ask for (default
 	// server.DefaultMaxT = 1e6). Every engine the server builds gets
