@@ -39,7 +39,13 @@ func (b *base) Reseed(seed uint64) {
 // would survive the first collection after it: under a registry's
 // memory budget, an evicted engine would still hold its memory while
 // its replacement is built. The slice holds at most as many clones
-// as were ever checked out at once.
+// as were ever checked out at once, and keeps them, with whatever
+// scratch they grew, for the life of the pool: after a burst of n
+// concurrent checkouts a long-lived pool holds n clones. That
+// retention is accepted, and no size estimate charges for it: each
+// clone owns only its scratch and stream, bounded by the largest
+// request it served, and it all goes with the pool when its engine
+// is dropped.
 type ClonePool struct {
 	parent Cloner
 

@@ -3,10 +3,14 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/join"
 	"repro/internal/rng"
 )
@@ -317,4 +321,51 @@ func TestClonePoolEmptyJoin(t *testing.T) {
 	if _, err := NewClonePool(s, 1); !errors.Is(err, ErrEmptyJoin) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// TestClonePoolFreedAtNextGC pins that a dropped pool's idle clones
+// keep nothing of the parent's structures alive: after one collection
+// the grid's finalizer has run. The finalizer sits on the grid, which
+// every clone shares, not on the parent sampler struct, which no clone
+// points at: a pool holding its idle clones in a sync.Pool (whose
+// contents the runtime keeps until the second collection after its
+// last use) frees the parent struct at the first collection but pins
+// the grid, the records and the alias for one more.
+func TestClonePoolFreedAtNextGC(t *testing.T) {
+	var freed atomic.Bool
+	poolAndDrop(t, &freed)
+	runtime.GC()
+	for deadline := time.Now().Add(200 * time.Millisecond); !freed.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("the parent's grid is still reachable one collection after its pool was dropped")
+	}
+}
+
+// poolAndDrop builds a pool over a BBST parent whose grid sets freed
+// when it is collected, checks a clone out, draws, returns it and
+// drops every reference. It is a function of its own so that nothing
+// it built stays live in the caller's frame.
+//
+//go:noinline
+func poolAndDrop(t *testing.T, freed *atomic.Bool) {
+	r := rng.New(3)
+	s, err := NewBBST(randomPoints(r, 400, 50, 0), randomPoints(r, 400, 50, 10000), Config{HalfExtent: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewClonePool(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.SetFinalizer(s.g, func(*grid.Grid) { freed.Store(true) })
+	c, err := p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Next(); err != nil {
+		t.Fatal(err)
+	}
+	p.Put(c)
 }

@@ -28,8 +28,6 @@
 #     --claim TEXT      the claimed workload and metric, as written in
 #                       the file (default "none")
 #     --change TEXT     what the change does, as written in the file
-#     --host TEXT       the host, as written in the file (default: CPU
-#                       count and model, OS/arch and Go version)
 #     --out FILE        where to write (default BENCH_<pr>.json at the
 #                       repository root)
 #     --work DIR        scratch directory for the exports, their build
@@ -60,7 +58,7 @@ seeds() {
 }
 
 pr="" base="HEAD~1" head="HEAD" workloads="keyspread" seedlist="1-10" seconds=10
-traced="" claim="none" change="" host="" out="" work="" check=""
+traced="" claim="none" change="" out="" work="" check=""
 while [ $# -gt 0 ]; do
 	[ $# -ge 2 ] || die "$1 needs a value"
 	case "$1" in
@@ -73,7 +71,6 @@ while [ $# -gt 0 ]; do
 	--traced) traced="$2" ;;
 	--claim) claim="$2" ;;
 	--change) change="$2" ;;
-	--host) host="$2" ;;
 	--out) out="$2" ;;
 	--work) work="$2" ;;
 	--check) check="$2" ;;
@@ -92,10 +89,8 @@ if [ -n "$check" ]; then
 fi
 [[ "$pr" =~ ^[0-9]+$ ]] || die "--pr N is required"
 out="${out:-$root/BENCH_$pr.json}"
-if [ -z "$host" ]; then
-	model="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)"
-	host="$(nproc) CPUs ${model:-of unknown model}, $(go env GOOS)/$(go env GOARCH), $(go env GOVERSION)"
-fi
+model="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)"
+host="$(nproc) CPUs ${model:-of unknown model}, $(go env GOOS)/$(go env GOARCH), $(go env GOVERSION)"
 if [ -z "$work" ]; then
 	work="$(mktemp -d)"
 	trap 'rm -rf "$work"' EXIT
