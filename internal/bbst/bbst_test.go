@@ -1,7 +1,11 @@
 package bbst
 
 import (
+	"cmp"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -614,5 +618,58 @@ func TestReportEarlyStops(t *testing.T) {
 	})
 	if seen != 2 {
 		t.Fatalf("bucket early stop saw %d", seen)
+	}
+}
+
+// quantizedPoints generates n points on a half-unit lattice of
+// [0,12)×[0,6), sorted stably by x: many buckets share a MinX or MaxX
+// key and tie on MinY or MaxY.
+func quantizedPoints(r *rng.RNG, n int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: float64(r.Intn(24)) / 2, Y: float64(r.Intn(12)) / 2, ID: int32(i)}
+	}
+	slices.SortStableFunc(pts, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+	return pts
+}
+
+// TestSampleSlotGoldenDigest holds seeded SampleSlot draws
+// byte-identical across rewrites of the pair's layout. Its pairs have
+// capacities 1–6 and 1 to 150 buckets over quantized points, and the
+// windows' edges sit on and between the lattice: the equal-key b-lists,
+// the piece order of the decomposition and the id order among tied y
+// keys all shape the map from variate to slot.
+func TestSampleSlotGoldenDigest(t *testing.T) {
+	const golden uint64 = 0xa056c1d465d05156
+	r := rng.New(38)
+	h := fnv.New64a()
+	var s Scratch
+	var buf [5]byte
+	for cap := 1; cap <= 6; cap++ {
+		for _, n := range []int{5, 40, 150} {
+			p, err := Build(quantizedPoints(r, n), cap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, xa := range []float64{-1, 0, 2, 3.5, 5, 7, 9, 11.5} {
+				for _, ya := range []float64{-1, 0, 1.5, 3, 5} {
+					w := geom.Rect{XMin: xa, YMin: ya, XMax: xa + 3, YMax: ya + 2}
+					for _, c := range allCorners {
+						for range 8 {
+							pt, ok := p.SampleSlot(c, w, r, &s)
+							binary.LittleEndian.PutUint32(buf[:4], uint32(pt.ID))
+							buf[4] = 0
+							if ok {
+								buf[4] = 1
+							}
+							h.Write(buf[:])
+						}
+					}
+				}
+			}
+		}
+	}
+	if got := h.Sum64(); got != golden {
+		t.Fatalf("SampleSlot digest %#x, golden %#x — seeded slot draws changed", got, golden)
 	}
 }
