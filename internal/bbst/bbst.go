@@ -18,6 +18,9 @@
 // max-x (T^max); every node additionally stores the buckets of its
 // subtree in two y-orders (by min-y and by max-y), which is what turns
 // the second coordinate into a binary search instead of a tree walk.
+// The trees have no node objects: a node is a range of bucket ids, and
+// its y-ordered lists are segments of one id array per pair (see Pair),
+// so a built pair is three allocations.
 //
 // For a corner query the tree gives a canonical decomposition of the
 // x-constraint into O(log) node sets; within each set a binary search
@@ -46,6 +49,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -93,25 +97,29 @@ func (c Corner) String() string {
 	return fmt.Sprintf("corner(%d)", int(c))
 }
 
-// node is one BBST node. Bucket ids with key equal to the node key
-// live in the b-lists; the a-arrays hold every bucket of the subtree.
-// Both are kept in two y-orders (by bucket MinY and by bucket MaxY).
-type node struct {
-	x            float64 // node key: the median bucket key
-	bMinY, bMaxY []int32
-	aMinY, aMaxY []int32
-	left, right  *node
-}
-
-// Pair bundles the shared bucket array and the two trees built over
-// one cell's x-sorted points, i.e. (T^min_c, T^max_c) in the paper:
-// tMin is keyed by bucket MinX (answers "key <= q"), tMax by bucket
-// MaxX (answers "key >= q"). Build makes it; nothing edits it after.
+// Pair bundles one cell's buckets and the two trees built over them,
+// i.e. (T^min_c, T^max_c) in the paper: tree 0 is keyed by bucket MinX
+// (answers "key <= q"), tree 1 by bucket MaxX (answers "key >= q").
+// Build makes it; nothing edits it after.
+//
+// The trees are implicit. Both keys ascend with the bucket id, so a
+// node is an id range [lo, hi): its key is that of its median bucket
+// lo+(hi-lo)/2, its b-list is the run [eqLo, eqHi) of buckets with
+// that key, and [lo, eqLo) and [eqHi, hi) are its children. The nodes
+// at one depth cover disjoint ranges, so each (tree, depth, y-order)
+// is one row of k ids, k the bucket count: row(t, d, o)[lo:hi] is the
+// a-array of the depth-d node [lo, hi), its ids sorted by MinY (o = 0)
+// or MaxY (o = 1), ties in id order, and row(t, d+1, o)[eqLo:eqHi],
+// where no child reaches, is its b-list. A node at depth d holds at
+// most k>>d buckets, so a tree has fewer than rows(k) depths, and all
+// the rows share one id array. Build sorts the root rows by y, stably,
+// and splits each node's a-array, stably and by id, into the next
+// row.
 type Pair struct {
-	buckets    []Bucket // in ascending x order, so the id is the x rank
-	npts       int
-	cap        int // bucket capacity: ceil(N/ceil(N/b)) <= b
-	tMin, tMax *node
+	buckets []Bucket // in ascending x order, so the id is the x rank
+	ids     []int32  // the rows: 2 trees × rows(k) depths × 2 y-orders × k
+	npts    int
+	cap     int // bucket capacity: ceil(N/ceil(N/b)) <= b
 }
 
 // BucketCap returns the maximum bucket size for a dataset of m points:
@@ -155,8 +163,33 @@ func Build(points []geom.Point, bucketCap int) (*Pair, error) {
 		start, end := i*n/k, (i+1)*n/k
 		p.buckets[i] = bucketOf(points[start:end:end])
 	}
-	p.tMin = p.makeTree(func(b Bucket) float64 { return b.MinX })
-	p.tMax = p.makeTree(func(b Bucket) float64 { return b.MaxX })
+	p.ids = make([]int32, 4*rows(k)*k)
+	for o := range 2 {
+		root := p.row(0, 0, o)
+		for i := range root {
+			root[i] = int32(i)
+		}
+		slices.SortStableFunc(root, func(a, b int32) int { return cmp.Compare(p.y(o, a), p.y(o, b)) })
+		copy(p.row(1, 0, o), root)
+	}
+	for t := range 2 {
+		p.walk(t, 0, 0, k, func(d, lo, eqLo, eqHi, hi int) {
+			for o := range 2 {
+				next := p.row(t, d+1, o)
+				l, m, r := lo, eqLo, eqHi
+				for _, id := range p.row(t, d, o)[lo:hi] {
+					switch {
+					case int(id) < eqLo:
+						next[l], l = id, l+1
+					case int(id) < eqHi:
+						next[m], m = id, m+1
+					default:
+						next[r], r = id, r+1
+					}
+				}
+			}
+		})
+	}
 	return p, nil
 }
 
@@ -179,73 +212,60 @@ func bucketOf(pts []geom.Point) Bucket {
 	return b
 }
 
-// makeTree builds one balanced tree over the buckets using key(b) as
-// the bucket's x-coordinate (Algorithm 2). Buckets are consecutive
-// runs of x-sorted points, so both MinX and MaxX ascend with the
-// bucket id: the ids in order are already sorted by key.
-func (p *Pair) makeTree(key func(Bucket) float64) *node {
-	byKey := make([]int32, len(p.buckets))
-	for i := range byKey {
-		byKey[i] = int32(i)
-	}
-	byMinY := append([]int32(nil), byKey...)
-	sort.SliceStable(byMinY, func(i, j int) bool {
-		return p.buckets[byMinY[i]].MinY < p.buckets[byMinY[j]].MinY
-	})
-	byMaxY := append([]int32(nil), byKey...)
-	sort.SliceStable(byMaxY, func(i, j int) bool {
-		return p.buckets[byMaxY[i]].MaxY < p.buckets[byMaxY[j]].MaxY
-	})
-	return p.makeNode(byKey, byMinY, byMaxY, key)
+// rows returns the number of depths a tree over k buckets is given
+// rows for: one per node depth, at most bits.Len(k), plus one for the
+// deepest b-lists.
+func rows(k int) int { return bits.Len(uint(k)) + 1 }
+
+// row returns tree t's depth-d row in y-order o.
+func (p *Pair) row(t, d, o int) []int32 {
+	k := len(p.buckets)
+	i := ((t*rows(k)+d)*2 + o) * k
+	return p.ids[i : i+k : i+k]
 }
 
-// makeNode recursively builds the subtree for the given bucket ids.
-// byKey is sorted by the tree key; byMinY/byMaxY are the same ids in
-// the two y-orders and become the node's a-arrays.
-func (p *Pair) makeNode(byKey, byMinY, byMaxY []int32, key func(Bucket) float64) *node {
-	if len(byKey) == 0 {
-		return nil
+// key returns bucket id's key in tree t: its MinX (t = 0) or MaxX.
+func (p *Pair) key(t, id int) float64 {
+	if t == 0 {
+		return p.buckets[id].MinX
 	}
-	u := &node{
-		x:     key(p.buckets[byKey[len(byKey)/2]]),
-		aMinY: byMinY,
-		aMaxY: byMaxY,
+	return p.buckets[id].MaxX
+}
+
+// y returns bucket id's key in y-order o: its MinY (o = 0) or MaxY.
+func (p *Pair) y(o int, id int32) float64 {
+	if o == 0 {
+		return p.buckets[id].MinY
 	}
-	// Partition each order into (< median), (== median), (> median),
-	// preserving the respective sort order.
-	var keyL, keyR []int32
-	for _, id := range byKey {
-		switch k := key(p.buckets[id]); {
-		case k < u.x:
-			keyL = append(keyL, id)
-		case k > u.x:
-			keyR = append(keyR, id)
-		}
+	return p.buckets[id].MaxY
+}
+
+// split returns the key x of tree t's node [lo, hi), lo < hi, and its
+// b-list [eqLo, eqHi): the buckets whose key equals the median
+// bucket's.
+func (p *Pair) split(t, lo, hi int) (eqLo, eqHi int, x float64) {
+	mid := lo + (hi-lo)/2
+	x = p.key(t, mid)
+	eqLo, eqHi = mid, mid+1
+	for eqLo > lo && p.key(t, eqLo-1) == x {
+		eqLo--
 	}
-	var minL, minR, maxL, maxR []int32
-	for _, id := range byMinY {
-		switch k := key(p.buckets[id]); {
-		case k < u.x:
-			minL = append(minL, id)
-		case k > u.x:
-			minR = append(minR, id)
-		default:
-			u.bMinY = append(u.bMinY, id)
-		}
+	for eqHi < hi && p.key(t, eqHi) == x {
+		eqHi++
 	}
-	for _, id := range byMaxY {
-		switch k := key(p.buckets[id]); {
-		case k < u.x:
-			maxL = append(maxL, id)
-		case k > u.x:
-			maxR = append(maxR, id)
-		default:
-			u.bMaxY = append(u.bMaxY, id)
-		}
+	return eqLo, eqHi, x
+}
+
+// walk calls fn on the node [lo, hi) of tree t, at depth d, and then
+// on every node below it, in preorder.
+func (p *Pair) walk(t, d, lo, hi int, fn func(d, lo, eqLo, eqHi, hi int)) {
+	if lo >= hi {
+		return
 	}
-	u.left = p.makeNode(keyL, minL, maxL, key)
-	u.right = p.makeNode(keyR, minR, maxR, key)
-	return u
+	eqLo, eqHi, _ := p.split(t, lo, hi)
+	fn(d, lo, eqLo, eqHi, hi)
+	p.walk(t, d+1, lo, eqLo, fn)
+	p.walk(t, d+1, eqHi, hi, fn)
 }
 
 // NumBuckets returns the number of buckets in the cell.
@@ -262,14 +282,6 @@ func (p *Pair) Cap() int { return p.cap }
 // Buckets returns a copy of the bucket summaries in ascending x order,
 // for tests and diagnostics.
 func (p *Pair) Buckets() []Bucket { return slices.Clone(p.buckets) }
-
-// piece is one element of the canonical decomposition: a y-sorted
-// bucket-id array together with the contiguous matching region
-// [lo, hi) under the query's y-constraint.
-type piece struct {
-	ids    []int32
-	lo, hi int32
-}
 
 // cornerQuery resolves a Corner plus window into the concrete
 // traversal parameters.
@@ -289,13 +301,13 @@ func cornerQuery(c Corner, w geom.Rect) (qx, qy float64, xGE, yGE bool) {
 
 // decompose walks the appropriate tree and collects one piece per
 // visited node: the node's own b-list for on-path nodes and the
-// a-array for canonical subtrees, each restricted to the region that
-// satisfies the y-constraint. It returns the pieces and the total
-// number of matching buckets. The pieces live in s's buffer (a fresh
-// one when s is nil), which keeps its grown capacity for the next
-// query.
-func (p *Pair) decompose(c Corner, w geom.Rect, s *Scratch) ([]piece, int) {
-	var dst []piece
+// a-array for canonical subtrees, each cut to the run of ids, in
+// y-order, that satisfies the y-constraint. It returns the pieces and
+// the total number of matching buckets. The pieces live in s's buffer
+// (a fresh one when s is nil), which keeps its grown capacity for the
+// next query.
+func (p *Pair) decompose(c Corner, w geom.Rect, s *Scratch) ([][]int32, int) {
+	var dst [][]int32
 	if s != nil {
 		dst = s.pieces[:0]
 	}
@@ -303,80 +315,58 @@ func (p *Pair) decompose(c Corner, w geom.Rect, s *Scratch) ([]piece, int) {
 	// The x-constraint "MaxX >= qx" is answered by the tree keyed on
 	// MaxX and vice versa; both trees store both y-orders, so the y
 	// side is independent.
-	u := p.tMin
+	t, o := 0, 0
 	if xGE {
-		u = p.tMax
+		t = 1
+	}
+	if yGE {
+		o = 1
 	}
 	total := 0
-	addPiece := func(n *node, canonical bool) {
-		var ids []int32
-		if canonical {
-			if yGE {
-				ids = n.aMaxY
-			} else {
-				ids = n.aMinY
-			}
-		} else {
-			if yGE {
-				ids = n.bMaxY
-			} else {
-				ids = n.bMinY
-			}
-		}
-		if len(ids) == 0 {
-			return
-		}
-		var lo, hi int32
+	addPiece := func(ids []int32) {
+		lo, hi := 0, len(ids)
 		if yGE {
 			// Matching buckets have MaxY >= qy: a suffix of the
 			// MaxY-ascending order.
-			lo = int32(sort.Search(len(ids), func(i int) bool {
-				return p.buckets[ids[i]].MaxY >= qy
-			}))
-			hi = int32(len(ids))
+			lo = sort.Search(len(ids), func(i int) bool { return p.buckets[ids[i]].MaxY >= qy })
 		} else {
 			// Matching buckets have MinY <= qy: a prefix of the
 			// MinY-ascending order.
-			lo = 0
-			hi = int32(sort.Search(len(ids), func(i int) bool {
-				return p.buckets[ids[i]].MinY > qy
-			}))
+			hi = sort.Search(len(ids), func(i int) bool { return p.buckets[ids[i]].MinY > qy })
 		}
-		if lo >= hi {
-			return
+		if lo < hi {
+			dst = append(dst, ids[lo:hi])
+			total += hi - lo
 		}
-		dst = append(dst, piece{ids: ids, lo: lo, hi: hi})
-		total += int(hi - lo)
 	}
-	for u != nil {
+	lo, hi := 0, len(p.buckets)
+	for d := 0; lo < hi; d++ {
+		eqLo, eqHi, x := p.split(t, lo, hi)
+		next := p.row(t, d+1, o)
 		if xGE {
-			if u.x < qx {
-				u = u.right
+			if x < qx {
+				lo = eqHi
 				continue
 			}
-			// All buckets at u and in its right subtree satisfy
-			// key >= qx.
-			addPiece(u, false)
-			if u.right != nil {
-				addPiece(u.right, true)
-			}
-			if u.x == qx {
+			// All buckets at the node and in its right subtree
+			// satisfy key >= qx.
+			addPiece(next[eqLo:eqHi])
+			addPiece(next[eqHi:hi])
+			if x == qx {
 				break
 			}
-			u = u.left
+			hi = eqLo
 		} else {
-			if u.x > qx {
-				u = u.left
+			if x > qx {
+				hi = eqLo
 				continue
 			}
-			addPiece(u, false)
-			if u.left != nil {
-				addPiece(u.left, true)
-			}
-			if u.x == qx {
+			addPiece(next[eqLo:eqHi])
+			addPiece(next[lo:eqLo])
+			if x == qx {
 				break
 			}
-			u = u.right
+			lo = eqHi
 		}
 	}
 	if s != nil {
@@ -389,7 +379,7 @@ func (p *Pair) decompose(c Corner, w geom.Rect, s *Scratch) ([]piece, int) {
 // (CountBuckets, Mu, SampleSlot, ReportBuckets). A zero
 // value is ready to use; it must not be shared across goroutines. Every
 // query also accepts a nil *Scratch and then allocates per call.
-type Scratch struct{ pieces []piece }
+type Scratch struct{ pieces [][]int32 }
 
 // CountBuckets returns the number of buckets whose min/max summary
 // satisfies the 2-sided constraint of corner c for window w. The
@@ -422,16 +412,15 @@ func (p *Pair) SampleSlot(c Corner, w geom.Rect, r *rng.RNG, s *Scratch) (pt geo
 	u := r.Intn(total * p.cap)
 	bucketPos := u / p.cap
 	slot := u % p.cap
-	for _, pc := range buf {
-		n := int(pc.hi - pc.lo)
-		if bucketPos < n {
-			b := p.buckets[pc.ids[int(pc.lo)+bucketPos]]
+	for _, ids := range buf {
+		if bucketPos < len(ids) {
+			b := p.buckets[ids[bucketPos]]
 			if slot >= b.Len() {
 				return geom.Point{}, false
 			}
 			return b.Pts[slot], true
 		}
-		bucketPos -= n
+		bucketPos -= len(ids)
 	}
 	// Unreachable: total is the sum of piece sizes.
 	panic("bbst: slot index out of decomposition")
@@ -441,51 +430,30 @@ func (p *Pair) SampleSlot(c Corner, w geom.Rect, r *rng.RNG, s *Scratch) (pt geo
 // trees have height 1); 0 when the cell is empty. Used by tests to
 // verify balance.
 func (p *Pair) Height() int {
-	return max(height(p.tMin), height(p.tMax))
-}
-
-func height(n *node) int {
-	if n == nil {
-		return 0
+	h := 0
+	for t := range 2 {
+		p.walk(t, 0, 0, len(p.buckets), func(d, _, _, _, _ int) { h = max(h, d+1) })
 	}
-	l, r := height(n.left), height(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return h
 }
 
 // NumNodes returns the node count of both trees combined; tests use it
 // to verify the O(N / log m) node bound.
-func (p *Pair) NumNodes() int { return countNodes(p.tMin) + countNodes(p.tMax) }
-
-func countNodes(n *node) int {
-	if n == nil {
-		return 0
+func (p *Pair) NumNodes() int {
+	n := 0
+	for t := range 2 {
+		p.walk(t, 0, 0, len(p.buckets), func(_, _, _, _, _ int) { n++ })
 	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
+	return n
 }
 
-// SizeBytes estimates the heap footprint of the pair (buckets, nodes,
-// and all id arrays), excluding the point storage itself, which the
-// pair shares with the x-sorted slice it was built over. Used by the
-// memory experiment (Fig. 4).
+// SizeBytes estimates the heap footprint of the pair (buckets and the
+// id rows), excluding the point storage itself, which the pair shares
+// with the x-sorted slice it was built over. Used by the memory
+// experiment (Fig. 4).
 func (p *Pair) SizeBytes() int {
-	const bucketSize = 24 + 4*8     // Pts header + 4 float summaries
-	const nodeSize = 8 + 4*24 + 2*8 // key + 4 slice headers + 2 pointers
-	total := len(p.buckets) * bucketSize
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		total += nodeSize + 4*(len(n.bMinY)+len(n.bMaxY)+len(n.aMinY)+len(n.aMaxY))
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(p.tMin)
-	walk(p.tMax)
-	return total
+	const bucketSize = 24 + 4*8 // Pts header + 4 float summaries
+	return len(p.buckets)*bucketSize + 4*len(p.ids)
 }
 
 // ReportBuckets calls fn for every bucket whose summary matches the
@@ -495,8 +463,8 @@ func (p *Pair) SizeBytes() int {
 // bucket holds at most Cap() of them).
 func (p *Pair) ReportBuckets(c Corner, w geom.Rect, s *Scratch, fn func(Bucket) bool) {
 	buf, _ := p.decompose(c, w, s)
-	for _, pc := range buf {
-		for _, id := range pc.ids[pc.lo:pc.hi] {
+	for _, ids := range buf {
+		for _, id := range ids {
 			if !fn(p.buckets[id]) {
 				return
 			}

@@ -125,6 +125,46 @@ func TestBuildBalancedBuckets(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsCatchesCorruptPair corrupts a built pair's id rows
+// in three ways, each of which CheckInvariants must report: two ids of
+// the root's a-array swapped out of y-order, an id repeated over its
+// neighbour, and an id of the root's left child swapped with one of
+// its right child, across the root's split.
+func TestCheckInvariantsCatchesCorruptPair(t *testing.T) {
+	corruptions := map[string]func(p *Pair){
+		"swap out of y-order": func(p *Pair) {
+			root := p.row(0, 0, 0)
+			root[0], root[1] = root[1], root[0]
+		},
+		"repeated id": func(p *Pair) {
+			root := p.row(1, 0, 1)
+			root[1] = root[0]
+		},
+		"id across the split": func(p *Pair) {
+			eqLo, eqHi, _ := p.split(0, 0, p.NumBuckets())
+			next := p.row(0, 1, 0)
+			next[eqLo-1], next[eqHi] = next[eqHi], next[eqLo-1]
+		},
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			p, err := Build(sortedPoints(rng.New(37), 200, 100), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			corrupt(p)
+			err = p.CheckInvariants()
+			if err == nil {
+				t.Fatal("CheckInvariants passed a corrupt pair")
+			}
+			t.Log(err)
+		})
+	}
+}
+
 func TestEmptyPair(t *testing.T) {
 	p, err := Build(nil, 4)
 	if err != nil {
@@ -513,6 +553,7 @@ func BenchmarkBuild(b *testing.B) {
 	n := 1 << 14
 	pts := sortedPoints(r, n, 1000)
 	cap := BucketCap(n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = Build(pts, cap)

@@ -1,15 +1,16 @@
 package bbst
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 )
 
 // CheckInvariants verifies the structural contract Build establishes:
 // balanced bucket occupancy (Cap() or Cap()-1 points), exact summaries,
-// buckets in ascending x order, and both trees' key, y-order and
-// subtree-array invariants. Test batteries (the mutable index's
-// invariant sweep, its fuzz target) call it on every pair they hold.
+// buckets in ascending x order, and for every node of both trees its
+// split at the median key and its rows' y-orders. Test batteries (the
+// mutable index's invariant sweep, its fuzz target) call it on every
+// pair they hold.
 func (p *Pair) CheckInvariants() error {
 	if p.cap < 1 {
 		return fmt.Errorf("bbst: cap %d < 1", p.cap)
@@ -36,102 +37,65 @@ func (p *Pair) CheckInvariants() error {
 	if npts != p.npts {
 		return fmt.Errorf("bbst: npts %d != summed occupancy %d", p.npts, npts)
 	}
-	if err := p.checkTree(p.tMin, func(b Bucket) float64 { return b.MinX },
-		math.Inf(-1), math.Inf(1)); err != nil {
-		return fmt.Errorf("tMin: %w", err)
+	k := len(p.buckets)
+	if len(p.ids) != 4*rows(k)*k {
+		return fmt.Errorf("bbst: %d ids, want %d rows of %d", len(p.ids), 4*rows(k), k)
 	}
-	if err := p.checkTree(p.tMax, func(b Bucket) float64 { return b.MaxX },
-		math.Inf(-1), math.Inf(1)); err != nil {
-		return fmt.Errorf("tMax: %w", err)
-	}
-	for _, root := range []*node{p.tMin, p.tMax} {
-		n := 0
-		if root != nil {
-			n = len(root.aMinY)
-		}
-		if n != len(p.buckets) {
-			return fmt.Errorf("bbst: root subtree holds %d buckets, pair %d", n, len(p.buckets))
+	for t := range 2 {
+		var err error
+		p.walk(t, 0, 0, k, func(d, lo, eqLo, eqHi, hi int) {
+			if err == nil {
+				err = p.checkNode(t, d, lo, eqLo, eqHi, hi)
+			}
+		})
+		if err != nil {
+			return fmt.Errorf("bbst: tree %d: %w", t, err)
 		}
 	}
 	return nil
 }
 
-// checkTree validates one subtree: key bounds, y-sorted arrays, b-list
-// keys equal to the node key, a-arrays exactly the union of the b-list
-// and child a-arrays, and no empty subtrees.
-func (p *Pair) checkTree(u *node, key func(Bucket) float64, lo, hi float64) error {
-	if u == nil {
-		return nil
+// checkNode validates tree t's node [lo, hi) at depth d: its b-list
+// [eqLo, eqHi) is the median bucket's key run, whole, and its a-array
+// and b-list rows hold their ids in y-order.
+func (p *Pair) checkNode(t, d, lo, eqLo, eqHi, hi int) error {
+	mid := lo + (hi-lo)/2
+	x := p.key(t, mid)
+	if eqLo > mid || eqHi <= mid || p.key(t, eqLo) != x || p.key(t, eqHi-1) != x {
+		return fmt.Errorf("node [%d,%d): b-list [%d,%d) is not its median's key run", lo, hi, eqLo, eqHi)
 	}
-	if !(u.x > lo) || !(u.x < hi) {
-		return fmt.Errorf("node key %g outside (%g, %g)", u.x, lo, hi)
+	if eqLo > lo && p.key(t, eqLo-1) >= x || eqHi < hi && p.key(t, eqHi) <= x {
+		return fmt.Errorf("node [%d,%d): a child shares the key %g of b-list [%d,%d)", lo, hi, x, eqLo, eqHi)
 	}
-	if len(u.aMinY) == 0 {
-		return fmt.Errorf("empty subtree at key %g", u.x)
+	if d+1 >= rows(len(p.buckets)) {
+		return fmt.Errorf("node [%d,%d) at depth %d has no b-list row", lo, hi, d)
 	}
-	if len(u.aMinY) != len(u.aMaxY) || len(u.bMinY) != len(u.bMaxY) {
-		return fmt.Errorf("order lengths disagree at key %g", u.x)
-	}
-	for _, ids := range [][]int32{u.bMinY, u.bMaxY, u.aMinY, u.aMaxY} {
-		for _, id := range ids {
-			if id < 0 || int(id) >= len(p.buckets) {
-				return fmt.Errorf("bucket id %d out of range at key %g", id, u.x)
-			}
+	for o := range 2 {
+		if err := p.checkSegment(p.row(t, d, o)[lo:hi], lo, o); err != nil {
+			return fmt.Errorf("a-array of node [%d,%d), y-order %d: %w", lo, hi, o, err)
+		}
+		if err := p.checkSegment(p.row(t, d+1, o)[eqLo:eqHi], eqLo, o); err != nil {
+			return fmt.Errorf("b-list of node [%d,%d), y-order %d: %w", lo, hi, o, err)
 		}
 	}
-	for _, id := range u.bMinY {
-		if key(p.buckets[id]) != u.x {
-			return fmt.Errorf("bucket %d key %g in b-list of node %g", id, key(p.buckets[id]), u.x)
+	return nil
+}
+
+// checkSegment requires seg to hold each of the ids lo, ...,
+// lo+len(seg)-1 once, ascending by y-order o with ties in id order.
+// The order is strict, so no id repeats.
+func (p *Pair) checkSegment(seg []int32, lo, o int) error {
+	for i, id := range seg {
+		if int(id) < lo || int(id) >= lo+len(seg) {
+			return fmt.Errorf("id %d outside [%d,%d)", id, lo, lo+len(seg))
+		}
+		if i == 0 {
+			continue
+		}
+		prev := seg[i-1]
+		if c := cmp.Compare(p.y(o, prev), p.y(o, id)); c > 0 || c == 0 && prev >= id {
+			return fmt.Errorf("ids %d, %d out of y-order", prev, id)
 		}
 	}
-	for j := 1; j < len(u.bMinY); j++ {
-		if p.buckets[u.bMinY[j-1]].MinY > p.buckets[u.bMinY[j]].MinY {
-			return fmt.Errorf("bMinY unsorted at key %g", u.x)
-		}
-	}
-	for j := 1; j < len(u.bMaxY); j++ {
-		if p.buckets[u.bMaxY[j-1]].MaxY > p.buckets[u.bMaxY[j]].MaxY {
-			return fmt.Errorf("bMaxY unsorted at key %g", u.x)
-		}
-	}
-	for j := 1; j < len(u.aMinY); j++ {
-		if p.buckets[u.aMinY[j-1]].MinY > p.buckets[u.aMinY[j]].MinY {
-			return fmt.Errorf("aMinY unsorted at key %g", u.x)
-		}
-	}
-	for j := 1; j < len(u.aMaxY); j++ {
-		if p.buckets[u.aMaxY[j-1]].MaxY > p.buckets[u.aMaxY[j]].MaxY {
-			return fmt.Errorf("aMaxY unsorted at key %g", u.x)
-		}
-	}
-	want := map[int32]int{}
-	for _, id := range u.bMinY {
-		want[id]++
-	}
-	if u.left != nil {
-		for _, id := range u.left.aMinY {
-			want[id]++
-		}
-	}
-	if u.right != nil {
-		for _, id := range u.right.aMinY {
-			want[id]++
-		}
-	}
-	got := map[int32]int{}
-	for _, id := range u.aMinY {
-		got[id]++
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("a-array of node %g is not the union of b-list and children", u.x)
-	}
-	for id, n := range want {
-		if got[id] != n {
-			return fmt.Errorf("a-array of node %g disagrees on bucket %d", u.x, id)
-		}
-	}
-	if err := p.checkTree(u.left, key, lo, u.x); err != nil {
-		return err
-	}
-	return p.checkTree(u.right, key, u.x, hi)
+	return nil
 }

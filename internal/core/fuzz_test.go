@@ -195,8 +195,9 @@ func FuzzMutableOps(f *testing.F) {
 // beyond, so the cell is a corner of the window, an edge of it, or
 // apart from it. For each corner query it checks that the scan count
 // equals the number of points inside the window, that picks 0..k-1
-// enumerate exactly those points, and that the BBST's Mu over the same
-// cell is at least the count.
+// enumerate exactly those points, and that the BBST over the same cell
+// passes CheckInvariants, has a Mu of at least the count, and counts
+// and reports exactly the buckets whose summaries match the corner.
 func FuzzCornerScan(f *testing.F) {
 	f.Add(uint8(0), uint8(2), int8(-7), int8(-7), []byte{0x00, 0x11, 0x12, 0x21, 0xff, 0x0f, 0xf0, 0x88})
 	f.Add(uint8(3), uint8(1), int8(40), int8(40), []byte{0x55, 0x55, 0x56, 0x65, 0x00})
@@ -248,8 +249,41 @@ func FuzzCornerScan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := pair.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 		if mu := pair.Mu(q, w, nil); mu < k {
 			t.Fatalf("%v: BBST Mu %d below the exact count %d", q, mu, k)
+		}
+		// A bucket matches when its summary meets the corner's two
+		// sides; buckets are told apart by their first point's ID.
+		want := map[int32]bool{}
+		for _, b := range pair.Buckets() {
+			xOK := b.MinX <= w.XMax
+			if q == bbst.SouthWest || q == bbst.NorthWest {
+				xOK = b.MaxX >= w.XMin
+			}
+			yOK := b.MinY <= w.YMax
+			if q == bbst.SouthWest || q == bbst.SouthEast {
+				yOK = b.MaxY >= w.YMin
+			}
+			if xOK && yOK {
+				want[b.Pts[0].ID] = true
+			}
+		}
+		if n := pair.CountBuckets(q, w, nil); n != len(want) {
+			t.Fatalf("%v: BBST counts %d buckets, %d match %+v", q, n, len(want), w)
+		}
+		reported := map[int32]bool{}
+		pair.ReportBuckets(q, w, nil, func(b bbst.Bucket) bool {
+			if !want[b.Pts[0].ID] || reported[b.Pts[0].ID] {
+				t.Fatalf("%v: BBST reports bucket %v, not a new match of %+v", q, b.Pts, w)
+			}
+			reported[b.Pts[0].ID] = true
+			return true
+		})
+		if len(reported) != len(want) {
+			t.Fatalf("%v: BBST reports %d buckets, %d match %+v", q, len(reported), len(want), w)
 		}
 	})
 }
