@@ -16,8 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/geom"
-	"repro/internal/join"
-	"repro/internal/rtree"
 )
 
 // benchScale keeps each artifact benchmark to roughly a second per
@@ -368,36 +366,5 @@ func BenchmarkServingThroughput(b *testing.B) {
 			return err
 		})
 		report(b)
-	})
-}
-
-// BenchmarkJoinAlgorithms compares the exact-join substrates; the
-// paper's premise is that even the best of these is Ω(|J|) and thus
-// slower than sampling for large joins.
-func BenchmarkJoinAlgorithms(b *testing.B) {
-	R := MustGenerate("castreet", 30_000, 1)
-	S := MustGenerate("castreet", 30_000, 2)
-	const l = 100
-	b.Run("planesweep", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			count := 0
-			join.PlaneSweep(R, S, l, func(geom.Point, geom.Point) bool { count++; return true })
-		}
-	})
-	b.Run("gridjoin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			count := 0
-			if err := join.GridJoin(R, S, l, func(geom.Point, geom.Point) bool { count++; return true }); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("indexnestedloop", func(b *testing.B) {
-		tree := rtree.New(S)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			count := 0
-			join.IndexNestedLoop(R, S, tree, l, func(geom.Point, geom.Point) bool { count++; return true })
-		}
 	})
 }

@@ -29,7 +29,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,11 +41,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 )
-
-// paperOrder is the presentation order of the experiments when running
-// everything.
-var paperOrder = []string{"table2", "figure4", "accuracy", "table3", "table4",
-	"figure5", "figure6", "figure7", "figure8", "figure9"}
 
 // baselineSeedOffset displaces the rebuild-baseline's throwaway
 // registry keys far from any seed a user would pass by hand, so the
@@ -126,41 +121,47 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	scale.L = *l
 	scale.Seed = *seed
 	runners := exp.Runners(scale)
-
-	names := make([]string, 0, len(runners))
-	for n := range runners {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	if *list {
-		for _, n := range names {
-			fmt.Fprintln(stdout, n)
+		for _, r := range runners {
+			fmt.Fprintln(stdout, r.Name)
 		}
 		return nil
 	}
 
-	selected := paperOrder
-	if *expList != "" {
-		selected = strings.Split(*expList, ",")
+	var selected []exp.Runner
+	if *expList == "" {
+		for _, r := range runners {
+			if r.Default {
+				selected = append(selected, r)
+			}
+		}
+	} else {
+		for _, name := range strings.Split(*expList, ",") {
+			name = strings.TrimSpace(name)
+			i := slices.IndexFunc(runners, func(r exp.Runner) bool { return r.Name == name })
+			if i < 0 {
+				names := make([]string, len(runners))
+				for j, r := range runners {
+					names[j] = r.Name
+				}
+				return fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(names, ", "))
+			}
+			selected = append(selected, runners[i])
+		}
 	}
-	for _, name := range selected {
+	for _, r := range selected {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		name = strings.TrimSpace(name)
-		runner, ok := runners[name]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(names, ", "))
-		}
 		start := time.Now()
-		tbl, err := runner()
+		tbl, err := r.Run()
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", r.Name, err)
 		}
 		switch *format {
 		case "table":
 			fmt.Fprintln(stdout, tbl.Render())
-			fmt.Fprintf(stdout, "(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "(%s completed in %v)\n\n", r.Name, time.Since(start).Round(time.Millisecond))
 		case "csv":
 			fmt.Fprint(stdout, tbl.CSV())
 			fmt.Fprintln(stdout)

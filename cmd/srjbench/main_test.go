@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	srj "repro"
+	"repro/internal/exp"
 )
 
 func TestList(t *testing.T) {
@@ -16,10 +18,12 @@ func TestList(t *testing.T) {
 	if err := run(context.Background(), []string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range paperOrder {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("list missing %s", name)
-		}
+	var want strings.Builder
+	for _, r := range exp.Runners(exp.DefaultScale(1)) {
+		fmt.Fprintln(&want, r.Name)
+	}
+	if out.String() != want.String() {
+		t.Errorf("list:\n%s\nwant every experiment in order:\n%s", out.String(), want.String())
 	}
 }
 

@@ -201,40 +201,3 @@ func (h *Histogram) Render() string {
 	}
 	return b.String()
 }
-
-// GroupCount estimates per-group counts of join pairs scaled to the
-// full join: count_g ≈ |J| x (samples in g) / samples. Groups are
-// identified by a caller-provided key function.
-type GroupCount struct {
-	JoinSize float64
-	n        float64
-	groups   map[string]float64
-}
-
-// NewGroupCount creates an estimator given |J| (exact or estimated).
-func NewGroupCount(joinSize float64) *GroupCount {
-	return &GroupCount{JoinSize: joinSize, groups: make(map[string]float64)}
-}
-
-// Add assigns one sampled pair to a group.
-func (g *GroupCount) Add(key string) {
-	g.groups[key]++
-	g.n++
-}
-
-// Estimate returns the scaled count for one group.
-func (g *GroupCount) Estimate(key string) float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return g.JoinSize * g.groups[key] / g.n
-}
-
-// Groups returns all group keys seen so far.
-func (g *GroupCount) Groups() []string {
-	out := make([]string, 0, len(g.groups))
-	for k := range g.groups {
-		out = append(out, k)
-	}
-	return out
-}

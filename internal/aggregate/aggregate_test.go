@@ -188,31 +188,6 @@ func TestHistogramCorrelation(t *testing.T) {
 	}
 }
 
-func TestGroupCount(t *testing.T) {
-	g := NewGroupCount(1000)
-	if g.Estimate("a") != 0 {
-		t.Fatal("empty estimator should be zero")
-	}
-	for i := 0; i < 80; i++ {
-		g.Add("a")
-	}
-	for i := 0; i < 20; i++ {
-		g.Add("b")
-	}
-	if got := g.Estimate("a"); got != 800 {
-		t.Fatalf("a = %g, want 800", got)
-	}
-	if got := g.Estimate("b"); got != 200 {
-		t.Fatalf("b = %g, want 200", got)
-	}
-	if got := g.Estimate("missing"); got != 0 {
-		t.Fatalf("missing = %g", got)
-	}
-	if len(g.Groups()) != 2 {
-		t.Fatalf("groups = %v", g.Groups())
-	}
-}
-
 // TestEndToEndAggregation mirrors the aggregation example as a test:
 // sampled aggregates must match exact join aggregates.
 func TestEndToEndAggregation(t *testing.T) {

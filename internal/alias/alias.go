@@ -120,57 +120,3 @@ func (t *Table) Sample(r *rng.RNG) int {
 func (t *Table) SizeBytes() int {
 	return len(t.prob)*8 + len(t.alias)*4 + 8
 }
-
-// Cumulative is the binary-search alternative to the alias method:
-// O(n) build like the alias table, but O(log n) per draw instead of
-// O(1). The paper picks Walker's method for its O(1) draws; this type
-// exists so the ablation benchmarks can quantify that choice.
-type Cumulative struct {
-	prefix []float64 // prefix[i] = sum of weights[0..i]
-}
-
-// NewCumulative builds the prefix-sum sampler. The same weight rules
-// as New apply.
-func NewCumulative(weights []float64) (*Cumulative, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, ErrNoWeight
-	}
-	c := &Cumulative{prefix: make([]float64, n)}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 || w != w {
-			return nil, fmt.Errorf("alias: weight %d is invalid (%g)", i, w)
-		}
-		total += w
-		c.prefix[i] = total
-	}
-	if total <= 0 {
-		return nil, ErrNoWeight
-	}
-	return c, nil
-}
-
-// Len returns the number of weights.
-func (c *Cumulative) Len() int { return len(c.prefix) }
-
-// Total returns the sum of the weights.
-func (c *Cumulative) Total() float64 { return c.prefix[len(c.prefix)-1] }
-
-// Sample draws an index proportionally to its weight in O(log n).
-func (c *Cumulative) Sample(r *rng.RNG) int {
-	u := r.Float64() * c.Total()
-	lo, hi := 0, len(c.prefix)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.prefix[mid] <= u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// SizeBytes reports the structure footprint.
-func (c *Cumulative) SizeBytes() int { return 8 * len(c.prefix) }

@@ -186,79 +186,3 @@ func BenchmarkSample(b *testing.B) {
 		_ = tab.Sample(r)
 	}
 }
-
-func TestCumulativeErrors(t *testing.T) {
-	if _, err := NewCumulative(nil); err == nil {
-		t.Error("empty weights should fail")
-	}
-	if _, err := NewCumulative([]float64{0, 0}); err == nil {
-		t.Error("zero weights should fail")
-	}
-	if _, err := NewCumulative([]float64{1, -2}); err == nil {
-		t.Error("negative weight should fail")
-	}
-}
-
-func TestCumulativeMatchesWeights(t *testing.T) {
-	weights := []float64{1, 0, 3, 4, 10, 0.5}
-	c, err := NewCumulative(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 6 || c.Total() != 18.5 || c.SizeBytes() <= 0 {
-		t.Fatalf("metadata wrong: %d %g", c.Len(), c.Total())
-	}
-	r := rng.New(30)
-	const draws = 200000
-	counts := make([]int, len(weights))
-	for i := 0; i < draws; i++ {
-		v := c.Sample(r)
-		if weights[v] == 0 {
-			t.Fatalf("sampled zero-weight index %d", v)
-		}
-		counts[v]++
-	}
-	if stat := chi2(counts, weights, draws); stat > 20.52 {
-		t.Fatalf("chi2 = %g too high; counts = %v", stat, counts)
-	}
-}
-
-func TestCumulativeAgreesWithAliasDistribution(t *testing.T) {
-	r := rng.New(31)
-	weights := make([]float64, 200)
-	for i := range weights {
-		weights[i] = r.Float64() * 10
-	}
-	tab := MustNew(weights)
-	cum, err := NewCumulative(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const draws = 300000
-	ca := make([]int, len(weights))
-	cc := make([]int, len(weights))
-	for i := 0; i < draws; i++ {
-		ca[tab.Sample(r)]++
-		cc[cum.Sample(r)]++
-	}
-	// Both empirical distributions must fit the same weights.
-	if stat := chi2(ca, weights, draws); stat > 300 {
-		t.Fatalf("alias chi2 = %g", stat)
-	}
-	if stat := chi2(cc, weights, draws); stat > 300 {
-		t.Fatalf("cumulative chi2 = %g", stat)
-	}
-}
-
-func BenchmarkCumulativeSample(b *testing.B) {
-	weights := make([]float64, 1<<16)
-	r := rng.New(32)
-	for i := range weights {
-		weights[i] = r.Float64() * 100
-	}
-	c, _ := NewCumulative(weights)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Sample(r)
-	}
-}

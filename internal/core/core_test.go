@@ -127,8 +127,8 @@ func frozenBBSTCells(s *BBSTSampler) int {
 // mutableBBSTCells counts an index version's S cells with a BBST pair.
 func mutableBBSTCells(ix *MutableIndex) int {
 	n := 0
-	ix.scells.Range(func(_ grid.Key, mc mutCell) bool {
-		if _, ok := mc.corner.(bbstCorner); ok {
+	ix.scells.Range(func(_ grid.Key, c sCell) bool {
+		if _, ok := c.corner.(bbstCorner); ok {
 			n++
 		}
 		return true

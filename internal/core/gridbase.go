@@ -19,6 +19,7 @@ import (
 // immutable once built: every clone of a sampler, and every mutable
 // index version unfrozen from it, shares the same corner structures,
 // and the query buffers live in the calling handle's cornerScratch.
+// Only sCell calls it.
 type cornerIndex interface {
 	// mu returns the count of cell points matching the corner
 	// constraint of w: Lemma 5's upper bound for a BBST, exact for
@@ -33,14 +34,54 @@ type cornerIndex interface {
 	sizeBytes() int
 }
 
-// cornerMu is µ for corner q of cell c under w: ci's count, or the exact
-// count of a scan of c's run when c is a scan cell (ci nil).
-func cornerMu(ci cornerIndex, c *grid.Cell, q bbst.Corner, w geom.Rect, sc *cornerScratch) int {
-	if ci == nil {
-		n, _, _ := scanRun(c.XSorted, q, w, -1)
+// sCell is one S cell with its corner structure (nil for a scan cell),
+// and the one place where a count or a candidate draw dispatches by
+// case: the cell's sorted runs answer cases 1–2 exactly, the corner
+// structure answers case 3, and a scan cell's corners are scanned. The
+// frozen sampler assembles its sCells from the grid and its corners
+// table (gridSampler.cell), and the mutable index stores them in its
+// cell directory; the batched counter's corners, countsOf and both
+// trials go through mu and sample.
+type sCell struct {
+	cell   *grid.Cell
+	corner cornerIndex
+}
+
+// mu is µ for direction d of window w: exact for cases 1–2 and a scan
+// corner, the corner structure's count (Lemma 5's bound for a BBST)
+// for the other corners.
+func (c sCell) mu(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
+	switch {
+	case d.Case() != 3:
+		return len(c.cell.Matching(d, w))
+	case c.corner == nil:
+		n, _, _ := scanRun(c.cell.XSorted, cornerFor(d), w, -1)
 		return n
 	}
-	return ci.mu(q, w, sc)
+	return c.corner.mu(cornerFor(d), w, sc)
+}
+
+// sample draws one candidate for direction d, k > 0 being the count mu
+// returned, which the trial's record holds: the corner structure's
+// draw, or pick at a uniform index in [0, k) where k is exact. ok is
+// false on an empty slot; the caller verifies window membership.
+func (c sCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
+	if d.Case() == 3 && c.corner != nil {
+		return c.corner.sample(cornerFor(d), w, k, r, sc)
+	}
+	return c.pick(d, k, w, r.Intn(int(k)))
+}
+
+// pick maps index i in [0, k) to a candidate for direction d, k being
+// the exact count of cases 1–2 or a scan corner: point i of drawRun's
+// run, or the i-th point scanRun meets inside w. It reads no random
+// state, so a uniform i draws uniformly from the k points counted.
+func (c sCell) pick(d grid.Direction, k int32, w geom.Rect, i int) (geom.Point, bool) {
+	if d.Case() != 3 {
+		return drawRun(c.cell, d, k, i), true
+	}
+	_, p, ok := scanRun(c.cell.XSorted, cornerFor(d), w, i)
+	return p, ok
 }
 
 // cornerBytes is ci's footprint, 0 for a scan cell's nil.
@@ -239,14 +280,14 @@ func (g *gridSampler) neighborhood(k grid.Key, row *cellRow) (nb nbhd) {
 	g.g.Block(k, (*[grid.NumDirections]int32)(row))
 	for d, ci := range row {
 		if ci >= 0 {
-			nb.cells[d] = g.g.ByIndex(ci)
-			if grid.Direction(d).Case() == 3 {
-				nb.corners[d] = g.corners[ci]
-			}
+			nb[d] = g.cell(ci)
 		}
 	}
 	return nb
 }
+
+// cell is the S cell of index ci with its corner structure.
+func (g *gridSampler) cell(ci int32) sCell { return sCell{g.g.ByIndex(ci), g.corners[ci]} }
 
 // groupByRow is a counting sort of the indexes 0..n-1 by row(i) in
 // [0, rows): perm[starts[c]:starts[c+1]] holds row c's indexes,
@@ -310,10 +351,10 @@ func drawRun(c *grid.Cell, d grid.Direction, k int32, i int) geom.Point {
 // each phase across all laneN lanes before the next: every lane's
 // weighted r from the alias over µ(r); its direction by a cumulative
 // scan of r's count record, then its S cell from r's cell row, so no
-// trial does a key lookup; a uniform candidate of that cell (a BBST
-// bucket slot, or one of the k points the record counts for cases 1–2
-// and a scanned corner); and the window test. Every pair of J passes
-// one trial with probability exactly 1/Σµ.
+// trial does a key lookup; a uniform candidate of that cell by
+// sCell.sample (a BBST bucket slot, or one of the k points the record
+// counts for cases 1–2 and a scanned corner); and the window test.
+// Every pair of J passes one trial with probability exactly 1/Σµ.
 func (g *gridSampler) tryGroup(lg *laneGroup) error {
 	var ri, row, ci, k [laneN]int32
 	var dir [laneN]grid.Direction
@@ -336,14 +377,7 @@ func (g *gridSampler) tryGroup(lg *laneGroup) error {
 		}
 		r := g.R[ri[i]]
 		w := g.window(r)
-		s, ok := geom.Point{}, true
-		if dir[i].Case() != 3 {
-			s = drawRun(g.g.ByIndex(ci[i]), dir[i], k[i], g.rng.Intn(int(k[i])))
-		} else if cr := g.corners[ci[i]]; cr != nil {
-			s, ok = cr.sample(cornerFor(dir[i]), w, k[i], g.rng, &g.sc)
-		} else {
-			_, s, ok = scanRun(g.g.ByIndex(ci[i]).XSorted, cornerFor(dir[i]), w, g.rng.Intn(int(k[i])))
-		}
+		s, ok := g.cell(ci[i]).sample(dir[i], k[i], w, g.rng, &g.sc)
 		lg.pair[i] = geom.Pair{R: r, S: s}
 		lg.ok[i] = ok && w.Contains(s) // else an empty slot or an out-of-window candidate
 	}

@@ -5,7 +5,7 @@ package core
 // cells, so the block is looked up once per cell. The edge counts are
 // one-sided thresholds that move monotonically with r, so one sweep of
 // the cell's points in x (or y) order against the neighbour's sorted
-// run counts the whole cell. Corners stay per-point structure queries,
+// run counts the whole cell. Corners stay per-point queries (sCell.mu),
 // grouped by direction so one corner structure serves the whole cell
 // while it is in cache. The frozen Count and ApplyOps' recount both go
 // through this one counter; Unfreeze adopts the frozen Count's
@@ -21,13 +21,9 @@ import (
 )
 
 // nbhd is the S side of one R cell's 3×3 block, by Direction: each
-// non-empty cell with its corner structure, nil where the cell is
-// empty (and the structure nil for a scan cell). Only case-3
-// directions read their corner structure.
-type nbhd struct {
-	cells   [grid.NumDirections]*grid.Cell
-	corners [grid.NumDirections]cornerIndex
-}
+// non-empty cell with its corner structure, the zero sCell where the
+// cell is empty.
+type nbhd [grid.NumDirections]sCell
 
 // muCounter counts µ(r, d) for the R points of one cell at a time.
 // The caller lists the cell's points (and their current counts) with
@@ -65,23 +61,22 @@ func (mc *muCounter) count(nb *nbhd, mask dirMask) {
 		if mask&(1<<d) == 0 {
 			continue
 		}
-		c := nb.cells[d]
+		c := nb[d]
 		switch {
-		case c == nil:
+		case c.cell == nil:
 			for i := range mc.cnt {
 				mc.cnt[i][d] = 0
 			}
 		case d == grid.Center:
-			n := int32(c.Len())
+			n := int32(c.cell.Len())
 			for i := range mc.cnt {
 				mc.cnt[i][d] = n
 			}
 		case d.Case() == 2:
-			mc.sweep(c, d)
+			mc.sweep(c.cell, d)
 		default:
-			ci, q := nb.corners[d], cornerFor(d)
 			for i, r := range mc.pts {
-				mc.cnt[i][d] = int32(cornerMu(ci, c, q, geom.Window(r, mc.half), &mc.sc))
+				mc.cnt[i][d] = int32(c.mu(d, geom.Window(r, mc.half), &mc.sc))
 			}
 		}
 	}

@@ -64,22 +64,17 @@ func ulpPoints(r *rng.RNG, n int, x0, y0, l float64, base int32) []geom.Point {
 }
 
 // refCounts is the per-point reference for µ(r, d): r's own 3×3 block
-// looked up point by point, len(Cell.Matching) for cases 1–2 and the
-// cell's cornerIndex.mu (its scan for a scan cell) for corners.
+// looked up point by point, each cell counted by sCell.mu
+// (len(Cell.Matching) for cases 1–2, the corner structure's count or a
+// scan for corners).
 func refCounts(g *gridSampler, r geom.Point, sc *cornerScratch) dirCounts {
 	var nb [grid.NumDirections]*grid.Cell
 	g.g.Neighborhood(r, &nb)
 	w := g.window(r)
 	var cnt dirCounts
 	for d, c := range nb {
-		if c == nil {
-			continue
-		}
-		dir := grid.Direction(d)
-		if dir.Case() == 3 {
-			cnt[d] = int32(cornerMu(g.corners[c.Index], c, cornerFor(dir), w, sc))
-		} else {
-			cnt[d] = int32(len(c.Matching(dir, w)))
+		if c != nil {
+			cnt[d] = int32(g.cell(c.Index).mu(grid.Direction(d), w, sc))
 		}
 	}
 	return cnt
@@ -254,10 +249,11 @@ func forCountInputs(t *testing.T, samplers []gridFactory, check func(t *testing.
 // the per-point reference on the counting inputs, for the BBST, hybrid
 // and GridKD samplers: every record's counts equal refCounts, every row
 // entry names the cell a key lookup of that direction finds (-1 for
-// none), for every positive case 1–2 count k, drawRun's offsets
-// 0..k-1 enumerate exactly Cell.Matching's run, and for every positive
-// count k of a scanned corner, scanRun's picks 0..k-1 enumerate exactly
-// the cell's points inside w(r).
+// none), and sCell.pick, the map a trial's uniform index goes through,
+// enumerates what the count counts: for every positive case 1–2 count
+// k, its picks 0..k-1 are exactly Cell.Matching's run in order, and for
+// every positive count k of a scan corner, exactly the cell's points
+// inside w(r).
 func TestFrozenRecordMatchesReference(t *testing.T) {
 	forCountInputs(t, gridFactories, func(t *testing.T, g *gridSampler, _ bool) {
 		if err := g.Count(); err != nil {
@@ -288,9 +284,10 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 				if c == nil || k == 0 {
 					continue
 				}
+				cell := g.cell(ci)
 				if d.Case() == 3 {
-					if g.corners[ci] == nil {
-						checkScanPicks(fail, c, cornerFor(d), w, int(k))
+					if cell.corner == nil {
+						checkScanPicks(fail, cell, d, w, int(k))
 					}
 					continue
 				}
@@ -300,8 +297,8 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 					continue
 				}
 				for j, want := range run {
-					if got := drawRun(c, d, k, j); got != want {
-						fail("R[%d] %v: offset %d draws %+v, run holds %+v", i, d, j, got, want)
+					if got, ok := cell.pick(d, k, w, j); !ok || got != want {
+						fail("R[%d] %v: pick %d draws %+v (ok %v), run holds %+v", i, d, j, got, ok, want)
 					}
 				}
 			}
@@ -309,26 +306,26 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 	})
 }
 
-// checkScanPicks fails unless scanRun's picks 0..k-1 over cell c are
-// exactly c's points inside w, each once.
-func checkScanPicks(fail func(string, ...any), c *grid.Cell, q bbst.Corner, w geom.Rect, k int) {
+// checkScanPicks fails unless the picks 0..k-1 of scan corner d over
+// cell c are exactly c's points inside w, each once.
+func checkScanPicks(fail func(string, ...any), c sCell, d grid.Direction, w geom.Rect, k int) {
 	left := make(map[geom.Point]int)
-	for _, p := range c.XSorted {
+	for _, p := range c.cell.XSorted {
 		if w.Contains(p) {
 			left[p]++
 		}
 	}
 	for j := range k {
-		_, p, ok := scanRun(c.XSorted, q, w, j)
+		p, ok := c.pick(d, int32(k), w, j)
 		if !ok || left[p] == 0 {
-			fail("%v of cell %v: pick %d of %d is %+v (ok %v), not an unpicked point inside %+v", q, c.Key, j, k, p, ok, w)
+			fail("%v of cell %v: pick %d of %d is %+v (ok %v), not an unpicked point inside %+v", d, c.cell.Key, j, k, p, ok, w)
 			return
 		}
 		left[p]--
 	}
 	for p, n := range left {
 		if n > 0 {
-			fail("%v of cell %v: %+v inside %+v never picked", q, c.Key, p, w)
+			fail("%v of cell %v: %+v inside %+v never picked", d, c.cell.Key, p, w)
 		}
 	}
 }

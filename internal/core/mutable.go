@@ -10,14 +10,16 @@ package core
 //     over its x-sorted run, the frozen sampler's own rule: a BBST pair
 //     for a cell of more than T = c·⌈log₂ m⌉ points (m the live S
 //     count), none (nil: an exact scan of the run) for a smaller one.
-//     Both are stored inline in a persistent directory (grid.Dir, a
-//     path-copied trie over mixed cell keys) instead of a Go map, so a
-//     lookup returns both. A batch that touches a cell replaces both,
-//     choosing the structure by the cell's new size and the batch's
-//     final live count, with no hysteresis: the touched cell's
-//     structure is rebuilt either way. The new cell's x-sorted run is
-//     never written after publication, so the structure built over it
-//     shares its points;
+//     Both are stored inline, as one sCell, in a persistent directory
+//     (grid.Dir, a path-copied trie over mixed cell keys) instead of a
+//     Go map, so a lookup returns both. sCell is the type the frozen
+//     sampler assembles from its grid and corners table, so both
+//     samplers count and draw a candidate through the same code. A
+//     batch that touches a cell replaces both, choosing the structure
+//     by the cell's new size and the batch's final live count, with no
+//     hysteresis: the touched cell's structure is rebuilt either way.
+//     The new cell's x-sorted run is never written after publication,
+//     so the structure built over it shares its points;
 //   - the R side keeps one persistent slot tree (slotTree): each slot
 //     holds its point and its 9 per-direction counts µ(r, d), and each
 //     leaf of stChunk slots their µ(r), under a wide, shallow sum tree
@@ -54,8 +56,8 @@ package core
 // slots) draws a slot proportional to µ(r), a cumulative scan of the
 // slot's cached direction counts (exact for cases 1–2 and scanned
 // corners, the BBST bound for the others) picks the direction, and
-// only that direction's cell is looked up to draw a uniform candidate,
-// accepted iff it lies in w(r).
+// only that direction's cell is looked up to draw a uniform candidate
+// (sCell.sample), accepted iff it lies in w(r).
 // The cached counts are kept equal to a recount against the version's
 // S side (ApplyOps recounts every slot a touched cell can affect, cell
 // by cell, in the directions that point into a touched cell), so they
@@ -90,17 +92,6 @@ func (o MutOps) Empty() bool {
 	return len(o.InsR) == 0 && len(o.InsS) == 0 && len(o.DelR) == 0 && len(o.DelS) == 0
 }
 
-// mutCell is the per-cell S-side structure: the copy-on-write cell
-// (two sorted point orders for the exact 0/1-sided cases) and the
-// corner structure cellCorner built over its x-sorted run (the
-// 2-sided corners; nil for a scan cell), the same one the frozen
-// sampler's corners table holds. Neither points into a frozen grid's
-// cell array, so a version keeps alive only the cells it serves.
-type mutCell struct {
-	cell   *grid.Cell
-	corner cornerIndex
-}
-
 // freeMarker encodes a free-list link in a dead slot: NaN X marks the
 // slot dead, ID carries the next free slot (-1 ends the chain).
 func freeMarker(next int32) geom.Point {
@@ -118,7 +109,7 @@ type MutableIndex struct {
 	scanC float64 // c of the scan threshold T = c·⌈log₂ m⌉, from the frozen sampler
 
 	// S side.
-	scells      *grid.Dir[mutCell]    // S cell -> its cell and corner structure, by value
+	scells      *grid.Dir[sCell]      // S cell -> its cell and corner structure, by value
 	sids        *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
 	sCount      int
 	cornerBytes int // Σ cornerBytes of the cells' corner structures
@@ -140,47 +131,17 @@ func (ix *MutableIndex) NumS() int { return ix.sCount }
 // MuSum is the total alias mass Σ_r µ(r) of this version.
 func (ix *MutableIndex) MuSum() float64 { return ix.slots.Total() }
 
-// count returns µ(r, d) for the cell in direction d of r's window w:
-// exact for cases 1–2, the corner structure's count for case 3.
-func (mc mutCell) count(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
-	if d.Case() != 3 {
-		return len(mc.cell.Matching(d, w))
-	}
-	return cornerMu(mc.corner, mc.cell, cornerFor(d), w, sc)
-}
-
-// sample draws one candidate of direction d, whose cached count is
-// k > 0; ok is false on an empty corner slot. The caller verifies
-// window membership.
-func (mc mutCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
-	if d.Case() != 3 {
-		return drawRun(mc.cell, d, k, r.Intn(int(k))), true
-	}
-	if mc.corner == nil {
-		_, p, ok := scanRun(mc.cell.XSorted, cornerFor(d), w, r.Intn(int(k)))
-		return p, ok
-	}
-	return mc.corner.sample(cornerFor(d), w, k, r, sc)
-}
-
 // dirMask is a set of neighborhood directions, bit d for direction d.
 type dirMask uint16
 
 const allDirs dirMask = 1<<grid.NumDirections - 1
 
 // neighborhood looks up the S cells of the 3×3 block around cell k in
-// the directions of mask, and the corner structures of its corners;
-// the rest stay nil.
+// the directions of mask; the rest stay empty.
 func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb nbhd) {
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		if mask&(1<<d) == 0 {
-			continue
-		}
-		if mc, ok := ix.scells.Get(k.Neighbor(d)); ok {
-			nb.cells[d] = mc.cell
-			if d.Case() == 3 {
-				nb.corners[d] = mc.corner
-			}
+		if mask&(1<<d) != 0 {
+			nb[d], _ = ix.scells.Get(k.Neighbor(d))
 		}
 	}
 	return nb
@@ -195,8 +156,8 @@ func (ix *MutableIndex) countsOf(pt geom.Point, sc *cornerScratch) dirCounts {
 	w := geom.Window(pt, ix.cfg.HalfExtent)
 	var cnt dirCounts
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		if mc, ok := ix.scells.Get(k.Neighbor(d)); ok {
-			cnt[d] = int32(mc.count(d, w, sc))
+		if c, ok := ix.scells.Get(k.Neighbor(d)); ok {
+			cnt[d] = int32(c.mu(d, w, sc))
 		}
 	}
 	return cnt
@@ -438,9 +399,9 @@ func checkMutFinite(pts []geom.Point, side string) error {
 // were built with.
 func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	var oldCell *grid.Cell
-	if mc, ok := nx.scells.Get(k); ok {
-		oldCell = mc.cell
-		nx.cornerBytes -= cornerBytes(mc.corner)
+	if c, ok := nx.scells.Get(k); ok {
+		oldCell = c.cell
+		nx.cornerBytes -= cornerBytes(c.corner)
 	}
 	var drop func(geom.Point) bool
 	if len(w.delIDs) > 0 {
@@ -468,7 +429,7 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	t := scanMax(nx.scanC, nx.sCount)
 	nx.tMin, nx.tMax = min(nx.tMin, t), max(nx.tMax, t)
 	nx.cornerBytes += cornerBytes(corner)
-	nx.scells = nx.scells.With(k, mutCell{cell: ncell, corner: corner})
+	nx.scells = nx.scells.With(k, sCell{ncell, corner})
 	return nil
 }
 
@@ -600,16 +561,16 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	par.ForEach(5, s.cfg.Workers, func(_, job int) {
 		switch job {
 		case 0:
-			cells := make([]mutCell, s.g.NumCells())
+			cells := make([]sCell, s.g.NumCells())
 			for i, corner := range s.corners {
 				c := *s.g.ByIndex(int32(i))
 				c.Index = -1 // a header of its own, outside the grid
-				cells[i] = mutCell{cell: &c, corner: corner}
+				cells[i] = sCell{&c, corner}
 				ix.cornerBytes += cornerBytes(corner)
 			}
 			ix.scells = grid.BuildDir(len(cells),
 				func(i int) grid.Key { return cells[i].cell.Key },
-				func(i int) mutCell { return cells[i] })
+				func(i int) sCell { return cells[i] })
 		case 1:
 			ix.sids = grid.BuildIDDir(len(S),
 				func(i int) int32 { return S[i].ID },
@@ -696,7 +657,7 @@ func (m *Mutable) tryGroup(lg *laneGroup) error {
 	var recs [laneN]*slotRec
 	var k [laneN]int32
 	var dir [laneN]grid.Direction
-	var cells [laneN]mutCell
+	var cells [laneN]sCell
 	for i := range recs {
 		recs[i] = ix.slots.sample(m.rng.Float64() * total)
 	}
@@ -774,8 +735,8 @@ func (m *Mutable) LivePoints() (R, S []geom.Point) {
 			R = append(R, pt)
 		}
 	}
-	ix.scells.Range(func(_ grid.Key, mc mutCell) bool {
-		S = append(S, mc.cell.XSorted...)
+	ix.scells.Range(func(_ grid.Key, c sCell) bool {
+		S = append(S, c.cell.XSorted...)
 		return true
 	})
 	return R, S
@@ -799,8 +760,8 @@ func (ix *MutableIndex) CheckInvariants() error {
 	// S side: cells well-formed, corners in sync, counts add up.
 	sTotal, cornerTotal := 0, 0
 	var cellErr error
-	ix.scells.Range(func(k grid.Key, mc mutCell) bool {
-		c := mc.cell
+	ix.scells.Range(func(k grid.Key, cs sCell) bool {
+		c := cs.cell
 		if c.Len() == 0 {
 			cellErr = fmt.Errorf("empty cell (%d,%d) left in directory", k.CX, k.CY)
 			return false
@@ -824,8 +785,8 @@ func (ix *MutableIndex) CheckInvariants() error {
 			}
 		}
 		sTotal += c.Len()
-		cornerTotal += cornerBytes(mc.corner)
-		switch cr := mc.corner.(type) {
+		cornerTotal += cornerBytes(cs.corner)
+		switch cr := cs.corner.(type) {
 		case nil:
 			if c.Len() > ix.tMax {
 				cellErr = fmt.Errorf("cell (%d,%d) of %d points has no corner structure, T <= %d", k.CX, k.CY, c.Len(), ix.tMax)
@@ -839,7 +800,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 				cellErr = fmt.Errorf("cell (%d,%d): pair holds %d points, cell %d", k.CX, k.CY, cr.pair.NumPoints(), c.Len())
 			}
 		default:
-			cellErr = fmt.Errorf("cell (%d,%d): corner structure %T", k.CX, k.CY, mc.corner)
+			cellErr = fmt.Errorf("cell (%d,%d): corner structure %T", k.CX, k.CY, cs.corner)
 		}
 		return cellErr == nil
 	})
@@ -859,8 +820,8 @@ func (ix *MutableIndex) CheckInvariants() error {
 		k  grid.Key
 	}
 	unlisted := make(map[sidEntry]int, ix.sCount)
-	ix.scells.Range(func(k grid.Key, mc mutCell) bool {
-		for _, pt := range mc.cell.XSorted {
+	ix.scells.Range(func(k grid.Key, c sCell) bool {
+		for _, pt := range c.cell.XSorted {
 			unlisted[sidEntry{pt.ID, k}]++
 		}
 		return true

@@ -13,7 +13,7 @@
 // so Table II's pre-processing and Table III's GM and UB columns, and
 // the ablations, time the grid samplers on one core too, like for like.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index:
 //
 //	Table II  -> RunTable2      pre-processing time, KDS vs BBST
 //	Fig. 4    -> RunFigure4     memory usage vs dataset size
@@ -25,6 +25,12 @@
 //	Fig. 7    -> RunFigure7     impact of dataset size
 //	Fig. 8    -> RunFigure8     impact of |R|/(|R|+|S|)
 //	Fig. 9    -> RunFigure9     BBST vs the kd-tree-per-cell variant
+//
+// Runners lists them in this order under their CLI names, marked as a
+// default run's, followed by two ablations a default run leaves out:
+// RunAblationBucketCap (ablation-bucketcap) and RunFigure4Live
+// (figure4-live), Fig. 4 measured on the live heap. srjbench and the
+// harness's end-to-end test walk that one list.
 package exp
 
 import (

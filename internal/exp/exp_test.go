@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,12 +243,15 @@ func TestRunFigure9(t *testing.T) {
 }
 
 func TestRunnersCoverAllExperiments(t *testing.T) {
-	rs := Runners(tinyScale())
-	want := []string{"table2", "table3", "table4", "accuracy", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9"}
-	for _, name := range want {
-		if _, ok := rs[name]; !ok {
-			t.Errorf("runner %q missing", name)
+	var got []string
+	for _, r := range Runners(tinyScale()) {
+		if r.Default {
+			got = append(got, r.Name)
 		}
+	}
+	want := []string{"table2", "figure4", "accuracy", "table3", "table4", "figure5", "figure6", "figure7", "figure8", "figure9"}
+	if !slices.Equal(got, want) {
+		t.Errorf("default runners %v, want %v", got, want)
 	}
 }
 
@@ -316,8 +320,9 @@ func TestRunFigure4Live(t *testing.T) {
 	}
 }
 
-// TestRunAllTiny executes the complete paper reproduction end to end
-// at minimal scale — the integration test for the whole harness.
+// TestRunAllTiny executes the complete paper reproduction, every
+// default runner in order, end to end at minimal scale — the
+// integration test for the whole harness.
 func TestRunAllTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness sweep is slow in -short mode")
@@ -328,9 +333,16 @@ func TestRunAllTiny(t *testing.T) {
 		T:     200,
 		Seed:  3,
 	}
-	tables, err := RunAll(scale)
-	if err != nil {
-		t.Fatal(err)
+	var tables []*Table
+	for _, r := range Runners(scale) {
+		if !r.Default {
+			continue
+		}
+		tbl, err := r.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		tables = append(tables, tbl)
 	}
 	if len(tables) != 10 {
 		t.Fatalf("got %d tables, want 10", len(tables))

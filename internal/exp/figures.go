@@ -222,51 +222,31 @@ func RunFigure9(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunAll executes every experiment at the given scale and returns the
-// tables in paper order.
-func RunAll(scale Scale) ([]*Table, error) {
-	type runner struct {
-		name string
-		fn   func() (*Table, error)
-	}
-	runners := []runner{
-		{"table2", func() (*Table, error) { return RunTable2(scale) }},
-		{"figure4", func() (*Table, error) { return RunFigure4(scale, nil) }},
-		{"accuracy", func() (*Table, error) { return RunAccuracy(scale) }},
-		{"table3", func() (*Table, error) { return RunTable3(scale) }},
-		{"table4", func() (*Table, error) { return RunTable4(scale) }},
-		{"figure5", func() (*Table, error) { return RunFigure5(scale, nil) }},
-		{"figure6", func() (*Table, error) { return RunFigure6(scale, nil) }},
-		{"figure7", func() (*Table, error) { return RunFigure7(scale, nil) }},
-		{"figure8", func() (*Table, error) { return RunFigure8(scale, nil) }},
-		{"figure9", func() (*Table, error) { return RunFigure9(scale) }},
-	}
-	var out []*Table
-	for _, r := range runners {
-		tbl, err := r.fn()
-		if err != nil {
-			return out, fmt.Errorf("exp: %s: %w", r.name, err)
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
+// Runner is one experiment of the harness under its CLI name. Default
+// marks the paper's ten experiments, the ones a run that names none
+// executes.
+type Runner struct {
+	Name    string
+	Default bool
+	Run     func() (*Table, error)
 }
 
-// Runners maps experiment names to their parameterless runners for
-// the CLI.
-func Runners(scale Scale) map[string]func() (*Table, error) {
-	return map[string]func() (*Table, error){
-		"table2":             func() (*Table, error) { return RunTable2(scale) },
-		"figure4":            func() (*Table, error) { return RunFigure4(scale, nil) },
-		"accuracy":           func() (*Table, error) { return RunAccuracy(scale) },
-		"table3":             func() (*Table, error) { return RunTable3(scale) },
-		"table4":             func() (*Table, error) { return RunTable4(scale) },
-		"figure5":            func() (*Table, error) { return RunFigure5(scale, nil) },
-		"figure6":            func() (*Table, error) { return RunFigure6(scale, nil) },
-		"figure7":            func() (*Table, error) { return RunFigure7(scale, nil) },
-		"figure8":            func() (*Table, error) { return RunFigure8(scale, nil) },
-		"figure9":            func() (*Table, error) { return RunFigure9(scale) },
-		"ablation-bucketcap": func() (*Table, error) { return RunAblationBucketCap(scale, nil) },
-		"figure4-live":       func() (*Table, error) { return RunFigure4Live(scale, nil) },
+// Runners lists every experiment at the given scale: the ten paper
+// experiments first, in the paper's order, then the ablations a default
+// run leaves out.
+func Runners(scale Scale) []Runner {
+	return []Runner{
+		{"table2", true, func() (*Table, error) { return RunTable2(scale) }},
+		{"figure4", true, func() (*Table, error) { return RunFigure4(scale, nil) }},
+		{"accuracy", true, func() (*Table, error) { return RunAccuracy(scale) }},
+		{"table3", true, func() (*Table, error) { return RunTable3(scale) }},
+		{"table4", true, func() (*Table, error) { return RunTable4(scale) }},
+		{"figure5", true, func() (*Table, error) { return RunFigure5(scale, nil) }},
+		{"figure6", true, func() (*Table, error) { return RunFigure6(scale, nil) }},
+		{"figure7", true, func() (*Table, error) { return RunFigure7(scale, nil) }},
+		{"figure8", true, func() (*Table, error) { return RunFigure8(scale, nil) }},
+		{"figure9", true, func() (*Table, error) { return RunFigure9(scale) }},
+		{"ablation-bucketcap", false, func() (*Table, error) { return RunAblationBucketCap(scale, nil) }},
+		{"figure4-live", false, func() (*Table, error) { return RunFigure4Live(scale, nil) }},
 	}
 }

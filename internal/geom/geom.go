@@ -64,16 +64,6 @@ func Window(p Point, l float64) Rect {
 	return Rect{XMin: p.X - l, YMin: p.Y - l, XMax: p.X + l, YMax: p.Y + l}
 }
 
-// NewRect builds a rectangle from two corner points in any order.
-func NewRect(x1, y1, x2, y2 float64) Rect {
-	return Rect{
-		XMin: math.Min(x1, x2),
-		YMin: math.Min(y1, y2),
-		XMax: math.Max(x1, x2),
-		YMax: math.Max(y1, y2),
-	}
-}
-
 // Empty reports whether the rectangle contains no points.
 func (r Rect) Empty() bool { return r.XMin > r.XMax || r.YMin > r.YMax }
 

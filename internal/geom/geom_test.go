@@ -15,14 +15,6 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-func TestNewRectOrdersCorners(t *testing.T) {
-	r := NewRect(3, 9, 1, 4)
-	want := Rect{XMin: 1, YMin: 4, XMax: 3, YMax: 9}
-	if r != want {
-		t.Fatalf("NewRect = %+v, want %+v", r, want)
-	}
-}
-
 func TestRectContains(t *testing.T) {
 	r := Rect{XMin: 0, YMin: 0, XMax: 10, YMax: 10}
 	tests := []struct {

@@ -292,9 +292,6 @@ func KeyFor(x, y, side float64) Key {
 	}
 }
 
-// CellAt returns the cell containing (x, y), or nil when it is empty.
-func (g *Grid) CellAt(x, y float64) *Cell { return g.Cell(g.KeyAt(x, y)) }
-
 // Cell returns the cell with key k, or nil when it is empty.
 func (g *Grid) Cell(k Key) *Cell {
 	if i, ok := slices.BinarySearch(g.keys, k.packed()); ok {

@@ -34,8 +34,8 @@ func TestEmptyGrid(t *testing.T) {
 	if g.NumCells() != 0 || g.Len() != 0 {
 		t.Fatalf("empty grid has %d cells, %d points", g.NumCells(), g.Len())
 	}
-	if g.CellAt(5, 5) != nil {
-		t.Fatal("CellAt on empty grid should be nil")
+	if g.Cell(g.KeyAt(5, 5)) != nil {
+		t.Fatal("Cell on empty grid should be nil")
 	}
 }
 

@@ -1,23 +1,17 @@
-// Package join implements exact spatial range join algorithms:
-// plane-sweep (Patel & DeWitt-style sweep specialized to points),
-// grid-partitioned join, and index nested-loop over an R-tree — the
-// approaches the paper's related-work section identifies as the
-// state of the art for exact joins — plus brute force for testing.
-//
-// The package also provides join-size counting (needed by the
-// experiments to report |J| and the approximation ratio Σµ/|J|) and
-// the "run the full join, then sample" strawman that the paper's
-// introduction rules out; it serves as a correctness oracle and as a
-// scale reference in the benchmarks.
+// Package join computes the exact spatial range join: a plane sweep
+// (Patel & DeWitt-style, specialized to points), the exact-join
+// baseline the paper's introduction sets the samplers against, with
+// brute force as its test reference. It also counts |J|, which the
+// experiments need to report the join size and the approximation ratio
+// Σµ/|J|, and materializes J for small inputs. The grid-partitioned and
+// R-tree index nested-loop joins of the paper's related work are not
+// provided: the grid and R-tree packages serve the samplers only.
 package join
 
 import (
 	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
-	"repro/internal/rng"
-	"repro/internal/rtree"
 )
 
 // Emit receives one join pair; returning false stops the join early.
@@ -64,91 +58,11 @@ func PlaneSweep(R, S []geom.Point, l float64, emit Emit) {
 	}
 }
 
-// GridJoin computes J by mapping S onto a grid with cell side l and
-// probing the 3x3 neighborhood of each r — the same decomposition the
-// sampling algorithm uses, run to completion.
-func GridJoin(R, S []geom.Point, l float64, emit Emit) error {
-	if len(R) == 0 || len(S) == 0 {
-		return nil
-	}
-	g, err := grid.Build(S, l)
-	if err != nil {
-		return err
-	}
-	var nb [grid.NumDirections]*grid.Cell
-	for _, r := range R {
-		w := geom.Window(r, l)
-		g.Neighborhood(r, &nb)
-		for d, c := range nb {
-			if c == nil {
-				continue
-			}
-			switch grid.Direction(d).Case() {
-			case 1:
-				for _, s := range c.XSorted {
-					if !emit(r, s) {
-						return nil
-					}
-				}
-			default:
-				for _, s := range c.XSorted {
-					if w.Contains(s) {
-						if !emit(r, s) {
-							return nil
-						}
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// IndexNestedLoop computes J by probing an R-tree of S with each
-// window w(r). Pass a prebuilt tree to amortize construction; a nil
-// tree builds one internally.
-func IndexNestedLoop(R []geom.Point, S []geom.Point, tree *rtree.Tree, l float64, emit Emit) {
-	if tree == nil {
-		tree = rtree.New(S)
-	}
-	stop := false
-	for _, r := range R {
-		if stop {
-			return
-		}
-		rr := r
-		tree.Report(geom.Window(r, l), func(s geom.Point) bool {
-			if !emit(rr, s) {
-				stop = true
-				return false
-			}
-			return true
-		})
-	}
-}
-
 // Size returns |J| without materializing the join, via plane sweep.
 func Size(R, S []geom.Point, l float64) uint64 {
-	var total uint64
-	if len(R) == 0 || len(S) == 0 {
-		return 0
-	}
-	rs := append([]geom.Point(nil), R...)
-	ss := append([]geom.Point(nil), S...)
-	sort.Slice(rs, func(i, j int) bool { return rs[i].X < rs[j].X })
-	sort.Slice(ss, func(i, j int) bool { return ss[i].X < ss[j].X })
-	lo := 0
-	for _, r := range rs {
-		for lo < len(ss) && ss[lo].X < r.X-l {
-			lo++
-		}
-		for i := lo; i < len(ss) && ss[i].X <= r.X+l; i++ {
-			if d := r.Y - ss[i].Y; d <= l && d >= -l {
-				total++
-			}
-		}
-	}
-	return total
+	var n uint64
+	PlaneSweep(R, S, l, func(geom.Point, geom.Point) bool { n++; return true })
+	return n
 }
 
 // Materialize collects the full join result. Memory is Θ(|J|); use
@@ -159,20 +73,5 @@ func Materialize(R, S []geom.Point, l float64) []geom.Pair {
 		out = append(out, geom.Pair{R: r, S: s})
 		return true
 	})
-	return out
-}
-
-// ThenSample is the strawman baseline: materialize J, then draw t
-// uniform samples with replacement. It is exact but needs Θ(|J|) time
-// and space, which is what the paper's algorithms avoid.
-func ThenSample(R, S []geom.Point, l float64, t int, r *rng.RNG) []geom.Pair {
-	joined := Materialize(R, S, l)
-	if len(joined) == 0 || t <= 0 {
-		return nil
-	}
-	out := make([]geom.Pair, t)
-	for i := range out {
-		out[i] = joined[r.Intn(len(joined))]
-	}
 	return out
 }

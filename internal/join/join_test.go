@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/rng"
-	"repro/internal/rtree"
 )
 
 func randomPoints(r *rng.RNG, n int, extent float64, base int32) []geom.Point {
@@ -56,12 +55,6 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			S := randomPoints(r, tc.m, 50, 10000)
 			want := collect(func(e Emit) { BruteForce(R, S, tc.l, e) })
 			sameJoin(t, "planesweep", collect(func(e Emit) { PlaneSweep(R, S, tc.l, e) }), want)
-			sameJoin(t, "gridjoin", collect(func(e Emit) {
-				if err := GridJoin(R, S, tc.l, e); err != nil {
-					t.Fatal(err)
-				}
-			}), want)
-			sameJoin(t, "inl", collect(func(e Emit) { IndexNestedLoop(R, S, nil, tc.l, e) }), want)
 			if got := Size(R, S, tc.l); got != uint64(len(want)) {
 				t.Fatalf("Size = %d, want %d", got, len(want))
 			}
@@ -83,8 +76,6 @@ func TestBoundaryInclusive(t *testing.T) {
 	}{
 		{"brute", func(e Emit) { BruteForce(R, S, 5, e) }},
 		{"sweep", func(e Emit) { PlaneSweep(R, S, 5, e) }},
-		{"grid", func(e Emit) { _ = GridJoin(R, S, 5, e) }},
-		{"inl", func(e Emit) { IndexNestedLoop(R, S, nil, 5, e) }},
 	} {
 		got := collect(algo.run)
 		if len(got) != 2 || got[pairKey(R[0], S[0])] != 1 || got[pairKey(R[0], S[1])] != 1 {
@@ -103,8 +94,6 @@ func TestEarlyStop(t *testing.T) {
 	}{
 		{"brute", func(e Emit) { BruteForce(R, S, 5, e) }},
 		{"sweep", func(e Emit) { PlaneSweep(R, S, 5, e) }},
-		{"grid", func(e Emit) { _ = GridJoin(R, S, 5, e) }},
-		{"inl", func(e Emit) { IndexNestedLoop(R, S, nil, 5, e) }},
 	} {
 		count := 0
 		algo.run(func(r, s geom.Point) bool {
@@ -115,16 +104,6 @@ func TestEarlyStop(t *testing.T) {
 			t.Fatalf("%s: early stop emitted %d, want 7", algo.name, count)
 		}
 	}
-}
-
-func TestIndexNestedLoopPrebuiltTree(t *testing.T) {
-	r := rng.New(3)
-	R := randomPoints(r, 100, 20, 0)
-	S := randomPoints(r, 100, 20, 1000)
-	tree := rtree.New(S)
-	want := collect(func(e Emit) { BruteForce(R, S, 4, e) })
-	got := collect(func(e Emit) { IndexNestedLoop(R, S, tree, 4, e) })
-	sameJoin(t, "inl-prebuilt", got, want)
 }
 
 func TestMaterialize(t *testing.T) {
@@ -139,53 +118,6 @@ func TestMaterialize(t *testing.T) {
 		if !geom.InWindow(p.R, p.S, 5) {
 			t.Fatalf("materialized invalid pair %v", p)
 		}
-	}
-}
-
-func TestThenSample(t *testing.T) {
-	r := rng.New(5)
-	R := randomPoints(r, 30, 10, 0)
-	S := randomPoints(r, 30, 10, 1000)
-	const l = 3
-	samples := ThenSample(R, S, l, 500, r)
-	if len(samples) != 500 {
-		t.Fatalf("got %d samples, want 500", len(samples))
-	}
-	for _, p := range samples {
-		if !geom.InWindow(p.R, p.S, l) {
-			t.Fatalf("sampled invalid pair %v", p)
-		}
-	}
-	// Empty join yields no samples.
-	far := []geom.Point{{X: 1000, Y: 1000}}
-	if got := ThenSample(R, far, 0.001, 10, r); got != nil {
-		t.Fatalf("expected nil samples on empty join, got %d", len(got))
-	}
-}
-
-func TestThenSampleUniform(t *testing.T) {
-	r := rng.New(6)
-	R := randomPoints(r, 12, 10, 0)
-	S := randomPoints(r, 12, 10, 1000)
-	const l = 4
-	joined := Materialize(R, S, l)
-	if len(joined) < 10 {
-		t.Skip("join too small for distribution test")
-	}
-	counts := map[string]int{}
-	const draws = 100000
-	samples := ThenSample(R, S, l, draws, r)
-	for _, p := range samples {
-		counts[pairKey(p.R, p.S)]++
-	}
-	expected := float64(draws) / float64(len(joined))
-	chi2 := 0.0
-	for _, p := range joined {
-		d := float64(counts[pairKey(p.R, p.S)]) - expected
-		chi2 += d * d / expected
-	}
-	if dof := float64(len(joined) - 1); chi2 > 2*dof+50 {
-		t.Fatalf("ThenSample skewed: chi2 = %g (dof %g)", chi2, dof)
 	}
 }
 
@@ -231,7 +163,6 @@ func TestInputsNotMutated(t *testing.T) {
 	sCopy := append([]geom.Point(nil), S...)
 	PlaneSweep(R, S, 2, func(geom.Point, geom.Point) bool { return true })
 	_ = Size(R, S, 2)
-	_ = GridJoin(R, S, 2, func(geom.Point, geom.Point) bool { return true })
 	for i := range R {
 		if R[i] != rCopy[i] {
 			t.Fatal("R was mutated")
@@ -255,20 +186,5 @@ func BenchmarkPlaneSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Size(R, S, 100)
-	}
-}
-
-func BenchmarkIndexNestedLoop(b *testing.B) {
-	r := rng.New(10)
-	R := randomPoints(r, 20000, 10000, 0)
-	S := randomPoints(r, 20000, 10000, 1000000)
-	tree := rtree.New(S)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		IndexNestedLoop(R, S, tree, 100, func(geom.Point, geom.Point) bool {
-			count++
-			return true
-		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package kdtree implements a balanced, array-backed kd-tree over 2-D
-// points with subtree counts, supporting orthogonal range counting,
-// range reporting, and spatial independent range sampling (IRS).
+// points with subtree counts, supporting orthogonal range counting
+// and spatial independent range sampling (IRS).
 //
 // The sampling operation follows KDS (Xie et al., "Spatial Independent
 // Range Sampling", SIGMOD 2021), the structure both baselines of the
@@ -156,33 +156,6 @@ func (t *Tree) count(ni int32, w geom.Rect) int {
 		return c
 	}
 	return t.count(nd.left, w) + t.count(nd.right, w)
-}
-
-// Report calls fn for every indexed point inside w. Iteration stops
-// early if fn returns false.
-func (t *Tree) Report(w geom.Rect, fn func(geom.Point) bool) {
-	if t.root >= 0 {
-		t.report(t.root, w, fn)
-	}
-}
-
-func (t *Tree) report(ni int32, w geom.Rect, fn func(geom.Point) bool) bool {
-	nd := &t.nodes[ni]
-	if !w.Intersects(nd.bbox) {
-		return true
-	}
-	if w.Covers(nd.bbox) || nd.left < 0 {
-		full := w.Covers(nd.bbox)
-		for _, p := range t.pts[nd.lo:nd.hi] {
-			if full || w.Contains(p) {
-				if !fn(p) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return t.report(nd.left, w, fn) && t.report(nd.right, w, fn)
 }
 
 // Scratch holds the reusable canonical-decomposition buffers for

@@ -36,7 +36,6 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, ok := tr.Sample(w, rng.New(1), &Scratch{}); ok {
 		t.Error("empty tree sample should fail")
 	}
-	tr.Report(w, func(geom.Point) bool { t.Error("report on empty tree"); return true })
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
 	}
@@ -91,42 +90,6 @@ func TestCountMatchesBruteForce(t *testing.T) {
 				t.Fatalf("n=%d Count(%v) = %d, want %d", n, w, got, want)
 			}
 		}
-	}
-}
-
-func TestReportMatchesBruteForce(t *testing.T) {
-	r := rng.New(4)
-	pts := randomPoints(r, 500, 30)
-	tr := New(pts)
-	for trial := 0; trial < 50; trial++ {
-		w := geom.Window(geom.Point{X: r.Range(0, 30), Y: r.Range(0, 30)}, r.Range(1, 10))
-		got := map[int32]bool{}
-		tr.Report(w, func(p geom.Point) bool {
-			if got[p.ID] {
-				t.Fatalf("duplicate report of %v", p)
-			}
-			got[p.ID] = true
-			return true
-		})
-		for _, p := range pts {
-			if w.Contains(p) != got[p.ID] {
-				t.Fatalf("report mismatch for %v in %v", p, w)
-			}
-		}
-	}
-}
-
-func TestReportEarlyStop(t *testing.T) {
-	r := rng.New(5)
-	pts := randomPoints(r, 1000, 10)
-	tr := New(pts)
-	seen := 0
-	tr.Report(geom.Rect{XMin: 0, YMin: 0, XMax: 10, YMax: 10}, func(geom.Point) bool {
-		seen++
-		return seen < 5
-	})
-	if seen != 5 {
-		t.Fatalf("early stop saw %d points, want 5", seen)
 	}
 }
 

@@ -109,14 +109,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Int63n returns a uniform value in [0, n). It panics when n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with n <= 0")
-	}
-	return int64(r.Intn(int(n)))
-}
-
 // Float64 returns a uniform value in [0, 1) with 53 random bits.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -142,11 +134,6 @@ func (r *RNG) NormFloat64() float64 {
 		}
 		return u * math.Sqrt(-2*math.Log(s)/s)
 	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	return -math.Log(1 - r.Float64())
 }
 
 // Perm returns a uniformly random permutation of [0, n).

@@ -158,22 +158,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(9)
-	const draws = 200000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 = %g negative", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %g, want ~1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(10)
 	for _, n := range []int{0, 1, 2, 10, 100} {
@@ -246,16 +230,6 @@ func TestIntnLargeRange(t *testing.T) {
 		v := r.Intn(n)
 		if v < 0 || v >= n {
 			t.Fatalf("Intn(%d) = %d out of range", n, v)
-		}
-	}
-}
-
-func TestInt63n(t *testing.T) {
-	r := New(15)
-	for i := 0; i < 1000; i++ {
-		v := r.Int63n(1000)
-		if v < 0 || v >= 1000 {
-			t.Fatalf("Int63n out of range: %d", v)
 		}
 	}
 }

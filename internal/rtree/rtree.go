@@ -1,13 +1,13 @@
 // Package rtree implements an STR (Sort-Tile-Recursive) bulk-loaded
 // R-tree over 2-D points with aggregate subtree counts.
 //
-// The paper cites the index nested-loop join over a spatial index as a
-// "simple yet still state-of-the-art" exact spatial range join
-// (Section VI); this package provides that substrate. The aggregate
-// counts additionally enable an independent-range-sampling primitive
-// analogous to the kd-tree's, which the repository uses as an ablation
-// baseline (an aggregate-R-tree sampler) to show the BBST advantage is
-// not an artifact of the kd-tree choice.
+// It supports orthogonal range counting and, through the aggregate
+// counts, an independent-range-sampling primitive analogous to the
+// kd-tree's, which the repository uses as an ablation baseline (an
+// aggregate-R-tree sampler) to show the BBST advantage is not an
+// artifact of the kd-tree choice. The paper's index nested-loop exact
+// join over an R-tree (Section VI) is not provided: package join's
+// plane sweep is the one exact join.
 package rtree
 
 import (
@@ -180,38 +180,6 @@ func (t *Tree) count(ni int32, w geom.Rect) int {
 		total += t.count(ch, w)
 	}
 	return total
-}
-
-// Report calls fn for every indexed point inside w; fn returning false
-// stops the traversal.
-func (t *Tree) Report(w geom.Rect, fn func(geom.Point) bool) {
-	if t.root >= 0 {
-		t.report(t.root, w, fn)
-	}
-}
-
-func (t *Tree) report(ni int32, w geom.Rect, fn func(geom.Point) bool) bool {
-	nd := &t.nodes[ni]
-	if !w.Intersects(nd.bbox) {
-		return true
-	}
-	if nd.children == nil {
-		full := w.Covers(nd.bbox)
-		for _, p := range t.pts[nd.lo:nd.hi] {
-			if full || w.Contains(p) {
-				if !fn(p) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, ch := range nd.children {
-		if !t.report(ch, w, fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // Scratch holds reusable decomposition buffers for Sample.

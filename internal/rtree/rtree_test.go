@@ -80,41 +80,6 @@ func TestCountMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestReportMatchesBruteForce(t *testing.T) {
-	r := rng.New(4)
-	pts := randomPoints(r, 1000, 30)
-	tr := New(pts)
-	for trial := 0; trial < 50; trial++ {
-		w := geom.Window(geom.Point{X: r.Range(0, 30), Y: r.Range(0, 30)}, r.Range(1, 8))
-		got := map[int32]bool{}
-		tr.Report(w, func(p geom.Point) bool {
-			if got[p.ID] {
-				t.Fatalf("duplicate report %v", p)
-			}
-			got[p.ID] = true
-			return true
-		})
-		for _, p := range pts {
-			if w.Contains(p) != got[p.ID] {
-				t.Fatalf("mismatch for %v", p)
-			}
-		}
-	}
-}
-
-func TestReportEarlyStop(t *testing.T) {
-	r := rng.New(5)
-	tr := New(randomPoints(r, 500, 10))
-	seen := 0
-	tr.Report(geom.Rect{XMin: 0, YMin: 0, XMax: 10, YMax: 10}, func(geom.Point) bool {
-		seen++
-		return seen < 3
-	})
-	if seen != 3 {
-		t.Fatalf("early stop saw %d", seen)
-	}
-}
-
 func TestSampleCountAndMembership(t *testing.T) {
 	r := rng.New(6)
 	pts := randomPoints(r, 2000, 40)

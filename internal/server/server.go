@@ -24,7 +24,7 @@
 //	GET    /healthz    — liveness; 503 when a store's persister fails
 //
 // Every request is bounded: t is capped (Config.MaxT, and the
-// buffering JSON transport at the lower Config.MaxTJSON), bodies are
+// buffering JSON transport at the lower DefaultMaxTJSON), bodies are
 // size-limited, sampling runs under a context deadline, and the
 // registry caps concurrent engine builds at GOMAXPROCS — adversarial
 // requests cannot force unbounded allocation or pin workers forever.
@@ -89,15 +89,6 @@ type Config struct {
 	// DefaultMaxT). Binary responses stream in constant memory, so
 	// this cap is about sampling work, not response size.
 	MaxT int
-	// MaxTJSON caps t for the buffering JSON transport (default
-	// min(DefaultMaxTJSON, MaxT); never above MaxT). It bounds
-	// per-request response memory at ~48*MaxTJSON bytes — under
-	// concurrent load that multiplies per in-flight request, so keep
-	// it small and push bulk traffic to the binary transport.
-	MaxTJSON int
-	// MaxUpdateOps caps the operations one update request may carry
-	// (default DefaultMaxUpdateOps).
-	MaxUpdateOps int
 	// Timeout bounds one request end to end, engine build included
 	// (default DefaultTimeout).
 	Timeout time.Duration
@@ -129,12 +120,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxT <= 0 {
 		cfg.MaxT = DefaultMaxT
-	}
-	if cfg.MaxTJSON <= 0 {
-		cfg.MaxTJSON = DefaultMaxTJSON
-	}
-	if cfg.MaxTJSON > cfg.MaxT {
-		cfg.MaxTJSON = cfg.MaxT
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
@@ -395,7 +380,7 @@ func DecodeSampleRequest(w http.ResponseWriter, r *http.Request, maxT, maxTJSON 
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	req, binaryOut, ok := DecodeSampleRequest(w, r, s.cfg.MaxT, s.cfg.MaxTJSON)
+	req, binaryOut, ok := DecodeSampleRequest(w, r, s.cfg.MaxT, min(DefaultMaxTJSON, s.cfg.MaxT))
 	if !ok {
 		return
 	}

@@ -283,17 +283,18 @@ func TestServerLimits(t *testing.T) {
 }
 
 // TestServerJSONTransportCap: the buffering JSON transport has its
-// own, lower cap; the same t streams fine over binary.
+// own cap, DefaultMaxTJSON, below the default MaxT; the same t streams
+// fine over binary.
 func TestServerJSONTransportCap(t *testing.T) {
 	r := rng.New(2)
 	te := &testEnv{
 		data: map[string][2][]geom.Point{
 			"tiny": {randomPoints(r, 25, 12, 0), randomPoints(r, 25, 12, 10000)},
 		},
-		maxT: 5000,
+		maxT: DefaultMaxT,
 	}
 	reg := registry.New(te.build, 0)
-	srv, err := New(Config{Registry: reg, MaxT: 5000, MaxTJSON: 1000})
+	srv, err := New(Config{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,17 +303,18 @@ func TestServerJSONTransportCap(t *testing.T) {
 	cl := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	req := SampleRequest{Dataset: "tiny", L: 3, Seed: 1, T: 2000}
+	const over = DefaultMaxTJSON + 1
+	req := SampleRequest{Dataset: "tiny", L: 3, Seed: 1, T: over}
 	var apiErr *APIError
 	if _, err := cl.SampleJSON(ctx, req); !errors.As(err, &apiErr) ||
 		apiErr.Status != 400 || !strings.Contains(apiErr.Message, "binary") {
 		t.Fatalf("over-JSON-cap err = %v, want 400 suggesting binary", err)
 	}
-	if pairs, err := cl.Sample(ctx, req); err != nil || len(pairs) != 2000 {
+	if pairs, err := cl.Sample(ctx, req); err != nil || len(pairs) != over {
 		t.Fatalf("binary at same t: %d pairs, %v", len(pairs), err)
 	}
 	if pairs, err := cl.SampleJSON(ctx, SampleRequest{Dataset: "tiny", L: 3, Seed: 1, T: 1000}); err != nil || len(pairs) != 1000 {
-		t.Fatalf("JSON at cap: %d pairs, %v", len(pairs), err)
+		t.Fatalf("JSON below the cap: %d pairs, %v", len(pairs), err)
 	}
 }
 

@@ -162,7 +162,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			"dynamic updates are not enabled on this server")
 		return
 	}
-	req, ok := DecodeUpdateRequest(w, r, s.cfg.MaxUpdateOps)
+	req, ok := DecodeUpdateRequest(w, r, DefaultMaxUpdateOps)
 	if !ok {
 		return
 	}
