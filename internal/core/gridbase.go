@@ -34,14 +34,15 @@ type cornerIndex interface {
 	sizeBytes() int
 }
 
-// sCell is one S cell with its corner structure (nil for a scan cell),
-// and the one place where a count or a candidate draw dispatches by
-// case: the cell's sorted runs answer cases 1–2 exactly, the corner
-// structure answers case 3, and a scan cell's corners are scanned. The
-// frozen sampler assembles its sCells from the grid and its corners
-// table (gridSampler.cell), and the mutable index stores them in its
-// cell directory; the batched counter's corners, countsOf and both
-// trials go through mu and sample.
+// sCell is one S cell with its corner structure (nil for a scan cell).
+// It and the trials' candidate phase (laneTrials.candidates) are the
+// one place where a count or a candidate draw dispatches by case: the
+// cell's sorted runs answer cases 1–2 exactly, the corner structure
+// answers case 3, and a scan cell's corners are scanned. The frozen
+// sampler assembles its sCells from the grid and its corners table
+// (gridSampler.cell), and the mutable index stores them in its cell
+// directory; the batched counter's corners and countsOf go through mu,
+// and both trials through candidates.
 type sCell struct {
 	cell   *grid.Cell
 	corner cornerIndex
@@ -53,7 +54,7 @@ type sCell struct {
 func (c sCell) mu(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
 	switch {
 	case d.Case() != 3:
-		return len(c.cell.Matching(d, w))
+		return c.cell.Matching(d, w)
 	case c.corner == nil:
 		n, _, _ := scanRun(c.cell.XSorted, cornerFor(d), w, -1)
 		return n
@@ -61,15 +62,51 @@ func (c sCell) mu(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
 	return c.corner.mu(cornerFor(d), w, sc)
 }
 
-// sample draws one candidate for direction d, k > 0 being the count mu
-// returned, which the trial's record holds: the corner structure's
-// draw, or pick at a uniform index in [0, k) where k is exact. ok is
-// false on an empty slot; the caller verifies window membership.
-func (c sCell) sample(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
-	if d.Case() == 3 && c.corner != nil {
+// sampleCorner draws one candidate for corner direction d, k > 0 being
+// the count mu returned, which the trial's record holds: the corner
+// structure's draw, or pick at a uniform index in [0, k) for a scan
+// cell. ok is false on an empty slot; the caller verifies window
+// membership.
+func (c sCell) sampleCorner(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
+	if c.corner != nil {
 		return c.corner.sample(cornerFor(d), w, k, r, sc)
 	}
 	return c.pick(d, k, w, r.Intn(int(k)))
+}
+
+// laneTrials is one group of trials after the direction phase, as both
+// trials fill it: lane i's R point, its direction, its count k (0 when
+// u rounded onto µ(r), which fails the lane) and, where k > 0, its S
+// cell. The frozen trial loads a cell's corner structure for a corner
+// lane only (gridSampler.laneCell).
+type laneTrials struct {
+	r    [laneN]geom.Point
+	dir  [laneN]grid.Direction
+	k    [laneN]int32
+	cell [laneN]sCell
+}
+
+// candidates is the last phase of a trial group: each lane with k > 0
+// draws one candidate of its cell — point i of drawRun's run for a
+// uniform i in [0, k) in cases 1–2, sampleCorner's draw for a corner —
+// and passes when the candidate lies in w(r). drawRun inlines here, so
+// a case 1–2 lane makes one call, to draw i.
+func (lt *laneTrials) candidates(lg *laneGroup, half float64, rnd *rng.RNG, sc *cornerScratch) {
+	for i, k := range lt.k {
+		lg.ok[i] = false
+		if k == 0 {
+			continue
+		}
+		w := geom.Window(lt.r[i], half)
+		s, ok := geom.Point{}, true
+		if d := lt.dir[i]; d.Case() != 3 {
+			s = drawRun(lt.cell[i].cell, d, k, rnd.Intn(int(k)))
+		} else {
+			s, ok = lt.cell[i].sampleCorner(d, k, w, rnd, sc)
+		}
+		lg.pair[i] = geom.Pair{R: lt.r[i], S: s}
+		lg.ok[i] = ok && w.Contains(s) // else an empty slot or an out-of-window candidate
+	}
 }
 
 // pick maps index i in [0, k) to a candidate for direction d, k being
@@ -289,6 +326,17 @@ func (g *gridSampler) neighborhood(k grid.Key, row *cellRow) (nb nbhd) {
 // cell is the S cell of index ci with its corner structure.
 func (g *gridSampler) cell(ci int32) sCell { return sCell{g.g.ByIndex(ci), g.corners[ci]} }
 
+// laneCell is cell for a trial in direction d: only a corner
+// direction reads the corner structure, so only a corner lane loads
+// it.
+func (g *gridSampler) laneCell(ci int32, d grid.Direction) sCell {
+	c := sCell{cell: g.g.ByIndex(ci)}
+	if d.Case() == 3 {
+		c.corner = g.corners[ci]
+	}
+	return c
+}
+
 // groupByRow is a counting sort of the indexes 0..n-1 by row(i) in
 // [0, rows): perm[starts[c]:starts[c+1]] holds row c's indexes,
 // ascending.
@@ -332,55 +380,48 @@ func pickDir(cnt *dirCounts, u float64) (grid.Direction, int32) {
 // drawRun returns point i of the k > 0 points of cell c that match a
 // case 1 or 2 direction d, k being the exact count the trial's record
 // holds; a uniform i in [0, k) draws one uniformly. They are the run
-// Cell.Matching(d, w) returns, found without a search: all of XSorted
+// Cell.Matching(d, w) counts, found without a search: all of XSorted
 // for Center, its first k for East and last k for West, and likewise
-// on YSorted for North and South.
+// through YOrder for North and South.
 func drawRun(c *grid.Cell, d grid.Direction, k int32, i int) geom.Point {
 	switch d {
 	case grid.West:
-		return c.XSorted[len(c.XSorted)-int(k)+i]
+		i += len(c.XSorted) - int(k)
 	case grid.South:
-		return c.YSorted[len(c.YSorted)-int(k)+i]
+		i = int(c.YOrder[len(c.YOrder)-int(k)+i])
 	case grid.North:
-		return c.YSorted[i]
+		i = int(c.YOrder[i])
 	}
-	return c.XSorted[i] // Center, East
+	return c.XSorted[i]
 }
 
 // tryGroup runs one group of trials (lines 10–15 of Algorithm 1),
 // each phase across all laneN lanes before the next: every lane's
 // weighted r from the alias over µ(r); its direction by a cumulative
 // scan of r's count record, then its S cell from r's cell row, so no
-// trial does a key lookup; a uniform candidate of that cell by
-// sCell.sample (a BBST bucket slot, or one of the k points the record
-// counts for cases 1–2 and a scanned corner); and the window test.
+// trial does a key lookup; a uniform candidate of that cell and the
+// window test (laneTrials.candidates: a BBST bucket slot, or one of
+// the k points the record counts for cases 1–2 and a scanned corner).
 // Every pair of J passes one trial with probability exactly 1/Σµ.
 func (g *gridSampler) tryGroup(lg *laneGroup) error {
-	var ri, row, ci, k [laneN]int32
-	var dir [laneN]grid.Direction
+	var ri, row [laneN]int32
+	var lt laneTrials
 	for i := range ri {
 		ri[i] = int32(g.tab.Sample(g.rng))
 	}
 	for i := range ri {
 		rec := &g.recs[ri[i]]
-		dir[i], k[i] = pickDir(&rec.cnt, g.rng.Float64()*float64(rec.cnt.total()))
+		lt.dir[i], lt.k[i] = pickDir(&rec.cnt, g.rng.Float64()*float64(rec.cnt.total()))
 		row[i] = rec.row
 	}
 	for i := range ri {
-		// A positive count means the cell exists: its row entry is >= 0.
-		ci[i] = g.rows[row[i]][dir[i]]
-	}
-	for i := range ri {
-		lg.ok[i] = false
-		if k[i] == 0 {
-			continue // u rounded onto µ(r)
+		if lt.k[i] > 0 {
+			// A positive count means the cell exists: its row entry is >= 0.
+			lt.r[i] = g.R[ri[i]]
+			lt.cell[i] = g.laneCell(g.rows[row[i]][lt.dir[i]], lt.dir[i])
 		}
-		r := g.R[ri[i]]
-		w := g.window(r)
-		s, ok := g.cell(ci[i]).sample(dir[i], k[i], w, g.rng, &g.sc)
-		lg.pair[i] = geom.Pair{R: r, S: s}
-		lg.ok[i] = ok && w.Contains(s) // else an empty slot or an out-of-window candidate
 	}
+	lt.candidates(lg, g.cfg.HalfExtent, g.rng, &g.sc)
 	return nil
 }
 

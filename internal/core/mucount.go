@@ -35,7 +35,8 @@ type muCounter struct {
 	half     float64 // window half-extent l
 	pts      []geom.Point
 	cnt      []dirCounts
-	byX, byY []uint64 // order keys of pts by x / y, built on demand
+	byX, byY []uint64  // order keys of pts by x / y, built on demand
+	run      []float64 // the swept S cell's coordinates, in its run's order
 	sc       cornerScratch
 }
 
@@ -88,24 +89,28 @@ func (mc *muCounter) count(nb *nbhd, mask dirMask) {
 // with the coordinate, so the boundary into c's run in the same order
 // moves forward as the pass goes: c.Matching's binary search places
 // it for the first point, each later point moves it on. Every point finds its
-// exact boundary, so the counts equal len(c.Matching(d, w)), ties
+// exact boundary, so the counts equal c.Matching(d, w), ties
 // included; the boundary may also step back, which keeps them exact
-// where order leaves near-equal coordinates out of order.
+// where order leaves near-equal coordinates out of order. The pass
+// walks the run's x (or y) coordinates, gathered first into one array
+// in the run's order (through YOrder for y).
 func (mc *muCounter) sweep(c *grid.Cell, d grid.Direction) {
 	byY := d == grid.South || d == grid.North
-	run, ord := c.XSorted, &mc.byX
+	run, ord := mc.run[:0], &mc.byX
 	if byY {
-		run, ord = c.YSorted, &mc.byY
+		for _, o := range c.YOrder {
+			run = append(run, c.XSorted[o].Y)
+		}
+		ord = &mc.byY
+	} else {
+		for _, s := range c.XSorted {
+			run = append(run, s.X)
+		}
 	}
+	mc.run = run
 	// upper: the run's matching part is the prefix up to the side
 	// (coordinate <= side); otherwise the suffix from it (>= side).
 	upper := d == grid.East || d == grid.North
-	coord := func(s geom.Point) float64 {
-		if byY {
-			return s.Y
-		}
-		return s.X
-	}
 	idx := mc.indexMask()
 	p := -1
 	for _, o := range mc.order(ord, byY) {
@@ -121,25 +126,25 @@ func (mc *muCounter) sweep(c *grid.Cell, d grid.Direction) {
 			side = w.YMax
 		}
 		if p < 0 { // first point: one binary search
-			n := len(c.Matching(d, w))
+			n := c.Matching(d, w)
 			if p = n; !upper {
 				p = len(run) - n
 			}
 		}
 		if upper {
-			p = boundary(run, p, func(s geom.Point) bool { return coord(s) <= side })
+			p = boundary(run, p, func(v float64) bool { return v <= side })
 			mc.cnt[i][d] = int32(p)
 		} else {
-			p = boundary(run, p, func(s geom.Point) bool { return coord(s) < side })
+			p = boundary(run, p, func(v float64) bool { return v < side })
 			mc.cnt[i][d] = int32(len(run) - p)
 		}
 	}
 }
 
-// boundary moves p, an index into run, to the first point of run not
-// below the side: below holds on a prefix of run, and the result is
-// that prefix's length.
-func boundary(run []geom.Point, p int, below func(geom.Point) bool) int {
+// boundary moves p, an index into run, to the first coordinate of run
+// not below the side: below holds on a prefix of run, and the result
+// is that prefix's length.
+func boundary(run []float64, p int, below func(float64) bool) int {
 	for p < len(run) && below(run[p]) {
 		p++
 	}

@@ -65,7 +65,7 @@ func ulpPoints(r *rng.RNG, n int, x0, y0, l float64, base int32) []geom.Point {
 
 // refCounts is the per-point reference for µ(r, d): r's own 3×3 block
 // looked up point by point, each cell counted by sCell.mu
-// (len(Cell.Matching) for cases 1–2, the corner structure's count or a
+// (Cell.Matching for cases 1–2, the corner structure's count or a
 // scan for corners).
 func refCounts(g *gridSampler, r geom.Point, sc *cornerScratch) dirCounts {
 	var nb [grid.NumDirections]*grid.Cell
@@ -251,7 +251,7 @@ func forCountInputs(t *testing.T, samplers []gridFactory, check func(t *testing.
 // entry names the cell a key lookup of that direction finds (-1 for
 // none), and sCell.pick, the map a trial's uniform index goes through,
 // enumerates what the count counts: for every positive case 1–2 count
-// k, its picks 0..k-1 are exactly Cell.Matching's run in order, and for
+// k, its picks 0..k-1 are exactly matchingRun in order, and for
 // every positive count k of a scan corner, exactly the cell's points
 // inside w(r).
 func TestFrozenRecordMatchesReference(t *testing.T) {
@@ -291,7 +291,7 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 					}
 					continue
 				}
-				run := c.Matching(d, w)
+				run := matchingRun(c, d, w)
 				if len(run) != int(k) {
 					fail("R[%d] %v: count %d, run of %d", i, d, k, len(run))
 					continue
@@ -304,6 +304,28 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 			}
 		}
 	})
+}
+
+// matchingRun filters the points of c that satisfy the constraint a
+// case 1 or 2 direction d places on w, in the order of the run that
+// holds them: XSorted for Center, West and East, XSorted through YOrder
+// for South and North.
+func matchingRun(c *grid.Cell, d grid.Direction, w geom.Rect) []geom.Point {
+	var run []geom.Point
+	if d == grid.South || d == grid.North {
+		for _, o := range c.YOrder {
+			if p := c.XSorted[o]; d == grid.South && p.Y >= w.YMin || d == grid.North && p.Y <= w.YMax {
+				run = append(run, p)
+			}
+		}
+		return run
+	}
+	for _, p := range c.XSorted {
+		if d == grid.Center || d == grid.West && p.X >= w.XMin || d == grid.East && p.X <= w.XMax {
+			run = append(run, p)
+		}
+	}
+	return run
 }
 
 // checkScanPicks fails unless the picks 0..k-1 of scan corner d over

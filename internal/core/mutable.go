@@ -57,7 +57,7 @@ package core
 // slot's cached direction counts (exact for cases 1–2 and scanned
 // corners, the BBST bound for the others) picks the direction, and
 // only that direction's cell is looked up to draw a uniform candidate
-// (sCell.sample), accepted iff it lies in w(r).
+// (laneTrials.candidates), accepted iff it lies in w(r).
 // The cached counts are kept equal to a recount against the version's
 // S side (ApplyOps recounts every slot a touched cell can affect, cell
 // by cell, in the directions that point into a touched cell), so they
@@ -472,8 +472,8 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 }
 
 // SizeBytes estimates the standalone footprint of this version in O(1)
-// from the live counts: the slot tree, 52 B per S point for the two
-// sorted copies in its cell (48 B, plus about 4 B of allocation
+// from the live counts: the slot tree, 30 B per S point for its cell's
+// x-sorted copy and y position (28 B, plus about 2 B of allocation
 // rounding), 64 B per S cell for its header, the corner structures'
 // own bytes (cornerBytes: a BBST pair's buckets and nodes, which point
 // into the cell's x-sorted copy and own no points; a scan cell has
@@ -483,7 +483,7 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 // slot per R point. TestMutableSizeBytesTracksHeap holds it to the
 // measured live heap.
 func (ix *MutableIndex) SizeBytes() int {
-	return ix.slots.sizeBytes() + 52*ix.sCount + 64*ix.scells.Len() + ix.cornerBytes + 4*ix.rCount +
+	return ix.slots.sizeBytes() + 30*ix.sCount + 64*ix.scells.Len() + ix.cornerBytes + 4*ix.rCount +
 		ix.scells.SizeBytes() + ix.sids.SizeBytes() + ix.rcells.SizeBytes() + ix.rids.SizeBytes()
 }
 
@@ -506,7 +506,9 @@ type Mutable struct {
 // structure as it is (the first mutation of a cell replaces both, so
 // the frozen sampler keeps serving untouched). Nothing adopted points
 // into the grid's cell array, so a version pins only the cells it
-// still serves. The slot tree is bulk-built from the frozen count
+// still serves, plus, while it serves any adopted cell, the grid's one
+// array of y positions (4 B per frozen S point, which SizeBytes counts
+// only for the points a version still holds; grid.Build). The slot tree is bulk-built from the frozen count
 // records, which were counted against these same cells and corners,
 // with R laid out cell by cell: a counting sort of R by the row Count
 // filed each point under gives the slot order, so each R cell's slots
@@ -655,31 +657,21 @@ func (m *Mutable) tryGroup(lg *laneGroup) error {
 		return ErrEmptyJoin
 	}
 	var recs [laneN]*slotRec
-	var k [laneN]int32
-	var dir [laneN]grid.Direction
-	var cells [laneN]sCell
+	var lt laneTrials
 	for i := range recs {
 		recs[i] = ix.slots.sample(m.rng.Float64() * total)
 	}
 	for i, rec := range recs {
-		dir[i], k[i] = pickDir(&rec.cnt, m.rng.Float64()*rec.mu())
+		lt.dir[i], lt.k[i] = pickDir(&rec.cnt, m.rng.Float64()*rec.mu())
 	}
 	for i, rec := range recs {
-		if k[i] > 0 {
+		if lt.k[i] > 0 {
 			// A positive count means the cell exists in this version.
-			cells[i], _ = ix.scells.Get(grid.KeyFor(rec.pt.X, rec.pt.Y, ix.side).Neighbor(dir[i]))
+			lt.r[i] = rec.pt
+			lt.cell[i], _ = ix.scells.Get(grid.KeyFor(rec.pt.X, rec.pt.Y, ix.side).Neighbor(lt.dir[i]))
 		}
 	}
-	for i, rec := range recs {
-		lg.ok[i] = false
-		if k[i] == 0 {
-			continue // u rounded onto µ(r)
-		}
-		w := geom.Window(rec.pt, ix.cfg.HalfExtent)
-		s, ok := cells[i].sample(dir[i], k[i], w, m.rng, &m.scratch)
-		lg.pair[i] = geom.Pair{R: rec.pt, S: s}
-		lg.ok[i] = ok && w.Contains(s)
-	}
+	lt.candidates(lg, ix.cfg.HalfExtent, m.rng, &m.scratch)
 	return nil
 }
 
@@ -778,11 +770,9 @@ func (ix *MutableIndex) CheckInvariants() error {
 				return false
 			}
 		}
-		for i := 1; i < len(c.YSorted); i++ {
-			if c.YSorted[i-1].Y > c.YSorted[i].Y {
-				cellErr = fmt.Errorf("cell (%d,%d) YSorted out of order", k.CX, k.CY)
-				return false
-			}
+		if err := checkYOrder(c); err != nil {
+			cellErr = fmt.Errorf("cell (%d,%d): %w", k.CX, k.CY, err)
+			return false
 		}
 		sTotal += c.Len()
 		cornerTotal += cornerBytes(cs.corner)
@@ -939,6 +929,25 @@ func (ix *MutableIndex) CheckInvariants() error {
 	}
 	if ridTotal != ix.rCount {
 		return fmt.Errorf("rids hold %d slots, rCount %d", ridTotal, ix.rCount)
+	}
+	return nil
+}
+
+// checkYOrder requires c.YOrder to be a permutation of the positions
+// of c.XSorted that is ascending in y.
+func checkYOrder(c *grid.Cell) error {
+	if len(c.YOrder) != len(c.XSorted) {
+		return fmt.Errorf("YOrder lists %d positions for %d points", len(c.YOrder), len(c.XSorted))
+	}
+	seen := make([]bool, len(c.XSorted))
+	for i, p := range c.YOrder {
+		if p < 0 || int(p) >= len(seen) || seen[p] {
+			return fmt.Errorf("YOrder[%d] = %d is out of range or repeated", i, p)
+		}
+		seen[p] = true
+		if i > 0 && c.XSorted[c.YOrder[i-1]].Y > c.XSorted[p].Y {
+			return fmt.Errorf("YOrder out of y order at %d", i)
+		}
 	}
 	return nil
 }

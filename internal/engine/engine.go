@@ -30,6 +30,16 @@ import (
 // of pairs) to stay cache-resident.
 const DefaultBatch = 4096
 
+// batches holds *[]geom.Pair buffers of DefaultBatch pairs for
+// DrawFunc, shared by every Engine: a buffer carries nothing of the
+// engine that drew into it, so one pool serves them all, and no pool
+// points into an Engine, so a dropped engine is freed at the next
+// collection.
+var batches = sync.Pool{New: func() any {
+	buf := make([]geom.Pair, DefaultBatch)
+	return &buf
+}}
+
 // ErrSampleCap is returned (wrapped, with the offending numbers) when
 // a request asks for more samples than the Engine's configured
 // per-request cap. Draw checks the cap before allocating the result
@@ -175,13 +185,6 @@ type Engine struct {
 	name string
 	size int
 
-	// buffers holds *[]geom.Pair batches for DrawFunc. It is a
-	// pointer so that the runtime's list of pools, which keeps a pool
-	// reachable until the second collection after its last use, points
-	// at the pool alone and not into the Engine: a dropped engine is
-	// freed at the next collection.
-	buffers *sync.Pool
-
 	maxT atomic.Int64 // per-request sample cap; 0 = unlimited
 
 	requests    atomic.Uint64
@@ -216,10 +219,6 @@ func New(parent core.Cloner, seed uint64) (*Engine, error) {
 		name: parent.Name(),
 		size: parent.SizeBytes(),
 		hist: obs.NewHistogram(obs.DrawDurationBuckets),
-		buffers: &sync.Pool{New: func() any {
-			buf := make([]geom.Pair, DefaultBatch)
-			return &buf
-		}},
 	}
 	return e, nil
 }
@@ -312,9 +311,9 @@ func (e *Engine) DrawFunc(ctx context.Context, req Request, fn func(batch []geom
 		e.record(start, 0, err)
 		return err
 	}
-	buf := e.buffers.Get().(*[]geom.Pair)
+	buf := batches.Get().(*[]geom.Pair)
 	_, err = e.run(ctx, start, req.Seed, t, *buf, fn)
-	e.buffers.Put(buf)
+	batches.Put(buf)
 	return err
 }
 

@@ -32,6 +32,25 @@ func refRuns(pts []geom.Point, side float64) map[Key][2][]geom.Point {
 	return ref
 }
 
+// yRun returns c's points in y order, XSorted through YOrder, and fails
+// unless YOrder is a permutation of XSorted's positions.
+func yRun(t testing.TB, c *Cell) []geom.Point {
+	t.Helper()
+	if len(c.YOrder) != len(c.XSorted) {
+		t.Fatalf("cell %v: YOrder lists %d positions for %d points", c.Key, len(c.YOrder), len(c.XSorted))
+	}
+	seen := make([]bool, len(c.XSorted))
+	run := make([]geom.Point, len(c.YOrder))
+	for i, o := range c.YOrder {
+		if o < 0 || int(o) >= len(seen) || seen[o] {
+			t.Fatalf("cell %v: YOrder[%d] = %d is out of range or repeated", c.Key, i, o)
+		}
+		seen[o] = true
+		run[i] = c.XSorted[o]
+	}
+	return run
+}
+
 // sameBits reports whether a and b hold the same points bit for bit,
 // in the same order: -0 and +0 differ.
 func sameBits(a, b []geom.Point) bool {
@@ -137,8 +156,8 @@ func checkAgainstRef(t *testing.T, g *Grid, ref map[Key][2][]geom.Point) {
 			t.Fatalf("cell %v at %d has Index %d", c.Key, i, c.Index)
 		case !ok:
 			t.Fatalf("cell %v is not in the reference", c.Key)
-		case !sameBits(c.XSorted, want[0]) || !sameBits(c.YSorted, want[1]):
-			t.Fatalf("cell %v runs\n x %v\n y %v\nreference\n x %v\n y %v", c.Key, c.XSorted, c.YSorted, want[0], want[1])
+		case !sameBits(c.XSorted, want[0]) || !sameBits(yRun(t, c), want[1]):
+			t.Fatalf("cell %v runs\n x %v\n y %v\nreference\n x %v\n y %v", c.Key, c.XSorted, yRun(t, c), want[0], want[1])
 		}
 		if i > 0 {
 			p := g.ByIndex(int32(i - 1)).Key
@@ -179,5 +198,70 @@ func checkAgainstRef(t *testing.T, g *Grid, ref map[Key][2][]geom.Point) {
 				}
 			}
 		}
+	}
+}
+
+// FuzzBuildYOrder holds Build's YOrder to the y order it replaced: a
+// copy of each cell's x-sorted run, sorted by y. Coordinates come from
+// a few values, so ties in y (and in x) are common, and IDs are
+// distinct, so every tie's order shows: XSorted through YOrder must be
+// that copy bit for bit, ties included.
+func FuzzBuildYOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 2, 2, 2, 1, 1, 0})
+	f.Add([]byte{3, 1, 3, 1, 3, 1, 3, 1, 7, 1, 7, 1, 0, 9, 5, 1, 2, 1, 4, 1, 6, 1, 8, 1, 1, 1, 9, 1})
+	r := rng.New(7)
+	seed := make([]byte, 400)
+	for i := range seed {
+		seed[i] = byte(r.Intn(6))
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		pts := make([]geom.Point, len(in)/2)
+		for i := range pts {
+			// Values 0..15 in steps of 0.5, over cells of side 4.
+			pts[i] = geom.Point{X: float64(in[2*i]%32) / 2, Y: float64(in[2*i+1]%32) / 2, ID: int32(i)}
+		}
+		g, err := Build(pts, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.NumCells() {
+			c := g.ByIndex(int32(i))
+			want := slices.Clone(c.XSorted)
+			slices.SortFunc(want, func(a, b geom.Point) int { return cmp.Compare(a.Y, b.Y) })
+			if got := yRun(t, c); !sameBits(got, want) {
+				t.Fatalf("cell %v: y order\n %v\nsorted copy\n %v", c.Key, got, want)
+			}
+		}
+	})
+}
+
+// TestBuildKeptCellPinsItsRunAndPositions: a cell kept from a dropped
+// grid pins its own x run and the grid's one array of y positions, 4 B
+// per point of the build, never the other cells' x runs (24 B per
+// point), so a mutable version that still serves a few adopted cells
+// holds at most 4·m bytes beyond them.
+func TestBuildKeptCellPinsItsRunAndPositions(t *testing.T) {
+	const n = 200_000 // 4.8 MB of x runs, 0.8 MB of positions
+	r := rng.New(12)
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: r.Range(0, 1000), Y: r.Range(0, 1000), ID: int32(i)}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g, err := Build(pts, 10) // 10,000 cells of about 20 points
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := *g.ByIndex(0)
+	g = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	runtime.KeepAlive(pts)
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 4*n+256<<10 {
+		t.Fatalf("one kept cell of %d points retains %d KB of a %d-point build", keep.Len(), retained>>10, n)
 	}
 }

@@ -16,55 +16,67 @@ import (
 // Both sort orders are rebuilt in one filter-and-merge pass each —
 // O(|cell| + |ins| log |ins|) for any number of changes, which is why
 // the dynamic path batches its per-cell work instead of editing point
-// by point. Returns nil when the result is empty (the cell leaves the
-// directory). c is never modified; ins is not retained.
+// by point. On equal coordinates a kept point goes before an inserted
+// one in both orders. Returns nil when the result is empty (the cell
+// leaves the directory). c is never modified; ins is not retained.
 func WithUpdates(key Key, c *Cell, ins []geom.Point, drop func(geom.Point) bool) *Cell {
-	var oldX, oldY []geom.Point
+	var oldX []geom.Point
+	var oldY []int32
 	if c != nil {
-		oldX, oldY = c.XSorted, c.YSorted
+		oldX, oldY = c.XSorted, c.YOrder
 	}
+	// at[i] is old point i's position in the new x run (-1 once
+	// dropped), then at[len(oldX)+j] inserted point j's.
+	at := make([]int32, len(oldX)+len(ins))
 	keep := len(oldX)
 	if drop != nil {
-		keep = 0
-		for _, p := range oldX {
-			if !drop(p) {
-				keep++
+		for i, p := range oldX {
+			if drop(p) {
+				at[i] = -1
+				keep--
 			}
 		}
 	}
 	if keep+len(ins) == 0 {
 		return nil
 	}
-	n := keep + len(ins)
-	buf := make([]geom.Point, 2*n) // both orders in one allocation, as Build lays them out
-	nc := &Cell{Key: key, Index: -1, XSorted: buf[:0:n], YSorted: buf[n:n]}
 	insX := append([]geom.Point(nil), ins...)
 	sort.Slice(insX, func(i, j int) bool { return insX[i].X < insX[j].X })
-	nc.XSorted = filterMerge(nc.XSorted, oldX, insX, drop,
-		func(a, b geom.Point) bool { return a.X <= b.X })
-	insY := insX
-	sort.Slice(insY, func(i, j int) bool { return insY[i].Y < insY[j].Y })
-	nc.YSorted = filterMerge(nc.YSorted, oldY, insY, drop,
-		func(a, b geom.Point) bool { return a.Y <= b.Y })
-	return nc
-}
-
-// filterMerge appends to dst the merge of old (minus dropped points)
-// and ins, both already ascending under le.
-func filterMerge(dst, old, ins []geom.Point, drop func(geom.Point) bool, le func(a, b geom.Point) bool) []geom.Point {
-	i, j := 0, 0
-	for i < len(old) || j < len(ins) {
-		if i < len(old) && drop != nil && drop(old[i]) {
+	xs := make([]geom.Point, 0, keep+len(ins))
+	for i, j := 0, 0; i < len(oldX) || j < len(insX); {
+		switch {
+		case i < len(oldX) && at[i] < 0:
 			i++
-			continue
-		}
-		if j >= len(ins) || (i < len(old) && le(old[i], ins[j])) {
-			dst = append(dst, old[i])
+		case j >= len(insX) || (i < len(oldX) && oldX[i].X <= insX[j].X):
+			at[i] = int32(len(xs))
+			xs = append(xs, oldX[i])
 			i++
-		} else {
-			dst = append(dst, ins[j])
+		default:
+			at[len(oldX)+j] = int32(len(xs))
+			xs = append(xs, insX[j])
 			j++
 		}
 	}
-	return dst
+	// The inserted positions, sorted by y through the same comparisons
+	// as sorting insX itself by y.
+	insY := at[len(oldX):]
+	sort.Slice(insY, func(i, j int) bool { return xs[insY[i]].Y < xs[insY[j]].Y })
+	ys := make([]int32, 0, len(xs))
+	for i, j := 0, 0; i < len(oldY) || j < len(insY); {
+		p := int32(-1)
+		if i < len(oldY) {
+			if p = at[oldY[i]]; p < 0 {
+				i++
+				continue
+			}
+		}
+		if j >= len(insY) || (p >= 0 && xs[p].Y <= xs[insY[j]].Y) {
+			ys = append(ys, p)
+			i++
+		} else {
+			ys = append(ys, insY[j])
+			j++
+		}
+	}
+	return &Cell{Key: key, Index: -1, XSorted: xs, YOrder: ys}
 }

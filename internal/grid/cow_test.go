@@ -23,10 +23,13 @@ func oracleCell(key Key, c *Cell, ins []geom.Point, drop func(geom.Point) bool) 
 		return nil
 	}
 	xs := append([]geom.Point(nil), pts...)
-	ys := append([]geom.Point(nil), pts...)
 	sort.SliceStable(xs, func(i, j int) bool { return xs[i].X < xs[j].X })
-	sort.SliceStable(ys, func(i, j int) bool { return ys[i].Y < ys[j].Y })
-	return &Cell{Key: key, XSorted: xs, YSorted: ys}
+	ys := make([]int32, len(xs))
+	for i := range ys {
+		ys[i] = int32(i)
+	}
+	sort.SliceStable(ys, func(i, j int) bool { return xs[ys[i]].Y < xs[ys[j]].Y })
+	return &Cell{Key: key, XSorted: xs, YOrder: ys}
 }
 
 func samePointSet(t *testing.T, label string, got, want []geom.Point) {
@@ -82,7 +85,7 @@ func TestWithUpdatesVsOracle(t *testing.T) {
 		var beforeX, beforeY []geom.Point
 		if c != nil {
 			beforeX = append([]geom.Point(nil), c.XSorted...)
-			beforeY = append([]geom.Point(nil), c.YSorted...)
+			beforeY = yRun(t, c)
 		}
 		got := WithUpdates(key, c, ins, drop)
 		want := oracleCell(key, c, ins, drop)
@@ -96,14 +99,13 @@ func TestWithUpdatesVsOracle(t *testing.T) {
 			t.Fatalf("trial %d: key %v", trial, got.Key)
 		}
 		samePointSet(t, "XSorted", got.XSorted, want.XSorted)
-		samePointSet(t, "YSorted", got.YSorted, want.YSorted)
+		samePointSet(t, "y order", yRun(t, got), yRun(t, want))
 		checkSorted(t, "XSorted", got.XSorted, func(p geom.Point) float64 { return p.X })
-		checkSorted(t, "YSorted", got.YSorted, func(p geom.Point) float64 { return p.Y })
+		checkSorted(t, "y order", yRun(t, got), func(p geom.Point) float64 { return p.Y })
 		if c != nil {
-			samePointSet(t, "original XSorted mutated", c.XSorted, beforeX)
-			samePointSet(t, "original YSorted mutated", c.YSorted, beforeY)
-			checkSorted(t, "original XSorted", c.XSorted, func(p geom.Point) float64 { return p.X })
-			checkSorted(t, "original YSorted", c.YSorted, func(p geom.Point) float64 { return p.Y })
+			if !sameBits(c.XSorted, beforeX) || !sameBits(yRun(t, c), beforeY) {
+				t.Fatalf("trial %d: the original cell was mutated", trial)
+			}
 		}
 	}
 }
@@ -119,8 +121,8 @@ func TestWithUpdatesEdgeCases(t *testing.T) {
 	if got == nil || len(got.XSorted) != 2 {
 		t.Fatalf("insert into nil cell: %+v", got)
 	}
-	if got.XSorted[0].ID != 2 || got.YSorted[0].ID != 1 {
-		t.Fatalf("orders wrong: X head %+v, Y head %+v", got.XSorted[0], got.YSorted[0])
+	if got.XSorted[0].ID != 2 || yRun(t, got)[0].ID != 1 {
+		t.Fatalf("orders wrong: X head %+v, Y head %+v", got.XSorted[0], yRun(t, got)[0])
 	}
 	// Drop everything -> nil.
 	if got := WithUpdates(key, got, nil, func(geom.Point) bool { return true }); got != nil {
@@ -163,6 +165,91 @@ func TestWithUpdatesCountsAgree(t *testing.T) {
 		}
 		if a, b := got.CountYAtMost(q), want.CountYAtMost(q); a != b {
 			t.Fatalf("CountYAtMost(%v) = %d, oracle %d", q, a, b)
+		}
+	}
+}
+
+// filterMergeCell is the copy-on-write rebuild WithUpdates replaced, on
+// two point copies: each order is the old run minus the dropped points,
+// merged with the inserted points sorted by sort.Slice (first by x,
+// then that slice again by y), a kept point first on a tie.
+func filterMergeCell(oldX, oldY, ins []geom.Point, drop func(geom.Point) bool) (xs, ys []geom.Point) {
+	merge := func(old, ins []geom.Point, le func(a, b geom.Point) bool) []geom.Point {
+		var dst []geom.Point
+		i, j := 0, 0
+		for i < len(old) || j < len(ins) {
+			if i < len(old) && drop != nil && drop(old[i]) {
+				i++
+				continue
+			}
+			if j >= len(ins) || (i < len(old) && le(old[i], ins[j])) {
+				dst = append(dst, old[i])
+				i++
+			} else {
+				dst = append(dst, ins[j])
+				j++
+			}
+		}
+		return dst
+	}
+	insX := append([]geom.Point(nil), ins...)
+	sort.Slice(insX, func(i, j int) bool { return insX[i].X < insX[j].X })
+	xs = merge(oldX, insX, func(a, b geom.Point) bool { return a.X <= b.X })
+	sort.Slice(insX, func(i, j int) bool { return insX[i].Y < insX[j].Y })
+	ys = merge(oldY, insX, func(a, b geom.Point) bool { return a.Y <= b.Y })
+	return xs, ys
+}
+
+// TestWithUpdatesYOrderMatchesFilterMerge runs random edit scripts,
+// batches of inserts and deletes by ID over coordinates with many
+// ties, through WithUpdates and through filterMergeCell, from a
+// Build-made cell: after every batch both orders must be the reference
+// runs bit for bit, ties in the reference's order.
+func TestWithUpdatesYOrderMatchesFilterMerge(t *testing.T) {
+	r := rng.New(13)
+	key := Key{}
+	nextID := int32(0)
+	point := func() geom.Point {
+		nextID++
+		return geom.Point{X: float64(r.Intn(8)), Y: float64(r.Intn(8)), ID: nextID}
+	}
+	for script := range 200 {
+		base := make([]geom.Point, r.Intn(40))
+		for i := range base {
+			base[i] = point()
+		}
+		var c *Cell
+		var refX, refY []geom.Point
+		if g, err := Build(base, 8); err == nil && g.NumCells() == 1 {
+			c = g.ByIndex(0)
+			refX, refY = c.XSorted, yRun(t, c)
+		}
+		for batch := range 1 + r.Intn(8) {
+			ins := make([]geom.Point, r.Intn(12))
+			for i := range ins {
+				ins[i] = point()
+			}
+			dead := map[int32]bool{}
+			for _, p := range refX {
+				if r.Bool(0.3) {
+					dead[p.ID] = true
+				}
+			}
+			drop := func(p geom.Point) bool { return dead[p.ID] }
+			if len(dead) == 0 {
+				drop = nil
+			}
+			refX, refY = filterMergeCell(refX, refY, ins, drop)
+			c = WithUpdates(key, c, ins, drop)
+			if c == nil {
+				if len(refX) != 0 {
+					t.Fatalf("script %d batch %d: nil cell, reference holds %d points", script, batch, len(refX))
+				}
+				continue
+			}
+			if got := yRun(t, c); !sameBits(c.XSorted, refX) || !sameBits(got, refY) {
+				t.Fatalf("script %d batch %d:\n x %v\n y %v\nreference\n x %v\n y %v", script, batch, c.XSorted, got, refX, refY)
+			}
 		}
 	}
 }

@@ -12,8 +12,9 @@
 //   - the four edge neighbors are 1-sided               (case 2)
 //   - the four corner neighbors are 2-sided             (case 3)
 //
-// Cells keep two copies of their points, sorted by x and by y, so that
-// 1-sided counts and samples are a single binary search.
+// Cells keep their points sorted by x, and the y order as positions into
+// that run, so that 1-sided counts and samples are a single binary
+// search.
 package grid
 
 import (
@@ -113,7 +114,9 @@ func (k Key) Neighbor(d Direction) Key {
 
 // Cell holds the points of S that fall into one grid cell, in two
 // sort orders. XSorted corresponds to S(c) in the paper (pre-sorted by
-// x) and YSorted to Sy(c).
+// x); YOrder lists the positions in XSorted by ascending y, so
+// XSorted[YOrder[i]] is point i of Sy(c), at 4 bytes a point instead
+// of a second copy.
 //
 // Index is the cell's dense position in the Grid that Build made it
 // for: 0 <= Index < NumCells, the rank of its key in row-major order
@@ -125,7 +128,7 @@ type Cell struct {
 	Key     Key
 	Index   int32
 	XSorted []geom.Point
-	YSorted []geom.Point
+	YOrder  []int32
 }
 
 // Len returns the number of points in the cell; a nil cell (what
@@ -162,36 +165,37 @@ func (c *Cell) CountXAtMost(x float64) int {
 }
 
 // CountYAtLeast returns the number of points with Y >= y, together
-// with the first index of that suffix in YSorted.
+// with the first index of that suffix in YOrder.
 func (c *Cell) CountYAtLeast(y float64) (count, start int) {
-	start = sort.Search(len(c.YSorted), func(i int) bool { return c.YSorted[i].Y >= y })
-	return len(c.YSorted) - start, start
+	start = sort.Search(len(c.YOrder), func(i int) bool { return c.XSorted[c.YOrder[i]].Y >= y })
+	return len(c.YOrder) - start, start
 }
 
 // CountYAtMost returns the number of points with Y <= y; the matching
-// points are the prefix YSorted[:count].
+// points are those at the prefix YOrder[:count].
 func (c *Cell) CountYAtMost(y float64) int {
-	return sort.Search(len(c.YSorted), func(i int) bool { return c.YSorted[i].Y > y })
+	return sort.Search(len(c.YOrder), func(i int) bool { return c.XSorted[c.YOrder[i]].Y > y })
 }
 
-// Matching returns the points of c satisfying the constraint that a
-// case 1 or case 2 direction d places on window w, as the run of one
-// sort order that holds them — so counting is len and sampling is one
-// uniform index.
-func (c *Cell) Matching(d Direction, w geom.Rect) []geom.Point {
+// Matching returns the number of points of c satisfying the constraint
+// that a case 1 or case 2 direction d places on window w. They are one
+// run of one sort order — all of XSorted for Center, its last count
+// for West and first count for East, likewise of YOrder for South and
+// North — so sampling is one uniform index.
+func (c *Cell) Matching(d Direction, w geom.Rect) int {
 	switch d {
 	case Center:
-		return c.XSorted
+		return len(c.XSorted)
 	case West:
-		_, start := c.CountXAtLeast(w.XMin)
-		return c.XSorted[start:]
+		n, _ := c.CountXAtLeast(w.XMin)
+		return n
 	case East:
-		return c.XSorted[:c.CountXAtMost(w.XMax)]
+		return c.CountXAtMost(w.XMax)
 	case South:
-		_, start := c.CountYAtLeast(w.YMin)
-		return c.YSorted[start:]
+		n, _ := c.CountYAtLeast(w.YMin)
+		return n
 	case North:
-		return c.YSorted[:c.CountYAtMost(w.YMax)]
+		return c.CountYAtMost(w.YMax)
 	}
 	panic("grid: Matching on a corner direction")
 }
@@ -207,10 +211,11 @@ type Grid struct {
 
 // Build maps each point to its cell and sorts the per-cell copies.
 // It corresponds to GRID-MAPPING(S, l) plus the per-cell sorting of
-// Algorithm 1; points need no order. Each cell's two runs are one
-// allocation of its own, XSorted its first half and YSorted its second,
-// so a run outlives the grid only as long as something holds that
-// cell. side must be positive.
+// Algorithm 1; points need no order. Each cell's x run is an exact-size
+// allocation of its own, and the cells' y positions are slices of one
+// array of 4 bytes per point (one allocation instead of one per cell),
+// so a kept cell pins its own x run and that array, never another
+// cell's run. side must be positive.
 func Build(points []geom.Point, side float64) (*Grid, error) {
 	return BuildWorkers(points, side, 0)
 }
@@ -224,21 +229,31 @@ func BuildWorkers(points []geom.Point, side float64, workers int) (*Grid, error)
 	}
 	keys, starts, perm := GroupByCell(points, side)
 	g := &Grid{side: side, keys: make([]uint64, len(keys)), cells: make([]Cell, len(keys)), size: len(points)}
+	ys := make([]int32, len(points))
 	par.ForEach(len(keys), workers, func(_, ci int) {
-		idx := perm[starts[ci]:starts[ci+1]]
-		n := len(idx)
-		buf := make([]geom.Point, 2*n)
-		for j, i := range idx {
-			buf[j] = points[i]
+		lo, hi := starts[ci], starts[ci+1]
+		xs := make([]geom.Point, hi-lo)
+		for j, i := range perm[lo:hi] {
+			xs[j] = points[i]
 		}
-		xs, ys := buf[:n:n], buf[n:]
 		slices.SortFunc(xs, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
-		copy(ys, xs)
-		slices.SortFunc(ys, func(a, b geom.Point) int { return cmp.Compare(a.Y, b.Y) })
 		g.keys[ci] = keys[ci].packed()
-		g.cells[ci] = Cell{Key: keys[ci], Index: int32(ci), XSorted: xs, YSorted: ys}
+		g.cells[ci] = Cell{Key: keys[ci], Index: int32(ci), XSorted: xs, YOrder: yOrder(xs, ys[lo:hi:hi])}
 	})
 	return g, nil
+}
+
+// yOrder fills ord with the positions of xs in ascending y and returns
+// it. The sort compares xs[a].Y with xs[b].Y exactly as sorting a copy
+// of xs by y would, and pdqsort's permutation depends only on the
+// outcomes, so ties come out in the order that sort of a copy gives
+// them.
+func yOrder(xs []geom.Point, ord []int32) []int32 {
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(xs[a].Y, xs[b].Y) })
+	return ord
 }
 
 // GroupByCell groups pts by grid cell with a stable radix sort of their
@@ -336,9 +351,9 @@ func (g *Grid) Neighborhood(r geom.Point, dst *[NumDirections]*Cell) *[NumDirect
 	return dst
 }
 
-// SizeBytes estimates the heap footprint of the grid: per point two
-// 24-byte copies and about 2 B of size-class rounding, per cell its
-// 64-byte header and 8-byte key.
+// SizeBytes estimates the heap footprint of the grid: per point its
+// 24-byte copy, its 4-byte y position and about 2 B of size-class
+// rounding, per cell its 64-byte header and 8-byte key.
 func (g *Grid) SizeBytes() int {
-	return 72*len(g.cells) + 50*g.size
+	return 72*len(g.cells) + 30*g.size
 }

@@ -79,14 +79,11 @@ func TestCellsPartitionPoints(t *testing.T) {
 				t.Fatalf("point %v outside cell rect %v", p, rect)
 			}
 		}
-		if len(c.XSorted) != len(c.YSorted) {
-			t.Fatal("XSorted and YSorted lengths differ")
-		}
 		if !sort.SliceIsSorted(c.XSorted, func(i, j int) bool { return c.XSorted[i].X < c.XSorted[j].X }) {
 			t.Fatal("XSorted not sorted by x")
 		}
-		if !sort.SliceIsSorted(c.YSorted, func(i, j int) bool { return c.YSorted[i].Y < c.YSorted[j].Y }) {
-			t.Fatal("YSorted not sorted by y")
+		if ys := yRun(t, c); !sort.SliceIsSorted(ys, func(i, j int) bool { return ys[i].Y < ys[j].Y }) {
+			t.Fatal("YOrder not in y order")
 		}
 	}
 	if total != len(pts) {
@@ -211,7 +208,7 @@ func TestCase2OneSided(t *testing.T) {
 func TestCellBinarySearchHelpers(t *testing.T) {
 	c := &Cell{
 		XSorted: []geom.Point{{X: 1, Y: 5}, {X: 2, Y: 4}, {X: 2, Y: 3}, {X: 5, Y: 1}},
-		YSorted: []geom.Point{{X: 5, Y: 1}, {X: 2, Y: 3}, {X: 2, Y: 4}, {X: 1, Y: 5}},
+		YOrder:  []int32{3, 2, 1, 0},
 	}
 	if cnt, start := c.CountXAtLeast(2); cnt != 3 || start != 1 {
 		t.Errorf("CountXAtLeast(2) = (%d,%d), want (3,1)", cnt, start)
@@ -268,7 +265,7 @@ func TestQuickCountHelpersMatchBruteForce(t *testing.T) {
 				ok = false
 			}
 			wantGE, wantLE = 0, 0
-			for _, p := range c.YSorted {
+			for _, p := range yRun(t, c) {
 				if p.Y >= th {
 					wantGE++
 				}

@@ -1,133 +1,8 @@
-// Package stats provides the statistical checks and measurement
-// helpers used by the test suite and the experiment harness: a
-// chi-square goodness-of-fit test for sample uniformity, a serial-
-// correlation test for independence, and live-heap measurement for
-// the memory experiment.
+// Package stats provides live-heap measurement for the memory
+// experiment (internal/exp).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"runtime"
-)
-
-// ChiSquareUniform computes the chi-square statistic of observed
-// counts against a uniform distribution over k categories with the
-// given total number of draws. It returns the statistic and the
-// degrees of freedom (k - 1).
-func ChiSquareUniform(counts []int, draws int) (stat float64, dof int) {
-	k := len(counts)
-	if k == 0 || draws == 0 {
-		return 0, 0
-	}
-	expected := float64(draws) / float64(k)
-	for _, c := range counts {
-		d := float64(c) - expected
-		stat += d * d / expected
-	}
-	return stat, k - 1
-}
-
-// ChiSquareCritical approximates the upper critical value of the
-// chi-square distribution at the given significance level using the
-// Wilson–Hilferty cube-root normal approximation; accurate to a few
-// percent for dof >= 10, which is all the harness needs.
-func ChiSquareCritical(dof int, alpha float64) float64 {
-	if dof <= 0 {
-		return 0
-	}
-	z := normalQuantile(1 - alpha)
-	d := float64(dof)
-	t := 1 - 2/(9*d) + z*math.Sqrt(2/(9*d))
-	return d * t * t * t
-}
-
-// normalQuantile returns the standard normal quantile via the
-// Acklam rational approximation (max absolute error ~4.5e-4, ample
-// for test thresholds).
-func normalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		if p <= 0 {
-			return math.Inf(-1)
-		}
-		return math.Inf(1)
-	}
-	a := []float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := []float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := []float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := []float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const pLow = 0.02425
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-pLow:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-}
-
-// SerialCorrelation returns the lag-1 autocorrelation of the series;
-// near zero for independent draws.
-func SerialCorrelation(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(n)
-	var varSum, cov float64
-	for i, x := range xs {
-		varSum += (x - mean) * (x - mean)
-		if i > 0 {
-			cov += (x - mean) * (xs[i-1] - mean)
-		}
-	}
-	if varSum == 0 {
-		return 0
-	}
-	return cov / varSum
-}
-
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance (0 for fewer than 2
-// elements).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return s / float64(len(xs))
-}
+import "runtime"
 
 // LiveHeapBytes forces a GC and returns the current live heap size;
 // the memory experiment diffs it around structure construction.
@@ -136,18 +11,4 @@ func LiveHeapBytes() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
-}
-
-// HumanBytes renders a byte count with a binary-unit suffix.
-func HumanBytes(b int) string {
-	const unit = 1024
-	if b < unit {
-		return fmt.Sprintf("%d B", b)
-	}
-	div, exp := int64(unit), 0
-	for n := int64(b) / unit; n >= unit; n /= unit {
-		div *= unit
-		exp++
-	}
-	return fmt.Sprintf("%.2f %ciB", float64(b)/float64(div), "KMGTPE"[exp])
 }

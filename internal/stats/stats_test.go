@@ -1,134 +1,9 @@
 package stats
 
 import (
-	"math"
 	"runtime"
 	"testing"
-
-	"repro/internal/rng"
 )
-
-func TestChiSquareUniformZeroCases(t *testing.T) {
-	if s, d := ChiSquareUniform(nil, 0); s != 0 || d != 0 {
-		t.Fatal("empty input should be zero")
-	}
-	if s, d := ChiSquareUniform([]int{10}, 10); s != 0 || d != 0 {
-		t.Fatalf("single category: stat=%g dof=%d", s, d)
-	}
-}
-
-func TestChiSquareUniformPerfect(t *testing.T) {
-	stat, dof := ChiSquareUniform([]int{100, 100, 100, 100}, 400)
-	if stat != 0 || dof != 3 {
-		t.Fatalf("perfect fit: stat=%g dof=%d", stat, dof)
-	}
-}
-
-func TestChiSquareDetectsSkew(t *testing.T) {
-	stat, dof := ChiSquareUniform([]int{400, 0, 0, 0}, 400)
-	if stat <= ChiSquareCritical(dof, 0.001) {
-		t.Fatalf("extreme skew not detected: stat=%g", stat)
-	}
-}
-
-func TestChiSquareUniformRandomPasses(t *testing.T) {
-	r := rng.New(1)
-	const k, draws = 50, 100000
-	counts := make([]int, k)
-	for i := 0; i < draws; i++ {
-		counts[r.Intn(k)]++
-	}
-	stat, dof := ChiSquareUniform(counts, draws)
-	if crit := ChiSquareCritical(dof, 0.001); stat > crit {
-		t.Fatalf("uniform RNG flagged: stat=%g > crit=%g", stat, crit)
-	}
-}
-
-func TestChiSquareCriticalKnownValues(t *testing.T) {
-	// Reference values from standard tables.
-	cases := []struct {
-		dof   int
-		alpha float64
-		want  float64
-		tol   float64
-	}{
-		{10, 0.05, 18.31, 0.3},
-		{30, 0.05, 43.77, 0.5},
-		{100, 0.01, 135.81, 1.5},
-		{9, 0.001, 27.88, 0.6},
-	}
-	for _, c := range cases {
-		got := ChiSquareCritical(c.dof, c.alpha)
-		if math.Abs(got-c.want) > c.tol {
-			t.Errorf("ChiSquareCritical(%d, %g) = %g, want %g±%g", c.dof, c.alpha, got, c.want, c.tol)
-		}
-	}
-	if ChiSquareCritical(0, 0.05) != 0 {
-		t.Error("dof 0 should return 0")
-	}
-}
-
-func TestNormalQuantile(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0}, {0.975, 1.95996}, {0.999, 3.0902}, {0.025, -1.95996}, {0.01, -2.3263},
-	}
-	for _, c := range cases {
-		if got := normalQuantile(c.p); math.Abs(got-c.want) > 0.01 {
-			t.Errorf("normalQuantile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-	if !math.IsInf(normalQuantile(0), -1) || !math.IsInf(normalQuantile(1), 1) {
-		t.Error("edge quantiles should be infinite")
-	}
-}
-
-func TestSerialCorrelation(t *testing.T) {
-	// Perfectly correlated ramp.
-	ramp := make([]float64, 1000)
-	for i := range ramp {
-		ramp[i] = float64(i)
-	}
-	if got := SerialCorrelation(ramp); got < 0.9 {
-		t.Fatalf("ramp correlation = %g, want ~1", got)
-	}
-	// Alternating series: strongly negative.
-	alt := make([]float64, 1000)
-	for i := range alt {
-		alt[i] = float64(i % 2)
-	}
-	if got := SerialCorrelation(alt); got > -0.9 {
-		t.Fatalf("alternating correlation = %g, want ~-1", got)
-	}
-	// Random series: near zero.
-	r := rng.New(2)
-	rnd := make([]float64, 100000)
-	for i := range rnd {
-		rnd[i] = r.Float64()
-	}
-	if got := SerialCorrelation(rnd); math.Abs(got) > 0.02 {
-		t.Fatalf("random correlation = %g, want ~0", got)
-	}
-	// Degenerate inputs.
-	if SerialCorrelation(nil) != 0 || SerialCorrelation([]float64{1}) != 0 {
-		t.Fatal("degenerate inputs should return 0")
-	}
-	if SerialCorrelation([]float64{3, 3, 3}) != 0 {
-		t.Fatal("constant series should return 0")
-	}
-}
-
-func TestMeanVariance(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{5}) != 0 {
-		t.Fatal("degenerate inputs")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Fatalf("Mean = %g, want 5", got)
-	}
-	if got := Variance(xs); got != 4 {
-		t.Fatalf("Variance = %g, want 4", got)
-	}
-}
 
 func TestLiveHeapBytes(t *testing.T) {
 	before := LiveHeapBytes()
@@ -143,22 +18,5 @@ func TestLiveHeapBytes(t *testing.T) {
 	}
 	if after-before < 16<<20 {
 		t.Errorf("32MiB allocation measured as %d bytes", after-before)
-	}
-}
-
-func TestHumanBytes(t *testing.T) {
-	cases := []struct {
-		in   int
-		want string
-	}{
-		{512, "512 B"},
-		{2048, "2.00 KiB"},
-		{3 << 20, "3.00 MiB"},
-		{5 << 30, "5.00 GiB"},
-	}
-	for _, c := range cases {
-		if got := HumanBytes(c.in); got != c.want {
-			t.Errorf("HumanBytes(%d) = %q, want %q", c.in, got, c.want)
-		}
 	}
 }
