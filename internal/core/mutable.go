@@ -508,8 +508,9 @@ type Mutable struct {
 // into the grid's cell array, so a version pins only the cells it
 // still serves, plus, while it serves any adopted cell, the grid's one
 // array of y positions (4 B per frozen S point, which SizeBytes counts
-// only for the points a version still holds; grid.Build). The slot tree is bulk-built from the frozen count
-// records, which were counted against these same cells and corners,
+// only for the points a version still holds; grid.Build). The slot
+// tree is bulk-built from the frozen count records, which were counted
+// against these same cells and corners,
 // with R laid out cell by cell: a counting sort of R by the row Count
 // filed each point under gives the slot order, so each R cell's slots
 // are one run of consecutive slots.
