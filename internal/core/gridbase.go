@@ -71,7 +71,7 @@ func (c sCell) sampleCorner(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, 
 	if c.corner != nil {
 		return c.corner.sample(cornerFor(d), w, k, r, sc)
 	}
-	return c.pick(d, k, w, r.Intn(int(k)))
+	return c.pick(d, w, r.Intn(int(k)))
 }
 
 // laneTrials is one group of trials after the direction phase, as both
@@ -109,14 +109,11 @@ func (lt *laneTrials) candidates(lg *laneGroup, half float64, rnd *rng.RNG, sc *
 	}
 }
 
-// pick maps index i in [0, k) to a candidate for direction d, k being
-// the exact count of cases 1–2 or a scan corner: point i of drawRun's
-// run, or the i-th point scanRun meets inside w. It reads no random
+// pick maps index i in [0, k), k being the exact count of scan corner
+// d, to the i-th point scanRun meets inside w. It reads no random
 // state, so a uniform i draws uniformly from the k points counted.
-func (c sCell) pick(d grid.Direction, k int32, w geom.Rect, i int) (geom.Point, bool) {
-	if d.Case() != 3 {
-		return drawRun(c.cell, d, k, i), true
-	}
+// (Cases 1–2 map i through drawRun, in candidates.)
+func (c sCell) pick(d grid.Direction, w geom.Rect, i int) (geom.Point, bool) {
 	_, p, ok := scanRun(c.cell.XSorted, cornerFor(d), w, i)
 	return p, ok
 }

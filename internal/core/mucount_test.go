@@ -249,11 +249,11 @@ func forCountInputs(t *testing.T, samplers []gridFactory, check func(t *testing.
 // the per-point reference on the counting inputs, for the BBST, hybrid
 // and GridKD samplers: every record's counts equal refCounts, every row
 // entry names the cell a key lookup of that direction finds (-1 for
-// none), and sCell.pick, the map a trial's uniform index goes through,
-// enumerates what the count counts: for every positive case 1–2 count
-// k, its picks 0..k-1 are exactly matchingRun in order, and for
-// every positive count k of a scan corner, exactly the cell's points
-// inside w(r).
+// none), and the maps a trial's uniform index goes through enumerate
+// what the count counts: for every positive case 1–2 count k,
+// drawRun's points 0..k-1 (the map candidates applies) are exactly
+// matchingRun in order, and for every positive count k of a scan
+// corner, sCell.pick's are exactly the cell's points inside w(r).
 func TestFrozenRecordMatchesReference(t *testing.T) {
 	forCountInputs(t, gridFactories, func(t *testing.T, g *gridSampler, _ bool) {
 		if err := g.Count(); err != nil {
@@ -297,8 +297,8 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 					continue
 				}
 				for j, want := range run {
-					if got, ok := cell.pick(d, k, w, j); !ok || got != want {
-						fail("R[%d] %v: pick %d draws %+v (ok %v), run holds %+v", i, d, j, got, ok, want)
+					if got := drawRun(c, d, k, j); got != want {
+						fail("R[%d] %v: drawRun %d draws %+v, run holds %+v", i, d, j, got, want)
 					}
 				}
 			}
@@ -338,7 +338,7 @@ func checkScanPicks(fail func(string, ...any), c sCell, d grid.Direction, w geom
 		}
 	}
 	for j := range k {
-		p, ok := c.pick(d, int32(k), w, j)
+		p, ok := c.pick(d, w, j)
 		if !ok || left[p] == 0 {
 			fail("%v of cell %v: pick %d of %d is %+v (ok %v), not an unpicked point inside %+v", d, c.cell.Key, j, k, p, ok, w)
 			return

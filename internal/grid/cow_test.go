@@ -150,17 +150,13 @@ func TestWithUpdatesCountsAgree(t *testing.T) {
 	want := oracleCell(key, c, ins, drop)
 	for i := 0; i < 50; i++ {
 		q := r.Range(-1, 11)
-		a, _ := got.CountXAtLeast(q)
-		b, _ := want.CountXAtLeast(q)
-		if a != b {
+		if a, b := got.CountXAtLeast(q), want.CountXAtLeast(q); a != b {
 			t.Fatalf("CountXAtLeast(%v) = %d, oracle %d", q, a, b)
 		}
 		if a, b := got.CountXAtMost(q), want.CountXAtMost(q); a != b {
 			t.Fatalf("CountXAtMost(%v) = %d, oracle %d", q, a, b)
 		}
-		a, _ = got.CountYAtLeast(q)
-		b, _ = want.CountYAtLeast(q)
-		if a != b {
+		if a, b := got.CountYAtLeast(q), want.CountYAtLeast(q); a != b {
 			t.Fatalf("CountYAtLeast(%v) = %d, oracle %d", q, a, b)
 		}
 		if a, b := got.CountYAtMost(q), want.CountYAtMost(q); a != b {

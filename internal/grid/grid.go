@@ -151,11 +151,10 @@ func (c *Cell) Rect(side float64) geom.Rect {
 	}
 }
 
-// CountXAtLeast returns the number of points with X >= x, together
-// with the first index of that suffix in XSorted.
-func (c *Cell) CountXAtLeast(x float64) (count, start int) {
-	start = sort.Search(len(c.XSorted), func(i int) bool { return c.XSorted[i].X >= x })
-	return len(c.XSorted) - start, start
+// CountXAtLeast returns the number of points with X >= x; the matching
+// points are the suffix XSorted[len-count:].
+func (c *Cell) CountXAtLeast(x float64) int {
+	return len(c.XSorted) - sort.Search(len(c.XSorted), func(i int) bool { return c.XSorted[i].X >= x })
 }
 
 // CountXAtMost returns the number of points with X <= x; the matching
@@ -164,11 +163,10 @@ func (c *Cell) CountXAtMost(x float64) int {
 	return sort.Search(len(c.XSorted), func(i int) bool { return c.XSorted[i].X > x })
 }
 
-// CountYAtLeast returns the number of points with Y >= y, together
-// with the first index of that suffix in YOrder.
-func (c *Cell) CountYAtLeast(y float64) (count, start int) {
-	start = sort.Search(len(c.YOrder), func(i int) bool { return c.XSorted[c.YOrder[i]].Y >= y })
-	return len(c.YOrder) - start, start
+// CountYAtLeast returns the number of points with Y >= y; the matching
+// points are those at the suffix YOrder[len-count:].
+func (c *Cell) CountYAtLeast(y float64) int {
+	return len(c.YOrder) - sort.Search(len(c.YOrder), func(i int) bool { return c.XSorted[c.YOrder[i]].Y >= y })
 }
 
 // CountYAtMost returns the number of points with Y <= y; the matching
@@ -187,13 +185,11 @@ func (c *Cell) Matching(d Direction, w geom.Rect) int {
 	case Center:
 		return len(c.XSorted)
 	case West:
-		n, _ := c.CountXAtLeast(w.XMin)
-		return n
+		return c.CountXAtLeast(w.XMin)
 	case East:
 		return c.CountXAtMost(w.XMax)
 	case South:
-		n, _ := c.CountYAtLeast(w.YMin)
-		return n
+		return c.CountYAtLeast(w.YMin)
 	case North:
 		return c.CountYAtMost(w.YMax)
 	}

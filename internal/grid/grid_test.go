@@ -210,11 +210,11 @@ func TestCellBinarySearchHelpers(t *testing.T) {
 		XSorted: []geom.Point{{X: 1, Y: 5}, {X: 2, Y: 4}, {X: 2, Y: 3}, {X: 5, Y: 1}},
 		YOrder:  []int32{3, 2, 1, 0},
 	}
-	if cnt, start := c.CountXAtLeast(2); cnt != 3 || start != 1 {
-		t.Errorf("CountXAtLeast(2) = (%d,%d), want (3,1)", cnt, start)
+	if got := c.CountXAtLeast(2); got != 3 {
+		t.Errorf("CountXAtLeast(2) = %d, want 3", got)
 	}
-	if cnt, _ := c.CountXAtLeast(6); cnt != 0 {
-		t.Errorf("CountXAtLeast(6) = %d, want 0", cnt)
+	if got := c.CountXAtLeast(6); got != 0 {
+		t.Errorf("CountXAtLeast(6) = %d, want 0", got)
 	}
 	if got := c.CountXAtMost(2); got != 3 {
 		t.Errorf("CountXAtMost(2) = %d, want 3", got)
@@ -222,8 +222,8 @@ func TestCellBinarySearchHelpers(t *testing.T) {
 	if got := c.CountXAtMost(0.5); got != 0 {
 		t.Errorf("CountXAtMost(0.5) = %d, want 0", got)
 	}
-	if cnt, start := c.CountYAtLeast(3); cnt != 3 || start != 1 {
-		t.Errorf("CountYAtLeast(3) = (%d,%d), want (3,1)", cnt, start)
+	if got := c.CountYAtLeast(3); got != 3 {
+		t.Errorf("CountYAtLeast(3) = %d, want 3", got)
 	}
 	if got := c.CountYAtMost(4); got != 3 {
 		t.Errorf("CountYAtMost(4) = %d, want 3", got)
@@ -258,7 +258,7 @@ func TestQuickCountHelpersMatchBruteForce(t *testing.T) {
 					wantLE++
 				}
 			}
-			if cnt, _ := c.CountXAtLeast(th); cnt != wantGE {
+			if c.CountXAtLeast(th) != wantGE {
 				ok = false
 			}
 			if c.CountXAtMost(th) != wantLE {
@@ -273,7 +273,7 @@ func TestQuickCountHelpersMatchBruteForce(t *testing.T) {
 					wantLE++
 				}
 			}
-			if cnt, _ := c.CountYAtLeast(th); cnt != wantGE {
+			if c.CountYAtLeast(th) != wantGE {
 				ok = false
 			}
 			if c.CountYAtMost(th) != wantLE {
