@@ -11,10 +11,13 @@ import (
 // the root package, which imports this one.
 
 // FrozenBuild is what a grid sampler's Build and Count leave behind:
-// every R point's count record, every R cell's row of S cell indexes,
-// each S cell's corner structure as its kind and sizeBytes, and Σµ.
+// every R point's count record (Recs, at the width Count picked;
+// Narrow when that is uint16), every R cell's row of S cell indexes
+// and µ(r, Center), each S cell's corner structure as its kind and
+// sizeBytes, and Σµ.
 type FrozenBuild struct {
-	Recs    []pointRec
+	Recs    any
+	Narrow  bool
 	Rows    []cellRow
 	Corners []string
 	MuSum   float64
@@ -32,7 +35,8 @@ func FrozenBuildOf(s Sampler) FrozenBuild {
 	default:
 		panic(fmt.Sprintf("core: %T is not a grid sampler", s))
 	}
-	fb := FrozenBuild{Recs: g.recs, Rows: g.rows, MuSum: g.stats.MuSum}
+	_, narrow := g.recs.(pointRecs[uint16])
+	fb := FrozenBuild{Recs: g.recs, Narrow: narrow, Rows: g.rows, MuSum: g.stats.MuSum}
 	for _, c := range g.corners {
 		fb.Corners = append(fb.Corners, fmt.Sprintf("%T %d", c, cornerBytes(c)))
 	}

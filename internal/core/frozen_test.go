@@ -352,7 +352,7 @@ func TestCornerSlotFill(t *testing.T) {
 	var mu, filled int
 	for i, r := range g.R {
 		w := g.window(r)
-		row := &g.rows[g.recs[i].row]
+		row, cnt := &g.rows[g.recs.row(i)].cells, g.recs.counts(i, g.rows)
 		for d := grid.Direction(0); d < grid.NumDirections; d++ {
 			if d.Case() != 3 || row[d] < 0 {
 				continue
@@ -361,7 +361,7 @@ func TestCornerSlotFill(t *testing.T) {
 			if !ok {
 				continue
 			}
-			mu += int(g.recs[i].cnt[d])
+			mu += int(cnt[d])
 			bc.pair.ReportBuckets(cornerFor(d), w, &sc, func(b bbst.Bucket) bool {
 				filled += b.Len()
 				return true
@@ -375,5 +375,113 @@ func TestCornerSlotFill(t *testing.T) {
 	t.Logf("case-3 slots: %d filled of µ₃ = %d (%.3f)", filled, mu, ratio)
 	if ratio < 0.95 {
 		t.Errorf("filled/µ₃ = %.3f, want >= 0.95: corner buckets are running partial", ratio)
+	}
+}
+
+// TestCornerCountBound pins the premise of the record width rule
+// (countBound) on nyc-shaped input at keyspread's shape: a BBST
+// corner's µ(r, d) is its matching buckets times the pair's capacity,
+// which rounds up to whole buckets, so it can exceed its cell's size,
+// and it never exceeds NumBuckets × Cap. No record count outside
+// Center exceeds countBound.
+func TestCornerCountBound(t *testing.T) {
+	R, S := dataset.SplitRS(dataset.NYC(50000, 1), 0.5, 2)
+	above := 0
+	for _, l := range []float64{50, 119, 200} {
+		s, err := NewBBST(R, S, Config{HalfExtent: l, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Count(); err != nil {
+			t.Fatal(err)
+		}
+		g := &s.gridSampler
+		bound := g.countBound()
+		for i := range g.R {
+			cnt, row := g.recs.counts(i, g.rows), &g.rows[g.recs.row(i)]
+			for d := grid.West; d < grid.NumDirections; d++ {
+				if int(cnt[d]) > bound {
+					t.Fatalf("l=%g R[%d] %v: count %d above countBound %d", l, i, d, cnt[d], bound)
+				}
+				if d.Case() != 3 || row.cells[d] < 0 {
+					continue
+				}
+				bc, ok := g.corners[row.cells[d]].(bbstCorner)
+				if !ok {
+					continue
+				}
+				if slots := bc.pair.NumBuckets() * bc.pair.Cap(); int(cnt[d]) > slots {
+					t.Fatalf("l=%g R[%d] %v: µ %d above NumBuckets × Cap = %d", l, i, d, cnt[d], slots)
+				}
+				if int(cnt[d]) > bc.pair.NumPoints() {
+					above++
+				}
+			}
+		}
+	}
+	t.Logf("%d corner counts above their cell's size", above)
+	if above == 0 {
+		t.Error("no corner count exceeds its cell's size: the input does not show the bucket slack")
+	}
+}
+
+// TestCountWidth builds engines whose counts do not fit in 16 bits:
+// one S cell of 65,536 points, bucket capacity 16 (4,096 full
+// buckets), whose edge counts reach 65,536; and one of 65,535 points at
+// capacity 2, whose last bucket holds one point, so a corner covering
+// the cell counts 32,768 × 2 = 65,536. Count must pick the int32
+// records, every record (Center included) must equal refCounts, and
+// the Unfreeze of the engine must pass CheckInvariants.
+func TestCountWidth(t *testing.T) {
+	const l = 10.0 // the S cell is [50, 60)², its points in [50, 50.5)²
+	lattice := func(n int) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{X: 50 + float64(i%256)/512, Y: 50 + float64(i/256)/512, ID: int32(i)}
+		}
+		return pts
+	}
+	// R: one point of the cell and one each in its West, South and
+	// South-West neighbours, each window covering the whole lattice.
+	R := []geom.Point{{X: 55, Y: 55, ID: 0}, {X: 49.9, Y: 50.25, ID: 1}, {X: 50.25, Y: 49.9, ID: 2}, {X: 49.9, Y: 49.9, ID: 3}}
+	for _, tc := range []struct {
+		name      string
+		n, cap    int
+		dir       grid.Direction // of the count past 65,535, for R[3] or R[1]
+		rIdx      int
+		wantCount int32
+	}{
+		{"edge/65536", 1 << 16, 16, grid.East, 1, 1 << 16},
+		{"corner-slack/65535", 1<<16 - 1, 2, grid.NorthEast, 3, 1 << 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewBBST(R, lattice(tc.n), Config{HalfExtent: l, Seed: 1, BucketCap: tc.cap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Count(); err != nil {
+				t.Fatal(err)
+			}
+			g := &s.gridSampler
+			if _, ok := g.recs.(pointRecs[int32]); !ok {
+				t.Fatalf("records are %T, want pointRecs[int32] (countBound %d)", g.recs, g.countBound())
+			}
+			var sc cornerScratch
+			for i, r := range R {
+				if got, want := g.recs.counts(i, g.rows), refCounts(g, r, &sc); got != want {
+					t.Errorf("R[%d] %+v: record %v, per-point %v", i, r, got, want)
+				}
+			}
+			if got := g.recs.counts(tc.rIdx, g.rows)[tc.dir]; got != tc.wantCount {
+				t.Errorf("R[%d] %v: count %d, want %d", tc.rIdx, tc.dir, got, tc.wantCount)
+			}
+			m, err := s.Unfreeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Index().CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/alias"
 	"repro/internal/bbst"
@@ -166,23 +168,104 @@ type gridSampler struct {
 	lanes   laneGroup     // this handle's own lane group and carry
 
 	tab  *alias.Table // alias over µ(r)
-	recs []pointRec   // by R index
-	rows []cellRow    // by pointRec.row: one per occupied R cell
+	recs countRecs    // by R index, at the width Count picked
+	rows []cellRow    // by record row: one per occupied R cell
 }
 
-// pointRec is one R point's count record: µ(r, d) in the nine
-// directions, which a trial scans cumulatively to draw its direction
-// (where the paper keeps a per-point alias A_r), and the index of the
-// point's R cell in gridSampler.rows.
-type pointRec struct {
-	cnt dirCounts
+// countWidth is the integer type of a frozen count record's µ(r, d):
+// uint16 when no count the build can produce exceeds 65,535
+// (countBound), int32 otherwise.
+type countWidth interface{ ~uint16 | ~int32 }
+
+// pointRec is one R point's count record: µ(r, d) in the eight
+// directions around its own cell (cnt[d-1] for d = West..NorthEast),
+// which a trial scans cumulatively after µ(r, Center) to draw its
+// direction (where the paper keeps a per-point alias A_r), and the
+// index of the point's R cell in gridSampler.rows. µ(r, Center) is the
+// size of r's own S cell for every r of the R cell, so it lives once,
+// in the cell's row. A record is 20 B at uint16, 36 B at int32.
+type pointRec[W countWidth] struct {
+	cnt [grid.NumDirections - 1]W
 	row int32
 }
 
+// total is µ(r) = µ(r, Center) + Σ_d cnt[d].
+func (rec *pointRec[W]) total(center int32) int {
+	mu := int(center)
+	for _, c := range rec.cnt {
+		mu += int(c)
+	}
+	return mu
+}
+
 // cellRow is one R cell's 3×3 block of S cells, by Direction: each
-// cell's grid.Cell.Index, -1 where the cell is empty. Every R point of
-// the cell shares it, so a trial reaches its S cell by indexing.
-type cellRow [grid.NumDirections]int32
+// cell's grid.Cell.Index, -1 where the cell is empty, and µ(r, Center),
+// the Center cell's size (0 where it is empty). Every R point of the
+// cell shares it, so a trial reaches its S cell by indexing.
+type cellRow struct {
+	cells  [grid.NumDirections]int32
+	center int32
+}
+
+// countRecs is the frozen sampler's count records by R index, at one
+// width (pointRecs[uint16] or pointRecs[int32]): Count fills them, and
+// the trial, Unfreeze and sizeBytes read them through it.
+type countRecs interface {
+	// fill writes the records of the points idx of one R cell from
+	// their counts cnt (Center included, which the row holds), and
+	// each point's µ(r) into mu.
+	fill(idx []int32, cnt []dirCounts, row int32, mu []float64)
+	// row is point i's row index.
+	row(i int) int32
+	// counts is point i's µ(r, d) in all nine directions, Center read
+	// from its row in rows.
+	counts(i int, rows []cellRow) dirCounts
+	// tryGroup is gridSampler.tryGroup over these records.
+	tryGroup(g *gridSampler, lg *laneGroup)
+	sizeBytes() int
+}
+
+// pointRecs is the count records at width W.
+type pointRecs[W countWidth] []pointRec[W]
+
+func (rs pointRecs[W]) fill(idx []int32, cnt []dirCounts, row int32, mu []float64) {
+	for j, i := range idx {
+		rec := &rs[i]
+		for d := range rec.cnt {
+			rec.cnt[d] = W(cnt[j][d+1])
+		}
+		rec.row = row
+		mu[i] = float64(cnt[j].total())
+	}
+}
+
+func (rs pointRecs[W]) row(i int) int32 { return rs[i].row }
+
+func (rs pointRecs[W]) counts(i int, rows []cellRow) dirCounts {
+	rec := &rs[i]
+	cnt := dirCounts{grid.Center: rows[rec.row].center}
+	for d, c := range rec.cnt {
+		cnt[d+1] = int32(c)
+	}
+	return cnt
+}
+
+func (rs pointRecs[W]) sizeBytes() int { return len(rs) * int(unsafe.Sizeof(pointRec[W]{})) }
+
+// countBound bounds every µ(r, d) outside Center that Count can write:
+// a cell's size for its edges and exact corners, and for a BBST corner
+// the pair's bucket slots, NumBuckets × Cap, which round up to whole
+// buckets and so can exceed the size.
+func (g *gridSampler) countBound() int {
+	bound := 0
+	for i, ci := range g.corners {
+		bound = max(bound, g.g.ByIndex(int32(i)).Len())
+		if bc, ok := ci.(bbstCorner); ok {
+			bound = max(bound, bc.pair.NumBuckets()*bc.pair.Cap())
+		}
+	}
+	return bound
+}
 
 // Preprocess does nothing and takes no time: the grid pipeline has no
 // offline phase. The paper's one offline step, sorting S by x (which
@@ -235,16 +318,18 @@ func (g *gridSampler) Build() error {
 }
 
 // Count is the approximate range counting phase (UB): every R point's
-// count record µ(r, d), one row of S cell indexes per R cell, and the
-// global alias A over µ(r). The R points are grouped by grid cell
-// through a throwaway index permutation (R itself keeps its order,
-// which the alias indexes), and each cell is counted in one batched
-// muCounter pass against its 3×3 block, looked up once per cell (one
-// search per row); the same lookup fills the cell's row. The cells are
-// split across cfg.Workers, each worker with a muCounter of its own; a
-// cell writes only its points' records and its own row, and µ and the
-// alias are summed serially in R order, so the result does not depend
-// on the split.
+// count record µ(r, d), one row of S cell indexes and µ(r, Center) per
+// R cell, and the global alias A over µ(r). The records' width is
+// picked first, from Build's cells and corners (countBound), so they
+// are allocated once at that width. The R points are grouped by grid
+// cell through a throwaway index permutation (R itself keeps its
+// order, which the alias indexes), and each cell is counted in one
+// batched muCounter pass against its 3×3 block, looked up once per
+// cell (one search per row); the same lookup fills the cell's row. The
+// cells are split across cfg.Workers, each worker with a muCounter of
+// its own; a cell writes only its points' records and µ(r) and its own
+// row, and Σµ and the alias are summed serially in R order, so the
+// result does not depend on the split.
 func (g *gridSampler) Count() error {
 	if err := ensure(g, g.base, phaseBuilt); err != nil {
 		return err
@@ -271,8 +356,13 @@ func (g *gridSampler) Count() error {
 				rowOf[c-1], next = next, next+1
 			}
 		}
-		g.recs = make([]pointRec, len(g.R))
+		if g.countBound() > math.MaxUint16 {
+			g.recs = make(pointRecs[int32], len(g.R))
+		} else {
+			g.recs = make(pointRecs[uint16], len(g.R))
+		}
 		g.rows = make([]cellRow, len(keys))
+		mu := make([]float64, len(g.R))
 		par.ForEach(len(keys), g.cfg.Workers, func(w, c int) {
 			mc := &mcs[w]
 			idx := perm[starts[c]:starts[c+1]]
@@ -281,17 +371,14 @@ func (g *gridSampler) Count() error {
 				mc.add(g.R[i], dirCounts{})
 			}
 			row := rowOf[c]
-			nb := g.neighborhood(keys[c], &g.rows[row])
+			nb := g.neighborhood(keys[c], &g.rows[row].cells)
 			mc.count(&nb, allDirs)
-			for j, i := range idx {
-				g.recs[i] = pointRec{cnt: mc.cnt[j], row: row}
-			}
+			g.rows[row].center = mc.cnt[0][grid.Center]
+			g.recs.fill(idx, mc.cnt, row, mu)
 		})
-		mu := make([]float64, len(g.R))
 		total := 0.0
-		for i := range g.recs {
-			mu[i] = float64(g.recs[i].cnt.total())
-			total += mu[i]
+		for _, m := range mu {
+			total += m
 		}
 		g.stats.MuSum = total
 		if total == 0 {
@@ -310,8 +397,8 @@ func (g *gridSampler) Count() error {
 
 // neighborhood looks up the S cells of the 3×3 block around cell k
 // into row, and returns them with their corner structures.
-func (g *gridSampler) neighborhood(k grid.Key, row *cellRow) (nb nbhd) {
-	g.g.Block(k, (*[grid.NumDirections]int32)(row))
+func (g *gridSampler) neighborhood(k grid.Key, row *[grid.NumDirections]int32) (nb nbhd) {
+	g.g.Block(k, row)
 	for d, ci := range row {
 		if ci >= 0 {
 			nb[d] = g.cell(ci)
@@ -356,19 +443,23 @@ func groupByRow(n, rows int, row func(i int) int32) (starts, perm []int32) {
 }
 
 // pickDir picks a trial's direction by a cumulative scan of the
-// counts: the first d whose running sum exceeds u, for u uniform in
-// [0, Σ cnt). It returns d and its count k; k is 0 when rounding put u
-// at the sum, and the caller rejects the trial. The frozen and the
-// mutable trial share it.
-func pickDir(cnt *dirCounts, u float64) (grid.Direction, int32) {
-	acc := 0.0
+// counts, µ(r, Center) first, then cnt[d-1] for the other directions
+// d: the first d whose running sum exceeds u, for u uniform in [0, µ(r)).
+// It returns d and its count k; k is 0 when rounding put u at the sum,
+// and the caller rejects the trial. The frozen trial, at either record
+// width, and the mutable trial share it.
+func pickDir[W countWidth](center int32, cnt *[grid.NumDirections - 1]W, u float64) (grid.Direction, int32) {
+	acc := float64(center)
+	if u < acc {
+		return grid.Center, center
+	}
 	for d, c := range cnt {
 		if c == 0 {
 			continue
 		}
 		acc += float64(c)
 		if u < acc {
-			return grid.Direction(d), c
+			return grid.Direction(d + 1), int32(c)
 		}
 	}
 	return 0, 0
@@ -394,32 +485,40 @@ func drawRun(c *grid.Cell, d grid.Direction, k int32, i int) geom.Point {
 
 // tryGroup runs one group of trials (lines 10–15 of Algorithm 1),
 // each phase across all laneN lanes before the next: every lane's
-// weighted r from the alias over µ(r); its direction by a cumulative
-// scan of r's count record, then its S cell from r's cell row, so no
-// trial does a key lookup; a uniform candidate of that cell and the
-// window test (laneTrials.candidates: a BBST bucket slot, or one of
-// the k points the record counts for cases 1–2 and a scanned corner).
-// Every pair of J passes one trial with probability exactly 1/Σµ.
+// weighted r from the alias over µ(r); its row index, then its
+// direction by a cumulative scan of the row's µ(r, Center) and r's
+// count record, then its S cell from the row, so no trial does a key
+// lookup; a uniform candidate of that cell and the window test
+// (laneTrials.candidates: a BBST bucket slot, or one of the k points
+// the record counts for cases 1–2 and a scanned corner). Every pair of
+// J passes one trial with probability exactly 1/Σµ. The one loop runs
+// at either record width (pointRecs.tryGroup).
 func (g *gridSampler) tryGroup(lg *laneGroup) error {
+	g.recs.tryGroup(g, lg)
+	return nil
+}
+
+func (rs pointRecs[W]) tryGroup(g *gridSampler, lg *laneGroup) {
 	var ri, row [laneN]int32
 	var lt laneTrials
 	for i := range ri {
 		ri[i] = int32(g.tab.Sample(g.rng))
 	}
 	for i := range ri {
-		rec := &g.recs[ri[i]]
-		lt.dir[i], lt.k[i] = pickDir(&rec.cnt, g.rng.Float64()*float64(rec.cnt.total()))
-		row[i] = rec.row
+		row[i] = rs[ri[i]].row
+	}
+	for i := range ri {
+		rec, center := &rs[ri[i]], g.rows[row[i]].center
+		lt.dir[i], lt.k[i] = pickDir(center, &rec.cnt, g.rng.Float64()*float64(rec.total(center)))
 	}
 	for i := range ri {
 		if lt.k[i] > 0 {
 			// A positive count means the cell exists: its row entry is >= 0.
 			lt.r[i] = g.R[ri[i]]
-			lt.cell[i] = g.laneCell(g.rows[row[i]][lt.dir[i]], lt.dir[i])
+			lt.cell[i] = g.laneCell(g.rows[row[i]].cells[lt.dir[i]], lt.dir[i])
 		}
 	}
 	lt.candidates(lg, g.cfg.HalfExtent, g.rng, &g.sc)
-	return nil
 }
 
 // sampleInto is the sampling phase behind SampleInto and Next: one
@@ -469,8 +568,8 @@ func (g *gridSampler) cloneGrid() (gridSampler, error) {
 }
 
 // sizeBytes sums the pipeline structures: grid, corner structures (and
-// their 16-byte slots), global alias, the 40-byte count record per R
-// point and the 36-byte row per R cell.
+// their 16-byte slots), global alias, the count record per R point (20
+// bytes at uint16, 36 at int32) and the 40-byte row per R cell.
 func (g *gridSampler) sizeBytes() int {
 	total := 16 * len(g.corners)
 	if g.g != nil {
@@ -482,5 +581,8 @@ func (g *gridSampler) sizeBytes() int {
 	if g.tab != nil {
 		total += g.tab.SizeBytes()
 	}
-	return total + 40*len(g.recs) + 36*len(g.rows)
+	if g.recs != nil {
+		total += g.recs.sizeBytes()
+	}
+	return total + 40*len(g.rows)
 }

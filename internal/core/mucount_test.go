@@ -101,7 +101,7 @@ func checkCounter(t *testing.T, g *gridSampler, masks []dirMask) {
 		for j, i := range idx {
 			want[j] = refCounts(g, g.R[i], &sc)
 		}
-		var row cellRow
+		var row [grid.NumDirections]int32
 		nb := g.neighborhood(k, &row)
 		for _, mask := range masks {
 			mc.reset()
@@ -267,20 +267,20 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 			}
 		}
 		for i, r := range g.R {
-			rec := g.recs[i]
-			if want := refCounts(g, r, &sc); rec.cnt != want {
-				fail("R[%d] %+v: record %v, per-point %v", i, r, rec.cnt, want)
+			cnt, row := g.recs.counts(i, g.rows), g.recs.row(i)
+			if want := refCounts(g, r, &sc); cnt != want {
+				fail("R[%d] %+v: record %v, per-point %v", i, r, cnt, want)
 			}
 			w := g.window(r)
 			for d := grid.Direction(0); d < grid.NumDirections; d++ {
-				c, ci := g.g.Cell(g.g.KeyAt(r.X, r.Y).Neighbor(d)), g.rows[rec.row][d]
+				c, ci := g.g.Cell(g.g.KeyAt(r.X, r.Y).Neighbor(d)), g.rows[row].cells[d]
 				switch {
 				case c == nil && ci != -1:
 					fail("R[%d] %v: row names cell %d, no cell there", i, d, ci)
 				case c != nil && (ci != c.Index || g.g.ByIndex(ci) != c):
 					fail("R[%d] %v: row names cell %d, lookup finds %d", i, d, ci, c.Index)
 				}
-				k := rec.cnt[d]
+				k := cnt[d]
 				if c == nil || k == 0 {
 					continue
 				}

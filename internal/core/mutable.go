@@ -549,14 +549,14 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	// records are scattered to their slots in R order, split across
 	// cfg.Workers, so R and its records are read in order; rids is
 	// built over R in its own order too.
-	starts, perm := groupByRow(len(R), len(s.rows), func(i int) int32 { return s.recs[i].row })
+	starts, perm := groupByRow(len(R), len(s.rows), s.recs.row)
 	slotOf := make([]int32, len(R))
 	for j, i := range perm {
 		slotOf[i] = int32(j)
 	}
 	recs := make([]slotRec, len(R))
 	par.ForEach(len(R), s.cfg.Workers, func(_, i int) {
-		recs[slotOf[i]] = slotRec{pt: R[i], cnt: s.recs[i].cnt}
+		recs[slotOf[i]] = slotRec{pt: R[i], cnt: s.recs.counts(i, s.rows)}
 	})
 	// The five builds (scells, sids, rcells, rids and the slot tree)
 	// read only the frozen sampler and the slots, and each writes
@@ -663,7 +663,7 @@ func (m *Mutable) tryGroup(lg *laneGroup) error {
 		recs[i] = ix.slots.sample(m.rng.Float64() * total)
 	}
 	for i, rec := range recs {
-		lt.dir[i], lt.k[i] = pickDir(&rec.cnt, m.rng.Float64()*rec.mu())
+		lt.dir[i], lt.k[i] = pickDir(rec.cnt[grid.Center], (*[grid.NumDirections - 1]int32)(rec.cnt[1:]), m.rng.Float64()*rec.mu())
 	}
 	for i, rec := range recs {
 		if lt.k[i] > 0 {

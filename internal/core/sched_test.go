@@ -55,8 +55,9 @@ func drawN(t *testing.T, s core.Sampler, n int) []geom.Pair {
 }
 
 // TestBuildIndependentOfWorkers builds each frozen grid sampler at
-// GOMAXPROCS 1 and 4 and requires equal count records, cell rows,
-// corner structures (kind and size), Σµ and 10k seeded draws.
+// GOMAXPROCS 1 and 4 and requires equal count records (narrow, uint16,
+// on these fixtures), cell rows with their µ(r, Center), corner
+// structures (kind and size), Σµ and 10k seeded draws.
 func TestBuildIndependentOfWorkers(t *testing.T) {
 	samplers := []struct {
 		name string
@@ -90,11 +91,14 @@ func TestBuildIndependentOfWorkers(t *testing.T) {
 				}) {
 					t.Fatal("fixture has no BBST cell")
 				}
-				if !slices.Equal(one.Recs, four.Recs) {
+				if !one.Narrow || !four.Narrow {
+					t.Errorf("count records are not narrow: %T at GOMAXPROCS 1, %T at 4", one.Recs, four.Recs)
+				}
+				if !reflect.DeepEqual(one.Recs, four.Recs) {
 					t.Error("count records differ between GOMAXPROCS 1 and 4")
 				}
 				if !slices.Equal(one.Rows, four.Rows) {
-					t.Error("cell rows differ between GOMAXPROCS 1 and 4")
+					t.Error("cell rows (S cell indexes or µ(r, Center)) differ between GOMAXPROCS 1 and 4")
 				}
 				if !slices.Equal(one.Corners, four.Corners) {
 					t.Error("corner structures differ between GOMAXPROCS 1 and 4")

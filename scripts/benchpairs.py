@@ -1,19 +1,27 @@
 """Summary and schema check behind scripts/benchpairs.sh.
 
   python3 scripts/benchpairs.py write --runs DIR --benchmark BENCHMARK.json --out FILE ...
+  python3 scripts/benchpairs.py micro --runs DIR --out FILE ...
   python3 scripts/benchpairs.py check FILE
 
 write reads the per-run JSON files the benchmark wrote (-json), named
 SIDE.WORKLOAD.SEED.traceT.json, and writes one BENCH file; it prints,
 per workload and end-to-end metric, the medians, the gap, the pairs
-the change won and the parent's interquartile range. check validates
-a BENCH file's schema and exits non-zero on the first fault.
+the change won and the parent's interquartile range. micro reads the
+go test -bench outputs of micro mode, named SIDE.PAIR.ENTRY.txt, and
+writes them under the file's "micro" key; it prints, per benchmark row
+and time metric, the median per-pair ratio, the pairs the change won
+and the parent's interquartile range. Each keeps what the other wrote
+in an existing file. check validates a BENCH file's schema (the
+end-to-end keys, the micro key, or both) and exits non-zero on the
+first fault.
 """
 
 import argparse
 import glob
 import json
 import os
+import re
 import statistics
 import sys
 
@@ -80,6 +88,22 @@ def compare(rows, workload, metric, better):
     return text
 
 
+def load_doc(path):
+    """The BENCH file at path, or an empty one."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        return {}
+
+
+def save_doc(doc, path):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    print(f"wrote {path}")
+
+
 def write(args):
     with open(args.benchmark) as f:
         bm = json.load(f)
@@ -133,10 +157,100 @@ def write(args):
         "untraced_pairs": rows,
         "traced": traced_out,
     }
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-    print(f"wrote {args.out}")
+    old = load_doc(args.out)
+    if "micro" in old:
+        doc["micro"] = old["micro"]
+    save_doc(doc, args.out)
+
+
+# One go test -bench result line: name, iterations, then value-unit
+# pairs (ns/op, B/op, allocs/op and the benchmark's own metrics).
+BENCH_LINE = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$")
+
+
+def parse_bench(path):
+    """Yields (name, iterations, {unit: value}) per result line."""
+    with open(path) as f:
+        for line in f:
+            m = BENCH_LINE.match(line.rstrip("\n"))
+            if not m:
+                continue
+            fields = m.group(3).split()
+            metrics = {unit: float(v) for v, unit in zip(fields[::2], fields[1::2])}
+            yield m.group(1), int(m.group(2)), metrics
+
+
+def micro(args):
+    runs = []
+    for path in sorted(glob.glob(os.path.join(args.runs, "*.txt")), key=os.path.getmtime):
+        side, pair, entry = os.path.basename(path).split(".")[:3]
+        for name, iters, metrics in parse_bench(path):
+            runs.append({"side": side, "pair": int(pair), "entry": int(entry), "bench": name,
+                         "iterations": iters, **metrics})
+    summary = {}
+    for name in dict.fromkeys(r["bench"] for r in runs):
+        by = {(r["side"], r["pair"]): r for r in runs if r["bench"] == name}
+        pairs = sorted({p for (_, p) in by if ("parent", p) in by and ("change", p) in by})
+        block = {}
+        for unit in by[next(iter(by))]:
+            if not unit.startswith("ns/") or not pairs:
+                continue
+            p = [by["parent", i][unit] for i in pairs]
+            c = [by["change", i][unit] for i in pairs]
+            ratios = [b / a for a, b in zip(p, c) if a]
+            wins = sum(1 for a, b in zip(p, c) if b < a)
+            text = (f"{statistics.median(p):.6g} -> {statistics.median(c):.6g} (median change/parent ratio "
+                    f"{statistics.median(ratios):.3f}, change faster in {wins} of {len(pairs)} pairs, "
+                    f"parent IQR {iqr(p):.4g})")
+            block[unit] = text
+            print(f"{name:60s} {unit:14s} {text}")
+        summary[name] = block
+    doc = load_doc(args.out)
+    doc.setdefault("pr", args.pr)
+    doc.setdefault("change", args.change)
+    doc.setdefault("host", args.host)
+    doc["micro"] = {
+        "harness": args.harness,
+        "host": args.host,
+        "cpu": 1,
+        "pairs": args.pairs,
+        "entries": args.entries.split(","),
+        "summary": summary,
+        "runs": runs,
+    }
+    save_doc(doc, args.out)
+
+
+def check_micro(m):
+    """Returns the first schema fault of a micro block, or None."""
+    for key, kind in (("harness", str), ("host", str), ("pairs", int), ("entries", list),
+                      ("summary", dict), ("runs", list)):
+        if not isinstance(m.get(key), kind):
+            return f"micro.{key}: missing or not a {kind.__name__}"
+    if not m["runs"]:
+        return "micro.runs is empty"
+    sides = {}
+    for i, r in enumerate(m["runs"]):
+        if r.get("side") not in SIDES:
+            return f"micro.runs[{i}]: side {r.get('side')!r}"
+        for key in ("pair", "entry", "iterations"):
+            if not isinstance(r.get(key), int):
+                return f"micro.runs[{i}]: {key} missing or not an int"
+        if not isinstance(r.get("bench"), str) or not r["bench"].startswith("Benchmark"):
+            return f"micro.runs[{i}]: no bench name"
+        if not isinstance(r.get("ns/op"), (int, float)):
+            return f"micro.runs[{i}]: no ns/op"
+        for k, v in r.items():
+            if "/" in k and not isinstance(v, (int, float)):
+                return f"micro.runs[{i}].{k} is not a number"
+        sides.setdefault((r["bench"], r["pair"]), set()).add(r["side"])
+    for (b, p), got in sorted(sides.items()):
+        if got != set(SIDES):
+            return f"micro: {b} pair {p} has only {sorted(got)}"
+    for b in {b for b, _ in sides}:
+        if b not in m["summary"]:
+            return f"micro.summary: no {b}"
+    return None
 
 
 def check(path):
@@ -146,8 +260,15 @@ def check(path):
             doc = json.load(f)
     except (OSError, ValueError) as e:
         return f"unreadable: {e}"
-    for key, kind in (("pr", int), ("change", str), ("host", str), ("harness", str), ("claim", str),
-                      ("summary", dict), ("untraced_pairs", list), ("traced", list)):
+    for key, kind in (("pr", int), ("change", str), ("host", str)):
+        if not isinstance(doc.get(key), kind):
+            return f"{key}: missing or not a {kind.__name__}"
+    if "micro" in doc:
+        fault = check_micro(doc["micro"])
+        if fault or "untraced_pairs" not in doc:
+            return fault  # a micro-only file has no end-to-end keys
+    for key, kind in (("harness", str), ("claim", str), ("summary", dict), ("untraced_pairs", list),
+                      ("traced", list)):
         if not isinstance(doc.get(key), kind):
             return f"{key}: missing or not a {kind.__name__}"
     rows = doc["untraced_pairs"]
@@ -196,11 +317,16 @@ def main():
     for flag in ("runs", "benchmark", "out", "change", "host", "harness", "claim", "workloads"):
         w.add_argument("--" + flag, required=True)
     w.add_argument("--pr", type=int, required=True)
+    m = sub.add_parser("micro")
+    for flag in ("runs", "out", "change", "host", "harness", "entries"):
+        m.add_argument("--" + flag, required=True)
+    m.add_argument("--pr", type=int, required=True)
+    m.add_argument("--pairs", type=int, required=True)
     c = sub.add_parser("check")
     c.add_argument("file")
     args = ap.parse_args()
-    if args.cmd == "write":
-        write(args)
+    if args.cmd in ("write", "micro"):
+        {"write": write, "micro": micro}[args.cmd](args)
         return
     fault = check(args.file)
     if fault:

@@ -35,6 +35,23 @@
 #                       temporary directory, removed at the end)
 #   bash scripts/benchpairs.sh --check FILE   # only the schema check
 #
+# Micro mode pairs core microbenchmarks instead of the benchmark:
+#   bash scripts/benchpairs.sh --pr N --micro SET [--pairs K] [options]
+#     --micro SET       "default" or a comma-separated list of entries
+#                       PATTERN@BENCHTIME, PATTERN a go test -bench
+#                       pattern of --pkg and BENCHTIME its -benchtime
+#     --pairs K         pairs per entry (default 10)
+#     --pkg PKG         the package (default ./internal/core)
+# It builds each side's test binary once (go test -c) from its git
+# archive export and runs every entry in ABBA order (the first side
+# alternates from pair to pair) at -cpu 1 with -benchmem. Every run's
+# ns/op and custom metrics (ns/sample, trials/sample, allocs/op, ...)
+# go under the "micro" key of BENCH_<pr>.json; an existing file keeps
+# its other keys. Per benchmark row and time metric it prints the
+# median per-pair ratio (change / parent), the pairs the change won
+# and the parent's interquartile range, and decides nothing.
+# --base, --head, --change, --out and --work work as above.
+#
 # The commits are exported with git archive, so only committed files
 # are measured, and nothing is registered in the repository's .git.
 # The script edits nothing under bench/ and nothing in BENCHMARK.json.
@@ -58,7 +75,7 @@ seeds() {
 }
 
 pr="" base="HEAD~1" head="HEAD" workloads="keyspread" seedlist="1-10" seconds=10
-traced="" claim="none" change="" out="" work="" check=""
+traced="" claim="none" change="" out="" work="" check="" micro="" pairs=10 pkg="./internal/core"
 while [ $# -gt 0 ]; do
 	[ $# -ge 2 ] || die "$1 needs a value"
 	case "$1" in
@@ -74,6 +91,9 @@ while [ $# -gt 0 ]; do
 	--out) out="$2" ;;
 	--work) work="$2" ;;
 	--check) check="$2" ;;
+	--micro) micro="$2" ;;
+	--pairs) pairs="$2" ;;
+	--pkg) pkg="$2" ;;
 	*) die "unknown option $1" ;;
 	esac
 	shift 2
@@ -95,6 +115,59 @@ if [ -z "$work" ]; then
 	work="$(mktemp -d)"
 	trap 'rm -rf "$work"' EXIT
 fi
+
+# export SIDE exports the side's commit into $work/SIDE.
+export_side() {
+	local rev="$base" sha
+	[ "$1" = change ] && rev="$head"
+	sha="$(git rev-parse --verify "$rev^{commit}")" || die "no commit $rev"
+	echo "$sha" >"$work/$1.rev"
+	rm -rf "${work:?}/$1"
+	mkdir -p "$work/$1"
+	git archive "$sha" | tar -x -C "$work/$1"
+	echo "== $1: $rev ($sha)" >&2
+}
+
+if [ -n "$micro" ]; then
+	# The rows PRs 38-40 paired by hand: the frozen parent, a clone and
+	# the churned Mutable drawing; the trial at bulk's shape; the two
+	# frozen build phases at keyspread's l range and at bulk's shape;
+	# one churn batch on a fresh Unfreeze.
+	[ "$micro" = default ] &&
+		micro='^BenchmarkFrozenSampleInto$/^(parent|clone|mutable)$@20x'\
+',^BenchmarkTrialScale$/^bulk$@20x'\
+',^BenchmarkBuild$/^(nyc25k_l50|nyc25k_l200|nyc200k_l100)$@5x'\
+',^BenchmarkCount$/^(nyc25k_l50|nyc25k_l200|nyc200k_l100)$@5x'\
+',^BenchmarkMutableApply$/^fresh$@200x'
+	[[ "$pairs" =~ ^[1-9][0-9]*$ ]] || die "--pairs K must be a positive number"
+	mkdir -p "$work/micro"
+	for side in parent change; do
+		export_side "$side"
+		(cd "$work/$side" && go test -c -o "$work/$side.test" "$pkg") || die "$side: go test -c $pkg failed"
+	done
+	IFS=',' read -r -a entries <<<"$micro"
+	for ((i = 0; i < pairs; i++)); do
+		if [ $((i % 2)) = 0 ]; then order="parent change"; else order="change parent"; fi
+		for e in "${!entries[@]}"; do
+			entry="${entries[$e]}"
+			pattern="${entry%@*}" benchtime="1x"
+			[ "$pattern" != "$entry" ] && benchtime="${entry##*@}"
+			for side in $order; do
+				f="$work/micro/$side.$i.$e.txt"
+				echo "== micro pair $i $side $pattern ($benchtime)" >&2
+				(cd "$work/$side/$pkg" && "$work/$side.test" -test.run '^$' -test.bench "$pattern" \
+					-test.benchtime "$benchtime" -test.cpu 1 -test.benchmem >"$f" 2>&1) ||
+					die "$side $pattern failed; see $f"
+			done
+		done
+	done
+	harness="go test -c $pkg binaries built in git-archive exports of $base ($(cut -c1-12 "$work/parent.rev")) and $head ($(cut -c1-12 "$work/change.rev")), run as BINARY -test.run '^\$' -test.bench PATTERN -test.benchtime BENCHTIME -test.cpu 1 -test.benchmem from the package directory; pairs alternate which side runs first (ABBA)"
+	summarize micro --runs "$work/micro" --out "$out" --pr "$pr" --change "$change" --host "$host" \
+		--harness "$harness" --entries "$micro" --pairs "$pairs"
+	summarize check "$out"
+	exit
+fi
+
 mkdir -p "$work/runs"
 
 # Export and build both sides. The first run of each side goes through
@@ -102,14 +175,8 @@ mkdir -p "$work/runs"
 # not recorded.
 first="${workloads%%,*}"
 for side in parent change; do
-	rev="$base"
-	[ "$side" = change ] && rev="$head"
-	sha="$(git rev-parse --verify "$rev^{commit}")" || die "no commit $rev"
-	echo "$sha" >"$work/$side.rev"
-	rm -rf "${work:?}/$side"
-	mkdir -p "$work/$side"
-	git archive "$sha" | tar -x -C "$work/$side"
-	echo "== $side: $rev ($sha), building and warming up" >&2
+	export_side "$side"
+	echo "== $side: building and warming up" >&2
 	(cd "$work/$side" && bash bench/run.sh -workload "$first" -seed 0 -seconds "$seconds" -trace 0 >"$work/$side.warmup.log") ||
 		die "$side: bench/run.sh failed; see $work/$side.warmup.log"
 done

@@ -16,6 +16,13 @@ public API.
 
 Usage, from anywhere in the repository:
     python3 scripts/unreached.py
+    python3 scripts/unreached.py --allow scripts/unreached.allow
+
+With --allow, it prints nothing for the funcs the allow-list names
+(lines "PATH NAME  REASON"; # starts a comment) and exits 1 if it lists
+a func the allow-list does not name, or the allow-list names a func it
+no longer lists, so the list stays exactly the unreached code that
+stays, each func with its reason.
 """
 
 import os
@@ -63,8 +70,8 @@ def scanned(path):
     return path.startswith('internal' + os.sep) or os.sep not in path
 
 
-def main():
-    files = list(sources())
+def unreached(files):
+    """Yield (path, line, name) for each func no other code names."""
     uses = {}
     for _, src in files:
         for word in WORD.findall(src):
@@ -82,9 +89,43 @@ def main():
             if name in ('main', 'init', '_') or m.group(1) and name in IMPLICIT:
                 continue
             if uses[name] <= defs[name]:
-                line = src.count('\n', 0, m.start()) + 1
-                print(f'{path}:{line}: {name}')
-    return 0
+                yield path, src.count('\n', 0, m.start()) + 1, name
+
+
+def allowed(path):
+    """The (path, name) pairs of the allow-list at path."""
+    pairs = set()
+    with open(path, encoding='utf-8') as f:
+        for n, line in enumerate(f, 1):
+            line = line.split('#', 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split(None, 2)
+            if len(fields) < 3:
+                sys.exit(f'{path}:{n}: want "PATH NAME  REASON"')
+            pairs.add((fields[0], fields[1]))
+    return pairs
+
+
+def main():
+    args = sys.argv[1:]
+    if args and (len(args) != 2 or args[0] != '--allow'):
+        sys.exit('usage: unreached.py [--allow FILE]')
+    found = list(unreached(list(sources())))
+    if not args:
+        for path, line, name in found:
+            print(f'{path}:{line}: {name}')
+        return 0
+    allow = allowed(args[1])
+    bad = 0
+    for path, line, name in found:
+        if (path, name) not in allow:
+            print(f'{path}:{line}: {name}: unreached and not in {args[1]}')
+            bad += 1
+    for path, name in sorted(allow - {(p, n) for p, _, n in found}):
+        print(f'{args[1]}: {path} {name}: allowed but no longer unreached; drop the entry')
+        bad += 1
+    return 1 if bad else 0
 
 
 if __name__ == '__main__':
