@@ -14,9 +14,12 @@ import (
 // (path-copied) tree over the slot array. Leaves hold stChunk
 // consecutive slots, each holding the slot's point and its 9
 // per-direction counts µ(r, d) — the count record a trial scans for
-// its direction, as the frozen sampler's pointRec — in one 64 B record
-// (one cache line), and beside the records one array of the slots'
-// µ(r) = Σ_d µ(r, d), which a descent's leaf scan reads as one line.
+// its direction — in one 64 B record (one cache line), and beside the
+// records one array of the slots' µ(r) = Σ_d µ(r, d), which a descent's
+// leaf scan reads as one line. The counts stay int32 and per slot,
+// Center included, because an edit recounts a slot on its own; the
+// frozen sampler's pointRec narrows them to 16 bits where they fit and
+// keeps µ(r, Center) once per R cell, and Unfreeze widens them back.
 // Internal nodes are wide: each keeps
 // the µ totals of its stFan children in one contiguous array next to
 // the child pointers, so a trial is one short root-to-leaf descent

@@ -134,8 +134,8 @@ if [ -n "$micro" ]; then
 	# frozen build phases at keyspread's l range and at bulk's shape;
 	# one churn batch on a fresh Unfreeze.
 	[ "$micro" = default ] &&
-		micro='^BenchmarkFrozenSampleInto$/^(parent|clone|mutable)$@20x'\
-',^BenchmarkTrialScale$/^bulk$@20x'\
+		micro='^BenchmarkFrozenSampleInto$/^(parent|clone|mutable)$@100x'\
+',^BenchmarkTrialScale$/^bulk$@50x'\
 ',^BenchmarkBuild$/^(nyc25k_l50|nyc25k_l200|nyc200k_l100)$@5x'\
 ',^BenchmarkCount$/^(nyc25k_l50|nyc25k_l200|nyc200k_l100)$@5x'\
 ',^BenchmarkMutableApply$/^fresh$@200x'
