@@ -39,9 +39,9 @@
 #   bash scripts/benchpairs.sh --pr N --micro SET [--pairs K] [options]
 #     --micro SET       "default" or a comma-separated list of entries
 #                       PATTERN@BENCHTIME, PATTERN a go test -bench
-#                       pattern of --pkg and BENCHTIME its -benchtime
+#                       pattern of ./internal/core and BENCHTIME its
+#                       -benchtime
 #     --pairs K         pairs per entry (default 10)
-#     --pkg PKG         the package (default ./internal/core)
 # It builds each side's test binary once (go test -c) from its git
 # archive export and runs every entry in ABBA order (the first side
 # alternates from pair to pair) at -cpu 1 with -benchmem. Every run's
@@ -75,7 +75,7 @@ seeds() {
 }
 
 pr="" base="HEAD~1" head="HEAD" workloads="keyspread" seedlist="1-10" seconds=10
-traced="" claim="none" change="" out="" work="" check="" micro="" pairs=10 pkg="./internal/core"
+traced="" claim="none" change="" out="" work="" check="" micro="" pairs=10
 while [ $# -gt 0 ]; do
 	[ $# -ge 2 ] || die "$1 needs a value"
 	case "$1" in
@@ -93,7 +93,6 @@ while [ $# -gt 0 ]; do
 	--check) check="$2" ;;
 	--micro) micro="$2" ;;
 	--pairs) pairs="$2" ;;
-	--pkg) pkg="$2" ;;
 	*) die "unknown option $1" ;;
 	esac
 	shift 2
@@ -143,7 +142,7 @@ if [ -n "$micro" ]; then
 	mkdir -p "$work/micro"
 	for side in parent change; do
 		export_side "$side"
-		(cd "$work/$side" && go test -c -o "$work/$side.test" "$pkg") || die "$side: go test -c $pkg failed"
+		(cd "$work/$side" && go test -c -o "$work/$side.test" ./internal/core) || die "$side: go test -c failed"
 	done
 	IFS=',' read -r -a entries <<<"$micro"
 	for ((i = 0; i < pairs; i++)); do
@@ -155,13 +154,13 @@ if [ -n "$micro" ]; then
 			for side in $order; do
 				f="$work/micro/$side.$i.$e.txt"
 				echo "== micro pair $i $side $pattern ($benchtime)" >&2
-				(cd "$work/$side/$pkg" && "$work/$side.test" -test.run '^$' -test.bench "$pattern" \
-					-test.benchtime "$benchtime" -test.cpu 1 -test.benchmem >"$f" 2>&1) ||
+				(cd "$work/$side/internal/core" && "$work/$side.test" -test.run '^$' -test.bench "$pattern" \
+					-test.benchtime "$benchtime" -test.cpu 1 -test.benchmem -test.timeout 30m >"$f" 2>&1) ||
 					die "$side $pattern failed; see $f"
 			done
 		done
 	done
-	harness="go test -c $pkg binaries built in git-archive exports of $base ($(cut -c1-12 "$work/parent.rev")) and $head ($(cut -c1-12 "$work/change.rev")), run as BINARY -test.run '^\$' -test.bench PATTERN -test.benchtime BENCHTIME -test.cpu 1 -test.benchmem from the package directory; pairs alternate which side runs first (ABBA)"
+	harness="go test -c ./internal/core binaries built in git-archive exports of $base ($(cut -c1-12 "$work/parent.rev")) and $head ($(cut -c1-12 "$work/change.rev")), run as BINARY -test.run '^\$' -test.bench PATTERN -test.benchtime BENCHTIME -test.cpu 1 -test.benchmem -test.timeout 30m from the package directory; pairs alternate which side runs first (ABBA)"
 	summarize micro --runs "$work/micro" --out "$out" --pr "$pr" --change "$change" --host "$host" \
 		--harness "$harness" --entries "$micro" --pairs "$pairs"
 	summarize check "$out"
