@@ -175,7 +175,7 @@ type gridSampler struct {
 // countWidth is the integer type of a frozen count record's µ(r, d):
 // uint16 when no count the build can produce exceeds 65,535
 // (countBound), int32 otherwise.
-type countWidth interface{ ~uint16 | ~int32 }
+type countWidth interface{ uint16 | int32 }
 
 // pointRec is one R point's count record: µ(r, d) in the eight
 // directions around its own cell (cnt[d-1] for d = West..NorthEast),
