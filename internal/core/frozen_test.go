@@ -3,7 +3,8 @@ package core
 // Frozen grid samplers (BBST, GridKD) through the batched SampleInto:
 // seeded byte-identity against a pinned digest and against the Next
 // loop, zero allocations once warm, and clones drawing concurrently
-// over the shared structures.
+// over the shared structures. The baselines (KDS, KDS-rejection) get
+// pinned digests through the same helper.
 
 import (
 	"encoding/binary"
@@ -128,6 +129,35 @@ func TestBBSTGoldenDigest(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			if got := frozenDigest(t, f.mk); got != f.golden {
 				t.Fatalf("draw digest %#x, golden %#x — seeded frozen draws changed", got, f.golden)
+			}
+		})
+	}
+}
+
+// Golden digests of the baselines' seeded draw streams, through the
+// same frozenDigest: each trial draws r from the alias table, then the
+// kd-tree's sample of S(w(r)), then (KDS-rejection only) the
+// acceptance variate. Any change to that order, the kd-tree's descent
+// or the alias table moves them.
+const (
+	goldenKDSDigest          = 0x69b9f59c954db4a0
+	goldenKDSRejectionDigest = 0x2fffcd156de4ce5a
+)
+
+// TestBaselineGoldenDigest holds seeded KDS and KDS-rejection draws
+// byte-identical across rewrites of the baselines and their kd-tree.
+func TestBaselineGoldenDigest(t *testing.T) {
+	for _, f := range []struct {
+		name   string
+		mk     frozenFactory
+		golden uint64
+	}{
+		{"KDS", func(R, S []geom.Point, cfg Config) (Cloner, error) { return NewKDS(R, S, cfg) }, goldenKDSDigest},
+		{"KDS-rejection", func(R, S []geom.Point, cfg Config) (Cloner, error) { return NewKDSRejection(R, S, cfg) }, goldenKDSRejectionDigest},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			if got := frozenDigest(t, f.mk); got != f.golden {
+				t.Fatalf("draw digest %#x, golden %#x — seeded baseline draws changed", got, f.golden)
 			}
 		})
 	}
