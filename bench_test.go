@@ -118,7 +118,7 @@ func BenchmarkSampleThroughput(b *testing.B) {
 	R := MustGenerate("nyc", 50_000, 1)
 	S := MustGenerate("nyc", 50_000, 2)
 	const l = 100
-	for _, algo := range []Algorithm{BBST, KDS, KDSRejection, GridKD, RTS} {
+	for _, algo := range []Algorithm{BBST, KDS, KDSRejection, GridKD} {
 		b.Run(string(algo), func(b *testing.B) {
 			s, err := NewSampler(R, S, l, &Options{Algorithm: algo, Seed: 1})
 			if err != nil {

@@ -11,8 +11,6 @@
 //     expected-time sampling.
 //   - GridKD        — the Fig. 9 ablation: the BBST pipeline with a
 //     kd-tree per cell instead of the two BBSTs.
-//   - RTS           — an extra ablation: baseline 1 with an aggregate
-//     R-tree in place of the kd-tree.
 //   - JoinSample    — the "run the join, then sample" strawman.
 //
 // Every sampler draws uniform, independent samples of the join
@@ -102,10 +100,9 @@ func (c Config) Validate() error {
 // (UB); Table IV reports SampleTime and Iterations.
 type Stats struct {
 	// PreprocessTime is the offline phase: the kd-tree of S for KDS
-	// and KDS-rejection, the R-tree for RTS. BBST, GridKD and
-	// JoinSample have no offline phase and read 0: the grid samplers'
-	// sort of S by x is done per cell by the grid mapping, inside
-	// GridMapTime.
+	// and KDS-rejection. BBST, GridKD and JoinSample have no offline
+	// phase and read 0: the grid samplers' sort of S by x is done per
+	// cell by the grid mapping, inside GridMapTime.
 	PreprocessTime time.Duration
 	// GridMapTime is GM: online data-structure building (for the grid
 	// samplers, grid mapping with each cell's sorts, and the per-cell

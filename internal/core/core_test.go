@@ -51,7 +51,6 @@ func allFactories() []factory {
 		{"KDS-rejection", func(R, S []geom.Point, cfg Config) (Sampler, error) { return NewKDSRejection(R, S, cfg) }},
 		{"BBST", func(R, S []geom.Point, cfg Config) (Sampler, error) { return NewBBST(R, S, cfg) }},
 		{"GridKD", func(R, S []geom.Point, cfg Config) (Sampler, error) { return NewGridKD(R, S, cfg) }},
-		{"RTS", func(R, S []geom.Point, cfg Config) (Sampler, error) { return NewRTS(R, S, cfg) }},
 		{"JoinSample", func(R, S []geom.Point, cfg Config) (Sampler, error) { return NewJoinSample(R, S, cfg) }},
 	}
 }

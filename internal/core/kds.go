@@ -6,67 +6,7 @@ import (
 	"repro/internal/alias"
 	"repro/internal/geom"
 	"repro/internal/kdtree"
-	"repro/internal/rng"
-	"repro/internal/rtree"
 )
-
-// pointIndex abstracts the spatial index used by the exact-counting
-// baselines: the kd-tree for KDS (the paper's baseline) and the
-// aggregate R-tree for the RTS ablation.
-type pointIndex interface {
-	// Build indexes S; called once in the offline phase.
-	Build(S []geom.Point)
-	// Count returns |S(w)| exactly.
-	Count(w geom.Rect) int
-	// Sample draws a uniform point of S(w) and returns the exact
-	// count; ok is false when S(w) is empty.
-	Sample(w geom.Rect, r *rng.RNG) (pt geom.Point, count int, ok bool)
-	// SizeBytes estimates the index footprint.
-	SizeBytes() int
-	// clone returns a handle sharing the immutable tree with fresh
-	// scratch buffers, for concurrent use.
-	clone() pointIndex
-}
-
-// kdIndex adapts kdtree.Tree to pointIndex.
-type kdIndex struct {
-	tree    *kdtree.Tree
-	scratch kdtree.Scratch
-}
-
-func (k *kdIndex) Build(S []geom.Point) { k.tree = kdtree.New(S) }
-func (k *kdIndex) Count(w geom.Rect) int {
-	return k.tree.Count(w)
-}
-func (k *kdIndex) Sample(w geom.Rect, r *rng.RNG) (geom.Point, int, bool) {
-	return k.tree.Sample(w, r, &k.scratch)
-}
-func (k *kdIndex) SizeBytes() int {
-	if k.tree == nil {
-		return 0
-	}
-	return k.tree.SizeBytes()
-}
-
-// rIndex adapts rtree.Tree to pointIndex.
-type rIndex struct {
-	tree    *rtree.Tree
-	scratch rtree.Scratch
-}
-
-func (k *rIndex) Build(S []geom.Point) { k.tree = rtree.New(S) }
-func (k *rIndex) Count(w geom.Rect) int {
-	return k.tree.Count(w)
-}
-func (k *rIndex) Sample(w geom.Rect, r *rng.RNG) (geom.Point, int, bool) {
-	return k.tree.Sample(w, r, &k.scratch)
-}
-func (k *rIndex) SizeBytes() int {
-	if k.tree == nil {
-		return 0
-	}
-	return k.tree.SizeBytes()
-}
 
 // KDS is the first baseline (Section III-A): it range-counts
 // |S(w(r))| exactly for every r ∈ R (O(n sqrt m)), builds a Walker
@@ -75,8 +15,9 @@ func (k *rIndex) SizeBytes() int {
 // accepts.
 type KDS struct {
 	*base
-	index pointIndex
-	tab   *alias.Table
+	tree    *kdtree.Tree // shared by clones
+	scratch kdtree.Scratch
+	tab     *alias.Table
 }
 
 // NewKDS builds the baseline-1 sampler over R and S.
@@ -85,27 +26,17 @@ func NewKDS(R, S []geom.Point, cfg Config) (*KDS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KDS{base: b, index: &kdIndex{}}, nil
+	return &KDS{base: b}, nil
 }
 
-// NewRTS builds the aggregate-R-tree ablation of baseline 1; it is
-// identical to KDS except for the index structure.
-func NewRTS(R, S []geom.Point, cfg Config) (*KDS, error) {
-	b, err := newBase("RTS", R, S, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &KDS{base: b, index: &rIndex{}}, nil
-}
-
-// Preprocess builds the spatial index over S (the offline phase of
+// Preprocess builds the kd-tree over S (the offline phase of
 // Table II).
 func (k *KDS) Preprocess() error {
 	if k.state >= phasePreprocessed {
 		return k.err
 	}
 	timed(&k.stats.PreprocessTime, func() {
-		k.index.Build(k.S)
+		k.tree = kdtree.New(k.S)
 	})
 	k.state = phasePreprocessed
 	return nil
@@ -136,7 +67,7 @@ func (k *KDS) Count() error {
 		weights := make([]float64, len(k.R))
 		total := 0.0
 		for i, r := range k.R {
-			c := float64(k.index.Count(k.window(r)))
+			c := float64(k.tree.Count(k.window(r)))
 			weights[i] = c
 			total += c
 		}
@@ -182,7 +113,7 @@ func (k *KDS) Next() (geom.Pair, error) {
 func (k *KDS) tryOnce() (geom.Pair, bool) {
 	k.stats.Iterations++
 	r := k.R[k.tab.Sample(k.rng)]
-	s, _, ok := k.index.Sample(k.window(r), k.rng)
+	s, _, ok := k.tree.Sample(k.window(r), k.rng, &k.scratch)
 	if !ok {
 		// Impossible with exact counts; defensive.
 		return geom.Pair{}, false
@@ -198,9 +129,9 @@ func (k *KDS) tryOnce() (geom.Pair, bool) {
 // Sample draws t samples via Next.
 func (k *KDS) Sample(t int) ([]geom.Pair, error) { return sampleN(k, k.base, t) }
 
-// SizeBytes reports index + alias footprint.
+// SizeBytes reports kd-tree + alias footprint.
 func (k *KDS) SizeBytes() int {
-	total := k.index.SizeBytes()
+	total := k.tree.SizeBytes()
 	if k.tab != nil {
 		total += k.tab.SizeBytes()
 	}
@@ -214,14 +145,9 @@ func (k *KDS) String() string {
 	return fmt.Sprintf("%s{n=%d, m=%d, l=%g}", k.name, len(k.R), len(k.S), k.cfg.HalfExtent)
 }
 
-// clone returns an index handle sharing the tree with fresh scratch.
-func (k *kdIndex) clone() pointIndex { return &kdIndex{tree: k.tree} }
-
-// clone returns an index handle sharing the tree with fresh scratch.
-func (k *rIndex) clone() pointIndex { return &rIndex{tree: k.tree} }
-
 // Clone prepares the sampler and returns an independent handle over
-// the same kd-tree/alias for concurrent sampling.
+// the same kd-tree and alias, with scratch of its own, for concurrent
+// sampling.
 func (k *KDS) Clone() (Sampler, error) {
 	if err := ensure(k, k.base, phaseCounted); err != nil {
 		return nil, err
@@ -230,5 +156,5 @@ func (k *KDS) Clone() (Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KDS{base: nb, index: k.index.clone(), tab: k.tab}, nil
+	return &KDS{base: nb, tree: k.tree, tab: k.tab}, nil
 }

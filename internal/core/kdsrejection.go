@@ -4,6 +4,7 @@ import (
 	"repro/internal/alias"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/kdtree"
 )
 
 // KDSRejection is the second baseline (Section III-B). It replaces
@@ -16,10 +17,11 @@ import (
 // motivates the BBST.
 type KDSRejection struct {
 	*base
-	index pointIndex
-	g     *grid.Grid
-	tab   *alias.Table
-	mu    []float64
+	tree    *kdtree.Tree // shared by clones
+	scratch kdtree.Scratch
+	g       *grid.Grid
+	tab     *alias.Table
+	mu      []float64
 }
 
 // NewKDSRejection builds the baseline-2 sampler over R and S.
@@ -28,7 +30,7 @@ func NewKDSRejection(R, S []geom.Point, cfg Config) (*KDSRejection, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KDSRejection{base: b, index: &kdIndex{}}, nil
+	return &KDSRejection{base: b}, nil
 }
 
 // Preprocess builds the kd-tree over S offline (shared with KDS, as
@@ -38,7 +40,7 @@ func (k *KDSRejection) Preprocess() error {
 		return k.err
 	}
 	timed(&k.stats.PreprocessTime, func() {
-		k.index.Build(k.S)
+		k.tree = kdtree.New(k.S)
 	})
 	k.state = phasePreprocessed
 	return nil
@@ -120,7 +122,7 @@ func (k *KDSRejection) Next() (geom.Pair, error) {
 			k.stats.Iterations++
 			ri := k.tab.Sample(k.rng)
 			r := k.R[ri]
-			s, count, ok := k.index.Sample(k.window(r), k.rng)
+			s, count, ok := k.tree.Sample(k.window(r), k.rng, &k.scratch)
 			if !ok {
 				continue // |S(w(r))| == 0: reject
 			}
@@ -147,7 +149,7 @@ func (k *KDSRejection) Sample(t int) ([]geom.Pair, error) { return sampleN(k, k.
 
 // SizeBytes reports kd-tree + grid + alias footprint.
 func (k *KDSRejection) SizeBytes() int {
-	total := k.index.SizeBytes()
+	total := k.tree.SizeBytes()
 	if k.g != nil {
 		total += k.g.SizeBytes()
 	}
@@ -161,7 +163,8 @@ func (k *KDSRejection) SizeBytes() int {
 var _ Sampler = (*KDSRejection)(nil)
 
 // Clone prepares the sampler and returns an independent handle over
-// the same kd-tree, grid, and alias for concurrent sampling.
+// the same kd-tree, grid, and alias, with scratch of its own, for
+// concurrent sampling.
 func (k *KDSRejection) Clone() (Sampler, error) {
 	if err := ensure(k, k.base, phaseCounted); err != nil {
 		return nil, err
@@ -170,5 +173,5 @@ func (k *KDSRejection) Clone() (Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KDSRejection{base: nb, index: k.index.clone(), g: k.g, tab: k.tab, mu: k.mu}, nil
+	return &KDSRejection{base: nb, tree: k.tree, g: k.g, tab: k.tab, mu: k.mu}, nil
 }

@@ -15,9 +15,9 @@
 // (core.MutableIndex.ApplyOps), so the footprint follows the live
 // count down as well as up. No Apply ever rebuilds the whole store.
 //
-// Only BBST is mutable. KDS, GridKD, RTS and the other algorithms are
-// the paper's static baselines and ablations; the serving layer
-// refuses updates addressed to them.
+// Only BBST is mutable. KDS, KDS-rejection, GridKD and JoinSample are
+// the paper's static baselines, ablation and strawman; the serving
+// layer refuses updates addressed to them.
 //
 // Every applied batch bumps the store's *generation number* exactly
 // once. The serving layer draws from a store's current view directly —

@@ -9,7 +9,7 @@
 // move with the swept parameter.
 //
 // Every sampler the harness builds runs single-worker (core.Config's
-// Workers = 1): the KDS and R-tree baselines build on one goroutine,
+// Workers = 1): the kd-tree baselines build on one goroutine,
 // so Table II's pre-processing and Table III's GM and UB columns, and
 // the ablations, time the grid samplers on one core too, like for like.
 //
@@ -53,7 +53,6 @@ const (
 	AlgoKDSRejection Algo = "KDS-rejection"
 	AlgoBBST         Algo = "BBST"
 	AlgoGridKD       Algo = "GridKD"
-	AlgoRTS          Algo = "RTS"
 )
 
 // paperAlgos are the three algorithms every paper experiment compares.
@@ -72,8 +71,6 @@ func newSampler(a Algo, R, S []geom.Point, cfg core.Config) (core.Sampler, error
 		return core.NewBBST(R, S, cfg)
 	case AlgoGridKD:
 		return core.NewGridKD(R, S, cfg)
-	case AlgoRTS:
-		return core.NewRTS(R, S, cfg)
 	default:
 		return nil, fmt.Errorf("exp: unknown algorithm %q", a)
 	}

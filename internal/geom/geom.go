@@ -129,7 +129,7 @@ func (r Rect) Height() float64 {
 // Area returns the area of the rectangle (0 when empty).
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Margin returns half the perimeter; STR/R-tree heuristics use it.
+// Margin returns half the perimeter.
 func (r Rect) Margin() float64 { return r.Width() + r.Height() }
 
 // PointRect returns the degenerate rectangle covering only p.

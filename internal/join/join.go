@@ -5,7 +5,7 @@
 // experiments need to report the join size and the approximation ratio
 // Σµ/|J|, and materializes J for small inputs. The grid-partitioned and
 // R-tree index nested-loop joins of the paper's related work are not
-// provided: the grid and R-tree packages serve the samplers only.
+// provided: the grid package serves the samplers only.
 package join
 
 import (

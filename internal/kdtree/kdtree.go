@@ -240,8 +240,12 @@ func (t *Tree) height(ni int32) int {
 }
 
 // SizeBytes estimates the heap footprint: the permuted point copy plus
-// the node array. Used by the memory experiment (Fig. 4).
+// the node array, and 0 for a nil tree (one not built yet). Used by
+// the memory experiment (Fig. 4).
 func (t *Tree) SizeBytes() int {
+	if t == nil {
+		return 0
+	}
 	const pointSize = 24
 	const nodeSize = 32 + 16
 	return len(t.pts)*pointSize + len(t.nodes)*nodeSize

@@ -141,6 +141,7 @@ func TestPublicServerErrorMapping(t *testing.T) {
 	}{
 		{"unknown dataset", SampleRequest{Dataset: "atlantis", L: 100, T: 10}, 400},
 		{"unknown algorithm", SampleRequest{Dataset: "uniform", L: 100, Algorithm: "magic", T: 10}, 400},
+		{"unknown algorithm rts", SampleRequest{Dataset: "uniform", L: 100, Algorithm: "rts", T: 10}, 400},
 		{"bad extent", SampleRequest{Dataset: "uniform", L: -3, T: 10}, 400},
 		{"over cap", SampleRequest{Dataset: "uniform", L: 100, T: 5000}, 400},
 	}

@@ -113,8 +113,6 @@ const (
 	// GridKD is the Fig. 9 ablation: the BBST pipeline with a kd-tree
 	// per cell instead of the two BBSTs.
 	GridKD Algorithm = "gridkd"
-	// RTS is an ablation of baseline 1 using an aggregate R-tree.
-	RTS Algorithm = "rts"
 	// JoinSample materializes the full join, then samples; Θ(|J|)
 	// time and space. For testing and small inputs only.
 	JoinSample Algorithm = "joinsample"
@@ -122,7 +120,7 @@ const (
 
 // Algorithms lists all selectable algorithms.
 func Algorithms() []Algorithm {
-	return []Algorithm{BBST, KDS, KDSRejection, GridKD, RTS, JoinSample}
+	return []Algorithm{BBST, KDS, KDSRejection, GridKD, JoinSample}
 }
 
 // Options tunes a sampler; the zero value (or nil) uses the BBST
@@ -176,8 +174,6 @@ func NewSampler(R, S []Point, l float64, opts *Options) (Sampler, error) {
 		return core.NewKDSRejection(R, S, cfg)
 	case GridKD:
 		return core.NewGridKD(R, S, cfg)
-	case RTS:
-		return core.NewRTS(R, S, cfg)
 	case JoinSample:
 		return core.NewJoinSample(R, S, cfg)
 	default:
@@ -337,7 +333,7 @@ func SplitRS(pts []Point, ratio float64, seed uint64) (R, S []Point) {
 
 // EstimateJoinSize derives an unbiased estimate of |J| from a
 // sampler that has already drawn samples: the acceptance rate times
-// the upper-bound mass Σµ. For exact-counting algorithms (KDS, RTS,
+// the upper-bound mass Σµ. For exact-counting algorithms (KDS,
 // JoinSample) the estimate equals |J| exactly. This powers the
 // cardinality-estimation use case without ever running the join.
 func EstimateJoinSize(s Sampler) float64 {

@@ -3,6 +3,7 @@ package srj
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -42,8 +43,10 @@ func TestNewSamplerDefaultsToBBST(t *testing.T) {
 }
 
 func TestNewSamplerUnknownAlgorithm(t *testing.T) {
-	if _, err := NewSampler(nil, nil, 10, &Options{Algorithm: "magic"}); err == nil {
-		t.Fatal("unknown algorithm should fail")
+	for _, a := range []Algorithm{"magic", "rts"} {
+		if _, err := NewSampler(nil, nil, 10, &Options{Algorithm: a}); err == nil || !strings.Contains(err.Error(), "srj: unknown algorithm") {
+			t.Fatalf("algorithm %q: err = %v, want srj: unknown algorithm", a, err)
+		}
 	}
 }
 
@@ -259,10 +262,8 @@ func TestSampleParallel(t *testing.T) {
 			t.Fatalf("invalid pair %v", p)
 		}
 	}
-	// RTS lacks Clone (ablation); ensure the error path works.
-	if _, err := SampleParallel(R, S, l, 10, 2, &Options{Algorithm: RTS}); err != nil {
-		// RTS embeds KDS which has Clone; so this should actually work.
-		t.Fatalf("RTS parallel failed: %v", err)
+	if _, err := SampleParallel(R, S, l, 10, 2, &Options{Algorithm: KDS}); err != nil {
+		t.Fatalf("KDS parallel failed: %v", err)
 	}
 	if _, err := SampleParallel(R, S, l, 10, 2, &Options{WithoutReplacement: true}); err == nil {
 		t.Fatal("without-replacement parallel should fail")
