@@ -5,8 +5,8 @@
 // engine-cache budget scales horizontally. Transport failures fail
 // over along the ring mid-stream; semantic errors (caps, bad keys)
 // surface unchanged. Clients speak the unmodified srjserver wire
-// protocol — point srj.NewClient (or srjbench -remote) at the router
-// and nothing else changes.
+// protocol — point srj.NewClient at the router and nothing else
+// changes.
 //
 // Usage:
 //

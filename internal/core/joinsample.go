@@ -105,6 +105,7 @@ func (j *JoinSample) SizeBytes() int { return 48 * len(j.joined) }
 func (j *JoinSample) JoinSize() int { return len(j.joined) }
 
 var _ Sampler = (*JoinSample)(nil)
+var _ Cloner = (*JoinSample)(nil)
 
 // Clone prepares the sampler and returns an independent handle over
 // the same materialized join for concurrent sampling.

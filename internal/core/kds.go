@@ -139,6 +139,7 @@ func (k *KDS) SizeBytes() int {
 }
 
 var _ Sampler = (*KDS)(nil)
+var _ Cloner = (*KDS)(nil)
 
 // String aids debugging.
 func (k *KDS) String() string {

@@ -161,6 +161,7 @@ func (k *KDSRejection) SizeBytes() int {
 }
 
 var _ Sampler = (*KDSRejection)(nil)
+var _ Cloner = (*KDSRejection)(nil)
 
 // Clone prepares the sampler and returns an independent handle over
 // the same kd-tree, grid, and alias, with scratch of its own, for

@@ -2,8 +2,8 @@ package router
 
 // The router's HTTP surface: the same sampling API internal/server
 // speaks, proxied shard-side. srjrouter mounts this so existing
-// clients — srj.NewClient, srjbench -remote, anything speaking the
-// wire protocol — point at one address and get the whole fleet:
+// clients — srj.NewClient, curl, anything speaking the wire
+// protocol — point at one address and get the whole fleet:
 // requests route to the key's shard, failover included, and every
 // endpoint answers in the exact shapes srjserver does (same status
 // codes, same error codes, same JSON bodies). For POST /v1/sample

@@ -15,8 +15,7 @@
 //	GET    /v1/stats   — registry, per-engine and per-store counters
 //	GET    /v1/engines — the resident engines, most recently used first
 //	DELETE /v1/engines — evict one static engine by key (tools that
-//	                     insert throwaway keys, like srjbench -remote,
-//	                     clean up with this)
+//	                     insert throwaway keys clean up with this)
 //	POST   /v1/snapshot/dump    — one dataset's complete store state
 //	                              (router state transfer, donor side)
 //	POST   /v1/snapshot/install — install a transferred store state

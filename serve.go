@@ -79,7 +79,7 @@ type APIError = server.APIError
 // base (e.g. "http://localhost:8080") using http.DefaultClient. Note
 // http.DefaultClient keeps only two idle connections per host; for
 // many concurrent request goroutines use NewClientHTTP with a
-// transport sized to the concurrency (as srjbench -remote does).
+// transport sized to the concurrency.
 func NewClient(base string) *Client { return &Client{Client: server.NewClient(base, nil)} }
 
 // NewClientHTTP is NewClient with a caller-supplied http.Client, for

@@ -200,10 +200,10 @@ func SampleInto(s Sampler, dst []Pair) (int, error) {
 
 // SampleParallel draws t uniform independent join samples using the
 // given number of worker goroutines. The underlying algorithm must
-// support cloning (all do except KDSRejection's strawman sibling —
-// see core.Cloner); sampling without replacement is not supported in
-// parallel. Samples remain uniform and independent because each
-// worker draws from an independent split of the random stream.
+// support cloning (all five do — see core.Cloner); sampling without
+// replacement is not supported in parallel. Samples remain uniform
+// and independent because each worker draws from an independent split
+// of the random stream.
 func SampleParallel(R, S []Point, l float64, t, workers int, opts *Options) ([]Pair, error) {
 	s, err := NewSampler(R, S, l, opts)
 	if err != nil {
