@@ -713,38 +713,54 @@ func TestRejectionBudget(t *testing.T) {
 	}
 }
 
+// TestStatsPhaseAttribution pins which Stats field each sampler's
+// phases are timed into: a phase runs only when asked for and reads 0
+// before, and a phase a sampler does not have (KDS's grid mapping, the
+// grid samplers' and JoinSample's offline phase) takes no time at all.
+// JoinSample's upper bounding, an emptiness check over the
+// materialized join, is too short to pin either way.
 func TestStatsPhaseAttribution(t *testing.T) {
 	r := rng.New(13)
 	R := randomPoints(r, 2000, 100, 0)
 	S := randomPoints(r, 2000, 100, 100000)
-	s, err := NewBBST(R, S, Config{HalfExtent: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Preprocess(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.GridMapTime != 0 || st.UpperBoundTime != 0 || st.SampleTime != 0 {
-		t.Error("later phases should have zero time before running")
-	}
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().GridMapTime <= 0 {
-		t.Error("GridMapTime should be positive after Build")
-	}
-	if err := s.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().UpperBoundTime <= 0 {
-		t.Error("UpperBoundTime should be positive after Count")
-	}
-	if _, err := s.Sample(100); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().SampleTime <= 0 {
-		t.Error("SampleTime should be positive after sampling")
+	hasPreprocess := map[string]bool{"KDS": true, "KDS-rejection": true}
+	hasGridMap := map[string]bool{"KDS-rejection": true, "BBST": true, "GridKD": true, "JoinSample": true}
+	pinUpperBound := map[string]bool{"KDS": true, "KDS-rejection": true, "BBST": true, "GridKD": true}
+	for _, f := range allFactories() {
+		t.Run(f.name, func(t *testing.T) {
+			s, err := f.make(R, S, Config{HalfExtent: 5, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Preprocess(); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if st.GridMapTime != 0 || st.UpperBoundTime != 0 || st.SampleTime != 0 {
+				t.Errorf("after Preprocess: GM %v, UB %v, sampling %v, want all 0", st.GridMapTime, st.UpperBoundTime, st.SampleTime)
+			}
+			if got := st.PreprocessTime; hasPreprocess[f.name] != (got > 0) {
+				t.Errorf("PreprocessTime = %v, want positive: %v", got, hasPreprocess[f.name])
+			}
+			if err := s.Build(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Stats().GridMapTime; hasGridMap[f.name] != (got > 0) {
+				t.Errorf("GridMapTime after Build = %v, want positive: %v", got, hasGridMap[f.name])
+			}
+			if err := s.Count(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Stats().UpperBoundTime; pinUpperBound[f.name] && got <= 0 {
+				t.Errorf("UpperBoundTime after Count = %v, want positive", got)
+			}
+			if _, err := s.Sample(100); err != nil {
+				t.Fatal(err)
+			}
+			if s.Stats().SampleTime <= 0 {
+				t.Error("SampleTime should be positive after sampling")
+			}
+		})
 	}
 }
 

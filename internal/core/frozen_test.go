@@ -166,25 +166,36 @@ func TestBaselineGoldenDigest(t *testing.T) {
 // TestSampleIntoZeroAllocs holds the bulk API to its contract: once a
 // handle has drawn one batch, further batches allocate nothing, and
 // neither does a Next loop, which runs the same lane groups and carry
-// one pair at a time.
+// one pair at a time. The baselines, drawn one Next at a time, run
+// over a tenth of the data, which keeps JoinSample's materialized join
+// small.
 func TestSampleIntoZeroAllocs(t *testing.T) {
 	R, S := dataset.SplitRS(dataset.NYC(40000, 1), 0.5, 2)
+	smallR, smallS := dataset.SplitRS(dataset.NYC(4000, 1), 0.5, 2)
 	cfg := Config{HalfExtent: 100, Seed: 5}
 	handles := map[string]func(t *testing.T) Sampler{
 		"Mutable": func(t *testing.T) Sampler { return mustUnfreeze(t, R, S, cfg) },
 	}
-	for _, f := range frozenFactories {
-		handles[f.name] = func(t *testing.T) Sampler {
-			parent, err := f.mk(R, S, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := parent.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
+	clone := func(t *testing.T, mk frozenFactory, R, S []geom.Point) Sampler {
+		parent, err := mk(R, S, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		c, err := parent.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, f := range frozenFactories {
+		handles[f.name] = func(t *testing.T) Sampler { return clone(t, f.mk, R, S) }
+	}
+	for name, mk := range map[string]frozenFactory{
+		"KDS":           func(R, S []geom.Point, cfg Config) (Cloner, error) { return NewKDS(R, S, cfg) },
+		"KDS-rejection": func(R, S []geom.Point, cfg Config) (Cloner, error) { return NewKDSRejection(R, S, cfg) },
+		"JoinSample":    func(R, S []geom.Point, cfg Config) (Cloner, error) { return NewJoinSample(R, S, cfg) },
+	} {
+		handles[name] = func(t *testing.T) Sampler { return clone(t, mk, smallR, smallS) }
 	}
 	for name, mk := range handles {
 		t.Run(name, func(t *testing.T) {

@@ -500,34 +500,49 @@ func TestEngineDrawZeroAllocs(t *testing.T) {
 // clones (which reach the parent's structures) wait in a sync.Pool,
 // outlives its last reference by a collection. Under a registry's
 // budget that is an evicted engine holding its memory while its
-// replacement is built. The finalizer sits on the parent only: one on
-// the Engine would itself keep what the Engine references alive for
-// one more cycle and hide the bug.
+// replacement is built. A parent that reaches itself (say, through a
+// phase body kept past its lifecycle) is never finalized at all. The
+// finalizer sits on the parent only: one on the Engine would itself
+// keep what the Engine references alive for one more cycle and hide
+// the bug. Every algorithm runs it.
 func TestEngineFreedAtNextGC(t *testing.T) {
-	var freed atomic.Bool
-	drawAndDrop(t, &freed)
-	runtime.GC()
-	for deadline := time.Now().Add(200 * time.Millisecond); !freed.Load() && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if !freed.Load() {
-		t.Fatal("the parent sampler is still reachable one collection after its engine was dropped")
+	for _, algo := range []struct {
+		name string
+		mk   func(R, S []geom.Point, cfg core.Config) (core.Cloner, error)
+	}{
+		{"KDS", func(R, S []geom.Point, cfg core.Config) (core.Cloner, error) { return core.NewKDS(R, S, cfg) }},
+		{"KDS-rejection", func(R, S []geom.Point, cfg core.Config) (core.Cloner, error) { return core.NewKDSRejection(R, S, cfg) }},
+		{"BBST", func(R, S []geom.Point, cfg core.Config) (core.Cloner, error) { return core.NewBBST(R, S, cfg) }},
+		{"GridKD", func(R, S []geom.Point, cfg core.Config) (core.Cloner, error) { return core.NewGridKD(R, S, cfg) }},
+		{"JoinSample", func(R, S []geom.Point, cfg core.Config) (core.Cloner, error) { return core.NewJoinSample(R, S, cfg) }},
+	} {
+		t.Run(algo.name, func(t *testing.T) {
+			var freed atomic.Bool
+			drawAndDrop(t, algo.mk, &freed)
+			runtime.GC()
+			for deadline := time.Now().Add(200 * time.Millisecond); !freed.Load() && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if !freed.Load() {
+				t.Fatal("the parent sampler is still reachable one collection after its engine was dropped")
+			}
+		})
 	}
 }
 
-// drawAndDrop builds an engine over a BBST parent that sets freed when
-// it is collected, serves one DrawFunc request and drops every
+// drawAndDrop builds an engine over a parent from mk that sets freed
+// when it is collected, serves one DrawFunc request and drops every
 // reference. It is a function of its own so that nothing it built
 // stays live in the caller's frame.
 //
 //go:noinline
-func drawAndDrop(t *testing.T, freed *atomic.Bool) {
+func drawAndDrop(t *testing.T, mk func(R, S []geom.Point, cfg core.Config) (core.Cloner, error), freed *atomic.Bool) {
 	r := rng.New(3)
-	s, err := core.NewBBST(testPoints(r, 400, 50, 0), testPoints(r, 400, 50, 10000), core.Config{HalfExtent: 5, Seed: 1})
+	s, err := mk(testPoints(r, 400, 50, 0), testPoints(r, 400, 50, 10000), core.Config{HalfExtent: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.SetFinalizer(s, func(*core.BBSTSampler) { freed.Store(true) })
+	runtime.SetFinalizer(s, func(any) { freed.Store(true) })
 	e, err := New(s, 1)
 	if err != nil {
 		t.Fatal(err)
