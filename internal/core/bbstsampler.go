@@ -104,17 +104,10 @@ func NewBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BBSTSampler{gridSampler{base: b, newCorner: cellCorner, scanC: defaultScanC}}, nil
+	s := &BBSTSampler{gridSampler{base: b, newCorner: cellCorner, scanC: defaultScanC}}
+	s.bodies = phaseBodies{nil, s.build, s.count}
+	return s, nil
 }
-
-// Next draws one uniform independent join sample.
-func (s *BBSTSampler) Next() (geom.Pair, error) { return s.next() }
-
-// Sample draws t samples through the batch loop.
-func (s *BBSTSampler) Sample(t int) ([]geom.Pair, error) { return sampleN(s, s.base, t) }
-
-// SizeBytes reports the pipeline footprint.
-func (s *BBSTSampler) SizeBytes() int { return s.sizeBytes() }
 
 // Clone prepares the sampler and returns an independent handle over
 // the same grid/BBST/alias structures for concurrent sampling.

@@ -97,7 +97,9 @@ func (c Config) Validate() error {
 
 // Stats captures the phase decomposition the paper reports: Table II
 // times Preprocess; Table III decomposes GridMap (GM) and UpperBound
-// (UB); Table IV reports SampleTime and Iterations.
+// (UB); Table IV reports SampleTime and Iterations. Each phase time is
+// the wall time of that phase's one run (base.advance), failed runs
+// included; a phase a sampler does not have reads 0.
 type Stats struct {
 	// PreprocessTime is the offline phase: the kd-tree of S for KDS
 	// and KDS-rejection. BBST, GridKD and JoinSample have no offline
@@ -110,7 +112,8 @@ type Stats struct {
 	GridMapTime time.Duration
 	// UpperBoundTime is UB: counting µ(r, d) in one batched pass per
 	// grid cell of R (the 3×3 S block looked up once per cell, edge
-	// counts by sweeps, corners per point), plus alias building.
+	// counts by sweeps, corners per point), plus alias building. For
+	// JoinSample it is Σµ = |J| and the emptiness check.
 	UpperBoundTime time.Duration
 	// SampleTime is the cumulative sampling-phase time. Samplers with
 	// a batch loop (the grid samplers and Mutable) read the clock once
@@ -134,8 +137,11 @@ func (s Stats) Total() time.Duration {
 
 // Sampler is the common interface of all join-sampling algorithms.
 // Phases may be invoked explicitly (the experiment harness does, to
-// time them separately) or implicitly: Next and Sample run any phase
-// that has not happened yet.
+// time them separately) or implicitly: Next, Sample and Clone run any
+// phase that has not happened yet. Each phase runs at most once, and
+// a phase's error is returned by every later call. The lifecycle
+// (Preprocess, Build, Count, Name, Stats) is base's, shared by every
+// sampler here.
 type Sampler interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
@@ -179,15 +185,27 @@ const (
 	phaseCounted
 )
 
-// base carries the state shared by the concrete samplers.
+// phaseBodies holds a sampler's work for the phases after phaseNew:
+// [0] Preprocess, [1] Build, [2] Count. A nil body is a phase the
+// sampler does not have.
+type phaseBodies [phaseCounted]func() error
+
+// base is the one owner of every sampler's lifecycle: its data and
+// configuration, random stream, Stats, without-replacement filter and
+// phase state. Preprocess, Build and Count are base's, each advancing
+// the state through the bodies the sampler's constructor registered;
+// the samplers without a batch loop draw through base.next. A clone's
+// base (cloneBase) starts counted and has no bodies, and so does a
+// Mutable handle's.
 type base struct {
-	name  string
-	cfg   Config
-	R, S  []geom.Point
-	rng   *rng.RNG
-	stats Stats
-	state phase
-	err   error // sticky fatal error (e.g. ErrEmptyJoin)
+	name   string
+	cfg    Config
+	R, S   []geom.Point
+	rng    *rng.RNG
+	stats  Stats
+	state  phase
+	err    error // sticky phase error (e.g. ErrEmptyJoin)
+	bodies phaseBodies
 
 	seen map[uint64]struct{} // for WithoutReplacement
 }
@@ -213,6 +231,63 @@ func (b *base) Name() string { return b.name }
 
 func (b *base) Stats() Stats { return b.stats }
 
+// Preprocess runs the offline phase (Table II).
+func (b *base) Preprocess() error { return b.advance(phasePreprocessed) }
+
+// Build runs the phases through the online data-structure building
+// (GM).
+func (b *base) Build() error { return b.advance(phaseBuilt) }
+
+// Count runs the phases through upper bounding (UB).
+func (b *base) Count() error { return b.advance(phaseCounted) }
+
+// advance runs each phase after the current one up to want, timing
+// its body into the phase's Stats field; a failing body's error is
+// sticky, and stops every later phase. Once the lifecycle ends
+// (counted or failed) the bodies are dropped: they reach the sampler,
+// and a sampler that reaches itself through its base is never
+// finalized.
+func (b *base) advance(want phase) error {
+	for b.err == nil && b.state < want {
+		p := b.state + 1
+		if body := b.bodies[p-1]; body != nil {
+			times := [...]*time.Duration{&b.stats.PreprocessTime, &b.stats.GridMapTime, &b.stats.UpperBoundTime}
+			start := time.Now()
+			b.err = body()
+			*times[p-1] += time.Since(start)
+		}
+		if b.err == nil {
+			b.state = p
+		}
+	}
+	if b.err != nil || b.state == phaseCounted {
+		b.bodies = phaseBodies{}
+	}
+	return b.err
+}
+
+// next is the per-sample loop of the samplers without a batch loop
+// (KDS, KDS-rejection, JoinSample): it runs any phase still due, then
+// trials until one yields a pair the without-replacement filter
+// accepts, under the rejection budget. trial is one sampling
+// iteration; ok is false when it rejects. The call's wall time is
+// added to Stats.SampleTime.
+func (b *base) next(trial func() (geom.Pair, bool)) (geom.Pair, error) {
+	if err := b.advance(phaseCounted); err != nil {
+		return geom.Pair{}, err
+	}
+	start := time.Now()
+	defer func() { b.stats.SampleTime += time.Since(start) }()
+	for range b.cfg.maxRejects() {
+		b.stats.Iterations++
+		if p, ok := trial(); ok && b.accept(p) {
+			b.stats.Samples++
+			return p, nil
+		}
+	}
+	return geom.Pair{}, ErrLowAcceptance
+}
+
 // pairKey packs the two IDs for the without-replacement filter.
 func pairKey(p geom.Pair) uint64 {
 	return uint64(uint32(p.R.ID))<<32 | uint64(uint32(p.S.ID))
@@ -221,37 +296,6 @@ func pairKey(p geom.Pair) uint64 {
 // window returns w(r).
 func (b *base) window(r geom.Point) geom.Rect {
 	return geom.Window(r, b.cfg.HalfExtent)
-}
-
-// phased is the lifecycle subset of Sampler that ensure needs; the
-// shared pipeline types implement it without being full Samplers.
-type phased interface {
-	Preprocess() error
-	Build() error
-	Count() error
-}
-
-// ensure advances the sampler through its phases up to want.
-func ensure(s phased, b *base, want phase) error {
-	if b.err != nil {
-		return b.err
-	}
-	if b.state < phasePreprocessed && want >= phasePreprocessed {
-		if err := s.Preprocess(); err != nil {
-			return err
-		}
-	}
-	if b.state < phaseBuilt && want >= phaseBuilt {
-		if err := s.Build(); err != nil {
-			return err
-		}
-	}
-	if b.state < phaseCounted && want >= phaseCounted {
-		if err := s.Count(); err != nil {
-			return err
-		}
-	}
-	return b.err
 }
 
 // SampleInto fills dst with uniform independent join samples, reusing
@@ -343,8 +387,8 @@ func drawLanes(dst []geom.Pair, lg *laneGroup, budget int, st *Stats, run func(*
 	return n, err
 }
 
-// sampleN implements Sample(t) on top of SampleInto for every sampler;
-// b is nil for samplers without a base (they sample with replacement).
+// sampleN implements Sample(t) on top of SampleInto for every sampler,
+// b being s's base.
 func sampleN(s Sampler, b *base, t int) ([]geom.Pair, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("core: negative sample count %d", t)
@@ -353,7 +397,7 @@ func sampleN(s Sampler, b *base, t int) ([]geom.Pair, error) {
 	n, err := SampleInto(s, out)
 	// Without replacement, exhausting J surfaces as a rejection-budget
 	// error; return what we have.
-	if b != nil && b.cfg.WithoutReplacement && errors.Is(err, ErrLowAcceptance) && n > 0 {
+	if b.cfg.WithoutReplacement && errors.Is(err, ErrLowAcceptance) && n > 0 {
 		err = nil
 	}
 	return out[:n], err
@@ -371,11 +415,4 @@ func (b *base) accept(p geom.Pair) bool {
 	}
 	b.seen[k] = struct{}{}
 	return true
-}
-
-// timed runs fn and adds its wall time to *d.
-func timed(d *time.Duration, fn func()) {
-	start := time.Now()
-	fn()
-	*d += time.Since(start)
 }

@@ -781,16 +781,6 @@ func TestJoinSampleJoinSize(t *testing.T) {
 	}
 }
 
-func TestKDSStringer(t *testing.T) {
-	s, err := NewKDS(nil, nil, Config{HalfExtent: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.String(); got == "" {
-		t.Fatal("String should not be empty")
-	}
-}
-
 func TestCloneOfEmptyJoinFails(t *testing.T) {
 	R := []geom.Point{{X: 0, Y: 0, ID: 1}}
 	S := []geom.Point{{X: 5000, Y: 5000, ID: 2}}

@@ -151,9 +151,14 @@ func cornerFor(d grid.Direction) bbst.Corner {
 	panic("core: direction is not a corner")
 }
 
-// gridSampler is the shared three-phase pipeline of Algorithm 1,
-// parameterized by the case-3 structure. The BBST and GridKD samplers
-// are thin wrappers around it.
+// gridSampler is the shared pipeline of Algorithm 1, parameterized by
+// the case-3 structure: its phase bodies (build, count), its batch
+// loop and the Sampler methods base does not have. The BBST and GridKD
+// samplers are thin wrappers around it, adding a constructor and
+// Clone. It has no offline phase: the paper's one offline step,
+// sorting S by x (which Table II credits for BBST's cheap
+// pre-processing), is done per cell by the grid mapping, so
+// GridMapTime counts it and PreprocessTime reads 0.
 type gridSampler struct {
 	*base
 	// newCorner builds one cell's corner structure over its x-sorted
@@ -267,57 +272,31 @@ func (g *gridSampler) countBound() int {
 	return bound
 }
 
-// Preprocess does nothing and takes no time: the grid pipeline has no
-// offline phase. The paper's one offline step, sorting S by x (which
-// Table II credits for BBST's cheap pre-processing), is done per cell
-// by the grid mapping in Build, so GridMapTime counts it.
-func (g *gridSampler) Preprocess() error {
-	if g.state < phasePreprocessed {
-		g.state = phasePreprocessed
-	}
-	return g.err
-}
-
-// Build is the online data-structure building phase (GM): grid
+// build is the online data-structure building phase (GM): grid
 // mapping of S, which sorts each cell's points by x and by y, plus one
 // corner structure per cell by newCorner (BBST-BUILDING).
 // Both the sorts and the corner builds are split by cell across
 // cfg.Workers; each cell writes only its own slots.
-func (g *gridSampler) Build() error {
-	if err := ensure(g, g.base, phasePreprocessed); err != nil {
+func (g *gridSampler) build() error {
+	var err error
+	if g.g, err = grid.BuildWorkers(g.S, g.cfg.HalfExtent, g.cfg.Workers); err != nil {
 		return err
 	}
-	if g.state >= phaseBuilt {
-		return g.err
-	}
-	var buildErr error
-	timed(&g.stats.GridMapTime, func() {
-		g.g, buildErr = grid.BuildWorkers(g.S, g.cfg.HalfExtent, g.cfg.Workers)
-		if buildErr != nil {
-			return
-		}
-		g.corners = make([]cornerIndex, g.g.NumCells())
-		errs := make([]error, len(g.corners))
-		par.ForEach(len(g.corners), g.cfg.Workers, func(_, i int) {
-			run := g.g.ByIndex(int32(i)).XSorted
-			g.corners[i], errs[i] = g.newCorner(run, len(g.S), g.scanC, g.cfg.BucketCap)
-		})
-		for _, err := range errs {
-			if err != nil {
-				buildErr = err // the lowest-indexed failing cell's
-				return
-			}
-		}
+	g.corners = make([]cornerIndex, g.g.NumCells())
+	errs := make([]error, len(g.corners))
+	par.ForEach(len(g.corners), g.cfg.Workers, func(_, i int) {
+		run := g.g.ByIndex(int32(i)).XSorted
+		g.corners[i], errs[i] = g.newCorner(run, len(g.S), g.scanC, g.cfg.BucketCap)
 	})
-	if buildErr != nil {
-		g.err = buildErr
-		return buildErr
+	for _, err := range errs {
+		if err != nil {
+			return err // the lowest-indexed failing cell's
+		}
 	}
-	g.state = phaseBuilt
 	return nil
 }
 
-// Count is the approximate range counting phase (UB): every R point's
+// count is the approximate range counting phase (UB): every R point's
 // count record µ(r, d), one row of S cell indexes and µ(r, Center) per
 // R cell, and the global alias A over µ(r). The records' width is
 // picked first, from Build's cells and corners (countBound), so they
@@ -330,69 +309,55 @@ func (g *gridSampler) Build() error {
 // its own; a cell writes only its points' records and µ(r) and its own
 // row, and Σµ and the alias are summed serially in R order, so the
 // result does not depend on the split.
-func (g *gridSampler) Count() error {
-	if err := ensure(g, g.base, phaseBuilt); err != nil {
-		return err
+func (g *gridSampler) count() error {
+	mcs := make([]muCounter, par.Limit(g.cfg.Workers))
+	for w := range mcs {
+		mcs[w].half = g.cfg.HalfExtent
 	}
-	if g.state >= phaseCounted {
-		return g.err
+	keys, starts, perm := grid.GroupByCell(g.R, g.g.Side())
+	// Rows go in the order R first touches their cells (Unfreeze's
+	// slot layout): mark each cell's first point, meet them in order.
+	rowOf, first := make([]int32, len(keys)), make([]int32, len(g.R))
+	for c := range keys {
+		first[perm[starts[c]]] = int32(c) + 1
 	}
-	var buildErr error
-	timed(&g.stats.UpperBoundTime, func() {
-		mcs := make([]muCounter, par.Limit(g.cfg.Workers))
-		for w := range mcs {
-			mcs[w].half = g.cfg.HalfExtent
+	next := int32(0)
+	for _, c := range first {
+		if c > 0 {
+			rowOf[c-1], next = next, next+1
 		}
-		keys, starts, perm := grid.GroupByCell(g.R, g.g.Side())
-		// Rows go in the order R first touches their cells (Unfreeze's
-		// slot layout): mark each cell's first point, meet them in order.
-		rowOf, first := make([]int32, len(keys)), make([]int32, len(g.R))
-		for c := range keys {
-			first[perm[starts[c]]] = int32(c) + 1
+	}
+	if g.countBound() > math.MaxUint16 {
+		g.recs = make(pointRecs[int32], len(g.R))
+	} else {
+		g.recs = make(pointRecs[uint16], len(g.R))
+	}
+	g.rows = make([]cellRow, len(keys))
+	mu := make([]float64, len(g.R))
+	par.ForEach(len(keys), g.cfg.Workers, func(w, c int) {
+		mc := &mcs[w]
+		idx := perm[starts[c]:starts[c+1]]
+		mc.reset()
+		for _, i := range idx {
+			mc.add(g.R[i], dirCounts{})
 		}
-		next := int32(0)
-		for _, c := range first {
-			if c > 0 {
-				rowOf[c-1], next = next, next+1
-			}
-		}
-		if g.countBound() > math.MaxUint16 {
-			g.recs = make(pointRecs[int32], len(g.R))
-		} else {
-			g.recs = make(pointRecs[uint16], len(g.R))
-		}
-		g.rows = make([]cellRow, len(keys))
-		mu := make([]float64, len(g.R))
-		par.ForEach(len(keys), g.cfg.Workers, func(w, c int) {
-			mc := &mcs[w]
-			idx := perm[starts[c]:starts[c+1]]
-			mc.reset()
-			for _, i := range idx {
-				mc.add(g.R[i], dirCounts{})
-			}
-			row := rowOf[c]
-			nb := g.neighborhood(keys[c], &g.rows[row].cells)
-			mc.count(&nb, allDirs)
-			g.rows[row].center = mc.cnt[0][grid.Center]
-			g.recs.fill(idx, mc.cnt, row, mu)
-		})
-		total := 0.0
-		for _, m := range mu {
-			total += m
-		}
-		g.stats.MuSum = total
-		if total == 0 {
-			buildErr = ErrEmptyJoin
-			return
-		}
-		g.tab, buildErr = alias.New(mu)
+		row := rowOf[c]
+		nb := g.neighborhood(keys[c], &g.rows[row].cells)
+		mc.count(&nb, allDirs)
+		g.rows[row].center = mc.cnt[0][grid.Center]
+		g.recs.fill(idx, mc.cnt, row, mu)
 	})
-	if buildErr != nil {
-		g.err = buildErr
-		return buildErr
+	total := 0.0
+	for _, m := range mu {
+		total += m
 	}
-	g.state = phaseCounted
-	return nil
+	g.stats.MuSum = total
+	if total == 0 {
+		return ErrEmptyJoin
+	}
+	var err error
+	g.tab, err = alias.New(mu)
+	return err
 }
 
 // neighborhood looks up the S cells of the 3×3 block around cell k
@@ -524,11 +489,22 @@ func (rs pointRecs[W]) tryGroup(g *gridSampler, lg *laneGroup) {
 // sampleInto is the sampling phase behind SampleInto and Next: one
 // phase check per call, then the lane loop over tryGroup.
 func (g *gridSampler) sampleInto(dst []geom.Pair) (int, error) {
-	if err := ensure(g, g.base, phaseCounted); err != nil {
+	if err := g.advance(phaseCounted); err != nil {
 		return 0, err
 	}
 	return drawLanes(dst, &g.lanes, g.cfg.maxRejects(), &g.stats, g.tryGroup, g.accept)
 }
+
+// Next draws one uniform independent join sample through the batch
+// loop.
+func (g *gridSampler) Next() (geom.Pair, error) {
+	var p [1]geom.Pair
+	_, err := g.sampleInto(p[:])
+	return p[0], err
+}
+
+// Sample draws t samples through the batch loop.
+func (g *gridSampler) Sample(t int) ([]geom.Pair, error) { return sampleN(g, g.base, t) }
 
 // Reseed is base.Reseed plus dropping the handle's carry, so it draws
 // what a fresh handle with that seed would.
@@ -537,21 +513,11 @@ func (g *gridSampler) Reseed(seed uint64) {
 	g.lanes = laneGroup{}
 }
 
-// next draws one sample through the batch loop.
-func (g *gridSampler) next() (geom.Pair, error) {
-	var p [1]geom.Pair
-	_, err := g.sampleInto(p[:])
-	return p[0], err
-}
-
 // cloneGrid derives an independent gridSampler over the same immutable
 // structures (grid, corner structures, aliases): fresh base (split
 // RNG, fresh stats) and its own corner scratch.
 func (g *gridSampler) cloneGrid() (gridSampler, error) {
-	if err := ensure(g, g.base, phaseCounted); err != nil {
-		return gridSampler{}, err
-	}
-	nb, err := g.base.cloneBase()
+	nb, err := g.cloneBase()
 	if err != nil {
 		return gridSampler{}, err
 	}
@@ -567,10 +533,11 @@ func (g *gridSampler) cloneGrid() (gridSampler, error) {
 	}, nil
 }
 
-// sizeBytes sums the pipeline structures: grid, corner structures (and
-// their 16-byte slots), global alias, the count record per R point (20
-// bytes at uint16, 36 at int32) and the 40-byte row per R cell.
-func (g *gridSampler) sizeBytes() int {
+// SizeBytes sums the pipeline structures (Fig. 4): grid, corner
+// structures (and their 16-byte slots), global alias, the count record
+// per R point (20 bytes at uint16, 36 at int32) and the 40-byte row
+// per R cell.
+func (g *gridSampler) SizeBytes() int {
 	total := 16 * len(g.corners)
 	if g.g != nil {
 		total += g.g.SizeBytes()

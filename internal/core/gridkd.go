@@ -47,17 +47,10 @@ func NewGridKD(R, S []geom.Point, cfg Config) (*GridKD, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GridKD{gridSampler{base: b, newCorner: newKDCorner}}, nil
+	s := &GridKD{gridSampler{base: b, newCorner: newKDCorner}}
+	s.bodies = phaseBodies{nil, s.build, s.count}
+	return s, nil
 }
-
-// Next draws one uniform independent join sample.
-func (s *GridKD) Next() (geom.Pair, error) { return s.next() }
-
-// Sample draws t samples through the batch loop.
-func (s *GridKD) Sample(t int) ([]geom.Pair, error) { return sampleN(s, s.base, t) }
-
-// SizeBytes reports the pipeline footprint.
-func (s *GridKD) SizeBytes() int { return s.sizeBytes() }
 
 // Clone prepares the sampler and returns an independent handle over
 // the same grid/kd-tree/alias structures for concurrent sampling.

@@ -14,84 +14,41 @@ type JoinSample struct {
 	joined []geom.Pair
 }
 
-// NewJoinSample builds the join-then-sample strawman over R and S.
+// NewJoinSample builds the join-then-sample strawman over R and S. It
+// has no offline phase; its phases are the materialized join (timed as
+// GM for comparison) and the emptiness check (UB).
 func NewJoinSample(R, S []geom.Point, cfg Config) (*JoinSample, error) {
 	b, err := newBase("JoinSample", R, S, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &JoinSample{base: b}, nil
+	j := &JoinSample{base: b}
+	b.bodies = phaseBodies{nil, j.build, j.count}
+	return j, nil
 }
 
-// Preprocess is a no-op; the strawman has no offline structure.
-func (j *JoinSample) Preprocess() error {
-	if j.state < phasePreprocessed {
-		j.state = phasePreprocessed
-	}
-	return j.err
-}
-
-// Build materializes the full join via plane sweep; its cost is the
-// Θ(|J|) the sampling algorithms avoid. Timed as GM for comparison.
-func (j *JoinSample) Build() error {
-	if err := ensure(j, j.base, phasePreprocessed); err != nil {
-		return err
-	}
-	if j.state >= phaseBuilt {
-		return j.err
-	}
-	timed(&j.stats.GridMapTime, func() {
-		j.joined = join.Materialize(j.R, j.S, j.cfg.HalfExtent)
-	})
-	j.state = phaseBuilt
+// build materializes the full join via plane sweep; its cost is the
+// Θ(|J|) the sampling algorithms avoid.
+func (j *JoinSample) build() error {
+	j.joined = join.Materialize(j.R, j.S, j.cfg.HalfExtent)
 	return nil
 }
 
-// Count only checks emptiness; the materialized join needs no alias.
-func (j *JoinSample) Count() error {
-	if err := ensure(j, j.base, phaseBuilt); err != nil {
-		return err
-	}
-	if j.state >= phaseCounted {
-		return j.err
-	}
+// count only checks emptiness; the materialized join needs no alias.
+func (j *JoinSample) count() error {
 	j.stats.MuSum = float64(len(j.joined))
 	if len(j.joined) == 0 {
-		j.err = ErrEmptyJoin
-		return j.err
+		return ErrEmptyJoin
 	}
-	j.state = phaseCounted
 	return nil
 }
 
 // Next draws one uniform sample from the materialized join.
-func (j *JoinSample) Next() (geom.Pair, error) {
-	if err := ensure(j, j.base, phaseCounted); err != nil {
-		return geom.Pair{}, err
-	}
-	var out geom.Pair
-	var err error
-	timed(&j.stats.SampleTime, func() {
-		for attempt := 0; attempt < j.cfg.maxRejects(); attempt++ {
-			if p, ok := j.tryOnce(); ok {
-				out = p
-				return
-			}
-		}
-		err = ErrLowAcceptance
-	})
-	return out, err
-}
+func (j *JoinSample) Next() (geom.Pair, error) { return j.next(j.trial) }
 
-// tryOnce is one sampling iteration over the materialized join.
-func (j *JoinSample) tryOnce() (geom.Pair, bool) {
-	j.stats.Iterations++
-	p := j.joined[j.rng.Intn(len(j.joined))]
-	if !j.accept(p) {
-		return geom.Pair{}, false
-	}
-	j.stats.Samples++
-	return p, true
+// trial is one sampling iteration over the materialized join.
+func (j *JoinSample) trial() (geom.Pair, bool) {
+	return j.joined[j.rng.Intn(len(j.joined))], true
 }
 
 // Sample draws t samples via Next.
@@ -110,10 +67,7 @@ var _ Cloner = (*JoinSample)(nil)
 // Clone prepares the sampler and returns an independent handle over
 // the same materialized join for concurrent sampling.
 func (j *JoinSample) Clone() (Sampler, error) {
-	if err := ensure(j, j.base, phaseCounted); err != nil {
-		return nil, err
-	}
-	nb, err := j.base.cloneBase()
+	nb, err := j.cloneBase()
 	if err != nil {
 		return nil, err
 	}

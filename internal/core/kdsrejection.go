@@ -24,124 +24,77 @@ type KDSRejection struct {
 	mu      []float64
 }
 
-// NewKDSRejection builds the baseline-2 sampler over R and S.
+// NewKDSRejection builds the baseline-2 sampler over R and S. Its
+// phases are the kd-tree over S (offline, as for KDS in Table II), the
+// grid over S (GM) and the grid upper bounds (UB).
 func NewKDSRejection(R, S []geom.Point, cfg Config) (*KDSRejection, error) {
 	b, err := newBase("KDS-rejection", R, S, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &KDSRejection{base: b}, nil
+	k := &KDSRejection{base: b}
+	b.bodies = phaseBodies{k.preprocess, k.build, k.count}
+	return k, nil
 }
 
-// Preprocess builds the kd-tree over S offline (shared with KDS, as
-// in Table II).
-func (k *KDSRejection) Preprocess() error {
-	if k.state >= phasePreprocessed {
-		return k.err
-	}
-	timed(&k.stats.PreprocessTime, func() {
-		k.tree = kdtree.New(k.S)
-	})
-	k.state = phasePreprocessed
+// preprocess builds the kd-tree over S offline.
+func (k *KDSRejection) preprocess() error {
+	k.tree = kdtree.New(k.S)
 	return nil
 }
 
-// Build maps S onto the grid (GM). The grid cannot be built offline
+// build maps S onto the grid (GM). The grid cannot be built offline
 // because the cell side equals the query's half extent.
-func (k *KDSRejection) Build() error {
-	if err := ensure(k, k.base, phasePreprocessed); err != nil {
-		return err
-	}
-	if k.state >= phaseBuilt {
-		return k.err
-	}
-	var buildErr error
-	timed(&k.stats.GridMapTime, func() {
-		k.g, buildErr = grid.BuildWorkers(k.S, k.cfg.HalfExtent, k.cfg.Workers)
-	})
-	if buildErr != nil {
-		k.err = buildErr
-		return buildErr
-	}
-	k.state = phaseBuilt
-	return nil
+func (k *KDSRejection) build() error {
+	var err error
+	k.g, err = grid.BuildWorkers(k.S, k.cfg.HalfExtent, k.cfg.Workers)
+	return err
 }
 
-// Count computes µ(r) for every r in O(1) each — the sum of the nine
+// count computes µ(r) for every r in O(1) each — the sum of the nine
 // overlapping cell sizes — and builds the alias over µ (UB).
-func (k *KDSRejection) Count() error {
-	if err := ensure(k, k.base, phaseBuilt); err != nil {
-		return err
-	}
-	if k.state >= phaseCounted {
-		return k.err
-	}
-	var buildErr error
-	timed(&k.stats.UpperBoundTime, func() {
-		k.mu = make([]float64, len(k.R))
-		total := 0.0
-		var nb [grid.NumDirections]*grid.Cell
-		for i, r := range k.R {
-			k.g.Neighborhood(r, &nb)
-			m := 0
-			for _, c := range &nb {
-				if c != nil {
-					m += c.Len()
-				}
+func (k *KDSRejection) count() error {
+	k.mu = make([]float64, len(k.R))
+	total := 0.0
+	var nb [grid.NumDirections]*grid.Cell
+	for i, r := range k.R {
+		k.g.Neighborhood(r, &nb)
+		m := 0
+		for _, c := range &nb {
+			if c != nil {
+				m += c.Len()
 			}
-			k.mu[i] = float64(m)
-			total += float64(m)
 		}
-		k.stats.MuSum = total
-		if total == 0 {
-			buildErr = ErrEmptyJoin
-			return
-		}
-		k.tab, buildErr = alias.New(k.mu)
-	})
-	if buildErr != nil {
-		k.err = buildErr
-		return buildErr
+		k.mu[i] = float64(m)
+		total += float64(m)
 	}
-	k.state = phaseCounted
-	return nil
+	k.stats.MuSum = total
+	if total == 0 {
+		return ErrEmptyJoin
+	}
+	var err error
+	k.tab, err = alias.New(k.mu)
+	return err
 }
 
 // Next draws one join sample: alias-weighted r by µ(r), kd-tree
 // sample s with exact count |S(w(r))|, accepted with probability
 // |S(w(r))|/µ(r). Acceptance keeps every pair at probability 1/Σµ,
 // so accepted samples are uniform and independent.
-func (k *KDSRejection) Next() (geom.Pair, error) {
-	if err := ensure(k, k.base, phaseCounted); err != nil {
-		return geom.Pair{}, err
+func (k *KDSRejection) Next() (geom.Pair, error) { return k.next(k.trial) }
+
+// trial is one sampling iteration: r by µ(r), then the kd-tree's
+// sample of S(w(r)), then the acceptance variate.
+func (k *KDSRejection) trial() (geom.Pair, bool) {
+	ri := k.tab.Sample(k.rng)
+	r := k.R[ri]
+	s, count, ok := k.tree.Sample(k.window(r), k.rng, &k.scratch)
+	if !ok {
+		return geom.Pair{}, false // |S(w(r))| == 0: reject
 	}
-	var out geom.Pair
-	var err error
-	timed(&k.stats.SampleTime, func() {
-		for attempt := 0; attempt < k.cfg.maxRejects(); attempt++ {
-			k.stats.Iterations++
-			ri := k.tab.Sample(k.rng)
-			r := k.R[ri]
-			s, count, ok := k.tree.Sample(k.window(r), k.rng, &k.scratch)
-			if !ok {
-				continue // |S(w(r))| == 0: reject
-			}
-			// Accept with probability count/µ(r); µ >= count by
-			// construction (the window is inside the nine cells).
-			if k.rng.Float64()*k.mu[ri] >= float64(count) {
-				continue
-			}
-			p := geom.Pair{R: r, S: s}
-			if !k.accept(p) {
-				continue
-			}
-			k.stats.Samples++
-			out = p
-			return
-		}
-		err = ErrLowAcceptance
-	})
-	return out, err
+	// Accept with probability count/µ(r); µ >= count by construction
+	// (the window is inside the nine cells).
+	return geom.Pair{R: r, S: s}, k.rng.Float64()*k.mu[ri] < float64(count)
 }
 
 // Sample draws t samples via Next.
@@ -167,10 +120,7 @@ var _ Cloner = (*KDSRejection)(nil)
 // the same kd-tree, grid, and alias, with scratch of its own, for
 // concurrent sampling.
 func (k *KDSRejection) Clone() (Sampler, error) {
-	if err := ensure(k, k.base, phaseCounted); err != nil {
-		return nil, err
-	}
-	nb, err := k.base.cloneBase()
+	nb, err := k.cloneBase()
 	if err != nil {
 		return nil, err
 	}

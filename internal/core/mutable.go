@@ -490,14 +490,14 @@ func (ix *MutableIndex) SizeBytes() int {
 // Mutable is a sampling handle over one MutableIndex version: the
 // Sampler / Cloner / Reseeder the dynamic store serves through.
 // Handles are cheap; Apply returns a new handle over the new version.
+// Its base starts counted and has no phase bodies (the index is
+// maintained, not built in phases), and holds no R or S: the index
+// holds the points.
 type Mutable struct {
-	idx        *MutableIndex
-	name       string
-	maxRejects int
-	rng        *rng.RNG
-	scratch    cornerScratch
-	lanes      laneGroup
-	stats      Stats
+	*base
+	idx     *MutableIndex
+	scratch cornerScratch
+	lanes   laneGroup
 }
 
 // Unfreeze converts the prepared sampler into a Mutable sharing every
@@ -529,7 +529,7 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	if s.cfg.WithoutReplacement {
 		return nil, ErrNoParallelWithoutReplacement
 	}
-	if err := ensure(s, s.base, phaseCounted); err != nil && !errors.Is(err, ErrEmptyJoin) {
+	if err := s.Count(); err != nil && !errors.Is(err, ErrEmptyJoin) {
 		return nil, err
 	}
 	ix := &MutableIndex{
@@ -588,14 +588,9 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 			ix.slots = buildSlotTree(recs)
 		}
 	})
-	m := &Mutable{
-		idx:        ix,
-		name:       s.name,
-		maxRejects: s.cfg.maxRejects(),
-		rng:        rng.New(s.cfg.Seed),
-	}
-	m.stats.MuSum = ix.MuSum()
-	return m, nil
+	b := &base{name: s.name, cfg: s.cfg, rng: rng.New(s.cfg.Seed), state: phaseCounted}
+	b.stats.MuSum = ix.MuSum()
+	return &Mutable{base: b, idx: ix}, nil
 }
 
 // slotRuns bulk-builds the R cell directory of slots laid out cell by
@@ -621,30 +616,16 @@ func (m *Mutable) Apply(ops MutOps) (*Mutable, error) {
 	if err != nil {
 		return nil, err
 	}
-	nm := &Mutable{
-		idx:        nx,
-		name:       m.name,
-		maxRejects: m.maxRejects,
-		rng:        m.rng.Split(),
+	nb, err := m.cloneBase()
+	if err != nil {
+		return nil, err
 	}
-	nm.stats.MuSum = nx.MuSum()
-	return nm, nil
+	nb.stats.MuSum = nx.MuSum()
+	return &Mutable{base: nb, idx: nx}, nil
 }
 
 // Index returns the handle's immutable index version.
 func (m *Mutable) Index() *MutableIndex { return m.idx }
-
-// Name identifies the sampler in engine stats.
-func (m *Mutable) Name() string { return m.name }
-
-// Preprocess is a no-op: the index is maintained, not built in phases.
-func (m *Mutable) Preprocess() error { return nil }
-
-// Build is a no-op: the index is maintained, not built in phases.
-func (m *Mutable) Build() error { return nil }
-
-// Count is a no-op: µ is maintained incrementally.
-func (m *Mutable) Count() error { return nil }
 
 // tryGroup runs one group of trials, each phase across all laneN
 // lanes before the next: every lane's slot ∝ µ(r) by one slot-tree
@@ -678,7 +659,7 @@ func (m *Mutable) tryGroup(lg *laneGroup) error {
 
 // sampleInto is the lane loop behind SampleInto and Next.
 func (m *Mutable) sampleInto(dst []geom.Pair) (int, error) {
-	return drawLanes(dst, &m.lanes, m.maxRejects, &m.stats, m.tryGroup, nil)
+	return drawLanes(dst, &m.lanes, m.cfg.maxRejects(), &m.stats, m.tryGroup, nil)
 }
 
 // Next draws one uniform independent join sample under the rejection
@@ -690,30 +671,24 @@ func (m *Mutable) Next() (geom.Pair, error) {
 }
 
 // Sample draws t samples through the batch loop.
-func (m *Mutable) Sample(t int) ([]geom.Pair, error) { return sampleN(m, nil, t) }
-
-// Stats reports the handle's counters; MuSum is the version's Σµ.
-func (m *Mutable) Stats() Stats { return m.stats }
+func (m *Mutable) Sample(t int) ([]geom.Pair, error) { return sampleN(m, m.base, t) }
 
 // SizeBytes estimates the index footprint.
 func (m *Mutable) SizeBytes() int { return m.idx.SizeBytes() }
 
 // Clone returns an independent handle over the same index version.
 func (m *Mutable) Clone() (Sampler, error) {
-	nm := &Mutable{
-		idx:        m.idx,
-		name:       m.name,
-		maxRejects: m.maxRejects,
-		rng:        m.rng.Split(),
+	nb, err := m.cloneBase()
+	if err != nil {
+		return nil, err
 	}
-	nm.stats.MuSum = m.stats.MuSum
-	return nm, nil
+	return &Mutable{base: nb, idx: m.idx}, nil
 }
 
-// Reseed reinitializes the handle's random stream and drops its carry,
-// so it draws what a fresh handle with that seed would.
+// Reseed is base.Reseed plus dropping the handle's carry, so it draws
+// what a fresh handle with that seed would.
 func (m *Mutable) Reseed(seed uint64) {
-	m.rng.Reseed(seed)
+	m.base.Reseed(seed)
 	m.lanes = laneGroup{}
 }
 

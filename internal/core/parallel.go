@@ -26,11 +26,15 @@ type Cloner interface {
 var ErrNoParallelWithoutReplacement = errors.New(
 	"core: parallel sampling is not supported with WithoutReplacement")
 
-// cloneBase derives the shared part of a clone: same configuration
-// and data, split random stream, already-counted state, and fresh
-// counters that keep the shared structures' Σµ, so a clone's Stats
-// feed aggregate.JoinSizeEstimate like the parent's.
+// cloneBase runs any phase still due, then derives the shared part of
+// a clone: same configuration and data, split random stream,
+// already-counted state without phase bodies, and fresh counters that
+// keep the shared structures' Σµ, so a clone's Stats feed
+// aggregate.JoinSizeEstimate like the parent's.
 func (b *base) cloneBase() (*base, error) {
+	if err := b.advance(phaseCounted); err != nil {
+		return nil, err
+	}
 	if b.cfg.WithoutReplacement {
 		return nil, ErrNoParallelWithoutReplacement
 	}
@@ -41,8 +45,7 @@ func (b *base) cloneBase() (*base, error) {
 		S:     b.S,
 		rng:   b.rng.Split(),
 		stats: Stats{MuSum: b.stats.MuSum},
-		state: b.state,
-		err:   b.err,
+		state: phaseCounted,
 	}, nil
 }
 
