@@ -126,7 +126,7 @@ func frozenBBSTCells(s *BBSTSampler) int {
 // mutableBBSTCells counts an index version's S cells with a BBST pair.
 func mutableBBSTCells(ix *MutableIndex) int {
 	n := 0
-	ix.scells.Range(func(_ grid.Key, c sCell) bool {
+	ix.scells.Range(func(_ grid.Key, c dirCell) bool {
 		if _, ok := c.corner.(bbstCorner); ok {
 			n++
 		}

@@ -36,24 +36,25 @@ type cornerIndex interface {
 	sizeBytes() int
 }
 
-// sCell is one S cell with its corner structure (nil for a scan cell).
-// It and the trials' candidate phase (laneTrials.candidates) are the
-// one place where a count or a candidate draw dispatches by case: the
-// cell's sorted runs answer cases 1–2 exactly, the corner structure
-// answers case 3, and a scan cell's corners are scanned. The frozen
-// sampler assembles its sCells from the grid and its corners table
-// (gridSampler.cell), and the mutable index stores them in its cell
-// directory; the batched counter's corners and countsOf go through mu,
-// and both trials through candidates.
+// sCell is one S cell, by value, with its corner structure (nil for a
+// scan cell). It and the trials' candidate phase
+// (laneTrials.candidates) are the one place where a count or a
+// candidate draw dispatches by case: the cell's sorted runs answer
+// cases 1–2 exactly, the corner structure answers case 3, and a scan
+// cell's corners are scanned. The frozen sampler assembles its sCells
+// from the grid's cell views and its corners table (gridSampler.cell),
+// and the mutable index from its directory entries (dirCell.view); the
+// batched counter's corners and countsOf go through mu, and both
+// trials through candidates. The zero sCell is an empty cell.
 type sCell struct {
-	cell   *grid.Cell
+	cell   grid.Cell
 	corner cornerIndex
 }
 
 // mu is µ for direction d of window w: exact for cases 1–2 and a scan
 // corner, the corner structure's count (Lemma 5's bound for a BBST)
 // for the other corners.
-func (c sCell) mu(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
+func (c *sCell) mu(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
 	switch {
 	case d.Case() != 3:
 		return c.cell.Matching(d, w)
@@ -69,7 +70,7 @@ func (c sCell) mu(d grid.Direction, w geom.Rect, sc *cornerScratch) int {
 // structure's draw, or pick at a uniform index in [0, k) for a scan
 // cell. ok is false on an empty slot; the caller verifies window
 // membership.
-func (c sCell) sampleCorner(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
+func (c *sCell) sampleCorner(d grid.Direction, k int32, w geom.Rect, r *rng.RNG, sc *cornerScratch) (geom.Point, bool) {
 	if c.corner != nil {
 		return c.corner.sample(cornerFor(d), w, k, r, sc)
 	}
@@ -102,7 +103,7 @@ func (lt *laneTrials) candidates(lg *laneGroup, half float64, rnd *rng.RNG, sc *
 		w := geom.Window(lt.r[i], half)
 		s, ok := geom.Point{}, true
 		if d := lt.dir[i]; d.Case() != 3 {
-			s = drawRun(lt.cell[i].cell, d, k, rnd.Intn(int(k)))
+			s = drawRun(&lt.cell[i].cell, d, k, rnd.Intn(int(k)))
 		} else {
 			s, ok = lt.cell[i].sampleCorner(d, k, w, rnd, sc)
 		}
@@ -115,7 +116,7 @@ func (lt *laneTrials) candidates(lg *laneGroup, half float64, rnd *rng.RNG, sc *
 // d, to the i-th point scanRun meets inside w. It reads no random
 // state, so a uniform i draws uniformly from the k points counted.
 // (Cases 1–2 map i through drawRun, in candidates.)
-func (c sCell) pick(d grid.Direction, w geom.Rect, i int) (geom.Point, bool) {
+func (c *sCell) pick(d grid.Direction, w geom.Rect, i int) (geom.Point, bool) {
 	_, p, ok := scanRun(c.cell.XSorted, cornerFor(d), w, i)
 	return p, ok
 }
@@ -168,7 +169,7 @@ type gridSampler struct {
 	scanC     float64 // c of the scan threshold T = c·⌈log₂ m⌉; 0 scans no cell
 
 	g       *grid.Grid
-	corners []cornerIndex // by grid.Cell.Index, nil for a scan cell; shared by clones
+	corners []cornerIndex // by cell Index, nil for a scan cell; shared by clones
 	sc      cornerScratch // this handle's own
 	lanes   laneGroup     // this handle's own lane group and carry
 
@@ -204,7 +205,7 @@ func (rec *pointRec[W]) total(center int32) int {
 }
 
 // cellRow is one R cell's 3×3 block of S cells, by Direction: each
-// cell's grid.Cell.Index, -1 where the cell is empty, and µ(r, Center),
+// cell's Index in the grid, -1 where the cell is empty, and µ(r, Center),
 // the Center cell's size (0 where it is empty). Every R point of the
 // cell shares it, so a trial reaches its S cell by indexing.
 type cellRow struct {
@@ -264,7 +265,7 @@ func (rs pointRecs[W]) sizeBytes() int { return len(rs) * int(unsafe.Sizeof(poin
 func (g *gridSampler) countBound() int {
 	bound := 0
 	for i, ci := range g.corners {
-		bound = max(bound, g.g.ByIndex(int32(i)).Len())
+		bound = max(bound, g.g.CellLen(int32(i)))
 		if bc, ok := ci.(bbstCorner); ok {
 			bound = max(bound, bc.pair.NumBuckets()*bc.pair.Cap())
 		}

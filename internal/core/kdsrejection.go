@@ -52,17 +52,19 @@ func (k *KDSRejection) build() error {
 }
 
 // count computes µ(r) for every r in O(1) each — the sum of the nine
-// overlapping cell sizes — and builds the alias over µ (UB).
+// overlapping cell sizes, found by Grid.Block (one search per block
+// row) and read off the grid's offsets — and builds the alias over µ
+// (UB).
 func (k *KDSRejection) count() error {
 	k.mu = make([]float64, len(k.R))
 	total := 0.0
-	var nb [grid.NumDirections]*grid.Cell
+	var nb [grid.NumDirections]int32
 	for i, r := range k.R {
-		k.g.Neighborhood(r, &nb)
+		k.g.Block(grid.KeyFor(r.X, r.Y, k.g.Side()), &nb)
 		m := 0
-		for _, c := range &nb {
-			if c != nil {
-				m += c.Len()
+		for _, ci := range nb {
+			if ci >= 0 {
+				m += k.g.CellLen(ci)
 			}
 		}
 		k.mu[i] = float64(m)

@@ -62,9 +62,9 @@ func (mc *muCounter) count(nb *nbhd, mask dirMask) {
 		if mask&(1<<d) == 0 {
 			continue
 		}
-		c := nb[d]
+		c := &nb[d]
 		switch {
-		case c.cell == nil:
+		case c.cell.Len() == 0:
 			for i := range mc.cnt {
 				mc.cnt[i][d] = 0
 			}
@@ -74,7 +74,7 @@ func (mc *muCounter) count(nb *nbhd, mask dirMask) {
 				mc.cnt[i][d] = n
 			}
 		case d.Case() == 2:
-			mc.sweep(c.cell, d)
+			mc.sweep(&c.cell, d)
 		default:
 			for i, r := range mc.pts {
 				mc.cnt[i][d] = int32(c.mu(d, geom.Window(r, mc.half), &mc.sc))

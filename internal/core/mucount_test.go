@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -63,18 +64,32 @@ func ulpPoints(r *rng.RNG, n int, x0, y0, l float64, base int32) []geom.Point {
 	return pts
 }
 
+// cellAt is the Index of g's cell with key k, -1 where it is empty: a
+// binary search over the cells' keys in row-major order, one cell at
+// a time, independent of Grid.Block.
+func cellAt(g *grid.Grid, k grid.Key) int32 {
+	i := sort.Search(g.NumCells(), func(i int) bool {
+		c := g.Key(int32(i))
+		return c.CY > k.CY || c.CY == k.CY && c.CX >= k.CX
+	})
+	if i < g.NumCells() && g.Key(int32(i)) == k {
+		return int32(i)
+	}
+	return -1
+}
+
 // refCounts is the per-point reference for µ(r, d): r's own 3×3 block
-// looked up point by point, each cell counted by sCell.mu
+// looked up cell by cell (cellAt), each cell counted by sCell.mu
 // (Cell.Matching for cases 1–2, the corner structure's count or a
 // scan for corners).
 func refCounts(g *gridSampler, r geom.Point, sc *cornerScratch) dirCounts {
-	var nb [grid.NumDirections]*grid.Cell
-	g.g.Neighborhood(r, &nb)
+	k := grid.KeyFor(r.X, r.Y, g.g.Side())
 	w := g.window(r)
 	var cnt dirCounts
-	for d, c := range nb {
-		if c != nil {
-			cnt[d] = int32(g.cell(c.Index).mu(grid.Direction(d), w, sc))
+	for d := grid.Direction(0); d < grid.NumDirections; d++ {
+		if ci := cellAt(g.g, k.Neighbor(d)); ci >= 0 {
+			c := g.cell(ci)
+			cnt[d] = int32(c.mu(d, w, sc))
 		}
 	}
 	return cnt
@@ -197,7 +212,7 @@ func newHybridBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
 	}
 	lo, hi := len(S), 0
 	for i := range g.NumCells() {
-		n := g.ByIndex(int32(i)).Len()
+		n := g.CellLen(int32(i))
 		lo, hi = min(lo, n), max(hi, n)
 	}
 	if lo >= hi {
@@ -273,18 +288,16 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 			}
 			w := g.window(r)
 			for d := grid.Direction(0); d < grid.NumDirections; d++ {
-				c, ci := g.g.Cell(g.g.KeyAt(r.X, r.Y).Neighbor(d)), g.rows[row].cells[d]
-				switch {
-				case c == nil && ci != -1:
-					fail("R[%d] %v: row names cell %d, no cell there", i, d, ci)
-				case c != nil && (ci != c.Index || g.g.ByIndex(ci) != c):
-					fail("R[%d] %v: row names cell %d, lookup finds %d", i, d, ci, c.Index)
+				want, ci := cellAt(g.g, grid.KeyFor(r.X, r.Y, g.g.Side()).Neighbor(d)), g.rows[row].cells[d]
+				if ci != want {
+					fail("R[%d] %v: row names cell %d, lookup finds %d", i, d, ci, want)
 				}
 				k := cnt[d]
-				if c == nil || k == 0 {
+				if want < 0 || k == 0 {
 					continue
 				}
 				cell := g.cell(ci)
+				c := &cell.cell
 				if d.Case() == 3 {
 					if cell.corner == nil {
 						checkScanPicks(fail, cell, d, w, int(k))
@@ -340,14 +353,14 @@ func checkScanPicks(fail func(string, ...any), c sCell, d grid.Direction, w geom
 	for j := range k {
 		p, ok := c.pick(d, w, j)
 		if !ok || left[p] == 0 {
-			fail("%v of cell %v: pick %d of %d is %+v (ok %v), not an unpicked point inside %+v", d, c.cell.Key, j, k, p, ok, w)
+			fail("%v of a cell of %d points: pick %d of %d is %+v (ok %v), not an unpicked point inside %+v", d, c.cell.Len(), j, k, p, ok, w)
 			return
 		}
 		left[p]--
 	}
 	for p, n := range left {
 		if n > 0 {
-			fail("%v of cell %v: %+v inside %+v never picked", d, c.cell.Key, p, w)
+			fail("%v of a cell of %d points: %+v inside %+v never picked", d, c.cell.Len(), p, w)
 		}
 	}
 }

@@ -10,11 +10,12 @@ package core
 //     over its x-sorted run, the frozen sampler's own rule: a BBST pair
 //     for a cell of more than T = c·⌈log₂ m⌉ points (m the live S
 //     count), none (nil: an exact scan of the run) for a smaller one.
-//     Both are stored inline, as one sCell, in a persistent directory
+//     Both are stored inline, as one dirCell, in a persistent directory
 //     (grid.Dir, a path-copied trie over mixed cell keys) instead of a
-//     Go map, so a lookup returns both. sCell is the type the frozen
-//     sampler assembles from its grid and corners table, so both
-//     samplers count and draw a candidate through the same code. A
+//     Go map, so a lookup returns both. A dirCell reads as an sCell,
+//     the type the frozen sampler assembles from its grid and corners
+//     table, so both samplers count and draw a candidate through the
+//     same code. A
 //     batch that touches a cell replaces both, choosing the structure
 //     by the cell's new size and the batch's final live count, with no
 //     hysteresis: the touched cell's structure is rebuilt either way.
@@ -109,7 +110,7 @@ type MutableIndex struct {
 	scanC float64 // c of the scan threshold T = c·⌈log₂ m⌉, from the frozen sampler
 
 	// S side.
-	scells      *grid.Dir[sCell]      // S cell -> its cell and corner structure, by value
+	scells      *grid.Dir[dirCell]    // S cell -> its cell and corner structure
 	sids        *grid.IDDir[grid.Key] // ID -> the cell of each live point with that ID
 	sCount      int
 	cornerBytes int // Σ cornerBytes of the cells' corner structures
@@ -123,6 +124,18 @@ type MutableIndex struct {
 	rids     *grid.IDDir[int32] // ID -> live slots with that ID
 	rCount   int
 }
+
+// dirCell is an S cell as the mutable directory holds it: the cell
+// behind a pointer, so an entry stays 24 B, and its corner structure.
+// The cell owns its two runs, which are never written after
+// publication.
+type dirCell struct {
+	cell   *grid.Cell
+	corner cornerIndex
+}
+
+// view is the cell as the counter and the trial read it.
+func (e dirCell) view() sCell { return sCell{*e.cell, e.corner} }
 
 // NumR and NumS report the live point counts.
 func (ix *MutableIndex) NumR() int { return ix.rCount }
@@ -140,8 +153,11 @@ const allDirs dirMask = 1<<grid.NumDirections - 1
 // the directions of mask; the rest stay empty.
 func (ix *MutableIndex) neighborhood(k grid.Key, mask dirMask) (nb nbhd) {
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		if mask&(1<<d) != 0 {
-			nb[d], _ = ix.scells.Get(k.Neighbor(d))
+		if mask&(1<<d) == 0 {
+			continue
+		}
+		if e, ok := ix.scells.Get(k.Neighbor(d)); ok {
+			nb[d] = e.view()
 		}
 	}
 	return nb
@@ -156,7 +172,8 @@ func (ix *MutableIndex) countsOf(pt geom.Point, sc *cornerScratch) dirCounts {
 	w := geom.Window(pt, ix.cfg.HalfExtent)
 	var cnt dirCounts
 	for d := grid.Direction(0); d < grid.NumDirections; d++ {
-		if c, ok := ix.scells.Get(k.Neighbor(d)); ok {
+		if e, ok := ix.scells.Get(k.Neighbor(d)); ok {
+			c := e.view()
 			cnt[d] = int32(c.mu(d, w, sc))
 		}
 	}
@@ -411,7 +428,7 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 			return dead
 		}
 	}
-	ncell := grid.WithUpdates(k, oldCell, w.ins, drop)
+	ncell := grid.WithUpdates(oldCell, w.ins, drop)
 	// Every listed delete must remove exactly one point of the cell:
 	// sids and the cell disagree otherwise.
 	if got, want := ncell.Len(), oldCell.Len()-w.ndel+len(w.ins); got != want {
@@ -429,7 +446,7 @@ func (nx *MutableIndex) applySCell(k grid.Key, w *scw) error {
 	t := scanMax(nx.scanC, nx.sCount)
 	nx.tMin, nx.tMax = min(nx.tMin, t), max(nx.tMax, t)
 	nx.cornerBytes += cornerBytes(corner)
-	nx.scells = nx.scells.With(k, sCell{ncell, corner})
+	nx.scells = nx.scells.With(k, dirCell{ncell, corner})
 	return nil
 }
 
@@ -474,7 +491,8 @@ func (nx *MutableIndex) applyRCell(k grid.Key, w *rcw) error {
 // SizeBytes estimates the standalone footprint of this version in O(1)
 // from the live counts: the slot tree, 30 B per S point for its cell's
 // x-sorted copy and y position (28 B, plus about 2 B of allocation
-// rounding), 64 B per S cell for its header, the corner structures'
+// rounding), 64 B per S cell for its 48-byte header and the rounding
+// of its two runs' allocations, the corner structures'
 // own bytes (cornerBytes: a BBST pair's buckets and nodes, which point
 // into the cell's x-sorted copy and own no points; a scan cell has
 // none), 4 B per live R point for its slot's entry in
@@ -500,18 +518,16 @@ type Mutable struct {
 	lanes   laneGroup
 }
 
-// Unfreeze converts the prepared sampler into a Mutable sharing every
-// frozen run and corner structure: each cell gets its own copy of the
-// grid's cell header, over the same runs, and adopts the cell's corner
-// structure as it is (the first mutation of a cell replaces both, so
-// the frozen sampler keeps serving untouched). Nothing adopted points
-// into the grid's cell array, so a version pins only the cells it
-// still serves, plus, while it serves any adopted cell, the grid's one
-// array of y positions (4 B per frozen S point, which SizeBytes counts
-// only for the points a version still holds; grid.Build). The slot
-// tree is bulk-built from the frozen count records, which were counted
-// against these same cells and corners,
-// with R laid out cell by cell: a counting sort of R by the row Count
+// Unfreeze converts the prepared sampler into a Mutable over the same
+// cells and corner structures, owned rather than shared: the frozen
+// grid keeps every cell's runs in one array of points and one of y
+// positions, so each cell gets copies of its two runs in exact-size
+// arrays of its own, and a BBST pair is moved over the copy
+// (ownCell). A version thus pins only the cells it still serves, never
+// the frozen grid, and a dropped frozen sampler is freed whole (the
+// frozen sampler itself is never touched). The slot tree is bulk-built
+// from the frozen count records, which were counted against these same
+// cells and corners, with R laid out cell by cell: a counting sort of R by the row Count
 // filed each point under gives the slot order, so each R cell's slots
 // are one run of consecutive slots.
 // The cell directories are bulk-built over their distinct cell keys,
@@ -564,16 +580,14 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	par.ForEach(5, s.cfg.Workers, func(_, job int) {
 		switch job {
 		case 0:
-			cells := make([]sCell, s.g.NumCells())
+			cells := make([]dirCell, s.g.NumCells())
 			for i, corner := range s.corners {
-				c := *s.g.ByIndex(int32(i))
-				c.Index = -1 // a header of its own, outside the grid
-				cells[i] = sCell{&c, corner}
-				ix.cornerBytes += cornerBytes(corner)
+				cells[i] = ownCell(s.g.ByIndex(int32(i)), corner)
+				ix.cornerBytes += cornerBytes(cells[i].corner)
 			}
 			ix.scells = grid.BuildDir(len(cells),
-				func(i int) grid.Key { return cells[i].cell.Key },
-				func(i int) sCell { return cells[i] })
+				func(i int) grid.Key { return s.g.Key(int32(i)) },
+				func(i int) dirCell { return cells[i] })
 		case 1:
 			ix.sids = grid.BuildIDDir(len(S),
 				func(i int) int32 { return S[i].ID },
@@ -591,6 +605,20 @@ func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	b := &base{name: s.name, cfg: s.cfg, rng: rng.New(s.cfg.Seed), state: phaseCounted}
 	b.stats.MuSum = ix.MuSum()
 	return &Mutable{base: b, idx: ix}, nil
+}
+
+// ownCell is frozen cell c with corner structure corner as Unfreeze
+// adopts it: its two runs copied into exact-size arrays of its own and
+// a BBST pair moved over the copy (bbst.Pair.Over), so the entry pins
+// neither the grid's arrays nor the frozen pair's buckets, which
+// window them.
+func ownCell(c grid.Cell, corner cornerIndex) dirCell {
+	c.XSorted = append(make([]geom.Point, 0, len(c.XSorted)), c.XSorted...)
+	c.YOrder = append(make([]int32, 0, len(c.YOrder)), c.YOrder...)
+	if bc, ok := corner.(bbstCorner); ok {
+		corner = bbstCorner{bc.pair.Over(c.XSorted)}
+	}
+	return dirCell{&c, corner}
 }
 
 // slotRuns bulk-builds the R cell directory of slots laid out cell by
@@ -650,7 +678,8 @@ func (m *Mutable) tryGroup(lg *laneGroup) error {
 		if lt.k[i] > 0 {
 			// A positive count means the cell exists in this version.
 			lt.r[i] = rec.pt
-			lt.cell[i], _ = ix.scells.Get(grid.KeyFor(rec.pt.X, rec.pt.Y, ix.side).Neighbor(lt.dir[i]))
+			e, _ := ix.scells.Get(grid.KeyFor(rec.pt.X, rec.pt.Y, ix.side).Neighbor(lt.dir[i]))
+			lt.cell[i] = e.view()
 		}
 	}
 	lt.candidates(lg, ix.cfg.HalfExtent, m.rng, &m.scratch)
@@ -703,7 +732,7 @@ func (m *Mutable) LivePoints() (R, S []geom.Point) {
 			R = append(R, pt)
 		}
 	}
-	ix.scells.Range(func(_ grid.Key, c sCell) bool {
+	ix.scells.Range(func(_ grid.Key, c dirCell) bool {
 		S = append(S, c.cell.XSorted...)
 		return true
 	})
@@ -728,7 +757,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 	// S side: cells well-formed, corners in sync, counts add up.
 	sTotal, cornerTotal := 0, 0
 	var cellErr error
-	ix.scells.Range(func(k grid.Key, cs sCell) bool {
+	ix.scells.Range(func(k grid.Key, cs dirCell) bool {
 		c := cs.cell
 		if c.Len() == 0 {
 			cellErr = fmt.Errorf("empty cell (%d,%d) left in directory", k.CX, k.CY)
@@ -786,7 +815,7 @@ func (ix *MutableIndex) CheckInvariants() error {
 		k  grid.Key
 	}
 	unlisted := make(map[sidEntry]int, ix.sCount)
-	ix.scells.Range(func(k grid.Key, c sCell) bool {
+	ix.scells.Range(func(k grid.Key, c dirCell) bool {
 		for _, pt := range c.cell.XSorted {
 			unlisted[sidEntry{pt.ID, k}]++
 		}

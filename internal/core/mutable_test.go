@@ -791,7 +791,7 @@ func TestScanCellsHaveNoCorner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ci := range s.corners {
-		if n := s.g.ByIndex(int32(i)).Len(); (ci == nil) != (n <= T) {
+		if n := s.g.CellLen(int32(i)); (ci == nil) != (n <= T) {
 			t.Errorf("cell of %d points, T = %d: corner structure %T", n, T, ci)
 		}
 	}
@@ -828,6 +828,57 @@ func TestFrozenSizeBytesTracksHeap(t *testing.T) {
 	}
 	runtime.KeepAlive(R)
 	runtime.KeepAlive(S)
+}
+
+// TestUnfreezeKeptCellOwnsItsRuns: an S cell kept from a mutable
+// version, after the version and the frozen sampler it was unfrozen
+// from are dropped, retains its own two runs, header and corner
+// structure, never the frozen grid's arrays (28 B per frozen S point)
+// or the frozen pair's buckets: Unfreeze copies each cell's runs into
+// arrays of its own and moves its BBST pair over the copy. The bound
+// is the kept cell's own bytes plus 64 KB; the grid's arrays alone are
+// 5.6 MB here.
+func TestUnfreezeKeptCellOwnsItsRuns(t *testing.T) {
+	const n = 200_000
+	r := rng.New(12)
+	S := randomPoints(r, n, 1000, 0)
+	R := randomPoints(r, 1000, 1000, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	// Cells of side 16 hold about 51 points, above T = 2⌈log₂ n⌉ = 36,
+	// so the largest has a BBST pair.
+	s, err := NewBBST(R, S, Config{HalfExtent: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Unfreeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := dirCell{cell: &grid.Cell{}}
+	m.Index().scells.Range(func(_ grid.Key, c dirCell) bool {
+		if c.cell.Len() > keep.cell.Len() {
+			keep = c
+		}
+		return true
+	})
+	if _, ok := keep.corner.(bbstCorner); !ok {
+		t.Fatalf("largest cell of %d points has no BBST pair", keep.cell.Len())
+	}
+	own := int64(28*keep.cell.Len() + cornerBytes(keep.corner) + 64)
+	s, m = nil, nil
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	runtime.KeepAlive(R)
+	runtime.KeepAlive(S)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("kept cell of %d points: own %d B, retained %d B", keep.cell.Len(), own, retained)
+	if retained > own+64<<10 {
+		t.Fatalf("one kept cell of %d points (%d B of its own) retains %d KB of a %d-point build", keep.cell.Len(), own, retained>>10, n)
+	}
 }
 
 // sizeChecker takes a live-heap baseline and returns a check that holds

@@ -37,13 +37,13 @@ func refRuns(pts []geom.Point, side float64) map[Key][2][]geom.Point {
 func yRun(t testing.TB, c *Cell) []geom.Point {
 	t.Helper()
 	if len(c.YOrder) != len(c.XSorted) {
-		t.Fatalf("cell %v: YOrder lists %d positions for %d points", c.Key, len(c.YOrder), len(c.XSorted))
+		t.Fatalf("YOrder lists %d positions for %d points", len(c.YOrder), len(c.XSorted))
 	}
 	seen := make([]bool, len(c.XSorted))
 	run := make([]geom.Point, len(c.YOrder))
 	for i, o := range c.YOrder {
 		if o < 0 || int(o) >= len(seen) || seen[o] {
-			t.Fatalf("cell %v: YOrder[%d] = %d is out of range or repeated", c.Key, i, o)
+			t.Fatalf("YOrder[%d] = %d is out of range or repeated", i, o)
 		}
 		seen[o] = true
 		run[i] = c.XSorted[o]
@@ -119,8 +119,8 @@ func buildInputs() []struct {
 // TestBuildMatchesMapReference builds each input at GOMAXPROCS 1 and 4
 // and holds the grid to the map-based reference grouping: the same
 // cell keys, in row-major order, with Index their position; runs
-// identical bit for bit; and the same Cell, Block and Neighborhood
-// answers for every key within two cells of an occupied one.
+// identical bit for bit, CellLen their length; and the same Block answers for every key
+// within two cells of an occupied one.
 func TestBuildMatchesMapReference(t *testing.T) {
 	for _, in := range buildInputs() {
 		ref := refRuns(in.pts, in.side)
@@ -148,52 +148,38 @@ func checkAgainstRef(t *testing.T, g *Grid, ref map[Key][2][]geom.Point) {
 	if g.NumCells() != len(ref) {
 		t.Fatalf("%d cells, reference %d", g.NumCells(), len(ref))
 	}
-	for i := range g.NumCells() {
-		c := g.ByIndex(int32(i))
-		want, ok := ref[c.Key]
-		switch {
-		case c.Index != int32(i):
-			t.Fatalf("cell %v at %d has Index %d", c.Key, i, c.Index)
-		case !ok:
-			t.Fatalf("cell %v is not in the reference", c.Key)
-		case !sameBits(c.XSorted, want[0]) || !sameBits(yRun(t, c), want[1]):
-			t.Fatalf("cell %v runs\n x %v\n y %v\nreference\n x %v\n y %v", c.Key, c.XSorted, yRun(t, c), want[0], want[1])
-		}
-		if i > 0 {
-			p := g.ByIndex(int32(i - 1)).Key
-			if cmp.Or(cmp.Compare(p.CY, c.Key.CY), cmp.Compare(p.CX, c.Key.CX)) >= 0 {
-				t.Fatalf("cell %v follows %v: not row-major", c.Key, p)
-			}
-		}
-	}
-	lookup := func(k Key) *Cell {
-		c := g.Cell(k)
+	for i := range int32(g.NumCells()) {
+		c, k := g.ByIndex(i), g.Key(i)
 		want, ok := ref[k]
 		switch {
-		case ok != (c != nil):
-			t.Fatalf("Cell(%v) = %v, reference holds it: %v", k, c, ok)
-		case c != nil && (c.Key != k || !sameBits(c.XSorted, want[0])):
-			t.Fatalf("Cell(%v) finds cell %v", k, c.Key)
+		case !ok:
+			t.Fatalf("cell %v is not in the reference", k)
+		case !sameBits(c.XSorted, want[0]) || !sameBits(yRun(t, &c), want[1]):
+			t.Fatalf("cell %v runs\n x %v\n y %v\nreference\n x %v\n y %v", k, c.XSorted, yRun(t, &c), want[0], want[1])
+		case g.CellLen(i) != len(want[0]):
+			t.Fatalf("cell %v: CellLen %d, reference %d points", k, g.CellLen(i), len(want[0]))
 		}
-		return c
+		if i > 0 {
+			p := g.Key(i - 1)
+			if cmp.Or(cmp.Compare(p.CY, k.CY), cmp.Compare(p.CX, k.CX)) >= 0 {
+				t.Fatalf("cell %v follows %v: not row-major", k, p)
+			}
+		}
 	}
 	for k := range ref {
 		for dy := int32(-2); dy <= 2; dy++ {
 			for dx := int32(-2); dx <= 2; dx++ {
 				q := Key{CX: k.CX + dx, CY: k.CY + dy} // wraps as Neighbor does
-				lookup(q)
 				var idx [NumDirections]int32
 				g.Block(q, &idx)
-				var nb [NumDirections]*Cell
-				g.Neighborhood(geom.Point{X: (float64(q.CX) + 0.5) * g.Side(), Y: (float64(q.CY) + 0.5) * g.Side()}, &nb)
 				for d := Direction(0); d < NumDirections; d++ {
-					want := lookup(q.Neighbor(d))
-					var got *Cell
-					if idx[d] >= 0 {
-						got = g.ByIndex(idx[d])
-					}
-					if got != want || nb[d] != want {
-						t.Fatalf("block of %v, %v: Block finds %d, Neighborhood %v, Cell %v", q, d, idx[d], nb[d], want)
+					nk := q.Neighbor(d)
+					want, ok := ref[nk]
+					switch {
+					case ok != (idx[d] >= 0):
+						t.Fatalf("block of %v, %v: Block finds %d, reference holds %v: %v", q, d, idx[d], nk, ok)
+					case ok && (g.Key(idx[d]) != nk || !sameBits(g.ByIndex(idx[d]).XSorted, want[0])):
+						t.Fatalf("block of %v, %v: Block finds cell %v, want %v", q, d, g.Key(idx[d]), nk)
 					}
 				}
 			}
@@ -229,39 +215,48 @@ func FuzzBuildYOrder(f *testing.F) {
 			c := g.ByIndex(int32(i))
 			want := slices.Clone(c.XSorted)
 			slices.SortFunc(want, func(a, b geom.Point) int { return cmp.Compare(a.Y, b.Y) })
-			if got := yRun(t, c); !sameBits(got, want) {
-				t.Fatalf("cell %v: y order\n %v\nsorted copy\n %v", c.Key, got, want)
+			if got := yRun(t, &c); !sameBits(got, want) {
+				t.Fatalf("cell %v: y order\n %v\nsorted copy\n %v", g.Key(int32(i)), got, want)
 			}
 		}
 	})
 }
 
-// TestBuildKeptCellPinsItsRunAndPositions: a cell kept from a dropped
-// grid pins its own x run and the grid's one array of y positions, 4 B
-// per point of the build, never the other cells' x runs (24 B per
-// point), so a mutable version that still serves a few adopted cells
-// holds at most 4·m bytes beyond them.
-func TestBuildKeptCellPinsItsRunAndPositions(t *testing.T) {
-	const n = 200_000 // 4.8 MB of x runs, 0.8 MB of positions
+// TestBuildSizeBytesTracksHeap holds SizeBytes to between 0.8 and 1.25
+// times the live heap a Build holds, as the core size tests hold the
+// samplers, at about 1, 3 and 30 points per cell: the per-cell term
+// weighs most at 1 point per cell, and the registry evicts by it.
+func TestBuildSizeBytesTracksHeap(t *testing.T) {
+	const n = 200_000
 	r := rng.New(12)
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Point{X: r.Range(0, 1000), Y: r.Range(0, 1000), ID: int32(i)}
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	g, err := Build(pts, 10) // 10,000 cells of about 20 points
-	if err != nil {
-		t.Fatal(err)
+	var ms runtime.MemStats
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
 	}
-	keep := *g.ByIndex(0)
-	g = nil
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(keep)
+	// 5 units² per point: a side-0.5 cell is rarely shared, a side-3.75
+	// one holds about 3 points when occupied, a side-12.25 one about 30.
+	for _, side := range []float64{0.5, 3.75, 12.25} {
+		before := liveHeap()
+		g, err := Build(pts, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measured := liveHeap() - before
+		est := g.SizeBytes()
+		ratio := float64(est) / float64(measured)
+		t.Logf("side %.3g: %d cells, %.1f points per cell: SizeBytes %d, live heap %d (%.2fx)",
+			side, g.NumCells(), float64(n)/float64(g.NumCells()), est, measured, ratio)
+		if ratio < 0.8 || ratio > 1.25 {
+			t.Fatalf("side %g: SizeBytes %d vs live heap %d: ratio %.2f outside [0.8, 1.25]", side, est, measured, ratio)
+		}
+		runtime.KeepAlive(g)
+	}
 	runtime.KeepAlive(pts)
-	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 4*n+256<<10 {
-		t.Fatalf("one kept cell of %d points retains %d KB of a %d-point build", keep.Len(), retained>>10, n)
-	}
 }

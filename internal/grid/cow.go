@@ -12,14 +12,14 @@ import (
 )
 
 // WithUpdates returns a new cell holding the points of c (nil means an
-// empty cell with the given key) minus those matching drop, plus ins.
+// empty cell) minus those matching drop, plus ins.
 // Both sort orders are rebuilt in one filter-and-merge pass each —
 // O(|cell| + |ins| log |ins|) for any number of changes, which is why
 // the dynamic path batches its per-cell work instead of editing point
 // by point. On equal coordinates a kept point goes before an inserted
 // one in both orders. Returns nil when the result is empty (the cell
 // leaves the directory). c is never modified; ins is not retained.
-func WithUpdates(key Key, c *Cell, ins []geom.Point, drop func(geom.Point) bool) *Cell {
+func WithUpdates(c *Cell, ins []geom.Point, drop func(geom.Point) bool) *Cell {
 	var oldX []geom.Point
 	var oldY []int32
 	if c != nil {
@@ -78,5 +78,5 @@ func WithUpdates(key Key, c *Cell, ins []geom.Point, drop func(geom.Point) bool)
 			j++
 		}
 	}
-	return &Cell{Key: key, Index: -1, XSorted: xs, YOrder: ys}
+	return &Cell{XSorted: xs, YOrder: ys}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // oracleCell rebuilds the expected cell naively: filter, append, sort.
-func oracleCell(key Key, c *Cell, ins []geom.Point, drop func(geom.Point) bool) *Cell {
+func oracleCell(c *Cell, ins []geom.Point, drop func(geom.Point) bool) *Cell {
 	var pts []geom.Point
 	if c != nil {
 		for _, p := range c.XSorted {
@@ -29,7 +29,7 @@ func oracleCell(key Key, c *Cell, ins []geom.Point, drop func(geom.Point) bool) 
 		ys[i] = int32(i)
 	}
 	sort.SliceStable(ys, func(i, j int) bool { return xs[ys[i]].Y < xs[ys[j]].Y })
-	return &Cell{Key: key, XSorted: xs, YOrder: ys}
+	return &Cell{XSorted: xs, YOrder: ys}
 }
 
 func samePointSet(t *testing.T, label string, got, want []geom.Point) {
@@ -69,12 +69,11 @@ func randPts(r *rng.RNG, n int) []geom.Point {
 
 func TestWithUpdatesVsOracle(t *testing.T) {
 	r := rng.New(11)
-	key := Key{CX: 3, CY: -2}
 	for trial := 0; trial < 300; trial++ {
 		var c *Cell
 		if r.Bool(0.8) {
 			base := randPts(r, r.Intn(30))
-			c = oracleCell(key, nil, base, nil)
+			c = oracleCell(nil, base, nil)
 		}
 		ins := randPts(r, r.Intn(10))
 		var drop func(geom.Point) bool
@@ -87,16 +86,13 @@ func TestWithUpdatesVsOracle(t *testing.T) {
 			beforeX = append([]geom.Point(nil), c.XSorted...)
 			beforeY = yRun(t, c)
 		}
-		got := WithUpdates(key, c, ins, drop)
-		want := oracleCell(key, c, ins, drop)
+		got := WithUpdates(c, ins, drop)
+		want := oracleCell(c, ins, drop)
 		if (got == nil) != (want == nil) {
 			t.Fatalf("trial %d: nil mismatch got=%v want=%v", trial, got == nil, want == nil)
 		}
 		if got == nil {
 			continue
-		}
-		if got.Key != key {
-			t.Fatalf("trial %d: key %v", trial, got.Key)
 		}
 		samePointSet(t, "XSorted", got.XSorted, want.XSorted)
 		samePointSet(t, "y order", yRun(t, got), yRun(t, want))
@@ -111,13 +107,12 @@ func TestWithUpdatesVsOracle(t *testing.T) {
 }
 
 func TestWithUpdatesEdgeCases(t *testing.T) {
-	key := Key{CX: 0, CY: 0}
-	if got := WithUpdates(key, nil, nil, nil); got != nil {
+	if got := WithUpdates(nil, nil, nil); got != nil {
 		t.Fatal("empty in, empty out: want nil")
 	}
 	// Insert into a nil cell.
 	ins := []geom.Point{{X: 2, Y: 1, ID: 1}, {X: 1, Y: 2, ID: 2}}
-	got := WithUpdates(key, nil, ins, nil)
+	got := WithUpdates(nil, ins, nil)
 	if got == nil || len(got.XSorted) != 2 {
 		t.Fatalf("insert into nil cell: %+v", got)
 	}
@@ -125,12 +120,12 @@ func TestWithUpdatesEdgeCases(t *testing.T) {
 		t.Fatalf("orders wrong: X head %+v, Y head %+v", got.XSorted[0], yRun(t, got)[0])
 	}
 	// Drop everything -> nil.
-	if got := WithUpdates(key, got, nil, func(geom.Point) bool { return true }); got != nil {
+	if got := WithUpdates(got, nil, func(geom.Point) bool { return true }); got != nil {
 		t.Fatal("drop-all should return nil")
 	}
 	// ins slice must not be retained or reordered in place visible to caller.
 	insCopy := append([]geom.Point(nil), ins...)
-	_ = WithUpdates(key, nil, ins, nil)
+	_ = WithUpdates(nil, ins, nil)
 	for i := range ins {
 		if ins[i] != insCopy[i] {
 			t.Fatalf("ins mutated at %d", i)
@@ -142,12 +137,11 @@ func TestWithUpdatesEdgeCases(t *testing.T) {
 // four count queries identically to a bulk-built one.
 func TestWithUpdatesCountsAgree(t *testing.T) {
 	r := rng.New(12)
-	key := Key{CX: 1, CY: 1}
-	c := oracleCell(key, nil, randPts(r, 40), nil)
+	c := oracleCell(nil, randPts(r, 40), nil)
 	ins := randPts(r, 15)
 	drop := func(p geom.Point) bool { return p.ID%3 == 0 }
-	got := WithUpdates(key, c, ins, drop)
-	want := oracleCell(key, c, ins, drop)
+	got := WithUpdates(c, ins, drop)
+	want := oracleCell(c, ins, drop)
 	for i := 0; i < 50; i++ {
 		q := r.Range(-1, 11)
 		if a, b := got.CountXAtLeast(q), want.CountXAtLeast(q); a != b {
@@ -203,7 +197,6 @@ func filterMergeCell(oldX, oldY, ins []geom.Point, drop func(geom.Point) bool) (
 // runs bit for bit, ties in the reference's order.
 func TestWithUpdatesYOrderMatchesFilterMerge(t *testing.T) {
 	r := rng.New(13)
-	key := Key{}
 	nextID := int32(0)
 	point := func() geom.Point {
 		nextID++
@@ -217,7 +210,8 @@ func TestWithUpdatesYOrderMatchesFilterMerge(t *testing.T) {
 		var c *Cell
 		var refX, refY []geom.Point
 		if g, err := Build(base, 8); err == nil && g.NumCells() == 1 {
-			c = g.ByIndex(0)
+			view := g.ByIndex(0)
+			c = &view
 			refX, refY = c.XSorted, yRun(t, c)
 		}
 		for batch := range 1 + r.Intn(8) {
@@ -236,7 +230,7 @@ func TestWithUpdatesYOrderMatchesFilterMerge(t *testing.T) {
 				drop = nil
 			}
 			refX, refY = filterMergeCell(refX, refY, ins, drop)
-			c = WithUpdates(key, c, ins, drop)
+			c = WithUpdates(c, ins, drop)
 			if c == nil {
 				if len(refX) != 0 {
 					t.Fatalf("script %d batch %d: nil cell, reference holds %d points", script, batch, len(refX))

@@ -14,7 +14,9 @@
 //
 // Cells keep their points sorted by x, and the y order as positions into
 // that run, so that 1-sided counts and samples are a single binary
-// search.
+// search. A built Grid is a dense table in cell-major order: one array
+// of every cell's points, one of their y positions and one offset per
+// cell, so a cell costs its key and offset (12 B) beyond its points.
 package grid
 
 import (
@@ -98,6 +100,11 @@ func (k Key) packed() uint64 {
 	return uint64(uint32(k.CY)^1<<31)<<32 | uint64(uint32(k.CX)^1<<31)
 }
 
+// unpacked inverts packed.
+func unpacked(p uint64) Key {
+	return Key{CX: int32(uint32(p) ^ 1<<31), CY: int32(uint32(p>>32) ^ 1<<31)}
+}
+
 var opposites = [NumDirections]Direction{
 	Center, East, West, North, South, NorthEast, SouthEast, NorthWest, SouthWest,
 }
@@ -118,15 +125,12 @@ func (k Key) Neighbor(d Direction) Key {
 // XSorted[YOrder[i]] is point i of Sy(c), at 4 bytes a point instead
 // of a second copy.
 //
-// Index is the cell's dense position in the Grid that Build made it
-// for: 0 <= Index < NumCells, the rank of its key in row-major order
-// (by CY, then CX). Callers keep per-cell side tables in a slice
-// indexed by it, so reaching a cell's structures costs the one key
-// lookup that found the cell. Cells made outside a Grid (WithUpdates)
-// carry -1.
+// A Cell is the two runs alone; its key is wherever the caller found
+// it. A Grid hands out its cells by value (ByIndex): views whose runs
+// are windows into the grid's arrays, so a kept view pins all of the
+// grid's points. Cells made outside a Grid (WithUpdates) own their
+// runs.
 type Cell struct {
-	Key     Key
-	Index   int32
 	XSorted []geom.Point
 	YOrder  []int32
 }
@@ -138,17 +142,6 @@ func (c *Cell) Len() int {
 		return 0
 	}
 	return len(c.XSorted)
-}
-
-// Rect returns the closed spatial extent of the cell given the grid
-// cell side.
-func (c *Cell) Rect(side float64) geom.Rect {
-	return geom.Rect{
-		XMin: float64(c.Key.CX) * side,
-		YMin: float64(c.Key.CY) * side,
-		XMax: float64(c.Key.CX+1) * side,
-		YMax: float64(c.Key.CY+1) * side,
-	}
 }
 
 // CountXAtLeast returns the number of points with X >= x; the matching
@@ -197,21 +190,28 @@ func (c *Cell) Matching(d Direction, w geom.Rect) int {
 }
 
 // Grid is the grid over the non-empty cells of a point set, in
-// row-major key order.
+// row-major key order, stored cell-major. A cell's Index is its dense
+// position, 0 <= Index < NumCells, the rank of its key in row-major
+// order (by CY, then CX): cell i has key keys[i] and the runs
+// pts[off[i]:off[i+1]] and ys[off[i]:off[i+1]]. Callers keep per-cell
+// side tables in a slice indexed by it, so reaching a cell's
+// structures costs the one key lookup that found the cell (Block).
+// The grid has no per-cell header or allocation; ByIndex assembles a
+// cell's view on demand.
 type Grid struct {
-	side  float64
-	keys  []uint64 // packed cell keys, ascending
-	cells []Cell   // cells[i] has key keys[i] and Index i
-	size  int      // total number of points
+	side float64
+	keys []uint64     // packed cell keys, ascending
+	off  []int32      // NumCells+1 offsets into pts and ys
+	pts  []geom.Point // every cell's points, cell by cell, x-sorted within a cell
+	ys   []int32      // every cell's YOrder, cell by cell
 }
 
 // Build maps each point to its cell and sorts the per-cell copies.
 // It corresponds to GRID-MAPPING(S, l) plus the per-cell sorting of
-// Algorithm 1; points need no order. Each cell's x run is an exact-size
-// allocation of its own, and the cells' y positions are slices of one
-// array of 4 bytes per point (one allocation instead of one per cell),
-// so a kept cell pins its own x run and that array, never another
-// cell's run. side must be positive.
+// Algorithm 1; points need no order. The copies live in one array of
+// points and their y positions in one array of int32, each cell a run
+// of both, so a build makes a handful of allocations whatever its cell
+// count. side must be positive.
 func Build(points []geom.Point, side float64) (*Grid, error) {
 	return BuildWorkers(points, side, 0)
 }
@@ -224,32 +224,35 @@ func BuildWorkers(points []geom.Point, side float64, workers int) (*Grid, error)
 		return nil, fmt.Errorf("grid: cell side must be positive and finite, got %g", side)
 	}
 	keys, starts, perm := GroupByCell(points, side)
-	g := &Grid{side: side, keys: make([]uint64, len(keys)), cells: make([]Cell, len(keys)), size: len(points)}
-	ys := make([]int32, len(points))
+	g := &Grid{
+		side: side,
+		keys: make([]uint64, len(keys)),
+		off:  slices.Clone(starts), // exact size: GroupByCell appends
+		pts:  make([]geom.Point, len(points)),
+		ys:   make([]int32, len(points)),
+	}
 	par.ForEach(len(keys), workers, func(_, ci int) {
 		lo, hi := starts[ci], starts[ci+1]
-		xs := make([]geom.Point, hi-lo)
+		xs := g.pts[lo:hi]
 		for j, i := range perm[lo:hi] {
 			xs[j] = points[i]
 		}
 		slices.SortFunc(xs, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+		yOrder(xs, g.ys[lo:hi])
 		g.keys[ci] = keys[ci].packed()
-		g.cells[ci] = Cell{Key: keys[ci], Index: int32(ci), XSorted: xs, YOrder: yOrder(xs, ys[lo:hi:hi])}
 	})
 	return g, nil
 }
 
-// yOrder fills ord with the positions of xs in ascending y and returns
-// it. The sort compares xs[a].Y with xs[b].Y exactly as sorting a copy
-// of xs by y would, and pdqsort's permutation depends only on the
-// outcomes, so ties come out in the order that sort of a copy gives
-// them.
-func yOrder(xs []geom.Point, ord []int32) []int32 {
+// yOrder fills ord with the positions of xs in ascending y. The sort
+// compares xs[a].Y with xs[b].Y exactly as sorting a copy of xs by y
+// would, and pdqsort's permutation depends only on the outcomes, so
+// ties come out in the order that sort of a copy gives them.
+func yOrder(xs []geom.Point, ord []int32) {
 	for i := range ord {
 		ord[i] = int32(i)
 	}
 	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(xs[a].Y, xs[b].Y) })
-	return ord
 }
 
 // GroupByCell groups pts by grid cell with a stable radix sort of their
@@ -285,17 +288,13 @@ func GroupByCell(pts []geom.Point, side float64) (keys []Key, starts, perm []int
 func (g *Grid) Side() float64 { return g.side }
 
 // Len returns the total number of points in the grid.
-func (g *Grid) Len() int { return g.size }
+func (g *Grid) Len() int { return len(g.pts) }
 
 // NumCells returns the number of non-empty cells.
-func (g *Grid) NumCells() int { return len(g.cells) }
-
-// KeyAt returns the key of the cell containing coordinate (x, y).
-func (g *Grid) KeyAt(x, y float64) Key { return KeyFor(x, y, g.side) }
+func (g *Grid) NumCells() int { return len(g.keys) }
 
 // KeyFor returns the key of the cell containing (x, y) for the given
-// cell side — the grid-free spelling for callers (the incremental
-// maintenance path) that track cells in a Dir instead of a Grid.
+// cell side.
 func KeyFor(x, y, side float64) Key {
 	return Key{
 		CX: int32(math.Floor(x / side)),
@@ -303,17 +302,20 @@ func KeyFor(x, y, side float64) Key {
 	}
 }
 
-// Cell returns the cell with key k, or nil when it is empty.
-func (g *Grid) Cell(k Key) *Cell {
-	if i, ok := slices.BinarySearch(g.keys, k.packed()); ok {
-		return &g.cells[i]
-	}
-	return nil
+// ByIndex returns a view of the cell of Index i: the lookup for
+// callers that resolved a key to an Index once (Block) and keep it. It
+// allocates nothing; the view's runs are windows into the grid's
+// arrays, capped at the cell's end.
+func (g *Grid) ByIndex(i int32) Cell {
+	lo, hi := g.off[i], g.off[i+1]
+	return Cell{XSorted: g.pts[lo:hi:hi], YOrder: g.ys[lo:hi:hi]}
 }
 
-// ByIndex returns the cell whose Index is i, 0 <= i < NumCells: the
-// lookup for callers that resolved a key to an Index once and keep it.
-func (g *Grid) ByIndex(i int32) *Cell { return &g.cells[i] }
+// Key returns the key of the cell of Index i.
+func (g *Grid) Key(i int32) Key { return unpacked(g.keys[i]) }
+
+// CellLen returns the number of points of the cell of Index i.
+func (g *Grid) CellLen(i int32) int { return int(g.off[i+1] - g.off[i]) }
 
 // Block fills dst with the Index of each cell of the 3x3 block around
 // cell k, by Direction, -1 where the cell is empty: one search per row,
@@ -336,20 +338,10 @@ func (g *Grid) Block(k Key, dst *[NumDirections]int32) {
 	}
 }
 
-// Neighborhood fills dst with the 3x3 block of cells around the cell
-// containing r, indexed by Direction; empty cells are nil. It returns
-// dst to allow chaining.
-func (g *Grid) Neighborhood(r geom.Point, dst *[NumDirections]*Cell) *[NumDirections]*Cell {
-	k := g.KeyAt(r.X, r.Y)
-	for d := Direction(0); d < NumDirections; d++ {
-		dst[d] = g.Cell(k.Neighbor(d))
-	}
-	return dst
-}
-
 // SizeBytes estimates the heap footprint of the grid: per point its
-// 24-byte copy, its 4-byte y position and about 2 B of size-class
-// rounding, per cell its 64-byte header and 8-byte key.
+// 24-byte copy and its 4-byte y position, per cell its 8-byte key and
+// 4-byte offset. Each is one large array, so size-class rounding adds
+// next to nothing.
 func (g *Grid) SizeBytes() int {
-	return 72*len(g.cells) + 30*g.size
+	return 12*len(g.keys) + 28*len(g.pts)
 }

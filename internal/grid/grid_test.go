@@ -34,13 +34,16 @@ func TestEmptyGrid(t *testing.T) {
 	if g.NumCells() != 0 || g.Len() != 0 {
 		t.Fatalf("empty grid has %d cells, %d points", g.NumCells(), g.Len())
 	}
-	if g.Cell(g.KeyAt(5, 5)) != nil {
-		t.Fatal("Cell on empty grid should be nil")
+	var idx [NumDirections]int32
+	g.Block(KeyFor(5, 5, g.Side()), &idx)
+	for d, ci := range idx {
+		if ci != -1 {
+			t.Fatalf("Block on an empty grid finds cell %d in direction %v", ci, Direction(d))
+		}
 	}
 }
 
 func TestKeyAtNegativeCoordinates(t *testing.T) {
-	g, _ := Build(nil, 10)
 	tests := []struct {
 		x, y float64
 		want Key
@@ -53,8 +56,8 @@ func TestKeyAtNegativeCoordinates(t *testing.T) {
 		{-10.01, 0, Key{-2, 0}},
 	}
 	for _, tc := range tests {
-		if got := g.KeyAt(tc.x, tc.y); got != tc.want {
-			t.Errorf("KeyAt(%g,%g) = %v, want %v", tc.x, tc.y, got, tc.want)
+		if got := KeyFor(tc.x, tc.y, 10); got != tc.want {
+			t.Errorf("KeyFor(%g,%g, 10) = %v, want %v", tc.x, tc.y, got, tc.want)
 		}
 	}
 }
@@ -67,13 +70,14 @@ func TestCellsPartitionPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for i := range g.NumCells() {
-		c := g.ByIndex(int32(i))
+	for i := range int32(g.NumCells()) {
+		c, k := g.ByIndex(i), g.Key(i)
 		total += c.Len()
-		rect := c.Rect(g.Side())
+		side := g.Side()
+		rect := geom.Rect{XMin: float64(k.CX) * side, YMin: float64(k.CY) * side, XMax: float64(k.CX+1) * side, YMax: float64(k.CY+1) * side}
 		for _, p := range c.XSorted {
-			if g.KeyAt(p.X, p.Y) != c.Key {
-				t.Fatalf("point %v in wrong cell %v", p, c.Key)
+			if KeyFor(p.X, p.Y, side) != k {
+				t.Fatalf("point %v in wrong cell %v", p, k)
 			}
 			if !rect.Contains(p) {
 				t.Fatalf("point %v outside cell rect %v", p, rect)
@@ -82,7 +86,7 @@ func TestCellsPartitionPoints(t *testing.T) {
 		if !sort.SliceIsSorted(c.XSorted, func(i, j int) bool { return c.XSorted[i].X < c.XSorted[j].X }) {
 			t.Fatal("XSorted not sorted by x")
 		}
-		if ys := yRun(t, c); !sort.SliceIsSorted(ys, func(i, j int) bool { return ys[i].Y < ys[j].Y }) {
+		if ys := yRun(t, &c); !sort.SliceIsSorted(ys, func(i, j int) bool { return ys[i].Y < ys[j].Y }) {
 			t.Fatal("YOrder not in y order")
 		}
 	}
@@ -131,6 +135,20 @@ func TestNeighborOffsets(t *testing.T) {
 	}
 }
 
+// neighborhood returns the 3x3 block of cells around the cell
+// containing r, by Direction, through Block; empty cells are nil.
+func neighborhood(g *Grid, r geom.Point) (nb [NumDirections]*Cell) {
+	var idx [NumDirections]int32
+	g.Block(KeyFor(r.X, r.Y, g.Side()), &idx)
+	for d, ci := range idx {
+		if ci >= 0 {
+			c := g.ByIndex(ci)
+			nb[d] = &c
+		}
+	}
+	return nb
+}
+
 // TestWindowCoveredByNeighborhood is the structural invariant the whole
 // algorithm rests on: every point of S inside w(r) lies in the 3x3
 // neighborhood of r's cell, and the center cell is fully covered.
@@ -142,11 +160,10 @@ func TestWindowCoveredByNeighborhood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nb [NumDirections]*Cell
 	for trial := 0; trial < 200; trial++ {
 		q := geom.Point{X: r.Range(0, 500), Y: r.Range(0, 500)}
 		w := geom.Window(q, l)
-		g.Neighborhood(q, &nb)
+		nb := neighborhood(g, q)
 		inNeighborhood := make(map[int32]bool)
 		for _, c := range nb {
 			if c == nil {
@@ -183,11 +200,10 @@ func TestCase2OneSided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nb [NumDirections]*Cell
 	for trial := 0; trial < 100; trial++ {
 		q := geom.Point{X: r.Range(0, 300), Y: r.Range(0, 300)}
 		w := geom.Window(q, l)
-		g.Neighborhood(q, &nb)
+		nb := neighborhood(g, q)
 		check := func(c *Cell, free func(geom.Point) bool, name string) {
 			if c == nil {
 				return
@@ -265,7 +281,7 @@ func TestQuickCountHelpersMatchBruteForce(t *testing.T) {
 				ok = false
 			}
 			wantGE, wantLE = 0, 0
-			for _, p := range yRun(t, c) {
+			for _, p := range yRun(t, &c) {
 				if p.Y >= th {
 					wantGE++
 				}
