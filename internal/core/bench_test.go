@@ -242,6 +242,32 @@ func BenchmarkUnfreeze(b *testing.B) {
 	b.ReportMetric(float64(par.Limit(0)), "workers")
 }
 
+// BenchmarkMutableBuild measures the whole build of a mutable index
+// from R and S, the build a store runs at construction, and reports
+// the index it builds (index_MB, MutableIndex.SizeBytes).
+func BenchmarkMutableBuild(b *testing.B) {
+	R, S := mutBenchInput()
+	cfg := Config{HalfExtent: 100, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *Mutable
+	for i := 0; i < b.N; i++ {
+		s, err := NewBBST(R, S, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Count(); err != nil {
+			b.Fatal(err)
+		}
+		if m, err = s.Unfreeze(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.Index().SizeBytes())/1e6, "index_MB")
+	b.ReportMetric(float64(par.Limit(0)), "workers")
+}
+
 // buildCases are the inputs of BenchmarkBuild and BenchmarkCount: nyc
 // points, n per side, at window half-extent l. The 25k rows are the
 // keyspread workload's shape, whose registry misses each build one

@@ -131,15 +131,15 @@ if [ -n "$micro" ]; then
 	# The rows PRs 38-40 paired by hand: the frozen parent, a clone and
 	# the churned Mutable drawing; the trial at bulk's shape; the two
 	# frozen build phases at keyspread's l range and at bulk's shape;
-	# one churn batch on a fresh Unfreeze; and Unfreeze itself, which
-	# copies every frozen cell's runs.
+	# one churn batch on a fresh mutable index; and the build of a
+	# mutable index from R and S, which every store runs.
 	[ "$micro" = default ] &&
 		micro='^BenchmarkFrozenSampleInto$/^(parent|clone|mutable)$@100x'\
 ',^BenchmarkTrialScale$/^bulk$@50x'\
 ',^BenchmarkBuild$/^(nyc25k_l50|nyc25k_l200|nyc200k_l100)$@5x'\
 ',^BenchmarkCount$/^(nyc25k_l50|nyc25k_l200|nyc200k_l100)$@5x'\
 ',^BenchmarkMutableApply$/^fresh$@200x'\
-',^BenchmarkUnfreeze$@20x'
+',^BenchmarkMutableBuild$@20x'
 	[[ "$pairs" =~ ^[1-9][0-9]*$ ]] || die "--pairs K must be a positive number"
 	mkdir -p "$work/micro"
 	for side in parent change; do
