@@ -280,23 +280,6 @@ func (p *Pair) NumPoints() int { return p.npts }
 // per-bucket slot count of Mu and SampleSlot.
 func (p *Pair) Cap() int { return p.cap }
 
-// Over returns a pair that answers exactly as p does over points, a
-// copy of the x-sorted slice p was built over: its buckets window
-// points at the positions p's window theirs, and it shares p's id
-// rows, which hold no points. So it pins points and the rows, never
-// p's slice. points must hold NumPoints points.
-func (p *Pair) Over(points []geom.Point) *Pair {
-	q := *p
-	q.buckets = make([]Bucket, len(p.buckets))
-	start := 0
-	for i, b := range p.buckets {
-		end := start + len(b.Pts)
-		b.Pts = points[start:end:end]
-		q.buckets[i], start = b, end
-	}
-	return &q
-}
-
 // Buckets returns a copy of the bucket summaries in ascending x order,
 // for tests and diagnostics.
 func (p *Pair) Buckets() []Bucket { return slices.Clone(p.buckets) }

@@ -714,48 +714,3 @@ func TestSampleSlotGoldenDigest(t *testing.T) {
 		t.Fatalf("SampleSlot digest %#x, golden %#x — seeded slot draws changed", got, golden)
 	}
 }
-
-// TestOverAnswersAsBuilt: a pair moved over a copy of its points
-// counts and draws exactly as the pair built over them, seeded draws
-// included, and its buckets window the copy, never the original.
-func TestOverAnswersAsBuilt(t *testing.T) {
-	r := rng.New(39)
-	var s Scratch
-	for _, n := range []int{1, 7, 40, 150} {
-		pts := quantizedPoints(r, n)
-		p, err := Build(pts, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := slices.Clone(pts)
-		q := p.Over(cp)
-		if err := q.CheckInvariants(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		start := 0
-		for i, b := range q.Buckets() {
-			if len(b.Pts) > 0 && &b.Pts[0] != &cp[start] {
-				t.Fatalf("n=%d: bucket %d does not window the copy at %d", n, i, start)
-			}
-			start += len(b.Pts)
-		}
-		for _, xa := range []float64{-1, 2, 5, 9} {
-			for _, ya := range []float64{-1, 1.5, 3} {
-				w := geom.Rect{XMin: xa, YMin: ya, XMax: xa + 3, YMax: ya + 2}
-				for _, c := range allCorners {
-					if got, want := q.Mu(c, w, &s), p.Mu(c, w, &s); got != want {
-						t.Fatalf("n=%d %v %v: Mu %d, built pair %d", n, c, w, got, want)
-					}
-					r1, r2 := rng.New(uint64(n)), rng.New(uint64(n))
-					for range 8 {
-						a, aok := q.SampleSlot(c, w, r1, &s)
-						b, bok := p.SampleSlot(c, w, r2, &s)
-						if a != b || aok != bok {
-							t.Fatalf("n=%d %v %v: SampleSlot %+v %v, built pair %+v %v", n, c, w, a, aok, b, bok)
-						}
-					}
-				}
-			}
-		}
-	}
-}

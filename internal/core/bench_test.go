@@ -3,7 +3,7 @@ package core
 // Mutable-vs-frozen rows: draw cost of the in-place maintained index
 // next to the frozen BBSTSampler on the same points (one Next per op,
 // and 10k-pair SampleInto batches), the cost of one churn batch, and
-// the one-off Unfreeze. Inputs are nyc-shaped, about
+// the one-off NewMutable. Inputs are nyc-shaped, about
 // 100k points per side at l = 100. BenchmarkBuild and BenchmarkCount
 // time the frozen building and upper-bounding phases on their own.
 // BenchmarkSlotTree times the mutable index's slot tree alone, over
@@ -63,16 +63,16 @@ func benchDraws(b *testing.B, s Sampler) {
 	b.ReportMetric(float64(s.Stats().Iterations-before)/float64(b.N), "trials/sample")
 }
 
-// benchChurned unfreezes the frozen sampler and applies n churn
-// batches of 32 ops. It returns the Mutable and the generator, which
-// deals the batches that follow.
+// benchChurned builds a mutable index over the frozen sampler's points
+// and applies n churn batches of 32 ops. It returns the Mutable and the
+// generator, which deals the batches that follow.
 func benchChurned(b *testing.B, n int) (*Mutable, *churnGen) {
 	b.Helper()
-	m, err := benchFrozen(b).Unfreeze()
+	R, S := mutBenchInput()
+	m, err := NewMutable(R, S, Config{HalfExtent: 100, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	R, S := mutBenchInput()
 	gen := newChurnGen(R, S, dataset.NYC(10_000, 7), 3)
 	for i := 0; i < n; i++ {
 		if m, err = m.Apply(gen.batch(8)); err != nil {
@@ -83,7 +83,7 @@ func benchChurned(b *testing.B, n int) (*Mutable, *churnGen) {
 }
 
 // BenchmarkMutableDraw compares one sample from the frozen sampler
-// with one from its unfrozen Mutable after 100 churn batches.
+// with one from a Mutable over the same points after 100 churn batches.
 func BenchmarkMutableDraw(b *testing.B) {
 	b.Run("frozen", func(b *testing.B) {
 		benchDraws(b, benchFrozen(b))
@@ -144,9 +144,10 @@ func benchBatches(b *testing.B, s Sampler) {
 // S cell holds ppc points in expectation (ppc = 8: every cell scanned;
 // ppc = 64: every cell a BBST), plus a row shaped like the bench
 // module's bulk workload (R and S halves of two 400k nyc pools, l =
-// 100). Each row builds one frozen sampler and draws 10k-pair batches
-// from a clone of it and from its unfrozen Mutable. Memory latency, not
-// the trial's Õ(1) work, is what grows with n.
+// 100). Each row builds one frozen sampler and one Mutable over the
+// same points and draws 10k-pair batches from a clone of the frozen
+// one and from the Mutable. Memory latency, not the trial's Õ(1) work,
+// is what grows with n.
 func BenchmarkTrialScale(b *testing.B) {
 	type row struct {
 		name  string
@@ -188,7 +189,7 @@ func BenchmarkTrialScale(b *testing.B) {
 				benchBatches(b, c)
 			})
 			b.Run("mutable", func(b *testing.B) {
-				m, err := s.Unfreeze()
+				m, err := NewMutable(R, S, Config{HalfExtent: rw.l, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -199,7 +200,7 @@ func BenchmarkTrialScale(b *testing.B) {
 }
 
 // BenchmarkMutableApply measures one 32-op churn batch (8 inserts and
-// 8 deletes per side), one op per batch: on a fresh Unfreeze, whose
+// 8 deletes per side), one op per batch: on a fresh NewMutable, whose
 // slots lie cell by cell, and after 1,000 batches, whose inserts took
 // free slots from anywhere.
 func BenchmarkMutableApply(b *testing.B) {
@@ -223,25 +224,6 @@ func BenchmarkMutableApply(b *testing.B) {
 	}
 }
 
-// BenchmarkUnfreeze measures adopting a counted frozen sampler for
-// in-place maintenance, and reports the index it builds (index_MB,
-// MutableIndex.SizeBytes).
-func BenchmarkUnfreeze(b *testing.B) {
-	s := benchFrozen(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var m *Mutable
-	for i := 0; i < b.N; i++ {
-		var err error
-		if m, err = s.Unfreeze(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(m.Index().SizeBytes())/1e6, "index_MB")
-	b.ReportMetric(float64(par.Limit(0)), "workers")
-}
-
 // BenchmarkMutableBuild measures the whole build of a mutable index
 // from R and S, the build a store runs at construction, and reports
 // the index it builds (index_MB, MutableIndex.SizeBytes).
@@ -252,14 +234,8 @@ func BenchmarkMutableBuild(b *testing.B) {
 	b.ResetTimer()
 	var m *Mutable
 	for i := 0; i < b.N; i++ {
-		s, err := NewBBST(R, S, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Count(); err != nil {
-			b.Fatal(err)
-		}
-		if m, err = s.Unfreeze(); err != nil {
+		var err error
+		if m, err = NewMutable(R, S, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,7 +64,7 @@ type Config struct {
 	BucketCap int
 	// Workers caps the goroutines, the caller included, that index
 	// construction splits its per-cell work across (the grid mapping,
-	// the corner builds, upper bounding and the BBST's Unfreeze); 0
+	// the corner builds and upper bounding, frozen or in NewMutable); 0
 	// means GOMAXPROCS. The structures and every seeded draw are the
 	// same for every value. The experiment harness sets 1, so its
 	// phase timings compare like for like with the serial baselines.

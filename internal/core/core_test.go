@@ -59,27 +59,48 @@ func allFactories() []factory {
 // distribution tests.
 func drawFactories() []factory {
 	return append(allFactories(), factory{"Mutable", func(R, S []geom.Point, cfg Config) (Sampler, error) {
-		return churnedMutable(NewBBST, R, S, cfg)
+		return churnedMutable(NewMutable, R, S, cfg)
 	}})
+}
+
+// scanSetting is one scan threshold T = c·⌈log₂ m⌉ the BBST and the
+// mutable sampler are tested at: c returns its c for a build over S at
+// half-extent l.
+type scanSetting struct {
+	name string
+	c    func(S []geom.Point, l float64) (float64, error)
+}
+
+// bbst creates a BBST sampler at the setting's T.
+func (set scanSetting) bbst(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
+	c, err := set.c(S, cfg.HalfExtent)
+	if err != nil {
+		return nil, err
+	}
+	s, err := NewBBST(R, S, cfg)
+	if err == nil {
+		s.scanC = c
+	}
+	return s, err
+}
+
+// mutable builds a mutable index at the setting's T.
+func (set scanSetting) mutable(R, S []geom.Point, cfg Config) (*Mutable, error) {
+	c, err := set.c(S, cfg.HalfExtent)
+	if err != nil {
+		return nil, err
+	}
+	return newMutable(R, S, cfg, c)
 }
 
 // scanSettings are the scan thresholds T the BBST and the mutable
 // sampler are also tested at: the default, scanC = 0 (every cell a
 // BBST, the paper's pure form) and gridFactories' hybrid T (the
 // smallest cells scanned, the largest with a pair).
-var scanSettings = []struct {
-	name string
-	mk   func(R, S []geom.Point, cfg Config) (*BBSTSampler, error)
-}{
-	{"default", NewBBST},
-	{"pure", func(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
-		s, err := NewBBST(R, S, cfg)
-		if err == nil {
-			s.scanC = 0
-		}
-		return s, err
-	}},
-	{"hybrid", newHybridBBST},
+var scanSettings = []scanSetting{
+	{"default", func([]geom.Point, float64) (float64, error) { return defaultScanC, nil }},
+	{"pure", func([]geom.Point, float64) (float64, error) { return 0, nil }},
+	{"hybrid", hybridScanC},
 }
 
 // scanFactories are the BBST and mutable samplers at the non-default
@@ -91,7 +112,7 @@ func scanFactories() []factory {
 	for _, set := range scanSettings[1:] {
 		fs = append(fs,
 			factory{"BBST-" + set.name, func(R, S []geom.Point, cfg Config) (Sampler, error) {
-				s, err := set.mk(R, S, cfg)
+				s, err := set.bbst(R, S, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -101,7 +122,7 @@ func scanFactories() []factory {
 				return s, needBBSTCells(frozenBBSTCells(s))
 			}},
 			factory{"Mutable-" + set.name, func(R, S []geom.Point, cfg Config) (Sampler, error) {
-				m, err := churnedMutable(set.mk, R, S, cfg)
+				m, err := churnedMutable(set.mutable, R, S, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -142,19 +163,12 @@ func needBBSTCells(n int) error {
 	return nil
 }
 
-// churnedMutable unfreezes the sampler mk builds, then applies a small
+// churnedMutable builds a mutable index with mk, then applies a small
 // churn script that exercises slot reuse, appends, the free list and
 // recounts but ends with the live sets equal to R and S, so the join
 // under test is unchanged.
-func churnedMutable(mk func(R, S []geom.Point, cfg Config) (*BBSTSampler, error), R, S []geom.Point, cfg Config) (*Mutable, error) {
-	s, err := mk(R, S, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Count(); err != nil {
-		return nil, err
-	}
-	m, err := s.Unfreeze()
+func churnedMutable(mk func(R, S []geom.Point, cfg Config) (*Mutable, error), R, S []geom.Point, cfg Config) (*Mutable, error) {
+	m, err := mk(R, S, cfg)
 	if err != nil {
 		return nil, err
 	}

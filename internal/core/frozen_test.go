@@ -174,7 +174,7 @@ func TestSampleIntoZeroAllocs(t *testing.T) {
 	smallR, smallS := dataset.SplitRS(dataset.NYC(4000, 1), 0.5, 2)
 	cfg := Config{HalfExtent: 100, Seed: 5}
 	handles := map[string]func(t *testing.T) Sampler{
-		"Mutable": func(t *testing.T) Sampler { return mustUnfreeze(t, R, S, cfg) },
+		"Mutable": func(t *testing.T) Sampler { return mustNewMutable(t, R, S, cfg) },
 	}
 	clone := func(t *testing.T, mk frozenFactory, R, S []geom.Point) Sampler {
 		parent, err := mk(R, S, cfg)
@@ -238,7 +238,7 @@ func TestReseedDropsCarry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 100, Seed: 31})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 100, Seed: 31})
 	const seed = 77
 	// check draws 3 pairs from used (which leaves some in the carry),
 	// then reseeds it and compares it with a fresh handle.
@@ -393,7 +393,8 @@ func TestCornerSlotFill(t *testing.T) {
 	var mu, filled int
 	for i, r := range g.R {
 		w := g.window(r)
-		row, cnt := &g.rows[g.recs.row(i)].cells, g.recs.counts(i, g.rows)
+		ri, cnt := recOf(g, i)
+		row := &g.rows[ri].cells
 		for d := grid.Direction(0); d < grid.NumDirections; d++ {
 			if d.Case() != 3 || row[d] < 0 {
 				continue
@@ -439,7 +440,8 @@ func TestCornerCountBound(t *testing.T) {
 		g := &s.gridSampler
 		bound := g.countBound()
 		for i := range g.R {
-			cnt, row := g.recs.counts(i, g.rows), &g.rows[g.recs.row(i)]
+			ri, cnt := recOf(g, i)
+			row := &g.rows[ri]
 			for d := grid.West; d < grid.NumDirections; d++ {
 				if int(cnt[d]) > bound {
 					t.Fatalf("l=%g R[%d] %v: count %d above countBound %d", l, i, d, cnt[d], bound)
@@ -472,7 +474,7 @@ func TestCornerCountBound(t *testing.T) {
 // capacity 2, whose last bucket holds one point, so a corner covering
 // the cell counts 32,768 × 2 = 65,536. Count must pick the int32
 // records, every record (Center included) must equal refCounts, and
-// the Unfreeze of the engine must pass CheckInvariants.
+// a mutable index over the same points must pass CheckInvariants.
 func TestCountWidth(t *testing.T) {
 	const l = 10.0 // the S cell is [50, 60)², its points in [50, 50.5)²
 	lattice := func(n int) []geom.Point {
@@ -496,7 +498,8 @@ func TestCountWidth(t *testing.T) {
 		{"corner-slack/65535", 1<<16 - 1, 2, grid.NorthEast, 3, 1 << 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewBBST(R, lattice(tc.n), Config{HalfExtent: l, Seed: 1, BucketCap: tc.cap})
+			cfg := Config{HalfExtent: l, Seed: 1, BucketCap: tc.cap}
+			s, err := NewBBST(R, lattice(tc.n), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -509,14 +512,15 @@ func TestCountWidth(t *testing.T) {
 			}
 			var sc cornerScratch
 			for i, r := range R {
-				if got, want := g.recs.counts(i, g.rows), refCounts(g, r, &sc); got != want {
+				_, got := recOf(g, i)
+				if want := refCounts(g, r, &sc); got != want {
 					t.Errorf("R[%d] %+v: record %v, per-point %v", i, r, got, want)
 				}
 			}
-			if got := g.recs.counts(tc.rIdx, g.rows)[tc.dir]; got != tc.wantCount {
-				t.Errorf("R[%d] %v: count %d, want %d", tc.rIdx, tc.dir, got, tc.wantCount)
+			if _, cnt := recOf(g, tc.rIdx); cnt[tc.dir] != tc.wantCount {
+				t.Errorf("R[%d] %v: count %d, want %d", tc.rIdx, tc.dir, cnt[tc.dir], tc.wantCount)
 			}
-			m, err := s.Unfreeze()
+			m, err := NewMutable(R, lattice(tc.n), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -123,11 +123,7 @@ func FuzzMutableOps(f *testing.F) {
 			return pts
 		}
 		R, S := initial(), initial()
-		frozen, err := NewBBST(R, S, Config{HalfExtent: fuzzSide, Seed: seed, BucketCap: int(capRaw % 5)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := frozen.Unfreeze()
+		m, err := NewMutable(R, S, Config{HalfExtent: fuzzSide, Seed: seed, BucketCap: int(capRaw % 5)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,15 +285,16 @@ func FuzzCornerScan(f *testing.F) {
 }
 
 // chunkFixture is FuzzChunkedDraws' two handles' sources, built once
-// per process: a counted frozen BBST sampler over nyc-shaped points,
-// and its unfrozen Mutable after 20 churn batches.
+// per process: a frozen BBST sampler over nyc-shaped points, and a
+// Mutable over the same points after 20 churn batches.
 var chunkFixture = sync.OnceValues(func() (*BBSTSampler, *Mutable) {
 	R, S := dataset.SplitRS(dataset.NYC(6000, 1), 0.5, 2)
-	s, err := NewBBST(R, S, Config{HalfExtent: 100, Seed: 3})
+	cfg := Config{HalfExtent: 100, Seed: 3}
+	s, err := NewBBST(R, S, cfg)
 	if err != nil {
 		panic(err)
 	}
-	m, err := s.Unfreeze()
+	m, err := NewMutable(R, S, cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"unsafe"
 
 	"repro/internal/alias"
@@ -18,9 +17,10 @@ import (
 // (case 3) corner queries: the two BBSTs of the paper for a cell of
 // more than T points, or the per-cell kd-tree of the Fig. 9 ablation;
 // a smaller BBST cell has none (nil) and scans its run (scanRun). It is
-// immutable once built: every clone of a sampler, and every mutable
-// index version unfrozen from it, shares the same corner structures,
-// and the query buffers live in the calling handle's cornerScratch.
+// immutable once built: every clone of a sampler shares the same
+// corner structures, and so does every mutable index version that
+// keeps the cell, and the query buffers live in the calling handle's
+// cornerScratch.
 // Only sCell calls it.
 type cornerIndex interface {
 	// mu returns the count of cell points matching the corner
@@ -215,17 +215,12 @@ type cellRow struct {
 
 // countRecs is the frozen sampler's count records by R index, at one
 // width (pointRecs[uint16] or pointRecs[int32]): Count fills them, and
-// the trial, Unfreeze and sizeBytes read them through it.
+// the trial and sizeBytes read them through it.
 type countRecs interface {
 	// fill writes the records of the points idx of one R cell from
 	// their counts cnt (Center included, which the row holds), and
 	// each point's µ(r) into mu.
 	fill(idx []int32, cnt []dirCounts, row int32, mu []float64)
-	// row is point i's row index.
-	row(i int) int32
-	// counts is point i's µ(r, d) in all nine directions, Center read
-	// from its row in rows.
-	counts(i int, rows []cellRow) dirCounts
 	// tryGroup is gridSampler.tryGroup over these records.
 	tryGroup(g *gridSampler, lg *laneGroup)
 	sizeBytes() int
@@ -243,17 +238,6 @@ func (rs pointRecs[W]) fill(idx []int32, cnt []dirCounts, row int32, mu []float6
 		rec.row = row
 		mu[i] = float64(cnt[j].total())
 	}
-}
-
-func (rs pointRecs[W]) row(i int) int32 { return rs[i].row }
-
-func (rs pointRecs[W]) counts(i int, rows []cellRow) dirCounts {
-	rec := &rs[i]
-	cnt := dirCounts{grid.Center: rows[rec.row].center}
-	for d, c := range rec.cnt {
-		cnt[d+1] = int32(c)
-	}
-	return cnt
 }
 
 func (rs pointRecs[W]) sizeBytes() int { return len(rs) * int(unsafe.Sizeof(pointRec[W]{})) }
@@ -303,7 +287,8 @@ func (g *gridSampler) build() error {
 // picked first, from Build's cells and corners (countBound), so they
 // are allocated once at that width. The R points are grouped by grid
 // cell through a throwaway index permutation (R itself keeps its
-// order, which the alias indexes), and each cell is counted in one
+// order, which the alias indexes), row c being the c-th cell of the
+// grouping, and each cell is counted in one
 // batched muCounter pass against its 3×3 block, looked up once per
 // cell (one search per row); the same lookup fills the cell's row. The
 // cells are split across cfg.Workers, each worker with a muCounter of
@@ -316,18 +301,6 @@ func (g *gridSampler) count() error {
 		mcs[w].half = g.cfg.HalfExtent
 	}
 	keys, starts, perm := grid.GroupByCell(g.R, g.g.Side())
-	// Rows go in the order R first touches their cells (Unfreeze's
-	// slot layout): mark each cell's first point, meet them in order.
-	rowOf, first := make([]int32, len(keys)), make([]int32, len(g.R))
-	for c := range keys {
-		first[perm[starts[c]]] = int32(c) + 1
-	}
-	next := int32(0)
-	for _, c := range first {
-		if c > 0 {
-			rowOf[c-1], next = next, next+1
-		}
-	}
 	if g.countBound() > math.MaxUint16 {
 		g.recs = make(pointRecs[int32], len(g.R))
 	} else {
@@ -342,7 +315,7 @@ func (g *gridSampler) count() error {
 		for _, i := range idx {
 			mc.add(g.R[i], dirCounts{})
 		}
-		row := rowOf[c]
+		row := int32(c)
 		nb := g.neighborhood(keys[c], &g.rows[row].cells)
 		mc.count(&nb, allDirs)
 		g.rows[row].center = mc.cnt[0][grid.Center]
@@ -385,27 +358,6 @@ func (g *gridSampler) laneCell(ci int32, d grid.Direction) sCell {
 		c.corner = g.corners[ci]
 	}
 	return c
-}
-
-// groupByRow is a counting sort of the indexes 0..n-1 by row(i) in
-// [0, rows): perm[starts[c]:starts[c+1]] holds row c's indexes,
-// ascending.
-func groupByRow(n, rows int, row func(i int) int32) (starts, perm []int32) {
-	starts = make([]int32, rows+1)
-	for i := range n {
-		starts[row(i)+1]++
-	}
-	for c := range rows {
-		starts[c+1] += starts[c]
-	}
-	next := slices.Clone(starts)
-	perm = make([]int32, n)
-	for i := range n {
-		c := row(i)
-		perm[next[c]] = int32(i)
-		next[c]++
-	}
-	return starts, perm
 }
 
 // pickDir picks a trial's direction by a cumulative scan of the

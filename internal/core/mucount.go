@@ -7,9 +7,8 @@ package core
 // the cell's points in x (or y) order against the neighbour's sorted
 // run counts the whole cell. Corners stay per-point queries (sCell.mu),
 // grouped by direction so one corner structure serves the whole cell
-// while it is in cache. The frozen Count and ApplyOps' recount both go
-// through this one counter; Unfreeze adopts the frozen Count's
-// records.
+// while it is in cache. The frozen Count, NewMutable's build and
+// ApplyOps' recount all go through this one counter.
 
 import (
 	"math"

@@ -78,6 +78,27 @@ func cellAt(g *grid.Grid, k grid.Key) int32 {
 	return -1
 }
 
+// recOf is R[i]'s frozen count record in g, at either width: its row
+// index, and its µ(r, d) in all nine directions, widened to int32,
+// Center read from its row.
+func recOf(g *gridSampler, i int) (int32, dirCounts) {
+	switch rs := g.recs.(type) {
+	case pointRecs[uint16]:
+		return widen(&rs[i], g.rows)
+	case pointRecs[int32]:
+		return widen(&rs[i], g.rows)
+	}
+	panic(fmt.Sprintf("core: count records %T", g.recs))
+}
+
+func widen[W countWidth](rec *pointRec[W], rows []cellRow) (int32, dirCounts) {
+	cnt := dirCounts{grid.Center: rows[rec.row].center}
+	for d, c := range rec.cnt {
+		cnt[d+1] = int32(c)
+	}
+	return rec.row, cnt
+}
+
 // refCounts is the per-point reference for µ(r, d): r's own 3×3 block
 // looked up cell by cell (cellAt), each cell counted by sCell.mu
 // (Cell.Matching for cases 1–2, the corner structure's count or a
@@ -186,7 +207,7 @@ var gridFactories = []gridFactory{
 		return &s.gridSampler, err
 	}},
 	{"hybrid", func(R, S []geom.Point, cfg Config) (*gridSampler, error) {
-		s, err := newHybridBBST(R, S, cfg)
+		s, err := scanSetting{"hybrid", hybridScanC}.bbst(R, S, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -198,17 +219,13 @@ var gridFactories = []gridFactory{
 	}},
 }
 
-// newHybridBBST creates a BBST sampler whose scan threshold T lies
-// halfway between the smallest and the largest S cell, so the smallest
-// cells are scanned and the largest keep their BBST pair.
-func newHybridBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
-	s, err := NewBBST(R, S, cfg)
+// hybridScanC is the c of a scan threshold T halfway between the
+// smallest and the largest S cell over S at half-extent l, so the
+// smallest cells are scanned and the largest keep their BBST pair.
+func hybridScanC(S []geom.Point, l float64) (float64, error) {
+	g, err := grid.Build(S, l)
 	if err != nil {
-		return nil, err
-	}
-	g, err := grid.Build(S, cfg.HalfExtent)
-	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	lo, hi := len(S), 0
 	for i := range g.NumCells() {
@@ -216,15 +233,15 @@ func newHybridBBST(R, S []geom.Point, cfg Config) (*BBSTSampler, error) {
 		lo, hi = min(lo, n), max(hi, n)
 	}
 	if lo >= hi {
-		return nil, fmt.Errorf("hybrid BBST: every cell holds %d points", lo)
+		return 0, fmt.Errorf("hybrid BBST: every cell holds %d points", lo)
 	}
 	// c·⌈log₂ m⌉ lands half a point above T, so scanMax floors to T.
 	t := (lo + hi) / 2
-	s.scanC = (float64(t) + 0.5) / float64(bbst.BucketCap(len(S)))
-	if got := scanMax(s.scanC, len(S)); got != t {
-		return nil, fmt.Errorf("hybrid BBST: threshold %d, want %d", got, t)
+	c := (float64(t) + 0.5) / float64(bbst.BucketCap(len(S)))
+	if got := scanMax(c, len(S)); got != t {
+		return 0, fmt.Errorf("hybrid BBST: threshold %d, want %d", got, t)
 	}
-	return s, nil
+	return c, nil
 }
 
 // forCountInputs runs check in a subtest "input/l=L/sampler" for every
@@ -282,7 +299,7 @@ func TestFrozenRecordMatchesReference(t *testing.T) {
 			}
 		}
 		for i, r := range g.R {
-			cnt, row := g.recs.counts(i, g.rows), g.recs.row(i)
+			row, cnt := recOf(g, i)
 			if want := refCounts(g, r, &sc); cnt != want {
 				fail("R[%d] %+v: record %v, per-point %v", i, r, cnt, want)
 			}
@@ -365,7 +382,7 @@ func checkScanPicks(fail func(string, ...any), c sCell, d grid.Direction, w geom
 	}
 }
 
-// TestMutableBatchedRecountOnBoundaries drives Unfreeze and ApplyOps,
+// TestMutableBatchedRecountOnBoundaries drives NewMutable and ApplyOps,
 // whose recounts go through the batched counter, over lattice points
 // that sit on cell edges and window boundaries, with inserts and
 // deletes landing on them too; CheckInvariants recounts every slot
@@ -374,9 +391,9 @@ func TestMutableBatchedRecountOnBoundaries(t *testing.T) {
 	r := rng.New(9)
 	const l = 4
 	R, S := latticePoints(r, 400, l, 0), latticePoints(r, 400, l, 1<<20)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 3})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: l, Seed: 3})
 	if err := m.Index().CheckInvariants(); err != nil {
-		t.Fatalf("after Unfreeze: %v", err)
+		t.Fatalf("after NewMutable: %v", err)
 	}
 	gen := newChurnGen(R, S, latticePoints(r, 500, l, 0), 4)
 	for i := 0; i < 40; i++ {
@@ -398,7 +415,7 @@ func TestCheckInvariantsCatchesCorruptCount(t *testing.T) {
 	r := rng.New(21)
 	R := randomPoints(r, 300, 200, 0)
 	S := randomPoints(r, 300, 200, 1<<20)
-	ix := mustUnfreeze(t, R, S, Config{HalfExtent: 15, Seed: 1}).Index()
+	ix := mustNewMutable(t, R, S, Config{HalfExtent: 15, Seed: 1}).Index()
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatalf("clean index: %v", err)
 	}

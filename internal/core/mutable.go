@@ -30,7 +30,7 @@ package core
 //     so an S-side change recounts only the R points whose 3×3
 //     neighborhood was touched, one batched muCounter pass per R cell
 //     (the frozen Count's counter);
-//   - Unfreeze lays the slots out cell by cell, so each R cell's slots
+//   - NewMutable lays the slots out cell by cell, so each R cell's slots
 //     are one run of consecutive slots that share a few leaves, and a
 //     recount reads and path-copies those leaves rather than one leaf
 //     per point;
@@ -38,7 +38,7 @@ package core
 //     a free list encoded in the slots themselves, so sustained churn
 //     reuses slots instead of growing without bound. An insert takes
 //     the free slot deleted last, wherever it lies, so under long churn
-//     a cell's slots drift apart from the layout Unfreeze gave them;
+//     a cell's slots drift apart from the layout NewMutable gave them;
 //   - a batch that leaves more dead slots than live ones repacks the R
 //     side: the live slots are laid out cell by cell again and the dead
 //     ones dropped, so the slot array never holds more than twice the
@@ -67,7 +67,7 @@ package core
 // the per-point countsOf, not the batched counter.
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -75,7 +75,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/par"
-	"repro/internal/rng"
 )
 
 // MutOps is one batch of mutations for ApplyOps: points to insert and
@@ -107,7 +106,7 @@ func isFreeSlot(pt geom.Point) bool { return math.IsNaN(pt.X) }
 type MutableIndex struct {
 	cfg   Config
 	side  float64 // grid cell side (= HalfExtent), fixed per index line
-	scanC float64 // c of the scan threshold T = c·⌈log₂ m⌉, from the frozen sampler
+	scanC float64 // c of the scan threshold T = c·⌈log₂ m⌉, fixed at NewMutable
 
 	// S side.
 	scells      *grid.Dir[dirCell]    // S cell -> its cell and corner structure
@@ -368,12 +367,12 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 
 // repack drops the dead slots once they outnumber the live ones: the
 // live slots are laid out again cell by cell, in rcells order and each
-// cell's list order, and the slot tree, rcells and rids are bulk-built
-// over the new layout, as Unfreeze builds them, side by side across
-// cfg.Workers. Every dead slot was freed by a delete since the last
-// repack (or Unfreeze), and the slots moved number fewer than those
-// deletes, so the repack's O(slots) cost keeps ApplyOps Õ(ops)
-// amortized, and the slot array stays within twice the live count.
+// cell's list order, and the R side is bulk-built over the new layout
+// (layoutR), as NewMutable builds it. Every dead slot was freed by a
+// delete since the last repack (or NewMutable), and the slots moved
+// number fewer than those deletes, so the repack's O(slots) cost keeps
+// ApplyOps Õ(ops) amortized, and the slot array stays within twice the
+// live count.
 func (nx *MutableIndex) repack() {
 	recs := make([]slotRec, 0, nx.rCount)
 	starts := make([]int32, 0, nx.rcells.Len()+1)
@@ -384,20 +383,7 @@ func (nx *MutableIndex) repack() {
 		}
 		return true
 	})
-	starts = append(starts, int32(len(recs)))
-	par.ForEach(3, nx.cfg.Workers, func(_, job int) {
-		switch job {
-		case 0:
-			nx.slots = buildSlotTree(recs)
-		case 1:
-			nx.rcells = slotRuns(recs, starts, nx.side)
-		case 2:
-			nx.rids = grid.BuildIDDir(len(recs),
-				func(i int) int32 { return recs[i].pt.ID },
-				func(i int) int32 { return int32(i) })
-		}
-	})
-	nx.freeHead, nx.nFree = -1, 0
+	nx.layoutR(recs, append(starts, int32(len(recs))))
 }
 
 func checkMutFinite(pts []geom.Point, side string) error {
@@ -518,123 +504,152 @@ type Mutable struct {
 	lanes   laneGroup
 }
 
-// Unfreeze converts the prepared sampler into a Mutable over the same
-// cells and corner structures, owned rather than shared: the frozen
-// grid keeps every cell's runs in one array of points and one of y
-// positions, so each cell gets copies of its two runs in exact-size
-// arrays of its own, and a BBST pair is moved over the copy
-// (ownCell). A version thus pins only the cells it still serves, never
-// the frozen grid, and a dropped frozen sampler is freed whole (the
-// frozen sampler itself is never touched). The slot tree is bulk-built
-// from the frozen count records, which were counted against these same
-// cells and corners, with R laid out cell by cell: a counting sort of R by the row Count
-// filed each point under gives the slot order, so each R cell's slots
-// are one run of consecutive slots.
-// The cell directories are bulk-built over their distinct cell keys,
-// scells holding each cell and corner by value, and rcells each cell's
-// run as an exact-size list of its own, like a list ApplyOps makes.
-// The ID directories are bulk-built from one radix sort by ID each,
-// sids over S, whose points the cells hold, and rids over the slots. So
-// no list or leaf a later version leaves untouched pins a bulk-built
-// array.
-// This is the one O(n + m) step of the mutable path; every ApplyOps
-// after it is Õ(ops).
+// NewMutable builds a mutable index over R and S and returns a handle
+// over it: the one O(n + m) step of the mutable path; every ApplyOps
+// after it is Õ(ops). S is grouped by cell, each cell sorted into two
+// runs of its own (grid.NewCell) and given its corner structure
+// (cellCorner), and R is counted cell by cell against them and laid
+// out in slots cell by cell (buildR). The cell directories and the ID
+// directories are bulk-built, so no list or leaf a later version
+// leaves untouched pins a bulk-built array, and a version pins only
+// the cells it still serves. The input slices are not retained.
 // An empty side or an empty join is accepted: the result is a
 // zero-mass Mutable that inserts can fill.
-func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
-	if s.cfg.WithoutReplacement {
-		return nil, ErrNoParallelWithoutReplacement
-	}
-	if err := s.Count(); err != nil && !errors.Is(err, ErrEmptyJoin) {
+func NewMutable(R, S []geom.Point, cfg Config) (*Mutable, error) {
+	return newMutable(R, S, cfg, defaultScanC)
+}
+
+// newMutable is NewMutable with scan threshold T = c·⌈log₂ m⌉ at
+// c = scanC.
+func newMutable(R, S []geom.Point, cfg Config, scanC float64) (*Mutable, error) {
+	b, err := newBase("BBST", nil, nil, cfg)
+	if err != nil {
 		return nil, err
 	}
+	if cfg.WithoutReplacement {
+		return nil, ErrNoParallelWithoutReplacement
+	}
+	t := scanMax(scanC, len(S))
 	ix := &MutableIndex{
-		cfg:      s.cfg,
-		side:     s.g.Side(),
-		scanC:    s.scanC,
-		tMin:     scanMax(s.scanC, s.g.Len()),
-		tMax:     scanMax(s.scanC, s.g.Len()),
-		sCount:   s.g.Len(),
+		cfg:      cfg,
+		side:     cfg.HalfExtent,
+		scanC:    scanC,
+		sCount:   len(S),
+		tMin:     t,
+		tMax:     t,
 		freeHead: -1,
-		rCount:   len(s.R),
+		rCount:   len(R),
 	}
-	S, R := s.S, s.R
-	// Count filed every R point under its cell's row. The slots are laid
-	// out row by row, R[i] with its count record in slot slotOf[i], so
-	// each cell's slots are one run starts[c] .. starts[c+1]-1. The
-	// records are scattered to their slots in R order, split across
-	// cfg.Workers, so R and its records are read in order; rids is
-	// built over R in its own order too.
-	starts, perm := groupByRow(len(R), len(s.rows), s.recs.row)
-	slotOf := make([]int32, len(R))
-	for j, i := range perm {
-		slotOf[i] = int32(j)
+	if err := ix.buildS(S); err != nil {
+		return nil, err
 	}
-	recs := make([]slotRec, len(R))
-	par.ForEach(len(R), s.cfg.Workers, func(_, i int) {
-		recs[slotOf[i]] = slotRec{pt: R[i], cnt: s.recs.counts(i, s.rows)}
-	})
-	// The five builds (scells, sids, rcells, rids and the slot tree)
-	// read only the frozen sampler and the slots, and each writes
-	// fields of its own, so they run side by side across cfg.Workers.
-	par.ForEach(5, s.cfg.Workers, func(_, job int) {
-		switch job {
-		case 0:
-			cells := make([]dirCell, s.g.NumCells())
-			for i, corner := range s.corners {
-				cells[i] = ownCell(s.g.ByIndex(int32(i)), corner)
-				ix.cornerBytes += cornerBytes(cells[i].corner)
-			}
-			ix.scells = grid.BuildDir(len(cells),
-				func(i int) grid.Key { return s.g.Key(int32(i)) },
-				func(i int) dirCell { return cells[i] })
-		case 1:
-			ix.sids = grid.BuildIDDir(len(S),
-				func(i int) int32 { return S[i].ID },
-				func(i int) grid.Key { return grid.KeyFor(S[i].X, S[i].Y, ix.side) })
-		case 2:
-			ix.rcells = slotRuns(recs, starts, ix.side)
-		case 3:
-			ix.rids = grid.BuildIDDir(len(R),
-				func(i int) int32 { return R[i].ID },
-				func(i int) int32 { return slotOf[i] })
-		case 4:
-			ix.slots = buildSlotTree(recs)
-		}
-	})
-	b := &base{name: s.name, cfg: s.cfg, rng: rng.New(s.cfg.Seed), state: phaseCounted}
+	ix.buildR(R)
+	b.state = phaseCounted
 	b.stats.MuSum = ix.MuSum()
 	return &Mutable{base: b, idx: ix}, nil
 }
 
-// ownCell is frozen cell c with corner structure corner as Unfreeze
-// adopts it: its two runs copied into exact-size arrays of its own and
-// a BBST pair moved over the copy (bbst.Pair.Over), so the entry pins
-// neither the grid's arrays nor the frozen pair's buckets, which
-// window them.
-func ownCell(c grid.Cell, corner cornerIndex) dirCell {
-	c.XSorted = append(make([]geom.Point, 0, len(c.XSorted)), c.XSorted...)
-	c.YOrder = append(make([]int32, 0, len(c.YOrder)), c.YOrder...)
-	if bc, ok := corner.(bbstCorner); ok {
-		corner = bbstCorner{bc.pair.Over(c.XSorted)}
+// buildS builds the S side over S: each cell's two runs and corner
+// structure, split by cell across cfg.Workers, then scells over the
+// cells and sids over S, side by side.
+func (ix *MutableIndex) buildS(S []geom.Point) error {
+	keys, starts, perm := grid.GroupByCell(S, ix.side)
+	cells := make([]dirCell, len(keys))
+	errs := make([]error, len(keys))
+	par.ForEach(len(keys), ix.cfg.Workers, func(_, c int) {
+		cell := grid.NewCell(S, perm[starts[c]:starts[c+1]])
+		corner, err := cellCorner(cell.XSorted, len(S), ix.scanC, ix.cfg.BucketCap)
+		cells[c], errs[c] = dirCell{cell, corner}, err
+	})
+	for c, err := range errs {
+		if err != nil {
+			return err // the lowest-keyed failing cell's
+		}
+		ix.cornerBytes += cornerBytes(cells[c].corner)
 	}
-	return dirCell{&c, corner}
+	par.ForEach(2, ix.cfg.Workers, func(_, job int) {
+		if job == 0 {
+			ix.scells = grid.BuildDir(len(cells),
+				func(c int) grid.Key { return keys[c] },
+				func(c int) dirCell { return cells[c] })
+		} else {
+			ix.sids = grid.BuildIDDir(len(S),
+				func(i int) int32 { return S[i].ID },
+				func(i int) grid.Key { return grid.KeyFor(S[i].X, S[i].Y, ix.side) })
+		}
+	})
+	return nil
 }
 
-// slotRuns bulk-builds the R cell directory of slots laid out cell by
-// cell: the c-th cell's slots are the run starts[c] .. starts[c+1]-1 of
-// recs, listed in an exact-size array of its own, like a list ApplyOps
-// makes. Unfreeze and repack share it.
-func slotRuns(recs []slotRec, starts []int32, side float64) *grid.Dir[[]int32] {
-	return grid.BuildDir(len(starts)-1,
-		func(c int) grid.Key { r := recs[starts[c]].pt; return grid.KeyFor(r.X, r.Y, side) },
-		func(c int) []int32 {
-			list := make([]int32, starts[c+1]-starts[c])
-			for j := range list {
-				list[j] = starts[c] + int32(j)
-			}
-			return list
-		})
+// buildR counts R against the S side and lays it out in slots cell by
+// cell: the cells in the order R first touches them, each cell's points
+// in R's order, so each cell's slots are one run of consecutive slots.
+// The layout is part of the descent's map from variate to slot. Each
+// cell is counted in one batched muCounter pass against its 3×3 block
+// (neighborhood), the cells split across cfg.Workers, each worker with
+// a counter of its own and each cell writing only its own slots.
+func (ix *MutableIndex) buildR(R []geom.Point) {
+	keys, starts, perm := grid.GroupByCell(R, ix.side)
+	// perm lists each cell's points in R's order, so a cell's first
+	// entry is the point that first touches it.
+	order := make([]int32, len(keys))
+	for c := range order {
+		order[c] = int32(c)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(perm[starts[a]], perm[starts[b]]) })
+	at := make([]int32, len(order)+1) // the j-th cell of order holds slots at[j] .. at[j+1]-1
+	for j, c := range order {
+		at[j+1] = at[j] + starts[c+1] - starts[c]
+	}
+	recs := make([]slotRec, len(R))
+	mcs := make([]muCounter, par.Limit(ix.cfg.Workers))
+	for w := range mcs {
+		mcs[w].half = ix.cfg.HalfExtent
+	}
+	par.ForEach(len(order), ix.cfg.Workers, func(w, j int) {
+		mc, c := &mcs[w], order[j]
+		idx := perm[starts[c]:starts[c+1]]
+		mc.reset()
+		for _, i := range idx {
+			mc.add(R[i], dirCounts{})
+		}
+		nb := ix.neighborhood(keys[c], allDirs)
+		mc.count(&nb, allDirs)
+		for k, i := range idx {
+			recs[at[j]+int32(k)] = slotRec{pt: R[i], cnt: mc.cnt[k]}
+		}
+	})
+	ix.layoutR(recs, at)
+}
+
+// layoutR bulk-builds the R side over recs, live slots laid out cell by
+// cell, the c-th cell's slots the run starts[c] .. starts[c+1]-1: the
+// slot tree; rcells, each cell's run listed in an exact-size array of
+// its own, like a list ApplyOps makes; and rids, in slot order. The
+// three builds run side by side across cfg.Workers. buildR and repack
+// share it.
+func (ix *MutableIndex) layoutR(recs []slotRec, starts []int32) {
+	par.ForEach(3, ix.cfg.Workers, func(_, job int) {
+		switch job {
+		case 0:
+			ix.slots = buildSlotTree(recs)
+		case 1:
+			ix.rcells = grid.BuildDir(len(starts)-1,
+				func(c int) grid.Key { r := recs[starts[c]].pt; return grid.KeyFor(r.X, r.Y, ix.side) },
+				func(c int) []int32 {
+					list := make([]int32, starts[c+1]-starts[c])
+					for j := range list {
+						list[j] = starts[c] + int32(j)
+					}
+					return list
+				})
+		case 2:
+			ix.rids = grid.BuildIDDir(len(recs),
+				func(i int) int32 { return recs[i].pt.ID },
+				func(i int) int32 { return int32(i) })
+		}
+	})
+	ix.freeHead, ix.nFree = -1, 0
 }
 
 // Apply absorbs one batch into a new index version and returns a
@@ -722,7 +737,7 @@ func (m *Mutable) Reseed(seed uint64) {
 }
 
 // LivePoints materializes the live point sets (R in slot order, which
-// after Unfreeze or a repack is cell by cell, with later inserts in the
+// after NewMutable or a repack is cell by cell, with later inserts in the
 // slots they took; S in the directory's mixed-key order) — what snapshots and
 // dumps record.
 func (m *Mutable) LivePoints() (R, S []geom.Point) {

@@ -17,16 +17,9 @@ import (
 	"repro/internal/rng"
 )
 
-func mustUnfreeze(t *testing.T, R, S []geom.Point, cfg Config) *Mutable {
+func mustNewMutable(t *testing.T, R, S []geom.Point, cfg Config) *Mutable {
 	t.Helper()
-	s, err := NewBBST(R, S, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Count(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Unfreeze()
+	m, err := NewMutable(R, S, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +33,7 @@ func mustUnfreeze(t *testing.T, R, S []geom.Point, cfg Config) *Mutable {
 // more than T = 2⌈log₂ m⌉ points and an exact scan of smaller cells,
 // with every touched cell's structure rebuilt from its new run, trials
 // run in lane groups of laneN = 8 with a carry, and the slots laid out
-// cell by cell at Unfreeze (slot order is part of the descent's map
+// cell by cell at NewMutable (slot order is part of the descent's map
 // from variate to slot, and of LivePoints' order, so that layout moved
 // it). Any change to the maintained µ, the bucket boundaries, the scan
 // threshold, the slot order, the directory order or the trial's use of
@@ -99,12 +92,13 @@ func (g *churnGen) batch(k int) MutOps {
 	return ops
 }
 
-// mutableScriptDigest unfreezes nyc-shaped points, applies a fixed
+// mutableScriptDigest builds a mutable index over nyc-shaped points,
+// applies a fixed
 // 200-batch churn script and hashes seeded draws from several versions
 // (including one superseded version) plus LivePoints order.
 func mutableScriptDigest(t *testing.T) uint64 {
 	R, S := dataset.SplitRS(dataset.NYC(20000, 1), 0.5, 2)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 100, Seed: 17})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 100, Seed: 17})
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -162,39 +156,50 @@ func TestMutableGoldenDigest(t *testing.T) {
 	}
 }
 
-func TestUnfreezeMatchesFrozen(t *testing.T) {
+// TestNewMutableMatchesFrozen holds NewMutable's counts to the frozen
+// Count's at every scanSettings T: each R point's slot holds its nine
+// counts equal to its frozen record, widened, and Σµ is equal. The two
+// builds share the counter and the cell rule but nothing else, so
+// nothing but this test holds them to each other.
+func TestNewMutableMatchesFrozen(t *testing.T) {
 	r := rng.New(1)
-	l := 6.0
-	R := randomPoints(r, 120, 100, 0)
-	S := randomPoints(r, 150, 100, 10000)
-	s, err := NewBBST(R, S, Config{HalfExtent: l, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Count(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Unfreeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.Stats().MuSum, s.Stats().MuSum; got != want {
-		t.Fatalf("MuSum after unfreeze %g, frozen %g", got, want)
-	}
-	if err := m.Index().CheckInvariants(); err != nil {
-		t.Fatalf("invariants after unfreeze: %v", err)
-	}
-	// The frozen sampler must keep answering after mutations of the
-	// unfrozen line (cells are cloned copy-on-write before edits).
-	nm, err := m.Apply(MutOps{DelS: []int32{S[0].ID, S[1].ID}, InsS: randomPoints(r, 5, 100, 20000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nm.Index().CheckInvariants(); err != nil {
-		t.Fatalf("invariants after apply: %v", err)
-	}
-	if _, err := s.Next(); err != nil {
-		t.Fatalf("frozen sampler broken by unfrozen mutations: %v", err)
+	R := clustered(r, 400, 100, 0)
+	S := clustered(r, 600, 100, 10000)
+	cfg := Config{HalfExtent: 6, Seed: 9}
+	for _, set := range scanSettings {
+		t.Run(set.name, func(t *testing.T) {
+			s, err := set.bbst(R, S, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Count(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := set.mutable(R, S, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix := m.Index()
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if set.name != "default" && mutableBBSTCells(ix) == 0 {
+				t.Fatal("test setup: no S cell has a BBST pair")
+			}
+			for i, p := range R {
+				slots := ix.rids.Get(p.ID)
+				if len(slots) != 1 {
+					t.Fatalf("R[%d] %+v: rids lists slots %v", i, p, slots)
+				}
+				rec := ix.slots.get(int(slots[0]))
+				if _, want := recOf(&s.gridSampler, i); rec.pt != p || rec.cnt != want {
+					t.Fatalf("R[%d] %+v: slot %d holds %+v with counts %v, frozen record %v", i, p, slots[0], rec.pt, rec.cnt, want)
+				}
+			}
+			if got, want := m.Stats().MuSum, s.Stats().MuSum; got != want {
+				t.Fatalf("Σµ %g, frozen %g", got, want)
+			}
+		})
 	}
 }
 
@@ -230,7 +235,7 @@ func TestMutableChurnVsOracle(t *testing.T) {
 	l := 7.0
 	R := randomPoints(r, 100, 100, 0)
 	S := randomPoints(r, 120, 100, 10000)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 3})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: l, Seed: 3})
 
 	liveR := append([]geom.Point(nil), R...)
 	liveS := append([]geom.Point(nil), S...)
@@ -312,20 +317,16 @@ func TestMutableChurnVsOracle(t *testing.T) {
 // non-default T must leave the churned index at least one BBST cell.
 func TestMutableUniformityAfterChurn(t *testing.T) {
 	for _, set := range scanSettings {
-		t.Run(set.name, func(t *testing.T) { mutableUniformityAfterChurn(t, set.name, set.mk) })
+		t.Run(set.name, func(t *testing.T) { mutableUniformityAfterChurn(t, set.name, set.mutable) })
 	}
 }
 
-func mutableUniformityAfterChurn(t *testing.T, setting string, mk func(R, S []geom.Point, cfg Config) (*BBSTSampler, error)) {
+func mutableUniformityAfterChurn(t *testing.T, setting string, mk func(R, S []geom.Point, cfg Config) (*Mutable, error)) {
 	r := rng.New(4)
 	l := 10.0
 	R := randomPoints(r, 40, 60, 0)
 	S := randomPoints(r, 50, 60, 10000)
-	s, err := mk(R, S, Config{HalfExtent: l, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Unfreeze()
+	m, err := mk(R, S, Config{HalfExtent: l, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +388,7 @@ func TestMutableEqualSeedDeterminism(t *testing.T) {
 		r := rng.New(5)
 		R := randomPoints(r, 80, 80, 0)
 		S := randomPoints(r, 90, 80, 10000)
-		m := mustUnfreeze(t, R, S, Config{HalfExtent: 8, Seed: 21})
+		m := mustNewMutable(t, R, S, Config{HalfExtent: 8, Seed: 21})
 		for batch := 0; batch < 20; batch++ {
 			ops := MutOps{
 				InsR: randomPoints(r, 2, 80, 20000+int32(batch)*10),
@@ -422,7 +423,7 @@ func TestMutableVersionIsolation(t *testing.T) {
 	l := 8.0
 	R := randomPoints(r, 70, 70, 0)
 	S := randomPoints(r, 80, 70, 10000)
-	old := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 31})
+	old := mustNewMutable(t, R, S, Config{HalfExtent: l, Seed: 31})
 	oldMu := old.Stats().MuSum
 
 	cur := old
@@ -454,7 +455,7 @@ func TestMutableDrainAndRefill(t *testing.T) {
 	r := rng.New(7)
 	R := randomPoints(r, 30, 40, 0)
 	S := randomPoints(r, 30, 40, 10000)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 20, Seed: 1})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 20, Seed: 1})
 	// Drain R entirely.
 	var ops MutOps
 	for _, p := range R {
@@ -521,7 +522,7 @@ func TestMutableBucketCapTracksLiveCount(t *testing.T) {
 	r := rng.New(14)
 	R := randomPoints(r, 300, 60, 0)
 	S := randomPoints(r, 100, 60, 10000)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 10, Seed: 2})
 	m, err := m.Apply(MutOps{InsS: randomPoints(r, 1600, 60, 20000)})
 	if err != nil {
 		t.Fatal(err)
@@ -546,7 +547,7 @@ func TestMutableCloneIndependence(t *testing.T) {
 	r := rng.New(9)
 	R := randomPoints(r, 60, 60, 0)
 	S := randomPoints(r, 60, 60, 10000)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 13})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 10, Seed: 13})
 	c1, err := m.Clone()
 	if err != nil {
 		t.Fatal(err)
@@ -582,7 +583,7 @@ func TestMutableDeleteMissingPointFails(t *testing.T) {
 	r := rng.New(12)
 	R := randomPoints(r, 40, 50, 0)
 	S := randomPoints(r, 40, 50, 10000)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 10, Seed: 2})
 	ix := *m.Index()
 	ghost := geom.Point{X: S[0].X, Y: S[0].Y, ID: 99999}
 	ix.sids = ix.sids.With(ghost.ID, grid.KeyFor(ghost.X, ghost.Y, ix.side))
@@ -598,7 +599,7 @@ func TestMutableRCellListsChecked(t *testing.T) {
 	r := rng.New(13)
 	R := randomPoints(r, 40, 50, 0)
 	S := randomPoints(r, 40, 50, 10000)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 10, Seed: 2})
 	m, err := m.Apply(MutOps{DelR: []int32{R[0].ID}}) // frees slot 0
 	if err != nil {
 		t.Fatal(err)
@@ -663,7 +664,7 @@ func TestMutableSIDsChecked(t *testing.T) {
 	r := rng.New(14)
 	R := randomPoints(r, 40, 50, 0)
 	S := randomPoints(r, 40, 50, 10000)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 10, Seed: 2})
 	m, err := m.Apply(MutOps{InsS: []geom.Point{{X: S[1].X, Y: S[1].Y, ID: S[0].ID}}}) // a repeated ID
 	if err != nil {
 		t.Fatal(err)
@@ -709,7 +710,7 @@ func TestMutableReuseSlotInSameCell(t *testing.T) {
 	r := rng.New(11)
 	R := randomPoints(r, 40, 50, 0)
 	S := randomPoints(r, 40, 50, 10000)
-	m := mustUnfreeze(t, R, S, Config{HalfExtent: 10, Seed: 2})
+	m := mustNewMutable(t, R, S, Config{HalfExtent: 10, Seed: 2})
 	for i, p := range R[:5] {
 		q := geom.Point{X: p.X, Y: p.Y, ID: int32(900 + i)}
 		var err error
@@ -725,9 +726,9 @@ func TestMutableReuseSlotInSameCell(t *testing.T) {
 
 // TestMutableSizeBytesTracksHeap holds the SizeBytes estimate to
 // between 0.8 and 1.25 times the live heap a sampler holds on its own:
-// the frozen sampler after Count, the index freshly unfrozen from it
-// (the frozen sampler dropped) and after 100 churn batches (every
-// superseded version dropped). The input points belong to the caller
+// the frozen sampler after Count, then a fresh NewMutable over the
+// same points (the frozen sampler dropped) and the index after 100
+// churn batches (every superseded version dropped). The input points belong to the caller
 // and stay alive throughout, so they are not measured. The registry
 // charges engines and stores these estimates against its budget.
 func TestMutableSizeBytesTracksHeap(t *testing.T) {
@@ -745,11 +746,12 @@ func TestMutableSizeBytesTracksHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("frozen", s)
-	m, err := s.Unfreeze()
+	s = nil
+	m, err := NewMutable(R, S, Config{HalfExtent: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("unfrozen", m)
+	check("fresh", m)
 	for batch := 0; batch < 100; batch++ {
 		if m, err = m.Apply(gen.batch(16)); err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
@@ -767,8 +769,8 @@ func TestMutableSizeBytesTracksHeap(t *testing.T) {
 // TestScanCellsHaveNoCorner builds S cells of T-1, T, T+1 and T+2
 // points around the scan threshold T: exactly the cells of at most T
 // points must have no corner structure (nil), in the frozen sampler
-// and in the index unfrozen from it, whose CheckInvariants holds the
-// same rule.
+// and in the mutable index over the same points, whose CheckInvariants
+// holds the same rule.
 func TestScanCellsHaveNoCorner(t *testing.T) {
 	const m, l = 100, 10.0
 	T := scanMax(defaultScanC, m)
@@ -795,7 +797,7 @@ func TestScanCellsHaveNoCorner(t *testing.T) {
 			t.Errorf("cell of %d points, T = %d: corner structure %T", n, T, ci)
 		}
 	}
-	mu, err := s.Unfreeze()
+	mu, err := NewMutable(R, S, Config{HalfExtent: l, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -831,13 +833,12 @@ func TestFrozenSizeBytesTracksHeap(t *testing.T) {
 }
 
 // TestUnfreezeKeptCellOwnsItsRuns: an S cell kept from a mutable
-// version, after the version and the frozen sampler it was unfrozen
-// from are dropped, retains its own two runs, header and corner
-// structure, never the frozen grid's arrays (28 B per frozen S point)
-// or the frozen pair's buckets: Unfreeze copies each cell's runs into
-// arrays of its own and moves its BBST pair over the copy. The bound
-// is the kept cell's own bytes plus 64 KB; the grid's arrays alone are
-// 5.6 MB here.
+// version, after the version is dropped, retains its own two runs,
+// header and corner structure, never an array that the build's other
+// cells share (28 B per S point): NewMutable sorts each cell into runs
+// of its own (grid.NewCell) and builds its BBST pair over them. The
+// bound is the kept cell's own bytes plus 64 KB; one array of every
+// cell's runs would be 5.6 MB here.
 func TestUnfreezeKeptCellOwnsItsRuns(t *testing.T) {
 	const n = 200_000
 	r := rng.New(12)
@@ -848,11 +849,7 @@ func TestUnfreezeKeptCellOwnsItsRuns(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	// Cells of side 16 hold about 51 points, above T = 2⌈log₂ n⌉ = 36,
 	// so the largest has a BBST pair.
-	s, err := NewBBST(R, S, Config{HalfExtent: 16, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Unfreeze()
+	m, err := NewMutable(R, S, Config{HalfExtent: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -867,7 +864,7 @@ func TestUnfreezeKeptCellOwnsItsRuns(t *testing.T) {
 		t.Fatalf("largest cell of %d points has no BBST pair", keep.cell.Len())
 	}
 	own := int64(28*keep.cell.Len() + cornerBytes(keep.corner) + 64)
-	s, m = nil, nil
+	m = nil
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -919,7 +916,7 @@ func TestMutableScanCellCrossesThreshold(t *testing.T) {
 	cfg := Config{HalfExtent: l, Seed: 6}
 	R := randomPoints(r, 150, 60, 0)
 	S := randomPoints(r, 150, 60, 10000)
-	m := mustUnfreeze(t, R, S, cfg)
+	m := mustNewMutable(t, R, S, cfg)
 	key := grid.Key{CX: 2, CY: 2} // the cell [20, 30)²
 	var grown []int32
 	nextID := int32(50000)

@@ -114,22 +114,17 @@ func TestBuildIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestUnfreezeIndependentOfWorkers unfreezes a BBST sampler built at
-// GOMAXPROCS 1 and at 4: both indexes must pass CheckInvariants and
-// give the same size, Σµ and 10k seeded draws.
+// TestUnfreezeIndependentOfWorkers builds a mutable index
+// (core.NewMutable) at GOMAXPROCS 1 and at 4: both indexes must pass
+// CheckInvariants and give the same slot layout, size, Σµ and 10k
+// seeded draws.
 func TestUnfreezeIndependentOfWorkers(t *testing.T) {
 	for _, fx := range schedFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
 			build := func(procs int) (m *core.Mutable, pairs []geom.Pair) {
 				atProcs(procs, func() {
-					s, err := core.NewBBST(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := s.Count(); err != nil {
-						t.Fatal(err)
-					}
-					if m, err = s.Unfreeze(); err != nil {
+					var err error
+					if m, err = core.NewMutable(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7}); err != nil {
 						t.Fatal(err)
 					}
 					if err := m.Index().CheckInvariants(); err != nil {
@@ -141,6 +136,9 @@ func TestUnfreezeIndependentOfWorkers(t *testing.T) {
 			}
 			one, onePairs := build(1)
 			four, fourPairs := build(4)
+			if !reflect.DeepEqual(core.SlotLayoutOf(one), core.SlotLayoutOf(four)) {
+				t.Error("slot layouts differ between GOMAXPROCS 1 and 4")
+			}
 			if a, b := one.Index().SizeBytes(), four.Index().SizeBytes(); a != b {
 				t.Errorf("SizeBytes %d at GOMAXPROCS 1, %d at 4", a, b)
 			}
@@ -154,32 +152,48 @@ func TestUnfreezeIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestUnfreezeLaysOutSlotsByCell holds Unfreeze's slot layout, at
+// TestUnfreezeLaysOutSlotsByCell holds NewMutable's slot layout, at
 // GOMAXPROCS 1 and 4: every rcells list is an ascending run of
 // consecutive slots, the runs tile [0, NumR), each slot lies in its
-// list's cell, and rids maps every R point's ID to the slot holding it.
+// list's cell, rids maps every R point's ID to the slot holding it,
+// and the cells' runs follow the order in which R first touches them.
 func TestUnfreezeLaysOutSlotsByCell(t *testing.T) {
 	for _, fx := range schedFixtures() {
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/procs=%d", fx.name, procs), func(t *testing.T) {
 				var sl core.SlotLayout
 				atProcs(procs, func() {
-					s, err := core.NewBBST(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := s.Count(); err != nil {
-						t.Fatal(err)
-					}
-					m, err := s.Unfreeze()
+					m, err := core.NewMutable(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7})
 					if err != nil {
 						t.Fatal(err)
 					}
 					sl = core.SlotLayoutOf(m)
 				})
 				checkSlotRuns(t, sl, fx.R)
+				checkFirstTouch(t, sl, fx.R)
 			})
 		}
+	}
+}
+
+// checkFirstTouch fails unless the slots hold R cell by cell in the
+// order R first touches the cells, each cell's points in R's order:
+// slot j holds the j-th point of R stably sorted by the input position
+// of its cell's first point.
+func checkFirstTouch(t *testing.T, sl core.SlotLayout, R []geom.Point) {
+	t.Helper()
+	first := make(map[grid.Key]int)
+	for i, p := range R {
+		if _, ok := first[grid.KeyFor(p.X, p.Y, sl.Side)]; !ok {
+			first[grid.KeyFor(p.X, p.Y, sl.Side)] = i
+		}
+	}
+	want := slices.Clone(R)
+	slices.SortStableFunc(want, func(a, b geom.Point) int {
+		return first[grid.KeyFor(a.X, a.Y, sl.Side)] - first[grid.KeyFor(b.X, b.Y, sl.Side)]
+	})
+	if !slices.Equal(sl.Slots, want) {
+		t.Fatal("the slots do not hold R cell by cell in first-touch order")
 	}
 }
 
@@ -250,11 +264,8 @@ func TestRepackIndependentOfWorkers(t *testing.T) {
 			}
 			build := func(procs int) (m *core.Mutable, pairs []geom.Pair) {
 				atProcs(procs, func() {
-					s, err := core.NewBBST(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if m, err = s.Unfreeze(); err != nil {
+					var err error
+					if m, err = core.NewMutable(fx.R, fx.S, core.Config{HalfExtent: fx.l, Seed: 7}); err != nil {
 						t.Fatal(err)
 					}
 					if m, err = m.Apply(ops); err != nil {

@@ -17,14 +17,13 @@ import (
 // its direction — in one 64 B record (one cache line), and beside the
 // records one array of the slots' µ(r) = Σ_d µ(r, d), which a descent's
 // leaf scan reads as one line. The counts stay int32 and per slot,
-// Center included, because an edit recounts a slot on its own; the
+// Center included, because an edit recounts a slot on its own (the
 // frozen sampler's pointRec narrows them to 16 bits where they fit and
-// keeps µ(r, Center) once per R cell, and Unfreeze widens them back.
-// Internal nodes are wide: each keeps
-// the µ totals of its stFan children in one contiguous array next to
-// the child pointers, so a trial is one short root-to-leaf descent
-// (three internal levels cover 2^18 slots) that scans one array per
-// level. Edits return a new version that shares every untouched node,
+// keeps µ(r, Center) once per R cell). Internal nodes are wide: each
+// keeps the µ totals of its stFan children in one contiguous array
+// next to the child pointers, so a trial is one short root-to-leaf
+// descent (three internal levels cover 2^18 slots) that scans one
+// array per level. Edits return a new version that shares every untouched node,
 // so published versions keep reading their own slots while the tip
 // advances.
 //

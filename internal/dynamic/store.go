@@ -2,11 +2,10 @@
 // structures of "Random Sampling over Spatial Range Joins" are built
 // once over immutable R and S; a serving system also needs insert and
 // delete. A Store lands that with one index kind and one write path,
-// in-place maintenance: NewStore bulk-builds the BBST sampler and
-// converts it at once into a core.Mutable (Unfreeze), so every view
-// serves through the mutable index, and every Apply edits the live
-// structures copy-on-write along the touched paths only, in Õ(ops)
-// amortized per batch. There are no insert buffers, no tombstones and
+// in-place maintenance: NewStore builds the mutable index over R and S
+// in one bulk build (core.NewMutable), so every view serves through
+// it, and every Apply edits the live structures copy-on-write along
+// the touched paths only, in Õ(ops) amortized per batch. There are no insert buffers, no tombstones and
 // no rebuild threshold: every S cell a batch touches gets its BBST
 // pair rebuilt with b = ⌈log₂ m⌉ for the live S count m (unless the
 // options fix b), so the bucket size follows the data however far it
@@ -95,8 +94,8 @@ func validFinite(pts []geom.Point, side string) error {
 
 // Config parameterizes a Store.
 type Config struct {
-	// BBST configures the index NewStore bulk-builds (core.NewBBST)
-	// before unfreezing it. Its Seed also drives the per-view serving
+	// BBST configures the index NewStore bulk-builds
+	// (core.NewMutable). Its Seed also drives the per-view serving
 	// pools; equal seeds make equal-seeded draws reproducible within
 	// one generation.
 	BBST core.Config
@@ -124,7 +123,7 @@ type view struct {
 
 	// mut is the view's index version. It shares almost all structure
 	// copy-on-write with the versions before it, back to the bulk
-	// build it was unfrozen from.
+	// build (core.NewMutable) it started from.
 	mut *core.Mutable
 
 	eng *engine.Engine // nil when the current join is empty
@@ -176,8 +175,8 @@ type Store struct {
 	testHookSwap func(*view)
 }
 
-// NewStore bulk-builds the BBST sampler over R and S, unfreezes it at
-// once, so every view serves through the mutable index, and returns a
+// NewStore bulk-builds the mutable index over R and S
+// (core.NewMutable), which every view serves through, and returns a
 // store serving it at generation 0. The slices are not copied and must
 // not be mutated afterwards (Apply never touches them — it edits the
 // store's own index). Empty sides, and an empty join, are allowed: a
@@ -189,11 +188,7 @@ func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	if err := validFinite(S, "S"); err != nil {
 		return nil, err
 	}
-	base, err := core.NewBBST(R, S, cfg.BBST)
-	if err != nil {
-		return nil, err
-	}
-	m, err := base.Unfreeze()
+	m, err := core.NewMutable(R, S, cfg.BBST)
 	if err != nil {
 		return nil, err
 	}

@@ -128,8 +128,8 @@ func (k Key) Neighbor(d Direction) Key {
 // A Cell is the two runs alone; its key is wherever the caller found
 // it. A Grid hands out its cells by value (ByIndex): views whose runs
 // are windows into the grid's arrays, so a kept view pins all of the
-// grid's points. Cells made outside a Grid (WithUpdates) own their
-// runs.
+// grid's points. Cells made outside a Grid (NewCell, WithUpdates) own
+// their runs.
 type Cell struct {
 	XSorted []geom.Point
 	YOrder  []int32
@@ -233,15 +233,32 @@ func BuildWorkers(points []geom.Point, side float64, workers int) (*Grid, error)
 	}
 	par.ForEach(len(keys), workers, func(_, ci int) {
 		lo, hi := starts[ci], starts[ci+1]
-		xs := g.pts[lo:hi]
-		for j, i := range perm[lo:hi] {
-			xs[j] = points[i]
-		}
-		slices.SortFunc(xs, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
-		yOrder(xs, g.ys[lo:hi])
+		sortRuns(points, perm[lo:hi], g.pts[lo:hi], g.ys[lo:hi])
 		g.keys[ci] = keys[ci].packed()
 	})
 	return g, nil
+}
+
+// NewCell returns the cell of the points points[i], i in idx, sorted
+// by the per-cell sort of BuildWorkers, into two runs of its own: the
+// cell a Grid built from the same grouping (GroupByCell) hands out,
+// ties in the same order, but pinning no other cell's points.
+func NewCell(points []geom.Point, idx []int32) *Cell {
+	c := &Cell{XSorted: make([]geom.Point, len(idx)), YOrder: make([]int32, len(idx))}
+	sortRuns(points, idx, c.XSorted, c.YOrder)
+	return c
+}
+
+// sortRuns is the one per-cell sort: it fills xs with points[i], i in
+// idx, sorted by x, and ys with their y order. The x sort is unstable,
+// so ties keep the order this sort gives them from idx's order; they
+// are part of the seeded North/South draws.
+func sortRuns(points []geom.Point, idx []int32, xs []geom.Point, ys []int32) {
+	for j, i := range idx {
+		xs[j] = points[i]
+	}
+	slices.SortFunc(xs, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+	yOrder(xs, ys)
 }
 
 // yOrder fills ord with the positions of xs in ascending y. The sort
