@@ -177,9 +177,9 @@ type Store struct {
 
 // NewStore bulk-builds the mutable index over R and S
 // (core.NewMutable), which every view serves through, and returns a
-// store serving it at generation 0. The slices are not copied and must
-// not be mutated afterwards (Apply never touches them — it edits the
-// store's own index). Empty sides, and an empty join, are allowed: a
+// store serving it at generation 0. The index holds copies of the
+// points, so the slices are not retained (Apply edits the store's own
+// index). Empty sides, and an empty join, are allowed: a
 // store may start empty and be filled through Apply.
 func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	if err := validFinite(R, "R"); err != nil {

@@ -2,9 +2,8 @@ package srj
 
 // The mutable-dataset surface. A Sampler and an Engine are bulk-built
 // over immutable R and S; a Store is the paper's BBST structure made
-// mutable: the bulk-built structures are adopted for in-place
-// maintenance at construction, so every generation draws through the
-// one mutable index, and every batch replaces the touched grid cells
+// mutable: construction bulk-builds the one mutable index directly
+// from R and S, so every generation draws through it, and every batch replaces the touched grid cells
 // with their BBST pairs, rebuilt over the new points, and edits the
 // per-point counts copy-on-write in Õ(ops) amortized, so draws stay
 // uniform over the *live* join (see internal/dynamic). Stores are
@@ -52,16 +51,16 @@ type Store struct {
 	st *dynamic.Store
 }
 
-// NewStore validates R and S, bulk-builds the BBST structures, adopts
-// them into the mutable index every generation draws through, and
-// returns a Store serving them at generation 0. Its seeded draws are
-// not an Engine's over the same points: the Engine draws through the
-// frozen structures, the Store through the mutable index.
+// NewStore validates R and S, bulk-builds the mutable index every
+// generation draws through, and returns a Store serving it at
+// generation 0. Its seeded draws are not an Engine's over the same
+// points: the Engine draws through the frozen structures, the Store
+// through the mutable index.
 // Unlike NewEngine, empty inputs (even a provably empty join) are
 // accepted: a mutable dataset may start empty and be filled through
-// Apply, with Draw answering ErrEmptyJoin until it is. The slices are
-// not copied and must not be mutated afterwards — all mutation goes
-// through Apply, which never touches them.
+// Apply, with Draw answering ErrEmptyJoin until it is. The index holds
+// copies of the points, so the slices are not retained — all mutation
+// goes through Apply.
 func NewStore(R, S []Point, l float64, opts *StoreOptions) (*Store, error) {
 	var o StoreOptions
 	if opts != nil {
