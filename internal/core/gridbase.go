@@ -287,10 +287,10 @@ func (g *gridSampler) build() error {
 // picked first, from Build's cells and corners (countBound), so they
 // are allocated once at that width. The R points are grouped by grid
 // cell through a throwaway index permutation (R itself keeps its
-// order, which the alias indexes), row c being the c-th cell of the
-// grouping, and each cell is counted in one
-// batched muCounter pass against its 3×3 block, looked up once per
-// cell (one search per row); the same lookup fills the cell's row. The
+// order, which the alias indexes), row c being the grouping's c-th
+// cell, and each cell is counted in one batched muCounter pass against
+// its 3×3 block, looked up once per cell (one search per row); the
+// same lookup fills the cell's row. The
 // cells are split across cfg.Workers, each worker with a muCounter of
 // its own; a cell writes only its points' records and µ(r) and its own
 // row, and Σµ and the alias are summed serially in R order, so the

@@ -728,9 +728,10 @@ func TestMutableReuseSlotInSameCell(t *testing.T) {
 // between 0.8 and 1.25 times the live heap a sampler holds on its own:
 // the frozen sampler after Count, then a fresh NewMutable over the
 // same points (the frozen sampler dropped) and the index after 100
-// churn batches (every superseded version dropped). The input points belong to the caller
-// and stay alive throughout, so they are not measured. The registry
-// charges engines and stores these estimates against its budget.
+// churn batches (every superseded version dropped). The input points
+// belong to the caller and stay alive throughout, so they are not
+// measured. The registry charges engines and stores these estimates
+// against its budget.
 func TestMutableSizeBytesTracksHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 50k x 50k index")

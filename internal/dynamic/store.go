@@ -5,14 +5,15 @@
 // in-place maintenance: NewStore builds the mutable index over R and S
 // in one bulk build (core.NewMutable), so every view serves through
 // it, and every Apply edits the live structures copy-on-write along
-// the touched paths only, in Õ(ops) amortized per batch. There are no insert buffers, no tombstones and
-// no rebuild threshold: every S cell a batch touches gets its BBST
-// pair rebuilt with b = ⌈log₂ m⌉ for the live S count m (unless the
-// options fix b), so the bucket size follows the data however far it
-// grows or shrinks. Inserts reuse the R slots deletes free, and a
-// batch that leaves more dead slots than live ones repacks the R side
-// (core.MutableIndex.ApplyOps), so the footprint follows the live
-// count down as well as up. No Apply ever rebuilds the whole store.
+// the touched paths only, in Õ(ops) amortized per batch. There are no
+// insert buffers, no tombstones and no rebuild threshold: every S cell
+// a batch touches gets its BBST pair rebuilt with b = ⌈log₂ m⌉ for the
+// live S count m (unless the options fix b), so the bucket size
+// follows the data however far it grows or shrinks. Inserts reuse the
+// R slots deletes free, and a batch that leaves more dead slots than
+// live ones repacks the R side (core.MutableIndex.ApplyOps), so the
+// footprint follows the live count down as well as up. No Apply ever
+// rebuilds the whole store.
 //
 // Only BBST is mutable. KDS, KDS-rejection, GridKD and JoinSample are
 // the paper's static baselines, ablation and strawman; the serving

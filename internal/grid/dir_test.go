@@ -149,7 +149,8 @@ func BenchmarkDirWith(b *testing.B) {
 }
 
 // BenchmarkBuildDir bulk-builds the shape a mutable index's bulk
-// build (core.NewMutable) passes for scells and rcells: one item per occupied grid cell, about 7k cells.
+// build (core.NewMutable) passes for scells and rcells: one item per
+// occupied grid cell, about 7k cells.
 func BenchmarkBuildDir(b *testing.B) {
 	var keys []Key
 	for x := range int32(90) {

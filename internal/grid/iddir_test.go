@@ -109,9 +109,10 @@ func TestIDDirRandomOpsVsMap(t *testing.T) {
 }
 
 // TestBuildIDDirMatchesWith bulk-builds the shapes a mutable index's
-// bulk build (core.NewMutable) builds (dense IDs, one value each; repeated and extreme IDs) and checks
-// they hold the same lists, node counts and footprint as With calls in
-// item order, and keep agreeing under further edits.
+// bulk build (core.NewMutable) builds (dense IDs, one value each;
+// repeated and extreme IDs) and checks they hold the same lists, node
+// counts and footprint as With calls in item order, and keep agreeing
+// under further edits.
 func TestBuildIDDirMatchesWith(t *testing.T) {
 	r := rng.New(2)
 	dense := make([]int32, 70_000)
@@ -189,7 +190,8 @@ func TestIDDirDenseFootprint(t *testing.T) {
 }
 
 // BenchmarkBuildIDDir bulk-builds the shape a mutable index's bulk
-// build (core.NewMutable) passes for sids and rids: 100k shuffled dense IDs, one value each.
+// build (core.NewMutable) passes for sids and rids: 100k shuffled
+// dense IDs, one value each.
 func BenchmarkBuildIDDir(b *testing.B) {
 	const n = 100_000
 	ids := make([]int32, n)

@@ -3,10 +3,11 @@ package srj
 // The mutable-dataset surface. A Sampler and an Engine are bulk-built
 // over immutable R and S; a Store is the paper's BBST structure made
 // mutable: construction bulk-builds the one mutable index directly
-// from R and S, so every generation draws through it, and every batch replaces the touched grid cells
-// with their BBST pairs, rebuilt over the new points, and edits the
-// per-point counts copy-on-write in Õ(ops) amortized, so draws stay
-// uniform over the *live* join (see internal/dynamic). Stores are
+// from R and S, so every generation draws through it, and every batch
+// replaces the touched grid cells with their BBST pairs, rebuilt over
+// the new points, and edits the per-point counts copy-on-write in
+// Õ(ops) amortized, so draws stay uniform over the *live* join (see
+// internal/dynamic). Stores are
 // BBST-only; the other algorithms are the paper's static baselines.
 // Every applied batch bumps the dataset's generation number. srjserver
 // draws a store-backed key from the store's current view, never from
