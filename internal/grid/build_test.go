@@ -119,11 +119,20 @@ func buildInputs() []struct {
 // TestBuildMatchesMapReference builds each input at GOMAXPROCS 1 and 4
 // and holds the grid to the map-based reference grouping: the same
 // cell keys, in row-major order, with Index their position; runs
-// identical bit for bit, CellLen their length; and the same Block answers for every key
-// within two cells of an occupied one.
+// identical bit for bit, CellLen their length; and the same Block
+// answers for every key within two cells of an occupied one. NewCell
+// over GroupByCell's grouping must give each cell the same runs, ties
+// included, as the mutable index's build relies on.
 func TestBuildMatchesMapReference(t *testing.T) {
 	for _, in := range buildInputs() {
 		ref := refRuns(in.pts, in.side)
+		keys, starts, perm := GroupByCell(in.pts, in.side)
+		for c, k := range keys {
+			nc := NewCell(in.pts, perm[starts[c]:starts[c+1]])
+			if want := ref[k]; !sameBits(nc.XSorted, want[0]) || !sameBits(yRun(t, nc), want[1]) {
+				t.Fatalf("%s: NewCell of %v runs\n x %v\n y %v\nreference\n x %v\n y %v", in.name, k, nc.XSorted, yRun(t, nc), want[0], want[1])
+			}
+		}
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/procs=%d", in.name, procs), func(t *testing.T) {
 				var g *Grid
